@@ -12,8 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from . import geometry
-from ._integrate import quad_checked
+from ._integrate import gauss_legendre
 from .geometry import true_zenith, unit_elongation
 
 # the extinction tail above this altitude shifts the loss exponent by < 1e-13
@@ -49,14 +51,14 @@ def _path_integral(
     altitude_at: Callable[[float], float],
     model: ExtinctionModel,
 ) -> float:
-    """Integral of exp(-h(y)/h_scale) along the line of sight."""
-    return quad_checked(
-        lambda y: math.exp(-altitude_at(y) / model.h_scale),
-        0.0,
-        path_length,
-        rel_tol=1e-10,
-        abs_tol=1e-14,
-    )
+    """Integral of exp(-h(y)/h_scale) along the line of sight.
+
+    Gauss-Legendre in the slant variable: h(y) is analytic along the whole
+    path, also at the horizon where dy/dh has a square-root branch at h = 0.
+    """
+    return gauss_legendre(
+        lambda y: np.exp(-altitude_at(y) / model.h_scale), (0.0, path_length)
+    ).value
 
 
 def eta_atm(

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ._integrate import quad_checked
+import numpy as np
+
+from ._integrate import gauss_laguerre, tanh_sinh
 from .beam import LN2, ReceiverParams, plob
 from .fading import FadingModel, eta_slow
 
@@ -29,6 +31,11 @@ def entropy_h(x: float) -> float:
     if x == 0.0:
         return 0.0
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+
+
+def _entropy_bits(x: np.ndarray) -> np.ndarray:
+    """entropy_h over an ndarray of non-negative photon numbers."""
+    return np.where(x > 0.0, (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x), 0.0)
 
 
 def phi_thermal(tau: float, nbar: float) -> float:
@@ -48,27 +55,26 @@ def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
 
     Delta = 1 + (eta / ln(1-eta)) * I with
     I = integral_0^inf exp(-(r0^2/2 sigma^2) x^(2/gamma)) / (e^x - eta) dx.
-    The integral is split at x = 1 with the substitution u = x^(2/gamma) on
-    the lower piece, which removes the infinite-derivative endpoint when
-    gamma > 2.
+    The integral is split at x = 1.  The lower piece takes the substitution
+    u = x^(2/gamma), which removes the infinite-derivative endpoint when
+    gamma > 2 and leaves an integrable u^(gamma/2 - 1) one for tanh-sinh.
+    The upper piece decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1,
+    the rate its Gauss-Laguerre rule is scaled to.
     """
     if sigma2 == 0.0:
         return 1.0
     s = r0 * r0 / (2.0 * sigma2)
+    g = gamma / 2.0
 
-    def low(u: float) -> float:
-        x = u ** (gamma / 2.0)
-        return math.exp(-s * u) * (gamma / 2.0) * u ** (gamma / 2.0 - 1.0) / (math.exp(x) - eta)
+    def low(u: np.ndarray) -> np.ndarray:
+        return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
 
-    def high(x: float) -> float:
+    def high(x: np.ndarray) -> np.ndarray:
         # written as exp(-s x^(2/g) - x) / (1 - eta e^-x) to avoid overflow
-        exponent = -s * x ** (2.0 / gamma) - x
-        if exponent < -745.0:
-            return 0.0
-        return math.exp(exponent) / (1.0 - eta * math.exp(-x))
+        return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
 
-    integral = quad_checked(low, 0.0, 1.0, rel_tol=1e-10, abs_tol=1e-12, limit=300)
-    integral += quad_checked(high, 1.0, math.inf, rel_tol=1e-10, abs_tol=1e-12, limit=300)
+    integral = tanh_sinh(low, 0.0, 1.0, abs_tol=1e-12).value
+    integral += gauss_laguerre(high, 1.0, 1.0 + s / g, abs_tol=1e-12).value
     return 1.0 + eta / math.log1p(-eta) * integral
 
 
@@ -122,46 +128,55 @@ def thermal_lower(nbar: float, model: FadingModel) -> ThermalLower:
     b = bound_b_model(model)
     if nbar == 0.0:
         return ThermalLower(b, b)
-    s = model.spread
-    gamma = model.gamma
-    eta = model.eta
-
-    def integrand(u: float) -> float:
-        tau = eta * math.exp(-(u ** (gamma / 2.0)))
-        return s * math.exp(-s * u) * entropy_h(nbar / (1.0 - tau))
-
-    penalty = quad_checked(integrand, 0.0, math.inf, rel_tol=1e-9, abs_tol=1e-12, limit=300)
+    penalty = _fading_average(lambda tau: _entropy_bits(nbar / (1.0 - tau)), model, 1e-12)
     middle = max(0.0, b - penalty)
-    simple = max(0.0, b - entropy_h(nbar / (1.0 - eta)))
+    simple = max(0.0, b - entropy_h(nbar / (1.0 - model.eta)))
     return ThermalLower(middle, simple)
+
+
+def _fading_average(
+    f: Callable[[np.ndarray], np.ndarray],
+    model: FadingModel,
+    abs_tol: float,
+    tau_min: float = 0.0,
+) -> float:
+    """Average of f(tau) 1[tau > tau_min] over the fading law.
+
+    In u = ln(eta / tau)^(2 / gamma) the density is s exp(-s u) on
+    [0, inf), and f picks up a u^(gamma/2 - 1) endpoint singularity in its
+    derivative; tanh-sinh handles both, whatever s.  A cut at tau_min > 0
+    becomes the upper end of the u range, so the rule never sees the step.
+    """
+    s = model.spread
+    g = model.gamma / 2.0
+    eta = model.eta
+    u_max = math.log(eta / tau_min) ** (1.0 / g) if tau_min > 0.0 else math.inf
+    return tanh_sinh(
+        lambda u: s * np.exp(-s * u) * f(eta * np.exp(-(u**g))),
+        0.0,
+        u_max,
+        abs_tol=abs_tol,
+    ).value
 
 
 def average_plob(model: FadingModel) -> float:
     """Direct fading average of -log2(1 - tau); oracle for bound_b."""
-    s = model.spread
-    gamma = model.gamma
-    eta = model.eta
-
-    def integrand(u: float) -> float:
-        tau = eta * math.exp(-(u ** (gamma / 2.0)))
-        return s * math.exp(-s * u) * plob(tau)
-
-    return quad_checked(integrand, 0.0, math.inf, rel_tol=1e-9, abs_tol=1e-13, limit=300)
+    return _fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
 
 
 def average_phi_thermal(nbar: float, model: FadingModel) -> float:
-    """Fading average of the thermal-loss upper bound; <= thermal_upper."""
-    s = model.spread
-    gamma = model.gamma
-    eta = model.eta
+    """Fading average of the thermal-loss upper bound; <= thermal_upper.
 
-    def integrand(u: float) -> float:
-        tau = eta * math.exp(-(u ** (gamma / 2.0)))
-        if tau <= nbar:  # entanglement-breaking slots contribute nothing
-            return 0.0
-        return s * math.exp(-s * u) * phi_thermal(tau, nbar)
+    Entanglement-breaking slots (tau <= nbar) contribute nothing.
+    """
+    if nbar >= model.eta:
+        return 0.0
 
-    return quad_checked(integrand, 0.0, math.inf, rel_tol=1e-9, abs_tol=1e-13, limit=300)
+    def phi(tau: np.ndarray) -> np.ndarray:
+        n_e = nbar / (1.0 - tau)
+        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - _entropy_bits(n_e)
+
+    return _fading_average(phi, model, 1e-13, tau_min=nbar)
 
 
 def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:

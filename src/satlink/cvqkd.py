@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import erfcinv
 
+from ._special import erfcinv
 from .bounds import entropy_h
 from .errors import NumericalError
 from .fading import FadingModel, p_threshold
@@ -181,7 +181,7 @@ def asymptotic_rate(tau: float, nbar: float, params: ProtocolParams) -> float:
 def pe_confidence_factor(eps_pe: float, tail: str = "gaussian") -> float:
     """Confidence multiplier w for the worst-case thermal-photon estimate."""
     if tail == "gaussian":
-        return math.sqrt(2.0) * float(erfcinv(eps_pe))
+        return math.sqrt(2.0) * erfcinv(eps_pe)
     if tail == "hoeffding":
         return math.sqrt(2.0 * math.log(1.0 / eps_pe))
     raise ValueError("tail must be 'gaussian' or 'hoeffding'")

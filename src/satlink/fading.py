@@ -14,9 +14,9 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import i0e, i1e
 
 from . import atmosphere, geometry, turbulence
+from ._special import i0e, i1e
 from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 from .beam import BeamParams, ReceiverParams, eta_diffraction
 from .turbulence import SpotSizes, TurbulenceProfile
@@ -33,14 +33,14 @@ def bessel_f0(x: float) -> float:
     """f0(x) = 1 / (1 - exp(-2x) I0(2x))."""
     if x <= 0:
         raise ValueError("argument must be positive")
-    return float(1.0 / (1.0 - i0e(2.0 * x)))
+    return 1.0 / (1.0 - i0e(2.0 * x))
 
 
 def bessel_f1(x: float) -> float:
     """f1(x) = exp(-2x) I1(2x)."""
     if x < 0:
         raise ValueError("argument must be non-negative")
-    return float(i1e(2.0 * x))
+    return i1e(2.0 * x)
 
 
 def fading_params(eta_st: float, eta_st_far: float, aperture: float) -> tuple[float, float]:
@@ -176,8 +176,18 @@ def fading_pdf(tau: float, model: FadingModel) -> float:
     )
 
 
-def fading_cdf(tau: float, model: FadingModel) -> float:
-    """P(transmissivity <= tau); exact via the Gaussian-walk substitution."""
+def fading_cdf(tau, model: FadingModel):
+    """P(transmissivity <= tau); exact via the Gaussian-walk substitution.
+
+    tau is a float, giving a float, or an ndarray, giving an ndarray of the
+    same shape.
+    """
+    if isinstance(tau, np.ndarray):
+        inside = (tau > 0.0) & (tau < model.eta)
+        # placeholder eta/e keeps the logarithm finite outside the support
+        log_ratio = np.log(model.eta / np.where(inside, tau, model.eta / math.e))
+        cdf = np.exp(-model.spread * log_ratio ** (2.0 / model.gamma))
+        return np.where(inside, cdf, np.where(tau <= 0.0, 0.0, 1.0))
     if tau <= 0.0:
         return 0.0
     if tau >= model.eta:

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class EarthConstants:
@@ -68,13 +70,18 @@ def slant_range(h: float, theta: float) -> float:
     return math.sqrt(h * h + 2.0 * h * R_EARTH + (R_EARTH * c) ** 2) - R_EARTH * c
 
 
-def altitude_from_slant(z: float, theta: float) -> float:
-    """Satellite altitude (m) given slant range z and zenith angle theta."""
-    if z < 0:
+def altitude_from_slant(z, theta: float):
+    """Satellite altitude (m) given slant range z and zenith angle theta.
+
+    z may be a float or an ndarray of slant ranges.
+    """
+    if np.min(z) < 0:
         raise ValueError("slant range must be non-negative")
     t = _check_angle(theta)
     c = math.cos(t)
-    return math.sqrt(R_EARTH**2 + z * z + 2.0 * z * R_EARTH * c) - R_EARTH
+    # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
+    rise = z * z + 2.0 * z * R_EARTH * c
+    return rise / (np.sqrt(R_EARTH**2 + rise) + R_EARTH)
 
 
 def zenith_from(z: float, h: float) -> float:

@@ -13,15 +13,19 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from . import geometry
-from ._integrate import quad_checked
+from ._integrate import Integrand, gauss_legendre, tanh_sinh
 from .beam import BeamParams, diffraction_waist
 from .errors import StrongTurbulenceError
 
 # C_n^2 falls exponentially above the tropopause; integrals truncate here
 PROFILE_TOP_M = 100e3
+# panel edges that resolve the 100 m ground scale and the 10 km bump
+LAYER_EDGES_M = (0.0, 2e3, 3e4, PROFILE_TOP_M)
 
 
 @dataclass(frozen=True)
@@ -90,41 +94,55 @@ class TurbulenceProfile:
         return self.kind
 
 
-def cn2(h: float, profile: TurbulenceProfile) -> float:
-    """Structure constant C_n^2 at altitude h (m^(-2/3))."""
+def cn2(h, profile: TurbulenceProfile):
+    """Structure constant C_n^2 (m^(-2/3)) at altitude h, a float or ndarray."""
     if profile.kind == "hufnagel-stanley":
-        if h <= 0:
+        if np.min(h) <= 0:
             raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")
-        return profile.hs_c1 * h ** (-1.0 / 3.0) * math.exp(-h / profile.hs_c2)
-    if h < 0:
+        return profile.hs_c1 * h ** (-1.0 / 3.0) * np.exp(-h / profile.hs_c2)
+    if np.min(h) < 0:
         raise ValueError("altitude must be non-negative")
     if profile.kind == "constant":
-        return profile.a_ground
+        return np.full_like(h, profile.a_ground, dtype=float)[()]
     v = profile.windspeed
     return (
-        5.94e-53 * (v / 27.0) ** 2 * h**10 * math.exp(-h / 1000.0)
-        + 2.7e-16 * math.exp(-h / 1500.0)
-        + profile.a_ground * math.exp(-h / 100.0)
+        5.94e-53 * (v / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
+        + 2.7e-16 * np.exp(-h / 1500.0)
+        + profile.a_ground * np.exp(-h / 100.0)
     )
+
+
+def _column(f: Integrand, edges: Sequence[float], singular: bool) -> float:
+    """Integral of f over the panels between consecutive edges.
+
+    Integrands smooth on every closed panel take composite Gauss-Legendre;
+    an integrable endpoint singularity (the Hufnagel-Stanley h^(-1/3), the
+    power-law path weights) takes tanh-sinh on each panel.
+    """
+    if singular:
+        return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
+    return gauss_legendre(f, edges).value
+
+
+def _layer_edges(top: float) -> list[float]:
+    """The LAYER_EDGES_M panel edges below top, closed by top."""
+    return [e for e in LAYER_EDGES_M if e < top] + [top]
 
 
 def cn2_avg(h: float, profile: TurbulenceProfile) -> float:
     """Single-layer average (1/h) * integral of C_n^2 from 0 to h."""
     if h <= 0:
         raise ValueError("layer thickness must be positive")
-    top = min(h, PROFILE_TOP_M)
-    total = quad_checked(lambda x: cn2(x, profile), 0.0, top, rel_tol=1e-8, limit=300)
-    return total / h
+    edges = _layer_edges(min(h, PROFILE_TOP_M))
+    singular = profile.kind == "hufnagel-stanley"
+    return _column(lambda x: cn2(x, profile), edges, singular) / h
 
 
 @lru_cache(maxsize=32)
 def i_infty(profile: TurbulenceProfile) -> float:
     """Column-integrated C_n^2 (m^(1/3)); the planar-approximation constant."""
-    # piecewise to resolve the 100 m ground scale and the 10 km bump
-    return sum(
-        quad_checked(lambda x: cn2(x, profile), a, b, rel_tol=1e-10, limit=300)
-        for a, b in ((0.0, 2e3), (2e3, 3e4), (3e4, PROFILE_TOP_M))
-    )
+    singular = profile.kind == "hufnagel-stanley"
+    return _column(lambda x: cn2(x, profile), LAYER_EDGES_M, singular)
 
 
 class RytovResult(NamedTuple):
@@ -147,17 +165,15 @@ def rytov_variance(
     """
     if h <= 0:
         raise ValueError("altitude must be positive")
-    top = min(h, PROFILE_TOP_M)
-    mu = quad_checked(
-        lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0),
-        0.0, top, rel_tol=1e-8, limit=300,
-    )
+    edges = _layer_edges(min(h, PROFILE_TOP_M))
+    mu = _column(lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0), edges, True)
     sec = 1.0 / math.cos(abs(theta))
     value = 2.25 * k ** (7.0 / 6.0) * h ** (5.0 / 6.0) * sec ** (11.0 / 6.0) * mu
     if direction == "up":
-        mu_tilde = quad_checked(
+        mu_tilde = _column(
             lambda x: cn2(x, profile) * (x / h * (1.0 - x / h)) ** (5.0 / 6.0),
-            0.0, top, rel_tol=1e-8, limit=300,
+            edges,
+            True,
         )
         value *= mu_tilde / mu
     elif direction != "down":
@@ -168,12 +184,7 @@ def rytov_variance(
 @lru_cache(maxsize=32)
 def _rytov_column(profile: TurbulenceProfile) -> float:
     """Cached integral of C_n^2(xi) xi^(5/6); the saturated Rytov weight."""
-    return sum(
-        quad_checked(
-            lambda x: cn2(x, profile) * x ** (5.0 / 6.0), a, b, rel_tol=1e-8, limit=300
-        )
-        for a, b in ((0.0, 2e3), (2e3, 3e4), (3e4, PROFILE_TOP_M))
-    )
+    return _column(lambda x: cn2(x, profile) * x ** (5.0 / 6.0), LAYER_EDGES_M, True)
 
 
 def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float:
@@ -211,12 +222,13 @@ def coherence_length(
     else:
         raise ValueError("direction must be 'up' or 'down'")
 
-    integral = quad_checked(
+    top = min(z, path_top)
+    along_path = (geometry.slant_range(e, theta) for e in LAYER_EDGES_M)
+    edges = [y for y in along_path if y < top]
+    integral = _column(
         lambda xi: weight(xi) * cn2(geometry.altitude_from_slant(xi, theta), profile),
-        0.0,
-        min(z, path_top),
-        rel_tol=1e-8,
-        limit=400,
+        edges + [top],
+        True,
     )
     return (1.46 * k * k * integral) ** (-3.0 / 5.0)
 

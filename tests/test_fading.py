@@ -168,6 +168,17 @@ class TestDensity:
         )
         assert ks < 0.01
 
+    def test_array_cdf_matches_scalar(self, model_up):
+        eta = model_up.eta
+        tau = np.concatenate(([-0.1, 0.0], np.linspace(0.0, eta, 998)[1:-1], [eta, 2 * eta]))
+        got = fading_cdf(tau.reshape(-1, 5), model_up)
+        assert got.shape == (len(tau) // 5, 5)
+        want = np.array([fading_cdf(float(t), model_up) for t in tau])
+        assert isinstance(fading_cdf(0.5 * eta, model_up), float)
+        # numpy's exp/log/power may round differently from the C library's
+        np.testing.assert_allclose(got.ravel(), want, rtol=0.0, atol=4e-16)
+        assert got.ravel()[:2].tolist() == [0.0, 0.0] and got.ravel()[-2:].tolist() == [1.0, 1.0]
+
     def test_no_wandering_concentrates_at_eta(self, model_down):
         from dataclasses import replace
 
