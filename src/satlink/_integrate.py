@@ -3,20 +3,20 @@
 Every rule integrates a vectorised integrand (ndarray in, ndarray out) on
 node tables that are built once per process:
 
-- `gauss_legendre`: composite Gauss-Legendre over given panel edges, for
-  integrands that are smooth on each closed panel (the C_n^2 bump, the
-  slant-path extinction).
+- `gauss_legendre`: [a, b] for integrands smooth on the closed interval
+  (the slant-path extinction).
 - `gauss_laguerre`: the half-line [a, inf) for integrands that decay like
   exp(-rate * (x - a)) with a smooth remaining factor.
 - `tanh_sinh`: the double-exponential rule of Takahasi & Mori (1974) on
   [a, b] or [a, inf), for integrable endpoint singularities (the
-  Hufnagel-Stanley h^(-1/3), power-law path weights, u^(gamma/2 - 1)) and
-  integrands whose scale is not known in advance.  On [a, inf) it maps
-  x = a + v / (1 - v), which makes it an exp-sinh-type rule.
+  Hufnagel-Stanley h^(-1/3), power-law path weights, u^(gamma/2 - 1)),
+  the C_n^2 column panels and integrands whose scale is not known in
+  advance.  On [a, inf) it maps x = a + v / (1 - v), which makes it an
+  exp-sinh-type rule.
 
 Each call evaluates a rule with n and with 2n nodes (step h and h/2 for
 tanh-sinh).  Where the two disagree by more than max(abs_tol,
-rel_tol * |I|), it doubles again, up to a fixed cap, and then raises
+REL_TOL * |I|), it doubles again, up to a fixed cap, and then raises
 NumericalError.  The result carries that last difference as its error
 estimate; the value returned is the finer of the pair, whose own error is
 far smaller for rules that converge this fast.
@@ -49,9 +49,7 @@ class Quadrature(NamedTuple):
     error: float  # |I_2n - I_n| at the accepted pair
 
 
-def _converge(
-    estimates: Iterator[float], rel_tol: float, abs_tol: float, where: str
-) -> Quadrature:
+def _converge(estimates: Iterator[float], abs_tol: float, where: str) -> Quadrature:
     # overflow, underflow and 0/0 at far nodes surface as inf or nan, which
     # fail the comparison instead of printing warnings
     with np.errstate(all="ignore"):
@@ -59,7 +57,7 @@ def _converge(
         error = math.inf
         for value in estimates:
             error = abs(value - prev)
-            if error <= max(abs_tol, rel_tol * abs(value)):
+            if error <= max(abs_tol, REL_TOL * abs(value)):
                 return Quadrature(float(value), float(error))
             prev = value
     raise NumericalError(
@@ -127,26 +125,15 @@ def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(delta, weight)
 
 
-def gauss_legendre(
-    f: Integrand,
-    edges: Sequence[float],
-    *,
-    rel_tol: float = REL_TOL,
-    abs_tol: float = 0.0,
-) -> Quadrature:
-    """Composite Gauss-Legendre over the panels between consecutive edges.
-
-    f receives an array of shape (panels, nodes).
-    """
-    e = np.asarray(edges, dtype=float)
-    mid = (0.5 * (e[1:] + e[:-1]))[:, None]
-    half = 0.5 * (e[1:] - e[:-1])
+def gauss_legendre(f: Integrand, a: float, b: float) -> Quadrature:
+    """Gauss-Legendre on [a, b], for f smooth on the closed interval."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
 
     def g(x):
-        return half @ f(mid + half[:, None] * x)
+        return half * f(mid + half * x)
 
     estimates = _gauss_estimates("legendre", LEGENDRE_NODES, g)
-    return _converge(estimates, rel_tol, abs_tol, f"Gauss-Legendre on {e.tolist()}")
+    return _converge(estimates, 0.0, f"Gauss-Legendre on [{a}, {b}]")
 
 
 def gauss_laguerre(
@@ -154,7 +141,6 @@ def gauss_laguerre(
     a: float,
     rate: float,
     *,
-    rel_tol: float = REL_TOL,
     abs_tol: float = 0.0,
 ) -> Quadrature:
     """Integral of f over [a, inf) for f decaying like exp(-rate * (x - a))."""
@@ -165,7 +151,7 @@ def gauss_laguerre(
         return f(a + t / rate) / rate
 
     estimates = _gauss_estimates("laguerre", LAGUERRE_NODES, g)
-    return _converge(estimates, rel_tol, abs_tol, f"Gauss-Laguerre on [{a}, inf)")
+    return _converge(estimates, abs_tol, f"Gauss-Laguerre on [{a}, inf)")
 
 
 def tanh_sinh(
@@ -173,7 +159,6 @@ def tanh_sinh(
     a: float,
     b: float,
     *,
-    rel_tol: float = REL_TOL,
     abs_tol: float = 0.0,
 ) -> Quadrature:
     """Double-exponential rule on [a, b]; b may be inf.
@@ -211,4 +196,4 @@ def tanh_sinh(
             total += g(delta) @ weight
             yield total * TS_STEP / 2**level
 
-    return _converge(estimates(), rel_tol, abs_tol, f"tanh-sinh on [{a}, {b}]")
+    return _converge(estimates(), abs_tol, f"tanh-sinh on [{a}, {b}]")

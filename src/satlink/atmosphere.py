@@ -57,7 +57,7 @@ def _path_integral(
     path, also at the horizon where dy/dh has a square-root branch at h = 0.
     """
     return gauss_legendre(
-        lambda y: np.exp(-altitude_at(y) / model.h_scale), (0.0, path_length)
+        lambda y: np.exp(-altitude_at(y) / model.h_scale), 0.0, path_length
     ).value
 
 

@@ -73,15 +73,17 @@ def slant_range(h: float, theta: float) -> float:
 def altitude_from_slant(z, theta: float):
     """Satellite altitude (m) given slant range z and zenith angle theta.
 
-    z may be a float or an ndarray of slant ranges.
+    z may be a float, which returns a float, or an ndarray of slant ranges.
     """
-    if np.min(z) < 0:
+    array = isinstance(z, np.ndarray)
+    if (np.min(z) if array else z) < 0:
         raise ValueError("slant range must be non-negative")
     t = _check_angle(theta)
     c = math.cos(t)
     # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
     rise = z * z + 2.0 * z * R_EARTH * c
-    return rise / (np.sqrt(R_EARTH**2 + rise) + R_EARTH)
+    root = np.sqrt(R_EARTH**2 + rise) if array else math.sqrt(R_EARTH**2 + rise)
+    return rise / (root + R_EARTH)
 
 
 def zenith_from(z: float, h: float) -> float:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import geometry
-from ._integrate import Integrand, gauss_legendre, tanh_sinh
+from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
 from .errors import StrongTurbulenceError
 
@@ -112,16 +112,14 @@ def cn2(h, profile: TurbulenceProfile):
     )
 
 
-def _column(f: Integrand, edges: Sequence[float], singular: bool) -> float:
+def _column(f: Integrand, edges: Sequence[float]) -> float:
     """Integral of f over the panels between consecutive edges.
 
-    Integrands smooth on every closed panel take composite Gauss-Legendre;
-    an integrable endpoint singularity (the Hufnagel-Stanley h^(-1/3), the
-    power-law path weights) takes tanh-sinh on each panel.
+    tanh-sinh on each panel takes the integrable endpoint singularities
+    (the Hufnagel-Stanley h^(-1/3), the power-law path weights) as well as
+    the smooth Hufnagel-Valley and constant profiles.
     """
-    if singular:
-        return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
-    return gauss_legendre(f, edges).value
+    return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
 
 
 def _layer_edges(top: float) -> list[float]:
@@ -134,15 +132,13 @@ def cn2_avg(h: float, profile: TurbulenceProfile) -> float:
     if h <= 0:
         raise ValueError("layer thickness must be positive")
     edges = _layer_edges(min(h, PROFILE_TOP_M))
-    singular = profile.kind == "hufnagel-stanley"
-    return _column(lambda x: cn2(x, profile), edges, singular) / h
+    return _column(lambda x: cn2(x, profile), edges) / h
 
 
 @lru_cache(maxsize=32)
 def i_infty(profile: TurbulenceProfile) -> float:
     """Column-integrated C_n^2 (m^(1/3)); the planar-approximation constant."""
-    singular = profile.kind == "hufnagel-stanley"
-    return _column(lambda x: cn2(x, profile), LAYER_EDGES_M, singular)
+    return _column(lambda x: cn2(x, profile), LAYER_EDGES_M)
 
 
 class RytovResult(NamedTuple):
@@ -166,14 +162,12 @@ def rytov_variance(
     if h <= 0:
         raise ValueError("altitude must be positive")
     edges = _layer_edges(min(h, PROFILE_TOP_M))
-    mu = _column(lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0), edges, True)
+    mu = _column(lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0), edges)
     sec = 1.0 / math.cos(abs(theta))
     value = 2.25 * k ** (7.0 / 6.0) * h ** (5.0 / 6.0) * sec ** (11.0 / 6.0) * mu
     if direction == "up":
         mu_tilde = _column(
-            lambda x: cn2(x, profile) * (x / h * (1.0 - x / h)) ** (5.0 / 6.0),
-            edges,
-            True,
+            lambda x: cn2(x, profile) * (x / h * (1.0 - x / h)) ** (5.0 / 6.0), edges
         )
         value *= mu_tilde / mu
     elif direction != "down":
@@ -184,7 +178,7 @@ def rytov_variance(
 @lru_cache(maxsize=32)
 def _rytov_column(profile: TurbulenceProfile) -> float:
     """Cached integral of C_n^2(xi) xi^(5/6); the saturated Rytov weight."""
-    return _column(lambda x: cn2(x, profile) * x ** (5.0 / 6.0), LAYER_EDGES_M, True)
+    return _column(lambda x: cn2(x, profile) * x ** (5.0 / 6.0), LAYER_EDGES_M)
 
 
 def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float:
@@ -228,7 +222,6 @@ def coherence_length(
     integral = _column(
         lambda xi: weight(xi) * cn2(geometry.altitude_from_slant(xi, theta), profile),
         edges + [top],
-        True,
     )
     return (1.46 * k * k * integral) ** (-3.0 / 5.0)
 

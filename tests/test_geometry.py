@@ -102,6 +102,17 @@ class TestAltitudeFromSlant:
     def test_negative_range_rejected(self):
         with pytest.raises(ValueError):
             altitude_from_slant(-5.0, 0.0)
+        with pytest.raises(ValueError):
+            altitude_from_slant(np.array([1.0, -5.0]), 0.0)
+
+    def test_scalar_in_float_out(self):
+        assert type(altitude_from_slant(100e3, 1.0)) is float
+
+    def test_array_matches_scalar(self):
+        z = np.geomspace(1e-3, 4e7, 40)
+        h = altitude_from_slant(z, 1.2)
+        assert isinstance(h, np.ndarray)
+        assert h.tolist() == [altitude_from_slant(float(y), 1.2) for y in z]
 
 
 class TestZenithFrom:

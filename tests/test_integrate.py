@@ -10,6 +10,7 @@ import scipy.special
 from satlink._integrate import gauss_laguerre, gauss_legendre, tanh_sinh
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
+from satlink.geometry import altitude_from_slant, slant_range
 from satlink.turbulence import LAYER_EDGES_M, TurbulenceProfile, cn2
 
 EPS = np.finfo(float).eps
@@ -53,39 +54,53 @@ class TestGaussLaguerre:
 
 
 class TestGaussLegendre:
-    """The C_n^2 column on its panel edges: ground layer and the 10 km bump."""
+    """The slant-path extinction integrand exp(-h(y) / h_scale)."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, math.pi / 2])
+    def test_extinction_path(self, theta):
+        h_scale = 6600.0
+        path = slant_range(200e3, theta)
+
+        def integrand(y):
+            return np.exp(-altitude_from_slant(y, theta) / h_scale)
+
+        q = gauss_legendre(integrand, 0.0, path)
+        ref = quad(integrand, 0.0, path, epsabs=0.0, epsrel=1e-13, limit=300)
+        assert q.value == pytest.approx(ref, rel=1e-11)
+
+    def test_error_estimate_bounds_error(self):
+        q = gauss_legendre(lambda x: np.exp(-x), 0.0, 3.0)
+        assert_error_bounds(q, -math.expm1(-3.0))
+
+    def test_discontinuity_raises(self):
+        with pytest.raises(NumericalError):
+            gauss_legendre(lambda x: np.where(x < 0.3, 1.0, 0.0), 0.0, 1.0)
+
+
+class TestTanhSinh:
+    """Integrable endpoint singularities and unknown scales."""
 
     @pytest.mark.parametrize("windspeed", [21.0, 57.0])
     def test_cn2_bump(self, windspeed):
+        # the Hufnagel-Valley column on its panel edges: ground layer and
+        # the 10 km bump
         profile = TurbulenceProfile(windspeed=windspeed)
-        q = gauss_legendre(lambda x: cn2(x, profile), LAYER_EDGES_M)
-        # the three Hufnagel-Valley terms integrate in closed form; their
-        # tails beyond 100 km are below 1e-30 of the total
+        panels = list(zip(LAYER_EDGES_M, LAYER_EDGES_M[1:]))
+        q = [tanh_sinh(lambda x: cn2(x, profile), a, b) for a, b in panels]
+        value = sum(p.value for p in q)
+        # the three terms integrate in closed form; their tails beyond
+        # 100 km are below 1e-30 of the total
         exact = (
             5.94e-53 * (windspeed / 27.0) ** 2 * math.factorial(10) * 1000.0**11
             + 2.7e-16 * 1500.0
             + profile.a_ground * 100.0
         )
-        assert_error_bounds(q, exact)
+        assert abs(value - exact) <= sum(p.error for p in q) + 8 * EPS * exact
         ref = sum(
             quad(lambda x: cn2(x, profile), a, b, epsabs=0.0, epsrel=1e-12, limit=300)
-            for a, b in zip(LAYER_EDGES_M, LAYER_EDGES_M[1:])
+            for a, b in panels
         )
-        assert q.value == pytest.approx(ref, rel=1e-11)
-
-    def test_panels_sum(self):
-        whole = gauss_legendre(lambda x: np.exp(-x), (0.0, 3.0)).value
-        split = gauss_legendre(lambda x: np.exp(-x), (0.0, 0.5, 3.0)).value
-        assert split == pytest.approx(whole, rel=1e-15)
-        assert whole == pytest.approx(-math.expm1(-3.0), rel=1e-15)
-
-    def test_discontinuity_raises(self):
-        with pytest.raises(NumericalError):
-            gauss_legendre(lambda x: np.where(x < 0.3, 1.0, 0.0), (0.0, 1.0))
-
-
-class TestTanhSinh:
-    """Integrable endpoint singularities and unknown scales."""
+        assert value == pytest.approx(ref, rel=1e-11)
 
     def test_hufnagel_stanley_singularity(self):
         hs = TurbulenceProfile.hufnagel_stanley()
