@@ -23,7 +23,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out_bounds")
     parser.add_argument("--points", type=int, default=40)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -32,8 +31,7 @@ def main() -> int:
         target = outdir / f"bounds_{name}.csv"
         code = cli_main(
             ["bounds", "--h-grid", f"100km:36000km:{args.points}:log",
-             "--theta", "0", "--theta", "1",
-             "--jobs", str(args.jobs), "-o", str(target)]
+             "--theta", "0", "--theta", "1", "-o", str(target)]
             + overrides
         )
         if code != 0:

@@ -6,13 +6,18 @@ recurrence, in the same order as Cephes, so they return the same doubles
 as scipy.special.i0e and i1e.  That matters for more than accuracy: in the
 far field fading.bessel_f0 takes 1 - i0e(2x), which cancels, and the
 Weibull shape gamma built from it turns a one-ulp change in i0e into a
-relative change of order 1e-16 / x^2.
+relative change of order 1e-16 / x^2.  They take a float or an ndarray;
+numpy's elementwise arithmetic rounds like Python's, so an array gives
+every element the double a float argument gives.
 """
 
 from __future__ import annotations
 
 import math
 from statistics import NormalDist
+
+import numpy as np
+
 
 # Chebyshev coefficients, highest order first: exp(-y) I0(y) and
 # exp(-y) I1(y) / y on [0, 8] in the variable y/2 - 2, and
@@ -65,8 +70,11 @@ _I1_LARGE = (
 )
 
 
-def _chbevl(x: float, coefficients: tuple[float, ...]) -> float:
-    """Sum of a Chebyshev series at x in [-2, 2] (Cephes' half-sum form)."""
+def _chbevl(x, coefficients):
+    """Sum of a Chebyshev series at x in [-2, 2] (Cephes' half-sum form).
+
+    Each coefficient is a float, or an array with one per point of x.
+    """
     b0, b1, b2 = coefficients[0], 0.0, 0.0
     for c in coefficients[1:]:
         b2 = b1
@@ -75,18 +83,46 @@ def _chbevl(x: float, coefficients: tuple[float, ...]) -> float:
     return 0.5 * (b0 - b2)
 
 
-def i0e(y: float) -> float:
+def _columns(small: tuple[float, ...], large: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Both tables as columns of one length; zeros lead the shorter one.
+
+    A leading zero coefficient leaves Clenshaw's sums unchanged, bit for
+    bit, so every point of an array can take its own table in one pass.
+    """
+    n = max(len(small), len(large))
+    return tuple(np.array((0.0,) * (n - len(t)) + t)[:, None] for t in (small, large))
+
+
+_I0_COLUMNS = _columns(_I0_SMALL, _I0_LARGE)
+_I1_COLUMNS = _columns(_I1_SMALL, _I1_LARGE)
+
+
+def _scaled_bessel(y, small: tuple[float, ...], large: tuple[float, ...], columns, times_y: bool):
+    """Cephes' exp(-y) I_n(y): the small table's sum in y/2 - 2 on [0, 8]
+    (times y when times_y), the large one's in 32/y - 2 over sqrt(y) beyond.
+
+    An array takes each point's table in one Clenshaw pass; a float picks
+    its table.
+    """
+    if isinstance(y, np.ndarray):
+        beyond = y > 8.0
+        x = np.where(beyond, 32.0 / np.where(beyond, y, 8.0), y / 2.0) - 2.0
+        value = _chbevl(x, np.where(beyond, columns[1], columns[0]))
+        return np.where(beyond, value / np.sqrt(np.where(beyond, y, 1.0)), value * y if times_y else value)
+    if y > 8.0:
+        return _chbevl(32.0 / y - 2.0, large) / math.sqrt(y)
+    value = _chbevl(y / 2.0 - 2.0, small)
+    return value * y if times_y else value
+
+
+def i0e(y):
     """Exponentially scaled modified Bessel function exp(-y) I0(y), y >= 0."""
-    if y <= 8.0:
-        return _chbevl(y / 2.0 - 2.0, _I0_SMALL)
-    return _chbevl(32.0 / y - 2.0, _I0_LARGE) / math.sqrt(y)
+    return _scaled_bessel(y, _I0_SMALL, _I0_LARGE, _I0_COLUMNS, False)
 
 
-def i1e(y: float) -> float:
+def i1e(y):
     """Exponentially scaled modified Bessel function exp(-y) I1(y), y >= 0."""
-    if y <= 8.0:
-        return _chbevl(y / 2.0 - 2.0, _I1_SMALL) * y
-    return _chbevl(32.0 / y - 2.0, _I1_LARGE) / math.sqrt(y)
+    return _scaled_bessel(y, _I1_SMALL, _I1_LARGE, _I1_COLUMNS, True)
 
 
 def erfcinv(x: float) -> float:

@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry
+from ._array import mathof, where
 from ._integrate import gauss_legendre
 from .geometry import true_zenith, unit_elongation
 
@@ -46,36 +47,31 @@ def eta_atm_zenith_inf(model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
     return math.exp(-model.alpha0 * model.h_scale)
 
 
-def _path_integral(
-    path_length: float,
-    altitude_at: Callable[[float], float],
-    model: ExtinctionModel,
-) -> float:
-    """Integral of exp(-h(y)/h_scale) along the line of sight.
+def _extinction(y, theta, h_scale: float):
+    return np.exp(-geometry.altitude_from_slant(y, theta) / h_scale)
 
+
+def _path_integral(path, theta, model: ExtinctionModel):
+    """Integral of exp(-h(y)/h_scale) along lines of sight of length path.
+
+    h(y) is the altitude at slant range y and zenith angle theta.
     Gauss-Legendre in the slant variable: h(y) is analytic along the whole
     path, also at the horizon where dy/dh has a square-root branch at h = 0.
     """
-    return gauss_legendre(
-        lambda y: np.exp(-altitude_at(y) / model.h_scale), 0.0, path_length
-    ).value
+    return gauss_legendre(_extinction, 0.0, path, theta, model.h_scale).value
 
 
-def eta_atm(
-    h: float, theta: float, model: ExtinctionModel = DEFAULT_EXTINCTION
-) -> float:
+def eta_atm(h, theta, model: ExtinctionModel = DEFAULT_EXTINCTION):
     """Slant-path transmissivity to altitude h at zenith angle theta.
 
-    The path integral is truncated where the line of sight clears the
-    atmosphere; the neglected tail is far below the quadrature tolerance.
+    h and theta are floats or 1-D arrays of points.  The path integral is
+    truncated where the line of sight clears the atmosphere; the neglected
+    tail is far below the quadrature tolerance.  At h = 0 the path is empty
+    and the transmissivity 1.
     """
-    if h < 0:
-        raise ValueError("altitude must be non-negative")
-    if h == 0:
-        return 1.0
-    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    g = _path_integral(path, lambda y: geometry.altitude_from_slant(y, theta), model)
-    return math.exp(-model.alpha0 * g)
+    # slant_range rejects h < 0
+    path = geometry.slant_range(where(h < PATH_TOP_M, h, PATH_TOP_M), theta)
+    return mathof(path).exp(-model.alpha0 * _path_integral(path, theta, model))
 
 
 def eta_atm_secant(
@@ -105,8 +101,6 @@ def eta_atm_refracted(
     if factor < 1.0:
         raise ValueError("elongation factor must be >= 1")
     theta = true_zenith(theta_app)
-    path = factor * geometry.slant_range(min(h, PATH_TOP_M), theta)
-    g = _path_integral(
-        path, lambda y: geometry.altitude_from_slant(y / factor, theta), model
-    )
-    return math.exp(-model.alpha0 * g)
+    # the path stretched by factor: y = factor * y' with y' along the true one
+    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
+    return math.exp(-model.alpha0 * factor * _path_integral(path, theta, model))

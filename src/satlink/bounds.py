@@ -4,7 +4,9 @@ The loss-limited bound averages the pure-loss key capacity over the
 transmissivity distribution; with background thermal photons it splits into
 an upper bound (loss-limited minus a thermal correction) and a reverse
 coherent information lower bound.  Maximum secure ranges follow either from
-a Fresnel-number argument or from the root of upper-bound = 0.
+a Fresnel-number argument or from the root of upper-bound = 0.  The bounds
+take a fading model at one geometry or at every point of a sweep; the
+thermal photon number nbar is one float for all of them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._array import all_, any_, mathof, scatter, take, where
 from ._integrate import gauss_laguerre, tanh_sinh
 from .beam import LN2, ReceiverParams, plob
 from .fading import FadingModel, eta_slow
@@ -22,20 +25,23 @@ from .fading import FadingModel, eta_slow
 _H_TINY = -1e-12
 
 
-def entropy_h(x: float) -> float:
+def entropy_h(x):
     """Thermal-state entropy (x+1)log2(x+1) - x log2(x), with h(0) = 0."""
-    if x < 0:
-        if x > _H_TINY:  # numerical dust from symplectic eigenvalues
-            return 0.0
+    # numerical dust from symplectic eigenvalues counts as zero
+    if any_(x <= _H_TINY):
         raise ValueError("mean photon number must be non-negative")
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    return thermal_entropy(x, mathof(x))
 
 
-def _entropy_bits(x: np.ndarray) -> np.ndarray:
-    """entropy_h over an ndarray of non-negative photon numbers."""
-    return np.where(x > 0.0, (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x), 0.0)
+def thermal_entropy(x, m):
+    """entropy_h without the domain check, x <= 0 counting as 0, with m's log2.
+
+    m is mathof(x) at the points of a sweep and numpy in quadrature integrands.
+    """
+    # multiplying by the masks zeroes x <= 0 (to -0.0 at worst, which h maps
+    # to 0.0) and keeps log2 off 0, without a branch on scalars or arrays
+    x = x * (x > 0.0)
+    return (x + 1.0) * m.log2(x + 1.0) - x * m.log2(x + (x == 0.0))
 
 
 def phi_thermal(tau: float, nbar: float) -> float:
@@ -50,7 +56,16 @@ def phi_thermal(tau: float, nbar: float) -> float:
     return -math.log2(1.0 - tau) - n_e * math.log2(tau) - entropy_h(n_e)
 
 
-def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
+def _wander_low(u, s, g, eta):
+    return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
+
+
+def _wander_high(x, s, g, eta):
+    # written as exp(-s x^(2/g) - x) / (1 - eta e^-x) to avoid overflow
+    return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
+
+
+def wander_delta(eta, sigma2, gamma, r0):
     """Beam-wandering correction factor Delta(eta, sigma) in (0, 1].
 
     Delta = 1 + (eta / ln(1-eta)) * I with
@@ -59,57 +74,56 @@ def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
     u = x^(2/gamma), which removes the infinite-derivative endpoint when
     gamma > 2 and leaves an integrable u^(gamma/2 - 1) one for tanh-sinh.
     The upper piece decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1,
-    the rate its Gauss-Laguerre rule is scaled to.
+    the rate its Gauss-Laguerre rule is scaled to.  Without wander
+    (sigma2 = 0) Delta is 1.
     """
-    if sigma2 == 0.0:
-        return 1.0
-    s = r0 * r0 / (2.0 * sigma2)
+    wander = sigma2 != 0.0
+    s = r0 * r0 / (2.0 * where(wander, sigma2, 1.0))
     g = gamma / 2.0
-
-    def low(u: np.ndarray) -> np.ndarray:
-        return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
-
-    def high(x: np.ndarray) -> np.ndarray:
-        # written as exp(-s x^(2/g) - x) / (1 - eta e^-x) to avoid overflow
-        return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
-
-    integral = tanh_sinh(low, 0.0, 1.0, abs_tol=1e-12).value
-    integral += gauss_laguerre(high, 1.0, 1.0 + s / g, abs_tol=1e-12).value
-    return 1.0 + eta / math.log1p(-eta) * integral
+    integral = tanh_sinh(_wander_low, 0.0, 1.0, s, g, eta, abs_tol=1e-12).value
+    integral += gauss_laguerre(_wander_high, 1.0, 1.0 + s / g, s, g, eta, abs_tol=1e-12).value
+    return where(wander, 1.0 + eta / mathof(eta).log1p(-eta) * integral, 1.0)
 
 
-def bound_b(eta: float, sigma2: float, gamma: float, r0: float) -> float:
+def bound_b(eta, sigma2, gamma, r0):
     """Loss-limited bound -Delta(eta, sigma) * log2(1 - eta), bits per use."""
-    if not 0.0 < eta < 1.0:
+    if not all_((0.0 < eta) & (eta < 1.0)):
         raise ValueError("eta must lie in (0, 1)")
-    return -wander_delta(eta, sigma2, gamma, r0) * math.log1p(-eta) / LN2
+    return -wander_delta(eta, sigma2, gamma, r0) * mathof(eta).log1p(-eta) / LN2
 
 
-def bound_b_model(model: FadingModel) -> float:
+def bound_b_model(model: FadingModel):
     return bound_b(model.eta, model.sigma2, model.gamma, model.r0)
 
 
-def thermal_correction(nbar: float, model: FadingModel) -> float:
+def thermal_correction(nbar: float, model: FadingModel):
     """Thermal correction subtracted from the loss-limited bound (nbar <= eta)."""
     if nbar < 0:
         raise ValueError("thermal photons must be non-negative")
     if nbar == 0.0:
         return 0.0
-    if nbar > model.eta:
+    if any_(nbar > model.eta):
         raise ValueError("thermal correction defined for nbar <= eta")
-    u = math.log(model.eta / nbar) ** (2.0 / model.gamma)
-    weight = 1.0 - math.exp(-model.spread * u)
+    m = mathof(model.eta)
+    u = m.pow(m.log(model.eta / nbar), 2.0 / model.gamma)
+    weight = 1.0 - m.exp(-model.spread * u)
     bracket = nbar * math.log2(nbar) / (1.0 - nbar) + entropy_h(nbar)
     return weight * bracket + bound_b(nbar, model.sigma2, model.gamma, model.r0)
 
 
-def thermal_upper(nbar: float, model: FadingModel) -> float:
-    """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking."""
+def thermal_upper(nbar: float, model: FadingModel, b=None):
+    """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking.
+
+    b is the model's loss-limited bound B, when the caller has it already.
+    """
     if nbar == 0.0:
-        return bound_b_model(model)
-    if nbar >= model.eta:
-        return 0.0
-    return max(0.0, bound_b_model(model) - thermal_correction(nbar, model))
+        return bound_b_model(model) if b is None else b
+    live = nbar < model.eta
+    if not any_(live):
+        return 0.0 * model.eta
+    part = model.select(live)
+    upper = (bound_b_model(part) if b is None else take(live, b)) - thermal_correction(nbar, part)
+    return scatter(live, where(upper > 0.0, upper, 0.0), 0.0)
 
 
 class ThermalLower(NamedTuple):
@@ -117,21 +131,22 @@ class ThermalLower(NamedTuple):
     simple: float  # B - h(nbar / (1 - eta))
 
 
-def thermal_lower(nbar: float, model: FadingModel) -> ThermalLower:
+def thermal_lower(nbar: float, model: FadingModel, b=None) -> ThermalLower:
     """Reverse-coherent-information lower bounds, clamped at zero.
 
     The middle form averages the entropy penalty over the fading law; the
-    simple form replaces tau by its maximum eta and is never larger.
+    simple form replaces tau by its maximum eta and is never larger.  b is
+    the model's loss-limited bound B, when the caller has it already.
     """
     if nbar < 0:
         raise ValueError("thermal photons must be non-negative")
-    b = bound_b_model(model)
+    if b is None:
+        b = bound_b_model(model)
     if nbar == 0.0:
         return ThermalLower(b, b)
-    penalty = _fading_average(lambda tau: _entropy_bits(nbar / (1.0 - tau)), model, 1e-12)
-    middle = max(0.0, b - penalty)
-    simple = max(0.0, b - entropy_h(nbar / (1.0 - model.eta)))
-    return ThermalLower(middle, simple)
+    middle = b - _fading_average(lambda tau: thermal_entropy(nbar / (1.0 - tau), np), model, 1e-12)
+    simple = b - entropy_h(nbar / (1.0 - model.eta))
+    return ThermalLower(where(middle > 0.0, middle, 0.0), where(simple > 0.0, simple, 0.0))
 
 
 def _fading_average(
@@ -139,7 +154,7 @@ def _fading_average(
     model: FadingModel,
     abs_tol: float,
     tau_min: float = 0.0,
-) -> float:
+):
     """Average of f(tau) 1[tau > tau_min] over the fading law.
 
     In u = ln(eta / tau)^(2 / gamma) the density is s exp(-s u) on
@@ -150,16 +165,20 @@ def _fading_average(
     s = model.spread
     g = model.gamma / 2.0
     eta = model.eta
-    u_max = math.log(eta / tau_min) ** (1.0 / g) if tau_min > 0.0 else math.inf
+    m = mathof(eta)
+    u_max = m.pow(m.log(eta / tau_min), 1.0 / g) if tau_min > 0.0 else math.inf
     return tanh_sinh(
-        lambda u: s * np.exp(-s * u) * f(eta * np.exp(-(u**g))),
+        lambda u, s, g, eta: s * np.exp(-s * u) * f(eta * np.exp(-(u**g))),
         0.0,
         u_max,
+        s,
+        g,
+        eta,
         abs_tol=abs_tol,
     ).value
 
 
-def average_plob(model: FadingModel) -> float:
+def average_plob(model: FadingModel):
     """Direct fading average of -log2(1 - tau); oracle for bound_b."""
     return _fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
 
@@ -167,14 +186,15 @@ def average_plob(model: FadingModel) -> float:
 def average_phi_thermal(nbar: float, model: FadingModel) -> float:
     """Fading average of the thermal-loss upper bound; <= thermal_upper.
 
-    Entanglement-breaking slots (tau <= nbar) contribute nothing.
+    Entanglement-breaking slots (tau <= nbar) contribute nothing.  One
+    geometry at a time.
     """
     if nbar >= model.eta:
         return 0.0
 
     def phi(tau: np.ndarray) -> np.ndarray:
         n_e = nbar / (1.0 - tau)
-        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - _entropy_bits(n_e)
+        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - thermal_entropy(n_e, np)
 
     return _fading_average(phi, model, 1e-13, tau_min=nbar)
 

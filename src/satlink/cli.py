@@ -13,8 +13,8 @@ Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
+import functools
 import json
 import math
 import re
@@ -243,27 +243,9 @@ def _open_out(args):
 
 # -- subcommands -------------------------------------------------------------
 
-def _bounds_point(task):
-    scn, h, theta = task
-    vals = scn.bounds_at(h, theta)
-    return (
-        h / 1e3, theta, vals["U"], vals["V"], vals["B"], vals["upper"], vals["lower"],
-        vals["eta"], vals["nbar"],
-    )
-
-
-def _rate_point(task):
-    scn, h, theta, attacks = task
-    res = scn.rate_at(h, theta, attacks)
-    return (h / 1e3, theta, res.rate, res.unclamped)
-
-
-def _map_tasks(fn, tasks, jobs: int):
-    if jobs <= 1:
-        return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        # map preserves input order regardless of completion order
-        return list(pool.map(fn, tasks, chunksize=1))
+def _columns(n: int, *values) -> list[list]:
+    """n-point arrays, and scalars that hold at every point, as CSV columns."""
+    return [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
 
 
 def cmd_bounds(args) -> int:
@@ -272,13 +254,16 @@ def cmd_bounds(args) -> int:
     if not h_grid:
         raise ConfigError("empty altitude grid")
     thetas = [parse_quantity(t) for t in args.theta] or [0.0]
-    tasks = [(scn, h, th) for h in h_grid for th in thetas]
-    rows = _map_tasks(_bounds_point, tasks, args.jobs)
+    # rows in h-major order: every angle at the first altitude, then the next
+    h = np.repeat(h_grid, len(thetas))
+    theta = np.tile(thetas, len(h_grid))
+    vals = scn.bounds_at(h, theta)
+    keys = ("U", "V", "B", "upper", "lower", "eta", "nbar")
     with _open_out(args) as out:
         write_csv(
             out, scn,
             ["h_km", "theta", "U", "V", "B", "thermal_upper", "thermal_lower", "eta", "nbar"],
-            rows,
+            zip(*_columns(h.size, h / 1e3, theta, *(vals[k] for k in keys))),
         )
     return 0
 
@@ -286,11 +271,13 @@ def cmd_bounds(args) -> int:
 def cmd_rate(args) -> int:
     scn = resolve_scenario(args)
     h = parse_quantity(args.h)
-    thetas = parse_grid(args.theta_grid)
-    tasks = [(scn, h, th, args.attacks) for th in thetas]
-    rows = _map_tasks(_rate_point, tasks, args.jobs)
+    thetas = np.array(parse_grid(args.theta_grid))
+    res = scn.rate_at(h, thetas, args.attacks)
     with _open_out(args) as out:
-        write_csv(out, scn, ["h_km", "theta", "rate", "rate_unclamped"], rows)
+        write_csv(
+            out, scn, ["h_km", "theta", "rate", "rate_unclamped"],
+            zip(*_columns(thetas.size, h / 1e3, thetas, res.rate, res.unclamped)),
+        )
     return 0
 
 
@@ -425,7 +412,9 @@ def cmd_show_config(args) -> int:
 
 # -- argument parsing --------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="satlink",
         description="Satellite optical link budgets, capacity bounds and CV-QKD rates.",
@@ -437,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key (repeatable)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     p = sub.add_parser("bounds", help="upper/lower bound sweep over altitude")
     common(p)

@@ -8,19 +8,22 @@ symplectic eigenvalues nu+- = sqrt((D +- sqrt(D^2 - 4 det V)) / 2), and the
 homodyne/heterodyne measurement update of the conditional state.  Bright
 pilot pulses interleaved with the signal estimate the instantaneous
 transmissivity and the thermal photon number; the worst-case thermal
-estimate enters the rate.
+estimate enters the rate.  Transmissivities, and the fading model the
+post-selected rate takes, are floats or arrays over the points of a sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._array import all_, any_, at_first, mathof, where
 from ._special import erfcinv
-from .bounds import entropy_h
+from .bounds import thermal_entropy
 from .errors import NumericalError
 from .fading import FadingModel, p_threshold
 
@@ -100,26 +103,45 @@ class ProtocolParams:
             n /= 1.0 + self.energy_test_fraction
         return n
 
+    # the two finite-size terms depend on the protocol alone; every rate
+    # evaluation needs them, so they are computed once per instance
+
+    @cached_property
+    def delta_aep(self) -> float:
+        """AEP penalty Delta_AEP, to be divided by sqrt(n)."""
+        return 4.0 * math.log2(2.0 * math.sqrt(self.alphabet) + 1.0) * math.sqrt(
+            math.log2(18.0 / (self.p_ec**2 * self.eps_s**4))
+        )
+
+    @cached_property
+    def theta_term(self) -> float:
+        """Leftover-hash term Theta, to be divided by n."""
+        return math.log2(self.p_ec * (1.0 - self.eps_s**2 / 3.0)) + 2.0 * math.log2(
+            math.sqrt(2.0) * self.eps_h
+        )
+
     @property
     def eps_total(self) -> float:
         """Composed epsilon security against collective attacks."""
         return self.p_ec * self.eps_pe + self.eps_cor + self.eps_s + self.eps_h
 
 
-def mutual_information(tau: float, nbar: float, sigma_x2: float, detection: str) -> float:
+def mutual_information(tau, nbar: float, sigma_x2: float, detection: str):
     """Transmitter-receiver mutual information, bits per use."""
-    if not 0.0 < tau <= 1.0:
+    if not all_((0.0 < tau) & (tau <= 1.0)):
         raise ValueError("transmissivity must lie in (0, 1]")
     if sigma_x2 < 0 or nbar < 0:
         raise ValueError("variance and photon number must be non-negative")
     if detection == "hom":
-        return 0.5 * math.log2(1.0 + tau * sigma_x2 / (2.0 * nbar + 1.0))
+        snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + 1.0)
+        return 0.5 * mathof(snr).log2(snr)
     if detection == "het":
-        return math.log2(1.0 + tau * sigma_x2 / (2.0 * nbar + 2.0))
+        snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + 2.0)
+        return mathof(snr).log2(snr)
     raise ValueError("detection must be 'hom' or 'het'")
 
 
-def equivalent_noise(tau: float, nbar: float, nu_add: float) -> float:
+def equivalent_noise(tau, nbar, nu_add: float):
     """Total noise referred to the channel input, sigma_z^2 / tau.
 
     With sigma_z^2 = 2*nbar + nu_add the mutual information takes the
@@ -128,13 +150,14 @@ def equivalent_noise(tau: float, nbar: float, nu_add: float) -> float:
     return (2.0 * nbar + nu_add) / tau
 
 
-def _entropy_from_nu(nu: float) -> float:
-    if nu < 1.0 - 1e-9:
-        raise NumericalError(f"non-physical symplectic eigenvalue {nu}")
-    return entropy_h(max(0.0, (nu - 1.0) / 2.0))
+def _entropy_from_nu(nu):
+    unphysical = nu < 1.0 - 1e-9
+    if any_(unphysical):
+        raise NumericalError(f"non-physical symplectic eigenvalue {at_first(unphysical, nu)}")
+    return thermal_entropy((nu - 1.0) / 2.0, mathof(nu))
 
 
-def holevo_bound(tau: float, nbar: float, mu: float, detection: str) -> float:
+def holevo_bound(tau, nbar, mu: float, detection: str):
     """Eavesdropper Holevo information chi(E:y) in reverse reconciliation.
 
     The transmitter-receiver state is the two-mode Gaussian with quadrature
@@ -142,28 +165,31 @@ def holevo_bound(tau: float, nbar: float, mu: float, detection: str) -> float:
     c = sqrt(tau (mu^2 - 1)).  Eve purifies it, so chi = S(AB) - S(A|y)
     with the conditional entropy taken after the receiver's measurement.
     """
-    if not 0.0 < tau <= 1.0:
+    if not all_((0.0 < tau) & (tau <= 1.0)):
         raise ValueError("transmissivity must lie in (0, 1]")
     if mu <= 1.0:
         raise ValueError("mu must exceed 1")
     a = mu
     b = tau * mu + 1.0 - tau + 2.0 * nbar
     c2 = tau * (mu * mu - 1.0)
+    m = mathof(b)
 
     delta = a * a + b * b - 2.0 * c2
-    det_v = (a * b - c2) ** 2
+    det_v = m.pow(a * b - c2, 2)
     disc = delta * delta - 4.0 * det_v
-    if disc < 0.0:
-        if disc < -1e-9 * max(1.0, delta * delta):
-            raise NumericalError("covariance matrix has complex symplectic spectrum")
-        disc = 0.0
-    root = math.sqrt(disc)
-    nu_plus = math.sqrt((delta + root) / 2.0)
-    nu_minus = math.sqrt(max(0.0, (delta - root) / 2.0))
+    # rounding takes disc a little below 0, which counts as 0; far below,
+    # the spectrum is complex
+    if any_((disc < -1e-9) & (disc < -1e-9 * delta * delta)):
+        raise NumericalError("covariance matrix has complex symplectic spectrum")
+    # multiplying by the mask clamps at (-)0 without a branch
+    root = m.sqrt(disc * (disc > 0.0))
+    nu_plus = m.sqrt((delta + root) / 2.0)
+    nu_minus2 = (delta - root) / 2.0
+    nu_minus = m.sqrt(nu_minus2 * (nu_minus2 > 0.0))
     s_ab = _entropy_from_nu(nu_plus) + _entropy_from_nu(nu_minus)
 
     if detection == "hom":
-        nu_cond = math.sqrt(a * (a - c2 / b))
+        nu_cond = m.sqrt(a * (a - c2 / b))
     elif detection == "het":
         nu_cond = a - c2 / (b + 1.0)
     else:
@@ -253,52 +279,39 @@ class KeyRate(NamedTuple):
     eps_prime: float | None = None  # general-attack epsilon, when applicable
 
 
-def _delta_aep(params: ProtocolParams) -> float:
-    d = params.alphabet
-    return 4.0 * math.log2(2.0 * math.sqrt(d) + 1.0) * math.sqrt(
-        math.log2(18.0 / (params.p_ec**2 * params.eps_s**4))
-    )
+def _log2_binom_ceil(k):
+    """ceil(log2 C(kk+4, 4)) for kk = floor(k); k may reach 1e8."""
+    m = mathof(k)
+    kk = m.floor(k)
+    return m.ceil(m.log2((kk + 1.0) * (kk + 2.0) * (kk + 3.0) * (kk + 4.0) / 24.0))
 
 
-def _theta_term(params: ProtocolParams) -> float:
-    return math.log2(params.p_ec * (1.0 - params.eps_s**2 / 3.0)) + 2.0 * math.log2(
-        math.sqrt(2.0) * params.eps_h
-    )
-
-
-def _log2_binom_ceil(k: float) -> float:
-    """ceil(log2 C(k+4, 4)) evaluated in log space; k may reach 1e8."""
-    kk = math.floor(k)
-    log2_binom = (
-        math.lgamma(kk + 5.0) - math.lgamma(kk + 1.0) - math.lgamma(5.0)
-    ) / math.log(2.0)
-    return math.ceil(log2_binom)
-
-
-def _sigma_n(n_eff: float, f_et: float, eps: float) -> float:
+def _sigma_n(n_eff, f_et: float, eps: float):
     """Energy-test concentration factor for the general-attack reduction."""
     l = math.log(8.0 / eps)
-    denom = 1.0 - 2.0 * math.sqrt(l / (2.0 * f_et * n_eff))
-    if denom <= 0.0:
+    m = mathof(n_eff)
+    denom = 1.0 - 2.0 * m.sqrt(l / (2.0 * f_et * n_eff))
+    if any_(denom <= 0.0):
         raise NumericalError("energy-test block too small for the epsilon budget")
-    return (1.0 + 2.0 * math.sqrt(l / (2.0 * n_eff)) + l / n_eff) / denom
+    return (1.0 + 2.0 * m.sqrt(l / (2.0 * n_eff)) + l / n_eff) / denom
 
 
-def _k_n(n_eff: float, params: ProtocolParams) -> float:
-    return max(1.0, 2.0 * n_eff * params.nbar_t * _sigma_n(n_eff, params.energy_test_fraction, params.eps_total))
+def _k_n(n_eff, params: ProtocolParams):
+    k = 2.0 * n_eff * params.nbar_t * _sigma_n(n_eff, params.energy_test_fraction, params.eps_total)
+    return where(k > 1.0, k, 1.0)
 
 
-def composable_rate(tau: float, nbar_prime: float, params: ProtocolParams) -> KeyRate:
+def composable_rate(tau, nbar_prime: float, params: ProtocolParams) -> KeyRate:
     """Composable finite-size rate against collective Gaussian attacks."""
     n = params.key_pulses
     r_m = asymptotic_rate(tau, nbar_prime, params)
     raw = (n * params.p_ec / params.block_size) * (
-        r_m - _delta_aep(params) / math.sqrt(n) + _theta_term(params) / n
+        r_m - params.delta_aep / math.sqrt(n) + params.theta_term / n
     )
-    return KeyRate(max(0.0, raw), raw)
+    return KeyRate(where(raw > 0.0, raw, 0.0), raw)
 
 
-def general_attack_rate(tau: float, nbar_prime: float, params: ProtocolParams) -> KeyRate:
+def general_attack_rate(tau, nbar_prime: float, params: ProtocolParams) -> KeyRate:
     """Heterodyne rate extended to general coherent attacks via energy tests."""
     if params.detection != "het":
         raise ValueError("general-attack reduction applies to heterodyne detection only")
@@ -307,12 +320,11 @@ def general_attack_rate(tau: float, nbar_prime: float, params: ProtocolParams) -
     n = params.key_pulses
     k_n = _k_n(n, params)
     r_m = asymptotic_rate(tau, nbar_prime, params)
-    penalty = _theta_term(params) - 2.0 * _log2_binom_ceil(k_n)
+    penalty = params.theta_term - 2.0 * _log2_binom_ceil(k_n)
     raw = (n * params.p_ec / params.block_size) * (
-        r_m - _delta_aep(params) / math.sqrt(n) + penalty / n
+        r_m - params.delta_aep / math.sqrt(n) + penalty / n
     )
-    eps_prime = k_n**4 * params.eps_total / 50.0
-    return KeyRate(max(0.0, raw), raw, eps_prime)
+    return KeyRate(where(raw > 0.0, raw, 0.0), raw, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0)
 
 
 def postselected_rate(
@@ -324,16 +336,20 @@ def postselected_rate(
     """Finite-size rate over the fading channel with threshold post-selection.
 
     Data are kept only when the pilot-measured transmissivity exceeds
-    eta_th = phi_thr * eta and are processed at that worst-case value.
+    eta_th = phi_thr * eta and are processed at that worst-case value.  The
+    model is one geometry or a sweep; the rate is 0 (eps_prime nan) at the
+    points where no data survive the threshold.
     """
     eta_th = params.phi_thr * model.eta
     p_th = p_threshold(eta_th, model)
     n = params.key_pulses
     n_eff = n * p_th
-    if n_eff <= 0.0:
-        return KeyRate(0.0, 0.0)
+    kept = n_eff > 0.0
+    if not any_(kept):
+        return KeyRate(0.0 * n_eff, 0.0 * n_eff)
+    n_eff = where(kept, n_eff, n)
     r_m = asymptotic_rate(eta_th, nbar_prime, params)
-    extra = _theta_term(params)
+    extra = params.theta_term
     eps_prime = None
     if attacks == "general":
         if params.detection != "het":
@@ -341,14 +357,15 @@ def postselected_rate(
         if params.energy_test_fraction <= 0:
             raise ValueError("general attacks need a positive energy-test fraction")
         k_n = _k_n(n_eff, params)
-        extra -= 2.0 * _log2_binom_ceil(k_n)
-        eps_prime = k_n**4 * params.eps_total / 50.0
+        extra = extra - 2.0 * _log2_binom_ceil(k_n)
+        eps_prime = where(kept, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0, math.nan)
     elif attacks != "collective":
         raise ValueError("attacks must be 'collective' or 'general'")
     raw = (n_eff * params.p_ec / params.block_size) * (
-        r_m - _delta_aep(params) / math.sqrt(n_eff) + extra / n_eff
+        r_m - params.delta_aep / mathof(n_eff).sqrt(n_eff) + extra / n_eff
     )
-    return KeyRate(max(0.0, raw), raw, eps_prime)
+    raw = where(kept, raw, 0.0)
+    return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
 
 
 class LloNoise(NamedTuple):

@@ -4,72 +4,79 @@ A Gaussian random walk of the beam centroid (turbulence wander plus pointing
 error) maps to a Weibull-type law for the instantaneous transmissivity tau,
 supported on (0, eta) where eta is the perfectly-aligned transmissivity.
 The shape/scale parameters (gamma, r0) follow from the short-term spot size
-through modified-Bessel geometry factors.
+through modified-Bessel geometry factors.  The channel state is built at one
+geometry (floats) or at every point of a sweep (1-D arrays) in one call.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import atmosphere, geometry, turbulence
+from ._array import all_, any_, at_first, each, mathof, take, where
 from ._special import i0e, i1e
 from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 from .beam import BeamParams, ReceiverParams, eta_diffraction
 from .turbulence import SpotSizes, TurbulenceProfile
 
 
-def pointing_variance(z: float, error_rad: float = 1e-6) -> float:
+def pointing_variance(z, error_rad: float = 1e-6):
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
-    if z < 0:
+    if any_(z < 0):
         raise ValueError("distance must be non-negative")
-    return (error_rad * z) ** 2
+    return mathof(z).pow(error_rad * z, 2)
 
 
-def bessel_f0(x: float) -> float:
+def bessel_f0(x):
     """f0(x) = 1 / (1 - exp(-2x) I0(2x))."""
-    if x <= 0:
+    if any_(x <= 0):
         raise ValueError("argument must be positive")
     return 1.0 / (1.0 - i0e(2.0 * x))
 
 
-def bessel_f1(x: float) -> float:
+def bessel_f1(x):
     """f1(x) = exp(-2x) I1(2x)."""
-    if x < 0:
+    if any_(x < 0):
         raise ValueError("argument must be non-negative")
     return i1e(2.0 * x)
 
 
-def fading_params(eta_st: float, eta_st_far: float, aperture: float) -> tuple[float, float]:
+def fading_params(eta_st, eta_st_far, aperture: float):
     """Weibull shape gamma and scale r0 from the short-term transmissivities.
 
     The far-field value eta_st_far = 2 a_R^2 / w_st^2 enters the Bessel
     factors while the exact eta_st enters the logarithm, mirroring how the
     two appear in the wandering law.
     """
-    if not 0.0 < eta_st < 1.0:
+    if not all_((0.0 < eta_st) & (eta_st < 1.0)):
         raise ValueError("eta_st must lie in (0, 1)")
-    if eta_st_far <= 0.0:
+    if any_(eta_st_far <= 0.0):
         raise ValueError("eta_st_far must be positive")
     f0 = bessel_f0(eta_st_far)
     f1 = bessel_f1(eta_st_far)
     log_arg = 2.0 * eta_st * f0
-    if log_arg <= 1.0:
+    degenerate = log_arg <= 1.0
+    if any_(degenerate):
         raise ValueError(
-            f"degenerate fading geometry: ln argument {log_arg:.6g} <= 1"
+            f"degenerate fading geometry: ln argument {at_first(degenerate, log_arg):.6g} <= 1"
         )
-    log_term = math.log(log_arg)
+    m = mathof(log_arg)
+    log_term = m.log(log_arg)
     gamma = 4.0 * eta_st_far * f0 * f1 / log_term
-    r0 = aperture / log_term ** (1.0 / gamma)
+    r0 = aperture / m.pow(log_term, 1.0 / gamma)
     return gamma, r0
 
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Fading-channel state at one fixed link geometry."""
+    """Fading-channel state at one link geometry, or at each point of a sweep.
+
+    Each field is a float, or a 1-D array over the points of a sweep.
+    """
 
     eta: float          # maximum transmissivity eta_eff * eta_atm * eta_st
     eta_st: float
@@ -81,25 +88,32 @@ class FadingModel:
     sigma_tb2: float
     w_st: float
     w_lt: float
+    eta_atm: float | None = None  # the extinction factor of eta, set by fading_model
 
     def __post_init__(self):
-        if not 0.0 < self.eta < 1.0:
+        if not all_((0.0 < self.eta) & (self.eta < 1.0)):
             raise ValueError("eta must lie in (0, 1)")
-        if self.gamma <= 0 or self.r0 <= 0 or self.sigma2 < 0:
+        if any_((self.gamma <= 0) | (self.r0 <= 0) | (self.sigma2 < 0)):
             raise ValueError("invalid fading parameters")
 
     @property
-    def spread(self) -> float:
+    def spread(self):
         """The exponent prefactor r0^2 / (2 sigma^2)."""
-        return self.r0**2 / (2.0 * self.sigma2)
+        return mathof(self.r0).pow(self.r0, 2) / (2.0 * self.sigma2)
 
     def with_eta(self, eta: float) -> "FadingModel":
         return replace(self, eta=eta)
 
+    def select(self, mask) -> "FadingModel":
+        """The model at the points where mask holds; a one-point model as it is."""
+        if not isinstance(mask, np.ndarray):
+            return self
+        return FadingModel(**{f.name: take(mask, getattr(self, f.name)) for f in fields(self)})
+
 
 def fading_model(
-    h: float,
-    theta: float,
+    h,
+    theta,
     beam: BeamParams,
     receiver: ReceiverParams,
     profile: TurbulenceProfile,
@@ -110,14 +124,15 @@ def fading_model(
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
-    Strong scintillation (saturated Rytov variance >= 1, e.g. worst-case
-    day conditions at large zenith angles) does not abort the computation
-    but raises a validity warning.
+    h and theta are floats, or 1-D arrays that give the state at each of
+    their points.  Strong scintillation (saturated Rytov variance >= 1, e.g.
+    worst-case day conditions at large zenith angles) does not abort the
+    computation but raises a validity warning, once per such point.
     """
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
-    if rytov >= 1.0:
+    for value, angle in each(rytov >= 1.0, rytov, theta):
         warnings.warn(
-            f"Rytov variance {rytov:.2f} >= 1 at theta={theta:.2f}:"
+            f"Rytov variance {value:.2f} >= 1 at theta={angle:.2f}:"
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
@@ -127,12 +142,13 @@ def fading_model(
         pointing_sigma2=pointing_variance(z, pointing_error),
         linearized=linearized_spots,
     )
-    eta_st = -math.expm1(-2.0 * receiver.aperture**2 / spots.w_st**2)
-    eta_st_far = 2.0 * receiver.aperture**2 / spots.w_st**2
+    m = mathof(spots.w_st)
+    eta_st_far = 2.0 * receiver.aperture**2 / m.pow(spots.w_st, 2)
+    eta_st = -m.expm1(-eta_st_far)
     gamma, r0 = fading_params(eta_st, eta_st_far, receiver.aperture)
-    eta = receiver.efficiency * atmosphere.eta_atm(h, theta, extinction) * eta_st
+    eta_atm = atmosphere.eta_atm(h, theta, extinction)
     return FadingModel(
-        eta=eta,
+        eta=receiver.efficiency * eta_atm * eta_st,
         eta_st=eta_st,
         eta_st_far=eta_st_far,
         gamma=gamma,
@@ -142,6 +158,7 @@ def fading_model(
         sigma_tb2=spots.sigma_tb2,
         w_st=spots.w_st,
         w_lt=spots.w_lt,
+        eta_atm=eta_atm,
     )
 
 
@@ -179,33 +196,27 @@ def fading_pdf(tau: float, model: FadingModel) -> float:
 def fading_cdf(tau, model: FadingModel):
     """P(transmissivity <= tau); exact via the Gaussian-walk substitution.
 
-    tau is a float, giving a float, or an ndarray, giving an ndarray of the
-    same shape.
+    tau and the model's fields are floats, giving a float, or arrays, giving
+    an array of their broadcast shape.
     """
-    if isinstance(tau, np.ndarray):
-        inside = (tau > 0.0) & (tau < model.eta)
-        # placeholder eta/e keeps the logarithm finite outside the support
-        log_ratio = np.log(model.eta / np.where(inside, tau, model.eta / math.e))
-        cdf = np.exp(-model.spread * log_ratio ** (2.0 / model.gamma))
-        return np.where(inside, cdf, np.where(tau <= 0.0, 0.0, 1.0))
-    if tau <= 0.0:
-        return 0.0
-    if tau >= model.eta:
-        return 1.0
-    u = math.log(model.eta / tau) ** (2.0 / model.gamma)
-    return math.exp(-model.spread * u)
+    inside = (tau > 0.0) & (tau < model.eta)
+    # placeholder eta/e keeps the logarithm finite outside the support
+    ratio = model.eta / where(inside, tau, model.eta / math.e)
+    # numpy's ufuncs for many tau of one model (validate-mc samples a
+    # million); math at every point of a sweep, as for one point alone
+    m = np if isinstance(model.eta, float) and isinstance(tau, np.ndarray) else mathof(ratio)
+    cdf = m.exp(-model.spread * m.pow(m.log(ratio), 2.0 / model.gamma))
+    return where(inside, cdf, where(tau <= 0.0, 0.0, 1.0))
 
 
-def p_threshold(eta_th: float, model: FadingModel) -> float:
+def p_threshold(eta_th, model: FadingModel):
     """Post-selection probability P(tau > eta_th).
 
     The integral of the density over (eta_th, eta) reduces exactly to an
     exponential in the substituted variable, so no quadrature is needed.
     """
-    if eta_th < 0 or eta_th >= model.eta:
+    if any_((eta_th < 0) | (eta_th >= model.eta)):
         raise ValueError("threshold must lie in [0, eta)")
-    if eta_th == 0.0:
-        return 1.0
     return 1.0 - fading_cdf(eta_th, model)
 
 

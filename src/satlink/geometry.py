@@ -5,6 +5,8 @@ spherical Earth, including the elevated-station generalization and the
 single-slab Snell refraction correction.  All angles are radians, all
 lengths are meters.  Zenith angles are signed in [-pi/2, pi/2]; every
 formula here is even in theta, so the sign only matters to orbital code.
+`slant_range` and `altitude_from_slant` take floats or 1-D arrays of
+points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
+from ._array import any_, at_first, mathof
 
 
 @dataclass(frozen=True)
@@ -55,35 +57,37 @@ class LinkGeometry:
         return cls(h=h, theta=theta, z=slant_range_elevated(h, theta, h0), h0=h0)
 
 
-def _check_angle(theta: float) -> float:
-    if abs(theta) > math.pi / 2 + 1e-12:
-        raise ValueError(f"zenith angle {theta} outside [-pi/2, pi/2]")
+def _check_angle(theta):
+    outside = abs(theta) > math.pi / 2 + 1e-12
+    if any_(outside):
+        raise ValueError(f"zenith angle {at_first(outside, theta)} outside [-pi/2, pi/2]")
     return abs(theta)
 
 
-def slant_range(h: float, theta: float) -> float:
+def slant_range(h, theta):
     """Slant range (m) to a satellite at altitude h and zenith angle theta."""
-    if h < 0:
+    if any_(h < 0):
         raise ValueError("altitude must be non-negative")
     t = _check_angle(theta)
-    c = math.cos(t)
-    return math.sqrt(h * h + 2.0 * h * R_EARTH + (R_EARTH * c) ** 2) - R_EARTH * c
+    c = mathof(t).cos(t)
+    r2 = h * h + 2.0 * h * R_EARTH + mathof(c).pow(R_EARTH * c, 2)
+    return mathof(r2).sqrt(r2) - R_EARTH * c
 
 
-def altitude_from_slant(z, theta: float):
+def altitude_from_slant(z, theta):
     """Satellite altitude (m) given slant range z and zenith angle theta.
 
-    z may be a float, which returns a float, or an ndarray of slant ranges.
+    Floats give a float; arrays broadcast, as the (P, n) quadrature nodes of
+    the extinction path do against a (P, 1) column of angles.
     """
-    array = isinstance(z, np.ndarray)
-    if (np.min(z) if array else z) < 0:
+    if any_(z < 0):
         raise ValueError("slant range must be non-negative")
     t = _check_angle(theta)
-    c = math.cos(t)
+    c = mathof(t).cos(t)
     # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
     rise = z * z + 2.0 * z * R_EARTH * c
-    root = np.sqrt(R_EARTH**2 + rise) if array else math.sqrt(R_EARTH**2 + rise)
-    return rise / (root + R_EARTH)
+    r2 = R_EARTH**2 + rise
+    return rise / (mathof(r2).sqrt(r2) + R_EARTH)
 
 
 def zenith_from(z: float, h: float) -> float:

@@ -3,18 +3,23 @@
 A Scenario fixes the link direction, the time of day / sky condition, the
 hardware setup and the protocol parameters, and exposes the derived
 channel states and key rates that the CLI and the experiment scripts
-consume.
+consume.  Bounds and rates are evaluated at one geometry, given as floats,
+or over every point of a sweep, given as arrays, in one array call.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
+
+import numpy as np
 
 from . import bounds, cvqkd, fading, noise, orbit
 from .atmosphere import ExtinctionModel
-from .beam import BeamParams, ReceiverParams, bound_v, diffraction_bound
+from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
 from .noise import NoiseEnvironment
@@ -27,6 +32,40 @@ SETUPS: dict[int, tuple[float, float, float]] = {
     3: (0.4, 2.0, 1e-9),
     4: (0.4, 2.0, 1e-13),
 }
+
+
+def _pointwise(evaluate: Callable, h, theta):
+    """evaluate(h, theta) at one point, or at the broadcast points in one call.
+
+    When any point fails, the array call fails.  The points are then
+    evaluated alone, in order, so that the error raised is the one of the
+    first failing point and the validity warnings are the ones of the points
+    up to it, as from a loop over the points.  Results have the points' shape.
+    """
+    if not isinstance(h, np.ndarray) and not isinstance(theta, np.ndarray):
+        return evaluate(h, theta)
+    h, theta = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(theta, dtype=float))
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = evaluate(h.ravel(), theta.ravel())
+        except (ValueError, ArithmeticError, NumericalError, Warning) as exc:
+            failure = exc
+        else:
+            failure = None
+    if failure is not None:
+        for point in zip(h.ravel().tolist(), theta.ravel().tolist()):
+            evaluate(*point)
+        raise failure
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    shape = h.shape
+
+    def shaped(value):
+        return value.reshape(shape) if isinstance(value, np.ndarray) else value
+
+    if isinstance(result, dict):
+        return {key: shaped(value) for key, value in result.items()}
+    return type(result)(*map(shaped, result))
 
 
 @dataclass(frozen=True)
@@ -123,17 +162,28 @@ class Scenario:
 
     # -- bounds ------------------------------------------------------------
 
-    def bounds_at(self, h: float, theta: float) -> dict[str, float]:
-        """Upper/lower bounds at one geometry, keyed for the CLI sweep."""
+    def bounds_at(self, h, theta) -> dict:
+        """Upper/lower bounds, keyed for the CLI sweep.
+
+        h and theta are floats, or arrays that broadcast to the points of a
+        sweep; every value but nbar then has the points' shape.
+        """
+        return _pointwise(self._bounds, h, theta)
+
+    def _bounds(self, h, theta) -> dict:
         z = slant_range(h, theta)
         model = self.fading_model(h, theta)
         nbar = self.nbar()
-        lower = bounds.thermal_lower(nbar, model)
+        b = bounds.bound_b_model(model)
+        lower = bounds.thermal_lower(nbar, model, b)
+        aperture = self.receiver.aperture
+        # V's fixed loss reuses the extinction the fading model computed
+        eta_fixed = self.receiver.efficiency * model.eta_atm * eta_diffraction(z, self.beam, aperture)
         return {
-            "U": diffraction_bound(z, self.beam, self.receiver.aperture),
-            "V": bound_v(h, theta, self.beam, self.receiver, self.extinction),
-            "B": bounds.bound_b_model(model),
-            "upper": bounds.thermal_upper(nbar, model),
+            "U": diffraction_bound(z, self.beam, aperture),
+            "V": plob(eta_fixed),
+            "B": b,
+            "upper": bounds.thermal_upper(nbar, model, b),
             "lower": lower.simple,
             "lower_middle": lower.middle,
             "eta": model.eta,
@@ -163,12 +213,18 @@ class Scenario:
 
     # -- key rates ----------------------------------------------------------
 
-    def rate_at(
-        self, h: float, theta: float, attacks: str = "collective"
-    ) -> KeyRate:
-        """Post-selected composable key rate at a fixed geometry."""
-        model = self.fading_model(h, abs(theta))
-        return cvqkd.postselected_rate(model, self.nbar_prime(), self.protocol, attacks)
+    def rate_at(self, h, theta, attacks: str = "collective") -> KeyRate:
+        """Post-selected composable key rate at a fixed geometry.
+
+        h and theta are floats, or arrays that broadcast to the points of a
+        sweep; the rates then have the points' shape.
+        """
+
+        def rate(h, theta):
+            model = self.fading_model(h, abs(theta))
+            return cvqkd.postselected_rate(model, self.nbar_prime(), self.protocol, attacks)
+
+        return _pointwise(rate, h, theta)
 
     def pass_report(
         self, h: float, n_blocks: int, attacks: str = "collective"

@@ -18,6 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import geometry
+from ._array import any_, at_first, each, mathof
 from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
 from .errors import StrongTurbulenceError
@@ -181,14 +182,16 @@ def _rytov_column(profile: TurbulenceProfile) -> float:
     return _column(lambda x: cn2(x, profile) * x ** (5.0 / 6.0), LAYER_EDGES_M)
 
 
-def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float:
+def rytov_saturated(theta, k: float, profile: TurbulenceProfile):
     """Rytov variance in the saturated (above-atmosphere) limit.
 
     Equals the full slant expression for any altitude beyond the
     stratosphere; cheap enough to serve as an always-on regime check.
+    theta is a float or an array of points.
     """
-    sec = 1.0 / math.cos(abs(theta))
-    return 2.25 * k ** (7.0 / 6.0) * sec ** (11.0 / 6.0) * _rytov_column(profile)
+    m = mathof(theta)
+    sec = 1.0 / m.cos(abs(theta))
+    return 2.25 * k ** (7.0 / 6.0) * m.pow(sec, 11.0 / 6.0) * _rytov_column(profile)
 
 
 def coherence_length(
@@ -226,12 +229,11 @@ def coherence_length(
     return (1.46 * k * k * integral) ** (-3.0 / 5.0)
 
 
-def coherence_length_planar(
-    theta: float, k: float, profile: TurbulenceProfile
-) -> float:
+def coherence_length_planar(theta, k: float, profile: TurbulenceProfile):
     """Asymptotic plane-wave coherence length [1.46 k^2 sec(theta) I_inf]^(-3/5)."""
-    sec = 1.0 / math.cos(abs(theta))
-    return (1.46 * k * k * sec * i_infty(profile)) ** (-3.0 / 5.0)
+    m = mathof(theta)
+    sec = 1.0 / m.cos(abs(theta))
+    return m.pow(1.46 * k * k * sec * i_infty(profile), -3.0 / 5.0)
 
 
 def speckle_count(aperture: float, rho0: float) -> float:
@@ -265,23 +267,24 @@ class SpotSizes(NamedTuple):
 
 
 def spot_sizes(
-    z: float,
-    theta: float,
+    z,
+    theta,
     beam: BeamParams,
     profile: TurbulenceProfile,
     direction: str,
-    pointing_sigma2: float = 0.0,
+    pointing_sigma2=0.0,
     linearized: bool = False,
     use_quadrature_rho0: bool = False,
 ) -> SpotSizes:
     """Short-/long-term spot sizes and wander variances at slant range z.
 
-    Downlink beams are treated as diffraction-limited (w_st = w_lt = w_d,
-    sigma_TB = 0).  Uplink beams use the planar coherence length by default;
-    use_quadrature_rho0 switches to the full spherical-wave integral.  The
-    wander fraction uses the exact (1 - phi)^2 form unless linearized, which
-    selects the first-order 1 - 2*phi variant.  The identity
-    w_lt^2 = w_st^2 + sigma_TB^2 holds exactly in all modes.
+    z and theta are floats or 1-D arrays of points (floats only with
+    use_quadrature_rho0).  Downlink beams are treated as diffraction-limited
+    (w_st = w_lt = w_d, sigma_TB = 0).  Uplink beams use the planar
+    coherence length by default; use_quadrature_rho0 switches to the full
+    spherical-wave integral.  The wander fraction uses the exact (1 - phi)^2
+    form unless linearized, which selects the first-order 1 - 2*phi variant.
+    The identity w_lt^2 = w_st^2 + sigma_TB^2 holds exactly in all modes.
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
@@ -296,24 +299,26 @@ def spot_sizes(
     else:
         rho0 = coherence_length_planar(theta, beam.wavenumber, profile)
 
-    phi = 0.33 * (rho0 / beam.waist) ** (1.0 / 3.0)
-    if phi >= 1.0:
+    m = mathof(z)
+    phi = 0.33 * m.pow(rho0 / beam.waist, 1.0 / 3.0)
+    strong = phi >= 1.0
+    if any_(strong):
         raise StrongTurbulenceError(
-            f"Yura condition violated: phi={phi:.3f} >= 1 for w0={beam.waist}"
+            f"Yura condition violated: phi={at_first(strong, phi):.3f} >= 1 for w0={beam.waist}"
         )
-    if phi > 0.5:
+    for (marginal,) in each(phi > 0.5, phi):
         warnings.warn(
-            f"Yura parameter phi={phi:.2f} is not small; spot-size model is marginal",
+            f"Yura parameter phi={marginal:.2f} is not small; spot-size model is marginal",
             stacklevel=2,
         )
-    psi = 1.0 - 2.0 * phi if linearized else (1.0 - phi) ** 2
+    psi = 1.0 - 2.0 * phi if linearized else m.pow(1.0 - phi, 2)
 
-    broadening = 2.0 * (beam.wavelength * z / (math.pi * rho0)) ** 2
-    w_lt2 = w_d**2 + broadening
-    w_st2 = w_d**2 + broadening * psi
+    broadening = 2.0 * m.pow(beam.wavelength * z / (math.pi * rho0), 2)
+    w_lt2 = m.pow(w_d, 2) + broadening
+    w_st2 = m.pow(w_d, 2) + broadening * psi
     sigma_tb2 = broadening * (1.0 - psi)
     sigma2 = sigma_tb2 + pointing_sigma2
     return SpotSizes(
-        w_d, math.sqrt(w_st2), math.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2,
+        w_d, m.sqrt(w_st2), m.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2,
         psi, phi,
     )

@@ -101,6 +101,20 @@ class TestCliCommands:
         assert "scenario.link = up" in out
         assert "beam.waist = 0.35" in out
 
+    def test_repeated_options_do_not_carry_over(self, capsys):
+        # the parser is built once per process; appended values must not leak
+        # from one main() call into the next
+        code1, _ = run_cli(
+            capsys, "bounds", "--h-grid", "500km:1000km:2", "--theta", "0", "--theta", "0.5",
+            "--set", "scenario.setup=2", "--set", "scenario.link=up",
+        )
+        code2, out = run_cli(capsys, "bounds", "--h-grid", "500km:1000km:2", "--theta", "0.3")
+        assert code1 == code2 == 0
+        lines = out.strip().splitlines()
+        assert "scenario.setup=1" in lines[0] and "scenario.link=down" in lines[0]
+        rows = [line.split(",") for line in lines[2:]]
+        assert [row[1] for row in rows] == ["0.3", "0.3"]
+
     def test_bounds_sweep_shape_and_ordering(self, capsys):
         code, out = run_cli(
             capsys, "bounds", "--h-grid", "200km:2000km:4:log", "--theta", "0", "--theta", "1",
@@ -221,13 +235,6 @@ class TestCliCommands:
         )
         assert code == 0
         assert target.read_text(encoding="utf-8").startswith("# config:")
-
-    def test_parallel_matches_serial(self, tmp_path, capsys):
-        base = ("bounds", "--h-grid", "200km:800km:3", "--theta", "0.5")
-        code1, serial = run_cli(capsys, *base)
-        code2, parallel = run_cli(capsys, *base, "--jobs", "2")
-        assert code1 == code2 == 0
-        assert serial == parallel
 
 
 class TestExitCodes:

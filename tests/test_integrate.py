@@ -159,6 +159,70 @@ class TestTanhSinh:
             tanh_sinh(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
+def wander_low(u, s, g, eta):
+    return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
+
+
+def wander_tail(x, s, g, eta):
+    return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
+
+
+def extinction(y, theta):
+    return np.exp(-altitude_from_slant(y, theta) / 6600.0)
+
+
+class TestBatches:
+    """A batch of P integrals: each row gets the value its own call returns."""
+
+    # rows that converge at different levels (gamma 1.6 needs the finest steps)
+    S = np.array([0.1, 55.0, 3.0, 0.46])
+    G = np.array([0.8, 4.85, 1.25, 1.00005])
+    ETA = np.array([0.4, 0.39, 1e-6, 0.02])
+
+    def test_tanh_sinh_rows(self):
+        batch = tanh_sinh(wander_low, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
+        for i in range(self.S.size):
+            alone = tanh_sinh(wander_low, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
+            assert batch.value[i] == alone.value and batch.error[i] == alone.error
+
+    def test_half_line_tanh_sinh_rows(self):
+        def density(u, s, g):
+            return s * np.exp(-s * u) * u ** (g - 1.0)
+
+        batch = tanh_sinh(density, 0.0, math.inf, self.S, self.G)
+        for i in range(self.S.size):
+            assert batch.value[i] == tanh_sinh(density, 0.0, math.inf, self.S[i], self.G[i]).value
+
+    def test_gauss_laguerre_rows(self):
+        rate = 1.0 + self.S / self.G
+        batch = gauss_laguerre(wander_tail, 1.0, rate, self.S, self.G, self.ETA, abs_tol=1e-12)
+        for i in range(self.S.size):
+            alone = gauss_laguerre(
+                wander_tail, 1.0, rate[i], self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12
+            )
+            assert batch.value[i] == alone.value
+
+    def test_gauss_legendre_rows_with_their_own_ends(self):
+        theta = np.array([0.0, 1.0, 1.5, math.pi / 2])
+        path = slant_range(200e3, theta)
+        batch = gauss_legendre(extinction, 0.0, path, theta)
+        for i in range(theta.size):
+            assert batch.value[i] == gauss_legendre(extinction, 0.0, path[i], theta[i]).value
+
+    def test_one_divergent_row_raises(self):
+        # x^(-p) is integrable on [0, 1] for p < 1 only
+        p = np.array([0.5, 0.3, 1.0, 0.2])
+        with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 1.0\]"):
+            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p)
+        assert tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p[p < 1]).value == pytest.approx(1 / (1 - p[p < 1]))
+
+    def test_divergent_row_named_by_its_ends(self):
+        b = np.array([1.0, 2.0, 3.0])
+        scale = np.array([1.0, np.nan, 1.0])
+        with pytest.raises(NumericalError, match=r"Gauss-Legendre on \[0.0, 2.0\]"):
+            gauss_legendre(lambda x, c: c * np.exp(-x), 0.0, b, scale)
+
+
 BESSEL_GRID = [0.0, 2e-8, 1e-6, 4.9e-6, 1e-4, 0.01, 0.38, 1.0, 4.0, 8.0, 8.5, 15.0, 30.0, 60.0]
 
 
