@@ -65,7 +65,7 @@ def _at(value, i: int):
 
 def _columns(*values) -> list:
     """Per-row arrays as (P, 1) columns; floats as they are."""
-    return [v[:, None] if isinstance(v, np.ndarray) else v for v in values]
+    return [v[..., None] if isinstance(v, np.ndarray) else v for v in values]
 
 
 def _open(columns: list, rows) -> list:

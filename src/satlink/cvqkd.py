@@ -150,11 +150,11 @@ def equivalent_noise(tau, nbar, nu_add: float):
     return (2.0 * nbar + nu_add) / tau
 
 
-def _entropy_from_nu(nu):
+def _entropy_from_nu(nu, m):
     unphysical = nu < 1.0 - 1e-9
     if any_(unphysical):
         raise NumericalError(f"non-physical symplectic eigenvalue {at_first(unphysical, nu)}")
-    return thermal_entropy((nu - 1.0) / 2.0, mathof(nu))
+    return thermal_entropy((nu - 1.0) / 2.0, m)
 
 
 def holevo_bound(tau, nbar, mu: float, detection: str):
@@ -186,7 +186,7 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
     nu_plus = m.sqrt((delta + root) / 2.0)
     nu_minus2 = (delta - root) / 2.0
     nu_minus = m.sqrt(nu_minus2 * (nu_minus2 > 0.0))
-    s_ab = _entropy_from_nu(nu_plus) + _entropy_from_nu(nu_minus)
+    s_ab = _entropy_from_nu(nu_plus, m) + _entropy_from_nu(nu_minus, m)
 
     if detection == "hom":
         nu_cond = m.sqrt(a * (a - c2 / b))
@@ -194,7 +194,7 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
         nu_cond = a - c2 / (b + 1.0)
     else:
         raise ValueError("detection must be 'hom' or 'het'")
-    return s_ab - _entropy_from_nu(nu_cond)
+    return s_ab - _entropy_from_nu(nu_cond, m)
 
 
 def asymptotic_rate(tau: float, nbar: float, params: ProtocolParams) -> float:

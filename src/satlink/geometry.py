@@ -69,8 +69,9 @@ def slant_range(h, theta):
     if any_(h < 0):
         raise ValueError("altitude must be non-negative")
     t = _check_angle(theta)
-    c = mathof(t).cos(t)
-    r2 = h * h + 2.0 * h * R_EARTH + mathof(c).pow(R_EARTH * c, 2)
+    m = mathof(t)
+    c = m.cos(t)
+    r2 = h * h + 2.0 * h * R_EARTH + m.pow(R_EARTH * c, 2)
     return mathof(r2).sqrt(r2) - R_EARTH * c
 
 
