@@ -17,8 +17,10 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import re
 import sys
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
 from .errors import ConfigError, NumericalError
-from .scenario import SETUPS, Scenario
+from .scenario import Scenario, setup_preset
 from .turbulence import TurbulenceProfile
 
 _UNITS = {
@@ -78,23 +80,61 @@ def parse_grid(spec: str) -> list[float]:
 
 # -- configuration -----------------------------------------------------------
 
-_STRING_KEYS = {
-    "scenario.link", "scenario.period", "scenario.sky", "scenario.profile",
-    "protocol.detection", "protocol.tail",
-}
-_INT_KEYS = {"scenario.setup", "protocol.N", "protocol.m", "protocol.d"}
-_FLOAT_KEYS = {
-    "beam.wavelength", "beam.waist", "beam.curvature",
-    "receiver.aperture", "receiver.fov_sr", "receiver.detection_time",
-    "receiver.filter", "receiver.efficiency", "receiver.excess_photons",
-    "atmosphere.alpha0", "atmosphere.scale_height",
-    "pointing.error_rad",
-    "protocol.f_et", "protocol.beta", "protocol.p_ec",
-    "protocol.eps_s", "protocol.eps_h", "protocol.eps_pe", "protocol.eps_cor",
-    "protocol.mu", "protocol.phi", "protocol.clock_hz",
-    "noise.h_sky", "noise.kappa",
-}
-_KNOWN_KEYS = _STRING_KEYS | _INT_KEYS | _FLOAT_KEYS
+def _int(text: str) -> int:
+    value = parse_quantity(text)
+    if math.isinf(value):
+        raise ConfigError(f"expected a whole number, got {text!r}")
+    return int(value)
+
+
+def _profile(text: str) -> TurbulenceProfile:
+    try:
+        return TurbulenceProfile.from_name(text)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# Every configuration key: (key, Scenario attribute path, parser).  Defaults
+# are the dataclasses' own, apart from the setup presets (scenario.SETUPS).
+# Keys are parsed in table order, so of several bad keys the first one here
+# is reported.
+CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
+    ("scenario.link", "link", str),
+    ("scenario.period", "period", str),
+    ("scenario.sky", "sky", str),
+    ("scenario.setup", "setup", _int),
+    ("beam.wavelength", "beam.wavelength", parse_quantity),
+    ("beam.waist", "beam.waist", parse_quantity),
+    ("beam.curvature", "beam.curvature", parse_quantity),
+    ("receiver.aperture", "receiver.aperture", parse_quantity),
+    ("receiver.fov_sr", "receiver.fov_sr", parse_quantity),
+    ("receiver.detection_time", "receiver.detection_time", parse_quantity),
+    ("receiver.filter", "receiver.filter_width", parse_quantity),
+    ("receiver.efficiency", "receiver.efficiency", parse_quantity),
+    ("receiver.excess_photons", "receiver.excess_photons", parse_quantity),
+    ("atmosphere.alpha0", "extinction.alpha0", parse_quantity),
+    ("atmosphere.scale_height", "extinction.h_scale", parse_quantity),
+    ("protocol.N", "protocol.block_size", _int),
+    ("protocol.m", "protocol.pilots", _int),
+    ("protocol.f_et", "protocol.energy_test_fraction", parse_quantity),
+    ("protocol.beta", "protocol.beta", parse_quantity),
+    ("protocol.p_ec", "protocol.p_ec", parse_quantity),
+    ("protocol.eps_s", "protocol.eps_s", parse_quantity),
+    ("protocol.eps_h", "protocol.eps_h", parse_quantity),
+    ("protocol.eps_pe", "protocol.eps_pe", parse_quantity),
+    ("protocol.eps_cor", "protocol.eps_cor", parse_quantity),
+    ("protocol.d", "protocol.alphabet", _int),
+    ("protocol.mu", "protocol.mu", parse_quantity),
+    ("protocol.phi", "protocol.phi_thr", parse_quantity),
+    ("protocol.clock_hz", "protocol.clock_hz", parse_quantity),
+    ("protocol.detection", "protocol.detection", str),
+    ("protocol.tail", "protocol.tail", str),
+    ("scenario.profile", "profile", _profile),
+    ("pointing.error_rad", "pointing_error", parse_quantity),
+    ("noise.h_sky", "h_sky_override", parse_quantity),
+    ("noise.kappa", "kappa_override", parse_quantity),
+)
+_KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -127,84 +167,51 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
     for key in raw:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-
-    def value(key: str, default):
-        if key not in raw:
-            return default
-        if key in _STRING_KEYS:
-            return raw[key]
-        if key in _INT_KEYS:
-            return int(float(parse_quantity(raw[key])))
-        return parse_quantity(raw[key])
-
-    setup = value("scenario.setup", 1)
-    if setup not in SETUPS:
-        raise ConfigError(f"setup must be one of {sorted(SETUPS)}")
-    w0, a_r, filt = SETUPS[setup]
-
-    beam = BeamParams(
-        wavelength=value("beam.wavelength", 800e-9),
-        waist=value("beam.waist", w0),
-        curvature=value("beam.curvature", math.inf),
-    )
-    receiver = ReceiverParams(
-        aperture=value("receiver.aperture", a_r),
-        fov_sr=value("receiver.fov_sr", 1e-10),
-        detection_time=value("receiver.detection_time", 10e-9),
-        filter_width=value("receiver.filter", filt),
-        efficiency=value("receiver.efficiency", 0.4),
-        excess_photons=value("receiver.excess_photons", 0.0),
-    )
-    extinction = ExtinctionModel(
-        alpha0=value("atmosphere.alpha0", 5e-6),
-        h_scale=value("atmosphere.scale_height", 6600.0),
-    )
-    protocol = ProtocolParams(
-        block_size=value("protocol.N", 100_000_000),
-        pilots=value("protocol.m", 15_000_000),
-        energy_test_fraction=value("protocol.f_et", 0.0),
-        beta=value("protocol.beta", 0.96),
-        p_ec=value("protocol.p_ec", 0.9),
-        eps_s=value("protocol.eps_s", 2.0**-33),
-        eps_h=value("protocol.eps_h", 2.0**-33),
-        eps_pe=value("protocol.eps_pe", 2.0**-33),
-        eps_cor=value("protocol.eps_cor", 2.0**-33),
-        alphabet=value("protocol.d", 32),
-        mu=value("protocol.mu", 9.28),
-        phi_thr=value("protocol.phi", 0.73),
-        clock_hz=value("protocol.clock_hz", 5e6),
-        detection=value("protocol.detection", "het"),
-        tail=value("protocol.tail", "gaussian"),
-    )
-    profile = None
-    if "scenario.profile" in raw:
-        try:
-            profile = TurbulenceProfile.from_name(raw["scenario.profile"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    # constructor arguments of Scenario ("") and of its parameter dataclasses
+    kwargs: dict[str, dict] = {"": {}, "beam": {}, "receiver": {}, "extinction": {}, "protocol": {}}
+    for key, path, parse in CONFIG_KEYS:
+        if key in raw:
+            owner, _, name = path.rpartition(".")
+            kwargs[owner][name] = parse(raw[key])
+    w0, a_r, filt = setup_preset(kwargs[""].get("setup", Scenario.setup))
     try:
         return Scenario(
-            link=value("scenario.link", "down"),
-            period=value("scenario.period", "night"),
-            sky=value("scenario.sky", "clear"),
-            setup=setup,
-            beam=beam,
-            receiver=receiver,
-            profile=profile,
-            extinction=extinction,
-            pointing_error=value("pointing.error_rad", 1e-6),
-            protocol=protocol,
-            h_sky_override=value("noise.h_sky", None),
-            kappa_override=value("noise.kappa", None),
+            beam=BeamParams(**{"waist": w0, **kwargs["beam"]}),
+            receiver=ReceiverParams(**{"aperture": a_r, "filter_width": filt, **kwargs["receiver"]}),
+            extinction=ExtinctionModel(**kwargs["extinction"]),
+            protocol=ProtocolParams(**kwargs["protocol"]),
+            **kwargs[""],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def resolve_scenario(args) -> Scenario:
+def resolve_scenario(args, sets: Sequence[str] = ()) -> Scenario:
+    """The scenario of --config, overridden by --set and then by `sets`."""
     raw = read_config_file(args.config) if args.config else {}
-    apply_sets(raw, args.set)
+    apply_sets(raw, [*(args.set or []), *sets])
     return scenario_from_config(raw)
+
+
+# The resolved configuration lists every key of CONFIG_KEYS that has a value
+# (the noise overrides have none unless set), with the resolved turbulence
+# profile in place of scenario.profile, and the derived background photons.
+_DESCRIBED_KEYS = tuple(key for key, _, _ in CONFIG_KEYS if key != "scenario.profile")
+_described_values = operator.attrgetter(
+    *(path for key, path, _ in CONFIG_KEYS if key != "scenario.profile")
+)
+
+
+def describe(scn: Scenario) -> dict[str, object]:
+    """Flat, deterministic key/value view of the resolved configuration."""
+    desc = {
+        key: value
+        for key, value in zip(_DESCRIBED_KEYS, _described_values(scn))
+        if value is not None
+    }
+    desc["turbulence.profile"] = scn.resolved_profile.name
+    desc["noise.nbar_background"] = noise.nbar_background(scn.noise_env, scn.receiver)
+    return desc
 
 
 # -- output helpers ----------------------------------------------------------
@@ -216,8 +223,7 @@ def _fmt(x) -> str:
 
 
 def config_comment(scn: Scenario) -> str:
-    desc = scn.describe()
-    return "# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(desc.items()))
+    return "# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(describe(scn).items()))
 
 
 def write_csv(out, scn: Scenario, header: list[str], rows, extra_comments=()):
@@ -285,14 +291,14 @@ def cmd_pass(args) -> int:
     scn = resolve_scenario(args)
     h = parse_quantity(args.h)
     report = scn.pass_report(h, args.blocks, args.attacks)
-    report["config"] = {k: v for k, v in sorted(scn.describe().items())}
+    report["config"] = {k: v for k, v in sorted(describe(scn).items())}
     with _open_out(args) as out:
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
     return 0
 
 
-def _parse_sat_spec(spec: str, base_sets: list[str] | None) -> tuple[str, list[str], float, int]:
+def _parse_sat_spec(spec: str) -> tuple[str, list[str], float, int]:
     """Parse --sat 'h=530km,blocks=10,link=down,period=night,setup=2,mu=9.28,...'."""
     shorthand = {
         "link": "scenario.link", "period": "scenario.period", "sky": "scenario.sky",
@@ -301,7 +307,7 @@ def _parse_sat_spec(spec: str, base_sets: list[str] | None) -> tuple[str, list[s
     h = None
     blocks = 10
     label = None
-    sets = list(base_sets or [])
+    sets = []
     for item in spec.split(","):
         if "=" not in item:
             raise ConfigError(f"--sat expects key=value pairs, got {item!r}")
@@ -322,9 +328,7 @@ def _parse_sat_spec(spec: str, base_sets: list[str] | None) -> tuple[str, list[s
 
 
 def cmd_compare_fiber(args) -> int:
-    base = read_config_file(args.config) if args.config else {}
-    apply_sets(base, args.set)
-    scn = scenario_from_config(dict(base))
+    scn = resolve_scenario(args)
 
     d_grid = parse_grid(args.d_grid)
     n_reps = [int(n) for n in args.n_rep]
@@ -332,11 +336,8 @@ def cmd_compare_fiber(args) -> int:
 
     sat_cols: list[tuple[str, float]] = []
     for spec in args.sat or []:
-        label, sets, h, blocks = _parse_sat_spec(spec, None)
-        raw = dict(base)
-        apply_sets(raw, sets)
-        sat_scn = scenario_from_config(raw)
-        report = sat_scn.pass_report(h, blocks)
+        label, sets, h, blocks = _parse_sat_spec(spec)
+        report = resolve_scenario(args, sets).pass_report(h, blocks)
         sat_cols.append((label, report["bits_per_day"]))
 
     header = ["d_km", "fiber_bits_day"]
@@ -405,7 +406,7 @@ def cmd_max_range(args) -> int:
 def cmd_show_config(args) -> int:
     scn = resolve_scenario(args)
     with _open_out(args) as out:
-        for key, value in sorted(scn.describe().items()):
+        for key, value in sorted(describe(scn).items()):
             out.write(f"{key} = {_fmt(value)}\n")
     return 0
 

@@ -301,30 +301,36 @@ def _k_n(n_eff, params: ProtocolParams):
     return where(k > 1.0, k, 1.0)
 
 
-def composable_rate(tau, nbar_prime: float, params: ProtocolParams) -> KeyRate:
-    """Composable finite-size rate against collective Gaussian attacks."""
-    n = params.key_pulses
-    r_m = asymptotic_rate(tau, nbar_prime, params)
-    raw = (n * params.p_ec / params.block_size) * (
-        r_m - params.delta_aep / math.sqrt(n) + params.theta_term / n
+def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept=True) -> KeyRate:
+    """Composable rate of n_eff key pulses at asymptotic rate r_m, 0 where not kept.
+
+    General attacks are reduced to collective ones by energy tests, which
+    need heterodyne detection and cost a binomial term per block.
+    """
+    extra = params.theta_term
+    eps_prime = None
+    if attacks == "general":
+        if params.detection != "het":
+            raise ValueError("general-attack reduction applies to heterodyne detection only")
+        if params.energy_test_fraction <= 0:
+            raise ValueError("general attacks need a positive energy-test fraction")
+        k_n = _k_n(n_eff, params)
+        extra = extra - 2.0 * _log2_binom_ceil(k_n)
+        eps_prime = where(kept, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0, math.nan)
+    elif attacks != "collective":
+        raise ValueError("attacks must be 'collective' or 'general'")
+    raw = (n_eff * params.p_ec / params.block_size) * (
+        r_m - params.delta_aep / mathof(n_eff).sqrt(n_eff) + extra / n_eff
     )
-    return KeyRate(where(raw > 0.0, raw, 0.0), raw)
+    raw = where(kept, raw, 0.0)
+    return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
 
 
-def general_attack_rate(tau, nbar_prime: float, params: ProtocolParams) -> KeyRate:
-    """Heterodyne rate extended to general coherent attacks via energy tests."""
-    if params.detection != "het":
-        raise ValueError("general-attack reduction applies to heterodyne detection only")
-    if params.energy_test_fraction <= 0:
-        raise ValueError("general attacks need a positive energy-test fraction")
-    n = params.key_pulses
-    k_n = _k_n(n, params)
-    r_m = asymptotic_rate(tau, nbar_prime, params)
-    penalty = params.theta_term - 2.0 * _log2_binom_ceil(k_n)
-    raw = (n * params.p_ec / params.block_size) * (
-        r_m - params.delta_aep / math.sqrt(n) + penalty / n
-    )
-    return KeyRate(where(raw > 0.0, raw, 0.0), raw, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0)
+def composable_rate(
+    tau, nbar_prime: float, params: ProtocolParams, attacks: str = "collective"
+) -> KeyRate:
+    """Composable finite-size rate against collective or general attacks."""
+    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks)
 
 
 def postselected_rate(
@@ -349,23 +355,7 @@ def postselected_rate(
         return KeyRate(0.0 * n_eff, 0.0 * n_eff)
     n_eff = where(kept, n_eff, n)
     r_m = asymptotic_rate(eta_th, nbar_prime, params)
-    extra = params.theta_term
-    eps_prime = None
-    if attacks == "general":
-        if params.detection != "het":
-            raise ValueError("general-attack reduction applies to heterodyne detection only")
-        if params.energy_test_fraction <= 0:
-            raise ValueError("general attacks need a positive energy-test fraction")
-        k_n = _k_n(n_eff, params)
-        extra = extra - 2.0 * _log2_binom_ceil(k_n)
-        eps_prime = where(kept, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0, math.nan)
-    elif attacks != "collective":
-        raise ValueError("attacks must be 'collective' or 'general'")
-    raw = (n_eff * params.p_ec / params.block_size) * (
-        r_m - params.delta_aep / mathof(n_eff).sqrt(n_eff) + extra / n_eff
-    )
-    raw = where(kept, raw, 0.0)
-    return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
+    return _finite_size_rate(r_m, n_eff, params, attacks, kept)
 
 
 class LloNoise(NamedTuple):

@@ -34,6 +34,13 @@ SETUPS: dict[int, tuple[float, float, float]] = {
 }
 
 
+def setup_preset(setup: int) -> tuple[float, float, float]:
+    """The (w0, a_R, filter) preset of a hardware setup."""
+    if setup not in SETUPS:
+        raise ConfigError(f"setup must be one of {sorted(SETUPS)}")
+    return SETUPS[setup]
+
+
 def _pointwise(evaluate: Callable, h, theta):
     """evaluate(h, theta) at one point, or at the broadcast points in one call.
 
@@ -90,8 +97,7 @@ class Scenario:
             raise ConfigError("period must be 'day' or 'night'")
         if self.sky not in ("clear", "cloudy"):
             raise ConfigError("sky must be 'clear' or 'cloudy'")
-        if self.setup not in SETUPS:
-            raise ConfigError(f"setup must be one of {sorted(SETUPS)}")
+        setup_preset(self.setup)  # raises ConfigError for an unknown setup
 
     @classmethod
     def build(
@@ -107,7 +113,7 @@ class Scenario:
         Keyword overrides are applied on top of the preset, e.g.
         build(..., receiver=ReceiverParams(...)) replaces the whole receiver.
         """
-        w0, a_r, filt = SETUPS[setup]
+        w0, a_r, filt = setup_preset(setup)
         base = cls(
             link=link,
             period=period,
@@ -267,43 +273,3 @@ class Scenario:
         if h <= orbit.SUN_SYNC_MAX_ALT_M:
             report["sun_sync_inclination_deg"] = orbit.sun_sync_inclination(h)
         return report
-
-    def describe(self) -> dict[str, object]:
-        """Flat, deterministic key/value view of the resolved configuration."""
-        prof = self.resolved_profile
-        prot = self.protocol
-        return {
-            "scenario.link": self.link,
-            "scenario.period": self.period,
-            "scenario.sky": self.sky,
-            "scenario.setup": self.setup,
-            "beam.wavelength": self.beam.wavelength,
-            "beam.waist": self.beam.waist,
-            "beam.curvature": self.beam.curvature,
-            "receiver.aperture": self.receiver.aperture,
-            "receiver.fov_sr": self.receiver.fov_sr,
-            "receiver.detection_time": self.receiver.detection_time,
-            "receiver.filter": self.receiver.filter_width,
-            "receiver.efficiency": self.receiver.efficiency,
-            "receiver.excess_photons": self.receiver.excess_photons,
-            "atmosphere.alpha0": self.extinction.alpha0,
-            "atmosphere.scale_height": self.extinction.h_scale,
-            "turbulence.profile": prof.name,
-            "pointing.error_rad": self.pointing_error,
-            "protocol.N": prot.block_size,
-            "protocol.m": prot.pilots,
-            "protocol.f_et": prot.energy_test_fraction,
-            "protocol.beta": prot.beta,
-            "protocol.p_ec": prot.p_ec,
-            "protocol.eps_s": prot.eps_s,
-            "protocol.eps_h": prot.eps_h,
-            "protocol.eps_pe": prot.eps_pe,
-            "protocol.eps_cor": prot.eps_cor,
-            "protocol.d": prot.alphabet,
-            "protocol.mu": prot.mu,
-            "protocol.phi": prot.phi_thr,
-            "protocol.clock_hz": prot.clock_hz,
-            "protocol.detection": prot.detection,
-            "protocol.tail": prot.tail,
-            "noise.nbar_background": noise.nbar_background(self.noise_env, self.receiver),
-        }

@@ -1,11 +1,15 @@
 import json
 import math
+import operator
+import re
+from pathlib import Path
 
 import pytest
 
-from satlink.cli import main, parse_grid, parse_quantity
+from satlink.cli import CONFIG_KEYS, _fmt, main, parse_grid, parse_quantity, scenario_from_config
 from satlink.errors import ConfigError
 from satlink.scenario import SETUPS, Scenario
+from satlink.turbulence import TurbulenceProfile
 
 
 class TestQuantityParsing:
@@ -69,6 +73,8 @@ class TestScenarioAssembly:
             Scenario(link="sideways")
         with pytest.raises(ConfigError):
             Scenario(setup=9)
+        with pytest.raises(ConfigError, match=re.escape("setup must be one of [1, 2, 3, 4]")):
+            Scenario.build(setup=9)
 
 
 def run_cli(capsys, *argv) -> tuple[int, str]:
@@ -241,6 +247,15 @@ class TestExitCodes:
     def test_unknown_key(self, capsys):
         assert run_cli(capsys, "show-config", "--set", "scenario.color=red")[0] == 2
 
+    def test_unknown_setup(self, capsys):
+        code = main(["show-config", "--set", "scenario.setup=9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "configuration error: setup must be one of [1, 2, 3, 4]\n"
+
+    def test_infinite_count(self, capsys):
+        assert run_cli(capsys, "show-config", "--set", "protocol.N=inf")[0] == 2
+
     def test_bad_grid(self, capsys):
         assert run_cli(capsys, "bounds", "--h-grid", "100km:200km:0")[0] == 2
 
@@ -270,3 +285,79 @@ class TestExitCodes:
             "--set", "scenario.link=up", "--set", "beam.waist=0.5mm",
         )
         assert code == 3
+
+
+# a valid non-default value for every configuration key, and the value it
+# must give the key's field
+KEY_SAMPLES = {
+    "scenario.link": ("up", "up"),
+    "scenario.period": ("day", "day"),
+    "scenario.sky": ("cloudy", "cloudy"),
+    "scenario.setup": ("3", 3),
+    "scenario.profile": ("hv-worst-day", TurbulenceProfile.worst_day()),
+    "beam.wavelength": ("1550nm", 1.55e-6),
+    "beam.waist": ("30cm", 0.3),
+    "beam.curvature": ("5km", 5e3),
+    "receiver.aperture": ("75cm", 0.75),
+    "receiver.fov_sr": ("2e-10", 2e-10),
+    "receiver.detection_time": ("5ns", 5e-9),
+    "receiver.filter": ("0.5nm", 5e-10),
+    "receiver.efficiency": ("0.5", 0.5),
+    "receiver.excess_photons": ("0.01", 0.01),
+    "atmosphere.alpha0": ("4e-6", 4e-6),
+    "atmosphere.scale_height": ("7km", 7e3),
+    "pointing.error_rad": ("2e-6", 2e-6),
+    "protocol.N": ("2e8", 200_000_000),
+    "protocol.m": ("1e7", 10_000_000),
+    "protocol.f_et": ("0.5", 0.5),
+    "protocol.beta": ("0.95", 0.95),
+    "protocol.p_ec": ("0.8", 0.8),
+    "protocol.eps_s": ("1e-10", 1e-10),
+    "protocol.eps_h": ("1e-11", 1e-11),
+    "protocol.eps_pe": ("1e-12", 1e-12),
+    "protocol.eps_cor": ("1e-13", 1e-13),
+    "protocol.d": ("64", 64),
+    "protocol.mu": ("7", 7.0),
+    "protocol.phi": ("0.6", 0.6),
+    "protocol.clock_hz": ("10MHz", 1e7),
+    "protocol.detection": ("hom", "hom"),
+    "protocol.tail": ("hoeffding", "hoeffding"),
+    "noise.h_sky": ("1.5", 1.5),
+    "noise.kappa": ("0.2", 0.2),
+}
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("key,path", [(key, path) for key, path, _ in CONFIG_KEYS])
+    def test_set_reaches_field_and_show_config(self, key, path, capsys):
+        text, expected = KEY_SAMPLES[key]
+        field = operator.attrgetter(path)
+        value = field(scenario_from_config({key: text}))
+        assert type(value) is type(expected)
+        assert value == (pytest.approx(expected, rel=1e-12) if isinstance(expected, float) else expected)
+        assert value != field(scenario_from_config({}))
+        code, out = run_cli(capsys, "show-config", "--set", f"{key}={text}")
+        assert code == 0
+        if key == "scenario.profile":
+            assert "turbulence.profile = hv-worst-day" in out.splitlines()
+        else:
+            assert f"{key} = {_fmt(value)}" in out.splitlines()
+
+    def test_readme_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(key for key, _, _ in CONFIG_KEYS)
+
+    def test_noise_overrides_are_recorded(self, capsys):
+        # the overrides appear in every config record when set, and only then
+        code, out = run_cli(capsys, "show-config")
+        assert code == 0 and "noise." not in out.replace("noise.nbar_background", "")
+        sets = ("--set", "noise.h_sky=1.5", "--set", "noise.kappa=0.2")
+        code, out = run_cli(capsys, "bounds", "--h-grid", "500km:500km:1", *sets)
+        assert code == 0
+        assert {"noise.h_sky=1.5", "noise.kappa=0.2"} <= set(out.splitlines()[0].split())
+        code, out = run_cli(capsys, "pass", "--h", "530km", *sets)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert config["noise.h_sky"] == 1.5 and config["noise.kappa"] == 0.2

@@ -12,7 +12,6 @@ from satlink.cvqkd import (
     composable_rate,
     equivalent_noise,
     estimate_channel,
-    general_attack_rate,
     holevo_bound,
     llo_noise,
     mutual_information,
@@ -233,18 +232,18 @@ class TestGeneralAttacks:
     def test_rate_below_collective(self):
         same_pec = replace(COLLECTIVE, p_ec=0.1)
         for tau in (0.2, 0.4):
-            gen = general_attack_rate(tau, 2e-3, GENERAL)
+            gen = composable_rate(tau, 2e-3, GENERAL, "general")
             col = composable_rate(tau, 2e-3, same_pec)
             assert gen.rate < col.rate
 
     def test_requires_heterodyne_and_energy_tests(self):
         with pytest.raises(ValueError):
-            general_attack_rate(0.3, 1e-3, replace(GENERAL, detection="hom"))
+            composable_rate(0.3, 1e-3, replace(GENERAL, detection="hom"), "general")
         with pytest.raises(ValueError):
-            general_attack_rate(0.3, 1e-3, replace(GENERAL, energy_test_fraction=0.0))
+            composable_rate(0.3, 1e-3, replace(GENERAL, energy_test_fraction=0.0), "general")
 
     def test_epsilon_prime_reported(self):
-        gen = general_attack_rate(0.3, 2e-3, GENERAL)
+        gen = composable_rate(0.3, 2e-3, GENERAL, "general")
         assert gen.eps_prime is not None and gen.eps_prime > 0
 
 
