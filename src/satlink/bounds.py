@@ -208,6 +208,12 @@ def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> 
     )
 
 
+# the tight max-range search: first probe, bracket cap and bisection step (m)
+Z_LO = 10e3
+Z_HI = 1e9
+Z_TOL = 1e3
+
+
 @dataclass(frozen=True)
 class MaxRangeResult:
     z_max: float          # meters; 0.0 when no secure range exists
@@ -215,54 +221,35 @@ class MaxRangeResult:
     secure_anywhere: bool
 
 
-def max_range(
-    build_model: Callable[[float], FadingModel] | None,
-    nbar: float,
-    mode: str = "tight",
-    waist: float | None = None,
-    wavelength: float | None = None,
-    aperture: float | None = None,
-    gamma_r: float | None = None,
-    h_source: float | None = None,
-    z_lo: float = 10e3,
-    z_hi: float = 1e9,
-    tol: float = 1e3,
-) -> MaxRangeResult:
+def fresnel_range(waist: float, wavelength: float, aperture: float, n_background: float) -> float:
+    """Fresnel-number maximum range pi w0 a_R / (lambda n_B) for background photons n_B."""
+    return math.pi * waist * aperture / (wavelength * n_background)
+
+
+def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRangeResult:
     """Maximum slant range (m) for secure key distribution at zenith.
 
-    mode "simple" uses the Fresnel-number product threshold and needs
-    waist/wavelength/aperture/gamma_r/h_source (background photons per unit
-    collection).  mode "tight" locates the zero of the thermal-loss upper
-    bound B - T by bisection on the geometry supplied by build_model, with
-    the bracket grown geometrically up to z_hi.
+    Locates the zero of the thermal-loss upper bound B - T by bisection on
+    the geometry supplied by build_model, with the bracket grown
+    geometrically from Z_LO up to the cap Z_HI.
     """
     if nbar >= 1.0:
-        return MaxRangeResult(0.0, mode, False)
-    if mode == "simple":
-        if None in (waist, wavelength, aperture, gamma_r, h_source):
-            raise ValueError("simple mode needs waist, wavelength, aperture, gamma_r, h_source")
-        sigma = math.pi * waist * aperture / (wavelength * gamma_r)
-        return MaxRangeResult(sigma / h_source, "simple", True)
-    if mode != "tight":
-        raise ValueError("mode must be 'simple' or 'tight'")
-    if build_model is None:
-        raise ValueError("tight mode needs a geometry builder")
+        return MaxRangeResult(0.0, "tight", False)
 
     def upper_at(z: float) -> float:
-        model = build_model(z)
-        return thermal_upper(nbar, model)
+        return thermal_upper(nbar, build_model(z))
 
-    if upper_at(z_lo) <= 0.0:
+    if upper_at(Z_LO) <= 0.0:
         return MaxRangeResult(0.0, "tight", False)
 
     # expand until the bound dies or the cap is reached
-    lo, hi = z_lo, 2.0 * z_lo
-    while hi < z_hi and upper_at(hi) > 0.0:
+    lo, hi = Z_LO, 2.0 * Z_LO
+    while hi < Z_HI and upper_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
-    if hi >= z_hi and upper_at(z_hi) > 0.0:
-        return MaxRangeResult(z_hi, "tight", True)
+    if hi >= Z_HI and upper_at(Z_HI) > 0.0:
+        return MaxRangeResult(Z_HI, "tight", True)
 
-    while hi - lo > tol:
+    while hi - lo > Z_TOL:
         mid = 0.5 * (lo + hi)
         if upper_at(mid) > 0.0:
             lo = mid

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import bounds, fading, noise, orbit
+from . import fading, noise, orbit
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
@@ -57,12 +57,28 @@ def parse_quantity(text: str) -> float:
     return value * _UNITS[unit]
 
 
+def _finite(text: str) -> float:
+    """parse_quantity for a value that must be finite: all but beam.curvature."""
+    value = parse_quantity(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite quantity, got {text!r}")
+    return value
+
+
+def _named(name: str, parse: Callable[[str], object], text: str):
+    """parse(text), with the key or option `name` leading its error message."""
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 def parse_grid(spec: str) -> list[float]:
     """Parse 'start:stop:n[:log]' into a list of SI values."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not start:stop:n[:log]")
-    lo, hi = parse_quantity(parts[0]), parse_quantity(parts[1])
+    lo, hi = _finite(parts[0]), _finite(parts[1])
     try:
         n = int(parts[2])
     except ValueError:
@@ -81,10 +97,7 @@ def parse_grid(spec: str) -> list[float]:
 # -- configuration -----------------------------------------------------------
 
 def _int(text: str) -> int:
-    value = parse_quantity(text)
-    if math.isinf(value):
-        raise ConfigError(f"expected a whole number, got {text!r}")
-    return int(value)
+    return int(_finite(text))
 
 
 def _profile(text: str) -> TurbulenceProfile:
@@ -97,42 +110,42 @@ def _profile(text: str) -> TurbulenceProfile:
 # Every configuration key: (key, Scenario attribute path, parser).  Defaults
 # are the dataclasses' own, apart from the setup presets (scenario.SETUPS).
 # Keys are parsed in table order, so of several bad keys the first one here
-# is reported.
+# is reported.  Only beam.curvature takes inf (a collimated beam).
 CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("scenario.link", "link", str),
     ("scenario.period", "period", str),
     ("scenario.sky", "sky", str),
     ("scenario.setup", "setup", _int),
-    ("beam.wavelength", "beam.wavelength", parse_quantity),
-    ("beam.waist", "beam.waist", parse_quantity),
+    ("beam.wavelength", "beam.wavelength", _finite),
+    ("beam.waist", "beam.waist", _finite),
     ("beam.curvature", "beam.curvature", parse_quantity),
-    ("receiver.aperture", "receiver.aperture", parse_quantity),
-    ("receiver.fov_sr", "receiver.fov_sr", parse_quantity),
-    ("receiver.detection_time", "receiver.detection_time", parse_quantity),
-    ("receiver.filter", "receiver.filter_width", parse_quantity),
-    ("receiver.efficiency", "receiver.efficiency", parse_quantity),
-    ("receiver.excess_photons", "receiver.excess_photons", parse_quantity),
-    ("atmosphere.alpha0", "extinction.alpha0", parse_quantity),
-    ("atmosphere.scale_height", "extinction.h_scale", parse_quantity),
+    ("receiver.aperture", "receiver.aperture", _finite),
+    ("receiver.fov_sr", "receiver.fov_sr", _finite),
+    ("receiver.detection_time", "receiver.detection_time", _finite),
+    ("receiver.filter", "receiver.filter_width", _finite),
+    ("receiver.efficiency", "receiver.efficiency", _finite),
+    ("receiver.excess_photons", "receiver.excess_photons", _finite),
+    ("atmosphere.alpha0", "extinction.alpha0", _finite),
+    ("atmosphere.scale_height", "extinction.h_scale", _finite),
     ("protocol.N", "protocol.block_size", _int),
     ("protocol.m", "protocol.pilots", _int),
-    ("protocol.f_et", "protocol.energy_test_fraction", parse_quantity),
-    ("protocol.beta", "protocol.beta", parse_quantity),
-    ("protocol.p_ec", "protocol.p_ec", parse_quantity),
-    ("protocol.eps_s", "protocol.eps_s", parse_quantity),
-    ("protocol.eps_h", "protocol.eps_h", parse_quantity),
-    ("protocol.eps_pe", "protocol.eps_pe", parse_quantity),
-    ("protocol.eps_cor", "protocol.eps_cor", parse_quantity),
+    ("protocol.f_et", "protocol.energy_test_fraction", _finite),
+    ("protocol.beta", "protocol.beta", _finite),
+    ("protocol.p_ec", "protocol.p_ec", _finite),
+    ("protocol.eps_s", "protocol.eps_s", _finite),
+    ("protocol.eps_h", "protocol.eps_h", _finite),
+    ("protocol.eps_pe", "protocol.eps_pe", _finite),
+    ("protocol.eps_cor", "protocol.eps_cor", _finite),
     ("protocol.d", "protocol.alphabet", _int),
-    ("protocol.mu", "protocol.mu", parse_quantity),
-    ("protocol.phi", "protocol.phi_thr", parse_quantity),
-    ("protocol.clock_hz", "protocol.clock_hz", parse_quantity),
+    ("protocol.mu", "protocol.mu", _finite),
+    ("protocol.phi", "protocol.phi_thr", _finite),
+    ("protocol.clock_hz", "protocol.clock_hz", _finite),
     ("protocol.detection", "protocol.detection", str),
     ("protocol.tail", "protocol.tail", str),
     ("scenario.profile", "profile", _profile),
-    ("pointing.error_rad", "pointing_error", parse_quantity),
-    ("noise.h_sky", "h_sky_override", parse_quantity),
-    ("noise.kappa", "kappa_override", parse_quantity),
+    ("pointing.error_rad", "pointing_error", _finite),
+    ("noise.h_sky", "h_sky_override", _finite),
+    ("noise.kappa", "kappa_override", _finite),
 )
 _KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
 
@@ -172,7 +185,7 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
     for key, path, parse in CONFIG_KEYS:
         if key in raw:
             owner, _, name = path.rpartition(".")
-            kwargs[owner][name] = parse(raw[key])
+            kwargs[owner][name] = _named(key, parse, raw[key])
     w0, a_r, filt = setup_preset(kwargs[""].get("setup", Scenario.setup))
     try:
         return Scenario(
@@ -256,10 +269,8 @@ def _columns(n: int, *values) -> list[list]:
 
 def cmd_bounds(args) -> int:
     scn = resolve_scenario(args)
-    h_grid = parse_grid(args.h_grid)
-    if not h_grid:
-        raise ConfigError("empty altitude grid")
-    thetas = [parse_quantity(t) for t in args.theta] or [0.0]
+    h_grid = _named("--h-grid", parse_grid, args.h_grid)
+    thetas = [_named("--theta", _finite, t) for t in args.theta] or [0.0]
     # rows in h-major order: every angle at the first altitude, then the next
     h = np.repeat(h_grid, len(thetas))
     theta = np.tile(thetas, len(h_grid))
@@ -276,8 +287,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_rate(args) -> int:
     scn = resolve_scenario(args)
-    h = parse_quantity(args.h)
-    thetas = np.array(parse_grid(args.theta_grid))
+    h = _named("--h", _finite, args.h)
+    thetas = np.array(_named("--theta-grid", parse_grid, args.theta_grid))
     res = scn.rate_at(h, thetas, args.attacks)
     with _open_out(args) as out:
         write_csv(
@@ -289,7 +300,7 @@ def cmd_rate(args) -> int:
 
 def cmd_pass(args) -> int:
     scn = resolve_scenario(args)
-    h = parse_quantity(args.h)
+    h = _named("--h", _finite, args.h)
     report = scn.pass_report(h, args.blocks, args.attacks)
     report["config"] = {k: v for k, v in sorted(describe(scn).items())}
     with _open_out(args) as out:
@@ -313,7 +324,7 @@ def _parse_sat_spec(spec: str) -> tuple[str, list[str], float, int]:
             raise ConfigError(f"--sat expects key=value pairs, got {item!r}")
         key, value = (part.strip() for part in item.split("=", 1))
         if key == "h":
-            h = parse_quantity(value)
+            h = _named("--sat h", _finite, value)
         elif key == "blocks":
             blocks = int(value)
         elif key == "label":
@@ -330,7 +341,7 @@ def _parse_sat_spec(spec: str) -> tuple[str, list[str], float, int]:
 def cmd_compare_fiber(args) -> int:
     scn = resolve_scenario(args)
 
-    d_grid = parse_grid(args.d_grid)
+    d_grid = _named("--d-grid", parse_grid, args.d_grid)
     n_reps = [int(n) for n in args.n_rep]
     comparison = orbit.GroundComparison(clock_hz=scn.protocol.clock_hz)
 
@@ -357,8 +368,8 @@ def cmd_compare_fiber(args) -> int:
 
 def cmd_validate_mc(args) -> int:
     scn = resolve_scenario(args)
-    h = parse_quantity(args.h)
-    theta = parse_quantity(args.theta)
+    h = _named("--h", _finite, args.h)
+    theta = _named("--theta", _finite, args.theta)
     model = scn.fading_model(h, theta)
     samples = fading.sample_fading(model, args.samples, args.seed)
 

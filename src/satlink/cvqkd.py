@@ -15,7 +15,7 @@ post-selected rate takes, are floats or arrays over the points of a sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple
 
@@ -26,6 +26,7 @@ from ._special import erfcinv
 from .bounds import thermal_entropy
 from .errors import NumericalError
 from .fading import FadingModel, p_threshold
+from .orbit import golden_section
 
 EPS_DEFAULT = 2.0**-33  # shared default for the smoothing/hash/PE/correctness epsilons
 
@@ -64,10 +65,6 @@ class ProtocolParams:
                 raise ValueError("epsilon parameters must lie in (0, 1)")
 
     @classmethod
-    def collective(cls, **overrides) -> "ProtocolParams":
-        return cls(**overrides)
-
-    @classmethod
     def general(cls, **overrides) -> "ProtocolParams":
         defaults = dict(
             p_ec=0.1,
@@ -78,9 +75,6 @@ class ProtocolParams:
         )
         defaults.update(overrides)
         return cls(**defaults)
-
-    def with_modulation(self, mu: float, phi_thr: float) -> "ProtocolParams":
-        return replace(self, mu=mu, phi_thr=phi_thr)
 
     @property
     def sigma_x2(self) -> float:
@@ -268,8 +262,7 @@ def estimate_channel(
     nbar_pilot = float(x[0]) ** 2 / 2.0
     sigma_z2 = 2.0 * max(nbar_hat, 0.0) + nu_add
     var = sigma_z2 / (2.0 * nu_add * m * nbar_pilot)
-    w = pe_confidence_factor(eps_pe, tail)
-    nbar_prime = nbar_hat + w * (2.0 * nbar_hat + nu_add) / math.sqrt(2.0 * nu_add * m)
+    nbar_prime = worst_case_nbar(nbar_hat, m, nu_add, eps_pe, tail)
     return EstimationResult(sqrt_tau_hat, var, nbar_hat, nbar_prime)
 
 
@@ -382,25 +375,6 @@ class OptimizeResult(NamedTuple):
     feasible: bool
 
 
-def _golden_max(fn: Callable[[float], float], lo: float, hi: float, iters: int = 40) -> float:
-    """Golden-section maximizer; deterministic, returns the abscissa."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
 def optimize_protocol(
     rate_fn: Callable[[float, float], float],
     mu_range: tuple[float, float],
@@ -438,14 +412,10 @@ def optimize_protocol(
     dphi = (phi_hi - phi_lo) / (grid - 1) if phi_hi > phi_lo else 0.0
     for _ in range(2):
         if dmu > 0:
-            mu_star = _golden_max(
-                lambda m: rate_fn(m, phi_star),
-                max(mu_lo, mu_star - dmu), min(mu_hi, mu_star + dmu),
-            )
+            a, b = max(mu_lo, mu_star - dmu), min(mu_hi, mu_star + dmu)
+            mu_star, _ = golden_section(lambda m: -rate_fn(m, phi_star), a, b, 1e-9 * (b - a))
         if dphi > 0:
-            phi_star = _golden_max(
-                lambda p: rate_fn(mu_star, p),
-                max(phi_lo, phi_star - dphi), min(phi_hi, phi_star + dphi),
-            )
+            a, b = max(phi_lo, phi_star - dphi), min(phi_hi, phi_star + dphi)
+            phi_star, _ = golden_section(lambda p: -rate_fn(mu_star, p), a, b, 1e-9 * (b - a))
     rate = rate_fn(mu_star, phi_star)
     return OptimizeResult(mu_star, phi_star, rate, True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import atmosphere, geometry, turbulence
 from ._array import all_, any_, at_first, each, mathof, take, where
 from ._special import i0e, i1e
 from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
-from .beam import BeamParams, ReceiverParams, eta_diffraction
+from .beam import BeamParams, ReceiverParams
 from .turbulence import SpotSizes, TurbulenceProfile
 
 
@@ -50,10 +50,12 @@ def fading_params(eta_st, eta_st_far, aperture: float):
 
     The far-field value eta_st_far = 2 a_R^2 / w_st^2 enters the Bessel
     factors while the exact eta_st enters the logarithm, mirroring how the
-    two appear in the wandering law.
+    two appear in the wandering law.  In the near field (eta_st_far above
+    about 37) eta_st = 1 - exp(-eta_st_far) rounds to 1; f0 -> 1 there and
+    the logarithm tends to ln 2, so eta_st = 1 is a valid input.
     """
-    if not all_((0.0 < eta_st) & (eta_st < 1.0)):
-        raise ValueError("eta_st must lie in (0, 1)")
+    if not all_((0.0 < eta_st) & (eta_st <= 1.0)):
+        raise ValueError("eta_st must lie in (0, 1]")
     if any_(eta_st_far <= 0.0):
         raise ValueError("eta_st_far must be positive")
     f0 = bessel_f0(eta_st_far)
@@ -101,9 +103,6 @@ class FadingModel:
         """The exponent prefactor r0^2 / (2 sigma^2)."""
         return mathof(self.r0).pow(self.r0, 2) / (2.0 * self.sigma2)
 
-    def with_eta(self, eta: float) -> "FadingModel":
-        return replace(self, eta=eta)
-
     def select(self, mask) -> "FadingModel":
         """The model at the points where mask holds; a one-point model as it is."""
         if not isinstance(mask, np.ndarray):
@@ -120,7 +119,6 @@ def fading_model(
     direction: str,
     extinction: ExtinctionModel = DEFAULT_EXTINCTION,
     pointing_error: float = 1e-6,
-    linearized_spots: bool = False,
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
@@ -140,7 +138,6 @@ def fading_model(
     spots: SpotSizes = turbulence.spot_sizes(
         z, theta, beam, profile, direction,
         pointing_sigma2=pointing_variance(z, pointing_error),
-        linearized=linearized_spots,
     )
     m = mathof(spots.w_st)
     eta_st_far = 2.0 * receiver.aperture**2 / m.pow(spots.w_st, 2)

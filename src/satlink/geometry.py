@@ -38,25 +38,6 @@ EARTH = EarthConstants()
 R_EARTH = EARTH.radius_m
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """A resolved station-satellite geometry.
-
-    h is the satellite altitude above sea level, theta the signed zenith
-    angle and z the line-of-sight slant range.  h0 is the ground-station
-    altitude (zero for a sea-level station).
-    """
-
-    h: float
-    theta: float
-    z: float
-    h0: float = 0.0
-
-    @classmethod
-    def from_altitude(cls, h: float, theta: float, h0: float = 0.0) -> "LinkGeometry":
-        return cls(h=h, theta=theta, z=slant_range_elevated(h, theta, h0), h0=h0)
-
-
 def _check_angle(theta):
     outside = abs(theta) > math.pi / 2 + 1e-12
     if any_(outside):
@@ -192,12 +173,3 @@ def refracted_slant(
     if factor < 1.0:
         raise ValueError("elongation factor must be >= 1")
     return factor * slant_range(h, true_zenith(theta_app))
-
-
-def altitude_refracted(
-    z_ref: float,
-    theta_app: float,
-    elongation: Callable[[float], float] = unit_elongation,
-) -> float:
-    """Altitude reached after a refracted path of length z_ref at apparent angle."""
-    return altitude_from_slant(z_ref / elongation(theta_app), true_zenith(theta_app))

@@ -79,27 +79,16 @@ class NoiseEnvironment:
             return f"{base}-{self.sky}"
         return base
 
-    def resolved_kappa(self) -> float:
-        if self.kappa is not None:
-            return self.kappa
-        return kappa_day() if self.period == "day" else kappa_night()
-
-    def resolved_h_sky(self) -> float:
-        if self.h_sky is not None:
-            return self.h_sky
-        return H_SKY_800NM[(self.period, self.sky)]
-
-
-def gamma_r(receiver: ReceiverParams) -> float:
-    """Receiver background-collection parameter (m^2 s nm sr)."""
-    return receiver.gamma_r
-
 
 def nbar_background(env: NoiseEnvironment, receiver: ReceiverParams) -> float:
     """Mean background photons per detected mode, before setup efficiency."""
     if env.direction == "up":
-        return env.resolved_kappa() * env.h_sun * receiver.gamma_r
-    return env.resolved_h_sky() * receiver.gamma_r
+        kappa = env.kappa
+        if kappa is None:
+            kappa = kappa_day() if env.period == "day" else kappa_night()
+        return kappa * env.h_sun * receiver.gamma_r
+    h_sky = env.h_sky if env.h_sky is not None else H_SKY_800NM[(env.period, env.sky)]
+    return h_sky * receiver.gamma_r
 
 
 def nbar_total(env: NoiseEnvironment, receiver: ReceiverParams) -> float:

@@ -18,25 +18,6 @@ SECONDS_PER_DAY = 86400.0
 SUN_SYNC_MAX_ALT_M = 5.98e6
 
 
-@dataclass(frozen=True)
-class CircularOrbit:
-    """Circular orbit at altitude h over a spherical Earth."""
-
-    h: float
-
-    def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("orbital altitude must be positive")
-
-    @property
-    def radius(self) -> float:
-        return R_EARTH + self.h
-
-    @property
-    def period(self) -> float:
-        return orbital_period(self.h)
-
-
 def orbital_period(h: float) -> float:
     """Orbital period (s) of a circular orbit at altitude h."""
     if h <= 0:
@@ -126,7 +107,14 @@ def slice_orbit(
     return list(zip(angles[:-1], angles[1:]))
 
 
-def _golden_min(fn: Callable[[float], float], a: float, b: float, tol: float = 1e-4) -> float:
+def golden_section(
+    fn: Callable[[float], float], a: float, b: float, tol: float
+) -> tuple[float, float]:
+    """Golden-section search for a minimum of fn on [a, b].
+
+    Shrinks the bracket until it is no wider than tol; returns its midpoint
+    and the smallest of the last two interior values.  Deterministic.
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
@@ -140,7 +128,7 @@ def _golden_min(fn: Callable[[float], float], a: float, b: float, tol: float = 1
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = fn(d)
-    return min(fc, fd)
+    return 0.5 * (a + b), min(fc, fd)
 
 
 def slice_min_rate(rate_fn: Callable[[float], float], lo: float, hi: float) -> float:
@@ -150,7 +138,7 @@ def slice_min_rate(rate_fn: Callable[[float], float], lo: float, hi: float) -> f
     a golden-section probe of the interior guards against that assumption.
     """
     endpoint = min(rate_fn(lo), rate_fn(hi))
-    interior = _golden_min(rate_fn, lo, hi)
+    _, interior = golden_section(rate_fn, lo, hi, 1e-4)
     return min(endpoint, interior)
 
 

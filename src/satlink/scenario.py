@@ -10,7 +10,8 @@ or over every point of a sweep, given as arrays, in one array call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import ConfigError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
 from .noise import NoiseEnvironment
-from .turbulence import TurbulenceProfile
+from .turbulence import PROFILES, TurbulenceProfile
 
 # hardware presets: (beam waist w0, receiver aperture a_R, spectral filter)
 SETUPS: dict[int, tuple[float, float, float]] = {
@@ -114,23 +115,21 @@ class Scenario:
         build(..., receiver=ReceiverParams(...)) replaces the whole receiver.
         """
         w0, a_r, filt = setup_preset(setup)
-        base = cls(
-            link=link,
-            period=period,
-            sky=sky,
-            setup=setup,
-            beam=BeamParams(waist=w0),
-            receiver=ReceiverParams(aperture=a_r, filter_width=filt),
-        )
-        return replace(base, **overrides) if overrides else base
+        if "beam" not in overrides:
+            overrides["beam"] = BeamParams(waist=w0)
+        if "receiver" not in overrides:
+            overrides["receiver"] = ReceiverParams(aperture=a_r, filter_width=filt)
+        return cls(link=link, period=period, sky=sky, setup=setup, **overrides)
 
-    @property
+    # the scenario is frozen, so its derived state is computed once
+
+    @cached_property
     def resolved_profile(self) -> TurbulenceProfile:
         if self.profile is not None:
             return self.profile
-        return TurbulenceProfile.night() if self.period == "night" else TurbulenceProfile.day()
+        return PROFILES[f"hv-{self.period}"]
 
-    @property
+    @cached_property
     def noise_env(self) -> NoiseEnvironment:
         return NoiseEnvironment(
             direction=self.link,
@@ -140,14 +139,16 @@ class Scenario:
             kappa=self.kappa_override,
         )
 
+    @cached_property
     def nbar(self) -> float:
         """Thermal photons at the channel output for this scenario's receiver."""
         return noise.nbar_total(self.noise_env, self.receiver)
 
+    @cached_property
     def nbar_prime(self) -> float:
         """Worst-case thermal photons after single-block pilot estimation."""
         return cvqkd.worst_case_nbar(
-            self.nbar(),
+            self.nbar,
             self.protocol.pilots,
             self.protocol.nu_add,
             self.protocol.eps_pe,
@@ -179,7 +180,7 @@ class Scenario:
     def _bounds(self, h, theta) -> dict:
         z = slant_range(h, theta)
         model = self.fading_model(h, theta)
-        nbar = self.nbar()
+        nbar = self.nbar
         b = bounds.bound_b_model(model)
         lower = bounds.thermal_lower(nbar, model, b)
         aperture = self.receiver.aperture
@@ -197,25 +198,20 @@ class Scenario:
         }
 
     def max_range(self, mode: str = "tight") -> bounds.MaxRangeResult:
-        """Maximum secure slant range for a zenith-overflight geometry."""
-        nbar = self.nbar()
-        if mode == "simple":
-            env = self.noise_env
-            if env.direction == "up":
-                h_source = env.resolved_kappa() * env.h_sun
-            else:
-                h_source = env.resolved_h_sky()
-            return bounds.max_range(
-                None,
-                nbar,
-                mode="simple",
-                waist=self.beam.waist,
-                wavelength=self.beam.wavelength,
-                aperture=self.receiver.aperture,
-                gamma_r=self.receiver.gamma_r,
-                h_source=h_source,
-            )
-        return bounds.max_range(lambda z: self.fading_model(z, 0.0), nbar, mode="tight")
+        """Maximum secure slant range for a zenith-overflight geometry.
+
+        mode "tight" solves for the zero of the thermal-loss upper bound;
+        mode "simple" takes the Fresnel-number range of the background photons.
+        """
+        if mode == "tight":
+            return bounds.max_range(lambda z: self.fading_model(z, 0.0), self.nbar)
+        if mode != "simple":
+            raise ValueError("mode must be 'simple' or 'tight'")
+        if self.nbar >= 1.0:
+            return bounds.MaxRangeResult(0.0, "simple", False)
+        n_b = noise.nbar_background(self.noise_env, self.receiver)
+        z = bounds.fresnel_range(self.beam.waist, self.beam.wavelength, self.receiver.aperture, n_b)
+        return bounds.MaxRangeResult(z, "simple", True)
 
     # -- key rates ----------------------------------------------------------
 
@@ -228,7 +224,7 @@ class Scenario:
 
         def rate(h, theta):
             model = self.fading_model(h, abs(theta))
-            return cvqkd.postselected_rate(model, self.nbar_prime(), self.protocol, attacks)
+            return cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
 
         return _pointwise(rate, h, theta)
 

@@ -46,53 +46,36 @@ class TurbulenceProfile:
     hs_c2: float = 3200.0
 
     @classmethod
-    def night(cls) -> "TurbulenceProfile":
-        return cls(a_ground=1.7e-14, windspeed=21.0)
-
-    @classmethod
-    def day(cls) -> "TurbulenceProfile":
-        return cls(a_ground=2.75e-14, windspeed=21.0)
-
-    @classmethod
-    def worst_day(cls) -> "TurbulenceProfile":
-        return cls(a_ground=2.75e-14, windspeed=57.0)
-
-    @classmethod
-    def hufnagel_stanley(cls) -> "TurbulenceProfile":
-        return cls(kind="hufnagel-stanley")
-
-    @classmethod
     def constant(cls, value: float) -> "TurbulenceProfile":
         return cls(kind="constant", a_ground=value)
 
     @classmethod
     def from_name(cls, name: str) -> "TurbulenceProfile":
-        table = {
-            "hv-night": cls.night,
-            "hv-day": cls.day,
-            "hv-worst-day": cls.worst_day,
-            "hufnagel-stanley": cls.hufnagel_stanley,
-        }
         try:
-            return table[name]()
+            return PROFILES[name]
         except KeyError:
             raise ValueError(f"unknown turbulence profile {name!r}") from None
 
     @property
     def name(self) -> str:
+        for name, preset in PROFILES.items():
+            if preset == self:
+                return name
         if self.kind == "hufnagel-valley":
-            presets = {
-                (1.7e-14, 21.0): "hv-night",
-                (2.75e-14, 21.0): "hv-day",
-                (2.75e-14, 57.0): "hv-worst-day",
-            }
-            return presets.get(
-                (self.a_ground, self.windspeed),
-                f"hv(A={self.a_ground:g},v={self.windspeed:g})",
-            )
+            return f"hv(A={self.a_ground:g},v={self.windspeed:g})"
         if self.kind == "constant":
             return f"constant({self.a_ground:g})"
         return self.kind
+
+
+# the named profiles: Hufnagel-Valley at night, by day and on a worst-case
+# (high-wind) day, and the Hufnagel-Stanley form
+PROFILES: dict[str, TurbulenceProfile] = {
+    "hv-night": TurbulenceProfile(a_ground=1.7e-14, windspeed=21.0),
+    "hv-day": TurbulenceProfile(a_ground=2.75e-14, windspeed=21.0),
+    "hv-worst-day": TurbulenceProfile(a_ground=2.75e-14, windspeed=57.0),
+    "hufnagel-stanley": TurbulenceProfile(kind="hufnagel-stanley"),
+}
 
 
 def cn2(h, profile: TurbulenceProfile):

@@ -97,8 +97,8 @@ def test_acceptance_02_extinction():
 
 def test_acceptance_03_turbulence_constants():
     failures = []
-    night = TurbulenceProfile.night()
-    day = TurbulenceProfile.day()
+    night = TurbulenceProfile.from_name("hv-night")
+    day = TurbulenceProfile.from_name("hv-day")
     check(failures, abs(i_infty(night) - 2.2354e-12) / 2.2354e-12 < 0.005, "night column integral")
     check(failures, abs(i_infty(day) - 3.2854e-12) / 3.2854e-12 < 0.005, "day column integral")
     k = 2.0 * math.pi / 800e-9
@@ -182,7 +182,7 @@ def test_acceptance_06_bound_oracles():
     assert len(grid) == 20
     for scn, h, theta in grid:
         model = scn.fading_model(float(h), theta)
-        nbar = scn.nbar()
+        nbar = scn.nbar
         closed = bound_b_model(model)
         direct, _ = scipy.integrate.quad(
             lambda t: fading_pdf(t, model) * plob(t),
@@ -320,7 +320,7 @@ def test_acceptance_10_property_suite():
     from satlink.beam import BeamParams
 
     beam = BeamParams(wavelength=800e-9, waist=0.2)
-    night = TurbulenceProfile.night()
+    night = TurbulenceProfile.from_name("hv-night")
     for z in (2e5, 1e6, 3.6e7):
         for theta in (0.0, 1.0):
             s = spot_sizes(z, theta, beam, night, "up")

@@ -16,7 +16,6 @@ from satlink.bounds import (
     bound_b_model,
     bound_slow,
     entropy_h,
-    max_range,
     phi_thermal,
     thermal_correction,
     thermal_lower,
@@ -128,20 +127,20 @@ class TestThermalBounds:
         assert thermal_correction(1e-12, m) < 1e-9
 
     def test_night_correction_negligible_in_leo(self, night_down):
-        nbar = night_down.nbar()
+        nbar = night_down.nbar
         for h in (300e3, 2000e3):
             m = night_down.fading_model(h, 0.0)
             assert thermal_upper(nbar, m) / bound_b_model(m) > 0.99
 
     def test_small_deviation_at_geo(self, night_down):
-        nbar = night_down.nbar()
+        nbar = night_down.nbar
         m = night_down.fading_model(35786e3, 0.0)
         ratio = thermal_upper(nbar, m) / bound_b_model(m)
         assert 0.5 < ratio < 0.9999
 
     def test_ordering_grid(self, night_down, night_up):
         for scn in (night_down, night_up):
-            nbar = scn.nbar()
+            nbar = scn.nbar
             for h in np.geomspace(150e3, 36000e3, 20):
                 for theta in np.linspace(0.0, 1.0, 5):
                     m = scn.fading_model(h, theta)
@@ -154,13 +153,13 @@ class TestThermalBounds:
 
     def test_upper_dominates_average_phi(self, night_down):
         sc_day = Scenario.build("down", "day", sky="clear", setup=1)
-        nbar = sc_day.nbar()
+        nbar = sc_day.nbar
         for h in (200e3, 1000e3):
             m = sc_day.fading_model(h, 0.0)
             assert average_phi_thermal(nbar, m) <= thermal_upper(nbar, m) + 1e-9
 
     def test_monotone_in_altitude_and_angle(self, night_down):
-        nbar = night_down.nbar()
+        nbar = night_down.nbar
         hs = np.geomspace(150e3, 36000e3, 10)
         ups = [thermal_upper(nbar, night_down.fading_model(h, 0.0)) for h in hs]
         assert all(a >= b for a, b in zip(ups, ups[1:]))
@@ -178,7 +177,7 @@ class TestThermalBounds:
         assert thermal_upper(1.0, m) == 0.0
 
     def test_leo_collapse_night(self, night_down):
-        nbar = night_down.nbar()
+        nbar = night_down.nbar
         m = night_down.fading_model(500e3, 0.0)
         up = thermal_upper(nbar, m)
         lo = thermal_lower(nbar, m).simple
@@ -186,7 +185,7 @@ class TestThermalBounds:
 
     def test_clear_day_gap(self):
         sc = Scenario.build("down", "day", sky="clear", setup=1)
-        nbar = sc.nbar()
+        nbar = sc.nbar
         m_low = sc.fading_model(160e3, 0.0)
         m_high = sc.fading_model(2500e3, 0.0)
         low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low).simple
@@ -262,4 +261,4 @@ class TestMaxRange:
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            max_range(None, 0.1, mode="loose")
+            Scenario.build("up", "day", setup=1).max_range("loose")

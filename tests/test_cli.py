@@ -277,6 +277,36 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "pass", "--h=-100km")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key", ["beam.waist", "receiver.aperture", "protocol.clock_hz", "protocol.N"]
+    )
+    def test_infinite_value_names_the_key(self, key, capsys):
+        # only beam.curvature takes inf; elsewhere it would reach the model
+        # as a NaN rate or a message about a derived quantity
+        code = main(["rate", "--h", "530km", "--theta-grid", "0:1:2", "--set", f"{key}=inf"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {key}: expected a finite quantity, got 'inf'\n"
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["rate", "--h", "inf", "--theta-grid", "0:1:2"], "--h"),
+            (["rate", "--h", "530km", "--theta-grid", "0:1e999:2"], "--theta-grid"),
+            (["bounds", "--h-grid", "100km:inf:3"], "--h-grid"),
+            (["bounds", "--h-grid", "100km:200km:3", "--theta", "inf"], "--theta"),
+            (["pass", "--h", "inf"], "--h"),
+            (["validate-mc", "--h", "530km", "--theta=-1e999"], "--theta"),
+            (["compare-fiber", "--d-grid", "50km:inf:3"], "--d-grid"),
+            (["compare-fiber", "--d-grid", "50km:100km:3", "--sat", "h=inf"], "--sat h"),
+            (["show-config", "--set", "beam.waist=1e308km"], "beam.waist"),
+        ],
+    )
+    def test_infinite_argument_names_the_option(self, argv, name, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {name}: expected a finite quantity, got ")
+
     def test_numerical_failure_is_exit_3(self, capsys):
         # a millimetre-scale uplink waist violates the weak-turbulence
         # precondition and must surface as a numerical error
@@ -287,6 +317,30 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestNearField:
+    """Downlinks to a 2 m aperture below ~364 km, where 1 - exp(-2a^2/w^2) is 1.0."""
+
+    def test_bounds_sweep(self, capsys):
+        code, out = run_cli(capsys, "bounds", "--h-grid", "100km:500km:5", "--set", "scenario.setup=3")
+        assert code == 0
+        rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[2:]]
+        assert len(rows) == 5
+        for _, _, u, v, b, upper, lower, eta, _ in rows:
+            assert 0.0 <= lower <= upper <= b <= v <= u
+            assert 0.0 < eta < 1.0
+
+    def test_rate_sweep(self, capsys):
+        code, out = run_cli(
+            capsys, "rate", "--h", "150km", "--theta-grid", "0:1:3", "--set", "scenario.setup=4"
+        )
+        assert code == 0
+        scn = Scenario.build("down", "night", setup=4)
+        rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[2:]]
+        assert [row[1] for row in rows] == [0.0, 0.5, 1.0]
+        for _, theta, rate, unclamped in rows:
+            assert 0.0 < rate == unclamped <= scn.bounds_at(150e3, theta)["B"]
+
+
 # a valid non-default value for every configuration key, and the value it
 # must give the key's field
 KEY_SAMPLES = {
@@ -294,7 +348,7 @@ KEY_SAMPLES = {
     "scenario.period": ("day", "day"),
     "scenario.sky": ("cloudy", "cloudy"),
     "scenario.setup": ("3", 3),
-    "scenario.profile": ("hv-worst-day", TurbulenceProfile.worst_day()),
+    "scenario.profile": ("hv-worst-day", TurbulenceProfile.from_name("hv-worst-day")),
     "beam.wavelength": ("1550nm", 1.55e-6),
     "beam.waist": ("30cm", 0.3),
     "beam.curvature": ("5km", 5e3),

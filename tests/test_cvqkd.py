@@ -22,7 +22,7 @@ from satlink.cvqkd import (
     worst_case_nbar,
 )
 
-COLLECTIVE = ProtocolParams.collective()
+COLLECTIVE = ProtocolParams()
 GENERAL = ProtocolParams.general()
 
 
@@ -259,7 +259,7 @@ class TestPostSelectedRate:
         # rate reduces to the fixed-channel composable rate at tau = eta
         model = replace(scn.fading_model(530e3, 0.5), sigma2=1e-14)
         params = replace(scn.protocol, phi_thr=0.999999)
-        nbp = scn.nbar_prime()
+        nbp = scn.nbar_prime
         frozen = postselected_rate(model, nbp, params)
         fixed = composable_rate(model.eta, nbp, params)
         assert frozen.rate == pytest.approx(fixed.rate, rel=1e-3)
@@ -280,7 +280,7 @@ class TestPostSelectedRate:
 
     def test_monotone_in_wander(self, scn):
         model = scn.fading_model(530e3, 1.0)
-        nbp = scn.nbar_prime()
+        nbp = scn.nbar_prime
         base = postselected_rate(model, nbp, scn.protocol).rate
         doubled = postselected_rate(replace(model, sigma2=2 * model.sigma2), nbp, scn.protocol).rate
         assert doubled < base
@@ -318,10 +318,10 @@ class TestOptimizer:
     def test_recovers_published_operating_point(self):
         scn = Scenario.build("down", "night", setup=2)
         model = scn.fading_model(530e3, 1.0)
-        nbar = scn.nbar()
+        nbar = scn.nbar
 
         def rate_fn(mu: float, phi: float) -> float:
-            params = scn.protocol.with_modulation(mu, phi)
+            params = replace(scn.protocol, mu=mu, phi_thr=phi)
             nbp = worst_case_nbar(nbar, params.pilots, params.nu_add, params.eps_pe, params.tail)
             return postselected_rate(model, nbp, params).rate
 

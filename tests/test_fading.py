@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from satlink.fading import (
 )
 from satlink.turbulence import TurbulenceProfile
 
-NIGHT = TurbulenceProfile.night()
+NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)
 
@@ -112,6 +113,21 @@ class TestFadingParams:
         # guard must trip when fed an inconsistent pair
         with pytest.raises(ValueError):
             fading_params(1e-9, 10.0, 0.4)
+
+    def test_near_field_unit_eta_st(self):
+        # once 2 a^2 / w^2 exceeds ~37, eta_st = 1 - exp(-x) rounds to 1; the
+        # parameters stay those of the formula (f0 -> 1, ln(2 eta_st f0) -> ln 2)
+        from scipy.special import i0e, i1e
+
+        for x in (40.0, 1e3):
+            assert -math.expm1(-x) == 1.0
+            gamma, r0 = fading_params(1.0, x, 2.0)
+            f0 = 1.0 / (1.0 - i0e(2 * x))
+            log_term = math.log(2.0 * f0)
+            assert gamma == pytest.approx(4.0 * x * f0 * i1e(2 * x) / log_term, rel=1e-12)
+            assert r0 == pytest.approx(2.0 / log_term ** (1.0 / gamma), rel=1e-12)
+        with pytest.raises(ValueError):
+            fading_params(1.0 + 2.0**-52, 40.0, 2.0)
 
     def test_far_field_shape_limit(self):
         # gamma -> 2 (log-Rayleigh wandering) deep in the far field, where
@@ -211,7 +227,7 @@ class TestThresholdProbability:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_increasing_in_eta(self, model_down):
-        shrunk = model_down.with_eta(0.8 * model_down.eta)
+        shrunk = replace(model_down, eta=0.8 * model_down.eta)
         eta_th = 0.5 * shrunk.eta
         assert p_threshold(eta_th, model_down) > p_threshold(eta_th, shrunk)
 
@@ -283,7 +299,7 @@ class TestModelAssembly:
     def test_strong_scintillation_warns_but_computes(self):
         import warnings
 
-        worst = TurbulenceProfile.worst_day()
+        worst = TurbulenceProfile.from_name("hv-worst-day")
         with pytest.warns(UserWarning, match="Rytov"):
             model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up")
         assert 0.0 < model.eta < 1.0

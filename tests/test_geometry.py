@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import geometry
 from satlink.geometry import (
     EARTH,
     R_EARTH,
@@ -217,12 +216,6 @@ class TestRefraction:
         table = ElongationTable([0.0, 1.0], [1.0, 1.2])
         assert table(0.5) == pytest.approx(1.1)
         assert table(2.0) == 1.2  # clamped
-
-
-def test_link_geometry_builder():
-    geom = geometry.LinkGeometry.from_altitude(530e3, 1.0)
-    assert geom.z == pytest.approx(slant_range(530e3, 1.0))
-    assert geom.h0 == 0.0
 
 
 def test_earth_constants_immutable():

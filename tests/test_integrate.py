@@ -103,7 +103,7 @@ class TestTanhSinh:
         assert value == pytest.approx(ref, rel=1e-11)
 
     def test_hufnagel_stanley_singularity(self):
-        hs = TurbulenceProfile.hufnagel_stanley()
+        hs = TurbulenceProfile.from_name("hufnagel-stanley")
         q = tanh_sinh(lambda x: cn2(x, hs), 0.0, 2e3)
         ref = quad(lambda x: cn2(x, hs), 0.0, 2e3, epsabs=0.0, epsrel=1e-12, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)

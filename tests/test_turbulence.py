@@ -19,8 +19,8 @@ from satlink.turbulence import (
     uplink_coefficients,
 )
 
-NIGHT = TurbulenceProfile.night()
-DAY = TurbulenceProfile.day()
+NIGHT = TurbulenceProfile.from_name("hv-night")
+DAY = TurbulenceProfile.from_name("hv-day")
 K_800 = 2.0 * math.pi / 800e-9
 BEAM20 = BeamParams(wavelength=800e-9, waist=0.2)
 BEAM40 = BeamParams(wavelength=800e-9, waist=0.4)
@@ -37,7 +37,7 @@ class TestProfiles:
         assert cn2(0.0, NIGHT) == pytest.approx(1.7e-14, rel=0.02)
 
     def test_stanley_near_ground(self):
-        hs = TurbulenceProfile.hufnagel_stanley()
+        hs = TurbulenceProfile.from_name("hufnagel-stanley")
         assert 3e-15 < cn2(30.0, hs) < 3e-14
 
     def test_negligible_at_50km(self):
@@ -45,7 +45,7 @@ class TestProfiles:
 
     def test_stanley_singularity(self):
         with pytest.raises(ValueError):
-            cn2(0.0, TurbulenceProfile.hufnagel_stanley())
+            cn2(0.0, TurbulenceProfile.from_name("hufnagel-stanley"))
 
     def test_from_name(self):
         assert TurbulenceProfile.from_name("hv-night") == NIGHT
@@ -79,7 +79,7 @@ class TestColumnIntegral:
         assert i_infty(DAY) == pytest.approx(3.2854e-12, rel=5e-3)
 
     def test_against_closed_form(self):
-        for profile in (NIGHT, DAY, TurbulenceProfile.worst_day()):
+        for profile in (NIGHT, DAY, TurbulenceProfile.from_name("hv-worst-day")):
             assert i_infty(profile) == pytest.approx(i_infty_closed_form(profile), rel=1e-8)
 
     def test_truncation_insensitive(self):
@@ -134,7 +134,7 @@ class TestRytov:
     def test_worst_day_crosses_unity_within_the_window(self):
         from satlink.turbulence import rytov_saturated
 
-        worst = TurbulenceProfile.worst_day()
+        worst = TurbulenceProfile.from_name("hv-worst-day")
         assert rytov_saturated(0.0, K_800, worst) == pytest.approx(0.6, abs=0.1)
         assert rytov_saturated(1.0, K_800, worst) == pytest.approx(2.0, abs=0.3)
 
