@@ -1,4 +1,4 @@
-"""Atmospheric extinction along vertical, slant and refracted paths.
+"""Atmospheric extinction along vertical and slant paths.
 
 Beer-Lambert absorption/scattering with an exponentially decaying extinction
 coefficient alpha(h) = alpha0 * exp(-h / h_scale).  The shipped default
@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import geometry
 from ._array import mathof, where
 from ._integrate import gauss_legendre
-from .geometry import true_zenith, unit_elongation
 
 # the extinction tail above this altitude shifts the loss exponent by < 1e-13
 PATH_TOP_M = 200e3
@@ -40,11 +38,6 @@ def eta_atm_zenith(h: float, model: ExtinctionModel = DEFAULT_EXTINCTION) -> flo
     if h < 0:
         raise ValueError("altitude must be non-negative")
     return math.exp(model.alpha0 * model.h_scale * (math.exp(-h / model.h_scale) - 1.0))
-
-
-def eta_atm_zenith_inf(model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
-    """Vertical transmissivity through the whole atmosphere, exp(-alpha0*h_scale)."""
-    return math.exp(-model.alpha0 * model.h_scale)
 
 
 def _extinction(y, theta, h_scale: float):
@@ -80,27 +73,3 @@ def eta_atm_secant(
     """Secant-law approximation [eta_zenith(inf)]^(sec theta); good for h >= 30 km."""
     del h  # the saturated zenith value is used regardless of altitude
     return math.exp(-model.alpha0 * model.h_scale / math.cos(abs(theta)))
-
-
-def eta_atm_refracted(
-    h: float,
-    theta_app: float,
-    elongation: Callable[[float], float] = unit_elongation,
-    model: ExtinctionModel = DEFAULT_EXTINCTION,
-) -> float:
-    """Slant transmissivity with Snell bending and optional path elongation.
-
-    The apparent angle is converted to the true angle for the geometry while
-    the path length is stretched by elongation(theta_app).
-    """
-    if h < 0:
-        raise ValueError("altitude must be non-negative")
-    if h == 0:
-        return 1.0
-    factor = elongation(theta_app)
-    if factor < 1.0:
-        raise ValueError("elongation factor must be >= 1")
-    theta = true_zenith(theta_app)
-    # the path stretched by factor: y = factor * y' with y' along the true one
-    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    return math.exp(-model.alpha0 * factor * _path_integral(path, theta, model))

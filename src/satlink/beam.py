@@ -79,12 +79,6 @@ def eta_diffraction(z, beam: BeamParams, aperture: float):
     return -m.expm1(-2.0 * aperture**2 / m.pow(w, 2))
 
 
-def eta_diffraction_far(z, beam: BeamParams, aperture: float):
-    """Far-field approximation 2 a_R^2 / w_d^2 (valid when << 1)."""
-    w = diffraction_waist(z, beam)
-    return 2.0 * aperture**2 / mathof(w).pow(w, 2)
-
-
 def plob(eta):
     """Repeaterless secret-key capacity -log2(1 - eta) of a pure-loss channel."""
     if not all_((0.0 <= eta) & (eta <= 1.0)):

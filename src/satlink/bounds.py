@@ -19,8 +19,8 @@ import numpy as np
 
 from ._array import all_, any_, mathof, scatter, take, where
 from ._integrate import gauss_laguerre, tanh_sinh
-from .beam import LN2, ReceiverParams, plob
-from .fading import FadingModel, eta_slow
+from .beam import LN2
+from .fading import FadingModel
 
 _H_TINY = -1e-12
 
@@ -42,18 +42,6 @@ def thermal_entropy(x, m):
     # to 0.0) and keeps log2 off 0, without a branch on scalars or arrays
     x = x * (x > 0.0)
     return (x + 1.0) * m.log2(x + 1.0) - x * m.log2(x + (x == 0.0))
-
-
-def phi_thermal(tau: float, nbar: float) -> float:
-    """Key-rate upper bound of a thermal-loss channel, 0 when nbar > tau."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("transmissivity must lie in (0, 1)")
-    if nbar < 0:
-        raise ValueError("thermal photons must be non-negative")
-    if nbar > tau:
-        return 0.0
-    n_e = nbar / (1.0 - tau)
-    return -math.log2(1.0 - tau) - n_e * math.log2(tau) - entropy_h(n_e)
 
 
 def _wander_low(u, s, g, eta):
@@ -176,36 +164,6 @@ def _fading_average(
         eta,
         abs_tol=abs_tol,
     ).value
-
-
-def average_plob(model: FadingModel):
-    """Direct fading average of -log2(1 - tau); oracle for bound_b."""
-    return _fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
-
-
-def average_phi_thermal(nbar: float, model: FadingModel) -> float:
-    """Fading average of the thermal-loss upper bound; <= thermal_upper.
-
-    Entanglement-breaking slots (tau <= nbar) contribute nothing.  One
-    geometry at a time.
-    """
-    if nbar >= model.eta:
-        return 0.0
-
-    def phi(tau: np.ndarray) -> np.ndarray:
-        n_e = nbar / (1.0 - tau)
-        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - thermal_entropy(n_e, np)
-
-    return _fading_average(phi, model, 1e-13, tau_min=nbar)
-
-
-def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
-    """Upper bound for slow (fading-averaged) detection."""
-    denom = model.w_lt**2 + model.sigma_p2
-    return min(
-        plob(eta_slow(model, receiver, eta_atm)),
-        (2.0 / LN2) * receiver.aperture**2 / denom,
-    )
 
 
 # the tight max-range search: first probe, bracket cap and bisection step (m)

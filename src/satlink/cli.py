@@ -20,7 +20,7 @@ import math
 import operator
 import re
 import sys
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def _named(name: str, parse: Callable[[str], object], text: str):
     """parse(text), with the key or option `name` leading its error message."""
     try:
         return parse(text)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -100,11 +100,12 @@ def _int(text: str) -> int:
     return int(_finite(text))
 
 
-def _profile(text: str) -> TurbulenceProfile:
-    try:
-        return TurbulenceProfile.from_name(text)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _non_negative(text: str) -> float:
+    """_finite for a background-photon source, which cannot be negative."""
+    value = _finite(text)
+    if value < 0:
+        raise ConfigError(f"expected a non-negative quantity, got {text!r}")
+    return value
 
 
 # Every configuration key: (key, Scenario attribute path, parser).  Defaults
@@ -142,12 +143,22 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("protocol.clock_hz", "protocol.clock_hz", _finite),
     ("protocol.detection", "protocol.detection", str),
     ("protocol.tail", "protocol.tail", str),
-    ("scenario.profile", "profile", _profile),
+    ("scenario.profile", "profile", TurbulenceProfile.from_name),
     ("pointing.error_rad", "pointing_error", _finite),
-    ("noise.h_sky", "h_sky_override", _finite),
-    ("noise.kappa", "kappa_override", _finite),
+    ("noise.h_sky", "h_sky_override", _non_negative),
+    ("noise.kappa", "kappa_override", _non_negative),
 )
 _KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
+# --sat takes each key by its last dotted part, which no two keys share
+_SAT_SHORTHAND = {key.rpartition(".")[2]: key for key, _, _ in CONFIG_KEYS}
+
+
+def _key_value(item: str, error: str) -> tuple[str, str]:
+    """'key = value' split at its first '=', both sides stripped; error without one."""
+    key, eq, value = item.partition("=")
+    if not eq:
+        raise ConfigError(error)
+    return key.strip(), value.strip()
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -156,23 +167,11 @@ def read_config_file(path: str) -> dict[str, str]:
         with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 stripped = line.split("#", 1)[0].strip()
-                if not stripped:
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
-                key, value = (part.strip() for part in stripped.split("=", 1))
-                raw[key] = value
+                if stripped:
+                    key, value = _key_value(stripped, f"{path}:{lineno}: expected key = value")
+                    raw[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return raw
-
-
-def apply_sets(raw: dict[str, str], sets: list[str] | None) -> dict[str, str]:
-    for item in sets or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
-        raw[key] = value
     return raw
 
 
@@ -199,11 +198,11 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
         raise ConfigError(str(exc)) from exc
 
 
-def resolve_scenario(args, sets: Sequence[str] = ()) -> Scenario:
-    """The scenario of --config, overridden by --set and then by `sets`."""
+def resolve_scenario(args, overrides: dict[str, str] | None = None) -> Scenario:
+    """The scenario of --config, overridden by --set and then by `overrides`."""
     raw = read_config_file(args.config) if args.config else {}
-    apply_sets(raw, [*(args.set or []), *sets])
-    return scenario_from_config(raw)
+    raw.update(_key_value(item, f"--set expects key=value, got {item!r}") for item in args.set or [])
+    return scenario_from_config({**raw, **(overrides or {})})
 
 
 # The resolved configuration lists every key of CONFIG_KEYS that has a value
@@ -227,7 +226,7 @@ def describe(scn: Scenario) -> dict[str, object]:
     return desc
 
 
-# -- output helpers ----------------------------------------------------------
+# -- output ------------------------------------------------------------------
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -235,40 +234,41 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def config_comment(scn: Scenario) -> str:
-    return "# config: " + " ".join(f"{k}={_fmt(v)}" for k, v in sorted(describe(scn).items()))
+def csv_text(scn: Scenario, header: list[str], rows, extra_comments=()) -> str:
+    """The configuration comment, further comment lines, the header and the rows."""
+    config = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(describe(scn).items()))
+    return "".join([
+        f"# config: {config}\n",
+        *(f"# {comment}\n" for comment in extra_comments),
+        ",".join(header) + "\n",
+        *(",".join(map(_fmt, row)) + "\n" for row in rows),
+    ])
 
 
-def write_csv(out, scn: Scenario, header: list[str], rows, extra_comments=()):
-    out.write(config_comment(scn) + "\n")
-    for comment in extra_comments:
-        out.write(f"# {comment}\n")
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-@contextlib.contextmanager
 def _open_out(args):
+    """The -o file as a context manager; stdout for '-'."""
     if args.output and args.output != "-":
-        fh = open(args.output, "w", encoding="utf-8", newline="\n")
-        try:
-            yield fh
-        finally:
-            fh.close()
-    else:
-        yield sys.stdout
+        return open(args.output, "w", encoding="utf-8", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
 
 
 # -- subcommands -------------------------------------------------------------
+#
+# A subcommand takes the parsed arguments and the resolved scenario and
+# returns its output text, which main writes once the work has succeeded.
 
 def _columns(n: int, *values) -> list[list]:
     """n-point arrays, and scalars that hold at every point, as CSV columns."""
     return [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
 
 
-def cmd_bounds(args) -> int:
-    scn = resolve_scenario(args)
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{name}: expected at least 1, got {value}")
+    return value
+
+
+def cmd_bounds(args, scn: Scenario) -> str:
     h_grid = _named("--h-grid", parse_grid, args.h_grid)
     thetas = [_named("--theta", _finite, t) for t in args.theta] or [0.0]
     # rows in h-major order: every angle at the first altitude, then the next
@@ -276,153 +276,162 @@ def cmd_bounds(args) -> int:
     theta = np.tile(thetas, len(h_grid))
     vals = scn.bounds_at(h, theta)
     keys = ("U", "V", "B", "upper", "lower", "eta", "nbar")
-    with _open_out(args) as out:
-        write_csv(
-            out, scn,
-            ["h_km", "theta", "U", "V", "B", "thermal_upper", "thermal_lower", "eta", "nbar"],
-            zip(*_columns(h.size, h / 1e3, theta, *(vals[k] for k in keys))),
-        )
-    return 0
+    return csv_text(
+        scn,
+        ["h_km", "theta", "U", "V", "B", "thermal_upper", "thermal_lower", "eta", "nbar"],
+        zip(*_columns(h.size, h / 1e3, theta, *(vals[k] for k in keys))),
+    )
 
 
-def cmd_rate(args) -> int:
-    scn = resolve_scenario(args)
+def cmd_rate(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
     thetas = np.array(_named("--theta-grid", parse_grid, args.theta_grid))
     res = scn.rate_at(h, thetas, args.attacks)
-    with _open_out(args) as out:
-        write_csv(
-            out, scn, ["h_km", "theta", "rate", "rate_unclamped"],
-            zip(*_columns(thetas.size, h / 1e3, thetas, res.rate, res.unclamped)),
-        )
-    return 0
+    return csv_text(
+        scn, ["h_km", "theta", "rate", "rate_unclamped"],
+        zip(*_columns(thetas.size, h / 1e3, thetas, res.rate, res.unclamped)),
+    )
 
 
-def cmd_pass(args) -> int:
-    scn = resolve_scenario(args)
+def cmd_pass(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
     report = scn.pass_report(h, args.blocks, args.attacks)
-    report["config"] = {k: v for k, v in sorted(describe(scn).items())}
-    with _open_out(args) as out:
-        json.dump(report, out, indent=2, sort_keys=True)
-        out.write("\n")
-    return 0
+    report["config"] = describe(scn)
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_sat_spec(spec: str) -> tuple[str, list[str], float, int]:
+def _parse_sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
     """Parse --sat 'h=530km,blocks=10,link=down,period=night,setup=2,mu=9.28,...'."""
-    shorthand = {
-        "link": "scenario.link", "period": "scenario.period", "sky": "scenario.sky",
-        "setup": "scenario.setup", "mu": "protocol.mu", "phi": "protocol.phi",
-    }
     h = None
     blocks = 10
     label = None
-    sets = []
+    overrides = {}
     for item in spec.split(","):
-        if "=" not in item:
-            raise ConfigError(f"--sat expects key=value pairs, got {item!r}")
-        key, value = (part.strip() for part in item.split("=", 1))
+        key, value = _key_value(item, f"--sat expects key=value pairs, got {item!r}")
         if key == "h":
             h = _named("--sat h", _finite, value)
         elif key == "blocks":
-            blocks = int(value)
+            blocks = _named("--sat blocks", _int, value)
         elif key == "label":
             label = value
         else:
-            sets.append(f"{shorthand.get(key, key)}={value}")
+            overrides[_SAT_SHORTHAND.get(key, key)] = value
     if h is None:
         raise ConfigError(f"--sat spec {spec!r} needs h=<altitude>")
     if label is None:
         label = f"sat_{h/1e3:g}km"
-    return label, sets, h, blocks
+    return label, overrides, h, blocks
 
 
-def cmd_compare_fiber(args) -> int:
-    scn = resolve_scenario(args)
-
+def cmd_compare_fiber(args, scn: Scenario) -> str:
     d_grid = _named("--d-grid", parse_grid, args.d_grid)
-    n_reps = [int(n) for n in args.n_rep]
+    n_reps = [_named("--n-rep", _int, n) for n in args.n_rep]
     comparison = orbit.GroundComparison(clock_hz=scn.protocol.clock_hz)
 
-    sat_cols: list[tuple[str, float]] = []
+    header = ["d_km", "fiber_bits_day", *(f"rep{n}_bits_day" for n in n_reps)]
+    sat_bits = []
     for spec in args.sat or []:
-        label, sets, h, blocks = _parse_sat_spec(spec)
-        report = resolve_scenario(args, sets).pass_report(h, blocks)
-        sat_cols.append((label, report["bits_per_day"]))
+        label, overrides, h, blocks = _parse_sat_spec(spec)
+        header.append(f"{label}_bits_day")
+        sat_bits.append(resolve_scenario(args, overrides).pass_report(h, blocks)["bits_per_day"])
 
-    header = ["d_km", "fiber_bits_day"]
-    header += [f"rep{n}_bits_day" for n in n_reps]
-    header += [f"{label}_bits_day" for label, _ in sat_cols]
-    rows = []
-    for d in d_grid:
-        row = [d / 1e3, orbit.bits_per_day(orbit.fiber_rate(d, comparison), comparison.clock_hz)]
-        for n in n_reps:
-            row.append(orbit.bits_per_day(orbit.repeater_rate(d, n, comparison), comparison.clock_hz))
-        row.extend(bits for _, bits in sat_cols)
-        rows.append(tuple(row))
-    with _open_out(args) as out:
-        write_csv(out, scn, header, rows)
-    return 0
+    def bits(rate: float) -> float:
+        return orbit.bits_per_day(rate, comparison.clock_hz)
+
+    rows = [
+        (
+            d / 1e3,
+            bits(orbit.fiber_rate(d, comparison)),
+            *(bits(orbit.repeater_rate(d, n, comparison)) for n in n_reps),
+            *sat_bits,
+        )
+        for d in d_grid
+    ]
+    return csv_text(scn, header, rows)
 
 
-def cmd_validate_mc(args) -> int:
-    scn = resolve_scenario(args)
+def cmd_validate_mc(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
     theta = _named("--theta", _finite, args.theta)
+    n = _at_least_one("--samples", args.samples)
+    bins = _at_least_one("--bins", args.bins)
     model = scn.fading_model(h, theta)
-    samples = fading.sample_fading(model, args.samples, args.seed)
+    samples = fading.sample_fading(model, n, args.seed)
 
     # KS distance of the empirical CDF against the analytic law
-    ordered = np.sort(samples)
-    analytic = fading.fading_cdf(ordered, model)
-    n = len(ordered)
+    analytic = fading.fading_cdf(np.sort(samples), model)
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     ks = float(np.max(np.maximum(np.abs(steps_hi - analytic), np.abs(analytic - steps_lo))))
 
-    edges = np.linspace(0.0, model.eta, args.bins + 1)
+    edges = np.linspace(0.0, model.eta, bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
     cdf = fading.fading_cdf(edges, model)
-    rows = []
-    for i in range(args.bins):
-        emp = counts[i] / n
-        ana = float(cdf[i + 1] - cdf[i])
-        rows.append((float(edges[i]), float(edges[i + 1]), emp, ana))
-    with _open_out(args) as out:
-        write_csv(
-            out, scn,
-            ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
-            rows,
-            extra_comments=[
-                f"h_km={_fmt(h / 1e3)} theta={_fmt(theta)} samples={args.samples} seed={args.seed}",
-                f"ks_statistic={_fmt(ks)}",
-            ],
-        )
-    return 0
+    return csv_text(
+        scn,
+        ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
+        zip(*_columns(bins, edges[:-1], edges[1:], counts / n, np.diff(cdf))),
+        [
+            f"h_km={_fmt(h / 1e3)} theta={_fmt(theta)} samples={n} seed={args.seed}",
+            f"ks_statistic={_fmt(ks)}",
+        ],
+    )
 
 
-def cmd_max_range(args) -> int:
-    scn = resolve_scenario(args)
+def cmd_max_range(args, scn: Scenario) -> str:
     result = scn.max_range(args.mode)
-    with _open_out(args) as out:
-        write_csv(
-            out, scn,
-            ["mode", "z_max_km", "secure_anywhere"],
-            [(result.mode, result.z_max / 1e3, result.secure_anywhere)],
-        )
-    return 0
+    return csv_text(
+        scn,
+        ["mode", "z_max_km", "secure_anywhere"],
+        [(result.mode, result.z_max / 1e3, result.secure_anywhere)],
+    )
 
 
-def cmd_show_config(args) -> int:
-    scn = resolve_scenario(args)
-    with _open_out(args) as out:
-        for key, value in sorted(describe(scn).items()):
-            out.write(f"{key} = {_fmt(value)}\n")
-    return 0
+def cmd_show_config(args, scn: Scenario) -> str:
+    return "".join(f"{key} = {_fmt(value)}\n" for key, value in sorted(describe(scn).items()))
 
 
 # -- argument parsing --------------------------------------------------------
+
+_H = ("--h", dict(required=True, help="satellite altitude"))
+_ATTACKS = ("--attacks", dict(choices=("collective", "general"), default="collective"))
+
+# (name, help, command, the command's options as (flag, add_argument keywords))
+COMMANDS = (
+    ("bounds", "upper/lower bound sweep over altitude", cmd_bounds, (
+        ("--h-grid", dict(required=True, metavar="LO:HI:N[:log]")),
+        ("--theta", dict(action="append", default=[], metavar="ANGLE",
+                         help="zenith angle (repeatable; default 0)")),
+    )),
+    ("rate", "composable key rate vs zenith angle", cmd_rate, (
+        _H,
+        ("--theta-grid", dict(required=True, metavar="LO:HI:N")),
+        _ATTACKS,
+    )),
+    ("pass", "zenith-crossing pass report (JSON)", cmd_pass, (
+        _H,
+        ("--blocks", dict(type=int, default=10, help="data blocks per pass")),
+        _ATTACKS,
+    )),
+    ("compare-fiber", "satellite vs fiber/repeater bits per day", cmd_compare_fiber, (
+        ("--d-grid", dict(required=True, metavar="LO:HI:N[:log]", help="station separation grid")),
+        ("--n-rep", dict(nargs="*", default=["1", "5", "30"], help="ideal repeater counts")),
+        ("--sat", dict(action="append", metavar="SPEC",
+                       help="satellite column, e.g. h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73")),
+    )),
+    ("validate-mc", "Monte Carlo check of the fading law", cmd_validate_mc, (
+        _H,
+        ("--theta", dict(default="0", help="zenith angle (default 0)")),
+        ("--samples", dict(type=int, default=1_000_000)),
+        ("--seed", dict(type=int, default=1)),
+        ("--bins", dict(type=int, default=60)),
+    )),
+    ("max-range", "maximum secure slant range", cmd_max_range, (
+        ("--mode", dict(choices=("simple", "tight"), default="tight")),
+    )),
+    ("show-config", "print the fully resolved configuration", cmd_show_config, ()),
+)
+
 
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
@@ -432,70 +441,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Satellite optical link budgets, capacity bounds and CV-QKD rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, help_text, fn, options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value configuration file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key (repeatable)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-
-    p = sub.add_parser("bounds", help="upper/lower bound sweep over altitude")
-    common(p)
-    p.add_argument("--h-grid", required=True, metavar="LO:HI:N[:log]")
-    p.add_argument("--theta", action="append", default=[], metavar="ANGLE",
-                   help="zenith angle (repeatable; default 0)")
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("rate", help="composable key rate vs zenith angle")
-    common(p)
-    p.add_argument("--h", required=True, help="satellite altitude")
-    p.add_argument("--theta-grid", required=True, metavar="LO:HI:N")
-    p.add_argument("--attacks", choices=("collective", "general"), default="collective")
-    p.set_defaults(fn=cmd_rate)
-
-    p = sub.add_parser("pass", help="zenith-crossing pass report (JSON)")
-    common(p)
-    p.add_argument("--h", required=True, help="satellite altitude")
-    p.add_argument("--blocks", type=int, default=10, help="data blocks per pass")
-    p.add_argument("--attacks", choices=("collective", "general"), default="collective")
-    p.set_defaults(fn=cmd_pass)
-
-    p = sub.add_parser("compare-fiber", help="satellite vs fiber/repeater bits per day")
-    common(p)
-    p.add_argument("--d-grid", required=True, metavar="LO:HI:N[:log]",
-                   help="station separation grid")
-    p.add_argument("--n-rep", nargs="*", default=["1", "5", "30"],
-                   help="ideal repeater counts")
-    p.add_argument("--sat", action="append", metavar="SPEC",
-                   help="satellite column, e.g. h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73")
-    p.set_defaults(fn=cmd_compare_fiber)
-
-    p = sub.add_parser("validate-mc", help="Monte Carlo check of the fading law")
-    common(p)
-    p.add_argument("--h", required=True, help="satellite altitude")
-    p.add_argument("--theta", default="0", help="zenith angle (default 0)")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--bins", type=int, default=60)
-    p.set_defaults(fn=cmd_validate_mc)
-
-    p = sub.add_parser("max-range", help="maximum secure slant range")
-    common(p)
-    p.add_argument("--mode", choices=("simple", "tight"), default="tight")
-    p.set_defaults(fn=cmd_max_range)
-
-    p = sub.add_parser("show-config", help="print the fully resolved configuration")
-    common(p)
-    p.set_defaults(fn=cmd_show_config)
-
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text = args.fn(args, resolve_scenario(args))
+        with _open_out(args) as out:
+            out.write(text)
+        return 0
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

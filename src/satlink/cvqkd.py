@@ -17,16 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import NamedTuple
 
 from ._array import all_, any_, at_first, mathof, where
 from ._special import erfcinv
 from .bounds import thermal_entropy
 from .errors import NumericalError
 from .fading import FadingModel, p_threshold
-from .orbit import golden_section
 
 EPS_DEFAULT = 2.0**-33  # shared default for the smoothing/hash/PE/correctness epsilons
 
@@ -135,15 +132,6 @@ def mutual_information(tau, nbar: float, sigma_x2: float, detection: str):
     raise ValueError("detection must be 'hom' or 'het'")
 
 
-def equivalent_noise(tau, nbar, nu_add: float):
-    """Total noise referred to the channel input, sigma_z^2 / tau.
-
-    With sigma_z^2 = 2*nbar + nu_add the mutual information takes the
-    compact form (nu_add / 2) * log2(1 + sigma_x^2 / Sigma).
-    """
-    return (2.0 * nbar + nu_add) / tau
-
-
 def _entropy_from_nu(nu, m):
     unphysical = nu < 1.0 - 1e-9
     if any_(unphysical):
@@ -215,55 +203,6 @@ def worst_case_nbar(
         raise ValueError("need at least one pilot")
     w = pe_confidence_factor(eps_pe, tail)
     return nbar + w * (2.0 * nbar + nu_add) / math.sqrt(2.0 * nu_add * m)
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    sqrt_tau_hat: float
-    sqrt_tau_var: float   # analytic variance of the sqrt(tau) estimator
-    nbar_hat: float
-    nbar_prime: float
-
-
-def simulate_pilots(
-    tau: float, nbar: float, nbar_pilot: float, m: int, nu_add: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Emulate pilot transmission: returns (x, y) with y = sqrt(tau) x + z.
-
-    Heterodyne (nu_add = 2) yields two quadrature samples per pilot pulse,
-    so m pilots give m * nu_add data points.
-    """
-    rng = np.random.default_rng(seed)
-    samples = int(m * nu_add)
-    x = np.full(samples, math.sqrt(2.0 * nbar_pilot))
-    sigma_z = math.sqrt(2.0 * nbar + nu_add)
-    z = rng.normal(0.0, sigma_z, size=samples)
-    return x, math.sqrt(tau) * x + z
-
-
-def estimate_channel(
-    x: np.ndarray,
-    y: np.ndarray,
-    nu_add: float,
-    eps_pe: float,
-    tail: str = "gaussian",
-    sqrt_tau: float | None = None,
-) -> EstimationResult:
-    """Build the pilot estimators and the worst-case thermal photon number.
-
-    Passing the known sqrt_tau (pilots are bright enough to pin it down)
-    removes the O(1/m) bias of the residual-based thermal estimate.
-    """
-    samples = len(x)
-    m = samples / nu_add
-    sqrt_tau_hat = float(np.mean(y / x))
-    resid = y - (sqrt_tau if sqrt_tau is not None else sqrt_tau_hat) * x
-    nbar_hat = 0.5 * (float(np.mean(resid**2)) - nu_add)
-    nbar_pilot = float(x[0]) ** 2 / 2.0
-    sigma_z2 = 2.0 * max(nbar_hat, 0.0) + nu_add
-    var = sigma_z2 / (2.0 * nu_add * m * nbar_pilot)
-    nbar_prime = worst_case_nbar(nbar_hat, m, nu_add, eps_pe, tail)
-    return EstimationResult(sqrt_tau_hat, var, nbar_hat, nbar_prime)
 
 
 class KeyRate(NamedTuple):
@@ -349,73 +288,3 @@ def postselected_rate(
     n_eff = where(kept, n_eff, n)
     r_m = asymptotic_rate(eta_th, nbar_prime, params)
     return _finite_size_rate(r_m, n_eff, params, attacks, kept)
-
-
-class LloNoise(NamedTuple):
-    eps_llo: float
-    nbar_llo: float
-
-
-def llo_noise(sigma_x2: float, clock_hz: float, linewidth_hz: float, tau: float) -> LloNoise:
-    """Excess noise of a locally regenerated oscillator.
-
-    The returned photon number adds to the trusted excess term; rates using
-    an LLO also carry a 1/2 duty-cycle prefactor for the dedicated LO pulses.
-    """
-    if clock_hz <= 0:
-        raise ValueError("clock must be positive")
-    eps = 2.0 * math.pi * sigma_x2 * linewidth_hz / clock_hz
-    return LloNoise(eps, tau * eps / 2.0)
-
-
-class OptimizeResult(NamedTuple):
-    mu: float
-    phi: float
-    rate: float
-    feasible: bool
-
-
-def optimize_protocol(
-    rate_fn: Callable[[float, float], float],
-    mu_range: tuple[float, float],
-    phi_range: tuple[float, float],
-    grid: int = 32,
-) -> OptimizeResult:
-    """Maximize a rate functional over modulation mu and threshold fraction phi.
-
-    A coarse grid scan locates the basin; alternating golden-section passes
-    refine each axis.  Deterministic, with ties broken toward smaller mu and
-    then smaller phi.
-    """
-    mu_lo, mu_hi = mu_range
-    phi_lo, phi_hi = phi_range
-    if not (1.0 < mu_lo <= mu_hi <= 100.0):
-        raise ValueError("mu range must lie within (1, 100]")
-    if not (0.0 < phi_lo <= phi_hi < 1.0):
-        raise ValueError("phi range must lie within (0, 1)")
-    if mu_lo == mu_hi and phi_lo == phi_hi:
-        return OptimizeResult(mu_lo, phi_lo, rate_fn(mu_lo, phi_lo), True)
-
-    mus = np.linspace(mu_lo, mu_hi, grid)
-    phis = np.linspace(phi_lo, phi_hi, grid)
-    best = (-math.inf, mu_lo, phi_lo)
-    for mu in mus:
-        for phi in phis:
-            r = rate_fn(float(mu), float(phi))
-            if r > best[0]:
-                best = (r, float(mu), float(phi))
-    if best[0] <= 0.0:
-        return OptimizeResult(best[1], best[2], 0.0, False)
-
-    _, mu_star, phi_star = best
-    dmu = (mu_hi - mu_lo) / (grid - 1) if mu_hi > mu_lo else 0.0
-    dphi = (phi_hi - phi_lo) / (grid - 1) if phi_hi > phi_lo else 0.0
-    for _ in range(2):
-        if dmu > 0:
-            a, b = max(mu_lo, mu_star - dmu), min(mu_hi, mu_star + dmu)
-            mu_star, _ = golden_section(lambda m: -rate_fn(m, phi_star), a, b, 1e-9 * (b - a))
-        if dphi > 0:
-            a, b = max(phi_lo, phi_star - dphi), min(phi_hi, phi_star + dphi)
-            phi_star, _ = golden_section(lambda p: -rate_fn(mu_star, p), a, b, 1e-9 * (b - a))
-    rate = rate_fn(mu_star, phi_star)
-    return OptimizeResult(mu_star, phi_star, rate, True)

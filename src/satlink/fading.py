@@ -159,19 +159,6 @@ def fading_model(
     )
 
 
-def eta_short_term(
-    z: float,
-    theta: float,
-    beam: BeamParams,
-    receiver: ReceiverParams,
-    profile: TurbulenceProfile,
-    direction: str,
-) -> float:
-    """Short-term transmissivity 1 - exp(-2 a_R^2 / w_st^2); <= eta_diffraction."""
-    spots = turbulence.spot_sizes(z, theta, beam, profile, direction)
-    return -math.expm1(-2.0 * receiver.aperture**2 / spots.w_st**2)
-
-
 def fading_pdf(tau: float, model: FadingModel) -> float:
     """Probability density of the instantaneous transmissivity on (0, eta).
 
@@ -217,15 +204,6 @@ def p_threshold(eta_th, model: FadingModel):
     return 1.0 - fading_cdf(eta_th, model)
 
 
-def p_slot(k: int, delta_tau: float, model: FadingModel) -> float:
-    """Probability that tau falls in the lattice slot [k*dt, (k+1)*dt]."""
-    if k < 0 or delta_tau <= 0:
-        raise ValueError("need k >= 0 and delta_tau > 0")
-    lo = min(k * delta_tau, model.eta)
-    hi = min((k + 1) * delta_tau, model.eta)
-    return fading_cdf(hi, model) - fading_cdf(lo, model)
-
-
 def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """Draw n instantaneous transmissivities; deterministic for a fixed seed.
 
@@ -237,9 +215,3 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     xy = rng.normal(0.0, sigma, size=(2, n))
     r = np.hypot(xy[0], xy[1])
     return model.eta * np.exp(-((r / model.r0) ** model.gamma))
-
-
-def eta_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
-    """Long-acquisition transmissivity averaged over the wandering process."""
-    denom = model.w_lt**2 + model.sigma_p2
-    return receiver.efficiency * eta_atm * -math.expm1(-2.0 * receiver.aperture**2 / denom)

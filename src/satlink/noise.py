@@ -8,7 +8,6 @@ irradiances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .beam import ReceiverParams
@@ -27,10 +26,6 @@ ALBEDO_EARTH = 0.3
 ALBEDO_MOON = 0.12
 RADIUS_MOON_M = 1.737e6
 DIST_EARTH_MOON_M = 3.84e8
-
-PLANCK_H = 6.62607015e-34
-SPEED_OF_LIGHT = 299792458.0
-BOLTZMANN_K = 1.380649e-23
 
 
 def kappa_night() -> float:
@@ -94,28 +89,3 @@ def nbar_background(env: NoiseEnvironment, receiver: ReceiverParams) -> float:
 def nbar_total(env: NoiseEnvironment, receiver: ReceiverParams) -> float:
     """Thermal photons referred to the channel output: eta_eff*n_B + n_ex."""
     return receiver.efficiency * nbar_background(env, receiver) + receiver.excess_photons
-
-
-def nbar_env(nbar: float, tau: float) -> float:
-    """Environment photon number n_e = n / (1 - tau) of the equivalent channel."""
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("transmissivity must lie in [0, 1)")
-    return nbar / (1.0 - tau)
-
-
-def blackbody_radiance(wavelength: float, temperature: float) -> float:
-    """Black-body spectral photon radiance, photons / (m^2 s nm sr)."""
-    if wavelength <= 0 or temperature <= 0:
-        raise ValueError("wavelength and temperature must be positive")
-    x = PLANCK_H * SPEED_OF_LIGHT / (wavelength * BOLTZMANN_K * temperature)
-    if x > 700.0:  # deep Wien tail; exp(x) overflows and the radiance is ~0
-        return 0.0
-    per_meter = 2.0 * SPEED_OF_LIGHT * wavelength**-4 / math.expm1(x)
-    return per_meter * 1e-9
-
-
-def nbar_body(
-    receiver: ReceiverParams, wavelength: float = 800e-9, temperature: float = 288.0
-) -> float:
-    """Mean photons from planetary black-body emission; negligible vs albedo noise."""
-    return blackbody_radiance(wavelength, temperature) * receiver.gamma_r

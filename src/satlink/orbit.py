@@ -164,14 +164,6 @@ class GroundComparison:
         return 10.0 ** (-self.alpha_fib_db_per_km * (d_station / 1e3) / 10.0)
 
 
-def station_distance(delta_t: float, h: float) -> float:
-    """Great-circle distance between two stations Delta_t apart along the orbit."""
-    t_s = orbital_period(h)
-    if not 0.0 <= delta_t <= t_s / 2.0:
-        raise ValueError("station transit time must lie in [0, T_S/2]")
-    return 2.0 * math.pi * delta_t * R_EARTH / t_s
-
-
 def fiber_rate(d_station: float, comparison: GroundComparison = GroundComparison()) -> float:
     """Repeaterless fiber key capacity (bits/use) between the stations."""
     return plob(comparison.eta_fiber(d_station))

@@ -210,6 +210,8 @@ class Scenario:
         if self.nbar >= 1.0:
             return bounds.MaxRangeResult(0.0, "simple", False)
         n_b = noise.nbar_background(self.noise_env, self.receiver)
+        if n_b == 0.0:
+            raise ConfigError("the Fresnel range needs background photons, and n_B is 0")
         z = bounds.fresnel_range(self.beam.waist, self.beam.wavelength, self.receiver.aperture, n_b)
         return bounds.MaxRangeResult(z, "simple", True)
 

@@ -1,7 +1,7 @@
 """Refractive-index structure profiles and turbulence beam statistics.
 
 Implements the Hufnagel-Valley and Hufnagel-Stanley C_n^2(h) profiles, the
-plane-wave Rytov variance (weak-turbulence diagnostic), spherical/planar
+saturated plane-wave Rytov variance (weak-turbulence check), spherical/planar
 coherence lengths, and the short-/long-term spot sizes plus centroid-wander
 variance for uplink beams.  Downlink beams are diffraction-limited within the
 working angular window.
@@ -106,57 +106,10 @@ def _column(f: Integrand, edges: Sequence[float]) -> float:
     return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
 
 
-def _layer_edges(top: float) -> list[float]:
-    """The LAYER_EDGES_M panel edges below top, closed by top."""
-    return [e for e in LAYER_EDGES_M if e < top] + [top]
-
-
-def cn2_avg(h: float, profile: TurbulenceProfile) -> float:
-    """Single-layer average (1/h) * integral of C_n^2 from 0 to h."""
-    if h <= 0:
-        raise ValueError("layer thickness must be positive")
-    edges = _layer_edges(min(h, PROFILE_TOP_M))
-    return _column(lambda x: cn2(x, profile), edges) / h
-
-
 @lru_cache(maxsize=32)
 def i_infty(profile: TurbulenceProfile) -> float:
     """Column-integrated C_n^2 (m^(1/3)); the planar-approximation constant."""
     return _column(lambda x: cn2(x, profile), LAYER_EDGES_M)
-
-
-class RytovResult(NamedTuple):
-    value: float
-    weak: bool  # value < 1 marks the weak-fluctuation regime
-
-
-def rytov_variance(
-    h: float,
-    theta: float,
-    k: float,
-    profile: TurbulenceProfile,
-    direction: str = "down",
-) -> RytovResult:
-    """Plane-wave Rytov variance for a slant path to altitude h.
-
-    Downlink: 2.25 k^(7/6) h^(5/6) (sec theta)^(11/6) * mu(h) with the
-    (xi/h)^(5/6)-weighted profile integral mu.  Uplink differs by the factor
-    mu~(h)/mu(h) where mu~ carries an extra (1 - xi/h)^(5/6) weight.
-    """
-    if h <= 0:
-        raise ValueError("altitude must be positive")
-    edges = _layer_edges(min(h, PROFILE_TOP_M))
-    mu = _column(lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0), edges)
-    sec = 1.0 / math.cos(abs(theta))
-    value = 2.25 * k ** (7.0 / 6.0) * h ** (5.0 / 6.0) * sec ** (11.0 / 6.0) * mu
-    if direction == "up":
-        mu_tilde = _column(
-            lambda x: cn2(x, profile) * (x / h * (1.0 - x / h)) ** (5.0 / 6.0), edges
-        )
-        value *= mu_tilde / mu
-    elif direction != "down":
-        raise ValueError("direction must be 'up' or 'down'")
-    return RytovResult(value, value < 1.0)
 
 
 @lru_cache(maxsize=32)
@@ -217,25 +170,6 @@ def coherence_length_planar(theta, k: float, profile: TurbulenceProfile):
     m = mathof(theta)
     sec = 1.0 / m.cos(abs(theta))
     return m.pow(1.46 * k * k * sec * i_infty(profile), -3.0 / 5.0)
-
-
-def speckle_count(aperture: float, rho0: float) -> float:
-    """Number of short-term speckles across an aperture, 1 + (a_R/rho0)^2."""
-    if rho0 <= 0:
-        raise ValueError("coherence length must be positive")
-    return 1.0 + (aperture / rho0) ** 2
-
-
-def uplink_coefficients(profile: TurbulenceProfile) -> tuple[float, float, float]:
-    """Planar-approximation spot-size coefficients (a, b, c) for an uplink beam.
-
-    a scales the total turbulent broadening, b the Yura wander fraction and
-    c = a*b the centroid-wander variance.
-    """
-    i_inf = i_infty(profile)
-    a = 26.28 * i_inf ** (6.0 / 5.0)
-    b = 0.2934 * i_inf ** (-1.0 / 5.0)
-    return a, b, a * b
 
 
 class SpotSizes(NamedTuple):

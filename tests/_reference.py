@@ -1,0 +1,340 @@
+"""Reference code the tests hold satlink to; no satlink command reaches it.
+
+Two kinds of code live here:
+
+- oracles and cross-checks, independent or slower spellings of what the
+  package computes: fading averages by direct quadrature, the finite-altitude
+  Rytov variance, far-field forms, slow-detection bounds and a simulated
+  pilot estimation;
+- paper side paths whose tests pin a published value: the refracted
+  extinction, the speckle count, the uplink planar coefficients, the
+  local-oscillator noise and the (mu, phi) protocol optimizer.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from satlink import geometry
+from satlink._array import mathof
+from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
+from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
+from satlink.bounds import _fading_average, entropy_h, thermal_entropy
+from satlink.cvqkd import worst_case_nbar
+from satlink.fading import FadingModel
+from satlink.orbit import golden_section
+from satlink.turbulence import (
+    LAYER_EDGES_M,
+    PROFILE_TOP_M,
+    TurbulenceProfile,
+    _column,
+    cn2,
+    i_infty,
+)
+
+# -- geometry and extinction -------------------------------------------------
+
+SURFACE_REFRACTIVE_INDEX = 1.00027
+
+
+def true_zenith(theta_app: float, n0: float = SURFACE_REFRACTIVE_INDEX) -> float:
+    """True zenith angle for an apparent (Snell-refracted) angle."""
+    s = n0 * math.sin(abs(theta_app))
+    if s > 1.0 + 1e-15:
+        raise ValueError(f"apparent angle {theta_app} beyond the refracted horizon")
+    return math.copysign(math.asin(min(1.0, s)), theta_app)
+
+
+def unit_elongation(theta_app: float) -> float:
+    """Default elongation model: no optical-path lengthening."""
+    return 1.0
+
+
+def eta_atm_zenith_inf(model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
+    """Vertical transmissivity through the whole atmosphere, exp(-alpha0*h_scale)."""
+    return math.exp(-model.alpha0 * model.h_scale)
+
+
+def eta_atm_refracted(
+    h: float,
+    theta_app: float,
+    elongation: Callable[[float], float] = unit_elongation,
+    model: ExtinctionModel = DEFAULT_EXTINCTION,
+) -> float:
+    """Slant transmissivity with Snell bending and optional path elongation.
+
+    The apparent angle is converted to the true angle for the geometry while
+    the path length is stretched by elongation(theta_app).
+    """
+    if h < 0:
+        raise ValueError("altitude must be non-negative")
+    if h == 0:
+        return 1.0
+    factor = elongation(theta_app)
+    if factor < 1.0:
+        raise ValueError("elongation factor must be >= 1")
+    theta = true_zenith(theta_app)
+    # the path stretched by factor: y = factor * y' with y' along the true one
+    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
+    return math.exp(-model.alpha0 * factor * _path_integral(path, theta, model))
+
+
+def eta_diffraction_far(z, beam: BeamParams, aperture: float):
+    """Far-field approximation 2 a_R^2 / w_d^2 (valid when << 1)."""
+    w = diffraction_waist(z, beam)
+    return 2.0 * aperture**2 / mathof(w).pow(w, 2)
+
+
+# -- turbulence --------------------------------------------------------------
+
+
+def _layer_edges(top: float) -> list[float]:
+    """The LAYER_EDGES_M panel edges below top, closed by top."""
+    return [e for e in LAYER_EDGES_M if e < top] + [top]
+
+
+def cn2_avg(h: float, profile: TurbulenceProfile) -> float:
+    """Single-layer average (1/h) * integral of C_n^2 from 0 to h."""
+    if h <= 0:
+        raise ValueError("layer thickness must be positive")
+    edges = _layer_edges(min(h, PROFILE_TOP_M))
+    return _column(lambda x: cn2(x, profile), edges) / h
+
+
+class RytovResult(NamedTuple):
+    value: float
+    weak: bool  # value < 1 marks the weak-fluctuation regime
+
+
+def rytov_variance(
+    h: float,
+    theta: float,
+    k: float,
+    profile: TurbulenceProfile,
+    direction: str = "down",
+) -> RytovResult:
+    """Plane-wave Rytov variance for a slant path to altitude h.
+
+    Downlink: 2.25 k^(7/6) h^(5/6) (sec theta)^(11/6) * mu(h) with the
+    (xi/h)^(5/6)-weighted profile integral mu.  Uplink differs by the factor
+    mu~(h)/mu(h) where mu~ carries an extra (1 - xi/h)^(5/6) weight.
+    """
+    if h <= 0:
+        raise ValueError("altitude must be positive")
+    edges = _layer_edges(min(h, PROFILE_TOP_M))
+    mu = _column(lambda x: cn2(x, profile) * (x / h) ** (5.0 / 6.0), edges)
+    sec = 1.0 / math.cos(abs(theta))
+    value = 2.25 * k ** (7.0 / 6.0) * h ** (5.0 / 6.0) * sec ** (11.0 / 6.0) * mu
+    if direction == "up":
+        mu_tilde = _column(
+            lambda x: cn2(x, profile) * (x / h * (1.0 - x / h)) ** (5.0 / 6.0), edges
+        )
+        value *= mu_tilde / mu
+    elif direction != "down":
+        raise ValueError("direction must be 'up' or 'down'")
+    return RytovResult(value, value < 1.0)
+
+
+def speckle_count(aperture: float, rho0: float) -> float:
+    """Number of short-term speckles across an aperture, 1 + (a_R/rho0)^2."""
+    if rho0 <= 0:
+        raise ValueError("coherence length must be positive")
+    return 1.0 + (aperture / rho0) ** 2
+
+
+def uplink_coefficients(profile: TurbulenceProfile) -> tuple[float, float, float]:
+    """Planar-approximation spot-size coefficients (a, b, c) for an uplink beam.
+
+    a scales the total turbulent broadening, b the Yura wander fraction and
+    c = a*b the centroid-wander variance.
+    """
+    i_inf = i_infty(profile)
+    a = 26.28 * i_inf ** (6.0 / 5.0)
+    b = 0.2934 * i_inf ** (-1.0 / 5.0)
+    return a, b, a * b
+
+
+# -- fading averages and bounds ----------------------------------------------
+
+
+def eta_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
+    """Long-acquisition transmissivity averaged over the wandering process."""
+    denom = model.w_lt**2 + model.sigma_p2
+    return receiver.efficiency * eta_atm * -math.expm1(-2.0 * receiver.aperture**2 / denom)
+
+
+def phi_thermal(tau: float, nbar: float) -> float:
+    """Key-rate upper bound of a thermal-loss channel, 0 when nbar > tau."""
+    if not 0.0 < tau < 1.0:
+        raise ValueError("transmissivity must lie in (0, 1)")
+    if nbar < 0:
+        raise ValueError("thermal photons must be non-negative")
+    if nbar > tau:
+        return 0.0
+    n_e = nbar / (1.0 - tau)
+    return -math.log2(1.0 - tau) - n_e * math.log2(tau) - entropy_h(n_e)
+
+
+def average_plob(model: FadingModel):
+    """Direct fading average of -log2(1 - tau); oracle for bound_b."""
+    return _fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
+
+
+def average_phi_thermal(nbar: float, model: FadingModel) -> float:
+    """Fading average of the thermal-loss upper bound; <= thermal_upper.
+
+    Entanglement-breaking slots (tau <= nbar) contribute nothing.  One
+    geometry at a time.
+    """
+    if nbar >= model.eta:
+        return 0.0
+
+    def phi(tau: np.ndarray) -> np.ndarray:
+        n_e = nbar / (1.0 - tau)
+        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - thermal_entropy(n_e, np)
+
+    return _fading_average(phi, model, 1e-13, tau_min=nbar)
+
+
+def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
+    """Upper bound for slow (fading-averaged) detection."""
+    denom = model.w_lt**2 + model.sigma_p2
+    return min(
+        plob(eta_slow(model, receiver, eta_atm)),
+        (2.0 / LN2) * receiver.aperture**2 / denom,
+    )
+
+
+# -- CV-QKD ------------------------------------------------------------------
+
+
+def equivalent_noise(tau, nbar, nu_add: float):
+    """Total noise referred to the channel input, sigma_z^2 / tau.
+
+    With sigma_z^2 = 2*nbar + nu_add the mutual information takes the
+    compact form (nu_add / 2) * log2(1 + sigma_x^2 / Sigma).
+    """
+    return (2.0 * nbar + nu_add) / tau
+
+
+@dataclass(frozen=True)
+class EstimationResult:
+    sqrt_tau_hat: float
+    sqrt_tau_var: float   # analytic variance of the sqrt(tau) estimator
+    nbar_hat: float
+    nbar_prime: float
+
+
+def simulate_pilots(
+    tau: float, nbar: float, nbar_pilot: float, m: int, nu_add: float, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Emulate pilot transmission: returns (x, y) with y = sqrt(tau) x + z.
+
+    Heterodyne (nu_add = 2) yields two quadrature samples per pilot pulse,
+    so m pilots give m * nu_add data points.
+    """
+    rng = np.random.default_rng(seed)
+    samples = int(m * nu_add)
+    x = np.full(samples, math.sqrt(2.0 * nbar_pilot))
+    sigma_z = math.sqrt(2.0 * nbar + nu_add)
+    z = rng.normal(0.0, sigma_z, size=samples)
+    return x, math.sqrt(tau) * x + z
+
+
+def estimate_channel(
+    x: np.ndarray,
+    y: np.ndarray,
+    nu_add: float,
+    eps_pe: float,
+    tail: str = "gaussian",
+    sqrt_tau: float | None = None,
+) -> EstimationResult:
+    """Build the pilot estimators and the worst-case thermal photon number.
+
+    Passing the known sqrt_tau (pilots are bright enough to pin it down)
+    removes the O(1/m) bias of the residual-based thermal estimate.
+    """
+    samples = len(x)
+    m = samples / nu_add
+    sqrt_tau_hat = float(np.mean(y / x))
+    resid = y - (sqrt_tau if sqrt_tau is not None else sqrt_tau_hat) * x
+    nbar_hat = 0.5 * (float(np.mean(resid**2)) - nu_add)
+    nbar_pilot = float(x[0]) ** 2 / 2.0
+    sigma_z2 = 2.0 * max(nbar_hat, 0.0) + nu_add
+    var = sigma_z2 / (2.0 * nu_add * m * nbar_pilot)
+    nbar_prime = worst_case_nbar(nbar_hat, m, nu_add, eps_pe, tail)
+    return EstimationResult(sqrt_tau_hat, var, nbar_hat, nbar_prime)
+
+
+class LloNoise(NamedTuple):
+    eps_llo: float
+    nbar_llo: float
+
+
+def llo_noise(sigma_x2: float, clock_hz: float, linewidth_hz: float, tau: float) -> LloNoise:
+    """Excess noise of a locally regenerated oscillator.
+
+    The returned photon number adds to the trusted excess term; rates using
+    an LLO also carry a 1/2 duty-cycle prefactor for the dedicated LO pulses.
+    """
+    if clock_hz <= 0:
+        raise ValueError("clock must be positive")
+    eps = 2.0 * math.pi * sigma_x2 * linewidth_hz / clock_hz
+    return LloNoise(eps, tau * eps / 2.0)
+
+
+class OptimizeResult(NamedTuple):
+    mu: float
+    phi: float
+    rate: float
+    feasible: bool
+
+
+def optimize_protocol(
+    rate_fn: Callable[[float, float], float],
+    mu_range: tuple[float, float],
+    phi_range: tuple[float, float],
+    grid: int = 32,
+) -> OptimizeResult:
+    """Maximize a rate functional over modulation mu and threshold fraction phi.
+
+    A coarse grid scan locates the basin; alternating golden-section passes
+    refine each axis.  Deterministic, with ties broken toward smaller mu and
+    then smaller phi.
+    """
+    mu_lo, mu_hi = mu_range
+    phi_lo, phi_hi = phi_range
+    if not (1.0 < mu_lo <= mu_hi <= 100.0):
+        raise ValueError("mu range must lie within (1, 100]")
+    if not (0.0 < phi_lo <= phi_hi < 1.0):
+        raise ValueError("phi range must lie within (0, 1)")
+    if mu_lo == mu_hi and phi_lo == phi_hi:
+        return OptimizeResult(mu_lo, phi_lo, rate_fn(mu_lo, phi_lo), True)
+
+    mus = np.linspace(mu_lo, mu_hi, grid)
+    phis = np.linspace(phi_lo, phi_hi, grid)
+    best = (-math.inf, mu_lo, phi_lo)
+    for mu in mus:
+        for phi in phis:
+            r = rate_fn(float(mu), float(phi))
+            if r > best[0]:
+                best = (r, float(mu), float(phi))
+    if best[0] <= 0.0:
+        return OptimizeResult(best[1], best[2], 0.0, False)
+
+    _, mu_star, phi_star = best
+    dmu = (mu_hi - mu_lo) / (grid - 1) if mu_hi > mu_lo else 0.0
+    dphi = (phi_hi - phi_lo) / (grid - 1) if phi_hi > phi_lo else 0.0
+    for _ in range(2):
+        if dmu > 0:
+            a, b = max(mu_lo, mu_star - dmu), min(mu_hi, mu_star + dmu)
+            mu_star, _ = golden_section(lambda m: -rate_fn(m, phi_star), a, b, 1e-9 * (b - a))
+        if dphi > 0:
+            a, b = max(phi_lo, phi_star - dphi), min(phi_hi, phi_star + dphi)
+            phi_star, _ = golden_section(lambda p: -rate_fn(mu_star, p), a, b, 1e-9 * (b - a))
+    rate = rate_fn(mu_star, phi_star)
+    return OptimizeResult(mu_star, phi_star, rate, True)

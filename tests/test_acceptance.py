@@ -14,7 +14,7 @@ import scipy.integrate
 
 from satlink import Scenario, plob
 from satlink.beam import ReceiverParams
-from satlink.bounds import bound_b_model, phi_thermal, thermal_lower, thermal_upper
+from satlink.bounds import bound_b_model, thermal_lower, thermal_upper
 from satlink.cvqkd import (
     ProtocolParams,
     asymptotic_rate,
@@ -34,6 +34,8 @@ from satlink.orbit import (
 )
 from satlink.turbulence import TurbulenceProfile, coherence_length, i_infty, spot_sizes
 from satlink.atmosphere import eta_atm, eta_atm_secant, eta_atm_zenith
+
+from _reference import phi_thermal
 
 
 def check(failures: list, cond: bool, message: str) -> None:

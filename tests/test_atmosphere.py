@@ -9,11 +9,11 @@ from satlink.atmosphere import (
     DEFAULT_EXTINCTION,
     ExtinctionModel,
     eta_atm,
-    eta_atm_refracted,
     eta_atm_secant,
     eta_atm_zenith,
-    eta_atm_zenith_inf,
 )
+
+from _reference import eta_atm_refracted, eta_atm_zenith_inf
 THETA_APP_MAX = math.asin(1 / 1.00027)
 
 

@@ -12,10 +12,11 @@ from satlink.beam import (
     diffraction_bound,
     diffraction_waist,
     eta_diffraction,
-    eta_diffraction_far,
     eta_total,
     plob,
 )
+
+from _reference import eta_diffraction_far
 
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)

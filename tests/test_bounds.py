@@ -7,22 +7,20 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import Scenario
+from satlink import ConfigError, Scenario
 from satlink.beam import plob
 from satlink.bounds import (
-    average_phi_thermal,
-    average_plob,
     bound_b,
     bound_b_model,
-    bound_slow,
     entropy_h,
-    phi_thermal,
     thermal_correction,
     thermal_lower,
     thermal_upper,
     wander_delta,
 )
 from satlink.fading import fading_pdf
+
+from _reference import average_phi_thermal, average_plob, bound_slow, phi_thermal
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +225,7 @@ class TestSlowDetectionBound:
     def test_far_field_chain(self, night_up):
         from satlink.atmosphere import eta_atm
         from satlink.beam import LN2
-        from satlink.fading import eta_slow
+        from _reference import eta_slow
 
         for h in (500e3, 5000e3):
             m = night_up.fading_model(h, 1.0)
@@ -262,3 +260,12 @@ class TestMaxRange:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             Scenario.build("up", "day", setup=1).max_range("loose")
+
+    def test_simple_mode_needs_background_photons(self):
+        # a dark sky (or a zero albedo factor) leaves no Fresnel range to take
+        for sc in (
+            Scenario.build("down", "night", setup=1, h_sky_override=0.0),
+            Scenario.build("up", "day", setup=1, kappa_override=0.0),
+        ):
+            with pytest.raises(ConfigError, match="Fresnel range needs background photons"):
+                sc.max_range("simple")

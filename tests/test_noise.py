@@ -1,16 +1,11 @@
-import math
-
 import pytest
 
 from satlink.beam import ReceiverParams
 from satlink.noise import (
     NoiseEnvironment,
-    blackbody_radiance,
     kappa_day,
     kappa_night,
     nbar_background,
-    nbar_body,
-    nbar_env,
     nbar_total,
 )
 
@@ -98,37 +93,3 @@ class TestTotalNoise:
         env = NoiseEnvironment.from_name("night-down")
         noisy = ReceiverParams(aperture=0.4, efficiency=0.4, excess_photons=0.01)
         assert nbar_total(env, noisy) == pytest.approx(nbar_total(env, TYPICAL) + 0.01)
-
-    def test_environment_referral(self):
-        assert nbar_env(0.1, 0.0) == pytest.approx(0.1)
-        assert nbar_env(0.1, 0.5) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            nbar_env(0.1, 1.0)
-
-
-class TestBlackBody:
-    def test_planck_form(self):
-        # independent spelling via the frequency-domain Planck law
-        lam, temp = 800e-9, 288.0
-        h, c, kb = 6.62607015e-34, 299792458.0, 1.380649e-23
-        nu = c / lam
-        per_hz = 2.0 * nu**2 / c**2 / math.expm1(h * nu / (kb * temp))
-        per_nm = per_hz * (c / lam**2) * 1e-9
-        assert blackbody_radiance(lam, temp) == pytest.approx(per_nm, rel=1e-12)
-
-    def test_vanishes_at_zero_temperature(self):
-        assert blackbody_radiance(800e-9, 1e-3) == 0.0
-
-    def test_monotone_in_temperature(self):
-        assert blackbody_radiance(800e-9, 300.0) > blackbody_radiance(800e-9, 288.0)
-
-    def test_planetary_emission_negligible(self):
-        # thermal self-emission sits many orders below even the darkest
-        # albedo-driven background
-        body = nbar_body(TYPICAL)
-        night_up = nbar_background(NoiseEnvironment.from_name("night-up"), TYPICAL)
-        assert body < night_up * 1e-5
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            blackbody_radiance(-1.0, 300.0)

@@ -14,7 +14,6 @@ from satlink.orbit import (
     repeater_rate,
     slice_min_rate,
     slice_orbit,
-    station_distance,
     sun_sync_inclination,
     time_of_zenith,
     transit_times,
@@ -149,13 +148,6 @@ class TestOrbitalAverage:
 
 
 class TestGroundComparison:
-    def test_station_distance(self):
-        assert station_distance(0.0, 530e3) == 0.0
-        t_s = orbital_period(530e3)
-        assert station_distance(t_s / 2, 530e3) == pytest.approx(math.pi * R_EARTH, rel=1e-12)
-        with pytest.raises(ValueError):
-            station_distance(t_s, 530e3)
-
     def test_zero_separation_flagged_infinite(self):
         assert fiber_rate(0.0) == math.inf
 

@@ -30,6 +30,22 @@ def test_runtime_does_not_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_library_sketch():
+    # the README's library example runs as written, and every exported name resolves
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library sketch", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exports = (
+        "import satlink\n"
+        "missing = [name for name in satlink.__all__ if not hasattr(satlink, name)]\n"
+        "assert not missing, missing\n"
+    )
+    proc = run_python("-c", sketch + exports)
+    assert proc.returncode == 0, proc.stderr
+    r_orb, bits_per_pass = map(float, proc.stdout.split())
+    assert r_orb > 0.0 and bits_per_pass > 0.0
+
+
 def test_bounds_sweep_script(tmp_path):
     proc = run_python(str(ROOT / "scripts" / "bounds_sweep.py"), "--outdir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
@@ -40,7 +56,6 @@ def test_orbital_yield_script():
     proc = run_python(str(ROOT / "scripts" / "orbital_yield.py"))
     assert proc.returncode == 0, proc.stderr
     assert "night-down-530" in proc.stdout
-
 
 
 def test_noise_and_ranges_script_tables():

