@@ -9,7 +9,7 @@ from .geometry import EarthConstants, altitude_from_slant, slant_range
 from .noise import NoiseEnvironment, nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
 from .scenario import SETUPS, Scenario
-from .turbulence import TurbulenceProfile, cn2, coherence_length, i_infty, spot_sizes
+from .turbulence import TurbulenceProfile, cn2, i_infty, spot_sizes
 
 __version__ = "0.1.0"
 
@@ -30,7 +30,6 @@ __all__ = [
     "altitude_from_slant",
     "bound_v",
     "cn2",
-    "coherence_length",
     "composable_rate",
     "diffraction_waist",
     "eta_atm",

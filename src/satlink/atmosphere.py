@@ -15,7 +15,7 @@ import numpy as np
 
 from . import geometry
 from ._array import mathof, where
-from ._integrate import gauss_legendre
+from ._integrate import tanh_sinh
 
 # the extinction tail above this altitude shifts the loss exponent by < 1e-13
 PATH_TOP_M = 200e3
@@ -25,9 +25,6 @@ PATH_TOP_M = 200e3
 class ExtinctionModel:
     alpha0: float = 5e-6        # sea-level extinction, 1/m (800 nm)
     h_scale: float = 6600.0     # decay scale height, m
-
-    def alpha(self, h: float) -> float:
-        return self.alpha0 * math.exp(-h / self.h_scale)
 
 
 DEFAULT_EXTINCTION = ExtinctionModel()
@@ -48,10 +45,10 @@ def _path_integral(path, theta, model: ExtinctionModel):
     """Integral of exp(-h(y)/h_scale) along lines of sight of length path.
 
     h(y) is the altitude at slant range y and zenith angle theta.
-    Gauss-Legendre in the slant variable: h(y) is analytic along the whole
-    path, also at the horizon where dy/dh has a square-root branch at h = 0.
+    tanh-sinh in the slant variable: h(y) is analytic along the whole path,
+    also at the horizon where dy/dh has a square-root branch at h = 0.
     """
-    return gauss_legendre(_extinction, 0.0, path, theta, model.h_scale).value
+    return tanh_sinh(_extinction, 0.0, path, theta, model.h_scale).value
 
 
 def eta_atm(h, theta, model: ExtinctionModel = DEFAULT_EXTINCTION):

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._array import all_, any_, mathof, scatter, take, where
-from ._integrate import gauss_laguerre, tanh_sinh
+from ._integrate import tanh_sinh
 from .beam import LN2
 from .fading import FadingModel
 
@@ -53,6 +53,16 @@ def _wander_high(x, s, g, eta):
     return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
 
 
+def _wander(t, s, g, eta):
+    """Both pieces of the wandering integral at the same nodes t in (0, 1].
+
+    The tail beyond x = 1 maps to t = exp(-rate (x - 1)), rate = 1 + s/g,
+    the rate at which it decays near x = 1.
+    """
+    rate = 1.0 + s / g
+    return _wander_low(t, s, g, eta) + _wander_high(1.0 - np.log(t) / rate, s, g, eta) / (rate * t)
+
+
 def wander_delta(eta, sigma2, gamma, r0):
     """Beam-wandering correction factor Delta(eta, sigma) in (0, 1].
 
@@ -60,16 +70,16 @@ def wander_delta(eta, sigma2, gamma, r0):
     I = integral_0^inf exp(-(r0^2/2 sigma^2) x^(2/gamma)) / (e^x - eta) dx.
     The integral is split at x = 1.  The lower piece takes the substitution
     u = x^(2/gamma), which removes the infinite-derivative endpoint when
-    gamma > 2 and leaves an integrable u^(gamma/2 - 1) one for tanh-sinh.
-    The upper piece decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1,
-    the rate its Gauss-Laguerre rule is scaled to.  Without wander
+    gamma > 2 and leaves an integrable u^(gamma/2 - 1) one.  The upper piece
+    decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1; the substitution
+    t = exp(-(1 + 2 s / gamma)(x - 1)) maps it onto (0, 1] as well.  One
+    tanh-sinh call integrates the sum of the two pieces.  Without wander
     (sigma2 = 0) Delta is 1.
     """
     wander = sigma2 != 0.0
     s = r0 * r0 / (2.0 * where(wander, sigma2, 1.0))
     g = gamma / 2.0
-    integral = tanh_sinh(_wander_low, 0.0, 1.0, s, g, eta, abs_tol=1e-12).value
-    integral += gauss_laguerre(_wander_high, 1.0, 1.0 + s / g, s, g, eta, abs_tol=1e-12).value
+    integral = tanh_sinh(_wander, 0.0, 1.0, s, g, eta, abs_tol=1e-12).value
     return where(wander, 1.0 + eta / mathof(eta).log1p(-eta) * integral, 1.0)
 
 

@@ -262,9 +262,9 @@ def _columns(n: int, *values) -> list[list]:
     return [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
 
 
-def _at_least_one(name: str, value: int) -> int:
-    if value < 1:
-        raise ConfigError(f"{name}: expected at least 1, got {value}")
+def _at_least(name: str, value: int, least: int = 1) -> int:
+    if value < least:
+        raise ConfigError(f"{name}: expected at least {least}, got {value}")
     return value
 
 
@@ -295,7 +295,7 @@ def cmd_rate(args, scn: Scenario) -> str:
 
 def cmd_pass(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
-    report = scn.pass_report(h, args.blocks, args.attacks)
+    report = scn.pass_report(h, _at_least("--blocks", args.blocks), args.attacks)
     report["config"] = describe(scn)
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -311,7 +311,7 @@ def _parse_sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
         if key == "h":
             h = _named("--sat h", _finite, value)
         elif key == "blocks":
-            blocks = _named("--sat blocks", _int, value)
+            blocks = _at_least("--sat blocks", _named("--sat blocks", _int, value))
         elif key == "label":
             label = value
         else:
@@ -325,7 +325,7 @@ def _parse_sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
 
 def cmd_compare_fiber(args, scn: Scenario) -> str:
     d_grid = _named("--d-grid", parse_grid, args.d_grid)
-    n_reps = [_named("--n-rep", _int, n) for n in args.n_rep]
+    n_reps = [_at_least("--n-rep", _named("--n-rep", _int, n), 0) for n in args.n_rep]
     comparison = orbit.GroundComparison(clock_hz=scn.protocol.clock_hz)
 
     header = ["d_km", "fiber_bits_day", *(f"rep{n}_bits_day" for n in n_reps)]
@@ -353,10 +353,11 @@ def cmd_compare_fiber(args, scn: Scenario) -> str:
 def cmd_validate_mc(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
     theta = _named("--theta", _finite, args.theta)
-    n = _at_least_one("--samples", args.samples)
-    bins = _at_least_one("--bins", args.bins)
+    n = _at_least("--samples", args.samples)
+    bins = _at_least("--bins", args.bins)
+    seed = _at_least("--seed", args.seed, 0)
     model = scn.fading_model(h, theta)
-    samples = fading.sample_fading(model, n, args.seed)
+    samples = fading.sample_fading(model, n, seed)
 
     # KS distance of the empirical CDF against the analytic law
     analytic = fading.fading_cdf(np.sort(samples), model)
@@ -372,7 +373,7 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
         zip(*_columns(bins, edges[:-1], edges[1:], counts / n, np.diff(cdf))),
         [
-            f"h_km={_fmt(h / 1e3)} theta={_fmt(theta)} samples={n} seed={args.seed}",
+            f"h_km={_fmt(h / 1e3)} theta={_fmt(theta)} samples={n} seed={seed}",
             f"ks_statistic={_fmt(ks)}",
         ],
     )

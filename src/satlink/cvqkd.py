@@ -61,18 +61,6 @@ class ProtocolParams:
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon parameters must lie in (0, 1)")
 
-    @classmethod
-    def general(cls, **overrides) -> "ProtocolParams":
-        defaults = dict(
-            p_ec=0.1,
-            eps_s=1e-43, eps_h=1e-43, eps_pe=1e-43, eps_cor=1e-43,
-            energy_test_fraction=0.9,
-            tail="hoeffding",
-            detection="het",
-        )
-        defaults.update(overrides)
-        return cls(**defaults)
-
     @property
     def sigma_x2(self) -> float:
         return self.mu - 1.0

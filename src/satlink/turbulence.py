@@ -1,8 +1,8 @@
 """Refractive-index structure profiles and turbulence beam statistics.
 
 Implements the Hufnagel-Valley and Hufnagel-Stanley C_n^2(h) profiles, the
-saturated plane-wave Rytov variance (weak-turbulence check), spherical/planar
-coherence lengths, and the short-/long-term spot sizes plus centroid-wander
+saturated plane-wave Rytov variance (weak-turbulence check), the planar
+coherence length, and the short-/long-term spot sizes plus centroid-wander
 variance for uplink beams.  Downlink beams are diffraction-limited within the
 working angular window.
 """
@@ -17,7 +17,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import geometry
 from ._array import any_, at_first, each, mathof
 from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
@@ -35,8 +34,7 @@ class TurbulenceProfile:
 
     kind "hufnagel-valley" uses the ground value a_ground and windspeed;
     kind "hufnagel-stanley" uses the c1 * h^(-1/3) * exp(-h/c2) form and is
-    singular at h = 0; kind "constant" holds C_n^2 = a_ground at every
-    altitude (fixed-altitude horizontal links).
+    singular at h = 0.
     """
 
     kind: str = "hufnagel-valley"
@@ -44,10 +42,6 @@ class TurbulenceProfile:
     windspeed: float = 21.0     # m/s
     hs_c1: float = 4.2e-14
     hs_c2: float = 3200.0
-
-    @classmethod
-    def constant(cls, value: float) -> "TurbulenceProfile":
-        return cls(kind="constant", a_ground=value)
 
     @classmethod
     def from_name(cls, name: str) -> "TurbulenceProfile":
@@ -63,8 +57,6 @@ class TurbulenceProfile:
                 return name
         if self.kind == "hufnagel-valley":
             return f"hv(A={self.a_ground:g},v={self.windspeed:g})"
-        if self.kind == "constant":
-            return f"constant({self.a_ground:g})"
         return self.kind
 
 
@@ -86,8 +78,6 @@ def cn2(h, profile: TurbulenceProfile):
         return profile.hs_c1 * h ** (-1.0 / 3.0) * np.exp(-h / profile.hs_c2)
     if np.min(h) < 0:
         raise ValueError("altitude must be non-negative")
-    if profile.kind == "constant":
-        return np.full_like(h, profile.a_ground, dtype=float)[()]
     v = profile.windspeed
     return (
         5.94e-53 * (v / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
@@ -101,7 +91,7 @@ def _column(f: Integrand, edges: Sequence[float]) -> float:
 
     tanh-sinh on each panel takes the integrable endpoint singularities
     (the Hufnagel-Stanley h^(-1/3), the power-law path weights) as well as
-    the smooth Hufnagel-Valley and constant profiles.
+    the smooth Hufnagel-Valley profile.
     """
     return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
 
@@ -130,41 +120,6 @@ def rytov_saturated(theta, k: float, profile: TurbulenceProfile):
     return 2.25 * k ** (7.0 / 6.0) * m.pow(sec, 11.0 / 6.0) * _rytov_column(profile)
 
 
-def coherence_length(
-    z: float,
-    theta: float,
-    k: float,
-    profile: TurbulenceProfile,
-    direction: str,
-) -> float:
-    """Spherical-wave coherence length rho_0 over a slant path of length z.
-
-    The (1 - xi/z)^(5/3) spherical weight is applied to the profile sampled
-    along the path: uplink sees the dense layers near the transmitter,
-    downlink near the receiver.
-    """
-    if z <= 0:
-        raise ValueError("path length must be positive")
-    path_top = geometry.slant_range(PROFILE_TOP_M, theta)
-
-    if direction == "up":
-        weight = lambda xi: (1.0 - xi / z) ** (5.0 / 3.0)
-    elif direction == "down":
-        # substituting xi -> z - xi folds the weight onto the near-ground end
-        weight = lambda xi: (xi / z) ** (5.0 / 3.0)
-    else:
-        raise ValueError("direction must be 'up' or 'down'")
-
-    top = min(z, path_top)
-    along_path = (geometry.slant_range(e, theta) for e in LAYER_EDGES_M)
-    edges = [y for y in along_path if y < top]
-    integral = _column(
-        lambda xi: weight(xi) * cn2(geometry.altitude_from_slant(xi, theta), profile),
-        edges + [top],
-    )
-    return (1.46 * k * k * integral) ** (-3.0 / 5.0)
-
-
 def coherence_length_planar(theta, k: float, profile: TurbulenceProfile):
     """Asymptotic plane-wave coherence length [1.46 k^2 sec(theta) I_inf]^(-3/5)."""
     m = mathof(theta)
@@ -190,31 +145,22 @@ def spot_sizes(
     profile: TurbulenceProfile,
     direction: str,
     pointing_sigma2=0.0,
-    linearized: bool = False,
-    use_quadrature_rho0: bool = False,
 ) -> SpotSizes:
     """Short-/long-term spot sizes and wander variances at slant range z.
 
-    z and theta are floats or 1-D arrays of points (floats only with
-    use_quadrature_rho0).  Downlink beams are treated as diffraction-limited
-    (w_st = w_lt = w_d, sigma_TB = 0).  Uplink beams use the planar
-    coherence length by default; use_quadrature_rho0 switches to the full
-    spherical-wave integral.  The wander fraction uses the exact (1 - phi)^2
-    form unless linearized, which selects the first-order 1 - 2*phi variant.
-    The identity w_lt^2 = w_st^2 + sigma_TB^2 holds exactly in all modes.
+    z and theta are floats or 1-D arrays of points.  Downlink beams are
+    treated as diffraction-limited (w_st = w_lt = w_d, sigma_TB = 0).
+    Uplink beams use the planar coherence length, and the wander fraction
+    the exact (1 - phi)^2 form.  The identity w_lt^2 = w_st^2 + sigma_TB^2
+    holds exactly.
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
         return SpotSizes(w_d, w_d, w_d, 0.0, pointing_sigma2, pointing_sigma2, 1.0, 0.0)
     if direction != "up":
         raise ValueError("direction must be 'up' or 'down'")
-    if i_infty(profile) == 0.0:
-        return SpotSizes(w_d, w_d, w_d, 0.0, pointing_sigma2, pointing_sigma2, 1.0, 0.0)
 
-    if use_quadrature_rho0:
-        rho0 = coherence_length(z, theta, beam.wavenumber, profile, "up")
-    else:
-        rho0 = coherence_length_planar(theta, beam.wavenumber, profile)
+    rho0 = coherence_length_planar(theta, beam.wavenumber, profile)
 
     m = mathof(z)
     phi = 0.33 * m.pow(rho0 / beam.waist, 1.0 / 3.0)
@@ -228,7 +174,7 @@ def spot_sizes(
             f"Yura parameter phi={marginal:.2f} is not small; spot-size model is marginal",
             stacklevel=2,
         )
-    psi = 1.0 - 2.0 * phi if linearized else m.pow(1.0 - phi, 2)
+    psi = m.pow(1.0 - phi, 2)
 
     broadening = 2.0 * m.pow(beam.wavelength * z / (math.pi * rho0), 2)
     w_lt2 = m.pow(w_d, 2) + broadening

@@ -4,11 +4,12 @@ Two kinds of code live here:
 
 - oracles and cross-checks, independent or slower spellings of what the
   package computes: fading averages by direct quadrature, the finite-altitude
-  Rytov variance, far-field forms, slow-detection bounds and a simulated
-  pilot estimation;
+  Rytov variance, the spherical-wave coherence length, far-field forms,
+  slow-detection bounds and a simulated pilot estimation;
 - paper side paths whose tests pin a published value: the refracted
   extinction, the speckle count, the uplink planar coefficients, the
-  local-oscillator noise and the (mu, phi) protocol optimizer.
+  general-attack parameter set, the local-oscillator noise and the
+  (mu, phi) protocol optimizer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from satlink._array import mathof
 from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
 from satlink.bounds import _fading_average, entropy_h, thermal_entropy
-from satlink.cvqkd import worst_case_nbar
+from satlink.cvqkd import ProtocolParams, worst_case_nbar
 from satlink.fading import FadingModel
 from satlink.orbit import golden_section
 from satlink.turbulence import (
@@ -158,6 +159,41 @@ def uplink_coefficients(profile: TurbulenceProfile) -> tuple[float, float, float
     return a, b, a * b
 
 
+def coherence_length(
+    z: float,
+    theta: float,
+    k: float,
+    profile: TurbulenceProfile,
+    direction: str,
+) -> float:
+    """Spherical-wave coherence length rho_0 over a slant path of length z.
+
+    The (1 - xi/z)^(5/3) spherical weight is applied to the profile sampled
+    along the path: uplink sees the dense layers near the transmitter,
+    downlink near the receiver.
+    """
+    if z <= 0:
+        raise ValueError("path length must be positive")
+    path_top = geometry.slant_range(PROFILE_TOP_M, theta)
+
+    if direction == "up":
+        weight = lambda xi: (1.0 - xi / z) ** (5.0 / 3.0)
+    elif direction == "down":
+        # substituting xi -> z - xi folds the weight onto the near-ground end
+        weight = lambda xi: (xi / z) ** (5.0 / 3.0)
+    else:
+        raise ValueError("direction must be 'up' or 'down'")
+
+    top = min(z, path_top)
+    along_path = (geometry.slant_range(e, theta) for e in LAYER_EDGES_M)
+    edges = [y for y in along_path if y < top]
+    integral = _column(
+        lambda xi: weight(xi) * cn2(geometry.altitude_from_slant(xi, theta), profile),
+        edges + [top],
+    )
+    return (1.46 * k * k * integral) ** (-3.0 / 5.0)
+
+
 # -- fading averages and bounds ----------------------------------------------
 
 
@@ -210,6 +246,20 @@ def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> 
 
 
 # -- CV-QKD ------------------------------------------------------------------
+
+
+def general_protocol(**overrides) -> ProtocolParams:
+    """The general-attack parameter set: tight epsilons, an energy test,
+    Hoeffding confidence tails and heterodyne detection."""
+    defaults = dict(
+        p_ec=0.1,
+        eps_s=1e-43, eps_h=1e-43, eps_pe=1e-43, eps_cor=1e-43,
+        energy_test_fraction=0.9,
+        tail="hoeffding",
+        detection="het",
+    )
+    defaults.update(overrides)
+    return ProtocolParams(**defaults)
 
 
 def equivalent_noise(tau, nbar, nu_add: float):

@@ -32,10 +32,10 @@ from satlink.orbit import (
     sun_sync_inclination,
     transit_times,
 )
-from satlink.turbulence import TurbulenceProfile, coherence_length, i_infty, spot_sizes
+from satlink.turbulence import TurbulenceProfile, i_infty, spot_sizes
 from satlink.atmosphere import eta_atm, eta_atm_secant, eta_atm_zenith
 
-from _reference import phi_thermal
+from _reference import coherence_length, phi_thermal
 
 
 def check(failures: list, cond: bool, message: str) -> None:

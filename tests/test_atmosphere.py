@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satlink.atmosphere import (
-    DEFAULT_EXTINCTION,
     ExtinctionModel,
     eta_atm,
     eta_atm_secant,
@@ -111,5 +110,3 @@ def test_custom_model_scaling():
     # doubling alpha0 squares the transmissivity
     model = ExtinctionModel(alpha0=1e-5)
     assert eta_atm_zenith(1e6, model) == pytest.approx(eta_atm_zenith(1e6) ** 2, rel=1e-12)
-    assert DEFAULT_EXTINCTION.alpha(0.0) == 5e-6
-    assert DEFAULT_EXTINCTION.alpha(6600.0) == pytest.approx(5e-6 / math.e)

@@ -334,6 +334,13 @@ class TestExitCodes:
              "noise.kappa: expected a non-negative quantity, got '-1'"),
             (["max-range", "--mode", "simple", "--set", "noise.h_sky=0"],
              "the Fresnel range needs background photons, and n_B is 0"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--n-rep", "-1"],
+             "--n-rep: expected at least 0, got -1"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--sat", "h=530km,blocks=0"],
+             "--sat blocks: expected at least 1, got 0"),
+            (["pass", "--h", "530km", "--blocks", "0"], "--blocks: expected at least 1, got 0"),
+            (["validate-mc", "--h", "530km", "--samples", "100", "--seed", "-1"],
+             "--seed: expected at least 0, got -1"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

@@ -20,13 +20,14 @@ from _reference import (
     EstimationResult,
     equivalent_noise,
     estimate_channel,
+    general_protocol,
     llo_noise,
     optimize_protocol,
     simulate_pilots,
 )
 
 COLLECTIVE = ProtocolParams()
-GENERAL = ProtocolParams.general()
+GENERAL = general_protocol()
 
 
 class TestMutualInformation:
@@ -293,7 +294,7 @@ class TestPostSelectedRate:
         # altitude; the general-attack epsilon stays below ~4.5e-11
         scn = Scenario.build(
             "down", "night", setup=2,
-            protocol=ProtocolParams.general(mu=7.49, phi_thr=0.73),
+            protocol=general_protocol(mu=7.49, phi_thr=0.73),
         )
         res = scn.rate_at(100e3, 1.0, attacks="general")
         assert res.eps_prime is not None

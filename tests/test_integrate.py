@@ -7,8 +7,9 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import gauss_laguerre, gauss_legendre, tanh_sinh
+from satlink._integrate import tanh_sinh
 from satlink._special import erfcinv, i0e, i1e
+from satlink.bounds import wander_delta
 from satlink.errors import NumericalError
 from satlink.geometry import altitude_from_slant, slant_range
 from satlink.turbulence import LAYER_EDGES_M, TurbulenceProfile, cn2
@@ -27,54 +28,106 @@ def assert_error_bounds(q, exact):
     assert abs(q.value - exact) <= q.error + 8 * EPS * abs(exact)
 
 
+def wander_low(u, s, g, eta):
+    return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
+
+
+def wander_tail(x, s, g, eta):
+    return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
+
+
+def extinction(y, theta):
+    return np.exp(-altitude_from_slant(y, theta) / 6600.0)
+
+
+def mapped_tail(t, s, g, eta):
+    """The wander tail on [1, inf) mapped onto (0, 1] by t = exp(-rate (x - 1))."""
+    rate = 1.0 + s / g
+    return wander_tail(1.0 - np.log(t) / rate, s, g, eta) / (rate * t)
+
+
 class TestGaussLaguerre:
-    """Exponentially decaying tails, as in the beam-wandering integral."""
+    """Exponentially decaying tails, the integrands of Gauss-Laguerre type:
+    tanh-sinh on the half-line, or on (0, 1] after t = exp(-rate (x - a))."""
 
     @pytest.mark.parametrize("s,gamma,eta", [(0.1, 2.0, 0.4), (3.0, 2.5, 1e-6), (55.0, 9.7, 0.39)])
     def test_wander_tail(self, s, gamma, eta):
         def tail(x):
-            return np.exp(-s * x ** (2.0 / gamma) - x) / (1.0 - eta * np.exp(-x))
+            return wander_tail(x, s, gamma / 2.0, eta)
 
-        q = gauss_laguerre(tail, 1.0, 1.0 + 2.0 * s / gamma)
+        q = tanh_sinh(mapped_tail, 0.0, 1.0, s, gamma / 2.0, eta)
         ref = quad(tail, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
         # integral_1^inf x^2 e^(-3x) dx in closed form
-        q = gauss_laguerre(lambda x: x * x * np.exp(-3.0 * x), 1.0, 3.0)
+        q = tanh_sinh(lambda x: x * x * np.exp(-3.0 * x), 1.0, math.inf)
         assert_error_bounds(q, math.exp(-3.0) * (1 / 3 + 2 / 9 + 2 / 27))
 
     def test_divergent_raises(self):
         with pytest.raises(NumericalError):
-            gauss_laguerre(lambda x: np.ones_like(x), 0.0, 1.0)
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            gauss_laguerre(lambda x: np.exp(-x), 0.0, 0.0)
+            tanh_sinh(lambda x: np.ones_like(x), 0.0, math.inf)
 
 
 class TestGaussLegendre:
-    """The slant-path extinction integrand exp(-h(y) / h_scale)."""
+    """Integrands of Gauss-Legendre type, smooth on the closed interval: the
+    slant-path extinction exp(-h(y) / h_scale)."""
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, 1.5, math.pi / 2])
     def test_extinction_path(self, theta):
-        h_scale = 6600.0
         path = slant_range(200e3, theta)
 
         def integrand(y):
-            return np.exp(-altitude_from_slant(y, theta) / h_scale)
+            return extinction(y, theta)
 
-        q = gauss_legendre(integrand, 0.0, path)
+        q = tanh_sinh(integrand, 0.0, path)
         ref = quad(integrand, 0.0, path, epsabs=0.0, epsrel=1e-13, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
-        q = gauss_legendre(lambda x: np.exp(-x), 0.0, 3.0)
+        q = tanh_sinh(lambda x: np.exp(-x), 0.0, 3.0)
         assert_error_bounds(q, -math.expm1(-3.0))
 
     def test_discontinuity_raises(self):
         with pytest.raises(NumericalError):
-            gauss_legendre(lambda x: np.where(x < 0.3, 1.0, 0.0), 0.0, 1.0)
+            tanh_sinh(lambda x: np.where(x < 0.3, 1.0, 0.0), 0.0, 1.0)
+
+
+def wander_delta_oracle(eta, s, gamma):
+    """Delta by scipy quad: the lower piece in u = x^(2/gamma), the tail in x."""
+    g = gamma / 2.0
+
+    def low(u):
+        return math.exp(-s * u) * g * u ** (g - 1.0) / (math.expm1(u**g) + (1.0 - eta))
+
+    def high(x):
+        return math.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * math.exp(-x))
+
+    # panels that resolve the peak within (1 - eta)^(1/g) of u = 0 and the
+    # decay on the scale 1/s; scales closer than a factor 2 share an edge
+    edges = [0.0]
+    for x in sorted(c * x for c in (1.0, 10.0, 100.0) for x in ((1.0 - eta) ** (1.0 / g), 1.0 / s)):
+        if 2.0 * edges[-1] < x < 0.5:
+            edges.append(x)
+    edges.append(1.0)
+    # Delta's tolerance below is 1e-12 absolute at the least
+    kw = dict(epsabs=1e-15, epsrel=1e-12, limit=200)
+    integral = sum(scipy.integrate.quad(low, a, b, **kw)[0] for a, b in zip(edges, edges[1:]))
+    integral += scipy.integrate.quad(high, 1.0, math.inf, **kw)[0]
+    return 1.0 + eta / math.log1p(-eta) * integral
+
+
+@pytest.mark.parametrize("gamma", np.geomspace(2.0, 40.0, 6))
+def test_wander_delta_against_quad(gamma):
+    # gamma beyond the documented [2.0, 11.1], s = r0^2 / (2 sigma^2) over
+    # nine decades and eta up to 1 - 1e-6.  The rule accepts the integral I
+    # within max(1e-12, 1e-10 I); Delta = 1 + c I with c = eta / ln(1 - eta)
+    # in (-1, 0) carries that into the bound below
+    for s in np.geomspace(1e-3, 1e6, 10):
+        for eta in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6):
+            got = wander_delta(eta, 1.0 / (2.0 * s), gamma, 1.0)
+            ref = wander_delta_oracle(eta, s, gamma)
+            assert abs(got - ref) <= 1e-12 + 1e-10 * abs(1.0 - ref), (gamma, s, eta)
 
 
 class TestTanhSinh:
@@ -159,18 +212,6 @@ class TestTanhSinh:
             tanh_sinh(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
-def wander_low(u, s, g, eta):
-    return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
-
-
-def wander_tail(x, s, g, eta):
-    return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
-
-
-def extinction(y, theta):
-    return np.exp(-altitude_from_slant(y, theta) / 6600.0)
-
-
 class TestBatches:
     """A batch of P integrals: each row gets the value its own call returns."""
 
@@ -194,20 +235,18 @@ class TestBatches:
             assert batch.value[i] == tanh_sinh(density, 0.0, math.inf, self.S[i], self.G[i]).value
 
     def test_gauss_laguerre_rows(self):
-        rate = 1.0 + self.S / self.G
-        batch = gauss_laguerre(wander_tail, 1.0, rate, self.S, self.G, self.ETA, abs_tol=1e-12)
+        # the mapped wander tail, each row at its own decay rate
+        batch = tanh_sinh(mapped_tail, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
         for i in range(self.S.size):
-            alone = gauss_laguerre(
-                wander_tail, 1.0, rate[i], self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12
-            )
-            assert batch.value[i] == alone.value
+            alone = tanh_sinh(mapped_tail, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
+            assert batch.value[i] == alone.value and batch.error[i] == alone.error
 
     def test_gauss_legendre_rows_with_their_own_ends(self):
         theta = np.array([0.0, 1.0, 1.5, math.pi / 2])
         path = slant_range(200e3, theta)
-        batch = gauss_legendre(extinction, 0.0, path, theta)
+        batch = tanh_sinh(extinction, 0.0, path, theta)
         for i in range(theta.size):
-            assert batch.value[i] == gauss_legendre(extinction, 0.0, path[i], theta[i]).value
+            assert batch.value[i] == tanh_sinh(extinction, 0.0, path[i], theta[i]).value
 
     def test_one_divergent_row_raises(self):
         # x^(-p) is integrable on [0, 1] for p < 1 only
@@ -219,8 +258,8 @@ class TestBatches:
     def test_divergent_row_named_by_its_ends(self):
         b = np.array([1.0, 2.0, 3.0])
         scale = np.array([1.0, np.nan, 1.0])
-        with pytest.raises(NumericalError, match=r"Gauss-Legendre on \[0.0, 2.0\]"):
-            gauss_legendre(lambda x, c: c * np.exp(-x), 0.0, b, scale)
+        with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 2.0\]"):
+            tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, b, scale)
 
 
 BESSEL_GRID = [0.0, 2e-8, 1e-6, 4.9e-6, 1e-4, 0.01, 0.38, 1.0, 4.0, 8.0, 8.5, 15.0, 30.0, 60.0]
