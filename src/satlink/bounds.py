@@ -187,6 +187,7 @@ class MaxRangeResult:
     z_max: float          # meters; 0.0 when no secure range exists
     mode: str
     secure_anywhere: bool
+    capped: bool = False  # z_max is the bracket cap Z_HI, not a root
 
 
 def fresnel_range(waist: float, wavelength: float, aperture: float, n_background: float) -> float:
@@ -215,7 +216,7 @@ def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRa
     while hi < Z_HI and upper_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
     if hi >= Z_HI and upper_at(Z_HI) > 0.0:
-        return MaxRangeResult(Z_HI, "tight", True)
+        return MaxRangeResult(Z_HI, "tight", True, capped=True)
 
     while hi - lo > Z_TOL:
         mid = 0.5 * (lo + hi)

@@ -358,15 +358,24 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
     seed = _at_least("--seed", args.seed, 0)
     model = scn.fading_model(h, theta)
     samples = fading.sample_fading(model, n, seed)
+    samples.sort()
 
-    # KS distance of the empirical CDF against the analytic law
-    analytic = fading.fading_cdf(np.sort(samples), model)
-    steps_hi = np.arange(1, n + 1) / n
-    steps_lo = np.arange(0, n) / n
-    ks = float(np.max(np.maximum(np.abs(steps_hi - analytic), np.abs(analytic - steps_lo))))
+    # KS distance of the empirical CDF against the analytic law F: at the
+    # i-th sorted sample the empirical CDF steps from lo_i = hi_(i-1)
+    # (lo_0 = 0) up to hi_i = (i + 1) / n
+    analytic = fading.fading_cdf(samples, model)
+    steps = np.arange(1, n + 1) / n
+    above = np.max(steps - analytic)
+    analytic[1:] -= steps[:-1]  # now F - lo
+    ks = float(max(above, np.max(analytic)))
 
+    # the counts of np.histogram(samples, edges), from the sorted samples:
+    # each bin holds [lo, hi), the last one [lo, hi]
     edges = np.linspace(0.0, model.eta, bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
+    counts = np.diff(np.concatenate((
+        samples.searchsorted(edges[:-1], "left"),
+        samples.searchsorted(edges[-1:], "right"),
+    )))
     cdf = fading.fading_cdf(edges, model)
     return csv_text(
         scn,
@@ -383,8 +392,8 @@ def cmd_max_range(args, scn: Scenario) -> str:
     result = scn.max_range(args.mode)
     return csv_text(
         scn,
-        ["mode", "z_max_km", "secure_anywhere"],
-        [(result.mode, result.z_max / 1e3, result.secure_anywhere)],
+        ["mode", "z_max_km", "secure_anywhere", "capped"],
+        [(result.mode, result.z_max / 1e3, result.secure_anywhere, result.capped)],
     )
 
 

@@ -127,6 +127,9 @@ def fading_model(
     worst-case day conditions at large zenith angles) does not abort the
     computation but raises a validity warning, once per such point.
     """
+    # the slant range first: it rejects zenith angles beyond pi/2, where
+    # sec(theta) < 0 has no Rytov variance
+    z = geometry.slant_range(h, theta)
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
     for value, angle in each(rytov >= 1.0, rytov, theta):
         warnings.warn(
@@ -134,7 +137,6 @@ def fading_model(
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
-    z = geometry.slant_range(h, theta)
     spots: SpotSizes = turbulence.spot_sizes(
         z, theta, beam, profile, direction,
         pointing_sigma2=pointing_variance(z, pointing_error),
@@ -184,12 +186,13 @@ def fading_cdf(tau, model: FadingModel):
     an array of their broadcast shape.
     """
     inside = (tau > 0.0) & (tau < model.eta)
-    # placeholder eta/e keeps the logarithm finite outside the support
-    ratio = model.eta / where(inside, tau, model.eta / math.e)
     # numpy's ufuncs for many tau of one model (validate-mc samples a
     # million); math at every point of a sweep, as for one point alone
-    m = np if isinstance(model.eta, float) and isinstance(tau, np.ndarray) else mathof(ratio)
-    cdf = m.exp(-model.spread * m.pow(m.log(ratio), 2.0 / model.gamma))
+    m = np if isinstance(model.eta, float) and isinstance(tau, np.ndarray) else mathof(inside)
+    # placeholder eta/e keeps the logarithm finite outside the support; one
+    # expression, so that each temporary array is freed once it is used
+    cdf = m.exp(-model.spread * m.pow(
+        m.log(model.eta / where(inside, tau, model.eta / math.e)), 2.0 / model.gamma))
     return where(inside, cdf, where(tau <= 0.0, 0.0, 1.0))
 
 
@@ -207,11 +210,26 @@ def p_threshold(eta_th, model: FadingModel):
 def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """Draw n instantaneous transmissivities; deterministic for a fixed seed.
 
-    Each sample deflects the centroid by r = |(x, y)| with x, y zero-mean
-    Gaussians of variance sigma^2, then maps tau = eta * exp(-(r/r0)^gamma).
+    Each sample deflects the centroid by r = sqrt(x^2 + y^2) with x, y
+    zero-mean Gaussians of variance sigma^2, then maps
+    tau = eta * exp(-(r/r0)^gamma).  The n values of x, then the n of y, are
+    the stream of rng.normal(0, sigma, (2, n)) on default_rng(seed); every
+    step runs in place on the array of x, which is returned.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(model.sigma2)
-    xy = rng.normal(0.0, sigma, size=(2, n))
-    r = np.hypot(xy[0], xy[1])
-    return model.eta * np.exp(-((r / model.r0) ** model.gamma))
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    x *= sigma
+    y *= sigma
+    x *= x
+    y *= y
+    x += y
+    del y
+    np.sqrt(x, out=x)
+    x /= model.r0
+    x **= model.gamma
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x *= model.eta
+    return x

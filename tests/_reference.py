@@ -5,7 +5,9 @@ Two kinds of code live here:
 - oracles and cross-checks, independent or slower spellings of what the
   package computes: fading averages by direct quadrature, the finite-altitude
   Rytov variance, the spherical-wave coherence length, far-field forms,
-  slow-detection bounds and a simulated pilot estimation;
+  slow-detection bounds, a simulated pilot estimation, and the hypot
+  sampler and twice-sorting validate-mc body that the package's in-place
+  ones replaced;
 - paper side paths whose tests pin a published value: the refracted
   extinction, the speckle count, the uplink planar coefficients, the
   general-attack parameter set, the local-oscillator noise and the
@@ -20,13 +22,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from satlink import geometry
+from satlink import cli, geometry
 from satlink._array import mathof
 from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
 from satlink.bounds import _fading_average, entropy_h, thermal_entropy
 from satlink.cvqkd import ProtocolParams, worst_case_nbar
-from satlink.fading import FadingModel
+from satlink.fading import FadingModel, fading_cdf
 from satlink.orbit import golden_section
 from satlink.turbulence import (
     LAYER_EDGES_M,
@@ -242,6 +244,54 @@ def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> 
     return min(
         plob(eta_slow(model, receiver, eta_atm)),
         (2.0 / LN2) * receiver.aperture**2 / denom,
+    )
+
+
+# -- Monte Carlo validation --------------------------------------------------
+
+
+def wander_radii(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """The centroid deflections r = hypot(x, y) of rng.normal(0, sigma, (2, n))."""
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(0.0, math.sqrt(model.sigma2), size=(2, n))
+    return np.hypot(xy[0], xy[1])
+
+
+def tau_of_radius(r: np.ndarray, model: FadingModel) -> np.ndarray:
+    """The transmissivity eta * exp(-(r/r0)^gamma) at deflection r."""
+    return model.eta * np.exp(-((r / model.r0) ** model.gamma))
+
+
+def sample_fading_hypot(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """sample_fading spelled with np.hypot and new arrays at every step."""
+    return tau_of_radius(wander_radii(model, n, seed), model)
+
+
+def cmd_validate_mc_sorted_twice(args, scn) -> str:
+    """validate-mc's output from sample_fading_hypot, a sorted copy for the
+    KS statistic and np.histogram, which sorts the samples again."""
+    h = cli._named("--h", cli._finite, args.h)
+    theta = cli._named("--theta", cli._finite, args.theta)
+    n, bins, seed = args.samples, args.bins, args.seed
+    model = scn.fading_model(h, theta)
+    samples = sample_fading_hypot(model, n, seed)
+
+    analytic = fading_cdf(np.sort(samples), model)
+    steps_hi = np.arange(1, n + 1) / n
+    steps_lo = np.arange(0, n) / n
+    ks = float(np.max(np.maximum(np.abs(steps_hi - analytic), np.abs(analytic - steps_lo))))
+
+    edges = np.linspace(0.0, model.eta, bins + 1)
+    counts, _ = np.histogram(samples, bins=edges)
+    cdf = fading_cdf(edges, model)
+    return cli.csv_text(
+        scn,
+        ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
+        zip(*cli._columns(bins, edges[:-1], edges[1:], counts / n, np.diff(cdf))),
+        [
+            f"h_km={cli._fmt(h / 1e3)} theta={cli._fmt(theta)} samples={n} seed={seed}",
+            f"ks_statistic={cli._fmt(ks)}",
+        ],
     )
 
 

@@ -4,20 +4,28 @@ import operator
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.stats
 
+from satlink import cli
 from satlink.cli import (
     _SAT_SHORTHAND,
     CONFIG_KEYS,
     _fmt,
+    build_parser,
     main,
     parse_grid,
     parse_quantity,
+    resolve_scenario,
     scenario_from_config,
 )
 from satlink.errors import ConfigError
+from satlink.fading import fading_cdf, sample_fading
 from satlink.scenario import SETUPS, Scenario
 from satlink.turbulence import TurbulenceProfile
+
+from _reference import cmd_validate_mc_sorted_twice
 
 
 class TestQuantityParsing:
@@ -215,6 +223,74 @@ class TestCliCommands:
         header = out1.splitlines()[3]
         assert header == "tau_bin_lo,tau_bin_hi,empirical_p,analytic_p"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--h", "530km", "--theta", "1", "--samples", "1000000", "--seed", "1"),
+            # a fifth of the samples round to eta, the top edge of the last bin
+            ("--h", "100km", "--samples", "1000", "--seed", "3", "--bins", "7",
+             "--set", "scenario.setup=4"),
+            ("--h", "36000km", "--theta", "0.5", "--samples", "20000", "--seed", "0", "--bins", "200",
+             "--set", "scenario.link=up", "--set", "scenario.period=day"),
+            ("--h", "530km", "--samples", "1"),
+            ("--h", "530km", "--samples", "2", "--bins", "1"),
+        ],
+    )
+    def test_validate_mc_matches_the_sorted_twice_body(self, argv, capsys):
+        argv = ["validate-mc", *argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        args = build_parser().parse_args(argv)
+        assert out == cmd_validate_mc_sorted_twice(args, resolve_scenario(args))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--h", "530km", "--theta", "0.3", "--samples", "20000", "--seed", "11", "--bins", "24"),
+            ("--h", "100km", "--samples", "5000", "--seed", "2", "--bins", "9", "--set", "scenario.setup=4"),
+        ],
+    )
+    def test_validate_mc_ks_and_counts_match_scipy_and_numpy(self, argv, capsys, monkeypatch):
+        # every float printed round-trips, so the output can be held to the oracles exactly
+        monkeypatch.setattr(cli, "_fmt", lambda x: repr(x) if isinstance(x, float) else str(x))
+        argv = ["validate-mc", *argv]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        args = build_parser().parse_args(argv)
+        model = resolve_scenario(args).fading_model(parse_quantity(args.h), parse_quantity(args.theta))
+        samples = sample_fading(model, args.samples, args.seed)
+        lines = out.splitlines()
+
+        ks = float(next(line for line in lines if line.startswith("# ks_statistic=")).split("=")[1])
+        want = scipy.stats.kstest(samples, lambda t: fading_cdf(t, model)).statistic
+        assert abs(ks - want) <= 1e-15
+
+        rows = np.array([[float(c) for c in line.split(",")] for line in lines[4:]])
+        edges = np.linspace(0.0, model.eta, args.bins + 1)
+        counts, _ = np.histogram(samples, bins=edges)
+        assert np.array_equal(rows[:, 0], edges[:-1]) and np.array_equal(rows[:, 1], edges[1:])
+        assert np.array_equal(rows[:, 2], counts / args.samples)
+
+    def test_max_range_reports_the_cap(self, capsys):
+        # the bound is still positive at the 1e9 m bracket cap
+        code, out = run_cli(
+            capsys, "max-range", "--mode", "tight",
+            "--set", "scenario.setup=4", "--set", "scenario.link=up",
+        )
+        assert code == 0
+        assert out.splitlines()[1:] == ["mode,z_max_km,secure_anywhere,capped", "tight,1000000,True,True"]
+
+    @pytest.mark.parametrize("mode", ["simple", "tight"])
+    def test_max_range_found_is_not_capped(self, mode, capsys):
+        code, out = run_cli(
+            capsys, "max-range", "--mode", mode,
+            "--set", "scenario.link=up", "--set", "scenario.period=day",
+        )
+        assert code == 0
+        header, row = out.splitlines()[1:]
+        assert header == "mode,z_max_km,secure_anywhere,capped"
+        assert row.split(",")[2:] == ["True", "False"]
+
     def test_max_range_simple_vs_tight(self, capsys):
         code, out = run_cli(
             capsys, "max-range", "--mode", "simple",
@@ -341,6 +417,9 @@ class TestExitCodes:
             (["pass", "--h", "530km", "--blocks", "0"], "--blocks: expected at least 1, got 0"),
             (["validate-mc", "--h", "530km", "--samples", "100", "--seed", "-1"],
              "--seed: expected at least 0, got -1"),
+            # zenith angles beyond pi/2 stop at the geometry, before the Rytov variance
+            (["validate-mc", "--h", "530km", "--theta=1.6"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
+            (["rate", "--h", "530km", "--theta-grid=1.5:1.7:3"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

@@ -19,7 +19,7 @@ from satlink.fading import (
 )
 from satlink.turbulence import TurbulenceProfile
 
-from _reference import eta_slow
+from _reference import eta_slow, tau_of_radius, wander_radii
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
@@ -233,6 +233,26 @@ class TestSampler:
         still = replace(model_down, sigma2=0.0)
         taus = sample_fading(still, 10, seed=0)
         assert np.allclose(taus, still.eta)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**31 - 1])
+    @pytest.mark.parametrize("which", ["down", "up", "near_field"])
+    def test_radii_within_one_ulp_of_hypot(self, which, seed, model_down, model_up):
+        # sqrt(x^2 + y^2) moves a sixth of the radii of np.hypot(x, y) by
+        # one ulp and none by more; tau = eta exp(-(r/r0)^gamma) turns that
+        # ulp into more of tau's where (r/r0)^gamma is large, so each sample
+        # must lie between the hypot body's taus at the neighbours of r
+        model = {
+            "down": model_down,
+            "up": model_up,
+            # 2 m aperture, 100 km: a fifth of the samples round to eta
+            "near_field": fading_model(
+                100e3, 0.0, replace(BEAM, waist=0.4), replace(RECEIVER, aperture=2.0), NIGHT, "down"
+            ),
+        }[which]
+        r = wander_radii(model, 100_000, seed)
+        got = sample_fading(model, 100_000, seed)
+        assert np.all(tau_of_radius(np.nextafter(r, np.inf), model) <= got)
+        assert np.all(got <= tau_of_radius(np.nextafter(r, 0.0), model))
 
 
 class TestSlowDetection:
