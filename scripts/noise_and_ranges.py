@@ -10,9 +10,17 @@ from dataclasses import replace
 
 from satlink import Scenario
 from satlink.beam import ReceiverParams
+from satlink.bounds import MaxRangeResult
 from satlink.noise import NoiseEnvironment, nbar_background
 
 CONDITIONS = ["night-up", "night-down", "day-up", "day-down-clear", "day-down-cloudy"]
+
+
+def range_cell(res: MaxRangeResult) -> str:
+    """A tight maximum range in km; at the bracket cap, a lower limit marked as such."""
+    if res.capped:
+        return f">{res.z_max / 1e3:.0e} km (cap)"
+    return f"{res.z_max / 1e3:11.0f} km"
 
 
 def main() -> int:
@@ -40,8 +48,7 @@ def main() -> int:
         for filt in (1e-9, 1e-13):
             scn = Scenario.build(env.direction, env.period, sky=env.sky, setup=1)
             scn = replace(scn, receiver=replace(scn.receiver, filter_width=filt))
-            res = scn.max_range("tight")
-            row.append(f"{res.z_max / 1e3:11.0f} km")
+            row.append(range_cell(scn.max_range("tight")))
         print(f"{row[0]:18s} {row[1]:>14s} {row[2]:>14s}")
     return 0
 

@@ -350,6 +350,17 @@ def cmd_compare_fiber(args, scn: Scenario) -> str:
     return csv_text(scn, header, rows)
 
 
+def _ks_block(block, lo: int, n: int, model):
+    """The largest |F - empirical CDF| over a block of the n sorted samples
+    that starts at sample lo.  At the i-th sample the empirical CDF steps
+    from i / n up to (i + 1) / n."""
+    analytic = fading.fading_cdf(block, model)
+    steps = np.arange(lo, lo + len(block) + 1) / n
+    above = np.max(steps[1:] - analytic)
+    analytic -= steps[:-1]  # now F - i / n
+    return max(above, np.max(analytic))
+
+
 def cmd_validate_mc(args, scn: Scenario) -> str:
     h = _named("--h", _finite, args.h)
     theta = _named("--theta", _finite, args.theta)
@@ -360,14 +371,11 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
     samples = fading.sample_fading(model, n, seed)
     samples.sort()
 
-    # KS distance of the empirical CDF against the analytic law F: at the
-    # i-th sorted sample the empirical CDF steps from lo_i = hi_(i-1)
-    # (lo_0 = 0) up to hi_i = (i + 1) / n
-    analytic = fading.fading_cdf(samples, model)
-    steps = np.arange(1, n + 1) / n
-    above = np.max(steps - analytic)
-    analytic[1:] -= steps[:-1]  # now F - lo
-    ks = float(max(above, np.max(analytic)))
+    # KS distance of the empirical CDF against the analytic law F, a block
+    # of samples at a time, so that F and the steps never span all n samples;
+    # one call per block frees a block's arrays before the next is taken
+    ks = float(max(_ks_block(samples[lo:lo + fading.BLOCK], lo, n, model)
+                   for lo in range(0, n, fading.BLOCK)))
 
     # the counts of np.histogram(samples, edges), from the sorted samples:
     # each bin holds [lo, hi), the last one [lo, hi]

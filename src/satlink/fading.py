@@ -23,6 +23,10 @@ from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .turbulence import SpotSizes, TurbulenceProfile
 
+# Elements per block where a pass over many samples runs in pieces: 64 Ki
+# doubles (512 KiB), so that a block and its temporaries stay in cache
+BLOCK = 1 << 16
+
 
 def pointing_variance(z, error_rad: float = 1e-6):
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
@@ -213,23 +217,28 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     Each sample deflects the centroid by r = sqrt(x^2 + y^2) with x, y
     zero-mean Gaussians of variance sigma^2, then maps
     tau = eta * exp(-(r/r0)^gamma).  The n values of x, then the n of y, are
-    the stream of rng.normal(0, sigma, (2, n)) on default_rng(seed); every
-    step runs in place on the array of x, which is returned.
+    the stream of rng.normal(0, sigma, (2, n)) on default_rng(seed).  x is
+    drawn whole and squared in place, and is the array returned.  y is drawn
+    BLOCK values at a time; while a block of x is in cache it takes the rest
+    in place: + y^2, sqrt, / r0, ** gamma, negate, exp, * eta.  So the only
+    n-element array is the result.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(model.sigma2)
     x = rng.standard_normal(n)
-    y = rng.standard_normal(n)
     x *= sigma
-    y *= sigma
     x *= x
-    y *= y
-    x += y
-    del y
-    np.sqrt(x, out=x)
-    x /= model.r0
-    x **= model.gamma
-    np.negative(x, out=x)
-    np.exp(x, out=x)
-    x *= model.eta
+    y = np.empty(min(n, BLOCK))
+    for lo in range(0, n, BLOCK):
+        xb = x[lo:lo + BLOCK]
+        yb = rng.standard_normal(out=y[:len(xb)])
+        yb *= sigma
+        yb *= yb
+        xb += yb
+        np.sqrt(xb, out=xb)
+        xb /= model.r0
+        xb **= model.gamma
+        np.negative(xb, out=xb)
+        np.exp(xb, out=xb)
+        xb *= model.eta
     return x

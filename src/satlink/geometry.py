@@ -35,7 +35,9 @@ R_EARTH = EARTH.radius_m
 
 
 def _check_angle(theta):
-    outside = abs(theta) > math.pi / 2 + 1e-12
+    # no tolerance above pi/2: cos(theta) turns negative there, and sec(theta)
+    # has no real power 11/6 for the Rytov variance
+    outside = abs(theta) > math.pi / 2
     if any_(outside):
         raise ValueError(f"zenith angle {at_first(outside, theta)} outside [-pi/2, pi/2]")
     return abs(theta)

@@ -63,10 +63,8 @@ def zenith_angle_at(t: float, h: float) -> float:
 def time_of_zenith(theta: float, h: float) -> float:
     """Time after the zenith crossing at which |zenith angle| reaches theta."""
     t = abs(theta)
-    if t > math.pi / 2 + 1e-12:
-        raise ValueError("zenith angle outside [-pi/2, pi/2]")
     r_s = R_EARTH + h
-    z = slant_range(h, t)
+    z = slant_range(h, t)  # rejects |theta| > pi/2
     cos_alpha = (R_EARTH + z * math.cos(t)) / r_s
     alpha = math.acos(min(1.0, max(-1.0, cos_alpha)))
     return math.copysign(alpha / _angular_rate(h), theta)

@@ -5,9 +5,9 @@ Two kinds of code live here:
 - oracles and cross-checks, independent or slower spellings of what the
   package computes: fading averages by direct quadrature, the finite-altitude
   Rytov variance, the spherical-wave coherence length, far-field forms,
-  slow-detection bounds, a simulated pilot estimation, and the hypot
-  sampler and twice-sorting validate-mc body that the package's in-place
-  ones replaced;
+  slow-detection bounds, a simulated pilot estimation, and the hypot and
+  whole-array samplers and twice-sorting validate-mc body that the
+  package's in-place and blocked ones replaced;
 - paper side paths whose tests pin a published value: the refracted
   extinction, the speckle count, the uplink planar coefficients, the
   general-attack parameter set, the local-oscillator noise and the
@@ -265,6 +265,26 @@ def tau_of_radius(r: np.ndarray, model: FadingModel) -> np.ndarray:
 def sample_fading_hypot(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """sample_fading spelled with np.hypot and new arrays at every step."""
     return tau_of_radius(wander_radii(model, n, seed), model)
+
+
+def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """sample_fading with y drawn whole: each step in place on all n samples."""
+    rng = np.random.default_rng(seed)
+    sigma = math.sqrt(model.sigma2)
+    x = rng.standard_normal(n)
+    y = rng.standard_normal(n)
+    x *= sigma
+    y *= sigma
+    x *= x
+    y *= y
+    x += y
+    np.sqrt(x, out=x)
+    x /= model.r0
+    x **= model.gamma
+    np.negative(x, out=x)
+    np.exp(x, out=x)
+    x *= model.eta
+    return x
 
 
 def cmd_validate_mc_sorted_twice(args, scn) -> str:

@@ -2,6 +2,7 @@ import json
 import math
 import operator
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from satlink.cli import (
     scenario_from_config,
 )
 from satlink.errors import ConfigError
-from satlink.fading import fading_cdf, sample_fading
+from satlink.fading import BLOCK, fading_cdf, sample_fading
 from satlink.scenario import SETUPS, Scenario
 from satlink.turbulence import TurbulenceProfile
 
@@ -234,6 +235,9 @@ class TestCliCommands:
              "--set", "scenario.link=up", "--set", "scenario.period=day"),
             ("--h", "530km", "--samples", "1"),
             ("--h", "530km", "--samples", "2", "--bins", "1"),
+            # the block edges of the sampler and the KS statistic
+            *(("--h", "530km", "--theta", "1", "--samples", str(n), "--seed", "5")
+              for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1)),
         ],
     )
     def test_validate_mc_matches_the_sorted_twice_body(self, argv, capsys):
@@ -242,6 +246,20 @@ class TestCliCommands:
         assert code == 0
         args = build_parser().parse_args(argv)
         assert out == cmd_validate_mc_sorted_twice(args, resolve_scenario(args))
+
+    def test_validate_mc_holds_one_float_per_sample(self, capsys):
+        # the samples are the only n-element array: the sampler draws y and
+        # the KS statistic takes F a block at a time
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            code = main(["validate-mc", "--h", "530km", "--theta", "1", "--samples", str(n)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "ks_statistic=" in capsys.readouterr().out
+        assert peak < 1.5 * 8 * n
 
     @pytest.mark.parametrize(
         "argv",
@@ -420,6 +438,11 @@ class TestExitCodes:
             # zenith angles beyond pi/2 stop at the geometry, before the Rytov variance
             (["validate-mc", "--h", "530km", "--theta=1.6"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
             (["rate", "--h", "530km", "--theta-grid=1.5:1.7:3"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
+            # just above pi/2 in double precision: cos(theta) < 0 there
+            (["validate-mc", "--h", "530km", "--theta=1.5707963267949", "--samples", "10"],
+             "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
+            (["bounds", "--h-grid", "530km:530km:1", "--theta=1.5707963267949"],
+             "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

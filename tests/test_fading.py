@@ -6,6 +6,7 @@ import pytest
 import scipy.integrate
 from satlink.beam import BeamParams, ReceiverParams, eta_total
 from satlink.fading import (
+    BLOCK,
     FadingModel,
     bessel_f0,
     bessel_f1,
@@ -19,7 +20,7 @@ from satlink.fading import (
 )
 from satlink.turbulence import TurbulenceProfile
 
-from _reference import eta_slow, tau_of_radius, wander_radii
+from _reference import eta_slow, sample_fading_whole, tau_of_radius, wander_radii
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
@@ -253,6 +254,15 @@ class TestSampler:
         got = sample_fading(model, 100_000, seed)
         assert np.all(tau_of_radius(np.nextafter(r, np.inf), model) <= got)
         assert np.all(got <= tau_of_radius(np.nextafter(r, 0.0), model))
+
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 5, 123456])
+    def test_blocks_match_the_whole_array_body(self, n, seed, model_up):
+        # y drawn a block at a time continues one stream, and each sample
+        # sees the same operations in the same order: the same doubles
+        got = sample_fading(model_up, n, seed)
+        assert got.tobytes() == sample_fading_whole(model_up, n, seed).tobytes()
 
 
 class TestSlowDetection:

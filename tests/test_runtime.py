@@ -1,9 +1,12 @@
 """Cold-process checks: the runtime imports no scipy and the scripts run."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
+
+from satlink.bounds import Z_HI, MaxRangeResult
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -64,3 +67,14 @@ def test_noise_and_ranges_script_tables():
     proc = run_python(str(ROOT / "scripts" / "noise_and_ranges.py"), "--skip-tight")
     assert proc.returncode == 0, proc.stderr
     assert "day-down-cloudy" in proc.stdout
+
+
+def test_noise_and_ranges_marks_a_capped_range():
+    # the tight search stops at the 1e9 m bracket cap without a root: the
+    # table shows a lower limit, not a range
+    path = ROOT / "scripts" / "noise_and_ranges.py"
+    spec = importlib.util.spec_from_file_location("noise_and_ranges", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.range_cell(MaxRangeResult(Z_HI, "tight", True, capped=True)) == ">1e+06 km (cap)"
+    assert script.range_cell(MaxRangeResult(82_560e3, "tight", True)) == "      82560 km"
