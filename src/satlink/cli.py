@@ -3,9 +3,10 @@
 Configuration is a flat key=value text file with dotted namespaces; CLI
 flags and repeated --set key=value pairs override file values.  Quantities
 accept unit suffixes (km, m, cm, nm, pm, deg, rad, ns, MHz, ...) and are
-converted to SI at parse time.  Every CSV starts with a comment line that
-records the fully resolved configuration; identical invocations produce
-byte-identical output.
+converted to SI at parse time, by the parser of each configuration key in
+CONFIG_KEYS and of each option in COMMANDS.  Every CSV starts with a comment
+line that records the fully resolved configuration; identical invocations
+produce byte-identical output.
 
 Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
 """
@@ -65,12 +66,28 @@ def _finite(text: str) -> float:
     return value
 
 
+def _whole(text: str, least: float = -math.inf) -> int:
+    """_finite for a count or an index: a whole number, of at least `least`."""
+    value = _finite(text)
+    if not value.is_integer():
+        raise ConfigError(f"expected a whole number, got {text!r}")
+    if value < least:
+        raise ConfigError(f"expected at least {least}, got {int(value)}")
+    return int(value)
+
+
+_positive_whole = functools.partial(_whole, least=1)  # --blocks, --samples, --bins, grid points
+_non_negative_whole = functools.partial(_whole, least=0)  # --seed, each --n-rep
+
+
 def _named(name: str, parse: Callable[[str], object], text: str):
-    """parse(text), with the key or option `name` leading its error message."""
+    """parse(text), with the key or option `name` leading its error message
+    unless it leads already (the --sat parser names the item: '--sat h: ...')."""
     try:
         return parse(text)
     except (ConfigError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from None
+        message = str(exc)
+        raise ConfigError(message if message.startswith(name) else f"{name}: {message}") from None
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -79,12 +96,7 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not start:stop:n[:log]")
     lo, hi = _finite(parts[0]), _finite(parts[1])
-    try:
-        n = int(parts[2])
-    except ValueError:
-        raise ConfigError(f"grid point count {parts[2]!r} is not an integer") from None
-    if n < 1:
-        raise ConfigError("grid needs at least one point")
+    n = _named("grid point count", _positive_whole, parts[2])
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"unknown grid mode {parts[3]!r}")
@@ -95,10 +107,6 @@ def parse_grid(spec: str) -> list[float]:
 
 
 # -- configuration -----------------------------------------------------------
-
-def _int(text: str) -> int:
-    return int(_finite(text))
-
 
 def _non_negative(text: str) -> float:
     """_finite for a background-photon source, which cannot be negative."""
@@ -116,7 +124,7 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("scenario.link", "link", str),
     ("scenario.period", "period", str),
     ("scenario.sky", "sky", str),
-    ("scenario.setup", "setup", _int),
+    ("scenario.setup", "setup", _whole),
     ("beam.wavelength", "beam.wavelength", _finite),
     ("beam.waist", "beam.waist", _finite),
     ("beam.curvature", "beam.curvature", parse_quantity),
@@ -128,8 +136,8 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("receiver.excess_photons", "receiver.excess_photons", _finite),
     ("atmosphere.alpha0", "extinction.alpha0", _finite),
     ("atmosphere.scale_height", "extinction.h_scale", _finite),
-    ("protocol.N", "protocol.block_size", _int),
-    ("protocol.m", "protocol.pilots", _int),
+    ("protocol.N", "protocol.block_size", _whole),
+    ("protocol.m", "protocol.pilots", _whole),
     ("protocol.f_et", "protocol.energy_test_fraction", _finite),
     ("protocol.beta", "protocol.beta", _finite),
     ("protocol.p_ec", "protocol.p_ec", _finite),
@@ -137,7 +145,7 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("protocol.eps_h", "protocol.eps_h", _finite),
     ("protocol.eps_pe", "protocol.eps_pe", _finite),
     ("protocol.eps_cor", "protocol.eps_cor", _finite),
-    ("protocol.d", "protocol.alphabet", _int),
+    ("protocol.d", "protocol.alphabet", _whole),
     ("protocol.mu", "protocol.mu", _finite),
     ("protocol.phi", "protocol.phi_thr", _finite),
     ("protocol.clock_hz", "protocol.clock_hz", _finite),
@@ -254,26 +262,20 @@ def _open_out(args):
 
 # -- subcommands -------------------------------------------------------------
 #
-# A subcommand takes the parsed arguments and the resolved scenario and
-# returns its output text, which main writes once the work has succeeded.
+# A subcommand takes the parsed arguments, each option converted by its
+# parser in COMMANDS, and the resolved scenario, and returns its output
+# text, which main writes once the work has succeeded.
 
 def _columns(n: int, *values) -> list[list]:
     """n-point arrays, and scalars that hold at every point, as CSV columns."""
     return [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
 
 
-def _at_least(name: str, value: int, least: int = 1) -> int:
-    if value < least:
-        raise ConfigError(f"{name}: expected at least {least}, got {value}")
-    return value
-
-
 def cmd_bounds(args, scn: Scenario) -> str:
-    h_grid = _named("--h-grid", parse_grid, args.h_grid)
-    thetas = [_named("--theta", _finite, t) for t in args.theta] or [0.0]
+    thetas = args.theta or [0.0]
     # rows in h-major order: every angle at the first altitude, then the next
-    h = np.repeat(h_grid, len(thetas))
-    theta = np.tile(thetas, len(h_grid))
+    h = np.repeat(args.h_grid, len(thetas))
+    theta = np.tile(thetas, len(args.h_grid))
     vals = scn.bounds_at(h, theta)
     keys = ("U", "V", "B", "upper", "lower", "eta", "nbar")
     return csv_text(
@@ -284,113 +286,54 @@ def cmd_bounds(args, scn: Scenario) -> str:
 
 
 def cmd_rate(args, scn: Scenario) -> str:
-    h = _named("--h", _finite, args.h)
-    thetas = np.array(_named("--theta-grid", parse_grid, args.theta_grid))
-    res = scn.rate_at(h, thetas, args.attacks)
+    thetas = np.array(args.theta_grid)
+    res = scn.rate_at(args.h, thetas, args.attacks)
     return csv_text(
         scn, ["h_km", "theta", "rate", "rate_unclamped"],
-        zip(*_columns(thetas.size, h / 1e3, thetas, res.rate, res.unclamped)),
+        zip(*_columns(thetas.size, args.h / 1e3, thetas, res.rate, res.unclamped)),
     )
 
 
 def cmd_pass(args, scn: Scenario) -> str:
-    h = _named("--h", _finite, args.h)
-    report = scn.pass_report(h, _at_least("--blocks", args.blocks), args.attacks)
+    report = scn.pass_report(args.h, args.blocks, args.attacks)
     report["config"] = describe(scn)
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
-    """Parse --sat 'h=530km,blocks=10,link=down,period=night,setup=2,mu=9.28,...'."""
-    h = None
-    blocks = 10
-    label = None
-    overrides = {}
-    for item in spec.split(","):
-        key, value = _key_value(item, f"--sat expects key=value pairs, got {item!r}")
-        if key == "h":
-            h = _named("--sat h", _finite, value)
-        elif key == "blocks":
-            blocks = _at_least("--sat blocks", _named("--sat blocks", _int, value))
-        elif key == "label":
-            label = value
-        else:
-            overrides[_SAT_SHORTHAND.get(key, key)] = value
-    if h is None:
-        raise ConfigError(f"--sat spec {spec!r} needs h=<altitude>")
-    if label is None:
-        label = f"sat_{h/1e3:g}km"
-    return label, overrides, h, blocks
-
-
 def cmd_compare_fiber(args, scn: Scenario) -> str:
-    d_grid = _named("--d-grid", parse_grid, args.d_grid)
-    n_reps = [_at_least("--n-rep", _named("--n-rep", _int, n), 0) for n in args.n_rep]
     comparison = orbit.GroundComparison(clock_hz=scn.protocol.clock_hz)
-
-    header = ["d_km", "fiber_bits_day", *(f"rep{n}_bits_day" for n in n_reps)]
+    bits = functools.partial(orbit.bits_per_day, clock_hz=comparison.clock_hz)
+    header = ["d_km", "fiber_bits_day", *(f"rep{n}_bits_day" for n in args.n_rep)]
     sat_bits = []
-    for spec in args.sat or []:
-        label, overrides, h, blocks = _parse_sat_spec(spec)
+    for label, overrides, h, blocks in args.sat:
         header.append(f"{label}_bits_day")
         sat_bits.append(resolve_scenario(args, overrides).pass_report(h, blocks)["bits_per_day"])
-
-    def bits(rate: float) -> float:
-        return orbit.bits_per_day(rate, comparison.clock_hz)
 
     rows = [
         (
             d / 1e3,
             bits(orbit.fiber_rate(d, comparison)),
-            *(bits(orbit.repeater_rate(d, n, comparison)) for n in n_reps),
+            *(bits(orbit.repeater_rate(d, n, comparison)) for n in args.n_rep),
             *sat_bits,
         )
-        for d in d_grid
+        for d in args.d_grid
     ]
     return csv_text(scn, header, rows)
 
 
-def _ks_block(block, lo: int, n: int, model):
-    """The largest |F - empirical CDF| over a block of the n sorted samples
-    that starts at sample lo.  At the i-th sample the empirical CDF steps
-    from i / n up to (i + 1) / n."""
-    analytic = fading.fading_cdf(block, model)
-    steps = np.arange(lo, lo + len(block) + 1) / n
-    above = np.max(steps[1:] - analytic)
-    analytic -= steps[:-1]  # now F - i / n
-    return max(above, np.max(analytic))
-
-
 def cmd_validate_mc(args, scn: Scenario) -> str:
-    h = _named("--h", _finite, args.h)
-    theta = _named("--theta", _finite, args.theta)
-    n = _at_least("--samples", args.samples)
-    bins = _at_least("--bins", args.bins)
-    seed = _at_least("--seed", args.seed, 0)
-    model = scn.fading_model(h, theta)
-    samples = fading.sample_fading(model, n, seed)
+    model = scn.fading_model(args.h, args.theta)
+    samples = fading.sample_fading(model, args.samples, args.seed)
     samples.sort()
-
-    # KS distance of the empirical CDF against the analytic law F, a block
-    # of samples at a time, so that F and the steps never span all n samples;
-    # one call per block frees a block's arrays before the next is taken
-    ks = float(max(_ks_block(samples[lo:lo + fading.BLOCK], lo, n, model)
-                   for lo in range(0, n, fading.BLOCK)))
-
-    # the counts of np.histogram(samples, edges), from the sorted samples:
-    # each bin holds [lo, hi), the last one [lo, hi]
-    edges = np.linspace(0.0, model.eta, bins + 1)
-    counts = np.diff(np.concatenate((
-        samples.searchsorted(edges[:-1], "left"),
-        samples.searchsorted(edges[-1:], "right"),
-    )))
+    edges = np.linspace(0.0, model.eta, args.bins + 1)
+    ks, counts = fading.sorted_sample_statistics(samples, model, edges)
     cdf = fading.fading_cdf(edges, model)
     return csv_text(
         scn,
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
-        zip(*_columns(bins, edges[:-1], edges[1:], counts / n, np.diff(cdf))),
+        zip(*_columns(args.bins, edges[:-1], edges[1:], counts / args.samples, np.diff(cdf))),
         [
-            f"h_km={_fmt(h / 1e3)} theta={_fmt(theta)} samples={n} seed={seed}",
+            f"h_km={_fmt(args.h / 1e3)} theta={_fmt(args.theta)} samples={args.samples} seed={args.seed}",
             f"ks_statistic={_fmt(ks)}",
         ],
     )
@@ -411,41 +354,59 @@ def cmd_show_config(args, scn: Scenario) -> str:
 
 # -- argument parsing --------------------------------------------------------
 
-_H = ("--h", dict(required=True, help="satellite altitude"))
-_ATTACKS = ("--attacks", dict(choices=("collective", "general"), default="collective"))
+def _sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
+    """Parse --sat 'h=530km,blocks=10,link=down,period=night,setup=2,mu=9.28,...'
+    into its label, its configuration overrides, its altitude and its blocks."""
+    items = dict(
+        _key_value(item, f"--sat expects key=value pairs, got {item!r}") for item in spec.split(",")
+    )
+    if "h" not in items:
+        raise ConfigError(f"--sat spec {spec!r} needs h=<altitude>")
+    # h and blocks take the parsers of --h and --blocks
+    h = _named("--sat h", _finite, items.pop("h"))
+    blocks = _named("--sat blocks", _positive_whole, items.pop("blocks", "10"))
+    label = items.pop("label", f"sat_{h/1e3:g}km")
+    return label, {_SAT_SHORTHAND.get(key, key): value for key, value in items.items()}, h, blocks
 
-# (name, help, command, the command's options as (flag, add_argument keywords))
+
+_H = ("--h", _finite, dict(required=True, help="satellite altitude"))
+_ATTACKS = ("--attacks", str, dict(choices=("collective", "general"), default="collective"))
+
+# (name, help, command, the command's options as (flag, parser, add_argument
+# keywords)).  argparse keeps each value as text, defaults included; the
+# parser converts it, item by item for a list option.
 COMMANDS = (
     ("bounds", "upper/lower bound sweep over altitude", cmd_bounds, (
-        ("--h-grid", dict(required=True, metavar="LO:HI:N[:log]")),
-        ("--theta", dict(action="append", default=[], metavar="ANGLE",
-                         help="zenith angle (repeatable; default 0)")),
+        ("--h-grid", parse_grid, dict(required=True, metavar="LO:HI:N[:log]")),
+        ("--theta", _finite, dict(action="append", default=[], metavar="ANGLE",
+                                  help="zenith angle (repeatable; default 0)")),
     )),
     ("rate", "composable key rate vs zenith angle", cmd_rate, (
         _H,
-        ("--theta-grid", dict(required=True, metavar="LO:HI:N")),
+        ("--theta-grid", parse_grid, dict(required=True, metavar="LO:HI:N")),
         _ATTACKS,
     )),
     ("pass", "zenith-crossing pass report (JSON)", cmd_pass, (
         _H,
-        ("--blocks", dict(type=int, default=10, help="data blocks per pass")),
+        ("--blocks", _positive_whole, dict(default="10", help="data blocks per pass")),
         _ATTACKS,
     )),
     ("compare-fiber", "satellite vs fiber/repeater bits per day", cmd_compare_fiber, (
-        ("--d-grid", dict(required=True, metavar="LO:HI:N[:log]", help="station separation grid")),
-        ("--n-rep", dict(nargs="*", default=["1", "5", "30"], help="ideal repeater counts")),
-        ("--sat", dict(action="append", metavar="SPEC",
-                       help="satellite column, e.g. h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73")),
+        ("--d-grid", parse_grid, dict(required=True, metavar="LO:HI:N[:log]",
+                                      help="station separation grid")),
+        ("--n-rep", _non_negative_whole, dict(nargs="*", default=["1", "5", "30"], help="ideal repeater counts")),
+        ("--sat", _sat_spec, dict(action="append", default=[], metavar="SPEC", help=(
+            "satellite column, e.g. h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73"))),
     )),
     ("validate-mc", "Monte Carlo check of the fading law", cmd_validate_mc, (
         _H,
-        ("--theta", dict(default="0", help="zenith angle (default 0)")),
-        ("--samples", dict(type=int, default=1_000_000)),
-        ("--seed", dict(type=int, default=1)),
-        ("--bins", dict(type=int, default=60)),
+        ("--theta", _finite, dict(default="0", help="zenith angle (default 0)")),
+        ("--samples", _positive_whole, dict(default="1000000")),
+        ("--seed", _non_negative_whole, dict(default="1")),
+        ("--bins", _positive_whole, dict(default="60")),
     )),
     ("max-range", "maximum secure slant range", cmd_max_range, (
-        ("--mode", dict(choices=("simple", "tight"), default="tight")),
+        ("--mode", str, dict(choices=("simple", "tight"), default="tight")),
     )),
     ("show-config", "print the fully resolved configuration", cmd_show_config, ()),
 )
@@ -465,15 +426,29 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key (repeatable)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-        for flag, kwargs in options:
+        for flag, _, kwargs in options:
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, options=options)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The arguments of argv, with each option converted by its parser."""
     args = build_parser().parse_args(argv)
+    for flag, parse, _ in args.options:
+        dest = flag[2:].replace("-", "_")
+        value = getattr(args, dest)
+        # into a new list: a list default is shared by every parse
+        if isinstance(value, list):
+            setattr(args, dest, [_named(flag, parse, item) for item in value])
+        else:
+            setattr(args, dest, _named(flag, parse, value))
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
+        args = parse_args(argv)
         text = args.fn(args, resolve_scenario(args))
         with _open_out(args) as out:
             out.write(text)

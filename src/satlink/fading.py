@@ -21,6 +21,7 @@ from ._array import all_, any_, at_first, each, mathof, take, where
 from ._special import i0e, i1e
 from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 from .beam import BeamParams, ReceiverParams
+from .errors import NumericalError
 from .turbulence import SpotSizes, TurbulenceProfile
 
 # Elements per block where a pass over many samples runs in pieces: 64 Ki
@@ -67,7 +68,7 @@ def fading_params(eta_st, eta_st_far, aperture: float):
     log_arg = 2.0 * eta_st * f0
     degenerate = log_arg <= 1.0
     if any_(degenerate):
-        raise ValueError(
+        raise NumericalError(
             f"degenerate fading geometry: ln argument {at_first(degenerate, log_arg):.6g} <= 1"
         )
     m = mathof(log_arg)
@@ -242,3 +243,27 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
         np.exp(xb, out=xb)
         xb *= model.eta
     return x
+
+
+def _ks_block(block, lo: int, n: int, model: FadingModel):
+    """The largest |F - empirical CDF| over the block of n sorted samples that
+    starts at sample lo; at sample i the empirical CDF steps from i / n to (i + 1) / n."""
+    analytic = fading_cdf(block, model)
+    steps = np.arange(lo, lo + len(block) + 1) / n
+    above = np.max(steps[1:] - analytic)
+    analytic -= steps[:-1]  # now F - i / n
+    return max(above, np.max(analytic))
+
+
+def sorted_sample_statistics(samples: np.ndarray, model: FadingModel, edges: np.ndarray):
+    """(KS distance of sorted samples from the law F, their counts in the bins
+    of edges as np.histogram counts them: [lo, hi), the last bin [lo, hi]).
+    F is taken a block of samples per call, so that it and the empirical CDF's
+    steps never span all n samples and a block's arrays are freed in turn."""
+    n = len(samples)
+    ks = max(_ks_block(samples[lo:lo + BLOCK], lo, n, model) for lo in range(0, n, BLOCK))
+    counts = np.diff(np.concatenate((
+        samples.searchsorted(edges[:-1], "left"),
+        samples.searchsorted(edges[-1:], "right"),
+    )))
+    return float(ks), counts

@@ -289,10 +289,9 @@ def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
 
 def cmd_validate_mc_sorted_twice(args, scn) -> str:
     """validate-mc's output from sample_fading_hypot, a sorted copy for the
-    KS statistic and np.histogram, which sorts the samples again."""
-    h = cli._named("--h", cli._finite, args.h)
-    theta = cli._named("--theta", cli._finite, args.theta)
-    n, bins, seed = args.samples, args.bins, args.seed
+    KS statistic and np.histogram, which sorts the samples again.  args are
+    those of cli.parse_args, with every option converted."""
+    h, theta, n, bins, seed = args.h, args.theta, args.samples, args.bins, args.seed
     model = scn.fading_model(h, theta)
     samples = sample_fading_hypot(model, n, seed)
 

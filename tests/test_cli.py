@@ -14,7 +14,6 @@ from satlink.cli import (
     _SAT_SHORTHAND,
     CONFIG_KEYS,
     _fmt,
-    build_parser,
     main,
     parse_grid,
     parse_quantity,
@@ -137,6 +136,11 @@ class TestCliCommands:
         assert "scenario.setup=1" in lines[0] and "scenario.link=down" in lines[0]
         rows = [line.split(",") for line in lines[2:]]
         assert [row[1] for row in rows] == ["0.3", "0.3"]
+        # nor may a default list, converted item by item, change for the next call
+        for _ in range(2):
+            code, out = run_cli(capsys, "compare-fiber", "--d-grid", "100km:100km:1")
+            assert code == 0
+            assert out.splitlines()[1] == "d_km,fiber_bits_day,rep1_bits_day,rep5_bits_day,rep30_bits_day"
 
     def test_bounds_sweep_shape_and_ordering(self, capsys):
         code, out = run_cli(
@@ -244,7 +248,7 @@ class TestCliCommands:
         argv = ["validate-mc", *argv]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        args = build_parser().parse_args(argv)
+        args = cli.parse_args(argv)
         assert out == cmd_validate_mc_sorted_twice(args, resolve_scenario(args))
 
     def test_validate_mc_holds_one_float_per_sample(self, capsys):
@@ -274,8 +278,8 @@ class TestCliCommands:
         argv = ["validate-mc", *argv]
         code, out = run_cli(capsys, *argv)
         assert code == 0
-        args = build_parser().parse_args(argv)
-        model = resolve_scenario(args).fading_model(parse_quantity(args.h), parse_quantity(args.theta))
+        args = cli.parse_args(argv)
+        model = resolve_scenario(args).fading_model(args.h, args.theta)
         samples = sample_fading(model, args.samples, args.seed)
         lines = out.splitlines()
 
@@ -443,6 +447,18 @@ class TestExitCodes:
              "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
             (["bounds", "--h-grid", "530km:530km:1", "--theta=1.5707963267949"],
              "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
+            # counts and indices take whole numbers, not truncated fractions
+            (["show-config", "--set", "scenario.setup=2.7"], "scenario.setup: expected a whole number, got '2.7'"),
+            (["show-config", "--set", "protocol.d=31.9"], "protocol.d: expected a whole number, got '31.9'"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--n-rep", "2.9"],
+             "--n-rep: expected a whole number, got '2.9'"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--sat", "h=530km,blocks=1.9"],
+             "--sat blocks: expected a whole number, got '1.9'"),
+            (["pass", "--h", "530km", "--blocks", "2.5"], "--blocks: expected a whole number, got '2.5'"),
+            (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "7.5"],
+             "--bins: expected a whole number, got '7.5'"),
+            (["validate-mc", "--h", "530km", "--samples", "100", "--seed", "0.5"],
+             "--seed: expected a whole number, got '0.5'"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 from satlink.beam import BeamParams, ReceiverParams, eta_total
+from satlink.errors import NumericalError
 from satlink.fading import (
     BLOCK,
     FadingModel,
@@ -111,7 +112,7 @@ class TestFadingParams:
     def test_degenerate_geometry_rejected(self):
         # ln(2 eta_st f0) <= 1 cannot happen for physical inputs, but the
         # guard must trip when fed an inconsistent pair
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match="degenerate fading geometry"):
             fading_params(1e-9, 10.0, 0.4)
 
     def test_near_field_unit_eta_st(self):
