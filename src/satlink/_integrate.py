@@ -1,12 +1,12 @@
 """The double-exponential quadrature rule with a step-halving convergence check.
 
-`tanh_sinh` is the rule of Takahasi & Mori (1974) on [a, b] or [a, inf).
-It integrates every integral in the package: the slant-path extinction,
-the beam-wandering factor, the fading averages and the C_n^2 column
-panels.  It takes integrable endpoint singularities (the Hufnagel-Stanley
-h^(-1/3), power-law path weights, u^(gamma/2 - 1)) and integrands whose
-scale is not known in advance.  On [a, inf) it maps x = a + v / (1 - v),
-which makes it an exp-sinh-type rule.
+`tanh_sinh` is the rule of Takahasi & Mori (1974) on a finite [a, b].  It
+integrates every integral in the package: the slant-path extinction, the
+beam-wandering factor and the C_n^2 column panels.  It takes integrable
+endpoint singularities (the Hufnagel-Stanley h^(-1/3), power-law path
+weights, u^(gamma/2 - 1)) and integrands whose scale is not known in
+advance.  An infinite range is mapped onto a finite one by the caller, as
+the wander tail is by t = exp(-rate (x - 1)).
 
 The rule integrates a batch of P integrals in one pass.  The ends and the
 extra arguments of the integrand are floats (one integral) or 1-D arrays
@@ -88,29 +88,22 @@ def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tanh_sinh(f: Integrand, a, b, *args, abs_tol: float = 0.0) -> Quadrature:
-    """Double-exponential rule on [a, b]; b may be inf (for every row).
+    """Double-exponential rule on the finite interval [a, b].
 
     Endpoint singularities are integrable as long as f is finite at every
     interior point: no node falls on an end.
     """
     if all_(a == b):
         return Quadrature(0.0, 0.0)
-    finite = all_(b < math.inf)
     columns = _columns(a, b, *args)
 
     def g(delta, rows):
         """f at the nodes -1 + delta and 1 - delta, mapped to [a, b], summed."""
         lo, hi, *params = _open(columns, rows)
         n = delta.size
-        if finite:
-            half = 0.5 * (hi - lo)
-            fx = f(np.concatenate((lo + half * delta, hi - half * delta), axis=-1), *params)
-            return half * (fx[..., :n] + fx[..., n:])
-        # x = a + v / (1 - v) with v = (1 + s) / 2; d is v's distance from
-        # its nearer end, so 1 - v = d exactly at the right-hand nodes
-        d = 0.5 * delta
-        fx = f(np.concatenate((lo + d / (1.0 - d), lo + (1.0 - d) / d), axis=-1), *params)
-        return 0.5 * (fx[..., :n] / (1.0 - d) ** 2 + fx[..., n:] / d**2)
+        half = 0.5 * (hi - lo)
+        fx = f(np.concatenate((lo + half * delta, hi - half * delta), axis=-1), *params)
+        return half * (fx[..., :n] + fx[..., n:])
 
     value = error = rows = None  # rows: indices of the open rows; None while all are
     # overflow, underflow and 0/0 at far nodes surface as inf or nan, which

@@ -1,19 +1,20 @@
 """Capacity-type bounds for the satellite fading channel.
 
-The loss-limited bound averages the pure-loss key capacity over the
-transmissivity distribution; with background thermal photons it splits into
-an upper bound (loss-limited minus a thermal correction) and a reverse
-coherent information lower bound.  Maximum secure ranges follow either from
-a Fresnel-number argument or from the root of upper-bound = 0.  The bounds
-take a fading model at one geometry or at every point of a sweep; the
-thermal photon number nbar is one float for all of them.
+The loss-limited bound B takes the pure-loss key capacity over the
+transmissivity distribution, in closed form up to the beam-wandering factor.
+With background thermal photons it splits into an upper bound (B minus a
+thermal correction) and the reverse-coherent-information lower bound
+B - h(nbar / (1 - eta)), both clamped at zero.  Maximum secure ranges follow
+either from a Fresnel-number argument or from the root of upper-bound = 0.
+The bounds take a fading model at one geometry or at every point of a
+sweep; the thermal photon number nbar is one float for all of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -124,16 +125,10 @@ def thermal_upper(nbar: float, model: FadingModel, b=None):
     return scatter(live, where(upper > 0.0, upper, 0.0), 0.0)
 
 
-class ThermalLower(NamedTuple):
-    middle: float  # B - <h(nbar / (1 - tau))> averaged over fading
-    simple: float  # B - h(nbar / (1 - eta))
+def thermal_lower(nbar: float, model: FadingModel, b=None):
+    """Reverse-coherent-information lower bound max(0, B - h(nbar / (1 - eta))).
 
-
-def thermal_lower(nbar: float, model: FadingModel, b=None) -> ThermalLower:
-    """Reverse-coherent-information lower bounds, clamped at zero.
-
-    The middle form averages the entropy penalty over the fading law; the
-    simple form replaces tau by its maximum eta and is never larger.  b is
+    The entropy penalty takes the transmissivity at its maximum eta.  b is
     the model's loss-limited bound B, when the caller has it already.
     """
     if nbar < 0:
@@ -141,39 +136,9 @@ def thermal_lower(nbar: float, model: FadingModel, b=None) -> ThermalLower:
     if b is None:
         b = bound_b_model(model)
     if nbar == 0.0:
-        return ThermalLower(b, b)
-    middle = b - _fading_average(lambda tau: thermal_entropy(nbar / (1.0 - tau), np), model, 1e-12)
-    simple = b - entropy_h(nbar / (1.0 - model.eta))
-    return ThermalLower(where(middle > 0.0, middle, 0.0), where(simple > 0.0, simple, 0.0))
-
-
-def _fading_average(
-    f: Callable[[np.ndarray], np.ndarray],
-    model: FadingModel,
-    abs_tol: float,
-    tau_min: float = 0.0,
-):
-    """Average of f(tau) 1[tau > tau_min] over the fading law.
-
-    In u = ln(eta / tau)^(2 / gamma) the density is s exp(-s u) on
-    [0, inf), and f picks up a u^(gamma/2 - 1) endpoint singularity in its
-    derivative; tanh-sinh handles both, whatever s.  A cut at tau_min > 0
-    becomes the upper end of the u range, so the rule never sees the step.
-    """
-    s = model.spread
-    g = model.gamma / 2.0
-    eta = model.eta
-    m = mathof(eta)
-    u_max = m.pow(m.log(eta / tau_min), 1.0 / g) if tau_min > 0.0 else math.inf
-    return tanh_sinh(
-        lambda u, s, g, eta: s * np.exp(-s * u) * f(eta * np.exp(-(u**g))),
-        0.0,
-        u_max,
-        s,
-        g,
-        eta,
-        abs_tol=abs_tol,
-    ).value
+        return b
+    lower = b - entropy_h(nbar / (1.0 - model.eta))
+    return where(lower > 0.0, lower, 0.0)
 
 
 # the tight max-range search: first probe, bracket cap and bisection step (m)

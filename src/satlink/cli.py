@@ -67,8 +67,13 @@ def _finite(text: str) -> float:
 
 
 def _whole(text: str, least: float = -math.inf) -> int:
-    """_finite for a count or an index: a whole number, of at least `least`."""
+    """_finite for a count or an index: a bare whole number, of at least `least`.
+
+    A bare number has no unit; an exponent is fine ('1e6').
+    """
     value = _finite(text)
+    if _QUANTITY_RE.match(text).group(2):
+        raise ConfigError(f"expected a whole number without a unit, got {text!r}")
     if not value.is_integer():
         raise ConfigError(f"expected a whole number, got {text!r}")
     if value < least:

@@ -170,7 +170,9 @@ class Scenario:
     # -- bounds ------------------------------------------------------------
 
     def bounds_at(self, h, theta) -> dict:
-        """Upper/lower bounds, keyed for the CLI sweep.
+        """The columns of the CLI bounds sweep, keyed by name.
+
+        U, V and B, the thermal-loss upper and lower bounds, eta and nbar.
 
         h and theta are floats, or arrays that broadcast to the points of a
         sweep; every value but nbar then has the points' shape.
@@ -182,7 +184,6 @@ class Scenario:
         model = self.fading_model(h, theta)
         nbar = self.nbar
         b = bounds.bound_b_model(model)
-        lower = bounds.thermal_lower(nbar, model, b)
         aperture = self.receiver.aperture
         # V's fixed loss reuses the extinction the fading model computed
         eta_fixed = self.receiver.efficiency * model.eta_atm * eta_diffraction(z, self.beam, aperture)
@@ -191,8 +192,7 @@ class Scenario:
             "V": plob(eta_fixed),
             "B": b,
             "upper": bounds.thermal_upper(nbar, model, b),
-            "lower": lower.simple,
-            "lower_middle": lower.middle,
+            "lower": bounds.thermal_lower(nbar, model, b),
             "eta": model.eta,
             "nbar": nbar,
         }

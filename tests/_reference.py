@@ -3,11 +3,12 @@
 Two kinds of code live here:
 
 - oracles and cross-checks, independent or slower spellings of what the
-  package computes: fading averages by direct quadrature, the finite-altitude
-  Rytov variance, the spherical-wave coherence length, far-field forms,
-  slow-detection bounds, a simulated pilot estimation, and the hypot and
-  whole-array samplers and twice-sorting validate-mc body that the
-  package's in-place and blocked ones replaced;
+  package computes: fading averages by direct quadrature (the lower bound
+  with its entropy penalty averaged over fading among them), the
+  finite-altitude Rytov variance, the spherical-wave coherence length,
+  far-field forms, slow-detection bounds, a simulated pilot estimation,
+  and the hypot and whole-array samplers and twice-sorting validate-mc
+  body that the package's in-place and blocked ones replaced;
 - paper side paths whose tests pin a published value: the refracted
   extinction, the speckle count, the uplink planar coefficients, the
   general-attack parameter set, the local-oscillator noise and the
@@ -24,9 +25,10 @@ import numpy as np
 
 from satlink import cli, geometry
 from satlink._array import mathof
+from satlink._integrate import tanh_sinh
 from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
-from satlink.bounds import _fading_average, entropy_h, thermal_entropy
+from satlink.bounds import entropy_h, thermal_entropy
 from satlink.cvqkd import ProtocolParams, worst_case_nbar
 from satlink.fading import FadingModel, fading_cdf
 from satlink.orbit import golden_section
@@ -217,9 +219,44 @@ def phi_thermal(tau: float, nbar: float) -> float:
     return -math.log2(1.0 - tau) - n_e * math.log2(tau) - entropy_h(n_e)
 
 
-def average_plob(model: FadingModel):
+def fading_average(
+    f: Callable[[np.ndarray], np.ndarray],
+    model: FadingModel,
+    abs_tol: float,
+    tau_min: float = 0.0,
+) -> float:
+    """Average of f(tau) 1[tau > tau_min] over the fading law, at one geometry.
+
+    In u = ln(eta / tau)^(2 / gamma) the density is s exp(-s u) on
+    [0, inf); t = exp(-s u) makes it uniform on (0, 1], so that
+    <f> = integral over [t_min, 1] of f(eta exp(-(-ln t / s)^(gamma / 2))) dt.
+    f picks up a (-ln t)^(gamma/2 - 1) singularity in its derivative at
+    t = 1, which tanh-sinh takes.  A cut at tau_min > 0 becomes the lower
+    end t_min = exp(-s u_max), so the rule never sees the step.
+    """
+    s = model.spread
+    g = model.gamma / 2.0
+    eta = model.eta
+    t_min = math.exp(-s * math.log(eta / tau_min) ** (1.0 / g)) if tau_min > 0.0 else 0.0
+    return tanh_sinh(lambda t: f(eta * np.exp(-((-np.log(t) / s) ** g))), t_min, 1.0, abs_tol=abs_tol).value
+
+
+def average_plob(model: FadingModel) -> float:
     """Direct fading average of -log2(1 - tau); oracle for bound_b."""
-    return _fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
+    return fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
+
+
+def thermal_lower_middle(nbar: float, model: FadingModel, b: float) -> float:
+    """B - <h(nbar / (1 - tau))> over the fading law, clamped at zero.
+
+    The reverse-coherent-information bound with its entropy penalty averaged
+    over fading: at least satlink's thermal_lower, which takes tau at its
+    maximum eta, and at most thermal_upper.  b is the model's B.
+    """
+    if nbar == 0.0:
+        return b
+    middle = b - fading_average(lambda tau: thermal_entropy(nbar / (1.0 - tau), np), model, 1e-12)
+    return max(middle, 0.0)
 
 
 def average_phi_thermal(nbar: float, model: FadingModel) -> float:
@@ -235,7 +272,7 @@ def average_phi_thermal(nbar: float, model: FadingModel) -> float:
         n_e = nbar / (1.0 - tau)
         return -np.log2(1.0 - tau) - n_e * np.log2(tau) - thermal_entropy(n_e, np)
 
-    return _fading_average(phi, model, 1e-13, tau_min=nbar)
+    return fading_average(phi, model, 1e-13, tau_min=nbar)
 
 
 def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:

@@ -35,7 +35,7 @@ from satlink.orbit import (
 from satlink.turbulence import TurbulenceProfile, i_infty, spot_sizes
 from satlink.atmosphere import eta_atm, eta_atm_secant, eta_atm_zenith
 
-from _reference import coherence_length, phi_thermal
+from _reference import coherence_length, phi_thermal, thermal_lower_middle
 
 
 def check(failures: list, cond: bool, message: str) -> None:
@@ -197,8 +197,9 @@ def test_acceptance_06_bound_oracles():
         )
         upper = thermal_upper(nbar, model)
         lower = thermal_lower(nbar, model)
-        check(failures, lower.simple <= lower.middle + 1e-12, "lower-form ordering")
-        check(failures, lower.middle <= upper + 1e-9, f"lower > upper at h={h:g}")
+        middle = thermal_lower_middle(nbar, model, closed)
+        check(failures, lower <= middle + 1e-12, "lower-form ordering")
+        check(failures, middle <= upper + 1e-9, f"lower > upper at h={h:g}")
         check(failures, upper <= closed + 1e-12, f"upper > B at h={h:g}")
     for tau, nbar in ((0.3, 0.31), (0.3, 0.9), (0.05, 0.0500001)):
         check(failures, phi_thermal(tau, nbar) == 0.0, "entanglement-broken region not exactly 0")

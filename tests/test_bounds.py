@@ -20,7 +20,7 @@ from satlink.bounds import (
 )
 from satlink.fading import fading_pdf
 
-from _reference import average_phi_thermal, average_plob, bound_slow, phi_thermal
+from _reference import average_phi_thermal, average_plob, bound_slow, phi_thermal, thermal_lower_middle
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +116,7 @@ class TestThermalBounds:
         m = night_down.fading_model(500e3, 0.0)
         b = bound_b_model(m)
         assert thermal_upper(0.0, m) == b
-        lower = thermal_lower(0.0, m)
-        assert lower.middle == b and lower.simple == b
+        assert thermal_lower(0.0, m) == b and thermal_lower_middle(0.0, m, b) == b
 
     def test_correction_vanishes_at_zero(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
@@ -145,8 +144,9 @@ class TestThermalBounds:
                     b = bound_b_model(m)
                     up = thermal_upper(nbar, m)
                     lo = thermal_lower(nbar, m)
-                    assert lo.simple <= lo.middle + 1e-12
-                    assert lo.middle <= up + 1e-9
+                    middle = thermal_lower_middle(nbar, m, b)
+                    assert lo <= middle + 1e-12
+                    assert middle <= up + 1e-9
                     assert up <= b + 1e-12
 
     def test_upper_dominates_average_phi(self, night_down):
@@ -167,7 +167,7 @@ class TestThermalBounds:
         m1 = night_down.fading_model(530e3, 1.0)
         assert thermal_upper(nbar, m0) >= thermal_upper(nbar, m1)
         assert bound_b_model(m0) >= bound_b_model(m1)
-        assert thermal_lower(nbar, m0).simple >= thermal_lower(nbar, m1).simple
+        assert thermal_lower(nbar, m0) >= thermal_lower(nbar, m1)
 
     def test_zero_rate_regimes(self, night_down):
         m = night_down.fading_model(530e3, 0.0)
@@ -178,7 +178,7 @@ class TestThermalBounds:
         nbar = night_down.nbar
         m = night_down.fading_model(500e3, 0.0)
         up = thermal_upper(nbar, m)
-        lo = thermal_lower(nbar, m).simple
+        lo = thermal_lower(nbar, m)
         assert up / lo < 1.001
 
     def test_clear_day_gap(self):
@@ -186,10 +186,10 @@ class TestThermalBounds:
         nbar = sc.nbar
         m_low = sc.fading_model(160e3, 0.0)
         m_high = sc.fading_model(2500e3, 0.0)
-        low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low).simple
+        low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low)
         assert low_ratio < 1.1  # near coincidence at the bottom of LEO
         hi_up = thermal_upper(nbar, m_high)
-        hi_lo = thermal_lower(nbar, m_high).simple
+        hi_lo = thermal_lower(nbar, m_high)
         assert hi_up > 2.0 * hi_lo or hi_lo == 0.0  # gap is open
 
 

@@ -459,6 +459,15 @@ class TestExitCodes:
              "--bins: expected a whole number, got '7.5'"),
             (["validate-mc", "--h", "530km", "--samples", "100", "--seed", "0.5"],
              "--seed: expected a whole number, got '0.5'"),
+            # and bare numbers: a unit suffix would scale the count
+            (["validate-mc", "--h", "530km", "--samples", "1km"],
+             "--samples: expected a whole number without a unit, got '1km'"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--n-rep", "1km"],
+             "--n-rep: expected a whole number without a unit, got '1km'"),
+            (["bounds", "--h-grid", "100km:200km:2km"],
+             "--h-grid: grid point count: expected a whole number without a unit, got '2km'"),
+            (["show-config", "--set", "protocol.d=32ns"],
+             "protocol.d: expected a whole number without a unit, got '32ns'"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

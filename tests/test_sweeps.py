@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import atmosphere, bounds
+from satlink import atmosphere, bounds, turbulence
+from satlink._integrate import tanh_sinh
 from satlink.beam import BeamParams
 from satlink.errors import StrongTurbulenceError
 from satlink.scenario import Scenario
@@ -115,25 +116,25 @@ def test_warnings_once_per_offending_point():
 
 
 def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
-    """B at eta, and bound_b(nbar) where 0 < nbar < eta: no repeated quadratures."""
+    """B at eta, and bound_b(nbar) where 0 < nbar < eta: no repeated quadratures.
+
+    Every tanh_sinh call of the sweep is counted, so a per-sweep fading
+    average would show up as a call of its own.
+    """
     scn = Scenario.build("down", "day", "clear", 1)
     h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
     theta = np.tile([0.0, 0.8], 6)
-    rows, extinction_calls = [], []
-    wander_delta, eta_atm = bounds.wander_delta, atmosphere.eta_atm
+    scn.bounds_at(h[0], theta[0])  # the turbulence columns, cached per process
+    quadratures = []
 
-    def counted_wander(*args):
-        rows.append(np.broadcast(*args).size)
-        return wander_delta(*args)
+    def counted_tanh_sinh(f, a, b, *args, **kwargs):
+        quadratures.append((f.__name__, np.broadcast(a, b, *args).size))
+        return tanh_sinh(f, a, b, *args, **kwargs)
 
-    def counted_eta_atm(h, *args, **kwargs):
-        extinction_calls.append(np.size(h))
-        return eta_atm(h, *args, **kwargs)
-
-    monkeypatch.setattr(bounds, "wander_delta", counted_wander)
-    monkeypatch.setattr(atmosphere, "eta_atm", counted_eta_atm)
+    for module in (atmosphere, bounds, turbulence):
+        monkeypatch.setattr(module, "tanh_sinh", counted_tanh_sinh)
     grid = scn.bounds_at(h, theta)
     live = int(np.sum(grid["nbar"] < grid["eta"]))
     assert 0 < live < h.size  # the grid reaches entanglement breaking
-    assert sum(rows) == h.size + live
-    assert extinction_calls == [h.size]
+    # one extinction batch, then the wander batches of B and of bound_b(nbar)
+    assert quadratures == [("_extinction", h.size), ("_wander", h.size), ("_wander", live)]
