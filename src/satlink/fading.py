@@ -28,6 +28,13 @@ from .turbulence import SpotSizes, TurbulenceProfile
 # doubles (512 KiB), so that a block and its temporaries stay in cache
 BLOCK = 1 << 16
 
+# Sorted samples per segment of the KS statistic: F is taken at one sample in
+# STRIDE, then inside the few segments that can hold the largest deviation
+STRIDE = 32
+# Slack on a segment's deviation bound, far above the few ulps by which
+# numpy's log, pow and exp can break F's monotonicity on F in [0, 1]
+KS_MARGIN = 1e-12
+
 
 def pointing_variance(z, error_rad: float = 1e-6):
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
@@ -219,19 +226,19 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     zero-mean Gaussians of variance sigma^2, then maps
     tau = eta * exp(-(r/r0)^gamma).  The n values of x, then the n of y, are
     the stream of rng.normal(0, sigma, (2, n)) on default_rng(seed).  x is
-    drawn whole and squared in place, and is the array returned.  y is drawn
-    BLOCK values at a time; while a block of x is in cache it takes the rest
-    in place: + y^2, sqrt, / r0, ** gamma, negate, exp, * eta.  So the only
-    n-element array is the result.
+    drawn whole, and is the array returned.  y is drawn BLOCK values at a
+    time; while a block of x is in cache it takes every step in place:
+    * sigma, squared, + y^2, sqrt, / r0, ** gamma, negate, exp, * eta.  So
+    the only n-element array is the result, and it is swept from memory once.
     """
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(model.sigma2)
     x = rng.standard_normal(n)
-    x *= sigma
-    x *= x
     y = np.empty(min(n, BLOCK))
     for lo in range(0, n, BLOCK):
         xb = x[lo:lo + BLOCK]
+        xb *= sigma
+        xb *= xb
         yb = rng.standard_normal(out=y[:len(xb)])
         yb *= sigma
         yb *= yb
@@ -245,23 +252,34 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def _ks_block(block, lo: int, n: int, model: FadingModel):
-    """The largest |F - empirical CDF| over the block of n sorted samples that
-    starts at sample lo; at sample i the empirical CDF steps from i / n to (i + 1) / n."""
-    analytic = fading_cdf(block, model)
-    steps = np.arange(lo, lo + len(block) + 1) / n
-    above = np.max(steps[1:] - analytic)
-    analytic -= steps[:-1]  # now F - i / n
-    return max(above, np.max(analytic))
+def _deviation(cdf, i, n: int):
+    """|F - empirical CDF| at sorted sample i, where the empirical CDF steps
+    from i / n to (i + 1) / n; cdf is F there."""
+    return np.maximum((i + 1) / n - cdf, cdf - i / n)
 
 
 def sorted_sample_statistics(samples: np.ndarray, model: FadingModel, edges: np.ndarray):
     """(KS distance of sorted samples from the law F, their counts in the bins
     of edges as np.histogram counts them: [lo, hi), the last bin [lo, hi]).
-    F is taken a block of samples per call, so that it and the empirical CDF's
-    steps never span all n samples and a block's arrays are freed in turn."""
+
+    F is non-decreasing on sorted samples, so it is taken at every STRIDE-th
+    sample and the last, the knots, and then only inside the segments between
+    knots that can hold the largest deviation.  Over a segment [a, b),
+    F_a <= F_k <= F_b bounds the deviation by max(b / n - F_a, F_b - a / n);
+    the knots' own deviations are a lower bound on the statistic.  A segment
+    is taken when its bound comes within KS_MARGIN of that, which covers the
+    ulp-level non-monotonicity of log, pow and exp.  Every deviation is the
+    same double the all-samples pass computes, so the statistic is too.
+    """
     n = len(samples)
-    ks = max(_ks_block(samples[lo:lo + BLOCK], lo, n, model) for lo in range(0, n, BLOCK))
+    knots = np.append(np.arange(0, n - 1, STRIDE), n - 1)
+    cdf = fading_cdf(samples[knots], model)
+    ks = np.max(_deviation(cdf, knots, n))
+    a, b = knots[:-1], knots[1:]
+    bound = np.maximum(b / n - cdf[:-1], cdf[1:] - a / n)
+    inner = (a[bound + KS_MARGIN > ks, None] + np.arange(STRIDE)).ravel()
+    inner = inner[inner < n]  # the last segment may be shorter
+    ks = np.max(_deviation(fading_cdf(samples[inner], model), inner, n), initial=ks)
     counts = np.diff(np.concatenate((
         samples.searchsorted(edges[:-1], "left"),
         samples.searchsorted(edges[-1:], "right"),

@@ -7,8 +7,9 @@ Two kinds of code live here:
   with its entropy penalty averaged over fading among them), the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
-  and the hypot and whole-array samplers and twice-sorting validate-mc
-  body that the package's in-place and blocked ones replaced;
+  the hypot and whole-array samplers, the all-samples KS statistic and the
+  twice-sorting validate-mc body that the package's in-place, blocked and
+  bounded ones replaced;
 - paper side paths whose tests pin a published value: the refracted
   extinction, the speckle count, the uplink planar coefficients, the
   general-attack parameter set, the local-oscillator noise and the
@@ -30,7 +31,7 @@ from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, 
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
 from satlink.bounds import entropy_h, thermal_entropy
 from satlink.cvqkd import ProtocolParams, worst_case_nbar
-from satlink.fading import FadingModel, fading_cdf
+from satlink.fading import BLOCK, FadingModel, fading_cdf
 from satlink.orbit import golden_section
 from satlink.turbulence import (
     LAYER_EDGES_M,
@@ -322,6 +323,22 @@ def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
     np.exp(x, out=x)
     x *= model.eta
     return x
+
+
+def ks_statistic_blocks(samples: np.ndarray, model: FadingModel) -> float:
+    """The KS distance of sorted samples from the law F, with F taken at every
+    sample, BLOCK samples per call: the all-samples pass that
+    sorted_sample_statistics' bounded one replaced."""
+    n = len(samples)
+
+    def block_max(lo):
+        analytic = fading_cdf(samples[lo:lo + BLOCK], model)
+        steps = np.arange(lo, lo + len(analytic) + 1) / n
+        above = np.max(steps[1:] - analytic)
+        analytic -= steps[:-1]  # now F - i / n
+        return max(above, np.max(analytic))
+
+    return float(max(block_max(lo) for lo in range(0, n, BLOCK)))
 
 
 def cmd_validate_mc_sorted_twice(args, scn) -> str:

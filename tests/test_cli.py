@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from satlink import cli
+from satlink import cli, fading
 from satlink.cli import (
     _SAT_SHORTHAND,
     CONFIG_KEYS,
@@ -264,6 +264,24 @@ class TestCliCommands:
         assert code == 0
         assert "ks_statistic=" in capsys.readouterr().out
         assert peak < 1.5 * 8 * n
+
+    def test_validate_mc_takes_the_law_at_few_samples(self, capsys, monkeypatch):
+        # F is non-decreasing on the sorted samples, so the KS statistic needs
+        # it at one sample in fading.STRIDE and in the few segments that can
+        # hold the largest deviation, not at every sample
+        n = 1_000_000
+        points = []
+
+        def counted(tau, model):
+            points.append(np.size(tau))
+            return fading_cdf(tau, model)
+
+        monkeypatch.setattr(fading, "fading_cdf", counted)
+        code, out = run_cli(capsys, "validate-mc", "--h", "530km", "--theta", "1",
+                            "--samples", str(n), "--seed", "1")
+        assert code == 0
+        assert "ks_statistic=" in out
+        assert sum(points) < n / 8
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,9 +1,13 @@
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 from satlink.beam import BeamParams, ReceiverParams, eta_total
 from satlink.errors import NumericalError
 from satlink.fading import (
@@ -18,14 +22,17 @@ from satlink.fading import (
     p_threshold,
     pointing_variance,
     sample_fading,
+    sorted_sample_statistics,
 )
+from satlink.scenario import Scenario
 from satlink.turbulence import TurbulenceProfile
 
-from _reference import eta_slow, sample_fading_whole, tau_of_radius, wander_radii
+from _reference import eta_slow, ks_statistic_blocks, sample_fading_whole, tau_of_radius, wander_radii
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)
+CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
 
 
 def bessel_series(order: int, y: float, terms: int = 200) -> float:
@@ -264,6 +271,71 @@ class TestSampler:
         # sees the same operations in the same order: the same doubles
         got = sample_fading(model_up, n, seed)
         assert got.tobytes() == sample_fading_whole(model_up, n, seed).tobytes()
+
+
+class TestKsStatistic:
+    @staticmethod
+    def ks_pair(model, n, sample_seed):
+        samples = np.sort(sample_fading(model, n, sample_seed))
+        ks, _ = sorted_sample_statistics(samples, model, np.linspace(0.0, model.eta, 3))
+        return ks, ks_statistic_blocks(samples, model)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @seed(20120601)
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(
+        log_h=st.floats(5.0, math.log10(36000e3)),
+        theta=st.floats(-1.0, 1.0),
+        n=st.integers(1, 2 * BLOCK + 1),
+        sample_seed=st.integers(0, 2**31 - 1),
+    )
+    # one and two samples, a segment's edges and a block's edges, at the
+    # ends of the altitude and angle ranges
+    @example(log_h=5.0, theta=0.0, n=1, sample_seed=0)
+    @example(log_h=math.log10(36000e3), theta=1.0, n=2, sample_seed=1)
+    @example(log_h=5.0, theta=-1.0, n=31, sample_seed=2)
+    @example(log_h=6.0, theta=0.5, n=32, sample_seed=3)
+    @example(log_h=math.log10(36000e3), theta=-0.3, n=33, sample_seed=4)
+    @example(log_h=5.5, theta=1.0, n=BLOCK - 1, sample_seed=5)
+    @example(log_h=7.0, theta=0.0, n=BLOCK + 1, sample_seed=6)
+    def test_bounded_pass_equals_the_all_samples_pass(self, config, log_h, theta, n, sample_seed):
+        h = min(max(10.0**log_h, 100e3), 36000e3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Rytov >= 1 at large angles by day
+            model = Scenario.build(*config[1:], setup=config[0]).fading_model(h, theta)
+        ks, want = self.ks_pair(model, n, sample_seed)
+        assert ks == want
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_largest_deviation_at_a_segment_edge(self, above, model_down):
+        # 33 sorted samples make one segment [0, 32) between the knots 0 and
+        # 32.  The largest deviation sits inside it, at a sample next to a
+        # knot, and only half a step of 1/n above the knots' own deviations:
+        # a segment bound short by one step would skip it.
+        # above: samples 0-31 at F = 0 and sample 32 at F = 1.5/33, so the
+        # empirical CDF leads F most at sample 31, by 32/33;
+        # below: sample 0 at F = 31.5/33 and samples 1-32 at eta (F = 1), so
+        # F leads the empirical CDF most at sample 1, by 32/33
+        model, n = model_down, 33
+
+        def quantile(p):
+            return model.eta * math.exp(-((-math.log(p) / model.spread) ** (model.gamma / 2.0)))
+
+        if above:
+            samples = np.array([0.0] * 32 + [quantile(1.5 / n)])
+        else:
+            samples = np.array([quantile(31.5 / n)] + [model.eta] * 32)
+        ks, _ = sorted_sample_statistics(samples, model, np.linspace(0.0, model.eta, 3))
+        assert ks == ks_statistic_blocks(samples, model) == pytest.approx(32 / n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    def test_near_field_ties_at_eta(self, n):
+        # setup 4 downlink at 100 km: about a fifth of the samples round to
+        # eta, where F is 1, so many sorted samples share one F
+        model = Scenario.build("down", "night", "clear", setup=4).fading_model(100e3, 0.0)
+        assert np.mean(sample_fading(model, n, 3) == model.eta) > 0.15
+        ks, want = self.ks_pair(model, n, 3)
+        assert ks == want
 
 
 class TestSlowDetection:
