@@ -11,9 +11,16 @@ from dataclasses import replace
 from satlink import Scenario
 from satlink.beam import ReceiverParams
 from satlink.bounds import MaxRangeResult
-from satlink.noise import NoiseEnvironment, nbar_background
+from satlink.noise import nbar_background
 
-CONDITIONS = ["night-up", "night-down", "day-up", "day-down-clear", "day-down-cloudy"]
+# (name, link, period, sky)
+CONDITIONS = [
+    ("night-up", "up", "night", "clear"),
+    ("night-down", "down", "night", "clear"),
+    ("day-up", "up", "day", "clear"),
+    ("day-down-clear", "down", "day", "clear"),
+    ("day-down-cloudy", "down", "day", "cloudy"),
+]
 
 
 def range_cell(res: MaxRangeResult) -> str:
@@ -33,21 +40,19 @@ def main() -> int:
     print(f"{'condition':18s} {'1 nm filter':>14s} {'0.1 pm filter':>14s}")
     wide = ReceiverParams(aperture=0.4, efficiency=0.4)
     narrow = replace(wide, filter_width=1e-13)
-    for name in CONDITIONS:
-        env = NoiseEnvironment.from_name(name)
-        print(f"{name:18s} {nbar_background(env, wide):14.3g} {nbar_background(env, narrow):14.3g}")
+    for name, *condition in CONDITIONS:
+        print(f"{name:18s} {nbar_background(*condition, wide):14.3g}"
+              f" {nbar_background(*condition, narrow):14.3g}")
 
     if args.skip_tight:
         return 0
 
     print("\nmaximum secure slant range, zenith geometry (setup 1)")
     print(f"{'condition':18s} {'1 nm filter':>14s} {'0.1 pm filter':>14s}")
-    for name in CONDITIONS:
-        env = NoiseEnvironment.from_name(name)
+    for name, link, period, sky in CONDITIONS:
         row = [name]
         for filt in (1e-9, 1e-13):
-            scn = Scenario.build(env.direction, env.period, sky=env.sky, setup=1)
-            scn = replace(scn, receiver=replace(scn.receiver, filter_width=filt))
+            scn = Scenario.build(link, period, sky, setup=1, receiver={"filter_width": filt})
             row.append(range_cell(scn.max_range("tight")))
         print(f"{row[0]:18s} {row[1]:>14s} {row[2]:>14s}")
     return 0

@@ -10,7 +10,7 @@ import argparse
 import json
 
 from satlink import ProtocolParams, Scenario
-from satlink.orbit import bits_per_day, fiber_rate, repeater_rate
+from satlink.orbit import bits_per_day, repeater_rate
 
 RUNS = [
     ("night-down-530", "down", "night", "clear", 2, 9.28, 0.73, 530e3, 10),
@@ -19,12 +19,12 @@ RUNS = [
 ]
 
 
-def crossover(sat_bits: float, clock: float, n_rep: int | None) -> float:
-    rate = (lambda d: fiber_rate(d)) if n_rep is None else (lambda d: repeater_rate(d, n_rep))
+def crossover(sat_bits: float, clock: float, n_rep: int) -> float:
+    """Station separation beyond which the pass beats a fiber with n_rep repeaters."""
     lo, hi = 1e3, 4e7
     while hi - lo > 100.0:
         mid = 0.5 * (lo + hi)
-        if bits_per_day(rate(mid), clock) > sat_bits:
+        if bits_per_day(repeater_rate(mid, n_rep), clock) > sat_bits:
             lo = mid
         else:
             hi = mid
@@ -50,7 +50,7 @@ def main() -> int:
             )
         if label == "night-down-530" and not args.json:
             clock = scn.protocol.clock_hz
-            d0 = crossover(report["bits_per_day"], clock, None)
+            d0 = crossover(report["bits_per_day"], clock, 0)
             d30 = crossover(report["bits_per_day"], clock, 30)
             print(f"{'':15s} beats repeaterless fiber beyond {d0 / 1e3:.0f} km,"
                   f" 30 ideal repeaters beyond {d30 / 1e3:.0f} km")

@@ -5,8 +5,8 @@ from .beam import BeamParams, ReceiverParams, bound_v, diffraction_waist, eta_di
 from .cvqkd import ProtocolParams, composable_rate, holevo_bound, postselected_rate
 from .errors import ConfigError, NumericalError, StrongTurbulenceError
 from .fading import FadingModel, fading_model, fading_pdf, p_threshold, sample_fading
-from .geometry import EarthConstants, altitude_from_slant, slant_range
-from .noise import NoiseEnvironment, nbar_background, nbar_total
+from .geometry import altitude_from_slant, slant_range
+from .noise import nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
 from .scenario import SETUPS, Scenario
 from .turbulence import TurbulenceProfile, cn2, i_infty, spot_sizes
@@ -16,10 +16,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BeamParams",
     "ConfigError",
-    "EarthConstants",
     "ExtinctionModel",
     "FadingModel",
-    "NoiseEnvironment",
     "NumericalError",
     "ProtocolParams",
     "ReceiverParams",

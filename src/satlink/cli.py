@@ -25,12 +25,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import fading, noise, orbit
+from . import fading, orbit
 from .atmosphere import ExtinctionModel
-from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
 from .errors import ConfigError, NumericalError
-from .scenario import Scenario, setup_preset
+from .scenario import Scenario
 from .turbulence import TurbulenceProfile
 
 _UNITS = {
@@ -198,11 +197,10 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
         if key in raw:
             owner, _, name = path.rpartition(".")
             kwargs[owner][name] = _named(key, parse, raw[key])
-    w0, a_r, filt = setup_preset(kwargs[""].get("setup", Scenario.setup))
     try:
-        return Scenario(
-            beam=BeamParams(**{"waist": w0, **kwargs["beam"]}),
-            receiver=ReceiverParams(**{"aperture": a_r, "filter_width": filt, **kwargs["receiver"]}),
+        return Scenario.build(
+            beam=kwargs["beam"],
+            receiver=kwargs["receiver"],
             extinction=ExtinctionModel(**kwargs["extinction"]),
             protocol=ProtocolParams(**kwargs["protocol"]),
             **kwargs[""],
@@ -235,7 +233,7 @@ def describe(scn: Scenario) -> dict[str, object]:
         if value is not None
     }
     desc["turbulence.profile"] = scn.resolved_profile.name
-    desc["noise.nbar_background"] = noise.nbar_background(scn.noise_env, scn.receiver)
+    desc["noise.nbar_background"] = scn.nbar_background
     return desc
 
 
@@ -306,8 +304,7 @@ def cmd_pass(args, scn: Scenario) -> str:
 
 
 def cmd_compare_fiber(args, scn: Scenario) -> str:
-    comparison = orbit.GroundComparison(clock_hz=scn.protocol.clock_hz)
-    bits = functools.partial(orbit.bits_per_day, clock_hz=comparison.clock_hz)
+    bits = functools.partial(orbit.bits_per_day, clock_hz=scn.protocol.clock_hz)
     header = ["d_km", "fiber_bits_day", *(f"rep{n}_bits_day" for n in args.n_rep)]
     sat_bits = []
     for label, overrides, h, blocks in args.sat:
@@ -317,8 +314,8 @@ def cmd_compare_fiber(args, scn: Scenario) -> str:
     rows = [
         (
             d / 1e3,
-            bits(orbit.fiber_rate(d, comparison)),
-            *(bits(orbit.repeater_rate(d, n, comparison)) for n in args.n_rep),
+            bits(orbit.repeater_rate(d)),
+            *(bits(orbit.repeater_rate(d, n)) for n in args.n_rep),
             *sat_bits,
         )
         for d in args.d_grid

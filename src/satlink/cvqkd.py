@@ -57,6 +57,8 @@ class ProtocolParams:
             raise ValueError("pilot count must be below the block size")
         if self.detection not in ("hom", "het"):
             raise ValueError("detection must be 'hom' or 'het'")
+        if self.tail not in ("gaussian", "hoeffding"):
+            raise ValueError("tail must be 'gaussian' or 'hoeffding'")
         for eps in (self.eps_s, self.eps_h, self.eps_pe, self.eps_cor):
             if not 0.0 < eps < 1.0:
                 raise ValueError("epsilon parameters must lie in (0, 1)")

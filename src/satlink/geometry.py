@@ -10,28 +10,11 @@ the sign only matters to orbital code.  `slant_range` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._array import any_, at_first, mathof
 
-
-@dataclass(frozen=True)
-class EarthConstants:
-    """Physical constants for the spherical-Earth link model."""
-
-    radius_m: float = 6.371e6
-    gravitational_constant: float = 6.674e-11
-    mass_kg: float = 5.972e24
-
-    @property
-    def mu_g(self) -> float:
-        """Standard gravitational parameter G*M (m^3/s^2)."""
-        return self.gravitational_constant * self.mass_kg
-
-
-EARTH = EarthConstants()
-
-R_EARTH = EARTH.radius_m
+R_EARTH = 6.371e6  # mean Earth radius, m
+MU_EARTH = 6.674e-11 * 5.972e24  # standard gravitational parameter G*M, m^3/s^2
 
 
 def _check_angle(theta):

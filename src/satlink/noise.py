@@ -8,8 +8,6 @@ irradiances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .beam import ReceiverParams
 
 H_SUN_800NM = 4.61e18  # solar spectral irradiance, photons / (m^2 s nm sr)
@@ -27,65 +25,35 @@ ALBEDO_MOON = 0.12
 RADIUS_MOON_M = 1.737e6
 DIST_EARTH_MOON_M = 3.84e8
 
-
-def kappa_night() -> float:
-    """Albedo-geometry factor for moonlit night uplink (Lambertian disks)."""
-    return ALBEDO_EARTH * ALBEDO_MOON * RADIUS_MOON_M**2 / DIST_EARTH_MOON_M**2
-
-
-def kappa_day() -> float:
-    """Day uplink factor: the Earth albedo."""
-    return ALBEDO_EARTH
+# albedo-geometry factor for moonlit night uplink (Lambertian disks)
+KAPPA_NIGHT = ALBEDO_EARTH * ALBEDO_MOON * RADIUS_MOON_M**2 / DIST_EARTH_MOON_M**2
+# day uplink factor: the Earth albedo
+KAPPA_DAY = ALBEDO_EARTH
 
 
-@dataclass(frozen=True)
-class NoiseEnvironment:
-    """Operational background-noise setting for one link direction."""
+def nbar_background(
+    link: str,
+    period: str,
+    sky: str,
+    receiver: ReceiverParams,
+    h_sky: float | None = None,
+    kappa: float | None = None,
+) -> float:
+    """Mean background photons per detected mode, before setup efficiency.
 
-    direction: str               # "up" | "down"
-    period: str = "night"        # "day" | "night"
-    sky: str = "clear"           # "clear" | "cloudy" (downlink only)
-    h_sun: float = H_SUN_800NM
-    h_sky: float | None = None   # override; default resolved from period/sky
-    kappa: float | None = None   # override; default resolved from period
-
-    def __post_init__(self):
-        if self.direction not in ("up", "down"):
-            raise ValueError("direction must be 'up' or 'down'")
-        if self.period not in ("day", "night"):
-            raise ValueError("period must be 'day' or 'night'")
-        if self.sky not in ("clear", "cloudy"):
-            raise ValueError("sky must be 'clear' or 'cloudy'")
-
-    @classmethod
-    def from_name(cls, name: str) -> "NoiseEnvironment":
-        """Build from a scenario name like 'day-down-clear' or 'night-up'."""
-        parts = name.split("-")
-        if len(parts) not in (2, 3):
-            raise ValueError(f"unknown noise scenario {name!r}")
-        period, direction = parts[0], parts[1]
-        sky = parts[2] if len(parts) == 3 else "clear"
-        return cls(direction=direction, period=period, sky=sky)
-
-    @property
-    def name(self) -> str:
-        base = f"{self.period}-{self.direction}"
-        if self.direction == "down" and self.period == "day":
-            return f"{base}-{self.sky}"
-        return base
-
-
-def nbar_background(env: NoiseEnvironment, receiver: ReceiverParams) -> float:
-    """Mean background photons per detected mode, before setup efficiency."""
-    if env.direction == "up":
-        kappa = env.kappa
+    link is "up" or "down", period "day" or "night", sky "clear" or "cloudy"
+    (downlink only), as a Scenario checks them.  h_sky overrides the sky
+    irradiance of a downlink, kappa the albedo factor of an uplink.
+    """
+    if link == "up":
         if kappa is None:
-            kappa = kappa_day() if env.period == "day" else kappa_night()
-        return kappa * env.h_sun * receiver.gamma_r
-    h_sky = env.h_sky if env.h_sky is not None else H_SKY_800NM[(env.period, env.sky)]
+            kappa = KAPPA_DAY if period == "day" else KAPPA_NIGHT
+        return kappa * H_SUN_800NM * receiver.gamma_r
+    if h_sky is None:
+        h_sky = H_SKY_800NM[(period, sky)]
     return h_sky * receiver.gamma_r
 
 
-def nbar_total(env: NoiseEnvironment, receiver: ReceiverParams) -> float:
+def nbar_total(n_background: float, receiver: ReceiverParams) -> float:
     """Thermal photons referred to the channel output: eta_eff*n_B + n_ex."""
-    return receiver.efficiency * nbar_background(env, receiver) + receiver.excess_photons
+    return receiver.efficiency * n_background + receiver.excess_photons

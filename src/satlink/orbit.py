@@ -8,14 +8,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .beam import plob
-from .geometry import EARTH, R_EARTH, slant_orbital, slant_range
+from .geometry import MU_EARTH, R_EARTH, slant_orbital, slant_range
 
 SECONDS_PER_DAY = 86400.0
 SUN_SYNC_MAX_ALT_M = 5.98e6
+ALPHA_FIBER_DB_PER_KM = 0.2  # fiber attenuation of the ground comparison
 
 
 def orbital_period(h: float) -> float:
@@ -23,7 +23,7 @@ def orbital_period(h: float) -> float:
     if h <= 0:
         raise ValueError("orbital altitude must be positive")
     r_s = R_EARTH + h
-    return 2.0 * math.pi * math.sqrt(r_s**3 / EARTH.mu_g)
+    return 2.0 * math.pi * math.sqrt(r_s**3 / MU_EARTH)
 
 
 def sun_sync_inclination(h: float) -> float:
@@ -41,7 +41,7 @@ def sun_sync_inclination(h: float) -> float:
 
 
 def _angular_rate(h: float) -> float:
-    return math.sqrt(EARTH.mu_g / (R_EARTH + h) ** 3)
+    return math.sqrt(MU_EARTH / (R_EARTH + h) ** 3)
 
 
 def horizon_orbital_angle(h: float) -> float:
@@ -151,32 +151,13 @@ def orbital_rate(
     return avg, per_slice
 
 
-@dataclass(frozen=True)
-class GroundComparison:
-    """Fiber/repeater baseline between two ground stations."""
-
-    alpha_fib_db_per_km: float = 0.2
-    clock_hz: float = 5e6
-
-    def eta_fiber(self, d_station: float) -> float:
-        return 10.0 ** (-self.alpha_fib_db_per_km * (d_station / 1e3) / 10.0)
-
-
-def fiber_rate(d_station: float, comparison: GroundComparison = GroundComparison()) -> float:
-    """Repeaterless fiber key capacity (bits/use) between the stations."""
-    return plob(comparison.eta_fiber(d_station))
-
-
-def repeater_rate(
-    d_station: float,
-    n_repeaters: int,
-    comparison: GroundComparison = GroundComparison(),
-) -> float:
-    """Capacity with n ideal repeaters splitting the fiber into equal hops."""
+def repeater_rate(d_station: float, n_repeaters: int = 0) -> float:
+    """Key capacity (bits/use) of the fiber between the stations, split into
+    equal hops by n ideal repeaters; n = 0 is the repeaterless fiber."""
     if n_repeaters < 0:
         raise ValueError("repeater count must be non-negative")
-    eta = comparison.eta_fiber(d_station) ** (1.0 / (n_repeaters + 1))
-    return plob(eta)
+    eta = 10.0 ** (-ALPHA_FIBER_DB_PER_KM * (d_station / 1e3) / 10.0)
+    return plob(eta ** (1.0 / (n_repeaters + 1)))
 
 
 def bits_per_day(rate: float, clock_hz: float) -> float:

@@ -23,7 +23,6 @@ from .cvqkd import KeyRate, ProtocolParams
 from .errors import ConfigError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
-from .noise import NoiseEnvironment
 from .turbulence import PROFILES, TurbulenceProfile
 
 # hardware presets: (beam waist w0, receiver aperture a_R, spectral filter)
@@ -107,19 +106,26 @@ class Scenario:
         period: str = "night",
         sky: str = "clear",
         setup: int = 1,
+        beam: dict | None = None,
+        receiver: dict | None = None,
         **overrides,
     ) -> "Scenario":
         """Assemble a scenario applying the hardware preset for `setup`.
 
-        Keyword overrides are applied on top of the preset, e.g.
-        build(..., receiver=ReceiverParams(...)) replaces the whole receiver.
+        beam and receiver map field names to values that override the
+        preset's, e.g. build(..., receiver={"filter_width": 1e-13}); the
+        other keyword overrides set Scenario fields.
         """
         w0, a_r, filt = setup_preset(setup)
-        if "beam" not in overrides:
-            overrides["beam"] = BeamParams(waist=w0)
-        if "receiver" not in overrides:
-            overrides["receiver"] = ReceiverParams(aperture=a_r, filter_width=filt)
-        return cls(link=link, period=period, sky=sky, setup=setup, **overrides)
+        return cls(
+            link=link,
+            period=period,
+            sky=sky,
+            setup=setup,
+            beam=BeamParams(**{"waist": w0, **(beam or {})}),
+            receiver=ReceiverParams(**{"aperture": a_r, "filter_width": filt, **(receiver or {})}),
+            **overrides,
+        )
 
     # the scenario is frozen, so its derived state is computed once
 
@@ -130,19 +136,16 @@ class Scenario:
         return PROFILES[f"hv-{self.period}"]
 
     @cached_property
-    def noise_env(self) -> NoiseEnvironment:
-        return NoiseEnvironment(
-            direction=self.link,
-            period=self.period,
-            sky=self.sky,
-            h_sky=self.h_sky_override,
-            kappa=self.kappa_override,
+    def nbar_background(self) -> float:
+        """Background photons per detected mode, before the setup efficiency."""
+        return noise.nbar_background(
+            self.link, self.period, self.sky, self.receiver, self.h_sky_override, self.kappa_override
         )
 
     @cached_property
     def nbar(self) -> float:
         """Thermal photons at the channel output for this scenario's receiver."""
-        return noise.nbar_total(self.noise_env, self.receiver)
+        return noise.nbar_total(self.nbar_background, self.receiver)
 
     @cached_property
     def nbar_prime(self) -> float:
@@ -209,7 +212,7 @@ class Scenario:
             raise ValueError("mode must be 'simple' or 'tight'")
         if self.nbar >= 1.0:
             return bounds.MaxRangeResult(0.0, "simple", False)
-        n_b = noise.nbar_background(self.noise_env, self.receiver)
+        n_b = self.nbar_background
         if n_b == 0.0:
             raise ConfigError("the Fresnel range needs background photons, and n_B is 0")
         z = bounds.fresnel_range(self.beam.waist, self.beam.wavelength, self.receiver.aperture, n_b)

@@ -80,6 +80,13 @@ class TestScenarioAssembly:
             assert scn.receiver.aperture == a_r
             assert scn.receiver.filter_width == filt
 
+    def test_build_overrides_fields_of_the_preset(self):
+        scn = Scenario.build("down", "night", setup=3, beam={"wavelength": 1550e-9},
+                             receiver={"filter_width": 1e-13, "efficiency": 0.5})
+        assert (scn.beam.waist, scn.beam.wavelength) == (0.4, 1550e-9)
+        assert (scn.receiver.aperture, scn.receiver.filter_width, scn.receiver.efficiency) == (2.0, 1e-13, 0.5)
+        assert Scenario.build(setup=2, beam={"waist": 0.1}).beam.waist == 0.1
+
     def test_profile_follows_period(self):
         assert Scenario.build("up", "night").resolved_profile.a_ground == 1.7e-14
         assert Scenario.build("up", "day").resolved_profile.a_ground == 2.75e-14
@@ -486,6 +493,10 @@ class TestExitCodes:
              "--h-grid: grid point count: expected a whole number without a unit, got '2km'"),
             (["show-config", "--set", "protocol.d=32ns"],
              "protocol.d: expected a whole number without a unit, got '32ns'"),
+            # the PE tail model is checked with the configuration, not first by a rate
+            (["show-config", "--set", "protocol.tail=bogus"], "tail must be 'gaussian' or 'hoeffding'"),
+            (["bounds", "--h-grid", "500km:600km:2", "--set", "protocol.tail=bogus"],
+             "tail must be 'gaussian' or 'hoeffding'"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):

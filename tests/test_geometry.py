@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satlink.geometry import (
-    EARTH,
     R_EARTH,
     altitude_from_slant,
     slant_orbital,
@@ -142,8 +141,3 @@ class TestRefraction:
         with pytest.raises(ValueError):
             true_zenith(1.57)
 
-
-def test_earth_constants_immutable():
-    with pytest.raises(Exception):
-        EARTH.radius_m = 1.0
-    assert EARTH.mu_g == pytest.approx(6.674e-11 * 5.972e24)

@@ -1,16 +1,26 @@
 import pytest
 
+from satlink import Scenario
 from satlink.beam import ReceiverParams
+from satlink.errors import ConfigError
 from satlink.noise import (
-    NoiseEnvironment,
-    kappa_day,
-    kappa_night,
+    KAPPA_DAY,
+    KAPPA_NIGHT,
     nbar_background,
     nbar_total,
 )
 
 TYPICAL = ReceiverParams(aperture=0.4, efficiency=0.4)                 # Gamma_R = 1.6e-19
 NARROW = ReceiverParams(aperture=0.4, efficiency=0.4, filter_width=1e-13)  # 1.6e-23
+
+# operating condition: (link, period, sky)
+CONDITIONS = {
+    "night-up": ("up", "night", "clear"),
+    "night-down": ("down", "night", "clear"),
+    "day-up": ("up", "day", "clear"),
+    "day-down-clear": ("down", "day", "clear"),
+    "day-down-cloudy": ("down", "day", "cloudy"),
+}
 
 
 class TestGammaR:
@@ -25,13 +35,13 @@ class TestGammaR:
 
 class TestKappa:
     def test_night_value(self):
-        assert kappa_night() == pytest.approx(7.36e-7, rel=1e-2)
+        assert KAPPA_NIGHT == pytest.approx(7.36e-7, rel=1e-2)
 
     def test_day_is_earth_albedo(self):
-        assert kappa_day() == 0.3
+        assert KAPPA_DAY == 0.3
 
     def test_night_to_day_ratio(self):
-        ratio = kappa_night() / kappa_day()
+        ratio = KAPPA_NIGHT / KAPPA_DAY
         assert 1e-7 < ratio < 1e-5
 
 
@@ -47,8 +57,7 @@ class TestBackgroundPhotons:
         ],
     )
     def test_wide_filter_table(self, name, expected):
-        env = NoiseEnvironment.from_name(name)
-        assert nbar_background(env, TYPICAL) == pytest.approx(expected, rel=0.05)
+        assert nbar_background(*CONDITIONS[name], TYPICAL) == pytest.approx(expected, rel=0.05)
 
     @pytest.mark.parametrize(
         "name,expected",
@@ -59,37 +68,32 @@ class TestBackgroundPhotons:
         ],
     )
     def test_narrow_filter_table(self, name, expected):
-        env = NoiseEnvironment.from_name(name)
-        assert nbar_background(env, NARROW) == pytest.approx(expected, rel=0.05)
+        assert nbar_background(*CONDITIONS[name], NARROW) == pytest.approx(expected, rel=0.05)
 
     def test_linear_in_collection(self):
-        env = NoiseEnvironment.from_name("day-up")
-        assert nbar_background(env, NARROW) == pytest.approx(
-            1e-4 * nbar_background(env, TYPICAL), rel=1e-12
+        day_up = CONDITIONS["day-up"]
+        assert nbar_background(*day_up, NARROW) == pytest.approx(
+            1e-4 * nbar_background(*day_up, TYPICAL), rel=1e-12
         )
 
-    def test_name_round_trip(self):
-        for name in ("night-up", "night-down", "day-up", "day-down-clear", "day-down-cloudy"):
-            env = NoiseEnvironment.from_name(name)
-            assert env.name == name
-
     def test_overrides(self):
-        env = NoiseEnvironment(direction="down", period="day", sky="clear", h_sky=1.0)
-        assert nbar_background(env, TYPICAL) == pytest.approx(TYPICAL.gamma_r, rel=1e-12)
+        assert nbar_background("down", "day", "clear", TYPICAL, h_sky=1.0) == pytest.approx(
+            TYPICAL.gamma_r, rel=1e-12
+        )
 
     def test_bad_names(self):
-        with pytest.raises(ValueError):
-            NoiseEnvironment.from_name("noon-sideways")
-        with pytest.raises(ValueError):
-            NoiseEnvironment(direction="lateral")
+        with pytest.raises(ConfigError):
+            Scenario(link="sideways", period="noon")
+        with pytest.raises(ConfigError):
+            Scenario(link="lateral")
 
 
 class TestTotalNoise:
     def test_cloudy_day_value(self):
-        env = NoiseEnvironment.from_name("day-down-cloudy")
-        assert nbar_total(env, TYPICAL) == pytest.approx(0.12, rel=0.05)
+        n_b = nbar_background(*CONDITIONS["day-down-cloudy"], TYPICAL)
+        assert nbar_total(n_b, TYPICAL) == pytest.approx(0.12, rel=0.05)
 
     def test_excess_photons_add(self):
-        env = NoiseEnvironment.from_name("night-down")
+        n_b = nbar_background(*CONDITIONS["night-down"], TYPICAL)
         noisy = ReceiverParams(aperture=0.4, efficiency=0.4, excess_photons=0.01)
-        assert nbar_total(env, noisy) == pytest.approx(nbar_total(env, TYPICAL) + 0.01)
+        assert nbar_total(n_b, noisy) == pytest.approx(nbar_total(n_b, TYPICAL) + 0.01)

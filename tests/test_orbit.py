@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from satlink.beam import plob
 from satlink.geometry import R_EARTH
 from satlink.orbit import (
-    GroundComparison,
     bits_per_day,
-    fiber_rate,
     horizon_orbital_angle,
     orbital_period,
     orbital_rate,
@@ -149,15 +148,16 @@ class TestOrbitalAverage:
 
 class TestGroundComparison:
     def test_zero_separation_flagged_infinite(self):
-        assert fiber_rate(0.0) == math.inf
+        assert repeater_rate(0.0) == math.inf
 
     def test_fiber_transmissivity(self):
-        comp = GroundComparison()
-        assert comp.eta_fiber(100e3) == pytest.approx(10 ** (-2.0), rel=1e-12)
+        # 0.2 dB/km over 100 km is 20 dB: eta = 1e-2, and the capacity -log2(1 - eta)
+        assert repeater_rate(100e3) == pytest.approx(-math.log2(1.0 - 10 ** (-2.0)), rel=1e-12)
 
     def test_repeaters_help_and_degenerate_case(self):
         d = 500e3
-        assert repeater_rate(d, 0) == fiber_rate(d)
+        # no repeater: the plain fiber, 0.2 dB/km over 500 km
+        assert repeater_rate(d, 0) == plob(10 ** (-0.2 * 500 / 10))
         rates = [repeater_rate(d, n) for n in (0, 1, 5, 30)]
         assert all(a < b for a, b in zip(rates, rates[1:]))
 

@@ -3,18 +3,24 @@
 4 presets x up/down x day/night x clear/cloudy, altitudes 100-36,000 km and
 |theta| <= 1 rad: every point returns bounds and a rate (validity warnings
 allowed), and they are ordered exactly as the theory orders them.  Along a
-pass, the rate falls as the satellite leaves the zenith.
+pass, the rate falls as the satellite leaves the zenith.  Every command run
+on that space, with a 1 nm or a 0.1 pm filter, exits 0 or 3 (numerical
+failure); a malformed scenario or protocol string exits 2 and names its key.
 """
 
+import contextlib
+import io
 import itertools
 import math
+import string
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from satlink.cli import main
 from satlink.scenario import Scenario
 
 from _reference import thermal_lower_middle
@@ -52,3 +58,77 @@ def test_rate_does_not_rise_away_from_zenith(config):
             warnings.simplefilter("ignore")
             rate = scn.rate_at(h, theta).rate
         assert np.all(np.diff(rate) <= 0.0), (h, rate)
+
+
+# the string-valued keys and the values they take
+STRING_KEYS = {
+    "scenario.link": ("up", "down"),
+    "scenario.period": ("day", "night"),
+    "scenario.sky": ("clear", "cloudy"),
+    "protocol.detection": ("hom", "het"),
+    "protocol.tail": ("gaussian", "hoeffding"),
+}
+
+altitudes_km = st.floats(100.0, 36000.0)
+angles = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def command_argv(draw) -> list[str]:
+    """One command on the documented space, with small grids and sample counts."""
+    h = f"{draw(altitudes_km)!r}km"
+    theta = repr(draw(angles))
+    return draw(st.sampled_from([
+        ["show-config"],
+        ["bounds", f"--h-grid={h}:{draw(altitudes_km)!r}km:2", f"--theta={theta}"],
+        ["rate", "--h", h, f"--theta-grid={theta}:{draw(angles)!r}:2"],
+        ["pass", "--h", h, "--blocks", str(draw(st.integers(1, 3)))],
+        ["validate-mc", "--h", h, f"--theta={theta}", "--samples", "200", "--bins", "5"],
+        ["max-range", "--mode", draw(st.sampled_from(["simple", "tight"]))],
+        ["compare-fiber", "--d-grid", "50km:5000km:3", "--n-rep", "0", "5",
+         "--sat", f"h={h},blocks=1"],
+    ]))
+
+
+@st.composite
+def documented_sets(draw) -> list[str]:
+    """--set pairs that pick a point of the documented configuration space."""
+    setup, link, period, sky = draw(st.sampled_from(CONFIGS))
+    filter_width = draw(st.sampled_from(["1nm", "0.1pm"]))
+    return [
+        "--set", f"scenario.setup={setup}", "--set", f"scenario.link={link}",
+        "--set", f"scenario.period={period}", "--set", f"scenario.sky={sky}",
+        "--set", f"receiver.filter={filter_width}",
+    ]
+
+
+def run_main(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@seed(20261018)
+@given(argv=command_argv(), sets=documented_sets())
+def test_documented_commands_exit_0_or_3(argv, sets):
+    code, out, err = run_main(argv + sets)
+    assert code in (0, 3), err
+    if code == 3:
+        assert out == "" and err.startswith("numerical error: ")
+
+
+@seed(20261018)
+@given(
+    argv=command_argv(),
+    sets=documented_sets(),
+    key=st.sampled_from(sorted(STRING_KEYS)),
+    value=st.text(string.ascii_letters + "-_", max_size=8),
+)
+def test_malformed_string_values_exit_2_naming_the_key(argv, sets, key, value):
+    assume(value not in STRING_KEYS[key])
+    code, out, err = run_main(argv + sets + ["--set", f"{key}={value}"])
+    assert code == 2 and out == ""
+    assert err.startswith("configuration error: ")
+    assert key.rpartition(".")[2] in err

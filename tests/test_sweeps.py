@@ -8,7 +8,6 @@ import pytest
 
 from satlink import atmosphere, bounds, turbulence
 from satlink._integrate import tanh_sinh
-from satlink.beam import BeamParams
 from satlink.errors import StrongTurbulenceError
 from satlink.scenario import Scenario
 from satlink.turbulence import TurbulenceProfile
@@ -64,7 +63,7 @@ def test_grid_shape_follows_broadcast():
 
 # a beam waist of 1.2 mm violates the Yura condition (phi >= 1) on an uplink
 # at |theta| <= 0.5, and only there: those points fail deep in the pipeline
-YURA_FAILS = {"beam": BeamParams(waist=1.2e-3)}
+YURA_FAILS = {"beam": {"waist": 1.2e-3}}
 
 
 @pytest.mark.filterwarnings("ignore:Yura parameter")
