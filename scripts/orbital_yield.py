@@ -8,9 +8,10 @@ fraction fixed at their per-scenario optima.
 
 import argparse
 import json
+import math
 
 from satlink import ProtocolParams, Scenario
-from satlink.orbit import bits_per_day, repeater_rate
+from satlink.orbit import ALPHA_FIBER_DB_PER_KM, SECONDS_PER_DAY
 
 RUNS = [
     ("night-down-530", "down", "night", "clear", 2, 9.28, 0.73, 530e3, 10),
@@ -20,15 +21,14 @@ RUNS = [
 
 
 def crossover(sat_bits: float, clock: float, n_rep: int) -> float:
-    """Station separation beyond which the pass beats a fiber with n_rep repeaters."""
-    lo, hi = 1e3, 4e7
-    while hi - lo > 100.0:
-        mid = 0.5 * (lo + hi)
-        if bits_per_day(repeater_rate(mid, n_rep), clock) > sat_bits:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Station separation (m) beyond which the pass beats a fiber with n_rep repeaters.
+
+    The inverse of orbit.repeater_rate: at r bits per use, each of the
+    n_rep + 1 equal hops transmits 1 - 2^-r.
+    """
+    r = sat_bits / (clock * SECONDS_PER_DAY)
+    hop_db = -10.0 * math.log10(-math.expm1(-r * math.log(2.0)))
+    return (n_rep + 1) * hop_db / ALPHA_FIBER_DB_PER_KM * 1e3
 
 
 def main() -> int:

@@ -1,10 +1,10 @@
 """Satellite optical link budgets, fading-channel bounds and CV-QKD key rates."""
 
-from .atmosphere import ExtinctionModel, eta_atm, eta_atm_secant, eta_atm_zenith
-from .beam import BeamParams, ReceiverParams, bound_v, diffraction_waist, eta_diffraction, eta_total, plob
-from .cvqkd import ProtocolParams, composable_rate, holevo_bound, postselected_rate
+from .atmosphere import ExtinctionModel, eta_atm
+from .beam import BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
+from .cvqkd import ProtocolParams, holevo_bound, postselected_rate
 from .errors import ConfigError, NumericalError, StrongTurbulenceError
-from .fading import FadingModel, fading_model, fading_pdf, p_threshold, sample_fading
+from .fading import FadingModel, fading_model, p_threshold, sample_fading
 from .geometry import altitude_from_slant, slant_range
 from .noise import nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
@@ -26,17 +26,11 @@ __all__ = [
     "StrongTurbulenceError",
     "TurbulenceProfile",
     "altitude_from_slant",
-    "bound_v",
     "cn2",
-    "composable_rate",
     "diffraction_waist",
     "eta_atm",
-    "eta_atm_secant",
-    "eta_atm_zenith",
     "eta_diffraction",
-    "eta_total",
     "fading_model",
-    "fading_pdf",
     "holevo_bound",
     "i_infty",
     "nbar_background",

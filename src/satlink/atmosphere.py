@@ -8,7 +8,6 @@ caller-supplied alpha0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,13 +27,6 @@ class ExtinctionModel:
 
 
 DEFAULT_EXTINCTION = ExtinctionModel()
-
-
-def eta_atm_zenith(h: float, model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
-    """Vertical-path transmissivity up to altitude h (closed form)."""
-    if h < 0:
-        raise ValueError("altitude must be non-negative")
-    return math.exp(model.alpha0 * model.h_scale * (math.exp(-h / model.h_scale) - 1.0))
 
 
 def _extinction(y, theta, h_scale: float):
@@ -63,10 +55,3 @@ def eta_atm(h, theta, model: ExtinctionModel = DEFAULT_EXTINCTION):
     path = geometry.slant_range(where(h < PATH_TOP_M, h, PATH_TOP_M), theta)
     return mathof(path).exp(-model.alpha0 * _path_integral(path, theta, model))
 
-
-def eta_atm_secant(
-    h: float, theta: float, model: ExtinctionModel = DEFAULT_EXTINCTION
-) -> float:
-    """Secant-law approximation [eta_zenith(inf)]^(sec theta); good for h >= 30 km."""
-    del h  # the saturated zenith value is used regardless of altitude
-    return math.exp(-model.alpha0 * model.h_scale / math.cos(abs(theta)))

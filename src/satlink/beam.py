@@ -8,9 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import atmosphere, geometry
 from ._array import all_, any_, mathof, where
-from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 
 LN2 = math.log(2.0)
 
@@ -92,29 +90,3 @@ def diffraction_bound(z, beam: BeamParams, aperture: float):
     w = diffraction_waist(z, beam)
     return (2.0 / LN2) * aperture**2 / mathof(w).pow(w, 2)
 
-
-def eta_total(
-    h: float,
-    theta: float,
-    beam: BeamParams,
-    receiver: ReceiverParams,
-    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
-) -> float:
-    """Fixed point-to-point loss: setup efficiency x extinction x diffraction."""
-    z = geometry.slant_range(h, theta)
-    return (
-        receiver.efficiency
-        * atmosphere.eta_atm(h, theta, extinction)
-        * eta_diffraction(z, beam, receiver.aperture)
-    )
-
-
-def bound_v(
-    h: float,
-    theta: float,
-    beam: BeamParams,
-    receiver: ReceiverParams,
-    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
-) -> float:
-    """Key-rate upper bound -log2(1 - eta_total), bits per use."""
-    return plob(eta_total(h, theta, beam, receiver, extinction))

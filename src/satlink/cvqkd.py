@@ -248,13 +248,6 @@ def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept=Tru
     return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
 
 
-def composable_rate(
-    tau, nbar_prime: float, params: ProtocolParams, attacks: str = "collective"
-) -> KeyRate:
-    """Composable finite-size rate against collective or general attacks."""
-    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks)
-
-
 def postselected_rate(
     model: FadingModel,
     nbar_prime: float,

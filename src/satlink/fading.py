@@ -22,7 +22,7 @@ from ._special import i0e, i1e
 from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .errors import NumericalError
-from .turbulence import SpotSizes, TurbulenceProfile
+from .turbulence import TurbulenceProfile
 
 # Elements per block where a pass over many samples runs in pieces: 64 Ki
 # doubles (512 KiB), so that a block and its temporaries stay in cache
@@ -93,15 +93,9 @@ class FadingModel:
     """
 
     eta: float          # maximum transmissivity eta_eff * eta_atm * eta_st
-    eta_st: float
-    eta_st_far: float
     gamma: float        # Weibull shape
     r0: float           # Weibull scale, m
     sigma2: float       # total wander variance sigma_P^2 + sigma_TB^2, m^2
-    sigma_p2: float
-    sigma_tb2: float
-    w_st: float
-    w_lt: float
     eta_atm: float | None = None  # the extinction factor of eta, set by fading_model
 
     def __post_init__(self):
@@ -149,7 +143,7 @@ def fading_model(
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
-    spots: SpotSizes = turbulence.spot_sizes(
+    spots = turbulence.spot_sizes(
         z, theta, beam, profile, direction,
         pointing_sigma2=pointing_variance(z, pointing_error),
     )
@@ -160,34 +154,10 @@ def fading_model(
     eta_atm = atmosphere.eta_atm(h, theta, extinction)
     return FadingModel(
         eta=receiver.efficiency * eta_atm * eta_st,
-        eta_st=eta_st,
-        eta_st_far=eta_st_far,
         gamma=gamma,
         r0=r0,
         sigma2=spots.sigma2,
-        sigma_p2=spots.sigma_p2,
-        sigma_tb2=spots.sigma_tb2,
-        w_st=spots.w_st,
-        w_lt=spots.w_lt,
         eta_atm=eta_atm,
-    )
-
-
-def fading_pdf(tau: float, model: FadingModel) -> float:
-    """Probability density of the instantaneous transmissivity on (0, eta).
-
-    Returns 0.0 outside the support so the function can sit directly inside
-    a quadrature.
-    """
-    if tau <= 0.0 or tau >= model.eta:
-        return 0.0
-    log_ratio = math.log(model.eta / tau)
-    u = log_ratio ** (2.0 / model.gamma)
-    return (
-        model.r0**2
-        / (model.gamma * model.sigma2 * tau)
-        * log_ratio ** (2.0 / model.gamma - 1.0)
-        * math.exp(-model.spread * u)
     )
 
 

@@ -241,20 +241,10 @@ class Scenario:
             h, n_blocks, self.protocol.clock_hz, self.protocol.block_size
         )
         t_q, t_t = orbit.transit_times(h)
-        if not slices:
-            return {
-                "h_km": h / 1e3,
-                "t_Q_s": t_q,
-                "t_T_s": t_t,
-                "slices": [],
-                "per_slice_rate": [],
-                "R_orb": 0.0,
-                "bits_per_pass": 0.0,
-                "bits_per_day": 0.0,
-                "diagnostic": "no block fits in the quantum transit time",
-            }
-        rate_fn = lambda theta: self.rate_at(h, theta, attacks).rate
-        r_orb, per_slice = orbit.orbital_rate(rate_fn, slices)
+        r_orb, per_slice = 0.0, []
+        if slices:
+            rate_fn = lambda theta: self.rate_at(h, theta, attacks).rate
+            r_orb, per_slice = orbit.orbital_rate(rate_fn, slices)
         bits_pass = r_orb * self.protocol.clock_hz * t_q
         period = orbit.orbital_period(h)
         report = {
@@ -271,6 +261,8 @@ class Scenario:
             "orbits_per_day": int(orbit.SECONDS_PER_DAY // period),
             "processing_window_s": (t_t - t_q) / 2.0,
         }
+        if not slices:
+            report["diagnostic"] = "no block fits in the quantum transit time"
         if h <= orbit.SUN_SYNC_MAX_ALT_M:
             report["sun_sync_inclination_deg"] = orbit.sun_sync_inclination(h)
         return report

@@ -134,7 +134,6 @@ class SpotSizes(NamedTuple):
     sigma_tb2: float   # turbulence wander variance, w_lt^2 - w_st^2
     sigma_p2: float    # pointing wander variance
     sigma2: float      # total wander variance
-    psi: float
     yura_phi: float
 
 
@@ -156,7 +155,7 @@ def spot_sizes(
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
-        return SpotSizes(w_d, w_d, w_d, 0.0, pointing_sigma2, pointing_sigma2, 1.0, 0.0)
+        return SpotSizes(w_d, w_d, w_d, 0.0, pointing_sigma2, pointing_sigma2, 0.0)
     if direction != "up":
         raise ValueError("direction must be 'up' or 'down'")
 
@@ -181,7 +180,4 @@ def spot_sizes(
     w_st2 = m.pow(w_d, 2) + broadening * psi
     sigma_tb2 = broadening * (1.0 - psi)
     sigma2 = sigma_tb2 + pointing_sigma2
-    return SpotSizes(
-        w_d, m.sqrt(w_st2), m.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2,
-        psi, phi,
-    )
+    return SpotSizes(w_d, m.sqrt(w_st2), m.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2, phi)

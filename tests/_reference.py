@@ -10,10 +10,12 @@ Two kinds of code live here:
   the hypot and whole-array samplers, the all-samples KS statistic and the
   twice-sorting validate-mc body that the package's in-place, blocked and
   bounded ones replaced;
-- paper side paths whose tests pin a published value: the refracted
-  extinction, the speckle count, the uplink planar coefficients, the
-  general-attack parameter set, the local-oscillator noise and the
-  (mu, phi) protocol optimizer.
+- paper side paths whose tests pin a published value: the zenith, secant
+  and refracted extinction, the fading density, the fixed-loss bound V
+  (a second spelling of the column Scenario.bounds_at computes), the
+  unfaded composable rate, the speckle count, the uplink planar
+  coefficients, the general-attack parameter set, the local-oscillator
+  noise and the (mu, phi) protocol optimizer.
 """
 
 from __future__ import annotations
@@ -24,22 +26,30 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from satlink import cli, geometry
+from satlink import atmosphere, cli, geometry
 from satlink._array import mathof
 from satlink._integrate import tanh_sinh
 from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
-from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, plob
+from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
 from satlink.bounds import entropy_h, thermal_entropy
-from satlink.cvqkd import ProtocolParams, worst_case_nbar
-from satlink.fading import BLOCK, FadingModel, fading_cdf
+from satlink.cvqkd import (
+    KeyRate,
+    ProtocolParams,
+    _finite_size_rate,
+    asymptotic_rate,
+    worst_case_nbar,
+)
+from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance
 from satlink.orbit import golden_section
 from satlink.turbulence import (
     LAYER_EDGES_M,
     PROFILE_TOP_M,
+    SpotSizes,
     TurbulenceProfile,
     _column,
     cn2,
     i_infty,
+    spot_sizes,
 )
 
 # -- geometry and extinction -------------------------------------------------
@@ -58,6 +68,21 @@ def true_zenith(theta_app: float, n0: float = SURFACE_REFRACTIVE_INDEX) -> float
 def unit_elongation(theta_app: float) -> float:
     """Default elongation model: no optical-path lengthening."""
     return 1.0
+
+
+def eta_atm_zenith(h: float, model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
+    """Vertical-path transmissivity up to altitude h (closed form)."""
+    if h < 0:
+        raise ValueError("altitude must be non-negative")
+    return math.exp(model.alpha0 * model.h_scale * (math.exp(-h / model.h_scale) - 1.0))
+
+
+def eta_atm_secant(
+    h: float, theta: float, model: ExtinctionModel = DEFAULT_EXTINCTION
+) -> float:
+    """Secant-law approximation [eta_zenith(inf)]^(sec theta); good for h >= 30 km."""
+    del h  # the saturated zenith value is used regardless of altitude
+    return math.exp(-model.alpha0 * model.h_scale / math.cos(abs(theta)))
 
 
 def eta_atm_zenith_inf(model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
@@ -93,6 +118,33 @@ def eta_diffraction_far(z, beam: BeamParams, aperture: float):
     """Far-field approximation 2 a_R^2 / w_d^2 (valid when << 1)."""
     w = diffraction_waist(z, beam)
     return 2.0 * aperture**2 / mathof(w).pow(w, 2)
+
+
+def eta_total(
+    h: float,
+    theta: float,
+    beam: BeamParams,
+    receiver: ReceiverParams,
+    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
+) -> float:
+    """Fixed point-to-point loss: setup efficiency x extinction x diffraction."""
+    z = geometry.slant_range(h, theta)
+    return (
+        receiver.efficiency
+        * atmosphere.eta_atm(h, theta, extinction)
+        * eta_diffraction(z, beam, receiver.aperture)
+    )
+
+
+def bound_v(
+    h: float,
+    theta: float,
+    beam: BeamParams,
+    receiver: ReceiverParams,
+    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
+) -> float:
+    """Key-rate upper bound -log2(1 - eta_total), bits per use."""
+    return plob(eta_total(h, theta, beam, receiver, extinction))
 
 
 # -- turbulence --------------------------------------------------------------
@@ -202,9 +254,42 @@ def coherence_length(
 # -- fading averages and bounds ----------------------------------------------
 
 
-def eta_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
+def model_spot_sizes(
+    h: float,
+    theta: float,
+    beam: BeamParams,
+    profile: TurbulenceProfile,
+    direction: str,
+    pointing_error: float = 1e-6,
+) -> SpotSizes:
+    """The spot sizes and wander variances fading_model takes at (h, theta)."""
+    z = geometry.slant_range(h, theta)
+    return spot_sizes(
+        z, theta, beam, profile, direction, pointing_sigma2=pointing_variance(z, pointing_error)
+    )
+
+
+def fading_pdf(tau: float, model: FadingModel) -> float:
+    """Probability density of the instantaneous transmissivity on (0, eta).
+
+    Returns 0.0 outside the support so the function can sit directly inside
+    a quadrature.
+    """
+    if tau <= 0.0 or tau >= model.eta:
+        return 0.0
+    log_ratio = math.log(model.eta / tau)
+    u = log_ratio ** (2.0 / model.gamma)
+    return (
+        model.r0**2
+        / (model.gamma * model.sigma2 * tau)
+        * log_ratio ** (2.0 / model.gamma - 1.0)
+        * math.exp(-model.spread * u)
+    )
+
+
+def eta_slow(spots: SpotSizes, receiver: ReceiverParams, eta_atm: float) -> float:
     """Long-acquisition transmissivity averaged over the wandering process."""
-    denom = model.w_lt**2 + model.sigma_p2
+    denom = spots.w_lt**2 + spots.sigma_p2
     return receiver.efficiency * eta_atm * -math.expm1(-2.0 * receiver.aperture**2 / denom)
 
 
@@ -276,11 +361,11 @@ def average_phi_thermal(nbar: float, model: FadingModel) -> float:
     return fading_average(phi, model, 1e-13, tau_min=nbar)
 
 
-def bound_slow(model: FadingModel, receiver: ReceiverParams, eta_atm: float) -> float:
+def bound_slow(spots: SpotSizes, receiver: ReceiverParams, eta_atm: float) -> float:
     """Upper bound for slow (fading-averaged) detection."""
-    denom = model.w_lt**2 + model.sigma_p2
+    denom = spots.w_lt**2 + spots.sigma_p2
     return min(
-        plob(eta_slow(model, receiver, eta_atm)),
+        plob(eta_slow(spots, receiver, eta_atm)),
         (2.0 / LN2) * receiver.aperture**2 / denom,
     )
 
@@ -369,6 +454,13 @@ def cmd_validate_mc_sorted_twice(args, scn) -> str:
 
 
 # -- CV-QKD ------------------------------------------------------------------
+
+
+def composable_rate(
+    tau, nbar_prime: float, params: ProtocolParams, attacks: str = "collective"
+) -> KeyRate:
+    """Composable finite-size rate against collective or general attacks."""
+    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks)
 
 
 def general_protocol(**overrides) -> ProtocolParams:

@@ -18,11 +18,10 @@ from satlink.bounds import Z_HI, bound_b_model, thermal_lower, thermal_upper
 from satlink.cvqkd import (
     ProtocolParams,
     asymptotic_rate,
-    composable_rate,
     holevo_bound,
     mutual_information,
 )
-from satlink.fading import fading_cdf, fading_pdf, p_threshold, sample_fading
+from satlink.fading import fading_cdf, p_threshold, sample_fading
 from satlink.noise import nbar_background
 from satlink.orbit import (
     bits_per_day,
@@ -32,9 +31,17 @@ from satlink.orbit import (
     transit_times,
 )
 from satlink.turbulence import TurbulenceProfile, i_infty, spot_sizes
-from satlink.atmosphere import eta_atm, eta_atm_secant, eta_atm_zenith
+from satlink.atmosphere import eta_atm
 
-from _reference import coherence_length, phi_thermal, thermal_lower_middle
+from _reference import (
+    coherence_length,
+    composable_rate,
+    eta_atm_secant,
+    eta_atm_zenith,
+    fading_pdf,
+    phi_thermal,
+    thermal_lower_middle,
+)
 
 
 def check(failures: list, cond: bool, message: str) -> None:

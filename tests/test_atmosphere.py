@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink.atmosphere import (
-    ExtinctionModel,
-    eta_atm,
-    eta_atm_secant,
-    eta_atm_zenith,
-)
+from satlink.atmosphere import ExtinctionModel, eta_atm
 
-from _reference import eta_atm_refracted, eta_atm_zenith_inf
+from _reference import eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
 THETA_APP_MAX = math.asin(1 / 1.00027)
 
 

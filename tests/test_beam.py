@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from satlink.beam import (
     BeamParams,
     ReceiverParams,
-    bound_v,
     diffraction_bound,
     diffraction_waist,
     eta_diffraction,
-    eta_total,
     plob,
 )
 
-from _reference import eta_diffraction_far
+from _reference import bound_v, eta_diffraction_far, eta_total
 
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)

@@ -18,9 +18,16 @@ from satlink.bounds import (
     thermal_upper,
     wander_delta,
 )
-from satlink.fading import fading_pdf
-
-from _reference import average_phi_thermal, average_plob, bound_slow, phi_thermal, thermal_lower_middle
+from _reference import (
+    average_phi_thermal,
+    average_plob,
+    bound_slow,
+    bound_v,
+    fading_pdf,
+    model_spot_sizes,
+    phi_thermal,
+    thermal_lower_middle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -196,12 +203,11 @@ class TestThermalBounds:
 class TestSlowDetectionBound:
     def test_reduces_to_fixed_loss_bound(self):
         from satlink.atmosphere import eta_atm
-        from satlink.beam import bound_v
 
         sc = Scenario.build("down", "night", setup=1)
         scn = replace(sc, pointing_error=0.0)
-        m = scn.fading_model(530e3, 0.4)
-        val = bound_slow(m, scn.receiver, eta_atm(530e3, 0.4))
+        spots = model_spot_sizes(530e3, 0.4, scn.beam, scn.resolved_profile, scn.link, scn.pointing_error)
+        val = bound_slow(spots, scn.receiver, eta_atm(530e3, 0.4))
         assert val == pytest.approx(bound_v(530e3, 0.4, scn.beam, scn.receiver), rel=1e-9)
 
     def test_upper_bounds_averaged_capacity(self, night_down, night_up):
@@ -210,13 +216,13 @@ class TestSlowDetectionBound:
         # (about 2x) because its long-term denominator undercounts the
         # wander smearing relative to the exact Gaussian average
         from satlink.atmosphere import eta_atm
-        from satlink.fading import fading_pdf
 
         for scn in (night_down, night_up):
             for h in (200e3, 530e3, 5000e3):
                 for theta in (0.0, 1.0):
                     m = scn.fading_model(h, theta)
-                    slow = bound_slow(m, scn.receiver, eta_atm(h, theta))
+                    spots = model_spot_sizes(h, theta, scn.beam, scn.resolved_profile, scn.link)
+                    slow = bound_slow(spots, scn.receiver, eta_atm(h, theta))
                     e_tau, _ = scipy.integrate.quad(
                         lambda t: fading_pdf(t, m) * t, 0.0, m.eta, limit=400
                     )
@@ -228,10 +234,10 @@ class TestSlowDetectionBound:
         from _reference import eta_slow
 
         for h in (500e3, 5000e3):
-            m = night_up.fading_model(h, 1.0)
+            s = model_spot_sizes(h, 1.0, night_up.beam, night_up.resolved_profile, night_up.link)
             atm = eta_atm(h, 1.0)
-            k_slow = plob(eta_slow(m, night_up.receiver, atm))
-            cap = (2.0 / LN2) * night_up.receiver.aperture**2 / (m.w_lt**2 + m.sigma_p2)
+            k_slow = plob(eta_slow(s, night_up.receiver, atm))
+            cap = (2.0 / LN2) * night_up.receiver.aperture**2 / (s.w_lt**2 + s.sigma_p2)
             assert k_slow <= cap
 
 

@@ -220,6 +220,20 @@ class TestCliCommands:
         # the orbital average can only improve on the 1-radiant border rate
         assert report["R_orb"] >= report["per_slice_rate"][0]
 
+    def test_pass_report_without_blocks(self, capsys):
+        # a block of 1e10 pulses at 5 MHz outlasts t_Q: the report keeps
+        # every key of a pass that has blocks, and adds the diagnostic
+        _, normal = run_cli(capsys, "pass", "--h", "530km")
+        code, out = run_cli(
+            capsys, "pass", "--h", "530km", "--set", "protocol.N=1e10", "--set", "protocol.m=1e8"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["slices"] == [] and report["per_slice_rate"] == []
+        assert report["R_orb"] == 0.0 and report["bits_per_day"] == 0.0
+        assert report["diagnostic"] == "no block fits in the quantum transit time"
+        assert set(report) == set(json.loads(normal)) | {"diagnostic"}
+
     def test_validate_mc_reproducible(self, capsys):
         args = (
             "validate-mc", "--h", "530km", "--theta", "0.3",
@@ -364,6 +378,15 @@ class TestCliCommands:
         assert float(first[1]) > 0
         sat_bits = float(first[4])
         assert sat_bits == pytest.approx(4.1e7, rel=0.2)
+
+    def test_compare_fiber_without_blocks(self, capsys):
+        code, out = run_cli(
+            capsys, "compare-fiber", "--d-grid", "50km:1000km:3", "--sat", "h=530km,N=1e10,m=1e8"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1].endswith(",sat_530km_bits_day")
+        assert [row.split(",")[-1] for row in lines[2:]] == ["0", "0", "0"]
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "out.csv"

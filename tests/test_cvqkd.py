@@ -8,7 +8,6 @@ from satlink.beam import plob
 from satlink.cvqkd import (
     ProtocolParams,
     asymptotic_rate,
-    composable_rate,
     holevo_bound,
     mutual_information,
     pe_confidence_factor,
@@ -18,6 +17,7 @@ from satlink.cvqkd import (
 
 from _reference import (
     EstimationResult,
+    composable_rate,
     equivalent_noise,
     estimate_channel,
     general_protocol,

@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
-from satlink.beam import BeamParams, ReceiverParams, eta_total
+from satlink.beam import BeamParams, ReceiverParams
 from satlink.errors import NumericalError
 from satlink.fading import (
     BLOCK,
@@ -18,7 +18,6 @@ from satlink.fading import (
     fading_cdf,
     fading_model,
     fading_params,
-    fading_pdf,
     p_threshold,
     pointing_variance,
     sample_fading,
@@ -27,7 +26,16 @@ from satlink.fading import (
 from satlink.scenario import Scenario
 from satlink.turbulence import TurbulenceProfile
 
-from _reference import eta_slow, ks_statistic_blocks, sample_fading_whole, tau_of_radius, wander_radii
+from _reference import (
+    eta_slow,
+    eta_total,
+    fading_pdf,
+    ks_statistic_blocks,
+    model_spot_sizes,
+    sample_fading_whole,
+    tau_of_radius,
+    wander_radii,
+)
 
 NIGHT = TurbulenceProfile.from_name("hv-night")
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
@@ -60,6 +68,16 @@ def model_down() -> FadingModel:
 @pytest.fixture(scope="module")
 def model_up() -> FadingModel:
     return fading_model(500e3, 0.5, BEAM, RECEIVER, NIGHT, "up")
+
+
+@pytest.fixture(scope="module")
+def spots_down():
+    return model_spot_sizes(530e3, 1.0, BEAM, NIGHT, "down")
+
+
+@pytest.fixture(scope="module")
+def spots_up():
+    return model_spot_sizes(500e3, 0.5, BEAM, NIGHT, "up")
 
 
 class TestPointing:
@@ -103,14 +121,14 @@ class TestFadingParams:
                     gamma, r0 = fading_params(eta_st, far, 0.4)
                     assert gamma > 0 and r0 > 0
 
-    def test_formula_spelled_independently(self, model_down):
+    def test_formula_spelled_independently(self, model_down, spots_down):
         # same expression written directly against scipy's Bessel routines
         from scipy.special import i0e, i1e
 
-        x = model_down.eta_st_far
+        x = 2 * 0.4**2 / spots_down.w_st**2
         f0 = 1.0 / (1.0 - i0e(2 * x))
         f1 = i1e(2 * x)
-        log_term = math.log(2.0 * model_down.eta_st * f0)
+        log_term = math.log(2.0 * -math.expm1(-x) * f0)
         gamma = 4.0 * x * f0 * f1 / log_term
         r0 = 0.4 / log_term ** (1.0 / gamma)
         assert model_down.gamma == pytest.approx(gamma, rel=1e-12)
@@ -339,22 +357,22 @@ class TestKsStatistic:
 
 
 class TestSlowDetection:
-    def test_upper_bound_dominates(self, model_up):
+    def test_upper_bound_dominates(self, spots_up):
         from satlink.atmosphere import eta_atm
         from satlink.beam import LN2, plob
 
         atm = eta_atm(500e3, 0.5)
-        slow = eta_slow(model_up, RECEIVER, atm)
-        cap = (2.0 / LN2) * RECEIVER.aperture**2 / (model_up.w_lt**2 + model_up.sigma_p2)
+        slow = eta_slow(spots_up, RECEIVER, atm)
+        cap = (2.0 / LN2) * RECEIVER.aperture**2 / (spots_up.w_lt**2 + spots_up.sigma_p2)
         assert plob(slow) <= cap
 
     def test_reduces_to_total_loss_without_wandering(self):
         # downlink with no pointing error: w_lt = w_d and sigma_P = 0
-        model = fading_model(530e3, 0.2, BEAM, RECEIVER, NIGHT, "down", pointing_error=0.0)
+        spots = model_spot_sizes(530e3, 0.2, BEAM, NIGHT, "down", pointing_error=0.0)
         from satlink.atmosphere import eta_atm
 
         atm = eta_atm(530e3, 0.2)
-        assert eta_slow(model, RECEIVER, atm) == pytest.approx(
+        assert eta_slow(spots, RECEIVER, atm) == pytest.approx(
             eta_total(530e3, 0.2, BEAM, RECEIVER), rel=1e-9
         )
 
@@ -363,10 +381,11 @@ class TestSlowDetection:
             for theta in (0.0, 1.0):
                 for direction in ("up", "down"):
                     model = fading_model(h, theta, BEAM, RECEIVER, NIGHT, direction)
+                    spots = model_spot_sizes(h, theta, BEAM, NIGHT, direction)
                     from satlink.atmosphere import eta_atm
 
                     atm = eta_atm(h, theta)
-                    assert eta_slow(model, RECEIVER, atm) <= model.eta + 1e-12
+                    assert eta_slow(spots, RECEIVER, atm) <= model.eta + 1e-12
 
 
 class TestModelAssembly:
@@ -381,23 +400,21 @@ class TestModelAssembly:
             warnings.simplefilter("error")  # the good window must stay silent
             fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up")
 
-    def test_downlink_variance_is_pointing_only(self, model_down):
-        assert model_down.sigma2 == model_down.sigma_p2
-        assert model_down.sigma_tb2 == 0.0
+    def test_downlink_variance_is_pointing_only(self, model_down, spots_down):
+        assert model_down.sigma2 == spots_down.sigma_p2
+        assert spots_down.sigma_tb2 == 0.0
 
-    def test_uplink_variance_sums(self, model_up):
-        assert model_up.sigma2 == pytest.approx(model_up.sigma_p2 + model_up.sigma_tb2)
+    def test_uplink_variance_sums(self, model_up, spots_up):
+        assert model_up.sigma2 == pytest.approx(spots_up.sigma_p2 + spots_up.sigma_tb2)
 
-    def test_eta_composition(self, model_down):
+    def test_eta_composition(self, model_down, spots_down):
         from satlink.atmosphere import eta_atm
 
+        eta_st = -math.expm1(-2 * 0.4**2 / spots_down.w_st**2)
         assert model_down.eta == pytest.approx(
-            0.4 * eta_atm(530e3, 1.0) * model_down.eta_st, rel=1e-12
+            0.4 * eta_atm(530e3, 1.0) * eta_st, rel=1e-12
         )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FadingModel(
-                eta=1.5, eta_st=0.9, eta_st_far=2.0, gamma=2.0, r0=1.0,
-                sigma2=1.0, sigma_p2=1.0, sigma_tb2=0.0, w_st=1.0, w_lt=1.0,
-            )
+            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=1.0)

@@ -6,7 +6,9 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
 from satlink.bounds import Z_HI, MaxRangeResult
+from satlink.orbit import bits_per_day, repeater_rate
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -59,6 +61,18 @@ def test_orbital_yield_script():
     proc = run_python(str(ROOT / "scripts" / "orbital_yield.py"))
     assert proc.returncode == 0, proc.stderr
     assert "night-down-530" in proc.stdout
+
+
+def test_orbital_yield_crossover_inverts_the_fiber_rate():
+    # the closed-form break-even is where the fiber's bits per day equal the pass's
+    path = ROOT / "scripts" / "orbital_yield.py"
+    spec = importlib.util.spec_from_file_location("orbital_yield", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    for sat_bits in (1e3, 4.1e7, 1e10):
+        for n_rep in (0, 1, 30):
+            d = script.crossover(sat_bits, 5e6, n_rep)
+            assert bits_per_day(repeater_rate(d, n_rep), 5e6) == pytest.approx(sat_bits, rel=1e-9)
 
 
 def test_noise_and_ranges_script_tables():
