@@ -2,15 +2,19 @@
 """Print the background-photon tables and the maximum secure ranges.
 
 Covers both the 1 nm and 0.1 pm receiver filters for every operating
-condition (uplink/downlink, day/night, clear/cloudy).
+condition (uplink/downlink, day/night, clear/cloudy).  A tight range whose
+solve fails numerically is marked in its cell and explained on stderr; the
+script then exits 3, as the CLI does for a numerical failure.
 """
 
 import argparse
+import sys
 from dataclasses import replace
 
 from satlink import Scenario
 from satlink.beam import ReceiverParams
 from satlink.bounds import MaxRangeResult
+from satlink.errors import NumericalError
 from satlink.noise import nbar_background
 
 # (name, link, period, sky)
@@ -21,6 +25,8 @@ CONDITIONS = [
     ("day-down-clear", "down", "day", "clear"),
     ("day-down-cloudy", "down", "day", "cloudy"),
 ]
+# (name, receiver filter width in m)
+FILTERS = [("1 nm", 1e-9), ("0.1 pm", 1e-13)]
 
 
 def range_cell(res: MaxRangeResult) -> str:
@@ -49,13 +55,19 @@ def main() -> int:
 
     print("\nmaximum secure slant range, zenith geometry (setup 1)")
     print(f"{'condition':18s} {'1 nm filter':>14s} {'0.1 pm filter':>14s}")
+    failed = False
     for name, link, period, sky in CONDITIONS:
         row = [name]
-        for filt in (1e-9, 1e-13):
+        for filt_name, filt in FILTERS:
             scn = Scenario.build(link, period, sky, setup=1, receiver={"filter_width": filt})
-            row.append(range_cell(scn.max_range("tight")))
+            try:
+                row.append(range_cell(scn.max_range("tight")))
+            except NumericalError as exc:
+                print(f"{name}, {filt_name} filter: numerical error: {exc}", file=sys.stderr)
+                row.append("failed")
+                failed = True
         print(f"{row[0]:18s} {row[1]:>14s} {row[2]:>14s}")
-    return 0
+    return 3 if failed else 0
 
 
 if __name__ == "__main__":

@@ -4,11 +4,21 @@ Beer-Lambert absorption/scattering with an exponentially decaying extinction
 coefficient alpha(h) = alpha0 * exp(-h / h_scale).  The shipped default
 alpha0 = 5e-6 1/m is the sea-level value at 800 nm; other wavelengths need a
 caller-supplied alpha0.
+
+The path integral of a single line of sight (float h and theta) is kept in
+a fixed-size cache keyed on the slant length, the angle and the scale
+height, which is all the quadrature sees.  A hit returns the double the
+quadrature returned, so the cache is exact.  It pays off because the path is
+cut at PATH_TOP_M: every altitude above it shares one line of sight per
+angle, as do the bisection steps of a tight max-range solve and the shared
+and mirrored slice edges of a pass.  Array calls (sweeps) integrate every
+point once in one batch and bypass the cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,7 +50,17 @@ def _path_integral(path, theta, model: ExtinctionModel):
     tanh-sinh in the slant variable: h(y) is analytic along the whole path,
     also at the horizon where dy/dh has a square-root branch at h = 0.
     """
-    return tanh_sinh(_extinction, 0.0, path, theta, model.h_scale).value
+    # path is an array whenever h or theta is
+    if isinstance(path, np.ndarray):
+        return tanh_sinh(_extinction, 0.0, path, theta, model.h_scale).value
+    return _line_of_sight(path, theta, model.h_scale)
+
+
+# a pass visits about 130 angles, a max-range solve fewer than 10 lines of sight
+@lru_cache(maxsize=256)
+def _line_of_sight(path: float, theta: float, h_scale: float) -> float:
+    """_path_integral of one line of sight, integrated once per process."""
+    return tanh_sinh(_extinction, 0.0, path, theta, h_scale).value
 
 
 def eta_atm(h, theta, model: ExtinctionModel = DEFAULT_EXTINCTION):

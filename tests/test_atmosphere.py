@@ -5,7 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink.atmosphere import ExtinctionModel, eta_atm
+from satlink import Scenario, atmosphere
+from satlink._integrate import tanh_sinh
+from satlink.atmosphere import (
+    DEFAULT_EXTINCTION,
+    PATH_TOP_M,
+    ExtinctionModel,
+    _extinction,
+    _line_of_sight,
+    _path_integral,
+    eta_atm,
+)
+from satlink.geometry import slant_range
 
 from _reference import eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
 THETA_APP_MAX = math.asin(1 / 1.00027)
@@ -105,3 +116,43 @@ def test_custom_model_scaling():
     # doubling alpha0 squares the transmissivity
     model = ExtinctionModel(alpha0=1e-5)
     assert eta_atm_zenith(1e6, model) == pytest.approx(eta_atm_zenith(1e6) ** 2, rel=1e-12)
+
+
+class TestLineOfSightCache:
+    def test_tight_solve_integrates_few_lines_of_sight(self, monkeypatch):
+        # the bisection above PATH_TOP_M revisits one zenith line of sight;
+        # without the cache this solve makes 24 extinction quadratures
+        _line_of_sight.cache_clear()
+        quadratures = []
+
+        def counted_tanh_sinh(f, *args, **kwargs):
+            quadratures.append(f.__name__)
+            return tanh_sinh(f, *args, **kwargs)
+
+        monkeypatch.setattr(atmosphere, "tanh_sinh", counted_tanh_sinh)
+        scn = Scenario.build("down", "day", "clear", setup=1, receiver={"filter_width": 1e-9})
+        result = scn.max_range("tight")
+        assert result.z_max == pytest.approx(6280e3, rel=1e-3)
+        assert 0 < len(quadratures) <= 6
+        assert set(quadratures) == {"_extinction"}
+
+    @pytest.mark.parametrize("h", [5e3, 150e3, PATH_TOP_M, 530e3, 36000e3])
+    @pytest.mark.parametrize("theta", [0.0, -0.4, 0.4, 1.0, 1.5])
+    def test_cached_value_is_the_quadrature(self, h, theta):
+        h_scale = DEFAULT_EXTINCTION.h_scale
+        path = slant_range(min(h, PATH_TOP_M), theta)
+        direct = tanh_sinh(_extinction, 0.0, path, theta, h_scale).value
+        _line_of_sight.cache_clear()
+        first = _path_integral(path, theta, DEFAULT_EXTINCTION)
+        again = _path_integral(path, theta, DEFAULT_EXTINCTION)
+        assert first == direct and again == direct
+        assert _line_of_sight.cache_info().hits == 1
+        assert eta_atm(h, theta) == math.exp(-DEFAULT_EXTINCTION.alpha0 * direct)
+
+    def test_array_calls_bypass_the_cache(self):
+        before = _line_of_sight.cache_info()
+        h = np.array([5e3, 150e3, 530e3, 36000e3])
+        eta_atm(h, 0.3)
+        eta_atm(530e3, np.array([0.0, 0.3, 1.0]))
+        eta_atm(h, np.array([0.0, 0.3, 1.0, 0.3]))
+        assert _line_of_sight.cache_info() == before

@@ -21,6 +21,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from satlink.cli import main
+from satlink.cvqkd import ProtocolParams
 from satlink.scenario import Scenario
 
 from _reference import thermal_lower_middle
@@ -47,17 +48,23 @@ def test_bounds_and_rate_are_ordered(config, log_h, theta):
     assert 0.0 <= rate <= b["B"]
 
 
+# the (mu, phi_thr) sets of the passes in scripts/orbital_yield.py
+PASS_PROTOCOLS = [(9.28, 0.73), (9.65, 0.83), (7.0, 0.68)]
+
+
 @pytest.mark.parametrize("config", CONFIGS)
 def test_rate_does_not_rise_away_from_zenith(config):
     # orbit.slice_min_rate takes a slice's worst rate at its endpoint of
     # larger |theta|, which holds while the rate does not rise with |theta|
-    scn = Scenario.build(*config[1:], setup=config[0])
     theta = np.linspace(0.0, 1.0, 101)
-    for h in (150e3, 2000e3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rate = scn.rate_at(h, theta).rate
-        assert np.all(np.diff(rate) <= 0.0), (h, rate)
+    for mu, phi in PASS_PROTOCOLS:
+        protocol = ProtocolParams(mu=mu, phi_thr=phi)
+        scn = Scenario.build(*config[1:], setup=config[0], protocol=protocol)
+        for h in (150e3, 300e3, 530e3, 1000e3, 2000e3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rate = scn.rate_at(h, theta).rate
+            assert np.all(np.diff(rate) <= 0.0), (mu, phi, h, rate)
 
 
 # the string-valued keys and the values they take

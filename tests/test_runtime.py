@@ -83,6 +83,22 @@ def test_noise_and_ranges_script_tables():
     assert "day-down-cloudy" in proc.stdout
 
 
+def test_noise_and_ranges_script_finishes_the_tight_table():
+    # the night-uplink 0.1 pm cell fails numerically; the other nine print,
+    # the failure is named on stderr and the script exits 3 like the CLI
+    proc = run_python(str(ROOT / "scripts" / "noise_and_ranges.py"))
+    assert proc.returncode == 3, proc.stderr
+    tight = proc.stdout.split("maximum secure slant range", 1)[1].splitlines()[2:]
+    assert [line.split()[0] for line in tight] == [
+        "night-up", "night-down", "day-up", "day-down-clear", "day-down-cloudy"
+    ]
+    assert sum(line.split().count("failed") for line in tight) == 1
+    assert tight[0].split()[-1] == "failed"
+    assert "night-up, 0.1 pm filter" in proc.stderr
+    assert "degenerate fading geometry" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_noise_and_ranges_marks_a_capped_range():
     # the tight search stops at the 1e9 m bracket cap without a root: the
     # table shows a lower limit, not a range

@@ -124,6 +124,7 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
     theta = np.tile([0.0, 0.8], 6)
     scn.bounds_at(h[0], theta[0])  # the turbulence columns, cached per process
+    atmosphere._line_of_sight.cache_clear()
     quadratures = []
 
     def counted_tanh_sinh(f, a, b, *args, **kwargs):
