@@ -131,4 +131,5 @@ def erfcinv(x: float) -> float:
     erfc(y) = 2 Phi(-sqrt(2) y), so the standard normal quantile (Wichura's
     AS241 in the standard library) inverts it.
     """
-    return -NormalDist().inv_cdf(x / 2.0) / math.sqrt(2.0)
+    # x / 2 rounds to 0 for the smallest subnormal x: take the nearest positive p
+    return -NormalDist().inv_cdf(max(x / 2.0, 5e-324)) / math.sqrt(2.0)

@@ -25,15 +25,16 @@ import numpy as np
 from . import geometry
 from ._array import mathof, where
 from ._integrate import tanh_sinh
+from .domain import NON_NEGATIVE, POSITIVE, Checked, param
 
 # the extinction tail above this altitude shifts the loss exponent by < 1e-13
 PATH_TOP_M = 200e3
 
 
 @dataclass(frozen=True)
-class ExtinctionModel:
-    alpha0: float = 5e-6        # sea-level extinction, 1/m (800 nm)
-    h_scale: float = 6600.0     # decay scale height, m
+class ExtinctionModel(Checked):
+    alpha0: float = param(5e-6, NON_NEGATIVE)    # sea-level extinction, 1/m (800 nm)
+    h_scale: float = param(6600.0, POSITIVE)     # decay scale height, m
 
 
 DEFAULT_EXTINCTION = ExtinctionModel()

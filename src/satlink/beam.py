@@ -9,24 +9,24 @@ import math
 from dataclasses import dataclass
 
 from ._array import all_, any_, mathof, where
+from .domain import NON_NEGATIVE, POSITIVE, UNIT, Checked, Domain, param
+from .errors import NumericalError
 
 LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
-class BeamParams:
+class BeamParams(Checked):
     """Transmitted Gaussian beam: wavelength, field spot size, curvature radius.
 
-    curvature = inf means a collimated beam (the default operating mode).
+    curvature = inf means a collimated beam (the default operating mode); a radius
+    R > 0 focuses it at distance R (diffraction_waist), R < 0 diverges it.
     """
 
-    wavelength: float = 800e-9
-    waist: float = 0.2
-    curvature: float = math.inf
-
-    def __post_init__(self):
-        if self.wavelength <= 0 or self.waist <= 0:
-            raise ValueError("wavelength and waist must be positive")
+    wavelength: float = param(800e-9, POSITIVE)
+    waist: float = param(0.2, POSITIVE)
+    curvature: float = param(math.inf, Domain("a non-zero quantity (inf: collimated)",
+                                              lambda x: x < 0 or x > 0))
 
     @property
     def wavenumber(self) -> float:
@@ -38,23 +38,15 @@ class BeamParams:
 
 
 @dataclass(frozen=True)
-class ReceiverParams:
+class ReceiverParams(Checked):
     """Receiving telescope and detector parameters (SI units)."""
 
-    aperture: float = 0.4          # radius a_R, m
-    fov_sr: float = 1e-10          # field of view, sr
-    detection_time: float = 10e-9  # s
-    filter_width: float = 1e-9     # spectral filter, m
-    efficiency: float = 0.4        # end-to-end setup efficiency
-    excess_photons: float = 0.0    # trusted excess thermal photons
-
-    def __post_init__(self):
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in (0, 1]")
-        if min(self.aperture, self.fov_sr, self.detection_time, self.filter_width) <= 0:
-            raise ValueError("receiver dimensions must be positive")
-        if self.excess_photons < 0:
-            raise ValueError("excess photons must be non-negative")
+    aperture: float = param(0.4, POSITIVE)          # radius a_R, m
+    fov_sr: float = param(1e-10, POSITIVE)          # field of view, sr
+    detection_time: float = param(10e-9, POSITIVE)  # s
+    filter_width: float = param(1e-9, POSITIVE)     # spectral filter, m
+    efficiency: float = param(0.4, UNIT)            # end-to-end setup efficiency
+    excess_photons: float = param(0.0, NON_NEGATIVE)  # trusted excess thermal photons
 
     @property
     def gamma_r(self) -> float:
@@ -80,7 +72,7 @@ def eta_diffraction(z, beam: BeamParams, aperture: float):
 def plob(eta):
     """Repeaterless secret-key capacity -log2(1 - eta) of a pure-loss channel."""
     if not all_((0.0 <= eta) & (eta <= 1.0)):
-        raise ValueError("transmissivity must lie in [0, 1]")
+        raise NumericalError("transmissivity must lie in [0, 1]")
     lossless = eta == 1.0
     return where(lossless, math.inf, -mathof(eta).log1p(-where(lossless, 0.0, eta)) / LN2)
 

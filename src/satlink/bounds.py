@@ -21,6 +21,7 @@ import numpy as np
 from ._array import all_, any_, mathof, scatter, take, where
 from ._integrate import tanh_sinh
 from .beam import LN2
+from .errors import NumericalError
 from .fading import FadingModel
 
 _H_TINY = -1e-12
@@ -87,7 +88,7 @@ def wander_delta(eta, sigma2, gamma, r0):
 def bound_b(eta, sigma2, gamma, r0):
     """Loss-limited bound -Delta(eta, sigma) * log2(1 - eta), bits per use."""
     if not all_((0.0 < eta) & (eta < 1.0)):
-        raise ValueError("eta must lie in (0, 1)")
+        raise NumericalError("eta must lie in (0, 1)")
     return -wander_delta(eta, sigma2, gamma, r0) * mathof(eta).log1p(-eta) / LN2
 
 
@@ -97,12 +98,8 @@ def bound_b_model(model: FadingModel):
 
 def thermal_correction(nbar: float, model: FadingModel):
     """Thermal correction subtracted from the loss-limited bound (nbar <= eta)."""
-    if nbar < 0:
-        raise ValueError("thermal photons must be non-negative")
     if nbar == 0.0:
         return 0.0
-    if any_(nbar > model.eta):
-        raise ValueError("thermal correction defined for nbar <= eta")
     m = mathof(model.eta)
     u = m.pow(m.log(model.eta / nbar), 2.0 / model.gamma)
     weight = 1.0 - m.exp(-model.spread * u)
@@ -131,8 +128,6 @@ def thermal_lower(nbar: float, model: FadingModel, b=None):
     The entropy penalty takes the transmissivity at its maximum eta.  b is
     the model's loss-limited bound B, when the caller has it already.
     """
-    if nbar < 0:
-        raise ValueError("thermal photons must be non-negative")
     if b is None:
         b = bound_b_model(model)
     if nbar == 0.0:

@@ -8,7 +8,8 @@ CONFIG_KEYS and of each option in COMMANDS.  Every CSV starts with a comment
 line that records the fully resolved configuration; identical invocations
 produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
+Exit codes: 0 ok, 2 configuration error, 3 numerical failure (a floating-point
+overflow or division by zero included); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 
 from . import fading, orbit
 from .atmosphere import ExtinctionModel
+from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
+from .domain import NON_NEGATIVE, POSITIVE, Domain, at_least, check
 from .errors import ConfigError, NumericalError
 from .scenario import Scenario
 from .turbulence import TurbulenceProfile
@@ -65,8 +68,8 @@ def _finite(text: str) -> float:
     return value
 
 
-def _whole(text: str, least: float = -math.inf) -> int:
-    """_finite for a count or an index: a bare whole number, of at least `least`.
+def _whole(text: str) -> int:
+    """_finite for a count or an index: a bare whole number.
 
     A bare number has no unit; an exponent is fine ('1e6').
     """
@@ -75,23 +78,24 @@ def _whole(text: str, least: float = -math.inf) -> int:
         raise ConfigError(f"expected a whole number without a unit, got {text!r}")
     if not value.is_integer():
         raise ConfigError(f"expected a whole number, got {text!r}")
-    if value < least:
-        raise ConfigError(f"expected at least {least}, got {int(value)}")
     return int(value)
 
 
-_positive_whole = functools.partial(_whole, least=1)  # --blocks, --samples, --bins, grid points
-_non_negative_whole = functools.partial(_whole, least=0)  # --seed, each --n-rep
+ZENITH_ANGLE = Domain("a zenith angle in [-pi/2, pi/2]", lambda theta: abs(theta) <= math.pi / 2)
 
 
-def _named(name: str, parse: Callable[[str], object], text: str):
-    """parse(text), with the key or option `name` leading its error message
-    unless it leads already (the --sat parser names the item: '--sat h: ...')."""
+def _named(name: str, parse: Callable[[str], object], text: str, domain: Domain | None = None):
+    """parse(text), each value (a grid's points) in domain, with `name` leading the error
+    message unless it leads already (the --sat parser names the item: '--sat h: ...')."""
     try:
-        return parse(text)
-    except (ConfigError, ValueError) as exc:
+        value = parse(text)
+    except ConfigError as exc:
         message = str(exc)
         raise ConfigError(message if message.startswith(name) else f"{name}: {message}") from None
+    points = value if isinstance(value, list) else [value]
+    if domain is not None and not all(map(domain.holds, points)):
+        check(name, domain, next(point for point in points if not domain.holds(point)))
+    return value
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -100,7 +104,7 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not start:stop:n[:log]")
     lo, hi = _finite(parts[0]), _finite(parts[1])
-    n = _named("grid point count", _positive_whole, parts[2])
+    n = _named("grid point count", _whole, parts[2], at_least(1))
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"unknown grid mode {parts[3]!r}")
@@ -112,18 +116,10 @@ def parse_grid(spec: str) -> list[float]:
 
 # -- configuration -----------------------------------------------------------
 
-def _non_negative(text: str) -> float:
-    """_finite for a background-photon source, which cannot be negative."""
-    value = _finite(text)
-    if value < 0:
-        raise ConfigError(f"expected a non-negative quantity, got {text!r}")
-    return value
-
-
 # Every configuration key: (key, Scenario attribute path, parser).  Defaults
-# are the dataclasses' own, apart from the setup presets (scenario.SETUPS).
-# Keys are parsed in table order, so of several bad keys the first one here
-# is reported.  Only beam.curvature takes inf (a collimated beam).
+# and domains are the dataclasses' own, apart from the setup presets
+# (scenario.SETUPS).  Keys are parsed in table order, so of several that do
+# not parse the first here is reported.  Only beam.curvature takes inf.
 CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("scenario.link", "link", str),
     ("scenario.period", "period", str),
@@ -157,10 +153,15 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("protocol.tail", "protocol.tail", str),
     ("scenario.profile", "profile", TurbulenceProfile.from_name),
     ("pointing.error_rad", "pointing_error", _finite),
-    ("noise.h_sky", "h_sky_override", _non_negative),
-    ("noise.kappa", "kappa_override", _non_negative),
+    ("noise.h_sky", "h_sky_override", _finite),
+    ("noise.kappa", "kappa_override", _finite),
 )
 _KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
+# the dataclass owning each key path; each key by its field's name in a ConfigError
+_OWNERS = {"": Scenario, "beam": BeamParams, "receiver": ReceiverParams,
+           "extinction": ExtinctionModel, "protocol": ProtocolParams}
+_KEY_OF_FIELD = {f"{_OWNERS[path.rpartition('.')[0]].__name__}.{path.rpartition('.')[2]}": key
+                 for key, path, _ in CONFIG_KEYS}
 # --sat takes each key by its last dotted part, which no two keys share
 _SAT_SHORTHAND = {key.rpartition(".")[2]: key for key, _, _ in CONFIG_KEYS}
 
@@ -192,21 +193,14 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
     # constructor arguments of Scenario ("") and of its parameter dataclasses
-    kwargs: dict[str, dict] = {"": {}, "beam": {}, "receiver": {}, "extinction": {}, "protocol": {}}
+    kwargs: dict[str, dict] = {owner: {} for owner in _OWNERS}
     for key, path, parse in CONFIG_KEYS:
         if key in raw:
             owner, _, name = path.rpartition(".")
             kwargs[owner][name] = _named(key, parse, raw[key])
-    try:
-        return Scenario.build(
-            beam=kwargs["beam"],
-            receiver=kwargs["receiver"],
-            extinction=ExtinctionModel(**kwargs["extinction"]),
-            protocol=ProtocolParams(**kwargs["protocol"]),
-            **kwargs[""],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return Scenario.build(beam=kwargs["beam"], receiver=kwargs["receiver"],
+                          extinction=ExtinctionModel(**kwargs["extinction"]),
+                          protocol=ProtocolParams(**kwargs["protocol"]), **kwargs[""])
 
 
 def resolve_scenario(args, overrides: dict[str, str] | None = None) -> Scenario:
@@ -246,13 +240,20 @@ def _fmt(x) -> str:
 
 
 def csv_text(scn: Scenario, header: list[str], rows, extra_comments=()) -> str:
-    """The configuration comment, further comment lines, the header and the rows."""
+    """The configuration comment, further comment lines, the header and the rows.
+
+    A row with a number that is nan or infinite is a NumericalError naming it.
+    """
+    lines = [",".join(map(_fmt, row)) for row in rows]
+    for line in lines:
+        if "nan" in line or "inf" in line:  # no other cell prints either
+            raise NumericalError("not finite: " + ", ".join(map("=".join, zip(header, line.split(",")))))
     config = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(describe(scn).items()))
     return "".join([
         f"# config: {config}\n",
         *(f"# {comment}\n" for comment in extra_comments),
         ",".join(header) + "\n",
-        *(",".join(map(_fmt, row)) + "\n" for row in rows),
+        *(line + "\n" for line in lines),
     ])
 
 
@@ -299,6 +300,9 @@ def cmd_rate(args, scn: Scenario) -> str:
 
 def cmd_pass(args, scn: Scenario) -> str:
     report = scn.pass_report(args.h, args.blocks, args.attacks)
+    for key, value in sorted(report.items()):
+        if not isinstance(value, str) and not np.isfinite(value).all():
+            raise NumericalError(f"{key} is not finite for the pass at h_km={_fmt(report['h_km'])}")
     report["config"] = describe(scn)
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -329,6 +333,8 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
     samples.sort()
     edges = np.linspace(0.0, model.eta, args.bins + 1)
     ks, counts = fading.sorted_sample_statistics(samples, model, edges)
+    if not math.isfinite(ks):
+        raise NumericalError(f"not finite: ks_statistic={ks}")
     cdf = fading.fading_cdf(edges, model)
     return csv_text(
         scn,
@@ -365,50 +371,51 @@ def _sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
     if "h" not in items:
         raise ConfigError(f"--sat spec {spec!r} needs h=<altitude>")
     # h and blocks take the parsers of --h and --blocks
-    h = _named("--sat h", _finite, items.pop("h"))
-    blocks = _named("--sat blocks", _positive_whole, items.pop("blocks", "10"))
+    h = _named("--sat h", _finite, items.pop("h"), POSITIVE)
+    blocks = _named("--sat blocks", _whole, items.pop("blocks", "10"), at_least(1))
     label = items.pop("label", f"sat_{h/1e3:g}km")
     return label, {_SAT_SHORTHAND.get(key, key): value for key, value in items.items()}, h, blocks
 
 
-_H = ("--h", _finite, dict(required=True, help="satellite altitude"))
-_ATTACKS = ("--attacks", str, dict(choices=("collective", "general"), default="collective"))
+_H = dict(required=True, help="satellite altitude")
+_ATTACKS = ("--attacks", str, None, dict(choices=("collective", "general"), default="collective"))
 
-# (name, help, command, the command's options as (flag, parser, add_argument
-# keywords)).  argparse keeps each value as text, defaults included; the
-# parser converts it, item by item for a list option.
+# (name, help, command, the command's options as (flag, parser, domain,
+# add_argument keywords)).  argparse keeps each value as text, defaults
+# included; the parser converts it, item by item for a list option, into
+# values (a grid's points) that must lie in the domain.
 COMMANDS = (
     ("bounds", "upper/lower bound sweep over altitude", cmd_bounds, (
-        ("--h-grid", parse_grid, dict(required=True, metavar="LO:HI:N[:log]")),
-        ("--theta", _finite, dict(action="append", default=[], metavar="ANGLE",
-                                  help="zenith angle (repeatable; default 0)")),
+        ("--h-grid", parse_grid, NON_NEGATIVE, dict(required=True, metavar="LO:HI:N[:log]")),
+        ("--theta", _finite, ZENITH_ANGLE, dict(action="append", default=[], metavar="ANGLE",
+                                                help="zenith angle (repeatable; default 0)")),
     )),
     ("rate", "composable key rate vs zenith angle", cmd_rate, (
-        _H,
-        ("--theta-grid", parse_grid, dict(required=True, metavar="LO:HI:N")),
+        ("--h", _finite, NON_NEGATIVE, _H),
+        ("--theta-grid", parse_grid, ZENITH_ANGLE, dict(required=True, metavar="LO:HI:N")),
         _ATTACKS,
     )),
     ("pass", "zenith-crossing pass report (JSON)", cmd_pass, (
-        _H,
-        ("--blocks", _positive_whole, dict(default="10", help="data blocks per pass")),
+        ("--h", _finite, POSITIVE, _H),  # an orbit
+        ("--blocks", _whole, at_least(1), dict(default="10", help="data blocks per pass")),
         _ATTACKS,
     )),
     ("compare-fiber", "satellite vs fiber/repeater bits per day", cmd_compare_fiber, (
-        ("--d-grid", parse_grid, dict(required=True, metavar="LO:HI:N[:log]",
-                                      help="station separation grid")),
-        ("--n-rep", _non_negative_whole, dict(nargs="*", default=["1", "5", "30"], help="ideal repeater counts")),
-        ("--sat", _sat_spec, dict(action="append", default=[], metavar="SPEC", help=(
+        ("--d-grid", parse_grid, NON_NEGATIVE, dict(required=True, metavar="LO:HI:N[:log]",
+                                                    help="station separation grid")),
+        ("--n-rep", _whole, at_least(0), dict(nargs="*", default=["1", "5", "30"], help="ideal repeater counts")),
+        ("--sat", _sat_spec, None, dict(action="append", default=[], metavar="SPEC", help=(
             "satellite column, e.g. h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73"))),
     )),
     ("validate-mc", "Monte Carlo check of the fading law", cmd_validate_mc, (
-        _H,
-        ("--theta", _finite, dict(default="0", help="zenith angle (default 0)")),
-        ("--samples", _positive_whole, dict(default="1000000")),
-        ("--seed", _non_negative_whole, dict(default="1")),
-        ("--bins", _positive_whole, dict(default="60")),
+        ("--h", _finite, NON_NEGATIVE, _H),
+        ("--theta", _finite, ZENITH_ANGLE, dict(default="0", help="zenith angle (default 0)")),
+        ("--samples", _whole, at_least(1), dict(default="1000000")),
+        ("--seed", _whole, at_least(0), dict(default="1")),
+        ("--bins", _whole, at_least(1), dict(default="60")),
     )),
     ("max-range", "maximum secure slant range", cmd_max_range, (
-        ("--mode", str, dict(choices=("simple", "tight"), default="tight")),
+        ("--mode", str, None, dict(choices=("simple", "tight"), default="tight")),
     )),
     ("show-config", "print the fully resolved configuration", cmd_show_config, ()),
 )
@@ -428,23 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override a configuration key (repeatable)")
         p.add_argument("-o", "--output", default="-", help="output path (default stdout)")
-        for flag, _, kwargs in options:
+        for flag, _, _, kwargs in options:
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn, options=options)
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """The arguments of argv, with each option converted by its parser."""
+    """The arguments of argv, each option converted by its parser and in its domain."""
     args = build_parser().parse_args(argv)
-    for flag, parse, _ in args.options:
+    for flag, parse, domain, _ in args.options:
         dest = flag[2:].replace("-", "_")
         value = getattr(args, dest)
         # into a new list: a list default is shared by every parse
         if isinstance(value, list):
-            setattr(args, dest, [_named(flag, parse, item) for item in value])
+            setattr(args, dest, [_named(flag, parse, item, domain) for item in value])
         else:
-            setattr(args, dest, _named(flag, parse, value))
+            setattr(args, dest, _named(flag, parse, value, domain))
     return args
 
 
@@ -455,12 +462,14 @@ def main(argv: list[str] | None = None) -> int:
         with _open_out(args) as out:
             out.write(text)
         return 0
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
-        # parameter-validation ValueErrors count as configuration mistakes
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except ConfigError as exc:
+        message = str(exc)
+        for name, key in _KEY_OF_FIELD.items():  # a parameter field at fault by its key
+            message = message.replace(name, key)
+        print(f"configuration error: {message}", file=sys.stderr)
         return 2
 
 

@@ -22,46 +22,45 @@ from typing import NamedTuple
 from ._array import all_, any_, at_first, mathof, where
 from ._special import erfcinv
 from .bounds import thermal_entropy
-from .errors import NumericalError
+from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Checked, Domain, at_least, one_of, param
+from .errors import ConfigError, NumericalError
 from .fading import FadingModel, p_threshold
 
 EPS_DEFAULT = 2.0**-33  # shared default for the smoothing/hash/PE/correctness epsilons
 
 
 @dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(Checked):
     """Block structure, epsilon budget and modulation of the key protocol."""
 
-    block_size: int = 100_000_000          # N, pulses per block
-    pilots: int = 15_000_000               # m, pulses sacrificed for estimation
-    energy_test_fraction: float = 0.0      # f_et; > 0 only for general attacks
-    beta: float = 0.96                     # reconciliation efficiency
-    p_ec: float = 0.9                      # error-correction success probability
-    eps_s: float = EPS_DEFAULT
-    eps_h: float = EPS_DEFAULT
-    eps_pe: float = EPS_DEFAULT
-    eps_cor: float = EPS_DEFAULT
-    alphabet: int = 32                     # d, post-ADC alphabet size
-    mu: float = 9.28                       # modulation variance (sigma_x^2 = mu - 1)
-    phi_thr: float = 0.73                  # post-selection threshold fraction
-    clock_hz: float = 5e6
-    detection: str = "het"                 # "hom" | "het"
-    tail: str = "gaussian"                 # PE confidence model: "gaussian" | "hoeffding"
+    block_size: int = param(100_000_000, at_least(2))  # N, pulses per block
+    pilots: int = param(15_000_000, at_least(1))       # m, pulses sacrificed for estimation
+    energy_test_fraction: float = param(0.0, CLOSED_UNIT)  # f_et; > 0 only for general attacks
+    beta: float = param(0.96, UNIT)                   # reconciliation efficiency
+    p_ec: float = param(0.9, UNIT)                    # error-correction success probability
+    eps_s: float = param(EPS_DEFAULT, OPEN_UNIT)
+    eps_h: float = param(EPS_DEFAULT, OPEN_UNIT)
+    eps_pe: float = param(EPS_DEFAULT, OPEN_UNIT)
+    eps_cor: float = param(EPS_DEFAULT, OPEN_UNIT)
+    alphabet: int = param(32, at_least(2))            # d, post-ADC alphabet size
+    mu: float = param(9.28, Domain("a quantity above 1", lambda x: x > 1))  # modulation variance
+    phi_thr: float = param(0.73, OPEN_UNIT)           # post-selection threshold fraction
+    clock_hz: float = param(5e6, POSITIVE)
+    detection: str = param("het", one_of("hom", "het"))
+    tail: str = param("gaussian", one_of("gaussian", "hoeffding"))  # PE confidence model
 
     def __post_init__(self):
-        if self.mu <= 1.0:
-            raise ValueError("modulation variance mu must exceed 1")
-        if not 0.0 < self.phi_thr < 1.0:
-            raise ValueError("threshold fraction must lie in (0, 1)")
+        super().__post_init__()
         if self.pilots >= self.block_size:
-            raise ValueError("pilot count must be below the block size")
-        if self.detection not in ("hom", "het"):
-            raise ValueError("detection must be 'hom' or 'het'")
-        if self.tail not in ("gaussian", "hoeffding"):
-            raise ValueError("tail must be 'gaussian' or 'hoeffding'")
-        for eps in (self.eps_s, self.eps_h, self.eps_pe, self.eps_cor):
-            if not 0.0 < eps < 1.0:
-                raise ValueError("epsilon parameters must lie in (0, 1)")
+            raise ConfigError("ProtocolParams.pilots must be below ProtocolParams.block_size,"
+                              f" got {self.pilots} and {self.block_size}")
+
+    def check_attacks(self, attacks: str) -> None:
+        """ConfigError unless energy tests can reduce `attacks` to collective ones."""
+        if attacks == "general" and (self.detection != "het" or self.energy_test_fraction <= 0.0):
+            raise ConfigError(
+                "attacks 'general' need ProtocolParams.detection 'het' and ProtocolParams.energy_test_fraction"
+                f" > 0, got {self.detection!r} and {self.energy_test_fraction!r}")
 
     @property
     def sigma_x2(self) -> float:
@@ -110,16 +109,11 @@ class ProtocolParams:
 def mutual_information(tau, nbar: float, sigma_x2: float, detection: str):
     """Transmitter-receiver mutual information, bits per use."""
     if not all_((0.0 < tau) & (tau <= 1.0)):
-        raise ValueError("transmissivity must lie in (0, 1]")
-    if sigma_x2 < 0 or nbar < 0:
-        raise ValueError("variance and photon number must be non-negative")
-    if detection == "hom":
-        snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + 1.0)
-        return 0.5 * mathof(snr).log2(snr)
-    if detection == "het":
-        snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + 2.0)
-        return mathof(snr).log2(snr)
-    raise ValueError("detection must be 'hom' or 'het'")
+        raise NumericalError("transmissivity must lie in (0, 1]")
+    # one quadrature measured (homodyne) adds one vacuum unit, both (heterodyne) two
+    nu_add = 1.0 if detection == "hom" else 2.0
+    snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + nu_add)
+    return nu_add / 2.0 * mathof(snr).log2(snr)
 
 
 def _entropy_from_nu(nu, m):
@@ -138,9 +132,7 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
     with the conditional entropy taken after the receiver's measurement.
     """
     if not all_((0.0 < tau) & (tau <= 1.0)):
-        raise ValueError("transmissivity must lie in (0, 1]")
-    if mu <= 1.0:
-        raise ValueError("mu must exceed 1")
+        raise NumericalError("transmissivity must lie in (0, 1]")
     a = mu
     b = tau * mu + 1.0 - tau + 2.0 * nbar
     c2 = tau * (mu * mu - 1.0)
@@ -162,10 +154,8 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
 
     if detection == "hom":
         nu_cond = m.sqrt(a * (a - c2 / b))
-    elif detection == "het":
-        nu_cond = a - c2 / (b + 1.0)
     else:
-        raise ValueError("detection must be 'hom' or 'het'")
+        nu_cond = a - c2 / (b + 1.0)
     return s_ab - _entropy_from_nu(nu_cond, m)
 
 
@@ -180,17 +170,13 @@ def pe_confidence_factor(eps_pe: float, tail: str = "gaussian") -> float:
     """Confidence multiplier w for the worst-case thermal-photon estimate."""
     if tail == "gaussian":
         return math.sqrt(2.0) * erfcinv(eps_pe)
-    if tail == "hoeffding":
-        return math.sqrt(2.0 * math.log(1.0 / eps_pe))
-    raise ValueError("tail must be 'gaussian' or 'hoeffding'")
+    return math.sqrt(2.0 * math.log(1.0 / eps_pe))
 
 
 def worst_case_nbar(
     nbar: float, m: int, nu_add: float, eps_pe: float, tail: str = "gaussian"
 ) -> float:
     """Upper confidence bound on the thermal photons from m pilot pulses."""
-    if m < 1:
-        raise ValueError("need at least one pilot")
     w = pe_confidence_factor(eps_pe, tail)
     return nbar + w * (2.0 * nbar + nu_add) / math.sqrt(2.0 * nu_add * m)
 
@@ -232,15 +218,9 @@ def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept=Tru
     extra = params.theta_term
     eps_prime = None
     if attacks == "general":
-        if params.detection != "het":
-            raise ValueError("general-attack reduction applies to heterodyne detection only")
-        if params.energy_test_fraction <= 0:
-            raise ValueError("general attacks need a positive energy-test fraction")
         k_n = _k_n(n_eff, params)
         extra = extra - 2.0 * _log2_binom_ceil(k_n)
         eps_prime = where(kept, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0, math.nan)
-    elif attacks != "collective":
-        raise ValueError("attacks must be 'collective' or 'general'")
     raw = (n_eff * params.p_ec / params.block_size) * (
         r_m - params.delta_aep / mathof(n_eff).sqrt(n_eff) + extra / n_eff
     )

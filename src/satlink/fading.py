@@ -38,22 +38,19 @@ KS_MARGIN = 1e-12
 
 def pointing_variance(z, error_rad: float = 1e-6):
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
-    if any_(z < 0):
-        raise ValueError("distance must be non-negative")
     return mathof(z).pow(error_rad * z, 2)
 
 
 def bessel_f0(x):
-    """f0(x) = 1 / (1 - exp(-2x) I0(2x))."""
-    if any_(x <= 0):
-        raise ValueError("argument must be positive")
-    return 1.0 / (1.0 - i0e(2.0 * x))
+    """f0(x) = 1 / (1 - exp(-2x) I0(2x)); the denominator ~ 2x rounds to 0 as x -> 0."""
+    d = 1.0 - i0e(2.0 * x)
+    if any_(d <= 0.0):
+        raise NumericalError(f"degenerate fading geometry: f0 is infinite at x={at_first(d <= 0.0, x):.6g}")
+    return 1.0 / d
 
 
 def bessel_f1(x):
     """f1(x) = exp(-2x) I1(2x)."""
-    if any_(x < 0):
-        raise ValueError("argument must be non-negative")
     return i1e(2.0 * x)
 
 
@@ -67,9 +64,7 @@ def fading_params(eta_st, eta_st_far, aperture: float):
     the logarithm tends to ln 2, so eta_st = 1 is a valid input.
     """
     if not all_((0.0 < eta_st) & (eta_st <= 1.0)):
-        raise ValueError("eta_st must lie in (0, 1]")
-    if any_(eta_st_far <= 0.0):
-        raise ValueError("eta_st_far must be positive")
+        raise NumericalError("eta_st must lie in (0, 1]")
     f0 = bessel_f0(eta_st_far)
     f1 = bessel_f1(eta_st_far)
     log_arg = 2.0 * eta_st * f0
@@ -81,7 +76,11 @@ def fading_params(eta_st, eta_st_far, aperture: float):
     m = mathof(log_arg)
     log_term = m.log(log_arg)
     gamma = 4.0 * eta_st_far * f0 * f1 / log_term
-    r0 = aperture / m.pow(log_term, 1.0 / gamma)
+    # a shape gamma -> 0 leaves no finite scale r0 = a_R / log_term^(1/gamma)
+    scale = m.pow(log_term, 1.0 / gamma) if all_(gamma > 0.0) else 0.0
+    if any_(scale == 0.0):
+        raise NumericalError("degenerate fading geometry: no finite Weibull scale r0")
+    r0 = aperture / scale
     return gamma, r0
 
 
@@ -100,14 +99,16 @@ class FadingModel:
 
     def __post_init__(self):
         if not all_((0.0 < self.eta) & (self.eta < 1.0)):
-            raise ValueError("eta must lie in (0, 1)")
+            raise NumericalError("eta must lie in (0, 1)")
         if any_((self.gamma <= 0) | (self.r0 <= 0) | (self.sigma2 < 0)):
-            raise ValueError("invalid fading parameters")
+            raise NumericalError("invalid fading parameters")
 
     @property
     def spread(self):
-        """The exponent prefactor r0^2 / (2 sigma^2)."""
-        return mathof(self.r0).pow(self.r0, 2) / (2.0 * self.sigma2)
+        """The exponent prefactor r0^2 / (2 sigma^2); inf without wander (sigma^2 = 0)."""
+        wander = self.sigma2 > 0.0
+        r0_2 = mathof(self.r0).pow(self.r0, 2)
+        return where(wander, r0_2 / (2.0 * where(wander, self.sigma2, 1.0)), math.inf)
 
     def select(self, mask) -> "FadingModel":
         """The model at the points where mask holds; a one-point model as it is."""
@@ -185,7 +186,7 @@ def p_threshold(eta_th, model: FadingModel):
     exponential in the substituted variable, so no quadrature is needed.
     """
     if any_((eta_th < 0) | (eta_th >= model.eta)):
-        raise ValueError("threshold must lie in [0, eta)")
+        raise NumericalError("threshold must lie in [0, eta)")
     return 1.0 - fading_cdf(eta_th, model)
 
 

@@ -20,6 +20,7 @@ from . import bounds, cvqkd, fading, noise, orbit
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
+from .domain import NON_NEGATIVE, Checked, one_of, param
 from .errors import ConfigError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
@@ -32,13 +33,6 @@ SETUPS: dict[int, tuple[float, float, float]] = {
     3: (0.4, 2.0, 1e-9),
     4: (0.4, 2.0, 1e-13),
 }
-
-
-def setup_preset(setup: int) -> tuple[float, float, float]:
-    """The (w0, a_R, filter) preset of a hardware setup."""
-    if setup not in SETUPS:
-        raise ConfigError(f"setup must be one of {sorted(SETUPS)}")
-    return SETUPS[setup]
 
 
 def _pointwise(evaluate: Callable, h, theta):
@@ -76,56 +70,34 @@ def _pointwise(evaluate: Callable, h, theta):
 
 
 @dataclass(frozen=True)
-class Scenario:
-    link: str = "down"                  # "up" | "down"
-    period: str = "night"               # "day" | "night"
-    sky: str = "clear"                  # "clear" | "cloudy"
-    setup: int = 1
+class Scenario(Checked):
+    link: str = param("down", one_of("up", "down"))
+    period: str = param("night", one_of("day", "night"))
+    sky: str = param("clear", one_of("clear", "cloudy"))
+    setup: int = param(1, one_of(*SETUPS))
     beam: BeamParams = field(default_factory=BeamParams)
     receiver: ReceiverParams = field(default_factory=ReceiverParams)
     profile: TurbulenceProfile | None = None   # default: resolved from period
     extinction: ExtinctionModel = field(default_factory=ExtinctionModel)
-    pointing_error: float = 1e-6
+    pointing_error: float = param(1e-6, NON_NEGATIVE)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
-    h_sky_override: float | None = None
-    kappa_override: float | None = None
-
-    def __post_init__(self):
-        if self.link not in ("up", "down"):
-            raise ConfigError("link must be 'up' or 'down'")
-        if self.period not in ("day", "night"):
-            raise ConfigError("period must be 'day' or 'night'")
-        if self.sky not in ("clear", "cloudy"):
-            raise ConfigError("sky must be 'clear' or 'cloudy'")
-        setup_preset(self.setup)  # raises ConfigError for an unknown setup
+    h_sky_override: float | None = param(None, NON_NEGATIVE)
+    kappa_override: float | None = param(None, NON_NEGATIVE)
 
     @classmethod
-    def build(
-        cls,
-        link: str = "down",
-        period: str = "night",
-        sky: str = "clear",
-        setup: int = 1,
-        beam: dict | None = None,
-        receiver: dict | None = None,
-        **overrides,
-    ) -> "Scenario":
+    def build(cls, *fields, setup: int = 1, beam: dict | None = None, receiver: dict | None = None,
+              **overrides) -> "Scenario":
         """Assemble a scenario applying the hardware preset for `setup`.
 
-        beam and receiver map field names to values that override the
-        preset's, e.g. build(..., receiver={"filter_width": 1e-13}); the
-        other keyword overrides set Scenario fields.
+        fields are the leading Scenario fields (link, period, sky), overrides
+        set the others; beam and receiver map field names to values that
+        override the preset's, e.g. build(..., receiver={"filter_width": 1e-13}).
         """
-        w0, a_r, filt = setup_preset(setup)
-        return cls(
-            link=link,
-            period=period,
-            sky=sky,
-            setup=setup,
-            beam=BeamParams(**{"waist": w0, **(beam or {})}),
-            receiver=ReceiverParams(**{"aperture": a_r, "filter_width": filt, **(receiver or {})}),
-            **overrides,
-        )
+        # an unknown setup takes preset 1 here, and fails the Scenario's own check
+        w0, a_r, filt = SETUPS.get(setup, SETUPS[1])
+        beam = BeamParams(**{"waist": w0, **(beam or {})})
+        receiver = ReceiverParams(**{"aperture": a_r, "filter_width": filt, **(receiver or {})})
+        return cls(*fields, setup=setup, beam=beam, receiver=receiver, **overrides)
 
     # the scenario is frozen, so its derived state is computed once
 
@@ -208,8 +180,6 @@ class Scenario:
         """
         if mode == "tight":
             return bounds.max_range(lambda z: self.fading_model(z, 0.0), self.nbar)
-        if mode != "simple":
-            raise ValueError("mode must be 'simple' or 'tight'")
         if self.nbar >= 1.0:
             return bounds.MaxRangeResult(0.0, "simple", False)
         n_b = self.nbar_background
@@ -226,6 +196,7 @@ class Scenario:
         h and theta are floats, or arrays that broadcast to the points of a
         sweep; the rates then have the points' shape.
         """
+        self.protocol.check_attacks(attacks)
 
         def rate(h, theta):
             model = self.fading_model(h, abs(theta))

@@ -20,7 +20,7 @@ import numpy as np
 from ._array import any_, at_first, each, mathof
 from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
-from .errors import StrongTurbulenceError
+from .errors import ConfigError, NumericalError, StrongTurbulenceError
 
 # C_n^2 falls exponentially above the tropopause; integrals truncate here
 PROFILE_TOP_M = 100e3
@@ -48,7 +48,7 @@ class TurbulenceProfile:
         try:
             return PROFILES[name]
         except KeyError:
-            raise ValueError(f"unknown turbulence profile {name!r}") from None
+            raise ConfigError(f"unknown turbulence profile {name!r}") from None
 
     @property
     def name(self) -> str:
@@ -76,8 +76,6 @@ def cn2(h, profile: TurbulenceProfile):
         if np.min(h) <= 0:
             raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")
         return profile.hs_c1 * h ** (-1.0 / 3.0) * np.exp(-h / profile.hs_c2)
-    if np.min(h) < 0:
-        raise ValueError("altitude must be non-negative")
     v = profile.windspeed
     return (
         5.94e-53 * (v / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
@@ -124,7 +122,10 @@ def coherence_length_planar(theta, k: float, profile: TurbulenceProfile):
     """Asymptotic plane-wave coherence length [1.46 k^2 sec(theta) I_inf]^(-3/5)."""
     m = mathof(theta)
     sec = 1.0 / m.cos(abs(theta))
-    return m.pow(1.46 * k * k * sec * i_infty(profile), -3.0 / 5.0)
+    strength = 1.46 * k * k * sec * i_infty(profile)
+    if any_(strength == 0.0):  # k^2 underflows for a wavelength beyond ~1e154 m
+        raise NumericalError(f"no finite coherence length for wavenumber {k:.6g}")
+    return m.pow(strength, -3.0 / 5.0)
 
 
 class SpotSizes(NamedTuple):
@@ -156,8 +157,6 @@ def spot_sizes(
     w_d = diffraction_waist(z, beam)
     if direction == "down":
         return SpotSizes(w_d, w_d, w_d, 0.0, pointing_sigma2, pointing_sigma2, 0.0)
-    if direction != "up":
-        raise ValueError("direction must be 'up' or 'down'")
 
     rho0 = coherence_length_planar(theta, beam.wavenumber, profile)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satlink import ConfigError, NumericalError
 from satlink.beam import (
     BeamParams,
     ReceiverParams,
@@ -40,7 +41,7 @@ class TestWaist:
         assert diffraction_waist(z, BEAM) >= BEAM.waist
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             BeamParams(wavelength=-1e-9, waist=0.2)
         with pytest.raises(ValueError):
             diffraction_waist(-1.0, BEAM)
@@ -89,9 +90,9 @@ class TestPlob:
         assert plob(1.0) == math.inf
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             plob(-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             plob(1.1)
 
     @given(e1=st.floats(0.0, 0.999), e2=st.floats(0.0, 0.999))
@@ -176,7 +177,7 @@ class TestReceiverParams:
         assert double.gamma_r == pytest.approx(4 * RECEIVER.gamma_r, rel=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ReceiverParams(efficiency=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ReceiverParams(excess_photons=-1.0)

@@ -7,8 +7,9 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import ConfigError, Scenario
+from satlink import ConfigError, NumericalError, Scenario
 from satlink.beam import plob
+from satlink.cli import main
 from satlink.bounds import (
     bound_b,
     bound_b_model,
@@ -114,7 +115,7 @@ class TestLossLimitedBound:
         assert bound_b_model(m) == pytest.approx(val, rel=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             bound_b(1.5, 0.1, 2.0, 1.0)
 
 
@@ -263,9 +264,12 @@ class TestMaxRange:
         expected = sigma / (0.3 * 4.61e18)
         assert res.z_max == pytest.approx(expected, rel=1e-6)
 
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            Scenario.build("up", "day", setup=1).max_range("loose")
+    def test_bad_mode(self, capsys):
+        # the CLI's --mode takes the two modes; argparse exits 2 on another
+        with pytest.raises(SystemExit) as exit_info:
+            main(["max-range", "--mode", "loose"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'loose'" in capsys.readouterr().err
 
     def test_simple_mode_needs_background_photons(self):
         # a dark sky (or a zero albedo factor) leaves no Fresnel range to take

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from satlink import cli, fading
+from satlink import cli, fading, orbit
+from satlink.atmosphere import ExtinctionModel
+from satlink.cvqkd import ProtocolParams
 from satlink.cli import (
     _SAT_SHORTHAND,
     CONFIG_KEYS,
@@ -96,7 +98,7 @@ class TestScenarioAssembly:
             Scenario(link="sideways")
         with pytest.raises(ConfigError):
             Scenario(setup=9)
-        with pytest.raises(ConfigError, match=re.escape("setup must be one of [1, 2, 3, 4]")):
+        with pytest.raises(ConfigError, match=re.escape("Scenario.setup: expected one of 1, 2, 3, 4, got 9")):
             Scenario.build(setup=9)
 
 
@@ -405,7 +407,7 @@ class TestExitCodes:
         code = main(["show-config", "--set", "scenario.setup=9"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.err == "configuration error: setup must be one of [1, 2, 3, 4]\n"
+        assert captured.err == "configuration error: scenario.setup: expected one of 1, 2, 3, 4, got 9\n"
 
     def test_infinite_count(self, capsys):
         assert run_cli(capsys, "show-config", "--set", "protocol.N=inf")[0] == 2
@@ -475,9 +477,9 @@ class TestExitCodes:
             (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "-1"],
              "--bins: expected at least 1, got -1"),
             (["max-range", "--mode", "simple", "--set", "noise.h_sky=-1"],
-             "noise.h_sky: expected a non-negative quantity, got '-1'"),
+             "noise.h_sky: expected a non-negative quantity, got -1.0"),
             (["max-range", "--mode", "simple", "--set", "noise.kappa=-1", "--set", "scenario.link=up"],
-             "noise.kappa: expected a non-negative quantity, got '-1'"),
+             "noise.kappa: expected a non-negative quantity, got -1.0"),
             (["max-range", "--mode", "simple", "--set", "noise.h_sky=0"],
              "the Fresnel range needs background photons, and n_B is 0"),
             (["compare-fiber", "--d-grid", "50km:100km:2", "--n-rep", "-1"],
@@ -487,14 +489,16 @@ class TestExitCodes:
             (["pass", "--h", "530km", "--blocks", "0"], "--blocks: expected at least 1, got 0"),
             (["validate-mc", "--h", "530km", "--samples", "100", "--seed", "-1"],
              "--seed: expected at least 0, got -1"),
-            # zenith angles beyond pi/2 stop at the geometry, before the Rytov variance
-            (["validate-mc", "--h", "530km", "--theta=1.6"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
-            (["rate", "--h", "530km", "--theta-grid=1.5:1.7:3"], "zenith angle 1.6 outside [-pi/2, pi/2]"),
+            # zenith angles beyond pi/2 stop at the option, before the Rytov variance
+            (["validate-mc", "--h", "530km", "--theta=1.6"],
+             "--theta: expected a zenith angle in [-pi/2, pi/2], got 1.6"),
+            (["rate", "--h", "530km", "--theta-grid=1.5:1.7:3"],
+             "--theta-grid: expected a zenith angle in [-pi/2, pi/2], got 1.6"),
             # just above pi/2 in double precision: cos(theta) < 0 there
             (["validate-mc", "--h", "530km", "--theta=1.5707963267949", "--samples", "10"],
-             "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
+             "--theta: expected a zenith angle in [-pi/2, pi/2], got 1.5707963267949"),
             (["bounds", "--h-grid", "530km:530km:1", "--theta=1.5707963267949"],
-             "zenith angle 1.5707963267949 outside [-pi/2, pi/2]"),
+             "--theta: expected a zenith angle in [-pi/2, pi/2], got 1.5707963267949"),
             # counts and indices take whole numbers, not truncated fractions
             (["show-config", "--set", "scenario.setup=2.7"], "scenario.setup: expected a whole number, got '2.7'"),
             (["show-config", "--set", "protocol.d=31.9"], "protocol.d: expected a whole number, got '31.9'"),
@@ -517,9 +521,10 @@ class TestExitCodes:
             (["show-config", "--set", "protocol.d=32ns"],
              "protocol.d: expected a whole number without a unit, got '32ns'"),
             # the PE tail model is checked with the configuration, not first by a rate
-            (["show-config", "--set", "protocol.tail=bogus"], "tail must be 'gaussian' or 'hoeffding'"),
+            (["show-config", "--set", "protocol.tail=bogus"],
+             "protocol.tail: expected one of 'gaussian', 'hoeffding', got 'bogus'"),
             (["bounds", "--h-grid", "500km:600km:2", "--set", "protocol.tail=bogus"],
-             "tail must be 'gaussian' or 'hoeffding'"),
+             "protocol.tail: expected one of 'gaussian', 'hoeffding', got 'bogus'"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):
@@ -643,6 +648,16 @@ class TestConfigKeys:
         listed = re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
         assert sorted(listed) == sorted(key for key, _, _ in CONFIG_KEYS)
 
+    def test_readme_gives_each_key_its_declared_domain(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", section, flags=re.MULTILINE)
+        for key, domain in rows:
+            owner, _, name = dict((k, path) for k, path, _ in CONFIG_KEYS)[key].rpartition(".")
+            declared = cli._OWNERS[owner].__dataclass_fields__[name].metadata.get("domain")
+            assert domain == (declared.text if declared else "a named profile"), key
+        assert len(rows) == len(CONFIG_KEYS)
+
     def test_noise_overrides_are_recorded(self, capsys):
         # the overrides appear in every config record when set, and only then
         code, out = run_cli(capsys, "show-config")
@@ -655,3 +670,128 @@ class TestConfigKeys:
         assert code == 0
         config = json.loads(out)["config"]
         assert config["noise.h_sky"] == 1.5 and config["noise.kappa"] == 0.2
+
+
+RATE = ["rate", "--h", "530km", "--theta-grid", "0:0.5:3"]
+ALL_COMMANDS = [
+    ["show-config"],
+    ["bounds", "--h-grid", "500km:600km:2"],
+    RATE,
+    ["pass", "--h", "530km", "--blocks", "2"],
+    ["compare-fiber", "--d-grid", "50km:100km:2", "--sat", "h=530km,blocks=1"],
+    ["validate-mc", "--h", "530km", "--samples", "100"],
+    ["max-range", "--mode", "simple"],
+]
+
+
+class TestDomains:
+    @pytest.mark.parametrize(
+        "setting,expected",
+        [
+            ("atmosphere.alpha0=-1", "a non-negative quantity, got -1.0"),
+            ("atmosphere.scale_height=-1", "a positive quantity, got -1.0"),
+            ("beam.curvature=0", "a non-zero quantity (inf: collimated), got 0.0"),
+            ("protocol.beta=2", "a quantity in (0, 1], got 2.0"),
+            ("protocol.p_ec=2", "a quantity in (0, 1], got 2.0"),
+            ("protocol.f_et=1.5", "a quantity in [0, 1], got 1.5"),
+            ("protocol.d=0", "at least 2, got 0"),
+            ("pointing.error_rad=-1", "a non-negative quantity, got -1.0"),
+            ("protocol.clock_hz=0", "a positive quantity, got 0.0"),
+            ("receiver.excess_photons=-1", "a non-negative quantity, got -1.0"),
+        ],
+    )
+    def test_key_outside_its_domain_names_the_key(self, setting, expected, capsys):
+        key = setting.partition("=")[0]
+        assert main([*RATE, "--set", setting]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {key}: expected {expected}\n"
+
+    @pytest.mark.parametrize("argv", ALL_COMMANDS, ids=lambda argv: argv[0])
+    def test_pilot_count_is_checked_by_every_command(self, argv, capsys):
+        assert main([*argv, "--set", "protocol.m=0"]) == 2
+        assert capsys.readouterr().err == "configuration error: protocol.m: expected at least 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["compare-fiber", "--d-grid=-5km:10km:3"], "--d-grid: expected a non-negative quantity, got -5000.0"),
+            (["rate", "--h=-1km", "--theta-grid", "0:1:2"], "--h: expected a non-negative quantity, got -1000.0"),
+            (["validate-mc", "--h=-1km"], "--h: expected a non-negative quantity, got -1000.0"),
+            # a pass needs an orbit
+            (["pass", "--h", "0km"], "--h: expected a positive quantity, got 0.0"),
+            (["compare-fiber", "--d-grid", "50km:100km:2", "--sat", "h=0km"],
+             "--sat h: expected a positive quantity, got 0.0"),
+            (["bounds", "--h-grid=-100km:200km:3"], "--h-grid: expected a non-negative quantity, got -100000.0"),
+            (["bounds", "--h-grid", "100km:200km:2", "--theta=-2"],
+             "--theta: expected a zenith angle in [-pi/2, pi/2], got -2.0"),
+            (["rate", "--h", "530km", "--theta-grid=-1.6:0:2"],
+             "--theta-grid: expected a zenith angle in [-pi/2, pi/2], got -1.6"),
+        ],
+    )
+    def test_option_outside_its_domain_names_the_option(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "sets,message",
+        [
+            (["protocol.m=1e8"], "protocol.m must be below protocol.N, got 100000000 and 100000000"),
+            (["protocol.N=1e7"], "protocol.m must be below protocol.N, got 15000000 and 10000000"),
+            (["protocol.f_et=0.5", "protocol.detection=hom"],
+             "attacks 'general' need protocol.detection 'het' and protocol.f_et > 0, got 'hom' and 0.5"),
+            ([], "attacks 'general' need protocol.detection 'het' and protocol.f_et > 0, got 'het' and 0.0"),
+        ],
+    )
+    def test_cross_key_rule_names_both_keys(self, sets, message, capsys):
+        argv = [*RATE, "--attacks", "general"]
+        for setting in sets:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    def test_general_attacks_with_energy_tests_run(self, capsys):
+        code, out = run_cli(capsys, *RATE, "--attacks", "general", "--set", "protocol.f_et=0.5")
+        assert code == 0 and len(out.splitlines()) == 5
+
+    @pytest.mark.parametrize("setting", ["beam.waist=1e-9", "beam.curvature=-1", "beam.curvature=1"])
+    @pytest.mark.parametrize("argv", ALL_COMMANDS[1:6], ids=lambda argv: argv[0])
+    def test_degenerate_fading_is_a_numerical_failure(self, argv, setting, capsys):
+        assert main([*argv, "--set", setting]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: degenerate fading geometry: ")
+
+    def test_non_finite_row_names_its_point(self, capsys):
+        # no fiber between the stations: its capacity is infinite
+        assert main(["compare-fiber", "--d-grid", "0km:100km:2", "--n-rep"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: not finite: d_km=0, fiber_bits_day=inf\n"
+
+    def test_non_finite_pass_number_names_the_pass(self, capsys, monkeypatch):
+        monkeypatch.setattr(orbit, "orbital_rate", lambda rate_fn, slices: (math.nan, [math.nan] * len(slices)))
+        assert main(["pass", "--h", "530km"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: R_orb is not finite for the pass at h_km=530\n"
+
+    def test_a_stray_value_error_is_a_bug(self, monkeypatch):
+        # a ValueError from inside the pipeline is not a user's mistake: it
+        # escapes main, as any other bug does, instead of exiting 2
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(fading, "fading_params", broken)
+        with pytest.raises(ValueError, match="math domain error"):
+            main(RATE)
+
+    def test_library_callers_meet_the_same_check(self):
+        with pytest.raises(ConfigError, match=re.escape("ExtinctionModel.alpha0: expected a non-negative")):
+            ExtinctionModel(alpha0=-1.0)
+        with pytest.raises(ConfigError, match=re.escape("Scenario.pointing_error: expected a non-negative")):
+            Scenario.build(pointing_error=-1.0)
+        with pytest.raises(ConfigError, match="ProtocolParams.pilots must be below ProtocolParams.block_size"):
+            ProtocolParams(pilots=10, block_size=10)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from satlink import Scenario
+from satlink import ConfigError, NumericalError, Scenario
 from satlink.beam import plob
 from satlink.cvqkd import (
     ProtocolParams,
@@ -49,10 +49,11 @@ class TestMutualInformation:
                     )
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             mutual_information(0.0, 0.0, 1.0, "hom")
-        with pytest.raises(ValueError):
-            mutual_information(0.5, 0.0, 1.0, "dyne")
+        # the detection is checked where the protocol is built
+        with pytest.raises(ConfigError):
+            ProtocolParams(detection="dyne")
 
 
 class TestHolevo:
@@ -81,7 +82,8 @@ class TestHolevo:
         assert all(a < b for a, b in zip(chis, chis[1:]))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        # mu <= 1 has no physical covariance matrix
+        with pytest.raises(NumericalError):
             holevo_bound(0.5, 0.0, 0.9, "het")
 
     @pytest.mark.parametrize(
@@ -241,10 +243,11 @@ class TestGeneralAttacks:
             assert gen.rate < col.rate
 
     def test_requires_heterodyne_and_energy_tests(self):
-        with pytest.raises(ValueError):
-            composable_rate(0.3, 1e-3, replace(GENERAL, detection="hom"), "general")
-        with pytest.raises(ValueError):
-            composable_rate(0.3, 1e-3, replace(GENERAL, energy_test_fraction=0.0), "general")
+        # checked where a rate is asked for against general attacks
+        with pytest.raises(ConfigError):
+            Scenario.build(protocol=replace(GENERAL, detection="hom")).rate_at(530e3, 0.3, "general")
+        with pytest.raises(ConfigError):
+            Scenario.build(protocol=replace(GENERAL, energy_test_fraction=0.0)).rate_at(530e3, 0.3, "general")
 
     def test_epsilon_prime_reported(self):
         gen = composable_rate(0.3, 2e-3, GENERAL, "general")
@@ -345,13 +348,13 @@ class TestOptimizer:
 
 class TestProtocolParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProtocolParams(mu=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProtocolParams(phi_thr=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProtocolParams(pilots=10**9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             ProtocolParams(detection="intradyne")
 
     def test_derived_quantities(self):

@@ -152,7 +152,7 @@ class TestFadingParams:
             log_term = math.log(2.0 * f0)
             assert gamma == pytest.approx(4.0 * x * f0 * i1e(2 * x) / log_term, rel=1e-12)
             assert r0 == pytest.approx(2.0 / log_term ** (1.0 / gamma), rel=1e-12)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             fading_params(1.0 + 2.0**-52, 40.0, 2.0)
 
     def test_far_field_shape_limit(self):
@@ -238,7 +238,7 @@ class TestThresholdProbability:
         assert p_threshold(eta_th, model_down) > p_threshold(eta_th, shrunk)
 
     def test_invalid_threshold(self, model_down):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             p_threshold(model_down.eta, model_down)
 
 
@@ -416,5 +416,5 @@ class TestModelAssembly:
         )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=1.0)

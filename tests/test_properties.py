@@ -6,12 +6,16 @@ allowed), and they are ordered exactly as the theory orders them.  Along a
 pass, the rate falls as the satellite leaves the zenith.  Every command run
 on that space, with a 1 nm or a 0.1 pm filter, exits 0 or 3 (numerical
 failure); a malformed scenario or protocol string exits 2 and names its key.
+So does a numeric key outside its domain, while one inside it, however
+extreme, exits 0 with finite numbers or 3.
 """
 
 import contextlib
 import io
 import itertools
+import json
 import math
+import re
 import string
 import warnings
 
@@ -139,3 +143,115 @@ def test_malformed_string_values_exit_2_naming_the_key(argv, sets, key, value):
     assert code == 2 and out == ""
     assert err.startswith("configuration error: ")
     assert key.rpartition(".")[2] in err
+
+
+def quantities(lo: float, hi: float = math.inf, lo_in: bool = False, hi_in: bool = False):
+    """(membership test, values) for the interval from lo to hi, its ends
+    included as given: values inside, at and next to its ends, and anywhere."""
+    def inside(x):
+        return (lo < x or lo_in and x == lo) and (x < hi or hi_in and x == hi)
+
+    ends = [end for end in (lo, hi) if math.isfinite(end)]
+    edges = [math.nextafter(end, way) for end in ends for way in (-math.inf, math.inf)] + ends
+    finite = dict(allow_nan=False, allow_infinity=False)
+    return inside, st.one_of(
+        st.sampled_from(edges),
+        st.floats(lo, hi, exclude_min=not lo_in, exclude_max=not hi_in, **finite),
+        st.floats(**finite),
+    )
+
+
+def counts(least: int, most: float = math.inf):
+    """(membership test, values) for the whole numbers from least to most."""
+    top = min(most, 10**12)
+    return (lambda n: least <= n <= most), st.one_of(
+        st.sampled_from([least - 1, least, top, top + 1]),
+        st.integers(least, top),
+        st.integers(-top, top),
+    )
+
+
+POSITIVE = quantities(0.0)
+NON_NEGATIVE = quantities(0.0, lo_in=True)
+# every numeric key and the domain the README gives it, spelled out here
+NUMERIC_KEYS = {
+    "scenario.setup": counts(1, 4),
+    "beam.wavelength": POSITIVE,
+    "beam.waist": POSITIVE,
+    "beam.curvature": ((lambda x: x != 0.0), st.one_of(
+        st.sampled_from([0.0, 5e-324, -5e-324]), st.floats(allow_nan=False, allow_infinity=False))),
+    "receiver.aperture": POSITIVE,
+    "receiver.fov_sr": POSITIVE,
+    "receiver.detection_time": POSITIVE,
+    "receiver.filter": POSITIVE,
+    "receiver.efficiency": quantities(0.0, 1.0, hi_in=True),
+    "receiver.excess_photons": NON_NEGATIVE,
+    "atmosphere.alpha0": NON_NEGATIVE,
+    "atmosphere.scale_height": POSITIVE,
+    "pointing.error_rad": NON_NEGATIVE,
+    "protocol.N": counts(2),
+    "protocol.m": counts(1),
+    "protocol.f_et": quantities(0.0, 1.0, lo_in=True, hi_in=True),
+    "protocol.beta": quantities(0.0, 1.0, hi_in=True),
+    "protocol.p_ec": quantities(0.0, 1.0, hi_in=True),
+    "protocol.eps_s": quantities(0.0, 1.0),
+    "protocol.eps_h": quantities(0.0, 1.0),
+    "protocol.eps_pe": quantities(0.0, 1.0),
+    "protocol.eps_cor": quantities(0.0, 1.0),
+    "protocol.d": counts(2),
+    "protocol.mu": quantities(1.0),
+    "protocol.phi": quantities(0.0, 1.0),
+    "protocol.clock_hz": POSITIVE,
+    "noise.h_sky": NON_NEGATIVE,
+    "noise.kappa": NON_NEGATIVE,
+}
+# the default of the other key of a pair with a cross-key rule, m < N
+PAIRED = {"protocol.N": ("protocol.m", 15_000_000), "protocol.m": ("protocol.N", 100_000_000)}
+
+
+def non_finite_numbers(out: str) -> list[str]:
+    """The nan and inf in an output, apart from the configuration it records."""
+    if out.startswith("{"):
+        report = json.loads(out)
+        del report["config"]
+        numbers = re.findall(r"NaN|-?Infinity", json.dumps(report))
+    else:
+        lines = [line for line in out.splitlines() if not line.startswith("# config:")]
+        numbers = re.findall(r"\b(?:nan|inf)\b", "\n".join(lines))
+    return numbers
+
+
+@st.composite
+def numeric_key_value(draw) -> tuple[str, object, bool]:
+    """A numeric key, a value for it, and whether the value is in its domain."""
+    key = draw(st.sampled_from(sorted(NUMERIC_KEYS)))
+    inside, values = NUMERIC_KEYS[key]
+    value = draw(values)
+    return key, value, inside(value)
+
+
+@seed(20261019)
+@given(argv=command_argv(), sets=documented_sets(), key_value=numeric_key_value())
+def test_numeric_keys_exit_by_their_domain(argv, sets, key_value):
+    key, value, inside = key_value
+    command = argv + sets + ["--set", f"{key}={value!r}"]
+    code, out, err = run_main(command)
+    if key in PAIRED and inside:
+        other, default = PAIRED[key]
+        if (value >= default) if key == "protocol.m" else (value <= default):
+            inside = False
+            key = f"{key} must be below {other}" if key == "protocol.m" else f"{other} must be below {key}"
+    if not inside:
+        assert code == 2 and out == "", err
+        assert err.startswith("configuration error: ") and key in err, err
+    elif code == 2:
+        # a simple max-range without background photons (a dark sky, or a
+        # photon count that underflows to 0) has no Fresnel range
+        assert command[:3] == ["max-range", "--mode", "simple"], err
+        assert "the Fresnel range needs background photons" in err
+    elif code == 3:
+        assert out == "" and err.startswith("numerical error: "), err
+    else:
+        assert code == 0, err
+        if command[0] != "show-config":  # whose output is all configuration
+            assert non_finite_numbers(out) == [], out

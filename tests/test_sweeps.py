@@ -27,7 +27,7 @@ def altitudes(n):
 
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
 def test_bounds_grid_matches_points(setup, link, period, sky):
-    scn = Scenario.build(link, period, sky, setup)
+    scn = Scenario.build(link, period, sky, setup=setup)
     h = np.repeat(altitudes(5), 3)
     theta = np.tile([-1.0, 0.0, 0.5], 5)
     with warnings.catch_warnings():
@@ -41,7 +41,7 @@ def test_bounds_grid_matches_points(setup, link, period, sky):
 
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
 def test_rate_grid_matches_points(setup, link, period, sky):
-    scn = Scenario.build(link, period, sky, setup)
+    scn = Scenario.build(link, period, sky, setup=setup)
     thetas = np.linspace(-1.0, 1.0, 9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -68,7 +68,7 @@ YURA_FAILS = {"beam": {"waist": 1.2e-3}}
 
 @pytest.mark.filterwarnings("ignore:Yura parameter")
 def test_strong_turbulence_point_fails_as_alone():
-    scn = Scenario.build("up", "night", "clear", 1, **YURA_FAILS)
+    scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
     with pytest.raises(StrongTurbulenceError) as alone:
         scn.bounds_at(150e3, 0.5)
     h = np.array([1000e3, 150e3, 150e3, 2000e3])
@@ -92,7 +92,7 @@ def test_strong_turbulence_point_fails_as_alone():
 def test_first_failing_point_sets_the_error():
     # point 1 fails on strong turbulence, point 3 on its angle; a loop over
     # the points reports point 1, and so does the sweep
-    scn = Scenario.build("up", "night", "clear", 1, **YURA_FAILS)
+    scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
     with pytest.raises(StrongTurbulenceError) as alone:
         scn.bounds_at(150e3, 0.0)
     with pytest.raises(StrongTurbulenceError) as swept:
@@ -120,7 +120,7 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     Every tanh_sinh call of the sweep is counted, so a per-sweep fading
     average would show up as a call of its own.
     """
-    scn = Scenario.build("down", "day", "clear", 1)
+    scn = Scenario.build("down", "day", "clear", setup=1)
     h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
     theta = np.tile([0.0, 0.8], 6)
     scn.bounds_at(h[0], theta[0])  # the turbulence columns, cached per process

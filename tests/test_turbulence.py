@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satlink.beam import BeamParams
-from satlink.errors import StrongTurbulenceError
+from satlink.errors import ConfigError, StrongTurbulenceError
 from satlink.turbulence import (
     TurbulenceProfile,
     cn2,
@@ -51,7 +51,7 @@ class TestProfiles:
         assert TurbulenceProfile.from_name("hv-day") == DAY
         assert TurbulenceProfile.from_name("hv-worst-day").windspeed == 57.0
         assert TurbulenceProfile.from_name("hufnagel-stanley").kind == "hufnagel-stanley"
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             TurbulenceProfile.from_name("kolmogorov")
 
     def test_day_exceeds_night(self):
