@@ -9,7 +9,6 @@ script then exits 3, as the CLI does for a numerical failure.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from satlink import Scenario
 from satlink.beam import ReceiverParams
@@ -44,11 +43,9 @@ def main() -> int:
 
     print("background photons per mode (receiver: a_R=40cm, fov=1e-10 sr, dt=10 ns)")
     print(f"{'condition':18s} {'1 nm filter':>14s} {'0.1 pm filter':>14s}")
-    wide = ReceiverParams(aperture=0.4, efficiency=0.4)
-    narrow = replace(wide, filter_width=1e-13)
+    receivers = [ReceiverParams(filter_width=filt) for _, filt in FILTERS]
     for name, *condition in CONDITIONS:
-        print(f"{name:18s} {nbar_background(*condition, wide):14.3g}"
-              f" {nbar_background(*condition, narrow):14.3g}")
+        print(f"{name:18s}", *(f"{nbar_background(*condition, receiver):14.3g}" for receiver in receivers))
 
     if args.skip_tight:
         return 0

@@ -37,9 +37,6 @@ class ExtinctionModel(Checked):
     h_scale: float = param(6600.0, POSITIVE)     # decay scale height, m
 
 
-DEFAULT_EXTINCTION = ExtinctionModel()
-
-
 def _extinction(y, theta, h_scale: float):
     return np.exp(-geometry.altitude_from_slant(y, theta) / h_scale)
 
@@ -64,7 +61,7 @@ def _line_of_sight(path: float, theta: float, h_scale: float) -> float:
     return tanh_sinh(_extinction, 0.0, path, theta, h_scale).value
 
 
-def eta_atm(h, theta, model: ExtinctionModel = DEFAULT_EXTINCTION):
+def eta_atm(h, theta, model: ExtinctionModel):
     """Slant-path transmissivity to altitude h at zenith angle theta.
 
     h and theta are floats or 1-D arrays of points.  The path integral is

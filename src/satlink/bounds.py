@@ -32,17 +32,15 @@ def entropy_h(x):
     # numerical dust from symplectic eigenvalues counts as zero
     if any_(x <= _H_TINY):
         raise ValueError("mean photon number must be non-negative")
-    return thermal_entropy(x, mathof(x))
+    return thermal_entropy(x)
 
 
-def thermal_entropy(x, m):
-    """entropy_h without the domain check, x <= 0 counting as 0, with m's log2.
-
-    m is mathof(x) at the points of a sweep and numpy in quadrature integrands.
-    """
+def thermal_entropy(x):
+    """entropy_h without the domain check, x <= 0 counting as 0."""
     # multiplying by the masks zeroes x <= 0 (to -0.0 at worst, which h maps
     # to 0.0) and keeps log2 off 0, without a branch on scalars or arrays
     x = x * (x > 0.0)
+    m = mathof(x)
     return (x + 1.0) * m.log2(x + 1.0) - x * m.log2(x + (x == 0.0))
 
 
@@ -122,14 +120,12 @@ def thermal_upper(nbar: float, model: FadingModel, b=None):
     return scatter(live, where(upper > 0.0, upper, 0.0), 0.0)
 
 
-def thermal_lower(nbar: float, model: FadingModel, b=None):
+def thermal_lower(nbar: float, model: FadingModel, b):
     """Reverse-coherent-information lower bound max(0, B - h(nbar / (1 - eta))).
 
     The entropy penalty takes the transmissivity at its maximum eta.  b is
-    the model's loss-limited bound B, when the caller has it already.
+    the model's loss-limited bound B.
     """
-    if b is None:
-        b = bound_b_model(model)
     if nbar == 0.0:
         return b
     lower = b - entropy_h(nbar / (1.0 - model.eta))
@@ -145,13 +141,13 @@ Z_TOL = 1e3
 @dataclass(frozen=True)
 class MaxRangeResult:
     z_max: float          # meters; 0.0 when no secure range exists
-    mode: str
-    secure_anywhere: bool
     capped: bool = False  # z_max is the bracket cap Z_HI, not a root
 
 
 def fresnel_range(waist: float, wavelength: float, aperture: float, n_background: float) -> float:
     """Fresnel-number maximum range pi w0 a_R / (lambda n_B) for background photons n_B."""
+    if wavelength * n_background == 0.0:  # n_B, or lambda n_B, rounds to 0
+        raise NumericalError(f"no finite Fresnel range: lambda n_B underflows to 0 at n_B = {n_background:.6g}")
     return math.pi * waist * aperture / (wavelength * n_background)
 
 
@@ -163,20 +159,20 @@ def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRa
     geometrically from Z_LO up to the cap Z_HI.
     """
     if nbar >= 1.0:
-        return MaxRangeResult(0.0, "tight", False)
+        return MaxRangeResult(0.0)
 
     def upper_at(z: float) -> float:
         return thermal_upper(nbar, build_model(z))
 
     if upper_at(Z_LO) <= 0.0:
-        return MaxRangeResult(0.0, "tight", False)
+        return MaxRangeResult(0.0)
 
     # expand until the bound dies or the cap is reached
     lo, hi = Z_LO, 2.0 * Z_LO
     while hi < Z_HI and upper_at(hi) > 0.0:
         lo, hi = hi, 2.0 * hi
     if hi >= Z_HI and upper_at(Z_HI) > 0.0:
-        return MaxRangeResult(Z_HI, "tight", True, capped=True)
+        return MaxRangeResult(Z_HI, capped=True)
 
     while hi - lo > Z_TOL:
         mid = 0.5 * (lo + hi)
@@ -184,4 +180,4 @@ def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRa
             lo = mid
         else:
             hi = mid
-    return MaxRangeResult(0.5 * (lo + hi), "tight", True)
+    return MaxRangeResult(0.5 * (lo + hi))

@@ -33,7 +33,6 @@ from .cvqkd import ProtocolParams
 from .domain import NON_NEGATIVE, POSITIVE, Domain, at_least, check
 from .errors import ConfigError, NumericalError
 from .scenario import Scenario
-from .turbulence import TurbulenceProfile
 
 _UNITS = {
     "": 1.0,
@@ -108,8 +107,9 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"unknown grid mode {parts[3]!r}")
-        if lo <= 0:
-            raise ConfigError("log grid needs a positive start")
+        for end, text, value in (("start", parts[0], lo), ("stop", parts[1], hi)):
+            if value <= 0:
+                raise ConfigError(f"log grid needs a positive {end}, got {text!r}")
         return [float(x) for x in np.geomspace(lo, hi, n)]
     return [float(x) for x in np.linspace(lo, hi, n)]
 
@@ -151,7 +151,7 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("protocol.clock_hz", "protocol.clock_hz", _finite),
     ("protocol.detection", "protocol.detection", str),
     ("protocol.tail", "protocol.tail", str),
-    ("scenario.profile", "profile", TurbulenceProfile.from_name),
+    ("scenario.profile", "profile", str),
     ("pointing.error_rad", "pointing_error", _finite),
     ("noise.h_sky", "h_sky_override", _finite),
     ("noise.kappa", "kappa_override", _finite),
@@ -226,7 +226,7 @@ def describe(scn: Scenario) -> dict[str, object]:
         for key, value in zip(_DESCRIBED_KEYS, _described_values(scn))
         if value is not None
     }
-    desc["turbulence.profile"] = scn.resolved_profile.name
+    desc["turbulence.profile"] = scn.profile_name
     desc["noise.nbar_background"] = scn.nbar_background
     return desc
 
@@ -303,8 +303,12 @@ def cmd_pass(args, scn: Scenario) -> str:
     for key, value in sorted(report.items()):
         if not isinstance(value, str) and not np.isfinite(value).all():
             raise NumericalError(f"{key} is not finite for the pass at h_km={_fmt(report['h_km'])}")
-    report["config"] = describe(scn)
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    # strict JSON: a setting that is not finite (beam.curvature) as show-config prints it
+    report["config"] = {
+        key: _fmt(value) if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in describe(scn).items()
+    }
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def cmd_compare_fiber(args, scn: Scenario) -> str:
@@ -352,7 +356,7 @@ def cmd_max_range(args, scn: Scenario) -> str:
     return csv_text(
         scn,
         ["mode", "z_max_km", "secure_anywhere", "capped"],
-        [(result.mode, result.z_max / 1e3, result.secure_anywhere, result.capped)],
+        [(args.mode, result.z_max / 1e3, result.z_max > 0.0, result.capped)],
     )
 
 
@@ -370,15 +374,17 @@ def _sat_spec(spec: str) -> tuple[str, dict[str, str], float, int]:
     )
     if "h" not in items:
         raise ConfigError(f"--sat spec {spec!r} needs h=<altitude>")
-    # h and blocks take the parsers of --h and --blocks
+    # h and blocks take the parsers of --h and --blocks, and blocks its default
     h = _named("--sat h", _finite, items.pop("h"), POSITIVE)
-    blocks = _named("--sat blocks", _whole, items.pop("blocks", "10"), at_least(1))
+    _, parse, domain, kwargs = _BLOCKS
+    blocks = _named("--sat blocks", parse, items.pop("blocks", kwargs["default"]), domain)
     label = items.pop("label", f"sat_{h/1e3:g}km")
     return label, {_SAT_SHORTHAND.get(key, key): value for key, value in items.items()}, h, blocks
 
 
 _H = dict(required=True, help="satellite altitude")
 _ATTACKS = ("--attacks", str, None, dict(choices=("collective", "general"), default="collective"))
+_BLOCKS = ("--blocks", _whole, at_least(1), dict(default="10", help="data blocks per pass"))
 
 # (name, help, command, the command's options as (flag, parser, domain,
 # add_argument keywords)).  argparse keeps each value as text, defaults
@@ -397,7 +403,7 @@ COMMANDS = (
     )),
     ("pass", "zenith-crossing pass report (JSON)", cmd_pass, (
         ("--h", _finite, POSITIVE, _H),  # an orbit
-        ("--blocks", _whole, at_least(1), dict(default="10", help="data blocks per pass")),
+        _BLOCKS,
         _ATTACKS,
     )),
     ("compare-fiber", "satellite vs fiber/repeater bits per day", cmd_compare_fiber, (

@@ -73,6 +73,7 @@ class ProtocolParams(Checked):
 
     @property
     def nu_add(self) -> float:
+        """Vacuum units the detection adds: homodyne measures one quadrature, heterodyne two."""
         return 1.0 if self.detection == "hom" else 2.0
 
     @property
@@ -106,21 +107,19 @@ class ProtocolParams(Checked):
         return self.p_ec * self.eps_pe + self.eps_cor + self.eps_s + self.eps_h
 
 
-def mutual_information(tau, nbar: float, sigma_x2: float, detection: str):
-    """Transmitter-receiver mutual information, bits per use."""
+def mutual_information(tau, nbar: float, sigma_x2: float, nu_add: float):
+    """Transmitter-receiver mutual information, bits per use; nu_add is ProtocolParams.nu_add."""
     if not all_((0.0 < tau) & (tau <= 1.0)):
         raise NumericalError("transmissivity must lie in (0, 1]")
-    # one quadrature measured (homodyne) adds one vacuum unit, both (heterodyne) two
-    nu_add = 1.0 if detection == "hom" else 2.0
     snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + nu_add)
     return nu_add / 2.0 * mathof(snr).log2(snr)
 
 
-def _entropy_from_nu(nu, m):
+def _entropy_from_nu(nu):
     unphysical = nu < 1.0 - 1e-9
     if any_(unphysical):
         raise NumericalError(f"non-physical symplectic eigenvalue {at_first(unphysical, nu)}")
-    return thermal_entropy((nu - 1.0) / 2.0, m)
+    return thermal_entropy((nu - 1.0) / 2.0)
 
 
 def holevo_bound(tau, nbar, mu: float, detection: str):
@@ -150,32 +149,30 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
     nu_plus = m.sqrt((delta + root) / 2.0)
     nu_minus2 = (delta - root) / 2.0
     nu_minus = m.sqrt(nu_minus2 * (nu_minus2 > 0.0))
-    s_ab = _entropy_from_nu(nu_plus, m) + _entropy_from_nu(nu_minus, m)
+    s_ab = _entropy_from_nu(nu_plus) + _entropy_from_nu(nu_minus)
 
     if detection == "hom":
         nu_cond = m.sqrt(a * (a - c2 / b))
     else:
         nu_cond = a - c2 / (b + 1.0)
-    return s_ab - _entropy_from_nu(nu_cond, m)
+    return s_ab - _entropy_from_nu(nu_cond)
 
 
 def asymptotic_rate(tau: float, nbar: float, params: ProtocolParams) -> float:
     """Asymptotic collective-attack rate beta*I - chi (not clamped)."""
-    i_xy = mutual_information(tau, nbar, params.sigma_x2, params.detection)
+    i_xy = mutual_information(tau, nbar, params.sigma_x2, params.nu_add)
     chi = holevo_bound(tau, nbar, params.mu, params.detection)
     return params.beta * i_xy - chi
 
 
-def pe_confidence_factor(eps_pe: float, tail: str = "gaussian") -> float:
+def pe_confidence_factor(eps_pe: float, tail: str) -> float:
     """Confidence multiplier w for the worst-case thermal-photon estimate."""
     if tail == "gaussian":
         return math.sqrt(2.0) * erfcinv(eps_pe)
     return math.sqrt(2.0 * math.log(1.0 / eps_pe))
 
 
-def worst_case_nbar(
-    nbar: float, m: int, nu_add: float, eps_pe: float, tail: str = "gaussian"
-) -> float:
+def worst_case_nbar(nbar: float, m: int, nu_add: float, eps_pe: float, tail: str) -> float:
     """Upper confidence bound on the thermal photons from m pilot pulses."""
     w = pe_confidence_factor(eps_pe, tail)
     return nbar + w * (2.0 * nbar + nu_add) / math.sqrt(2.0 * nu_add * m)
@@ -209,7 +206,7 @@ def _k_n(n_eff, params: ProtocolParams):
     return where(k > 1.0, k, 1.0)
 
 
-def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept=True) -> KeyRate:
+def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept) -> KeyRate:
     """Composable rate of n_eff key pulses at asymptotic rate r_m, 0 where not kept.
 
     General attacks are reduced to collective ones by energy tests, which
@@ -228,12 +225,7 @@ def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept=Tru
     return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
 
 
-def postselected_rate(
-    model: FadingModel,
-    nbar_prime: float,
-    params: ProtocolParams,
-    attacks: str = "collective",
-) -> KeyRate:
+def postselected_rate(model: FadingModel, nbar_prime: float, params: ProtocolParams, attacks: str) -> KeyRate:
     """Finite-size rate over the fading channel with threshold post-selection.
 
     Data are kept only when the pilot-measured transmissivity exceeds

@@ -19,7 +19,7 @@ import numpy as np
 from . import atmosphere, geometry, turbulence
 from ._array import all_, any_, at_first, each, mathof, take, where
 from ._special import i0e, i1e
-from .atmosphere import DEFAULT_EXTINCTION, ExtinctionModel
+from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .errors import NumericalError
 from .turbulence import TurbulenceProfile
@@ -36,7 +36,7 @@ STRIDE = 32
 KS_MARGIN = 1e-12
 
 
-def pointing_variance(z, error_rad: float = 1e-6):
+def pointing_variance(z, error_rad: float):
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
     return mathof(z).pow(error_rad * z, 2)
 
@@ -124,8 +124,8 @@ def fading_model(
     receiver: ReceiverParams,
     profile: TurbulenceProfile,
     direction: str,
-    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
-    pointing_error: float = 1e-6,
+    extinction: ExtinctionModel,
+    pointing_error: float,
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
@@ -144,10 +144,7 @@ def fading_model(
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
-    spots = turbulence.spot_sizes(
-        z, theta, beam, profile, direction,
-        pointing_sigma2=pointing_variance(z, pointing_error),
-    )
+    spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error))
     m = mathof(spots.w_st)
     eta_st_far = 2.0 * receiver.aperture**2 / m.pow(spots.w_st, 2)
     eta_st = -m.expm1(-eta_st_far)

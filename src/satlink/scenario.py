@@ -26,9 +26,10 @@ from .fading import FadingModel
 from .geometry import slant_range
 from .turbulence import PROFILES, TurbulenceProfile
 
-# hardware presets: (beam waist w0, receiver aperture a_R, spectral filter)
+# hardware presets: (beam waist w0, receiver aperture a_R, spectral filter);
+# preset 1 is the parameter dataclasses' defaults
 SETUPS: dict[int, tuple[float, float, float]] = {
-    1: (0.2, 0.4, 1e-9),
+    1: (BeamParams.waist, ReceiverParams.aperture, ReceiverParams.filter_width),
     2: (0.4, 1.0, 1e-9),
     3: (0.4, 2.0, 1e-9),
     4: (0.4, 2.0, 1e-13),
@@ -77,7 +78,7 @@ class Scenario(Checked):
     setup: int = param(1, one_of(*SETUPS))
     beam: BeamParams = field(default_factory=BeamParams)
     receiver: ReceiverParams = field(default_factory=ReceiverParams)
-    profile: TurbulenceProfile | None = None   # default: resolved from period
+    profile: str | None = param(None, one_of(*PROFILES))  # unset: hv-<period>
     extinction: ExtinctionModel = field(default_factory=ExtinctionModel)
     pointing_error: float = param(1e-6, NON_NEGATIVE)
     protocol: ProtocolParams = field(default_factory=ProtocolParams)
@@ -101,11 +102,14 @@ class Scenario(Checked):
 
     # the scenario is frozen, so its derived state is computed once
 
+    @property
+    def profile_name(self) -> str:
+        """scenario.profile, or unset the Hufnagel-Valley profile of the period."""
+        return self.profile or f"hv-{self.period}"
+
     @cached_property
     def resolved_profile(self) -> TurbulenceProfile:
-        if self.profile is not None:
-            return self.profile
-        return PROFILES[f"hv-{self.period}"]
+        return PROFILES[self.profile_name]
 
     @cached_property
     def nbar_background(self) -> float:
@@ -181,12 +185,15 @@ class Scenario(Checked):
         if mode == "tight":
             return bounds.max_range(lambda z: self.fading_model(z, 0.0), self.nbar)
         if self.nbar >= 1.0:
-            return bounds.MaxRangeResult(0.0, "simple", False)
-        n_b = self.nbar_background
-        if n_b == 0.0:
+            return bounds.MaxRangeResult(0.0)
+        # the override that applies to the link leaves no background photons at 0;
+        # one above 0 whose n_B rounds to 0 fails numerically, in fresnel_range
+        override = self.kappa_override if self.link == "up" else self.h_sky_override
+        if override == 0.0:
             raise ConfigError("the Fresnel range needs background photons, and n_B is 0")
+        n_b = self.nbar_background
         z = bounds.fresnel_range(self.beam.waist, self.beam.wavelength, self.receiver.aperture, n_b)
-        return bounds.MaxRangeResult(z, "simple", True)
+        return bounds.MaxRangeResult(z)
 
     # -- key rates ----------------------------------------------------------
 

@@ -20,7 +20,7 @@ import numpy as np
 from ._array import any_, at_first, each, mathof
 from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
-from .errors import ConfigError, NumericalError, StrongTurbulenceError
+from .errors import NumericalError, StrongTurbulenceError
 
 # C_n^2 falls exponentially above the tropopause; integrals truncate here
 PROFILE_TOP_M = 100e3
@@ -42,22 +42,6 @@ class TurbulenceProfile:
     windspeed: float = 21.0     # m/s
     hs_c1: float = 4.2e-14
     hs_c2: float = 3200.0
-
-    @classmethod
-    def from_name(cls, name: str) -> "TurbulenceProfile":
-        try:
-            return PROFILES[name]
-        except KeyError:
-            raise ConfigError(f"unknown turbulence profile {name!r}") from None
-
-    @property
-    def name(self) -> str:
-        for name, preset in PROFILES.items():
-            if preset == self:
-                return name
-        if self.kind == "hufnagel-valley":
-            return f"hv(A={self.a_ground:g},v={self.windspeed:g})"
-        return self.kind
 
 
 # the named profiles: Hufnagel-Valley at night, by day and on a worst-case
@@ -144,7 +128,7 @@ def spot_sizes(
     beam: BeamParams,
     profile: TurbulenceProfile,
     direction: str,
-    pointing_sigma2=0.0,
+    pointing_sigma2,
 ) -> SpotSizes:
     """Short-/long-term spot sizes and wander variances at slant range z.
 

@@ -29,9 +29,9 @@ import numpy as np
 from satlink import atmosphere, cli, geometry
 from satlink._array import mathof
 from satlink._integrate import tanh_sinh
-from satlink.atmosphere import DEFAULT_EXTINCTION, PATH_TOP_M, ExtinctionModel, _path_integral
+from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _path_integral
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
-from satlink.bounds import entropy_h, thermal_entropy
+from satlink.bounds import entropy_h
 from satlink.cvqkd import (
     KeyRate,
     ProtocolParams,
@@ -41,6 +41,7 @@ from satlink.cvqkd import (
 )
 from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance
 from satlink.orbit import golden_section
+from satlink.scenario import Scenario
 from satlink.turbulence import (
     LAYER_EDGES_M,
     PROFILE_TOP_M,
@@ -51,6 +52,11 @@ from satlink.turbulence import (
     i_infty,
     spot_sizes,
 )
+
+# the scenario defaults of the extinction and the pointing error, which the
+# channel functions take from their caller
+EXTINCTION = ExtinctionModel()
+POINTING_ERROR = Scenario.pointing_error
 
 # -- geometry and extinction -------------------------------------------------
 
@@ -70,7 +76,7 @@ def unit_elongation(theta_app: float) -> float:
     return 1.0
 
 
-def eta_atm_zenith(h: float, model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
+def eta_atm_zenith(h: float, model: ExtinctionModel = EXTINCTION) -> float:
     """Vertical-path transmissivity up to altitude h (closed form)."""
     if h < 0:
         raise ValueError("altitude must be non-negative")
@@ -78,14 +84,14 @@ def eta_atm_zenith(h: float, model: ExtinctionModel = DEFAULT_EXTINCTION) -> flo
 
 
 def eta_atm_secant(
-    h: float, theta: float, model: ExtinctionModel = DEFAULT_EXTINCTION
+    h: float, theta: float, model: ExtinctionModel = EXTINCTION
 ) -> float:
     """Secant-law approximation [eta_zenith(inf)]^(sec theta); good for h >= 30 km."""
     del h  # the saturated zenith value is used regardless of altitude
     return math.exp(-model.alpha0 * model.h_scale / math.cos(abs(theta)))
 
 
-def eta_atm_zenith_inf(model: ExtinctionModel = DEFAULT_EXTINCTION) -> float:
+def eta_atm_zenith_inf(model: ExtinctionModel = EXTINCTION) -> float:
     """Vertical transmissivity through the whole atmosphere, exp(-alpha0*h_scale)."""
     return math.exp(-model.alpha0 * model.h_scale)
 
@@ -94,7 +100,7 @@ def eta_atm_refracted(
     h: float,
     theta_app: float,
     elongation: Callable[[float], float] = unit_elongation,
-    model: ExtinctionModel = DEFAULT_EXTINCTION,
+    model: ExtinctionModel = EXTINCTION,
 ) -> float:
     """Slant transmissivity with Snell bending and optional path elongation.
 
@@ -125,7 +131,7 @@ def eta_total(
     theta: float,
     beam: BeamParams,
     receiver: ReceiverParams,
-    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
+    extinction: ExtinctionModel = EXTINCTION,
 ) -> float:
     """Fixed point-to-point loss: setup efficiency x extinction x diffraction."""
     z = geometry.slant_range(h, theta)
@@ -141,7 +147,7 @@ def bound_v(
     theta: float,
     beam: BeamParams,
     receiver: ReceiverParams,
-    extinction: ExtinctionModel = DEFAULT_EXTINCTION,
+    extinction: ExtinctionModel = EXTINCTION,
 ) -> float:
     """Key-rate upper bound -log2(1 - eta_total), bits per use."""
     return plob(eta_total(h, theta, beam, receiver, extinction))
@@ -260,13 +266,11 @@ def model_spot_sizes(
     beam: BeamParams,
     profile: TurbulenceProfile,
     direction: str,
-    pointing_error: float = 1e-6,
+    pointing_error: float = POINTING_ERROR,
 ) -> SpotSizes:
     """The spot sizes and wander variances fading_model takes at (h, theta)."""
     z = geometry.slant_range(h, theta)
-    return spot_sizes(
-        z, theta, beam, profile, direction, pointing_sigma2=pointing_variance(z, pointing_error)
-    )
+    return spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error))
 
 
 def fading_pdf(tau: float, model: FadingModel) -> float:
@@ -327,6 +331,11 @@ def fading_average(
     return tanh_sinh(lambda t: f(eta * np.exp(-((-np.log(t) / s) ** g))), t_min, 1.0, abs_tol=abs_tol).value
 
 
+def node_entropy(x: np.ndarray) -> np.ndarray:
+    """The thermal-state entropy h(x) of bounds.entropy_h at quadrature nodes x >= 0, with numpy's log2."""
+    return (x + 1.0) * np.log2(x + 1.0) - x * np.log2(x + (x == 0.0))
+
+
 def average_plob(model: FadingModel) -> float:
     """Direct fading average of -log2(1 - tau); oracle for bound_b."""
     return fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
@@ -341,7 +350,7 @@ def thermal_lower_middle(nbar: float, model: FadingModel, b: float) -> float:
     """
     if nbar == 0.0:
         return b
-    middle = b - fading_average(lambda tau: thermal_entropy(nbar / (1.0 - tau), np), model, 1e-12)
+    middle = b - fading_average(lambda tau: node_entropy(nbar / (1.0 - tau)), model, 1e-12)
     return max(middle, 0.0)
 
 
@@ -356,7 +365,7 @@ def average_phi_thermal(nbar: float, model: FadingModel) -> float:
 
     def phi(tau: np.ndarray) -> np.ndarray:
         n_e = nbar / (1.0 - tau)
-        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - thermal_entropy(n_e, np)
+        return -np.log2(1.0 - tau) - n_e * np.log2(tau) - node_entropy(n_e)
 
     return fading_average(phi, model, 1e-13, tau_min=nbar)
 
@@ -460,7 +469,7 @@ def composable_rate(
     tau, nbar_prime: float, params: ProtocolParams, attacks: str = "collective"
 ) -> KeyRate:
     """Composable finite-size rate against collective or general attacks."""
-    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks)
+    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks, True)
 
 
 def general_protocol(**overrides) -> ProtocolParams:

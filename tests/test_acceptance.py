@@ -30,10 +30,11 @@ from satlink.orbit import (
     sun_sync_inclination,
     transit_times,
 )
-from satlink.turbulence import TurbulenceProfile, i_infty, spot_sizes
+from satlink.turbulence import PROFILES, i_infty, spot_sizes
 from satlink.atmosphere import eta_atm
 
 from _reference import (
+    EXTINCTION,
     coherence_length,
     composable_rate,
     eta_atm_secant,
@@ -100,7 +101,7 @@ def test_acceptance_02_extinction():
     points = 0
     for h in (100e3, 300e3, 1000e3, 10000e3):
         for theta in np.linspace(0.0, 1.0, 5):
-            full = eta_atm(h, float(theta))
+            full = eta_atm(h, float(theta), EXTINCTION)
             sec = eta_atm_secant(h, float(theta))
             points += 1
             check(
@@ -115,8 +116,8 @@ def test_acceptance_02_extinction():
 
 def test_acceptance_03_turbulence_constants():
     failures = []
-    night = TurbulenceProfile.from_name("hv-night")
-    day = TurbulenceProfile.from_name("hv-day")
+    night = PROFILES["hv-night"]
+    day = PROFILES["hv-day"]
     check(failures, abs(i_infty(night) - 2.2354e-12) / 2.2354e-12 < 0.005, "night column integral")
     check(failures, abs(i_infty(day) - 3.2854e-12) / 3.2854e-12 < 0.005, "day column integral")
     k = 2.0 * math.pi / 800e-9
@@ -212,7 +213,7 @@ def test_acceptance_06_bound_oracles():
             f"B mismatch at h={h:g} theta={theta}: {closed:.6e} vs {direct:.6e}",
         )
         upper = thermal_upper(nbar, model)
-        lower = thermal_lower(nbar, model)
+        lower = thermal_lower(nbar, model, closed)
         middle = thermal_lower_middle(nbar, model, closed)
         check(failures, lower <= middle + 1e-12, "lower-form ordering")
         check(failures, middle <= upper + 1e-9, f"lower > upper at h={h:g}")
@@ -334,7 +335,8 @@ def test_acceptance_10_property_suite():
     for tau in np.linspace(0.02, 0.98, 13):
         for mu in (2.0, 9.28, 30.0):
             for det in ("hom", "het"):
-                rate = mutual_information(float(tau), 0.0, mu - 1.0, det) - holevo_bound(
+                nu_add = ProtocolParams(detection=det).nu_add
+                rate = mutual_information(float(tau), 0.0, mu - 1.0, nu_add) - holevo_bound(
                     float(tau), 0.0, mu, det
                 )
                 check(failures, rate <= plob(float(tau)) + 1e-11,
@@ -344,10 +346,10 @@ def test_acceptance_10_property_suite():
     from satlink.beam import BeamParams
 
     beam = BeamParams(wavelength=800e-9, waist=0.2)
-    night = TurbulenceProfile.from_name("hv-night")
+    night = PROFILES["hv-night"]
     for z in (2e5, 1e6, 3.6e7):
         for theta in (0.0, 1.0):
-            s = spot_sizes(z, theta, beam, night, "up")
+            s = spot_sizes(z, theta, beam, night, "up", 0.0)
             check(
                 failures,
                 abs(s.w_lt**2 - s.w_st**2 - s.sigma_tb2) < 1e-9 * s.w_lt**2,

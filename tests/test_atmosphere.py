@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from satlink import Scenario, atmosphere
 from satlink._integrate import tanh_sinh
 from satlink.atmosphere import (
-    DEFAULT_EXTINCTION,
     PATH_TOP_M,
     ExtinctionModel,
     _extinction,
@@ -18,7 +17,7 @@ from satlink.atmosphere import (
 )
 from satlink.geometry import slant_range
 
-from _reference import eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
+from _reference import EXTINCTION, eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
 THETA_APP_MAX = math.asin(1 / 1.00027)
 
 
@@ -45,30 +44,30 @@ class TestZenithExtinction:
 class TestSlantExtinction:
     def test_matches_zenith_closed_form(self):
         for h in (5e3, 30e3, 530e3):
-            assert eta_atm(h, 0.0) == pytest.approx(eta_atm_zenith(h), abs=1e-9)
+            assert eta_atm(h, 0.0, EXTINCTION) == pytest.approx(eta_atm_zenith(h), abs=1e-9)
 
     def test_loss_near_horizon_without_refraction(self):
         # full quadrature at the maximum apparent angle treated as true angle
-        assert to_db(eta_atm(780e3, THETA_APP_MAX)) == pytest.approx(3.4, abs=0.1)
+        assert to_db(eta_atm(780e3, THETA_APP_MAX, EXTINCTION)) == pytest.approx(3.4, abs=0.1)
 
     def test_secant_law_agreement_beyond_100km(self):
         for h in (100e3, 530e3, 2000e3):
             for theta in np.linspace(0.0, 1.0, 6):
-                full = eta_atm(h, theta)
+                full = eta_atm(h, theta, EXTINCTION)
                 sec = eta_atm_secant(h, theta)
                 assert abs(full - sec) / full < 0.01
 
     def test_monotone_in_angle(self):
-        vals = [eta_atm(530e3, t) for t in np.linspace(0.0, 1.4, 8)]
+        vals = [eta_atm(530e3, t, EXTINCTION) for t in np.linspace(0.0, 1.4, 8)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_saturates_in_altitude(self):
-        assert eta_atm(100e3, 0.8) == pytest.approx(eta_atm(2000e3, 0.8), abs=2e-6)
+        assert eta_atm(100e3, 0.8, EXTINCTION) == pytest.approx(eta_atm(2000e3, 0.8, EXTINCTION), abs=2e-6)
 
     def test_range_and_floor(self):
         for h in (1e3, 50e3, 1e6):
             for theta in (0.0, 0.6, 1.0):
-                v = eta_atm(h, theta)
+                v = eta_atm(h, theta, EXTINCTION)
                 assert 0.0 < v <= 1.0
                 if h >= 30e3 and theta <= 1.0:
                     assert v >= eta_atm_secant(h, theta) - 1e-3
@@ -89,12 +88,12 @@ class TestRefractedExtinction:
     def test_negligible_below_one_radiant(self):
         for theta_app in (0.3, 0.7, 1.0):
             ref = eta_atm_refracted(530e3, theta_app)
-            plain = eta_atm(530e3, theta_app)
+            plain = eta_atm(530e3, theta_app, EXTINCTION)
             assert abs(ref - plain) / plain < 1e-3
 
     def test_snell_only_increases_loss_near_horizon(self):
         ref = eta_atm_refracted(780e3, THETA_APP_MAX)
-        assert to_db(ref) > to_db(eta_atm(780e3, THETA_APP_MAX))
+        assert to_db(ref) > to_db(eta_atm(780e3, THETA_APP_MAX, EXTINCTION))
 
     def test_published_horizon_loss_with_elongation(self):
         # The single-slab elongation data is not public; a constant factor of
@@ -108,7 +107,7 @@ class TestRefractedExtinction:
     def test_consistent_with_true_angle_quadrature(self):
         theta_app = 1.2
         ref = eta_atm_refracted(530e3, theta_app)
-        direct = eta_atm(530e3, math.asin(1.00027 * math.sin(theta_app)))
+        direct = eta_atm(530e3, math.asin(1.00027 * math.sin(theta_app)), EXTINCTION)
         assert ref == pytest.approx(direct, rel=1e-9)
 
 
@@ -139,20 +138,20 @@ class TestLineOfSightCache:
     @pytest.mark.parametrize("h", [5e3, 150e3, PATH_TOP_M, 530e3, 36000e3])
     @pytest.mark.parametrize("theta", [0.0, -0.4, 0.4, 1.0, 1.5])
     def test_cached_value_is_the_quadrature(self, h, theta):
-        h_scale = DEFAULT_EXTINCTION.h_scale
+        h_scale = EXTINCTION.h_scale
         path = slant_range(min(h, PATH_TOP_M), theta)
         direct = tanh_sinh(_extinction, 0.0, path, theta, h_scale).value
         _line_of_sight.cache_clear()
-        first = _path_integral(path, theta, DEFAULT_EXTINCTION)
-        again = _path_integral(path, theta, DEFAULT_EXTINCTION)
+        first = _path_integral(path, theta, EXTINCTION)
+        again = _path_integral(path, theta, EXTINCTION)
         assert first == direct and again == direct
         assert _line_of_sight.cache_info().hits == 1
-        assert eta_atm(h, theta) == math.exp(-DEFAULT_EXTINCTION.alpha0 * direct)
+        assert eta_atm(h, theta, EXTINCTION) == math.exp(-EXTINCTION.alpha0 * direct)
 
     def test_array_calls_bypass_the_cache(self):
         before = _line_of_sight.cache_info()
         h = np.array([5e3, 150e3, 530e3, 36000e3])
-        eta_atm(h, 0.3)
-        eta_atm(530e3, np.array([0.0, 0.3, 1.0]))
-        eta_atm(h, np.array([0.0, 0.3, 1.0, 0.3]))
+        eta_atm(h, 0.3, EXTINCTION)
+        eta_atm(530e3, np.array([0.0, 0.3, 1.0]), EXTINCTION)
+        eta_atm(h, np.array([0.0, 0.3, 1.0, 0.3]), EXTINCTION)
         assert _line_of_sight.cache_info() == before

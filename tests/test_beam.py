@@ -15,7 +15,7 @@ from satlink.beam import (
     plob,
 )
 
-from _reference import bound_v, eta_diffraction_far, eta_total
+from _reference import EXTINCTION, bound_v, eta_diffraction_far, eta_total
 
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)
@@ -139,7 +139,7 @@ class TestTotalLoss:
         # remove extinction by hand to isolate the diffraction factor
         from satlink.atmosphere import eta_atm
 
-        assert clear / eta_atm(530e3, 0.0) == pytest.approx(
+        assert clear / eta_atm(530e3, 0.0, EXTINCTION) == pytest.approx(
             eta_diffraction(530e3, BEAM, 0.4), rel=1e-9
         )
 

@@ -124,7 +124,7 @@ class TestThermalBounds:
         m = night_down.fading_model(500e3, 0.0)
         b = bound_b_model(m)
         assert thermal_upper(0.0, m) == b
-        assert thermal_lower(0.0, m) == b and thermal_lower_middle(0.0, m, b) == b
+        assert thermal_lower(0.0, m, b) == b and thermal_lower_middle(0.0, m, b) == b
 
     def test_correction_vanishes_at_zero(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
@@ -151,7 +151,7 @@ class TestThermalBounds:
                     m = scn.fading_model(h, theta)
                     b = bound_b_model(m)
                     up = thermal_upper(nbar, m)
-                    lo = thermal_lower(nbar, m)
+                    lo = thermal_lower(nbar, m, b)
                     middle = thermal_lower_middle(nbar, m, b)
                     assert lo <= middle + 1e-12
                     assert middle <= up + 1e-9
@@ -175,7 +175,7 @@ class TestThermalBounds:
         m1 = night_down.fading_model(530e3, 1.0)
         assert thermal_upper(nbar, m0) >= thermal_upper(nbar, m1)
         assert bound_b_model(m0) >= bound_b_model(m1)
-        assert thermal_lower(nbar, m0) >= thermal_lower(nbar, m1)
+        assert thermal_lower(nbar, m0, bound_b_model(m0)) >= thermal_lower(nbar, m1, bound_b_model(m1))
 
     def test_zero_rate_regimes(self, night_down):
         m = night_down.fading_model(530e3, 0.0)
@@ -186,7 +186,7 @@ class TestThermalBounds:
         nbar = night_down.nbar
         m = night_down.fading_model(500e3, 0.0)
         up = thermal_upper(nbar, m)
-        lo = thermal_lower(nbar, m)
+        lo = thermal_lower(nbar, m, bound_b_model(m))
         assert up / lo < 1.001
 
     def test_clear_day_gap(self):
@@ -194,10 +194,10 @@ class TestThermalBounds:
         nbar = sc.nbar
         m_low = sc.fading_model(160e3, 0.0)
         m_high = sc.fading_model(2500e3, 0.0)
-        low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low)
+        low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low, bound_b_model(m_low))
         assert low_ratio < 1.1  # near coincidence at the bottom of LEO
         hi_up = thermal_upper(nbar, m_high)
-        hi_lo = thermal_lower(nbar, m_high)
+        hi_lo = thermal_lower(nbar, m_high, bound_b_model(m_high))
         assert hi_up > 2.0 * hi_lo or hi_lo == 0.0  # gap is open
 
 
@@ -208,7 +208,7 @@ class TestSlowDetectionBound:
         sc = Scenario.build("down", "night", setup=1)
         scn = replace(sc, pointing_error=0.0)
         spots = model_spot_sizes(530e3, 0.4, scn.beam, scn.resolved_profile, scn.link, scn.pointing_error)
-        val = bound_slow(spots, scn.receiver, eta_atm(530e3, 0.4))
+        val = bound_slow(spots, scn.receiver, eta_atm(530e3, 0.4, scn.extinction))
         assert val == pytest.approx(bound_v(530e3, 0.4, scn.beam, scn.receiver), rel=1e-9)
 
     def test_upper_bounds_averaged_capacity(self, night_down, night_up):
@@ -223,7 +223,7 @@ class TestSlowDetectionBound:
                 for theta in (0.0, 1.0):
                     m = scn.fading_model(h, theta)
                     spots = model_spot_sizes(h, theta, scn.beam, scn.resolved_profile, scn.link)
-                    slow = bound_slow(spots, scn.receiver, eta_atm(h, theta))
+                    slow = bound_slow(spots, scn.receiver, eta_atm(h, theta, scn.extinction))
                     e_tau, _ = scipy.integrate.quad(
                         lambda t: fading_pdf(t, m) * t, 0.0, m.eta, limit=400
                     )
@@ -236,7 +236,7 @@ class TestSlowDetectionBound:
 
         for h in (500e3, 5000e3):
             s = model_spot_sizes(h, 1.0, night_up.beam, night_up.resolved_profile, night_up.link)
-            atm = eta_atm(h, 1.0)
+            atm = eta_atm(h, 1.0, night_up.extinction)
             k_slow = plob(eta_slow(s, night_up.receiver, atm))
             cap = (2.0 / LN2) * night_up.receiver.aperture**2 / (s.w_lt**2 + s.sigma_p2)
             assert k_slow <= cap
@@ -255,7 +255,7 @@ class TestMaxRange:
         sc = Scenario.build("up", "day", setup=1)
         blinded = replace(sc, receiver=replace(sc.receiver, excess_photons=1.5))
         res = blinded.max_range("tight")
-        assert res.z_max == 0.0 and not res.secure_anywhere
+        assert res.z_max == 0.0 and not res.capped
 
     def test_simple_mode_formula(self):
         sc = Scenario.build("up", "day", setup=1)

@@ -25,7 +25,6 @@ from satlink.cli import (
 from satlink.errors import ConfigError
 from satlink.fading import BLOCK, fading_cdf, sample_fading
 from satlink.scenario import SETUPS, Scenario
-from satlink.turbulence import TurbulenceProfile
 
 from _reference import cmd_validate_mc_sorted_twice
 
@@ -81,6 +80,9 @@ class TestScenarioAssembly:
             assert scn.beam.waist == w0
             assert scn.receiver.aperture == a_r
             assert scn.receiver.filter_width == filt
+
+    def test_preset_1_is_the_defaults(self):
+        assert Scenario() == Scenario.build(setup=1)
 
     def test_build_overrides_fields_of_the_preset(self):
         scn = Scenario.build("down", "night", setup=3, beam={"wavelength": 1550e-9},
@@ -221,6 +223,20 @@ class TestCliCommands:
         assert report["sun_sync_inclination_deg"] == pytest.approx(97.5, abs=0.1)
         # the orbital average can only improve on the 1-radiant border rate
         assert report["R_orb"] >= report["per_slice_rate"][0]
+
+    def test_readme_pass_report_is_strict_json(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        command = re.search(r"^satlink (pass .*?)$", readme.replace("\\\n", ""), flags=re.MULTILINE).group(1)
+        code, out = run_cli(capsys, *command.split())
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        report = json.loads(out, parse_constant=reject)
+        # a non-finite setting reads as show-config prints it, a finite one stays a number
+        assert report["config"]["beam.curvature"] == "inf"
+        assert report["config"]["protocol.clock_hz"] == 5e6
 
     def test_pass_report_without_blocks(self, capsys):
         # a block of 1e10 pulses at 5 MHz outlasts t_Q: the report keeps
@@ -525,6 +541,14 @@ class TestExitCodes:
              "protocol.tail: expected one of 'gaussian', 'hoeffding', got 'bogus'"),
             (["bounds", "--h-grid", "500km:600km:2", "--set", "protocol.tail=bogus"],
              "protocol.tail: expected one of 'gaussian', 'hoeffding', got 'bogus'"),
+            # a log grid needs both ends positive
+            (["bounds", "--h-grid", "0km:10km:3:log"], "--h-grid: log grid needs a positive start, got '0km'"),
+            (["bounds", "--h-grid", "10km:0km:3:log"], "--h-grid: log grid needs a positive stop, got '0km'"),
+            (["bounds", "--h-grid", "10km:-5km:3:log"], "--h-grid: log grid needs a positive stop, got '-5km'"),
+            (["compare-fiber", "--d-grid", "50km:0km:3:log"],
+             "--d-grid: log grid needs a positive stop, got '0km'"),
+            (["rate", "--h", "530km", "--theta-grid", "0.5:0:3:log"],
+             "--theta-grid: log grid needs a positive stop, got '0'"),
         ],
     )
     def test_bad_argument_names_its_cause(self, argv, message, capsys):
@@ -538,6 +562,22 @@ class TestExitCodes:
         code = main(["validate-mc", "--h", "530km", "--samples", "0", "-o", str(target)])
         assert code == 2
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "sets,n_b",
+        [
+            (["noise.h_sky=5e-324"], "0"),  # n_B rounds to 0
+            (["noise.h_sky=1e-300"], "1.59998e-319"),  # lambda n_B does
+            (["scenario.link=up", "noise.kappa=5e-324"], "4.94066e-324"),
+        ],
+    )
+    def test_background_photons_that_underflow_are_a_numerical_failure(self, sets, n_b, capsys):
+        # a positive override whose photons round away is no user mistake
+        assert main(["max-range", "--mode", "simple", *(f"--set={s}" for s in sets)]) == 3
+        captured = capsys.readouterr()
+        message = f"no finite Fresnel range: lambda n_B underflows to 0 at n_B = {n_b}"
+        assert captured.err == f"numerical error: {message}\n"
+        assert captured.out == ""
 
     def test_numerical_failure_is_exit_3(self, capsys):
         # a millimetre-scale uplink waist violates the weak-turbulence
@@ -580,7 +620,7 @@ KEY_SAMPLES = {
     "scenario.period": ("day", "day"),
     "scenario.sky": ("cloudy", "cloudy"),
     "scenario.setup": ("3", 3),
-    "scenario.profile": ("hv-worst-day", TurbulenceProfile.from_name("hv-worst-day")),
+    "scenario.profile": ("hv-worst-day", "hv-worst-day"),
     "beam.wavelength": ("1550nm", 1.55e-6),
     "beam.waist": ("30cm", 0.3),
     "beam.curvature": ("5km", 5e3),
@@ -654,8 +694,7 @@ class TestConfigKeys:
         rows = re.findall(r"^\| `([^`]+)` \| [^|]+ \| ([^|]+) \|", section, flags=re.MULTILINE)
         for key, domain in rows:
             owner, _, name = dict((k, path) for k, path, _ in CONFIG_KEYS)[key].rpartition(".")
-            declared = cli._OWNERS[owner].__dataclass_fields__[name].metadata.get("domain")
-            assert domain == (declared.text if declared else "a named profile"), key
+            assert domain == cli._OWNERS[owner].__dataclass_fields__[name].metadata["domain"].text, key
         assert len(rows) == len(CONFIG_KEYS)
 
     def test_noise_overrides_are_recorded(self, capsys):

@@ -32,25 +32,26 @@ GENERAL = general_protocol()
 
 class TestMutualInformation:
     def test_zero_modulation(self):
-        assert mutual_information(0.5, 0.1, 0.0, "hom") == 0.0
+        assert mutual_information(0.5, 0.1, 0.0, 1.0) == 0.0
 
     def test_unit_channel_homodyne(self):
-        assert mutual_information(1.0, 0.0, 3.0, "hom") == pytest.approx(1.0, rel=1e-12)
+        assert mutual_information(1.0, 0.0, 3.0, 1.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_equivalent_noise_identity(self):
         # I = (nu_add / 2) * log2(1 + sigma_x^2 / Sigma) for both detections
         for det, nu in (("hom", 1.0), ("het", 2.0)):
+            assert ProtocolParams(detection=det).nu_add == nu
             for tau in (0.05, 0.4, 0.9):
                 for nbar in (0.0, 0.01, 0.3):
                     sigma = equivalent_noise(tau, nbar, nu)
                     compact = (nu / 2.0) * math.log2(1.0 + 8.0 / sigma)
-                    assert mutual_information(tau, nbar, 8.0, det) == pytest.approx(
+                    assert mutual_information(tau, nbar, 8.0, nu) == pytest.approx(
                         compact, rel=1e-12
                     )
 
     def test_domain(self):
         with pytest.raises(NumericalError):
-            mutual_information(0.0, 0.0, 1.0, "hom")
+            mutual_information(0.0, 0.0, 1.0, 1.0)
         # the detection is checked where the protocol is built
         with pytest.raises(ConfigError):
             ProtocolParams(detection="dyne")
@@ -73,7 +74,7 @@ class TestHolevo:
         for tau in np.linspace(0.01, 0.99, 20):
             for mu in (2.0, 5.0, 10.0, 20.0, 50.0):
                 for det in ("hom", "het"):
-                    i_xy = mutual_information(float(tau), 0.0, mu - 1.0, det)
+                    i_xy = mutual_information(float(tau), 0.0, mu - 1.0, ProtocolParams(detection=det).nu_add)
                     chi = holevo_bound(float(tau), 0.0, mu, det)
                     assert i_xy - chi <= plob(float(tau)) + 1e-11
 
@@ -154,11 +155,11 @@ class TestWorstCaseNbar:
         assert pe_confidence_factor(1e-43, "hoeffding") == pytest.approx(14.07, abs=0.01)
 
     def test_large_pilot_limit(self):
-        assert worst_case_nbar(1e-3, 10**15, 2.0, 2.0**-33) == pytest.approx(1e-3, rel=1e-3)
+        assert worst_case_nbar(1e-3, 10**15, 2.0, 2.0**-33, "gaussian") == pytest.approx(1e-3, rel=1e-3)
 
     def test_always_above_truth(self):
         for nbar in (0.0, 1e-4, 0.1):
-            assert worst_case_nbar(nbar, 100, 2.0, 1e-10) > nbar
+            assert worst_case_nbar(nbar, 100, 2.0, 1e-10, "gaussian") > nbar
 
 
 class TestPilotEstimation:
@@ -267,7 +268,7 @@ class TestPostSelectedRate:
         model = replace(scn.fading_model(530e3, 0.5), sigma2=1e-14)
         params = replace(scn.protocol, phi_thr=0.999999)
         nbp = scn.nbar_prime
-        frozen = postselected_rate(model, nbp, params)
+        frozen = postselected_rate(model, nbp, params, "collective")
         fixed = composable_rate(model.eta, nbp, params)
         assert frozen.rate == pytest.approx(fixed.rate, rel=1e-3)
 
@@ -282,14 +283,15 @@ class TestPostSelectedRate:
 
     def test_monotone_in_worst_case_noise(self, scn):
         model = scn.fading_model(530e3, 1.0)
-        rates = [postselected_rate(model, n, scn.protocol).rate for n in (1e-4, 2e-3, 1e-2)]
+        rates = [postselected_rate(model, n, scn.protocol, "collective").rate for n in (1e-4, 2e-3, 1e-2)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_monotone_in_wander(self, scn):
         model = scn.fading_model(530e3, 1.0)
         nbp = scn.nbar_prime
-        base = postselected_rate(model, nbp, scn.protocol).rate
-        doubled = postselected_rate(replace(model, sigma2=2 * model.sigma2), nbp, scn.protocol).rate
+        base = postselected_rate(model, nbp, scn.protocol, "collective").rate
+        wider = replace(model, sigma2=2 * model.sigma2)
+        doubled = postselected_rate(wider, nbp, scn.protocol, "collective").rate
         assert doubled < base
 
     def test_general_epsilon_prime_at_100km(self):
@@ -330,7 +332,7 @@ class TestOptimizer:
         def rate_fn(mu: float, phi: float) -> float:
             params = replace(scn.protocol, mu=mu, phi_thr=phi)
             nbp = worst_case_nbar(nbar, params.pilots, params.nu_add, params.eps_pe, params.tail)
-            return postselected_rate(model, nbp, params).rate
+            return postselected_rate(model, nbp, params, "collective").rate
 
         res = optimize_protocol(rate_fn, (2.0, 20.0), (0.4, 0.95))
         assert res.feasible

@@ -24,9 +24,11 @@ from satlink.fading import (
     sorted_sample_statistics,
 )
 from satlink.scenario import Scenario
-from satlink.turbulence import TurbulenceProfile
+from satlink.turbulence import PROFILES
 
 from _reference import (
+    EXTINCTION,
+    POINTING_ERROR,
     eta_slow,
     eta_total,
     fading_pdf,
@@ -37,7 +39,7 @@ from _reference import (
     wander_radii,
 )
 
-NIGHT = TurbulenceProfile.from_name("hv-night")
+NIGHT = PROFILES["hv-night"]
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
@@ -62,12 +64,12 @@ def bessel_series(order: int, y: float, terms: int = 200) -> float:
 
 @pytest.fixture(scope="module")
 def model_down() -> FadingModel:
-    return fading_model(530e3, 1.0, BEAM, RECEIVER, NIGHT, "down")
+    return fading_model(530e3, 1.0, BEAM, RECEIVER, NIGHT, "down", EXTINCTION, POINTING_ERROR)
 
 
 @pytest.fixture(scope="module")
 def model_up() -> FadingModel:
-    return fading_model(500e3, 0.5, BEAM, RECEIVER, NIGHT, "up")
+    return fading_model(500e3, 0.5, BEAM, RECEIVER, NIGHT, "up", EXTINCTION, POINTING_ERROR)
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +84,10 @@ def spots_up():
 
 class TestPointing:
     def test_one_microrad_at_1000km(self):
-        assert pointing_variance(1e6) == pytest.approx(1.0)
+        assert pointing_variance(1e6, 1e-6) == pytest.approx(1.0)
 
     def test_zero_distance(self):
-        assert pointing_variance(0.0) == 0.0
+        assert pointing_variance(0.0, 1e-6) == 0.0
 
     def test_quadratic_in_error(self):
         assert pointing_variance(5e5, 2e-6) == pytest.approx(4 * pointing_variance(5e5, 1e-6))
@@ -115,7 +117,7 @@ class TestFadingParams:
             for h in np.geomspace(100e3, 36000e3, 8):
                 for theta in (0.0, 1.0):
                     z = slant_range(h, theta)
-                    s = spot_sizes(z, theta, BEAM, NIGHT, direction)
+                    s = spot_sizes(z, theta, BEAM, NIGHT, direction, 0.0)
                     eta_st = -math.expm1(-2 * 0.4**2 / s.w_st**2)
                     far = 2 * 0.4**2 / s.w_st**2
                     gamma, r0 = fading_params(eta_st, far, 0.4)
@@ -273,7 +275,8 @@ class TestSampler:
             "up": model_up,
             # 2 m aperture, 100 km: a fifth of the samples round to eta
             "near_field": fading_model(
-                100e3, 0.0, replace(BEAM, waist=0.4), replace(RECEIVER, aperture=2.0), NIGHT, "down"
+                100e3, 0.0, replace(BEAM, waist=0.4), replace(RECEIVER, aperture=2.0), NIGHT, "down",
+                EXTINCTION, POINTING_ERROR,
             ),
         }[which]
         r = wander_radii(model, 100_000, seed)
@@ -361,7 +364,7 @@ class TestSlowDetection:
         from satlink.atmosphere import eta_atm
         from satlink.beam import LN2, plob
 
-        atm = eta_atm(500e3, 0.5)
+        atm = eta_atm(500e3, 0.5, EXTINCTION)
         slow = eta_slow(spots_up, RECEIVER, atm)
         cap = (2.0 / LN2) * RECEIVER.aperture**2 / (spots_up.w_lt**2 + spots_up.sigma_p2)
         assert plob(slow) <= cap
@@ -371,7 +374,7 @@ class TestSlowDetection:
         spots = model_spot_sizes(530e3, 0.2, BEAM, NIGHT, "down", pointing_error=0.0)
         from satlink.atmosphere import eta_atm
 
-        atm = eta_atm(530e3, 0.2)
+        atm = eta_atm(530e3, 0.2, EXTINCTION)
         assert eta_slow(spots, RECEIVER, atm) == pytest.approx(
             eta_total(530e3, 0.2, BEAM, RECEIVER), rel=1e-9
         )
@@ -380,11 +383,11 @@ class TestSlowDetection:
         for h in (200e3, 530e3, 2000e3):
             for theta in (0.0, 1.0):
                 for direction in ("up", "down"):
-                    model = fading_model(h, theta, BEAM, RECEIVER, NIGHT, direction)
+                    model = fading_model(h, theta, BEAM, RECEIVER, NIGHT, direction, EXTINCTION, POINTING_ERROR)
                     spots = model_spot_sizes(h, theta, BEAM, NIGHT, direction)
                     from satlink.atmosphere import eta_atm
 
-                    atm = eta_atm(h, theta)
+                    atm = eta_atm(h, theta, EXTINCTION)
                     assert eta_slow(spots, RECEIVER, atm) <= model.eta + 1e-12
 
 
@@ -392,13 +395,13 @@ class TestModelAssembly:
     def test_strong_scintillation_warns_but_computes(self):
         import warnings
 
-        worst = TurbulenceProfile.from_name("hv-worst-day")
+        worst = PROFILES["hv-worst-day"]
         with pytest.warns(UserWarning, match="Rytov"):
-            model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up")
+            model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up", EXTINCTION, POINTING_ERROR)
         assert 0.0 < model.eta < 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the good window must stay silent
-            fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up")
+            fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up", EXTINCTION, POINTING_ERROR)
 
     def test_downlink_variance_is_pointing_only(self, model_down, spots_down):
         assert model_down.sigma2 == spots_down.sigma_p2
@@ -412,7 +415,7 @@ class TestModelAssembly:
 
         eta_st = -math.expm1(-2 * 0.4**2 / spots_down.w_st**2)
         assert model_down.eta == pytest.approx(
-            0.4 * eta_atm(530e3, 1.0) * eta_st, rel=1e-12
+            0.4 * eta_atm(530e3, 1.0, EXTINCTION) * eta_st, rel=1e-12
         )
 
     def test_validation(self):

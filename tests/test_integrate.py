@@ -13,7 +13,7 @@ from satlink._special import erfcinv, i0e, i1e
 from satlink.bounds import wander_delta
 from satlink.errors import NumericalError
 from satlink.geometry import altitude_from_slant, slant_range
-from satlink.turbulence import LAYER_EDGES_M, TurbulenceProfile, cn2
+from satlink.turbulence import LAYER_EDGES_M, PROFILES, TurbulenceProfile, cn2
 
 from _reference import fading_average
 
@@ -156,7 +156,7 @@ class TestTanhSinh:
         assert value == pytest.approx(ref, rel=1e-11)
 
     def test_hufnagel_stanley_singularity(self):
-        hs = TurbulenceProfile.from_name("hufnagel-stanley")
+        hs = PROFILES["hufnagel-stanley"]
         q = tanh_sinh(lambda x: cn2(x, hs), 0.0, 2e3)
         ref = quad(lambda x: cn2(x, hs), 0.0, 2e3, epsabs=0.0, epsrel=1e-12, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)

@@ -245,9 +245,12 @@ def test_numeric_keys_exit_by_their_domain(argv, sets, key_value):
         assert code == 2 and out == "", err
         assert err.startswith("configuration error: ") and key in err, err
     elif code == 2:
-        # a simple max-range without background photons (a dark sky, or a
-        # photon count that underflows to 0) has no Fresnel range
+        # a simple max-range without background photons has no Fresnel range:
+        # a dark sky on a downlink, or a zero albedo factor on an uplink (one
+        # that underflows to 0 is a numerical failure)
         assert command[:3] == ["max-range", "--mode", "simple"], err
+        override = "noise.kappa" if "scenario.link=up" in sets else "noise.h_sky"
+        assert key == override and value == 0, err
         assert "the Fresnel range needs background photons" in err
     elif code == 3:
         assert out == "" and err.startswith("numerical error: "), err

@@ -106,5 +106,5 @@ def test_noise_and_ranges_marks_a_capped_range():
     spec = importlib.util.spec_from_file_location("noise_and_ranges", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.range_cell(MaxRangeResult(Z_HI, "tight", True, capped=True)) == ">1e+06 km (cap)"
-    assert script.range_cell(MaxRangeResult(82_560e3, "tight", True)) == "      82560 km"
+    assert script.range_cell(MaxRangeResult(Z_HI, capped=True)) == ">1e+06 km (cap)"
+    assert script.range_cell(MaxRangeResult(82_560e3)) == "      82560 km"

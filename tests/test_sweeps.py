@@ -10,7 +10,6 @@ from satlink import atmosphere, bounds, turbulence
 from satlink._integrate import tanh_sinh
 from satlink.errors import StrongTurbulenceError
 from satlink.scenario import Scenario
-from satlink.turbulence import TurbulenceProfile
 
 # the documented configurations: 4 presets x up/down x day/night x clear/cloudy
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
@@ -101,7 +100,7 @@ def test_first_failing_point_sets_the_error():
 
 
 def test_warnings_once_per_offending_point():
-    worst = Scenario.build("up", "day", setup=1, profile=TurbulenceProfile.from_name("hv-worst-day"))
+    worst = Scenario.build("up", "day", setup=1, profile="hv-worst-day")
     thetas = np.array([0.0, 1.0, 0.2, 1.1])
     with warnings.catch_warnings(record=True) as one_by_one:
         warnings.simplefilter("always")

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from satlink.beam import BeamParams
 from satlink.errors import ConfigError, StrongTurbulenceError
+from satlink.scenario import Scenario
 from satlink.turbulence import (
+    PROFILES,
     TurbulenceProfile,
     cn2,
     coherence_length_planar,
@@ -18,8 +20,8 @@ from satlink.turbulence import (
 import _reference
 from _reference import coherence_length, cn2_avg, rytov_variance, speckle_count, uplink_coefficients
 
-NIGHT = TurbulenceProfile.from_name("hv-night")
-DAY = TurbulenceProfile.from_name("hv-day")
+NIGHT = PROFILES["hv-night"]
+DAY = PROFILES["hv-day"]
 K_800 = 2.0 * math.pi / 800e-9
 BEAM20 = BeamParams(wavelength=800e-9, waist=0.2)
 BEAM40 = BeamParams(wavelength=800e-9, waist=0.4)
@@ -36,7 +38,7 @@ class TestProfiles:
         assert cn2(0.0, NIGHT) == pytest.approx(1.7e-14, rel=0.02)
 
     def test_stanley_near_ground(self):
-        hs = TurbulenceProfile.from_name("hufnagel-stanley")
+        hs = PROFILES["hufnagel-stanley"]
         assert 3e-15 < cn2(30.0, hs) < 3e-14
 
     def test_negligible_at_50km(self):
@@ -44,15 +46,17 @@ class TestProfiles:
 
     def test_stanley_singularity(self):
         with pytest.raises(ValueError):
-            cn2(0.0, TurbulenceProfile.from_name("hufnagel-stanley"))
+            cn2(0.0, PROFILES["hufnagel-stanley"])
 
-    def test_from_name(self):
-        assert TurbulenceProfile.from_name("hv-night") == NIGHT
-        assert TurbulenceProfile.from_name("hv-day") == DAY
-        assert TurbulenceProfile.from_name("hv-worst-day").windspeed == 57.0
-        assert TurbulenceProfile.from_name("hufnagel-stanley").kind == "hufnagel-stanley"
-        with pytest.raises(ConfigError):
-            TurbulenceProfile.from_name("kolmogorov")
+    def test_profiles_by_name(self):
+        assert (NIGHT.a_ground, NIGHT.windspeed) == (1.7e-14, 21.0)
+        assert (DAY.a_ground, DAY.windspeed) == (2.75e-14, 21.0)
+        assert PROFILES["hv-worst-day"].windspeed == 57.0
+        assert PROFILES["hufnagel-stanley"].kind == "hufnagel-stanley"
+        assert Scenario(profile="hv-worst-day").resolved_profile is PROFILES["hv-worst-day"]
+        assert Scenario(period="day").resolved_profile is DAY
+        with pytest.raises(ConfigError, match="Scenario.profile: expected one of 'hv-night'"):
+            Scenario(profile="kolmogorov")
 
     def test_day_exceeds_night(self):
         for h in (0.0, 100.0, 5e3, 15e3):
@@ -78,7 +82,7 @@ class TestColumnIntegral:
         assert i_infty(DAY) == pytest.approx(3.2854e-12, rel=5e-3)
 
     def test_against_closed_form(self):
-        for profile in (NIGHT, DAY, TurbulenceProfile.from_name("hv-worst-day")):
+        for profile in (NIGHT, DAY, PROFILES["hv-worst-day"]):
             assert i_infty(profile) == pytest.approx(i_infty_closed_form(profile), rel=1e-8)
 
     def test_truncation_insensitive(self):
@@ -134,7 +138,7 @@ class TestRytov:
     def test_worst_day_crosses_unity_within_the_window(self):
         from satlink.turbulence import rytov_saturated
 
-        worst = TurbulenceProfile.from_name("hv-worst-day")
+        worst = PROFILES["hv-worst-day"]
         assert rytov_saturated(0.0, K_800, worst) == pytest.approx(0.6, abs=0.1)
         assert rytov_saturated(1.0, K_800, worst) == pytest.approx(2.0, abs=0.3)
 
@@ -193,12 +197,12 @@ class TestUplinkSpotSizes:
         assert c == pytest.approx(1.72e-11, rel=0.02)
 
     def test_yura_condition_at_20cm(self):
-        spots = spot_sizes(500e3, 0.0, BEAM20, NIGHT, "up")
+        spots = spot_sizes(500e3, 0.0, BEAM20, NIGHT, "up", 0.0)
         assert spots.yura_phi < 0.25
         # the condition fails only for millimetre-scale waists
         tiny = BeamParams(wavelength=800e-9, waist=1.2e-3)
         with pytest.raises(StrongTurbulenceError):
-            spot_sizes(500e3, 0.0, tiny, NIGHT, "up")
+            spot_sizes(500e3, 0.0, tiny, NIGHT, "up", 0.0)
 
     @given(
         z=st.floats(1.6e5, 3.6e7),
@@ -207,25 +211,25 @@ class TestUplinkSpotSizes:
     )
     def test_decomposition_identity(self, z, theta, w0):
         beam = BeamParams(wavelength=800e-9, waist=w0)
-        s = spot_sizes(z, theta, beam, NIGHT, "up")
+        s = spot_sizes(z, theta, beam, NIGHT, "up", 0.0)
         assert s.w_lt**2 - s.w_st**2 - s.sigma_tb2 == pytest.approx(0.0, abs=1e-9 * s.w_lt**2)
 
     def test_short_term_exceeds_diffraction_by_order_of_magnitude(self):
         for z in (1e6, 5e6, 3.6e7):
-            s = spot_sizes(z, 0.0, BEAM20, NIGHT, "up")
+            s = spot_sizes(z, 0.0, BEAM20, NIGHT, "up", 0.0)
             assert 5.0 < s.w_st / s.w_d < 30.0
 
     def test_wander_magnitudes(self):
-        karman = spot_sizes(100e3, 0.0, BEAM20, NIGHT, "up")
+        karman = spot_sizes(100e3, 0.0, BEAM20, NIGHT, "up", 0.0)
         assert 0.4 < math.sqrt(karman.sigma_tb2) < 1.1
-        geo = spot_sizes(3.6e7, 1.0, BEAM20, DAY, "up")
+        geo = spot_sizes(3.6e7, 1.0, BEAM20, DAY, "up", 0.0)
         assert 150.0 < math.sqrt(geo.sigma_tb2) < 400.0
 
     def test_day_wander_exceeds_night(self):
         for z in (2e5, 1e6, 1e7):
             for theta in (0.0, 1.0):
-                day = spot_sizes(z, theta, BEAM20, DAY, "up").sigma_tb2
-                night = spot_sizes(z, theta, BEAM20, NIGHT, "up").sigma_tb2
+                day = spot_sizes(z, theta, BEAM20, DAY, "up", 0.0).sigma_tb2
+                night = spot_sizes(z, theta, BEAM20, NIGHT, "up", 0.0).sigma_tb2
                 assert day > night
 
     def test_linearized_matches_planar_coefficients(self):
@@ -234,7 +238,7 @@ class TestUplinkSpotSizes:
         a, b, c = uplink_coefficients(NIGHT)
         z, theta = 8e5, 0.8
         sec = 1.0 / math.cos(theta)
-        s = spot_sizes(z, theta, BEAM40, NIGHT, "up")
+        s = spot_sizes(z, theta, BEAM40, NIGHT, "up", 0.0)
         broadening = s.w_lt**2 - s.w_d**2
         w_st2 = s.w_d**2 + broadening * (1.0 - 2.0 * s.yura_phi)
         sigma_tb2 = broadening * 2.0 * s.yura_phi
@@ -252,7 +256,7 @@ class TestUplinkSpotSizes:
         for h in (160e3, 530e3, 2000e3):
             for theta in (0.0, 1.0):
                 z = slant_range(h, theta)
-                fast = spot_sizes(z, theta, BEAM20, NIGHT, "up")
+                fast = spot_sizes(z, theta, BEAM20, NIGHT, "up", 0.0)
                 # the same spot sizes with the spherical-wave rho_0 over z
                 with monkeypatch.context() as m:
                     m.setattr(
@@ -260,7 +264,7 @@ class TestUplinkSpotSizes:
                         "coherence_length_planar",
                         lambda theta, k, profile: coherence_length(z, theta, k, profile, "up"),
                     )
-                    slow = spot_sizes(z, theta, BEAM20, NIGHT, "up")
+                    slow = spot_sizes(z, theta, BEAM20, NIGHT, "up", 0.0)
                 assert fast.w_st == pytest.approx(slow.w_st, rel=0.02)
                 assert fast.w_lt == pytest.approx(slow.w_lt, rel=0.02)
                 assert math.sqrt(fast.sigma_tb2) == pytest.approx(
@@ -270,7 +274,7 @@ class TestUplinkSpotSizes:
 
 class TestDownlink:
     def test_diffraction_limited(self):
-        s = spot_sizes(5e5, 0.5, BEAM20, NIGHT, "down", pointing_sigma2=0.25)
+        s = spot_sizes(5e5, 0.5, BEAM20, NIGHT, "down", 0.25)
         assert s.w_st == s.w_lt == s.w_d
         assert s.sigma_tb2 == 0.0
         assert s.sigma2 == 0.25
