@@ -333,10 +333,10 @@ def cmd_compare_fiber(args, scn: Scenario) -> str:
 
 def cmd_validate_mc(args, scn: Scenario) -> str:
     model = scn.fading_model(args.h, args.theta)
-    samples = fading.sample_fading(model, args.samples, args.seed)
-    samples.sort()
+    r2 = fading.sample_radius2(model, args.samples, args.seed)
+    r2.sort()
     edges = np.linspace(0.0, model.eta, args.bins + 1)
-    ks, counts = fading.sorted_sample_statistics(samples, model, edges)
+    ks, counts = fading.sorted_radius2_statistics(r2, model, edges)
     if not math.isfinite(ks):
         raise NumericalError(f"not finite: ks_statistic={ks}")
     cdf = fading.fading_cdf(edges, model)

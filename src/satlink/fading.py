@@ -28,11 +28,12 @@ from .turbulence import TurbulenceProfile
 # doubles (512 KiB), so that a block and its temporaries stay in cache
 BLOCK = 1 << 16
 
-# Sorted samples per segment of the KS statistic: F is taken at one sample in
-# STRIDE, then inside the few segments that can hold the largest deviation
+# Sorted samples per segment of the KS statistic: the law is taken at one
+# sample in STRIDE, then inside the few segments that can hold the largest
+# deviation
 STRIDE = 32
 # Slack on a segment's deviation bound, far above the few ulps by which
-# numpy's log, pow and exp can break F's monotonicity on F in [0, 1]
+# numpy's expm1 can break the law's monotonicity on [0, 1]
 KS_MARGIN = 1e-12
 
 
@@ -187,16 +188,14 @@ def p_threshold(eta_th, model: FadingModel):
     return 1.0 - fading_cdf(eta_th, model)
 
 
-def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """Draw n instantaneous transmissivities; deterministic for a fixed seed.
+def sample_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """Draw n squared centroid deflections r^2; deterministic for a fixed seed.
 
-    Each sample deflects the centroid by r = sqrt(x^2 + y^2) with x, y
-    zero-mean Gaussians of variance sigma^2, then maps
-    tau = eta * exp(-(r/r0)^gamma).  The n values of x, then the n of y, are
-    the stream of rng.normal(0, sigma, (2, n)) on default_rng(seed).  x is
-    drawn whole, and is the array returned.  y is drawn BLOCK values at a
-    time; while a block of x is in cache it takes every step in place:
-    * sigma, squared, + y^2, sqrt, / r0, ** gamma, negate, exp, * eta.  So
+    r^2 = x^2 + y^2 with x, y zero-mean Gaussians of variance sigma^2: the n
+    values of x, then the n of y, are the stream of rng.normal(0, sigma,
+    (2, n)) on default_rng(seed).  x is drawn whole, and is the array
+    returned.  y is drawn BLOCK values at a time; while a block of x is in
+    cache it takes every step in place: * sigma, squared, + (sigma y)^2.  So
     the only n-element array is the result, and it is swept from memory once.
     """
     rng = np.random.default_rng(seed)
@@ -211,45 +210,76 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
         yb *= sigma
         yb *= yb
         xb += yb
-        np.sqrt(xb, out=xb)
-        xb /= model.r0
-        xb **= model.gamma
-        np.negative(xb, out=xb)
-        np.exp(xb, out=xb)
-        xb *= model.eta
     return x
 
 
+def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """Draw n instantaneous transmissivities; deterministic for a fixed seed.
+
+    Each sample maps the squared deflection r^2 of sample_radius2 to
+    tau = eta * exp(-(r/r0)^gamma), in place and BLOCK samples at a time:
+    sqrt, / r0, ** gamma, negate, exp, * eta.
+    """
+    tau = sample_radius2(model, n, seed)
+    for lo in range(0, n, BLOCK):
+        b = tau[lo:lo + BLOCK]
+        np.sqrt(b, out=b)
+        b /= model.r0
+        b **= model.gamma
+        np.negative(b, out=b)
+        np.exp(b, out=b)
+        b *= model.eta
+    return tau
+
+
+def radius2_cdf(v, model: FadingModel):
+    """P(r^2 <= v) = 1 - exp(-v / 2 sigma^2), the law of sample_radius2 where
+    the model has wander (sigma^2 > 0)."""
+    return -np.expm1(-v / (2.0 * model.sigma2))
+
+
 def _deviation(cdf, i, n: int):
-    """|F - empirical CDF| at sorted sample i, where the empirical CDF steps
-    from i / n to (i + 1) / n; cdf is F there."""
+    """|G - empirical CDF| at sorted sample i, where the empirical CDF steps
+    from i / n to (i + 1) / n; cdf is the law G there."""
     return np.maximum((i + 1) / n - cdf, cdf - i / n)
 
 
-def sorted_sample_statistics(samples: np.ndarray, model: FadingModel, edges: np.ndarray):
-    """(KS distance of sorted samples from the law F, their counts in the bins
-    of edges as np.histogram counts them: [lo, hi), the last bin [lo, hi]).
+def sorted_radius2_statistics(r2: np.ndarray, model: FadingModel, edges: np.ndarray):
+    """(KS distance of sorted squared radii from their law G, radius2_cdf; the
+    counts of the transmissivities tau(r) in the bins of tau edges as
+    np.histogram counts them: [lo, hi), the last bin [lo, hi]).
 
-    F is non-decreasing on sorted samples, so it is taken at every STRIDE-th
+    tau falls as r grows, so the sorted r^2 fix both.  In exact arithmetic
+    the KS distance of r^2 from G is that of tau from fading_cdf, and it is
+    free of tau's rounding near eta.  A tau edge e maps to
+    r^2(e) = r0^2 ln(eta / e)^(2 / gamma), and tau in [lo, hi) is r^2 in
+    (r^2(hi), r^2(lo)]; the closed last bin also holds r^2 = 0, where tau = eta.
+
+    G is non-decreasing on sorted samples, so it is taken at every STRIDE-th
     sample and the last, the knots, and then only inside the segments between
     knots that can hold the largest deviation.  Over a segment [a, b),
-    F_a <= F_k <= F_b bounds the deviation by max(b / n - F_a, F_b - a / n);
+    G_a <= G_k <= G_b bounds the deviation by max(b / n - G_a, G_b - a / n);
     the knots' own deviations are a lower bound on the statistic.  A segment
     is taken when its bound comes within KS_MARGIN of that, which covers the
-    ulp-level non-monotonicity of log, pow and exp.  Every deviation is the
-    same double the all-samples pass computes, so the statistic is too.
+    ulp-level non-monotonicity of expm1.  Every deviation is the same double
+    the all-samples pass computes, so the statistic is too.
     """
-    n = len(samples)
+    inside = edges > 0.0
+    log_ratio = np.log(model.eta / np.where(inside, edges, model.eta))
+    bounds = np.where(inside, model.r0**2 * log_ratio**(2.0 / model.gamma), math.inf)
+    counts = -np.diff(np.concatenate((
+        r2.searchsorted(bounds[:-1], "right"),
+        r2.searchsorted(bounds[-1:], "left"),
+    )))
+    if model.sigma2 == 0.0:
+        return 0.0, counts  # every r^2 is 0, the law's point mass: the empirical law is the law
+    n = len(r2)
     knots = np.append(np.arange(0, n - 1, STRIDE), n - 1)
-    cdf = fading_cdf(samples[knots], model)
+    cdf = radius2_cdf(r2[knots], model)
     ks = np.max(_deviation(cdf, knots, n))
     a, b = knots[:-1], knots[1:]
     bound = np.maximum(b / n - cdf[:-1], cdf[1:] - a / n)
     inner = (a[bound + KS_MARGIN > ks, None] + np.arange(STRIDE)).ravel()
     inner = inner[inner < n]  # the last segment may be shorter
-    ks = np.max(_deviation(fading_cdf(samples[inner], model), inner, n), initial=ks)
-    counts = np.diff(np.concatenate((
-        samples.searchsorted(edges[:-1], "left"),
-        samples.searchsorted(edges[-1:], "right"),
-    )))
+    ks = np.max(_deviation(radius2_cdf(r2[inner], model), inner, n), initial=ks)
     return float(ks), counts

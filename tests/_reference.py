@@ -7,9 +7,9 @@ Two kinds of code live here:
   with its entropy penalty averaged over fading among them), the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
-  the hypot and whole-array samplers, the all-samples KS statistic and the
-  twice-sorting validate-mc body that the package's in-place, blocked and
-  bounded ones replaced;
+  the hypot and whole-array samplers, the squared radii of rng.normal and
+  their law, the all-samples KS statistic and the twice-sorting validate-mc
+  body that the package's in-place, blocked and bounded ones replaced;
 - paper side paths whose tests pin a published value: the zenith, secant
   and refracted extinction, the fading density, the fixed-loss bound V
   (a second spelling of the column Scenario.bounds_at computes), the
@@ -419,37 +419,49 @@ def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def ks_statistic_blocks(samples: np.ndarray, model: FadingModel) -> float:
-    """The KS distance of sorted samples from the law F, with F taken at every
-    sample, BLOCK samples per call: the all-samples pass that
-    sorted_sample_statistics' bounded one replaced."""
-    n = len(samples)
+def wander_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """The squared deflections x^2 + y^2 of rng.normal(0, sigma, (2, n))."""
+    rng = np.random.default_rng(seed)
+    xy = rng.normal(0.0, math.sqrt(model.sigma2), size=(2, n))
+    return xy[0] ** 2 + xy[1] ** 2
+
+
+def radius2_law(r2: np.ndarray, model: FadingModel) -> np.ndarray:
+    """P(r^2 <= v) at each v of r2: exponential with mean 2 sigma^2."""
+    return -np.expm1(-(r2 / (2.0 * model.sigma2)))
+
+
+def ks_statistic_blocks(r2: np.ndarray, model: FadingModel) -> float:
+    """The KS distance of sorted squared radii from their law, with the law
+    taken at every sample, BLOCK samples per call: the all-samples pass that
+    sorted_radius2_statistics' bounded one replaced."""
+    n = len(r2)
 
     def block_max(lo):
-        analytic = fading_cdf(samples[lo:lo + BLOCK], model)
+        analytic = radius2_law(r2[lo:lo + BLOCK], model)
         steps = np.arange(lo, lo + len(analytic) + 1) / n
         above = np.max(steps[1:] - analytic)
-        analytic -= steps[:-1]  # now F - i / n
+        analytic -= steps[:-1]  # now G - i / n
         return max(above, np.max(analytic))
 
     return float(max(block_max(lo) for lo in range(0, n, BLOCK)))
 
 
 def cmd_validate_mc_sorted_twice(args, scn) -> str:
-    """validate-mc's output from sample_fading_hypot, a sorted copy for the
-    KS statistic and np.histogram, which sorts the samples again.  args are
-    those of cli.parse_args, with every option converted."""
+    """validate-mc's output from a sorted copy of wander_radius2 for the KS
+    statistic, and np.histogram of sample_fading_hypot, which sorts the
+    transmissivities.  args are those of cli.parse_args, with every option
+    converted."""
     h, theta, n, bins, seed = args.h, args.theta, args.samples, args.bins, args.seed
     model = scn.fading_model(h, theta)
-    samples = sample_fading_hypot(model, n, seed)
 
-    analytic = fading_cdf(np.sort(samples), model)
+    analytic = radius2_law(np.sort(wander_radius2(model, n, seed)), model)
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     ks = float(np.max(np.maximum(np.abs(steps_hi - analytic), np.abs(analytic - steps_lo))))
 
     edges = np.linspace(0.0, model.eta, bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
+    counts, _ = np.histogram(sample_fading_hypot(model, n, seed), bins=edges)
     cdf = fading_cdf(edges, model)
     return cli.csv_text(
         scn,

@@ -23,7 +23,7 @@ from satlink.cli import (
     scenario_from_config,
 )
 from satlink.errors import ConfigError
-from satlink.fading import BLOCK, fading_cdf, sample_fading
+from satlink.fading import BLOCK, fading_cdf, radius2_cdf, sample_fading, sample_radius2
 from satlink.scenario import SETUPS, Scenario
 
 from _reference import cmd_validate_mc_sorted_twice
@@ -291,8 +291,8 @@ class TestCliCommands:
         assert out == cmd_validate_mc_sorted_twice(args, resolve_scenario(args))
 
     def test_validate_mc_holds_one_float_per_sample(self, capsys):
-        # the samples are the only n-element array: the sampler draws y and
-        # the KS statistic takes F a block at a time
+        # the squared radii are the only n-element array: the sampler draws y
+        # a block at a time and the KS statistic takes the law at few of them
         n = 1_000_000
         tracemalloc.start()
         try:
@@ -305,22 +305,27 @@ class TestCliCommands:
         assert peak < 1.5 * 8 * n
 
     def test_validate_mc_takes_the_law_at_few_samples(self, capsys, monkeypatch):
-        # F is non-decreasing on the sorted samples, so the KS statistic needs
-        # it at one sample in fading.STRIDE and in the few segments that can
-        # hold the largest deviation, not at every sample
-        n = 1_000_000
-        points = []
+        # the radius law is non-decreasing on the sorted r^2, so the KS
+        # statistic needs it at one sample in fading.STRIDE and in the few
+        # segments that can hold the largest deviation, not at every sample;
+        # the fading law is taken at the bin edges only
+        n, bins = 1_000_000, 60
+        points = {"radius2_cdf": [], "fading_cdf": []}
 
-        def counted(tau, model):
-            points.append(np.size(tau))
-            return fading_cdf(tau, model)
+        def counted(name, law):
+            def call(x, model):
+                points[name].append(np.size(x))
+                return law(x, model)
+            return call
 
-        monkeypatch.setattr(fading, "fading_cdf", counted)
+        monkeypatch.setattr(fading, "radius2_cdf", counted("radius2_cdf", radius2_cdf))
+        monkeypatch.setattr(fading, "fading_cdf", counted("fading_cdf", fading_cdf))
         code, out = run_cli(capsys, "validate-mc", "--h", "530km", "--theta", "1",
-                            "--samples", str(n), "--seed", "1")
+                            "--samples", str(n), "--seed", "1", "--bins", str(bins))
         assert code == 0
         assert "ks_statistic=" in out
-        assert sum(points) < n / 8
+        assert 0 < sum(points["radius2_cdf"]) < n / 8
+        assert points["fading_cdf"] == [bins + 1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -337,18 +342,57 @@ class TestCliCommands:
         assert code == 0
         args = cli.parse_args(argv)
         model = resolve_scenario(args).fading_model(args.h, args.theta)
-        samples = sample_fading(model, args.samples, args.seed)
         lines = out.splitlines()
 
+        # r^2 / (2 sigma^2) is a standard exponential
         ks = float(next(line for line in lines if line.startswith("# ks_statistic=")).split("=")[1])
-        want = scipy.stats.kstest(samples, lambda t: fading_cdf(t, model)).statistic
+        r2 = sample_radius2(model, args.samples, args.seed)
+        want = scipy.stats.kstest(r2 / (2.0 * model.sigma2), "expon").statistic
         assert abs(ks - want) <= 1e-15
 
+        # the counts come from the radii, so they hold the forward map tau(r)
+        # to the tau bins
         rows = np.array([[float(c) for c in line.split(",")] for line in lines[4:]])
         edges = np.linspace(0.0, model.eta, args.bins + 1)
-        counts, _ = np.histogram(samples, bins=edges)
+        counts, _ = np.histogram(sample_fading(model, args.samples, args.seed), bins=edges)
         assert np.array_equal(rows[:, 0], edges[:-1]) and np.array_equal(rows[:, 1], edges[1:])
         assert np.array_equal(rows[:, 2], counts / args.samples)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--h", "0km"),
+            ("--h", "530km", "--set", "pointing.error_rad=0"),
+        ],
+    )
+    def test_validate_mc_without_wander_reads_zero(self, argv, capsys):
+        # sigma^2 = 0: every sample is exactly eta, the law's point mass, so
+        # the empirical law is the law and every sample is in the last bin
+        code, out = run_cli(capsys, "validate-mc", *argv, "--samples", "1000", "--bins", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2] == "# ks_statistic=0"
+        assert [line.split(",")[2] for line in lines[4:]] == ["0", "0", "0", "1"]
+
+    def test_validate_mc_statistic_does_not_depend_on_the_model(self, capsys, monkeypatch):
+        # in exact arithmetic the statistic is that of the seed's Rayleigh
+        # radii from their law, whatever the model; only rounding moves it.
+        # Setup 4 downlink at 100 km is the near field, where a fifth of the
+        # taus round to eta and a KS statistic of tau against F reads 0.2185
+        monkeypatch.setattr(cli, "_fmt", lambda x: repr(x) if isinstance(x, float) else str(x))
+        models = [
+            ("--h", "530km", "--theta", "0"),
+            ("--h", "530km", "--theta", "1"),
+            ("--h", "20000km", "--theta", "0.5", "--set", "scenario.link=up"),
+            ("--h", "100km", "--set", "scenario.setup=4"),
+        ]
+        ks = []
+        for argv in models:
+            code, out = run_cli(capsys, "validate-mc", *argv, "--samples", "1000000", "--seed", "1")
+            assert code == 0
+            ks.append(float(out.splitlines()[2].split("=")[1]))
+        assert ks == pytest.approx([0.001589660826] * 4, rel=1e-9)
+        assert max(ks) - min(ks) <= 1e-12 * min(ks)
 
     def test_max_range_reports_the_cap(self, capsys):
         # the bound is still positive at the 1e9 m bracket cap

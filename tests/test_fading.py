@@ -21,7 +21,8 @@ from satlink.fading import (
     p_threshold,
     pointing_variance,
     sample_fading,
-    sorted_sample_statistics,
+    sample_radius2,
+    sorted_radius2_statistics,
 )
 from satlink.scenario import Scenario
 from satlink.turbulence import PROFILES
@@ -37,6 +38,7 @@ from _reference import (
     sample_fading_whole,
     tau_of_radius,
     wander_radii,
+    wander_radius2,
 )
 
 NIGHT = PROFILES["hv-night"]
@@ -287,6 +289,14 @@ class TestSampler:
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("seed", [0, 5, 123456])
+    def test_radius2_is_the_square_sum_of_rng_normal(self, n, seed, model_up):
+        # (sigma x)^2 + (sigma y)^2 with y drawn a block at a time: the
+        # doubles of rng.normal(0, sigma, (2, n)) squared and summed
+        got = sample_radius2(model_up, n, seed)
+        assert got.tobytes() == wander_radius2(model_up, n, seed).tobytes()
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("seed", [0, 5, 123456])
     def test_blocks_match_the_whole_array_body(self, n, seed, model_up):
         # y drawn a block at a time continues one stream, and each sample
         # sees the same operations in the same order: the same doubles
@@ -296,10 +306,14 @@ class TestSampler:
 
 class TestKsStatistic:
     @staticmethod
-    def ks_pair(model, n, sample_seed):
-        samples = np.sort(sample_fading(model, n, sample_seed))
-        ks, _ = sorted_sample_statistics(samples, model, np.linspace(0.0, model.eta, 3))
-        return ks, ks_statistic_blocks(samples, model)
+    def ks_pair(model, n, sample_seed, bins=7):
+        """(bounded KS, all-samples KS) of the sorted radii, after checking
+        that their counts are np.histogram's of the transmissivities."""
+        r2 = np.sort(sample_radius2(model, n, sample_seed))
+        edges = np.linspace(0.0, model.eta, bins + 1)
+        ks, counts = sorted_radius2_statistics(r2, model, edges)
+        assert np.array_equal(counts, np.histogram(sample_fading(model, n, sample_seed), edges)[0])
+        return ks, ks_statistic_blocks(r2, model)
 
     @pytest.mark.parametrize("config", CONFIGS)
     @seed(20120601)
@@ -333,30 +347,39 @@ class TestKsStatistic:
         # 32.  The largest deviation sits inside it, at a sample next to a
         # knot, and only half a step of 1/n above the knots' own deviations:
         # a segment bound short by one step would skip it.
-        # above: samples 0-31 at F = 0 and sample 32 at F = 1.5/33, so the
-        # empirical CDF leads F most at sample 31, by 32/33;
-        # below: sample 0 at F = 31.5/33 and samples 1-32 at eta (F = 1), so
-        # F leads the empirical CDF most at sample 1, by 32/33
+        # above: samples 0-31 at G = 0 and sample 32 at G = 1.5/33, so the
+        # empirical CDF leads G most at sample 31, by 32/33;
+        # below: sample 0 at G = 31.5/33 and samples 1-32 where G rounds to
+        # 1, so G leads the empirical CDF most at sample 1, by 32/33
         model, n = model_down, 33
 
         def quantile(p):
-            return model.eta * math.exp(-((-math.log(p) / model.spread) ** (model.gamma / 2.0)))
+            return -2.0 * model.sigma2 * math.log1p(-p)
 
         if above:
-            samples = np.array([0.0] * 32 + [quantile(1.5 / n)])
+            r2 = np.array([0.0] * 32 + [quantile(1.5 / n)])
         else:
-            samples = np.array([quantile(31.5 / n)] + [model.eta] * 32)
-        ks, _ = sorted_sample_statistics(samples, model, np.linspace(0.0, model.eta, 3))
-        assert ks == ks_statistic_blocks(samples, model) == pytest.approx(32 / n, rel=1e-12)
+            r2 = np.array([quantile(31.5 / n)] + [100.0 * model.sigma2] * 32)
+        ks, _ = sorted_radius2_statistics(r2, model, np.linspace(0.0, model.eta, 3))
+        assert ks == ks_statistic_blocks(r2, model) == pytest.approx(32 / n, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1000, 100_000])
     def test_near_field_ties_at_eta(self, n):
-        # setup 4 downlink at 100 km: about a fifth of the samples round to
-        # eta, where F is 1, so many sorted samples share one F
+        # setup 4 downlink at 100 km: about a fifth of the taus round to eta,
+        # the top edge of the closed last bin, from distinct radii
         model = Scenario.build("down", "night", "clear", setup=4).fading_model(100e3, 0.0)
         assert np.mean(sample_fading(model, n, 3) == model.eta) > 0.15
         ks, want = self.ks_pair(model, n, 3)
         assert ks == want
+
+    def test_a_radius_on_an_edge_is_in_the_bin_above(self, model_down):
+        # r^2(e) = r0^2 ln(eta / e)^(2 / gamma) is the radius of tau = e, and
+        # a tau on an edge counts in the bin [e, hi), as np.histogram has it
+        model = model_down
+        edges = np.linspace(0.0, model.eta, 4)
+        on_edges = model.r0**2 * np.log(model.eta / edges[1:]) ** (2.0 / model.gamma)
+        _, counts = sorted_radius2_statistics(np.sort(on_edges), model, edges)
+        assert counts.tolist() == [0, 1, 2]
 
 
 class TestSlowDetection:
