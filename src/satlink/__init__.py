@@ -5,7 +5,7 @@ from .beam import BeamParams, ReceiverParams, diffraction_waist, eta_diffraction
 from .cvqkd import ProtocolParams, holevo_bound, postselected_rate
 from .errors import ConfigError, NumericalError, StrongTurbulenceError
 from .fading import FadingModel, fading_model, p_threshold, sample_fading
-from .geometry import altitude_from_slant, slant_range
+from .geometry import slant_range
 from .noise import nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
 from .scenario import SETUPS, Scenario
@@ -25,7 +25,6 @@ __all__ = [
     "Scenario",
     "StrongTurbulenceError",
     "TurbulenceProfile",
-    "altitude_from_slant",
     "cn2",
     "diffraction_waist",
     "eta_atm",

@@ -8,12 +8,12 @@ weights, u^(gamma/2 - 1)) and integrands whose scale is not known in
 advance.  An infinite range is mapped onto a finite one by the caller, as
 the wander tail is by t = exp(-rate (x - 1)).
 
-The rule integrates a batch of P integrals in one pass.  The ends and the
-extra arguments of the integrand are floats (one integral) or 1-D arrays
-over the P rows.  The integrand f(x, *args) gets the nodes x, of shape
-(n,) or (P, n), and each array argument as a (P, 1) column (floats pass as
-they are), and returns values of the broadcast shape.  Node tables are
-built once per process.
+The rule integrates a batch of P integrals in one pass: a sweep fills its
+memos of integrals (`Memo`) that way.  The ends and the extra arguments of
+the integrand are floats (one integral) or 1-D arrays over the P rows.  The
+integrand f(x, *args) gets the nodes x, of shape (n,) or (P, n), and each
+array argument as a (P, 1) column (floats pass as they are), and returns
+values of the broadcast shape.  Node tables are built once per process.
 
 Each row compares the estimates at step h and h/2.  A row whose two
 estimates agree within max(abs_tol, REL_TOL * |I|) keeps the finer one,
@@ -28,12 +28,12 @@ fast.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._array import all_, any_
 from .errors import NumericalError
 
 Integrand = Callable[..., np.ndarray]
@@ -44,6 +44,8 @@ REL_TOL = 1e-10
 TS_STEP = 0.125  # first estimate: 65 nodes
 TS_LEVELS = 6    # cap: step 1/256
 T_MAX = 4.0
+# keys a Memo holds; a sweep fills and reads its memos a chunk of points at a time
+MEMO_SIZE = 256
 
 
 class Quadrature(NamedTuple):
@@ -53,6 +55,14 @@ class Quadrature(NamedTuple):
 
 def _at(value, i: int):
     return value[i] if isinstance(value, np.ndarray) else value
+
+
+def _all(mask) -> bool:
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _any(mask) -> bool:
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
 
 
 def _columns(*values) -> list:
@@ -93,7 +103,7 @@ def tanh_sinh(f: Integrand, a, b, *args, abs_tol: float = 0.0) -> Quadrature:
     Endpoint singularities are integrable as long as f is finite at every
     interior point: no node falls on an end.
     """
-    if all_(a == b):
+    if _all(a == b):
         return Quadrature(0.0, 0.0)
     columns = _columns(a, b, *args)
 
@@ -124,12 +134,12 @@ def tanh_sinh(f: Integrand, a, b, *args, abs_tol: float = 0.0) -> Quadrature:
             diff = abs(est - prev)
             ok = (diff <= abs_tol) | (diff <= REL_TOL * abs(est))
             # a row accepted at this level drops out of the finer ones
-            if all_(ok):
+            if _all(ok):
                 if rows is None:
                     return Quadrature(est, diff)
                 value[rows], error[rows] = est, diff
                 return Quadrature(value, error)
-            if any_(ok):
+            if _any(ok):
                 if rows is None:
                     value, error, rows = np.empty_like(est), np.empty_like(est), np.arange(est.size)
                 value[rows[ok]], error[rows[ok]] = est[ok], diff[ok]
@@ -140,3 +150,65 @@ def tanh_sinh(f: Integrand, a, b, *args, abs_tol: float = 0.0) -> Quadrature:
         f"tanh-sinh on [{_at(a, first)}, {_at(b, first)}] did not converge:"
         f" last estimate {_at(prev, 0):.6g}, difference {_at(diff, 0):.3g}"
     )
+
+
+class Memo:
+    """A quadrature by its arguments: a bounded, exact memo, filled a batch at a time.
+
+    Decorates integrate(*key), a tanh_sinh call whose arguments are floats,
+    or 1-D arrays for a batch of rows.  memo(*key) returns integrate(*key) as
+    a float, computed only for a key not held.  memo.fill(keys) integrates
+    the keys not held as the rows of one batch; a row is the double its own
+    call returns, so a hit cannot tell how its key was filled.  A batch that
+    fails fills nothing: each key is left for memo(*key) to compute, and the
+    failing one to raise.  The memo holds MEMO_SIZE keys and drops the least
+    recently used.
+    """
+
+    def __init__(self, integrate: Callable[..., object]):
+        self._integrate = integrate
+        self._values: OrderedDict[tuple, float] = OrderedDict()
+        self.hits = self.misses = 0
+
+    def __call__(self, *key) -> float:
+        if key in self._values:
+            self.hits += 1
+            self._values.move_to_end(key)
+        else:
+            self.misses += 1
+            self._hold(key, float(self._integrate(*key)))
+        return self._values[key]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def _hold(self, key: tuple, value: float) -> None:
+        self._values[key] = value
+        if len(self._values) > MEMO_SIZE:
+            self._values.popitem(last=False)
+
+    def fill(self, keys) -> None:
+        """Integrate the keys not held in one batch.
+
+        The keys held already become the most recently used, so that no more
+        than MEMO_SIZE keys all stay held.
+        """
+        new = []
+        for key in dict.fromkeys(keys):
+            if key in self._values:
+                self._values.move_to_end(key)
+            else:
+                new.append(key)
+        if not new:
+            return
+        try:
+            values = self._integrate(*map(np.array, zip(*new)))
+        except NumericalError:
+            return
+        # a batch whose rows all have a == b integrates to one 0.0
+        for key, value in zip(new, np.broadcast_to(values, len(new)).tolist()):
+            self._hold(key, value)
+
+    def cache_clear(self) -> None:
+        self._values.clear()
+        self.hits = self.misses = 0

@@ -1,14 +1,10 @@
-"""Gaussian-beam diffraction, aperture coupling and loss-only rate bounds.
-
-Distances and transmissivities are floats or 1-D arrays of points.
-"""
+"""Gaussian-beam diffraction, aperture coupling and loss-only rate bounds."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from ._array import all_, any_, mathof, where
 from .domain import NON_NEGATIVE, POSITIVE, UNIT, Checked, Domain, param
 from .errors import NumericalError
 
@@ -54,31 +50,30 @@ class ReceiverParams(Checked):
         return (self.filter_width / 1e-9) * self.detection_time * self.fov_sr * self.aperture**2
 
 
-def diffraction_waist(z, beam: BeamParams):
+def diffraction_waist(z: float, beam: BeamParams) -> float:
     """Field spot size after free propagation over distance z."""
-    if any_(z < 0):
+    if z < 0:
         raise ValueError("propagation distance must be non-negative")
-    ratio = z / beam.rayleigh_range
-    return beam.waist * mathof(z).hypot(1.0 - z / beam.curvature, ratio)
+    return beam.waist * math.hypot(1.0 - z / beam.curvature, z / beam.rayleigh_range)
 
 
-def eta_diffraction(z, beam: BeamParams, aperture: float):
+def eta_diffraction(z: float, beam: BeamParams, aperture: float) -> float:
     """Fraction of the beam collected by a circular aperture of radius `aperture`."""
     w = diffraction_waist(z, beam)
-    m = mathof(w)
-    return -m.expm1(-2.0 * aperture**2 / m.pow(w, 2))
+    return -math.expm1(-2.0 * aperture**2 / math.pow(w, 2))
 
 
-def plob(eta):
+def plob(eta: float) -> float:
     """Repeaterless secret-key capacity -log2(1 - eta) of a pure-loss channel."""
-    if not all_((0.0 <= eta) & (eta <= 1.0)):
+    if not 0.0 <= eta <= 1.0:
         raise NumericalError("transmissivity must lie in [0, 1]")
-    lossless = eta == 1.0
-    return where(lossless, math.inf, -mathof(eta).log1p(-where(lossless, 0.0, eta)) / LN2)
+    if eta == 1.0:
+        return math.inf
+    return -math.log1p(-eta) / LN2
 
 
-def diffraction_bound(z, beam: BeamParams, aperture: float):
+def diffraction_bound(z: float, beam: BeamParams, aperture: float) -> float:
     """Far-field upper bound (2/ln2) a_R^2 / w_d^2, bits per channel use."""
     w = diffraction_waist(z, beam)
-    return (2.0 / LN2) * aperture**2 / mathof(w).pow(w, 2)
+    return (2.0 / LN2) * aperture**2 / math.pow(w, 2)
 

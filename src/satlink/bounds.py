@@ -6,8 +6,10 @@ With background thermal photons it splits into an upper bound (B minus a
 thermal correction) and the reverse-coherent-information lower bound
 B - h(nbar / (1 - eta)), both clamped at zero.  Maximum secure ranges follow
 either from a Fresnel-number argument or from the root of upper-bound = 0.
-The bounds take a fading model at one geometry or at every point of a
-sweep; the thermal photon number nbar is one float for all of them.
+
+The beam-wandering integral of B is held in a bounded memo keyed on the
+fading parameters it takes; a sweep fills it for a chunk of points in two batches
+(`prefetch`), B at eta and B at nbar, before it evaluates them.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._array import all_, any_, mathof, scatter, take, where
-from ._integrate import tanh_sinh
+from ._integrate import Memo, tanh_sinh
 from .beam import LN2
 from .errors import NumericalError
 from .fading import FadingModel
@@ -27,21 +28,19 @@ from .fading import FadingModel
 _H_TINY = -1e-12
 
 
-def entropy_h(x):
+def entropy_h(x: float) -> float:
     """Thermal-state entropy (x+1)log2(x+1) - x log2(x), with h(0) = 0."""
     # numerical dust from symplectic eigenvalues counts as zero
-    if any_(x <= _H_TINY):
+    if x <= _H_TINY:
         raise ValueError("mean photon number must be non-negative")
     return thermal_entropy(x)
 
 
-def thermal_entropy(x):
+def thermal_entropy(x: float) -> float:
     """entropy_h without the domain check, x <= 0 counting as 0."""
-    # multiplying by the masks zeroes x <= 0 (to -0.0 at worst, which h maps
-    # to 0.0) and keeps log2 off 0, without a branch on scalars or arrays
-    x = x * (x > 0.0)
-    m = mathof(x)
-    return (x + 1.0) * m.log2(x + 1.0) - x * m.log2(x + (x == 0.0))
+    if x <= 0.0:
+        return 0.0
+    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
 def _wander_low(u, s, g, eta):
@@ -63,7 +62,13 @@ def _wander(t, s, g, eta):
     return _wander_low(t, s, g, eta) + _wander_high(1.0 - np.log(t) / rate, s, g, eta) / (rate * t)
 
 
-def wander_delta(eta, sigma2, gamma, r0):
+@Memo
+def _wander_integral(eta, sigma2, gamma, r0):
+    """The integral I of wander_delta, for sigma2 > 0."""
+    return tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
+
+
+def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
     """Beam-wandering correction factor Delta(eta, sigma) in (0, 1].
 
     Delta = 1 + (eta / ln(1-eta)) * I with
@@ -76,51 +81,54 @@ def wander_delta(eta, sigma2, gamma, r0):
     tanh-sinh call integrates the sum of the two pieces.  Without wander
     (sigma2 = 0) Delta is 1.
     """
-    wander = sigma2 != 0.0
-    s = r0 * r0 / (2.0 * where(wander, sigma2, 1.0))
-    g = gamma / 2.0
-    integral = tanh_sinh(_wander, 0.0, 1.0, s, g, eta, abs_tol=1e-12).value
-    return where(wander, 1.0 + eta / mathof(eta).log1p(-eta) * integral, 1.0)
+    if sigma2 == 0.0:
+        return 1.0
+    return 1.0 + eta / math.log1p(-eta) * _wander_integral(eta, sigma2, gamma, r0)
 
 
-def bound_b(eta, sigma2, gamma, r0):
+def bound_b(eta: float, sigma2: float, gamma: float, r0: float) -> float:
     """Loss-limited bound -Delta(eta, sigma) * log2(1 - eta), bits per use."""
-    if not all_((0.0 < eta) & (eta < 1.0)):
+    if not 0.0 < eta < 1.0:
         raise NumericalError("eta must lie in (0, 1)")
-    return -wander_delta(eta, sigma2, gamma, r0) * mathof(eta).log1p(-eta) / LN2
+    return -wander_delta(eta, sigma2, gamma, r0) * math.log1p(-eta) / LN2
 
 
-def bound_b_model(model: FadingModel):
+def bound_b_model(model: FadingModel) -> float:
     return bound_b(model.eta, model.sigma2, model.gamma, model.r0)
 
 
-def thermal_correction(nbar: float, model: FadingModel):
+def prefetch(models: list[FadingModel], nbar: float) -> None:
+    """Integrate the wander integrals of the models' bounds that are not held:
+    B at eta in one batch, then B at nbar, where 0 < nbar < eta, in another."""
+    wander = [m for m in models if m.sigma2 != 0.0]
+    _wander_integral.fill((m.eta, m.sigma2, m.gamma, m.r0) for m in wander)
+    _wander_integral.fill((nbar, m.sigma2, m.gamma, m.r0) for m in wander if 0.0 < nbar < m.eta)
+
+
+def thermal_correction(nbar: float, model: FadingModel) -> float:
     """Thermal correction subtracted from the loss-limited bound (nbar <= eta)."""
     if nbar == 0.0:
         return 0.0
-    m = mathof(model.eta)
-    u = m.pow(m.log(model.eta / nbar), 2.0 / model.gamma)
-    weight = 1.0 - m.exp(-model.spread * u)
+    u = math.pow(math.log(model.eta / nbar), 2.0 / model.gamma)
+    weight = 1.0 - math.exp(-model.spread * u)
     bracket = nbar * math.log2(nbar) / (1.0 - nbar) + entropy_h(nbar)
     return weight * bracket + bound_b(nbar, model.sigma2, model.gamma, model.r0)
 
 
-def thermal_upper(nbar: float, model: FadingModel, b=None):
+def thermal_upper(nbar: float, model: FadingModel, b: float | None = None) -> float:
     """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking.
 
     b is the model's loss-limited bound B, when the caller has it already.
     """
     if nbar == 0.0:
         return bound_b_model(model) if b is None else b
-    live = nbar < model.eta
-    if not any_(live):
-        return 0.0 * model.eta
-    part = model.select(live)
-    upper = (bound_b_model(part) if b is None else take(live, b)) - thermal_correction(nbar, part)
-    return scatter(live, where(upper > 0.0, upper, 0.0), 0.0)
+    if not nbar < model.eta:
+        return 0.0
+    upper = (bound_b_model(model) if b is None else b) - thermal_correction(nbar, model)
+    return upper if upper > 0.0 else 0.0
 
 
-def thermal_lower(nbar: float, model: FadingModel, b):
+def thermal_lower(nbar: float, model: FadingModel, b: float) -> float:
     """Reverse-coherent-information lower bound max(0, B - h(nbar / (1 - eta))).
 
     The entropy penalty takes the transmissivity at its maximum eta.  b is
@@ -129,7 +137,7 @@ def thermal_lower(nbar: float, model: FadingModel, b):
     if nbar == 0.0:
         return b
     lower = b - entropy_h(nbar / (1.0 - model.eta))
-    return where(lower > 0.0, lower, 0.0)
+    return lower if lower > 0.0 else 0.0
 
 
 # the tight max-range search: first probe, bracket cap and bisection step (m)

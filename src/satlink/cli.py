@@ -8,8 +8,9 @@ CONFIG_KEYS and of each option in COMMANDS.  Every CSV starts with a comment
 line that records the fully resolved configuration; identical invocations
 produce byte-identical output.
 
-Exit codes: 0 ok, 2 configuration error, 3 numerical failure (a floating-point
-overflow or division by zero included); any other exception is a bug.
+Exit codes: 0 ok, 2 configuration error (a request that does not fit in
+memory included), 3 numerical failure (a floating-point overflow or division
+by zero included); any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -339,7 +340,7 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
     ks, counts = fading.sorted_radius2_statistics(r2, model, edges)
     if not math.isfinite(ks):
         raise NumericalError(f"not finite: ks_statistic={ks}")
-    cdf = fading.fading_cdf(edges, model)
+    cdf = [fading.fading_cdf(edge, model) for edge in edges.tolist()]
     return csv_text(
         scn,
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
@@ -476,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         for name, key in _KEY_OF_FIELD.items():  # a parameter field at fault by its key
             message = message.replace(name, key)
         print(f"configuration error: {message}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: the request does not fit in memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -8,8 +8,7 @@ symplectic eigenvalues nu+- = sqrt((D +- sqrt(D^2 - 4 det V)) / 2), and the
 homodyne/heterodyne measurement update of the conditional state.  Bright
 pilot pulses interleaved with the signal estimate the instantaneous
 transmissivity and the thermal photon number; the worst-case thermal
-estimate enters the rate.  Transmissivities, and the fading model the
-post-selected rate takes, are floats or arrays over the points of a sweep.
+estimate enters the rate.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from ._array import all_, any_, at_first, mathof, where
 from ._special import erfcinv
 from .bounds import thermal_entropy
 from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Checked, Domain, at_least, one_of, param
@@ -107,22 +105,21 @@ class ProtocolParams(Checked):
         return self.p_ec * self.eps_pe + self.eps_cor + self.eps_s + self.eps_h
 
 
-def mutual_information(tau, nbar: float, sigma_x2: float, nu_add: float):
+def mutual_information(tau: float, nbar: float, sigma_x2: float, nu_add: float) -> float:
     """Transmitter-receiver mutual information, bits per use; nu_add is ProtocolParams.nu_add."""
-    if not all_((0.0 < tau) & (tau <= 1.0)):
+    if not 0.0 < tau <= 1.0:
         raise NumericalError("transmissivity must lie in (0, 1]")
     snr = 1.0 + tau * sigma_x2 / (2.0 * nbar + nu_add)
-    return nu_add / 2.0 * mathof(snr).log2(snr)
+    return nu_add / 2.0 * math.log2(snr)
 
 
-def _entropy_from_nu(nu):
-    unphysical = nu < 1.0 - 1e-9
-    if any_(unphysical):
-        raise NumericalError(f"non-physical symplectic eigenvalue {at_first(unphysical, nu)}")
+def _entropy_from_nu(nu: float) -> float:
+    if nu < 1.0 - 1e-9:
+        raise NumericalError(f"non-physical symplectic eigenvalue {nu}")
     return thermal_entropy((nu - 1.0) / 2.0)
 
 
-def holevo_bound(tau, nbar, mu: float, detection: str):
+def holevo_bound(tau: float, nbar: float, mu: float, detection: str) -> float:
     """Eavesdropper Holevo information chi(E:y) in reverse reconciliation.
 
     The transmitter-receiver state is the two-mode Gaussian with quadrature
@@ -130,29 +127,28 @@ def holevo_bound(tau, nbar, mu: float, detection: str):
     c = sqrt(tau (mu^2 - 1)).  Eve purifies it, so chi = S(AB) - S(A|y)
     with the conditional entropy taken after the receiver's measurement.
     """
-    if not all_((0.0 < tau) & (tau <= 1.0)):
+    if not 0.0 < tau <= 1.0:
         raise NumericalError("transmissivity must lie in (0, 1]")
     a = mu
     b = tau * mu + 1.0 - tau + 2.0 * nbar
     c2 = tau * (mu * mu - 1.0)
-    m = mathof(b)
 
     delta = a * a + b * b - 2.0 * c2
-    det_v = m.pow(a * b - c2, 2)
+    det_v = math.pow(a * b - c2, 2)
     disc = delta * delta - 4.0 * det_v
     # rounding takes disc a little below 0, which counts as 0; far below,
     # the spectrum is complex
-    if any_((disc < -1e-9) & (disc < -1e-9 * delta * delta)):
+    if disc < -1e-9 and disc < -1e-9 * delta * delta:
         raise NumericalError("covariance matrix has complex symplectic spectrum")
-    # multiplying by the mask clamps at (-)0 without a branch
-    root = m.sqrt(disc * (disc > 0.0))
-    nu_plus = m.sqrt((delta + root) / 2.0)
+    # multiplying by the comparison clamps at (-)0 and keeps a nan
+    root = math.sqrt(disc * (disc > 0.0))
+    nu_plus = math.sqrt((delta + root) / 2.0)
     nu_minus2 = (delta - root) / 2.0
-    nu_minus = m.sqrt(nu_minus2 * (nu_minus2 > 0.0))
+    nu_minus = math.sqrt(nu_minus2 * (nu_minus2 > 0.0))
     s_ab = _entropy_from_nu(nu_plus) + _entropy_from_nu(nu_minus)
 
     if detection == "hom":
-        nu_cond = m.sqrt(a * (a - c2 / b))
+        nu_cond = math.sqrt(a * (a - c2 / b))
     else:
         nu_cond = a - c2 / (b + 1.0)
     return s_ab - _entropy_from_nu(nu_cond)
@@ -184,30 +180,28 @@ class KeyRate(NamedTuple):
     eps_prime: float | None = None  # general-attack epsilon, when applicable
 
 
-def _log2_binom_ceil(k):
+def _log2_binom_ceil(k: float) -> int:
     """ceil(log2 C(kk+4, 4)) for kk = floor(k); k may reach 1e8."""
-    m = mathof(k)
-    kk = m.floor(k)
-    return m.ceil(m.log2((kk + 1.0) * (kk + 2.0) * (kk + 3.0) * (kk + 4.0) / 24.0))
+    kk = math.floor(k)
+    return math.ceil(math.log2((kk + 1.0) * (kk + 2.0) * (kk + 3.0) * (kk + 4.0) / 24.0))
 
 
-def _sigma_n(n_eff, f_et: float, eps: float):
+def _sigma_n(n_eff: float, f_et: float, eps: float) -> float:
     """Energy-test concentration factor for the general-attack reduction."""
     l = math.log(8.0 / eps)
-    m = mathof(n_eff)
-    denom = 1.0 - 2.0 * m.sqrt(l / (2.0 * f_et * n_eff))
-    if any_(denom <= 0.0):
+    denom = 1.0 - 2.0 * math.sqrt(l / (2.0 * f_et * n_eff))
+    if denom <= 0.0:
         raise NumericalError("energy-test block too small for the epsilon budget")
-    return (1.0 + 2.0 * m.sqrt(l / (2.0 * n_eff)) + l / n_eff) / denom
+    return (1.0 + 2.0 * math.sqrt(l / (2.0 * n_eff)) + l / n_eff) / denom
 
 
-def _k_n(n_eff, params: ProtocolParams):
+def _k_n(n_eff: float, params: ProtocolParams) -> float:
     k = 2.0 * n_eff * params.nbar_t * _sigma_n(n_eff, params.energy_test_fraction, params.eps_total)
-    return where(k > 1.0, k, 1.0)
+    return k if k > 1.0 else 1.0
 
 
-def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept) -> KeyRate:
-    """Composable rate of n_eff key pulses at asymptotic rate r_m, 0 where not kept.
+def _finite_size_rate(r_m: float, n_eff: float, params: ProtocolParams, attacks: str) -> KeyRate:
+    """Composable rate of n_eff key pulses at asymptotic rate r_m.
 
     General attacks are reduced to collective ones by energy tests, which
     need heterodyne detection and cost a binomial term per block.
@@ -217,12 +211,11 @@ def _finite_size_rate(r_m, n_eff, params: ProtocolParams, attacks: str, kept) ->
     if attacks == "general":
         k_n = _k_n(n_eff, params)
         extra = extra - 2.0 * _log2_binom_ceil(k_n)
-        eps_prime = where(kept, mathof(k_n).pow(k_n, 4) * params.eps_total / 50.0, math.nan)
+        eps_prime = math.pow(k_n, 4) * params.eps_total / 50.0
     raw = (n_eff * params.p_ec / params.block_size) * (
-        r_m - params.delta_aep / mathof(n_eff).sqrt(n_eff) + extra / n_eff
+        r_m - params.delta_aep / math.sqrt(n_eff) + extra / n_eff
     )
-    raw = where(kept, raw, 0.0)
-    return KeyRate(where(raw > 0.0, raw, 0.0), raw, eps_prime)
+    return KeyRate(raw if raw > 0.0 else 0.0, raw, eps_prime)
 
 
 def postselected_rate(model: FadingModel, nbar_prime: float, params: ProtocolParams, attacks: str) -> KeyRate:
@@ -230,16 +223,11 @@ def postselected_rate(model: FadingModel, nbar_prime: float, params: ProtocolPar
 
     Data are kept only when the pilot-measured transmissivity exceeds
     eta_th = phi_thr * eta and are processed at that worst-case value.  The
-    model is one geometry or a sweep; the rate is 0 (eps_prime nan) at the
-    points where no data survive the threshold.
+    rate is 0 (and eps_prime None) where no data survive the threshold.
     """
     eta_th = params.phi_thr * model.eta
-    p_th = p_threshold(eta_th, model)
-    n = params.key_pulses
-    n_eff = n * p_th
-    kept = n_eff > 0.0
-    if not any_(kept):
-        return KeyRate(0.0 * n_eff, 0.0 * n_eff)
-    n_eff = where(kept, n_eff, n)
+    n_eff = params.key_pulses * p_threshold(eta_th, model)
+    if not n_eff > 0.0:
+        return KeyRate(0.0 * n_eff, 0.0 * n_eff)  # nan where the threshold probability is
     r_m = asymptotic_rate(eta_th, nbar_prime, params)
-    return _finite_size_rate(r_m, n_eff, params, attacks, kept)
+    return _finite_size_rate(r_m, n_eff, params, attacks)

@@ -4,20 +4,19 @@ A Gaussian random walk of the beam centroid (turbulence wander plus pointing
 error) maps to a Weibull-type law for the instantaneous transmissivity tau,
 supported on (0, eta) where eta is the perfectly-aligned transmissivity.
 The shape/scale parameters (gamma, r0) follow from the short-term spot size
-through modified-Bessel geometry factors.  The channel state is built at one
-geometry (floats) or at every point of a sweep (1-D arrays) in one call.
+through modified-Bessel geometry factors.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import atmosphere, geometry, turbulence
-from ._array import all_, any_, at_first, each, mathof, take, where
 from ._special import i0e, i1e
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
@@ -37,25 +36,25 @@ STRIDE = 32
 KS_MARGIN = 1e-12
 
 
-def pointing_variance(z, error_rad: float):
+def pointing_variance(z: float, error_rad: float) -> float:
     """Centroid variance (m^2) from a transmitter pointing error in radians."""
-    return mathof(z).pow(error_rad * z, 2)
+    return math.pow(error_rad * z, 2)
 
 
-def bessel_f0(x):
+def bessel_f0(x: float) -> float:
     """f0(x) = 1 / (1 - exp(-2x) I0(2x)); the denominator ~ 2x rounds to 0 as x -> 0."""
     d = 1.0 - i0e(2.0 * x)
-    if any_(d <= 0.0):
-        raise NumericalError(f"degenerate fading geometry: f0 is infinite at x={at_first(d <= 0.0, x):.6g}")
+    if d <= 0.0:
+        raise NumericalError(f"degenerate fading geometry: f0 is infinite at x={x:.6g}")
     return 1.0 / d
 
 
-def bessel_f1(x):
+def bessel_f1(x: float) -> float:
     """f1(x) = exp(-2x) I1(2x)."""
     return i1e(2.0 * x)
 
 
-def fading_params(eta_st, eta_st_far, aperture: float):
+def fading_params(eta_st: float, eta_st_far: float, aperture: float) -> tuple[float, float]:
     """Weibull shape gamma and scale r0 from the short-term transmissivities.
 
     The far-field value eta_st_far = 2 a_R^2 / w_st^2 enters the Bessel
@@ -64,22 +63,18 @@ def fading_params(eta_st, eta_st_far, aperture: float):
     about 37) eta_st = 1 - exp(-eta_st_far) rounds to 1; f0 -> 1 there and
     the logarithm tends to ln 2, so eta_st = 1 is a valid input.
     """
-    if not all_((0.0 < eta_st) & (eta_st <= 1.0)):
+    if not 0.0 < eta_st <= 1.0:
         raise NumericalError("eta_st must lie in (0, 1]")
     f0 = bessel_f0(eta_st_far)
     f1 = bessel_f1(eta_st_far)
     log_arg = 2.0 * eta_st * f0
-    degenerate = log_arg <= 1.0
-    if any_(degenerate):
-        raise NumericalError(
-            f"degenerate fading geometry: ln argument {at_first(degenerate, log_arg):.6g} <= 1"
-        )
-    m = mathof(log_arg)
-    log_term = m.log(log_arg)
+    if log_arg <= 1.0:
+        raise NumericalError(f"degenerate fading geometry: ln argument {log_arg:.6g} <= 1")
+    log_term = math.log(log_arg)
     gamma = 4.0 * eta_st_far * f0 * f1 / log_term
     # a shape gamma -> 0 leaves no finite scale r0 = a_R / log_term^(1/gamma)
-    scale = m.pow(log_term, 1.0 / gamma) if all_(gamma > 0.0) else 0.0
-    if any_(scale == 0.0):
+    scale = math.pow(log_term, 1.0 / gamma) if gamma > 0.0 else 0.0
+    if scale == 0.0:
         raise NumericalError("degenerate fading geometry: no finite Weibull scale r0")
     r0 = aperture / scale
     return gamma, r0
@@ -87,10 +82,7 @@ def fading_params(eta_st, eta_st_far, aperture: float):
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Fading-channel state at one link geometry, or at each point of a sweep.
-
-    Each field is a float, or a 1-D array over the points of a sweep.
-    """
+    """Fading-channel state at one link geometry."""
 
     eta: float          # maximum transmissivity eta_eff * eta_atm * eta_st
     gamma: float        # Weibull shape
@@ -99,56 +91,50 @@ class FadingModel:
     eta_atm: float | None = None  # the extinction factor of eta, set by fading_model
 
     def __post_init__(self):
-        if not all_((0.0 < self.eta) & (self.eta < 1.0)):
+        if not 0.0 < self.eta < 1.0:
             raise NumericalError("eta must lie in (0, 1)")
-        if any_((self.gamma <= 0) | (self.r0 <= 0) | (self.sigma2 < 0)):
+        if self.gamma <= 0 or self.r0 <= 0 or self.sigma2 < 0:
             raise NumericalError("invalid fading parameters")
 
     @property
-    def spread(self):
+    def spread(self) -> float:
         """The exponent prefactor r0^2 / (2 sigma^2); inf without wander (sigma^2 = 0)."""
-        wander = self.sigma2 > 0.0
-        r0_2 = mathof(self.r0).pow(self.r0, 2)
-        return where(wander, r0_2 / (2.0 * where(wander, self.sigma2, 1.0)), math.inf)
-
-    def select(self, mask) -> "FadingModel":
-        """The model at the points where mask holds; a one-point model as it is."""
-        if not isinstance(mask, np.ndarray):
-            return self
-        return FadingModel(**{f.name: take(mask, getattr(self, f.name)) for f in fields(self)})
+        if self.sigma2 > 0.0:
+            return math.pow(self.r0, 2) / (2.0 * self.sigma2)
+        return math.inf
 
 
 def fading_model(
-    h,
-    theta,
+    h: float,
+    theta: float,
     beam: BeamParams,
     receiver: ReceiverParams,
     profile: TurbulenceProfile,
     direction: str,
     extinction: ExtinctionModel,
     pointing_error: float,
+    warn: Callable[..., None] = warnings.warn,
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
-    h and theta are floats, or 1-D arrays that give the state at each of
-    their points.  Strong scintillation (saturated Rytov variance >= 1, e.g.
-    worst-case day conditions at large zenith angles) does not abort the
-    computation but raises a validity warning, once per such point.
+    Strong scintillation (saturated Rytov variance >= 1, e.g. worst-case
+    day conditions at large zenith angles) does not abort the computation
+    but raises a validity warning.  warn emits that and spot_sizes' warning;
+    a sweep builds its models once without them, to learn their integrals.
     """
     # the slant range first: it rejects zenith angles beyond pi/2, where
     # sec(theta) < 0 has no Rytov variance
     z = geometry.slant_range(h, theta)
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
-    for value, angle in each(rytov >= 1.0, rytov, theta):
-        warnings.warn(
-            f"Rytov variance {value:.2f} >= 1 at theta={angle:.2f}:"
+    if rytov >= 1.0:
+        warn(
+            f"Rytov variance {rytov:.2f} >= 1 at theta={theta:.2f}:"
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
-    spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error))
-    m = mathof(spots.w_st)
-    eta_st_far = 2.0 * receiver.aperture**2 / m.pow(spots.w_st, 2)
-    eta_st = -m.expm1(-eta_st_far)
+    spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error), warn)
+    eta_st_far = 2.0 * receiver.aperture**2 / math.pow(spots.w_st, 2)
+    eta_st = -math.expm1(-eta_st_far)
     gamma, r0 = fading_params(eta_st, eta_st_far, receiver.aperture)
     eta_atm = atmosphere.eta_atm(h, theta, extinction)
     return FadingModel(
@@ -160,30 +146,20 @@ def fading_model(
     )
 
 
-def fading_cdf(tau, model: FadingModel):
-    """P(transmissivity <= tau); exact via the Gaussian-walk substitution.
-
-    tau and the model's fields are floats, giving a float, or arrays, giving
-    an array of their broadcast shape.
-    """
-    inside = (tau > 0.0) & (tau < model.eta)
-    # numpy's ufuncs for many tau of one model (validate-mc samples a
-    # million); math at every point of a sweep, as for one point alone
-    m = np if isinstance(model.eta, float) and isinstance(tau, np.ndarray) else mathof(inside)
-    # placeholder eta/e keeps the logarithm finite outside the support; one
-    # expression, so that each temporary array is freed once it is used
-    cdf = m.exp(-model.spread * m.pow(
-        m.log(model.eta / where(inside, tau, model.eta / math.e)), 2.0 / model.gamma))
-    return where(inside, cdf, where(tau <= 0.0, 0.0, 1.0))
+def fading_cdf(tau: float, model: FadingModel) -> float:
+    """P(transmissivity <= tau); exact via the Gaussian-walk substitution."""
+    if not 0.0 < tau < model.eta:
+        return 0.0 if tau <= 0.0 else 1.0
+    return math.exp(-model.spread * math.pow(math.log(model.eta / tau), 2.0 / model.gamma))
 
 
-def p_threshold(eta_th, model: FadingModel):
+def p_threshold(eta_th: float, model: FadingModel) -> float:
     """Post-selection probability P(tau > eta_th).
 
     The integral of the density over (eta_th, eta) reduces exactly to an
     exponential in the substituted variable, so no quadrature is needed.
     """
-    if any_((eta_th < 0) | (eta_th >= model.eta)):
+    if eta_th < 0 or eta_th >= model.eta:
         raise NumericalError("threshold must lie in [0, eta)")
     return 1.0 - fading_cdf(eta_th, model)
 

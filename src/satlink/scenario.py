@@ -4,19 +4,23 @@ A Scenario fixes the link direction, the time of day / sky condition, the
 hardware setup and the protocol parameters, and exposes the derived
 channel states and key rates that the CLI and the experiment scripts
 consume.  Bounds and rates are evaluated at one geometry, given as floats,
-or over every point of a sweep, given as arrays, in one array call.
+or at each point of a sweep, given as arrays; a sweep batches only the
+integrals of its points.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from . import bounds, cvqkd, fading, noise, orbit
+from . import atmosphere, bounds, cvqkd, fading, noise, orbit
+from ._integrate import MEMO_SIZE
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
@@ -36,38 +40,40 @@ SETUPS: dict[int, tuple[float, float, float]] = {
 }
 
 
-def _pointwise(evaluate: Callable, h, theta):
-    """evaluate(h, theta) at one point, or at the broadcast points in one call.
+# points per chunk of a sweep: a bounds point holds up to two wander integrals
+CHUNK = MEMO_SIZE // 2
 
-    When any point fails, the array call fails.  The points are then
-    evaluated alone, in order, so that the error raised is the one of the
-    first failing point and the validity warnings are the ones of the points
-    up to it, as from a loop over the points.  Results have the points' shape.
+
+# the columns of the CLI bounds sweep at a point
+Bounds = namedtuple("Bounds", "U V B upper lower eta nbar")
+
+
+def _pointwise(evaluate: Callable, prefetch: Callable, h, theta, result: type):
+    """evaluate(h, theta) at one point, or at each of the broadcast points in turn.
+
+    A sweep runs CHUNK points at a time: prefetch(points) fills the memos of
+    their integrals, in batches, before they are evaluated, so a sweep raises
+    the first failing point's error and each point's warnings in order.
+    evaluate returns the namedtuple `result`; a sweep returns its fields as
+    arrays of the points' shape, nan where a value is None at some points
+    and None where it is None at all of them.
     """
     if not isinstance(h, np.ndarray) and not isinstance(theta, np.ndarray):
         return evaluate(h, theta)
     h, theta = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(theta, dtype=float))
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            result = evaluate(h.ravel(), theta.ravel())
-        except (ValueError, ArithmeticError, NumericalError, Warning) as exc:
-            failure = exc
-        else:
-            failure = None
-    if failure is not None:
-        for point in zip(h.ravel().tolist(), theta.ravel().tolist()):
-            evaluate(*point)
-        raise failure
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    shape = h.shape
+    points = list(zip(h.ravel().tolist(), theta.ravel().tolist()))
+    results = []
+    for lo in range(0, len(points), CHUNK):
+        chunk = points[lo:lo + CHUNK]
+        prefetch(chunk)
+        results += [evaluate(*point) for point in chunk]
 
-    def shaped(value):
-        return value.reshape(shape) if isinstance(value, np.ndarray) else value
+    def shaped(values):
+        if values and all(value is None for value in values):
+            return None
+        return np.array([math.nan if value is None else value for value in values]).reshape(h.shape)
 
-    if isinstance(result, dict):
-        return {key: shaped(value) for key, value in result.items()}
-    return type(result)(*map(shaped, result))
+    return result(*map(shaped, list(zip(*results)) or [()] * len(result._fields)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ class Scenario(Checked):
             self.protocol.tail,
         )
 
-    def fading_model(self, h: float, theta: float) -> FadingModel:
+    def fading_model(self, h: float, theta: float, warn: Callable[..., None] = warnings.warn) -> FadingModel:
         return fading.fading_model(
             h,
             theta,
@@ -144,6 +150,7 @@ class Scenario(Checked):
             self.link,
             self.extinction,
             self.pointing_error,
+            warn,
         )
 
     # -- bounds ------------------------------------------------------------
@@ -154,11 +161,24 @@ class Scenario(Checked):
         U, V and B, the thermal-loss upper and lower bounds, eta and nbar.
 
         h and theta are floats, or arrays that broadcast to the points of a
-        sweep; every value but nbar then has the points' shape.
+        sweep; every value then has the points' shape.
         """
-        return _pointwise(self._bounds, h, theta)
+        return _pointwise(self._bounds, self._prefetch_bounds, h, theta, Bounds)._asdict()
 
-    def _bounds(self, h, theta) -> dict:
+    def _prefetch_bounds(self, points) -> None:
+        """Fill the memos of the points' integrals from their fading models,
+        built without a warning; a point whose model fails is left out, for
+        its evaluation to raise."""
+        atmosphere.prefetch(points, self.extinction)
+        models = []
+        for point in points:
+            try:
+                models.append(self.fading_model(*point, warn=lambda *args, **kwargs: None))
+            except (ValueError, ArithmeticError, NumericalError):
+                pass
+        bounds.prefetch(models, self.nbar)
+
+    def _bounds(self, h: float, theta: float) -> Bounds:
         z = slant_range(h, theta)
         model = self.fading_model(h, theta)
         nbar = self.nbar
@@ -166,15 +186,15 @@ class Scenario(Checked):
         aperture = self.receiver.aperture
         # V's fixed loss reuses the extinction the fading model computed
         eta_fixed = self.receiver.efficiency * model.eta_atm * eta_diffraction(z, self.beam, aperture)
-        return {
-            "U": diffraction_bound(z, self.beam, aperture),
-            "V": plob(eta_fixed),
-            "B": b,
-            "upper": bounds.thermal_upper(nbar, model, b),
-            "lower": bounds.thermal_lower(nbar, model, b),
-            "eta": model.eta,
-            "nbar": nbar,
-        }
+        return Bounds(
+            U=diffraction_bound(z, self.beam, aperture),
+            V=plob(eta_fixed),
+            B=b,
+            upper=bounds.thermal_upper(nbar, model, b),
+            lower=bounds.thermal_lower(nbar, model, b),
+            eta=model.eta,
+            nbar=nbar,
+        )
 
     def max_range(self, mode: str = "tight") -> bounds.MaxRangeResult:
         """Maximum secure slant range for a zenith-overflight geometry.
@@ -209,7 +229,7 @@ class Scenario(Checked):
             model = self.fading_model(h, abs(theta))
             return cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
 
-        return _pointwise(rate, h, theta)
+        return _pointwise(rate, lambda points: atmosphere.prefetch(points, self.extinction), h, theta, KeyRate)
 
     def pass_report(
         self, h: float, n_blocks: int, attacks: str = "collective"

@@ -13,11 +13,10 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._array import any_, at_first, each, mathof
 from ._integrate import Integrand, tanh_sinh
 from .beam import BeamParams, diffraction_waist
 from .errors import NumericalError, StrongTurbulenceError
@@ -90,26 +89,23 @@ def _rytov_column(profile: TurbulenceProfile) -> float:
     return _column(lambda x: cn2(x, profile) * x ** (5.0 / 6.0), LAYER_EDGES_M)
 
 
-def rytov_saturated(theta, k: float, profile: TurbulenceProfile):
+def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float:
     """Rytov variance in the saturated (above-atmosphere) limit.
 
     Equals the full slant expression for any altitude beyond the
     stratosphere; cheap enough to serve as an always-on regime check.
-    theta is a float or an array of points.
     """
-    m = mathof(theta)
-    sec = 1.0 / m.cos(abs(theta))
-    return 2.25 * k ** (7.0 / 6.0) * m.pow(sec, 11.0 / 6.0) * _rytov_column(profile)
+    sec = 1.0 / math.cos(abs(theta))
+    return 2.25 * k ** (7.0 / 6.0) * math.pow(sec, 11.0 / 6.0) * _rytov_column(profile)
 
 
-def coherence_length_planar(theta, k: float, profile: TurbulenceProfile):
+def coherence_length_planar(theta: float, k: float, profile: TurbulenceProfile) -> float:
     """Asymptotic plane-wave coherence length [1.46 k^2 sec(theta) I_inf]^(-3/5)."""
-    m = mathof(theta)
-    sec = 1.0 / m.cos(abs(theta))
+    sec = 1.0 / math.cos(abs(theta))
     strength = 1.46 * k * k * sec * i_infty(profile)
-    if any_(strength == 0.0):  # k^2 underflows for a wavelength beyond ~1e154 m
+    if strength == 0.0:  # k^2 underflows for a wavelength beyond ~1e154 m
         raise NumericalError(f"no finite coherence length for wavenumber {k:.6g}")
-    return m.pow(strength, -3.0 / 5.0)
+    return math.pow(strength, -3.0 / 5.0)
 
 
 class SpotSizes(NamedTuple):
@@ -123,20 +119,20 @@ class SpotSizes(NamedTuple):
 
 
 def spot_sizes(
-    z,
-    theta,
+    z: float,
+    theta: float,
     beam: BeamParams,
     profile: TurbulenceProfile,
     direction: str,
-    pointing_sigma2,
+    pointing_sigma2: float,
+    warn: Callable[..., None] = warnings.warn,
 ) -> SpotSizes:
     """Short-/long-term spot sizes and wander variances at slant range z.
 
-    z and theta are floats or 1-D arrays of points.  Downlink beams are
-    treated as diffraction-limited (w_st = w_lt = w_d, sigma_TB = 0).
+    Downlink beams are treated as diffraction-limited (w_st = w_lt = w_d, sigma_TB = 0).
     Uplink beams use the planar coherence length, and the wander fraction
     the exact (1 - phi)^2 form.  The identity w_lt^2 = w_st^2 + sigma_TB^2
-    holds exactly.
+    holds exactly.  warn emits the marginal-Yura warning.
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
@@ -144,23 +140,19 @@ def spot_sizes(
 
     rho0 = coherence_length_planar(theta, beam.wavenumber, profile)
 
-    m = mathof(z)
-    phi = 0.33 * m.pow(rho0 / beam.waist, 1.0 / 3.0)
-    strong = phi >= 1.0
-    if any_(strong):
-        raise StrongTurbulenceError(
-            f"Yura condition violated: phi={at_first(strong, phi):.3f} >= 1 for w0={beam.waist}"
-        )
-    for (marginal,) in each(phi > 0.5, phi):
-        warnings.warn(
-            f"Yura parameter phi={marginal:.2f} is not small; spot-size model is marginal",
+    phi = 0.33 * math.pow(rho0 / beam.waist, 1.0 / 3.0)
+    if phi >= 1.0:
+        raise StrongTurbulenceError(f"Yura condition violated: phi={phi:.3f} >= 1 for w0={beam.waist}")
+    if phi > 0.5:
+        warn(
+            f"Yura parameter phi={phi:.2f} is not small; spot-size model is marginal",
             stacklevel=2,
         )
-    psi = m.pow(1.0 - phi, 2)
+    psi = math.pow(1.0 - phi, 2)
 
-    broadening = 2.0 * m.pow(beam.wavelength * z / (math.pi * rho0), 2)
-    w_lt2 = m.pow(w_d, 2) + broadening
-    w_st2 = m.pow(w_d, 2) + broadening * psi
+    broadening = 2.0 * math.pow(beam.wavelength * z / (math.pi * rho0), 2)
+    w_lt2 = math.pow(w_d, 2) + broadening
+    w_st2 = math.pow(w_d, 2) + broadening * psi
     sigma_tb2 = broadening * (1.0 - psi)
     sigma2 = sigma_tb2 + pointing_sigma2
-    return SpotSizes(w_d, m.sqrt(w_st2), m.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2, phi)
+    return SpotSizes(w_d, math.sqrt(w_st2), math.sqrt(w_lt2), sigma_tb2, pointing_sigma2, sigma2, phi)

@@ -3,7 +3,8 @@
 Two kinds of code live here:
 
 - oracles and cross-checks, independent or slower spellings of what the
-  package computes: fading averages by direct quadrature (the lower bound
+  package computes: the altitude at a slant range (slant_range's
+  inverse), fading averages by direct quadrature (the lower bound
   with its entropy penalty averaged over fading among them), the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
@@ -27,9 +28,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from satlink import atmosphere, cli, geometry
-from satlink._array import mathof
 from satlink._integrate import tanh_sinh
-from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _path_integral
+from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _line_of_sight
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
 from satlink.bounds import entropy_h
 from satlink.cvqkd import (
@@ -76,6 +76,15 @@ def unit_elongation(theta_app: float) -> float:
     return 1.0
 
 
+def altitude_from_slant(z: float, theta: float) -> float:
+    """Satellite altitude (m) given slant range z and zenith angle theta."""
+    if z < 0:
+        raise ValueError("slant range must be non-negative")
+    if abs(theta) > math.pi / 2:
+        raise ValueError(f"zenith angle {theta} outside [-pi/2, pi/2]")
+    return float(geometry.path_altitude(z, math.cos(abs(theta))))
+
+
 def eta_atm_zenith(h: float, model: ExtinctionModel = EXTINCTION) -> float:
     """Vertical-path transmissivity up to altitude h (closed form)."""
     if h < 0:
@@ -117,13 +126,13 @@ def eta_atm_refracted(
     theta = true_zenith(theta_app)
     # the path stretched by factor: y = factor * y' with y' along the true one
     path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    return math.exp(-model.alpha0 * factor * _path_integral(path, theta, model))
+    return math.exp(-model.alpha0 * factor * _line_of_sight(path, math.cos(abs(theta)), model.h_scale))
 
 
 def eta_diffraction_far(z, beam: BeamParams, aperture: float):
     """Far-field approximation 2 a_R^2 / w_d^2 (valid when << 1)."""
     w = diffraction_waist(z, beam)
-    return 2.0 * aperture**2 / mathof(w).pow(w, 2)
+    return 2.0 * aperture**2 / math.pow(w, 2)
 
 
 def eta_total(
@@ -251,7 +260,7 @@ def coherence_length(
     along_path = (geometry.slant_range(e, theta) for e in LAYER_EDGES_M)
     edges = [y for y in along_path if y < top]
     integral = _column(
-        lambda xi: weight(xi) * cn2(geometry.altitude_from_slant(xi, theta), profile),
+        lambda xi: weight(xi) * cn2(geometry.path_altitude(xi, math.cos(abs(theta))), profile),
         edges + [top],
     )
     return (1.46 * k * k * integral) ** (-3.0 / 5.0)
@@ -462,7 +471,7 @@ def cmd_validate_mc_sorted_twice(args, scn) -> str:
 
     edges = np.linspace(0.0, model.eta, bins + 1)
     counts, _ = np.histogram(sample_fading_hypot(model, n, seed), bins=edges)
-    cdf = fading_cdf(edges, model)
+    cdf = [fading_cdf(edge, model) for edge in edges.tolist()]
     return cli.csv_text(
         scn,
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
@@ -481,7 +490,7 @@ def composable_rate(
     tau, nbar_prime: float, params: ProtocolParams, attacks: str = "collective"
 ) -> KeyRate:
     """Composable finite-size rate against collective or general attacks."""
-    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks, True)
+    return _finite_size_rate(asymptotic_rate(tau, nbar_prime, params), params.key_pulses, params, attacks)
 
 
 def general_protocol(**overrides) -> ProtocolParams:

@@ -12,8 +12,8 @@ from satlink.atmosphere import (
     ExtinctionModel,
     _extinction,
     _line_of_sight,
-    _path_integral,
     eta_atm,
+    prefetch,
 )
 from satlink.geometry import slant_range
 
@@ -140,18 +140,33 @@ class TestLineOfSightCache:
     def test_cached_value_is_the_quadrature(self, h, theta):
         h_scale = EXTINCTION.h_scale
         path = slant_range(min(h, PATH_TOP_M), theta)
-        direct = tanh_sinh(_extinction, 0.0, path, theta, h_scale).value
+        cos_theta = math.cos(abs(theta))
+        direct = tanh_sinh(_extinction, 0.0, path, cos_theta, h_scale).value
         _line_of_sight.cache_clear()
-        first = _path_integral(path, theta, EXTINCTION)
-        again = _path_integral(path, theta, EXTINCTION)
+        first = _line_of_sight(path, cos_theta, h_scale)
+        again = _line_of_sight(path, cos_theta, h_scale)
         assert first == direct and again == direct
-        assert _line_of_sight.cache_info().hits == 1
+        assert _line_of_sight.hits == 1
         assert eta_atm(h, theta, EXTINCTION) == math.exp(-EXTINCTION.alpha0 * direct)
 
-    def test_array_calls_bypass_the_cache(self):
-        before = _line_of_sight.cache_info()
-        h = np.array([5e3, 150e3, 530e3, 36000e3])
-        eta_atm(h, 0.3, EXTINCTION)
-        eta_atm(530e3, np.array([0.0, 0.3, 1.0]), EXTINCTION)
-        eta_atm(h, np.array([0.0, 0.3, 1.0, 0.3]), EXTINCTION)
-        assert _line_of_sight.cache_info() == before
+    def test_prefetch_fills_the_memo_in_one_batch(self, monkeypatch):
+        # the 16 points have 9 lines of sight: the altitudes above PATH_TOP_M
+        # share one per angle, and so do +-theta; the angle beyond pi/2 is
+        # left for its own eta_atm to reject
+        points = [(h, theta) for h in (5e3, 150e3, 530e3, 36000e3) for theta in (0.0, 0.3, -0.3, 1.0)]
+        _line_of_sight.cache_clear()
+        alone = [eta_atm(h, theta, EXTINCTION) for h, theta in points]
+        _line_of_sight.cache_clear()
+        batches = []
+
+        def counted_tanh_sinh(f, a, b, *args, **kwargs):
+            batches.append(np.broadcast(a, b, *args).size)
+            return tanh_sinh(f, a, b, *args, **kwargs)
+
+        monkeypatch.setattr(atmosphere, "tanh_sinh", counted_tanh_sinh)
+        prefetch(points + [(530e3, 2.0)], EXTINCTION)
+        assert batches == [9]
+        assert [eta_atm(h, theta, EXTINCTION) for h, theta in points] == alone
+        assert batches == [9] and _line_of_sight.hits == len(points)
+        with pytest.raises(ValueError, match="zenith angle"):
+            eta_atm(530e3, 2.0, EXTINCTION)

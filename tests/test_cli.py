@@ -325,7 +325,7 @@ class TestCliCommands:
         assert code == 0
         assert "ks_statistic=" in out
         assert 0 < sum(points["radius2_cdf"]) < n / 8
-        assert points["fading_cdf"] == [bins + 1]
+        assert points["fading_cdf"] == [1] * (bins + 1)
 
     @pytest.mark.parametrize(
         "argv",
@@ -477,6 +477,21 @@ class TestExitCodes:
 
     def test_bad_unit(self, capsys):
         assert run_cli(capsys, "rate", "--h", "530miles", "--theta-grid", "0:1:3")[0] == 2
+
+    # sizes of 1e15 and more fail at allocation (petabytes), so no memory is touched
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("validate-mc", "--h", "530km", "--samples", "1e15"),
+            ("validate-mc", "--h", "530km", "--samples", "10", "--bins", "1e15"),
+            ("bounds", "--h-grid", "0km:1km:1e15"),
+        ],
+    )
+    def test_request_beyond_memory(self, argv, capsys):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("configuration error: the request does not fit in memory: Unable to allocate")
 
     def test_missing_config_file(self, capsys):
         assert run_cli(capsys, "show-config", "--config", "/nonexistent.cfg")[0] == 2

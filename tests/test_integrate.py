@@ -12,7 +12,7 @@ from satlink._integrate import Quadrature, tanh_sinh
 from satlink._special import erfcinv, i0e, i1e
 from satlink.bounds import wander_delta
 from satlink.errors import NumericalError
-from satlink.geometry import altitude_from_slant, slant_range
+from satlink.geometry import path_altitude, slant_range
 from satlink.turbulence import LAYER_EDGES_M, PROFILES, TurbulenceProfile, cn2
 
 from _reference import fading_average
@@ -39,8 +39,8 @@ def wander_tail(x, s, g, eta):
     return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
 
 
-def extinction(y, theta):
-    return np.exp(-altitude_from_slant(y, theta) / 6600.0)
+def extinction(y, cos_theta):
+    return np.exp(-path_altitude(y, cos_theta) / 6600.0)
 
 
 def mapped_tail(t, s, g, eta):
@@ -78,7 +78,7 @@ class TestGaussLegendre:
         path = slant_range(200e3, theta)
 
         def integrand(y):
-            return extinction(y, theta)
+            return extinction(y, math.cos(theta))
 
         q = tanh_sinh(integrand, 0.0, path)
         ref = quad(integrand, 0.0, path, epsabs=0.0, epsrel=1e-13, limit=300)
@@ -248,11 +248,12 @@ class TestBatches:
             assert batch.value[i] == alone.value and batch.error[i] == alone.error
 
     def test_gauss_legendre_rows_with_their_own_ends(self):
-        theta = np.array([0.0, 1.0, 1.5, math.pi / 2])
-        path = slant_range(200e3, theta)
-        batch = tanh_sinh(extinction, 0.0, path, theta)
-        for i in range(theta.size):
-            assert batch.value[i] == tanh_sinh(extinction, 0.0, path[i], theta[i]).value
+        thetas = [0.0, 1.0, 1.5, math.pi / 2]
+        path = [slant_range(200e3, theta) for theta in thetas]
+        cos_theta = [math.cos(theta) for theta in thetas]
+        batch = tanh_sinh(extinction, 0.0, np.array(path), np.array(cos_theta))
+        for i in range(len(thetas)):
+            assert batch.value[i] == tanh_sinh(extinction, 0.0, path[i], cos_theta[i]).value
 
     def test_one_divergent_row_raises(self):
         # x^(-p) is integrable on [0, 1] for p < 1 only

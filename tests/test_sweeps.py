@@ -1,4 +1,4 @@
-"""Sweeps as one array call: the same numbers and errors as one point at a time."""
+"""A sweep is its points: the same numbers, errors and warnings as one point at a time."""
 
 import itertools
 import warnings
@@ -7,16 +7,25 @@ import numpy as np
 import pytest
 
 from satlink import atmosphere, bounds, turbulence
-from satlink._integrate import tanh_sinh
+from satlink._integrate import MEMO_SIZE, tanh_sinh
 from satlink.errors import StrongTurbulenceError
-from satlink.scenario import Scenario
+from satlink.scenario import CHUNK, Scenario
 
 # the documented configurations: 4 presets x up/down x day/night x clear/cloudy
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
 
 
+MEMOS = (atmosphere._line_of_sight, bounds._wander_integral)
+
+
 def assert_same(array_value, point_value):
-    np.testing.assert_allclose(array_value, point_value, rtol=1e-12, atol=0.0)
+    assert array_value == point_value
+
+
+def clear_memos():
+    """So that the points after a sweep integrate alone, not from its batches."""
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 def altitudes(n):
@@ -32,10 +41,11 @@ def test_bounds_grid_matches_points(setup, link, period, sky):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = scn.bounds_at(h, theta)
+        clear_memos()
         for i in range(h.size):
             point = scn.bounds_at(float(h[i]), float(theta[i]))
             for key, value in point.items():
-                assert_same(np.broadcast_to(grid[key], h.shape)[i], value)
+                assert_same(grid[key][i], value)
 
 
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
@@ -46,6 +56,7 @@ def test_rate_grid_matches_points(setup, link, period, sky):
         warnings.simplefilter("ignore")
         for h in altitudes(3):
             grid = scn.rate_at(h, thetas)
+            clear_memos()
             for i, theta in enumerate(thetas):
                 point = scn.rate_at(h, float(theta))
                 assert_same(grid.rate[i], point.rate)
@@ -58,6 +69,9 @@ def test_grid_shape_follows_broadcast():
     assert grid["B"].shape == (2, 3)
     assert grid["B"][1, 2] == scn.bounds_at(2000e3, 1.0)["B"]
     assert scn.rate_at(530e3, np.zeros((2, 2))).rate.shape == (2, 2)
+    # a sweep of no points
+    assert all(value.shape == (0,) for value in scn.bounds_at(np.array([]), 0.0).values())
+    assert scn.rate_at(530e3, np.array([])).rate.shape == (0,)
 
 
 # a beam waist of 1.2 mm violates the Yura condition (phi >= 1) on an uplink
@@ -113,17 +127,8 @@ def test_warnings_once_per_offending_point():
     assert messages and sorted(str(w.message) for w in swept) == messages
 
 
-def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
-    """B at eta, and bound_b(nbar) where 0 < nbar < eta: no repeated quadratures.
-
-    Every tanh_sinh call of the sweep is counted, so a per-sweep fading
-    average would show up as a call of its own.
-    """
-    scn = Scenario.build("down", "day", "clear", setup=1)
-    h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
-    theta = np.tile([0.0, 0.8], 6)
-    scn.bounds_at(h[0], theta[0])  # the turbulence columns, cached per process
-    atmosphere._line_of_sight.cache_clear()
+def counted_batches(monkeypatch) -> list:
+    """(integrand, rows) of every tanh_sinh call of the pipeline, from here on."""
     quadratures = []
 
     def counted_tanh_sinh(f, a, b, *args, **kwargs):
@@ -132,8 +137,49 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
 
     for module in (atmosphere, bounds, turbulence):
         monkeypatch.setattr(module, "tanh_sinh", counted_tanh_sinh)
+    return quadratures
+
+
+def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
+    """One batch over the lines of sight not yet held, one for B at every
+    point and one for B(nbar) where 0 < nbar < eta; then no quadrature.
+
+    Every tanh_sinh call of the sweep is counted, so a point that
+    integrated alone, or a per-sweep fading average, would show up.
+    """
+    scn = Scenario.build("down", "day", "clear", setup=1)
+    h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
+    theta = np.tile([0.0, 0.8], 6)
+    clear_memos()
+    # the turbulence columns, cached per process, and the zenith line of
+    # sight, which every altitude above PATH_TOP_M shares
+    scn.bounds_at(h[0], theta[0])
+    bounds._wander_integral.cache_clear()
+    quadratures = counted_batches(monkeypatch)
     grid = scn.bounds_at(h, theta)
     live = int(np.sum(grid["nbar"] < grid["eta"]))
     assert 0 < live < h.size  # the grid reaches entanglement breaking
-    # one extinction batch, then the wander batches of B and of bound_b(nbar)
-    assert quadratures == [("_extinction", h.size), ("_wander", h.size), ("_wander", live)]
+    assert quadratures == [("_extinction", 1), ("_wander", h.size), ("_wander", live)]
+
+
+@pytest.mark.filterwarnings("ignore:Rytov variance")
+def test_sweep_beyond_the_memo_bound(monkeypatch):
+    """A sweep larger than the memos runs in chunks that fit: each batch
+    holds at most CHUNK points, the memos stay within MEMO_SIZE, every point
+    reads its integrals from them, and every point is the one evaluated
+    alone."""
+    scn = Scenario.build("up", "day", setup=2)
+    thetas = np.linspace(-1.2, 1.2, 1001)
+    h = np.geomspace(100e3, 36000e3, 300)
+    clear_memos()
+    quadratures = counted_batches(monkeypatch)
+    rates = scn.rate_at(530e3, thetas)
+    grid = scn.bounds_at(h, 0.7)
+    assert len(quadratures) > 1001 // CHUNK and all(rows <= CHUNK for _, rows in quadratures)
+    assert all(len(memo) <= MEMO_SIZE and memo.misses == 0 for memo in MEMOS)
+    clear_memos()
+    for i, theta in enumerate(thetas.tolist()):
+        point = scn.rate_at(530e3, theta)
+        assert rates.rate[i] == point.rate and rates.unclamped[i] == point.unclamped
+    for i, altitude in enumerate(h.tolist()):
+        assert all(grid[key][i] == value for key, value in scn.bounds_at(altitude, 0.7).items())
