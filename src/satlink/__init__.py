@@ -4,7 +4,7 @@ from .atmosphere import ExtinctionModel, eta_atm
 from .beam import BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
 from .cvqkd import ProtocolParams, holevo_bound, postselected_rate
 from .errors import ConfigError, NumericalError, StrongTurbulenceError
-from .fading import FadingModel, fading_model, p_threshold, sample_fading
+from .fading import FadingModel, fading_model, p_threshold
 from .geometry import slant_range
 from .noise import nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
@@ -38,7 +38,6 @@ __all__ = [
     "p_threshold",
     "plob",
     "postselected_rate",
-    "sample_fading",
     "slant_range",
     "slice_orbit",
     "spot_sizes",

@@ -271,31 +271,21 @@ def _open_out(args):
 # parser in COMMANDS, and the resolved scenario, and returns its output
 # text, which main writes once the work has succeeded.
 
-def _columns(n: int, *values) -> list[list]:
-    """n-point arrays, and scalars that hold at every point, as CSV columns."""
-    return [v.tolist() if isinstance(v, np.ndarray) else [v] * n for v in values]
-
-
 def cmd_bounds(args, scn: Scenario) -> str:
-    thetas = args.theta or [0.0]
     # rows in h-major order: every angle at the first altitude, then the next
-    h = np.repeat(args.h_grid, len(thetas))
-    theta = np.tile(thetas, len(args.h_grid))
-    vals = scn.bounds_at(h, theta)
-    keys = ("U", "V", "B", "upper", "lower", "eta", "nbar")
+    points = [(h, theta) for h in args.h_grid for theta in args.theta or [0.0]]
     return csv_text(
         scn,
         ["h_km", "theta", "U", "V", "B", "thermal_upper", "thermal_lower", "eta", "nbar"],
-        zip(*_columns(h.size, h / 1e3, theta, *(vals[k] for k in keys))),
+        [(h / 1e3, theta, *row) for (h, theta), row in zip(points, scn.bounds_sweep(points))],
     )
 
 
 def cmd_rate(args, scn: Scenario) -> str:
-    thetas = np.array(args.theta_grid)
-    res = scn.rate_at(args.h, thetas, args.attacks)
+    rates = scn.rate_sweep(args.h, args.theta_grid, args.attacks)
     return csv_text(
         scn, ["h_km", "theta", "rate", "rate_unclamped"],
-        zip(*_columns(thetas.size, args.h / 1e3, thetas, res.rate, res.unclamped)),
+        [(args.h / 1e3, theta, res.rate, res.unclamped) for theta, res in zip(args.theta_grid, rates)],
     )
 
 
@@ -344,7 +334,7 @@ def cmd_validate_mc(args, scn: Scenario) -> str:
     return csv_text(
         scn,
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
-        zip(*_columns(args.bins, edges[:-1], edges[1:], counts / args.samples, np.diff(cdf))),
+        zip(edges[:-1].tolist(), edges[1:].tolist(), (counts / args.samples).tolist(), np.diff(cdf).tolist()),
         [
             f"h_km={_fmt(args.h / 1e3)} theta={_fmt(args.theta)} samples={args.samples} seed={args.seed}",
             f"ks_statistic={_fmt(ks)}",

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -88,7 +87,7 @@ class FadingModel:
     gamma: float        # Weibull shape
     r0: float           # Weibull scale, m
     sigma2: float       # total wander variance sigma_P^2 + sigma_TB^2, m^2
-    eta_atm: float | None = None  # the extinction factor of eta, set by fading_model
+    eta_atm: float      # the extinction factor of eta
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
@@ -113,26 +112,25 @@ def fading_model(
     direction: str,
     extinction: ExtinctionModel,
     pointing_error: float,
-    warn: Callable[..., None] = warnings.warn,
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
     Strong scintillation (saturated Rytov variance >= 1, e.g. worst-case
     day conditions at large zenith angles) does not abort the computation
-    but raises a validity warning.  warn emits that and spot_sizes' warning;
-    a sweep builds its models once without them, to learn their integrals.
+    but raises a validity warning, as does a marginal Yura condition in
+    spot_sizes.
     """
     # the slant range first: it rejects zenith angles beyond pi/2, where
     # sec(theta) < 0 has no Rytov variance
     z = geometry.slant_range(h, theta)
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
     if rytov >= 1.0:
-        warn(
+        warnings.warn(
             f"Rytov variance {rytov:.2f} >= 1 at theta={theta:.2f}:"
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )
-    spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error), warn)
+    spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error))
     eta_st_far = 2.0 * receiver.aperture**2 / math.pow(spots.w_st, 2)
     eta_st = -math.expm1(-eta_st_far)
     gamma, r0 = fading_params(eta_st, eta_st_far, receiver.aperture)
@@ -187,25 +185,6 @@ def sample_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
         yb *= yb
         xb += yb
     return x
-
-
-def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """Draw n instantaneous transmissivities; deterministic for a fixed seed.
-
-    Each sample maps the squared deflection r^2 of sample_radius2 to
-    tau = eta * exp(-(r/r0)^gamma), in place and BLOCK samples at a time:
-    sqrt, / r0, ** gamma, negate, exp, * eta.
-    """
-    tau = sample_radius2(model, n, seed)
-    for lo in range(0, n, BLOCK):
-        b = tau[lo:lo + BLOCK]
-        np.sqrt(b, out=b)
-        b /= model.r0
-        b **= model.gamma
-        np.negative(b, out=b)
-        np.exp(b, out=b)
-        b *= model.eta
-    return tau
 
 
 def radius2_cdf(v, model: FadingModel):

@@ -3,21 +3,18 @@
 A Scenario fixes the link direction, the time of day / sky condition, the
 hardware setup and the protocol parameters, and exposes the derived
 channel states and key rates that the CLI and the experiment scripts
-consume.  Bounds and rates are evaluated at one geometry, given as floats,
-or at each point of a sweep, given as arrays; a sweep batches only the
-integrals of its points.
+consume.  Bounds and rates are evaluated at one geometry (bounds_at,
+rate_at) or at each point of a sweep in turn (bounds_sweep, rate_sweep); a
+sweep builds each point's fading model once and batches only the integrals
+of its points.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
-
-import numpy as np
 
 from . import atmosphere, bounds, cvqkd, fading, noise, orbit
 from ._integrate import MEMO_SIZE
@@ -46,34 +43,6 @@ CHUNK = MEMO_SIZE // 2
 
 # the columns of the CLI bounds sweep at a point
 Bounds = namedtuple("Bounds", "U V B upper lower eta nbar")
-
-
-def _pointwise(evaluate: Callable, prefetch: Callable, h, theta, result: type):
-    """evaluate(h, theta) at one point, or at each of the broadcast points in turn.
-
-    A sweep runs CHUNK points at a time: prefetch(points) fills the memos of
-    their integrals, in batches, before they are evaluated, so a sweep raises
-    the first failing point's error and each point's warnings in order.
-    evaluate returns the namedtuple `result`; a sweep returns its fields as
-    arrays of the points' shape, nan where a value is None at some points
-    and None where it is None at all of them.
-    """
-    if not isinstance(h, np.ndarray) and not isinstance(theta, np.ndarray):
-        return evaluate(h, theta)
-    h, theta = np.broadcast_arrays(np.asarray(h, dtype=float), np.asarray(theta, dtype=float))
-    points = list(zip(h.ravel().tolist(), theta.ravel().tolist()))
-    results = []
-    for lo in range(0, len(points), CHUNK):
-        chunk = points[lo:lo + CHUNK]
-        prefetch(chunk)
-        results += [evaluate(*point) for point in chunk]
-
-    def shaped(values):
-        if values and all(value is None for value in values):
-            return None
-        return np.array([math.nan if value is None else value for value in values]).reshape(h.shape)
-
-    return result(*map(shaped, list(zip(*results)) or [()] * len(result._fields)))
 
 
 @dataclass(frozen=True)
@@ -140,7 +109,7 @@ class Scenario(Checked):
             self.protocol.tail,
         )
 
-    def fading_model(self, h: float, theta: float, warn: Callable[..., None] = warnings.warn) -> FadingModel:
+    def fading_model(self, h: float, theta: float) -> FadingModel:
         return fading.fading_model(
             h,
             theta,
@@ -150,37 +119,52 @@ class Scenario(Checked):
             self.link,
             self.extinction,
             self.pointing_error,
-            warn,
         )
+
+    def _sweep(self, points: list[tuple[float, float]], evaluate: Callable, wander: bool) -> list:
+        """evaluate(h, theta, model) at each point (h, theta) in turn, with its fading model.
+
+        The points run CHUNK at a time.  A chunk's lines of sight, and with
+        `wander` the beam-wandering integrals of its bounds, are integrated
+        in batches that fill the memos its points then read.  Its models are
+        built once, in point order and with their warnings, up to the first
+        that fails; the points before that one are evaluated, and then its
+        error is raised.  So a sweep gives the numbers, warnings and error
+        of its points run alone, up to its first failing point.
+        """
+        results = []
+        for lo in range(0, len(points), CHUNK):
+            chunk = points[lo:lo + CHUNK]
+            atmosphere.prefetch(chunk, self.extinction)
+            built, failure = [], None
+            for h, theta in chunk:
+                try:
+                    built.append((h, theta, self.fading_model(h, theta)))
+                except (ValueError, ArithmeticError, NumericalError) as exc:
+                    failure = exc
+                    break
+            if wander:
+                bounds.prefetch([model for _, _, model in built], self.nbar)
+            results += [evaluate(*point) for point in built]
+            if failure is not None:
+                raise failure
+        return results
 
     # -- bounds ------------------------------------------------------------
 
-    def bounds_at(self, h, theta) -> dict:
-        """The columns of the CLI bounds sweep, keyed by name.
+    def bounds_at(self, h: float, theta: float) -> Bounds:
+        """The columns of the CLI bounds sweep at one point.
 
         U, V and B, the thermal-loss upper and lower bounds, eta and nbar.
-
-        h and theta are floats, or arrays that broadcast to the points of a
-        sweep; every value then has the points' shape.
         """
-        return _pointwise(self._bounds, self._prefetch_bounds, h, theta, Bounds)._asdict()
+        return self._bounds(h, theta, self.fading_model(h, theta))
 
-    def _prefetch_bounds(self, points) -> None:
-        """Fill the memos of the points' integrals from their fading models,
-        built without a warning; a point whose model fails is left out, for
-        its evaluation to raise."""
-        atmosphere.prefetch(points, self.extinction)
-        models = []
-        for point in points:
-            try:
-                models.append(self.fading_model(*point, warn=lambda *args, **kwargs: None))
-            except (ValueError, ArithmeticError, NumericalError):
-                pass
-        bounds.prefetch(models, self.nbar)
+    def bounds_sweep(self, points: list[tuple[float, float]]) -> list[Bounds]:
+        """bounds_at at each point (h, theta) in turn."""
+        return self._sweep(points, self._bounds, wander=True)
 
-    def _bounds(self, h: float, theta: float) -> Bounds:
+    def _bounds(self, h: float, theta: float, model: FadingModel) -> Bounds:
         z = slant_range(h, theta)
-        model = self.fading_model(h, theta)
         nbar = self.nbar
         b = bounds.bound_b_model(model)
         aperture = self.receiver.aperture
@@ -217,19 +201,17 @@ class Scenario(Checked):
 
     # -- key rates ----------------------------------------------------------
 
-    def rate_at(self, h, theta, attacks: str = "collective") -> KeyRate:
-        """Post-selected composable key rate at a fixed geometry.
-
-        h and theta are floats, or arrays that broadcast to the points of a
-        sweep; the rates then have the points' shape.
-        """
+    def rate_at(self, h: float, theta: float, attacks: str = "collective") -> KeyRate:
+        """Post-selected composable key rate at a fixed geometry."""
         self.protocol.check_attacks(attacks)
+        model = self.fading_model(h, abs(theta))
+        return cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
 
-        def rate(h, theta):
-            model = self.fading_model(h, abs(theta))
-            return cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
-
-        return _pointwise(rate, lambda points: atmosphere.prefetch(points, self.extinction), h, theta, KeyRate)
+    def rate_sweep(self, h: float, thetas: list[float], attacks: str) -> list[KeyRate]:
+        """rate_at at altitude h and each angle of thetas in turn."""
+        self.protocol.check_attacks(attacks)
+        rate = lambda h, theta, model: cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
+        return self._sweep([(h, abs(theta)) for theta in thetas], rate, wander=False)
 
     def pass_report(
         self, h: float, n_blocks: int, attacks: str = "collective"

@@ -13,7 +13,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,14 +125,13 @@ def spot_sizes(
     profile: TurbulenceProfile,
     direction: str,
     pointing_sigma2: float,
-    warn: Callable[..., None] = warnings.warn,
 ) -> SpotSizes:
     """Short-/long-term spot sizes and wander variances at slant range z.
 
     Downlink beams are treated as diffraction-limited (w_st = w_lt = w_d, sigma_TB = 0).
     Uplink beams use the planar coherence length, and the wander fraction
     the exact (1 - phi)^2 form.  The identity w_lt^2 = w_st^2 + sigma_TB^2
-    holds exactly.  warn emits the marginal-Yura warning.
+    holds exactly.  A Yura parameter phi above 0.5 raises a validity warning.
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
@@ -144,7 +143,7 @@ def spot_sizes(
     if phi >= 1.0:
         raise StrongTurbulenceError(f"Yura condition violated: phi={phi:.3f} >= 1 for w0={beam.waist}")
     if phi > 0.5:
-        warn(
+        warnings.warn(
             f"Yura parameter phi={phi:.2f} is not small; spot-size model is marginal",
             stacklevel=2,
         )

@@ -8,9 +8,11 @@ Two kinds of code live here:
   with its entropy penalty averaged over fading among them), the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
-  the hypot and whole-array samplers, the squared radii of rng.normal and
-  their law, the all-samples KS statistic and the twice-sorting validate-mc
-  body that the package's in-place, blocked and bounded ones replaced;
+  the transmissivity sampler on sample_radius2 (validate-mc draws the
+  radii alone) with its hypot and whole-array spellings, the squared
+  radii of rng.normal and their law, the all-samples KS statistic and
+  the twice-sorting validate-mc body that the package's in-place, blocked
+  and bounded ones replaced;
 - paper side paths whose tests pin a published value: the zenith, secant
   and refracted extinction, the fading density, the fixed-loss bound V
   (a second spelling of the column Scenario.bounds_at computes), the
@@ -39,7 +41,7 @@ from satlink.cvqkd import (
     asymptotic_rate,
     worst_case_nbar,
 )
-from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance
+from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_radius2
 from satlink.orbit import golden_section
 from satlink.scenario import Scenario
 from satlink.turbulence import (
@@ -403,6 +405,25 @@ def tau_of_radius(r: np.ndarray, model: FadingModel) -> np.ndarray:
     return model.eta * np.exp(-((r / model.r0) ** model.gamma))
 
 
+def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
+    """Draw n instantaneous transmissivities; deterministic for a fixed seed.
+
+    Each sample maps the squared deflection r^2 of sample_radius2 to
+    tau = eta * exp(-(r/r0)^gamma), in place and BLOCK samples at a time:
+    sqrt, / r0, ** gamma, negate, exp, * eta.
+    """
+    tau = sample_radius2(model, n, seed)
+    for lo in range(0, n, BLOCK):
+        b = tau[lo:lo + BLOCK]
+        np.sqrt(b, out=b)
+        b /= model.r0
+        b **= model.gamma
+        np.negative(b, out=b)
+        np.exp(b, out=b)
+        b *= model.eta
+    return tau
+
+
 def sample_fading_hypot(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """sample_fading spelled with np.hypot and new arrays at every step."""
     return tau_of_radius(wander_radii(model, n, seed), model)
@@ -475,7 +496,7 @@ def cmd_validate_mc_sorted_twice(args, scn) -> str:
     return cli.csv_text(
         scn,
         ["tau_bin_lo", "tau_bin_hi", "empirical_p", "analytic_p"],
-        zip(*cli._columns(bins, edges[:-1], edges[1:], counts / n, np.diff(cdf))),
+        zip(edges[:-1].tolist(), edges[1:].tolist(), (counts / n).tolist(), np.diff(cdf).tolist()),
         [
             f"h_km={cli._fmt(h / 1e3)} theta={cli._fmt(theta)} samples={n} seed={seed}",
             f"ks_statistic={cli._fmt(ks)}",

@@ -21,7 +21,7 @@ from satlink.cvqkd import (
     holevo_bound,
     mutual_information,
 )
-from satlink.fading import fading_cdf, p_threshold, sample_fading
+from satlink.fading import fading_cdf, p_threshold
 from satlink.noise import nbar_background
 from satlink.orbit import (
     bits_per_day,
@@ -41,6 +41,7 @@ from _reference import (
     eta_atm_zenith,
     fading_pdf,
     phi_thermal,
+    sample_fading,
     thermal_lower_middle,
 )
 

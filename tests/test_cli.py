@@ -23,10 +23,10 @@ from satlink.cli import (
     scenario_from_config,
 )
 from satlink.errors import ConfigError
-from satlink.fading import BLOCK, fading_cdf, radius2_cdf, sample_fading, sample_radius2
+from satlink.fading import BLOCK, fading_cdf, radius2_cdf, sample_radius2
 from satlink.scenario import SETUPS, Scenario
 
-from _reference import cmd_validate_mc_sorted_twice
+from _reference import cmd_validate_mc_sorted_twice, sample_fading
 
 
 class TestQuantityParsing:
@@ -669,7 +669,7 @@ class TestNearField:
         rows = [list(map(float, line.split(","))) for line in out.strip().splitlines()[2:]]
         assert [row[1] for row in rows] == [0.0, 0.5, 1.0]
         for _, theta, rate, unclamped in rows:
-            assert 0.0 < rate == unclamped <= scn.bounds_at(150e3, theta)["B"]
+            assert 0.0 < rate == unclamped <= scn.bounds_at(150e3, theta).B
 
 
 # a valid non-default value for every configuration key, and the value it

@@ -20,7 +20,6 @@ from satlink.fading import (
     fading_params,
     p_threshold,
     pointing_variance,
-    sample_fading,
     sample_radius2,
     sorted_radius2_statistics,
 )
@@ -35,6 +34,7 @@ from _reference import (
     fading_pdf,
     ks_statistic_blocks,
     model_spot_sizes,
+    sample_fading,
     sample_fading_whole,
     tau_of_radius,
     wander_radii,
@@ -440,4 +440,4 @@ class TestModelAssembly:
 
     def test_validation(self):
         with pytest.raises(NumericalError):
-            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=1.0)
+            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=1.0, eta_atm=1.0)

@@ -46,10 +46,10 @@ def test_bounds_and_rate_are_ordered(config, log_h, theta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         b = scn.bounds_at(h, theta)
-        middle = thermal_lower_middle(scn.nbar, scn.fading_model(h, theta), b["B"])
+        middle = thermal_lower_middle(scn.nbar, scn.fading_model(h, theta), b.B)
         rate = scn.rate_at(h, theta).rate
-    assert 0.0 <= b["lower"] <= middle <= b["upper"] <= b["B"] <= b["V"] <= b["U"]
-    assert 0.0 <= rate <= b["B"]
+    assert 0.0 <= b.lower <= middle <= b.upper <= b.B <= b.V <= b.U
+    assert 0.0 <= rate <= b.B
 
 
 # the (mu, phi_thr) sets of the passes in scripts/orbital_yield.py
@@ -60,14 +60,14 @@ PASS_PROTOCOLS = [(9.28, 0.73), (9.65, 0.83), (7.0, 0.68)]
 def test_rate_does_not_rise_away_from_zenith(config):
     # orbit.slice_min_rate takes a slice's worst rate at its endpoint of
     # larger |theta|, which holds while the rate does not rise with |theta|
-    theta = np.linspace(0.0, 1.0, 101)
+    theta = np.linspace(0.0, 1.0, 101).tolist()
     for mu, phi in PASS_PROTOCOLS:
         protocol = ProtocolParams(mu=mu, phi_thr=phi)
         scn = Scenario.build(*config[1:], setup=config[0], protocol=protocol)
         for h in (150e3, 300e3, 530e3, 1000e3, 2000e3):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                rate = scn.rate_at(h, theta).rate
+                rate = [res.rate for res in scn.rate_sweep(h, theta, "collective")]
             assert np.all(np.diff(rate) <= 0.0), (mu, phi, h, rate)
 
 

@@ -6,9 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import atmosphere, bounds, turbulence
+from satlink import atmosphere, bounds, fading, turbulence
 from satlink._integrate import MEMO_SIZE, tanh_sinh
 from satlink.errors import StrongTurbulenceError
+from satlink.fading import fading_model
 from satlink.scenario import CHUNK, Scenario
 
 # the documented configurations: 4 presets x up/down x day/night x clear/cloudy
@@ -16,10 +17,6 @@ CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"),
 
 
 MEMOS = (atmosphere._line_of_sight, bounds._wander_integral)
-
-
-def assert_same(array_value, point_value):
-    assert array_value == point_value
 
 
 def clear_memos():
@@ -36,42 +33,34 @@ def altitudes(n):
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
 def test_bounds_grid_matches_points(setup, link, period, sky):
     scn = Scenario.build(link, period, sky, setup=setup)
-    h = np.repeat(altitudes(5), 3)
-    theta = np.tile([-1.0, 0.0, 0.5], 5)
+    points = [(h, theta) for h in altitudes(5).tolist() for theta in (-1.0, 0.0, 0.5)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        grid = scn.bounds_at(h, theta)
+        grid = scn.bounds_sweep(points)
         clear_memos()
-        for i in range(h.size):
-            point = scn.bounds_at(float(h[i]), float(theta[i]))
-            for key, value in point.items():
-                assert_same(grid[key][i], value)
+        assert len(grid) == len(points)
+        for row, point in zip(grid, points):
+            assert row == scn.bounds_at(*point)
 
 
 @pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
 def test_rate_grid_matches_points(setup, link, period, sky):
     scn = Scenario.build(link, period, sky, setup=setup)
-    thetas = np.linspace(-1.0, 1.0, 9)
+    thetas = np.linspace(-1.0, 1.0, 9).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for h in altitudes(3):
-            grid = scn.rate_at(h, thetas)
+        for h in altitudes(3).tolist():
+            grid = scn.rate_sweep(h, thetas, "collective")
             clear_memos()
-            for i, theta in enumerate(thetas):
-                point = scn.rate_at(h, float(theta))
-                assert_same(grid.rate[i], point.rate)
-                assert_same(grid.unclamped[i], point.unclamped)
+            assert len(grid) == len(thetas)
+            for row, theta in zip(grid, thetas):
+                assert row == scn.rate_at(h, theta)
 
 
-def test_grid_shape_follows_broadcast():
+def test_sweep_of_no_points():
     scn = Scenario.build("up", "night", setup=1)
-    grid = scn.bounds_at(np.array([[500e3], [2000e3]]), np.array([0.0, 0.5, 1.0]))
-    assert grid["B"].shape == (2, 3)
-    assert grid["B"][1, 2] == scn.bounds_at(2000e3, 1.0)["B"]
-    assert scn.rate_at(530e3, np.zeros((2, 2))).rate.shape == (2, 2)
-    # a sweep of no points
-    assert all(value.shape == (0,) for value in scn.bounds_at(np.array([]), 0.0).values())
-    assert scn.rate_at(530e3, np.array([])).rate.shape == (0,)
+    assert scn.bounds_sweep([]) == []
+    assert scn.rate_sweep(530e3, [], "collective") == []
 
 
 # a beam waist of 1.2 mm violates the Yura condition (phi >= 1) on an uplink
@@ -84,47 +73,77 @@ def test_strong_turbulence_point_fails_as_alone():
     scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
     with pytest.raises(StrongTurbulenceError) as alone:
         scn.bounds_at(150e3, 0.5)
-    h = np.array([1000e3, 150e3, 150e3, 2000e3])
-    theta = np.array([1.0, 0.5, 0.0, 1.0])
+    points = [(1000e3, 1.0), (150e3, 0.5), (150e3, 0.0), (2000e3, 1.0)]
     with pytest.raises(type(alone.value)) as swept:
-        scn.bounds_at(h, theta)
+        scn.bounds_sweep(points)
     assert str(swept.value) == str(alone.value)
-    thetas = np.array([1.0, -0.5, 0.0])
+    thetas = [1.0, -0.5, 0.0]
     errors = []
     for theta in thetas:
         try:
-            scn.rate_at(150e3, float(theta))
+            scn.rate_at(150e3, theta)
         except StrongTurbulenceError as exc:
             errors.append(str(exc))
     with pytest.raises(StrongTurbulenceError) as swept:
-        scn.rate_at(150e3, thetas)
+        scn.rate_sweep(150e3, thetas, "collective")
     assert errors and str(swept.value) == errors[0]
 
 
-@pytest.mark.filterwarnings("ignore:Yura parameter")
+def messages(caught) -> list[str]:
+    return [str(w.message) for w in caught]
+
+
 def test_first_failing_point_sets_the_error():
     # point 1 fails on strong turbulence, point 3 on its angle; a loop over
-    # the points reports point 1, and so does the sweep
+    # the points reports point 1, and so does the sweep, with the warnings
+    # of the points up to and including point 1
     scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
-    with pytest.raises(StrongTurbulenceError) as alone:
-        scn.bounds_at(150e3, 0.0)
-    with pytest.raises(StrongTurbulenceError) as swept:
-        scn.bounds_at(np.array([1000e3, 150e3, 1000e3, 1000e3]), np.array([1.0, 0.0, 1.0, 2.0]))
+    points = [(1000e3, 1.0), (150e3, 0.0), (1000e3, 1.0), (1000e3, 2.0)]
+    with warnings.catch_warnings(record=True) as one_by_one:
+        warnings.simplefilter("always")
+        scn.bounds_at(*points[0])
+        with pytest.raises(StrongTurbulenceError) as alone:
+            scn.bounds_at(*points[1])
+    with warnings.catch_warnings(record=True) as swept_warnings:
+        warnings.simplefilter("always")
+        with pytest.raises(StrongTurbulenceError) as swept:
+            scn.bounds_sweep(points)
     assert str(swept.value) == str(alone.value)
+    assert messages(one_by_one) and messages(swept_warnings) == messages(one_by_one)
 
 
 def test_warnings_once_per_offending_point():
     worst = Scenario.build("up", "day", setup=1, profile="hv-worst-day")
-    thetas = np.array([0.0, 1.0, 0.2, 1.1])
-    with warnings.catch_warnings(record=True) as one_by_one:
-        warnings.simplefilter("always")
-        for theta in thetas:
-            worst.rate_at(500e3, float(theta))
-    with warnings.catch_warnings(record=True) as swept:
-        warnings.simplefilter("always")
-        worst.rate_at(500e3, thetas)
-    messages = sorted(str(w.message) for w in one_by_one)
-    assert messages and sorted(str(w.message) for w in swept) == messages
+    thetas = [0.0, 1.0, 0.2, 1.1]
+    sweeps = (
+        (lambda theta: worst.rate_at(500e3, theta), lambda: worst.rate_sweep(500e3, thetas, "collective")),
+        (lambda theta: worst.bounds_at(500e3, theta), lambda: worst.bounds_sweep([(500e3, t) for t in thetas])),
+    )
+    for point, sweep in sweeps:
+        with warnings.catch_warnings(record=True) as one_by_one:
+            warnings.simplefilter("always")
+            for theta in thetas:
+                point(theta)
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            sweep()
+        assert messages(one_by_one) and messages(swept) == messages(one_by_one)
+
+
+def test_bounds_sweep_builds_each_model_once(monkeypatch):
+    scn = Scenario.build("up", "day", setup=2)
+    points = [(h, theta) for h in altitudes(4).tolist() for theta in (0.0, 0.9)]
+    built = []
+
+    def counted_fading_model(h, theta, *args):
+        built.append((h, theta))
+        return fading_model(h, theta, *args)
+
+    monkeypatch.setattr(fading, "fading_model", counted_fading_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        scn.bounds_sweep(points)
+    assert built == points
 
 
 def counted_batches(monkeypatch) -> list:
@@ -148,18 +167,17 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     integrated alone, or a per-sweep fading average, would show up.
     """
     scn = Scenario.build("down", "day", "clear", setup=1)
-    h = np.repeat(np.geomspace(200e3, 36000e3, 6), 2)
-    theta = np.tile([0.0, 0.8], 6)
+    points = [(h, theta) for h in np.geomspace(200e3, 36000e3, 6).tolist() for theta in (0.0, 0.8)]
     clear_memos()
     # the turbulence columns, cached per process, and the zenith line of
     # sight, which every altitude above PATH_TOP_M shares
-    scn.bounds_at(h[0], theta[0])
+    scn.bounds_at(*points[0])
     bounds._wander_integral.cache_clear()
     quadratures = counted_batches(monkeypatch)
-    grid = scn.bounds_at(h, theta)
-    live = int(np.sum(grid["nbar"] < grid["eta"]))
-    assert 0 < live < h.size  # the grid reaches entanglement breaking
-    assert quadratures == [("_extinction", 1), ("_wander", h.size), ("_wander", live)]
+    grid = scn.bounds_sweep(points)
+    live = sum(row.nbar < row.eta for row in grid)
+    assert 0 < live < len(points)  # the grid reaches entanglement breaking
+    assert quadratures == [("_extinction", 1), ("_wander", len(points)), ("_wander", live)]
 
 
 @pytest.mark.filterwarnings("ignore:Rytov variance")
@@ -169,17 +187,16 @@ def test_sweep_beyond_the_memo_bound(monkeypatch):
     reads its integrals from them, and every point is the one evaluated
     alone."""
     scn = Scenario.build("up", "day", setup=2)
-    thetas = np.linspace(-1.2, 1.2, 1001)
-    h = np.geomspace(100e3, 36000e3, 300)
+    thetas = np.linspace(-1.2, 1.2, 1001).tolist()
+    points = [(h, 0.7) for h in np.geomspace(100e3, 36000e3, 300).tolist()]
     clear_memos()
     quadratures = counted_batches(monkeypatch)
-    rates = scn.rate_at(530e3, thetas)
-    grid = scn.bounds_at(h, 0.7)
+    rates = scn.rate_sweep(530e3, thetas, "collective")
+    grid = scn.bounds_sweep(points)
     assert len(quadratures) > 1001 // CHUNK and all(rows <= CHUNK for _, rows in quadratures)
     assert all(len(memo) <= MEMO_SIZE and memo.misses == 0 for memo in MEMOS)
     clear_memos()
-    for i, theta in enumerate(thetas.tolist()):
-        point = scn.rate_at(530e3, theta)
-        assert rates.rate[i] == point.rate and rates.unclamped[i] == point.unclamped
-    for i, altitude in enumerate(h.tolist()):
-        assert all(grid[key][i] == value for key, value in scn.bounds_at(altitude, 0.7).items())
+    for rate, theta in zip(rates, thetas):
+        assert rate == scn.rate_at(530e3, theta)
+    for row, point in zip(grid, points):
+        assert row == scn.bounds_at(*point)
