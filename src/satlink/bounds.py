@@ -7,9 +7,10 @@ thermal correction) and the reverse-coherent-information lower bound
 B - h(nbar / (1 - eta)), both clamped at zero.  Maximum secure ranges follow
 either from a Fresnel-number argument or from the root of upper-bound = 0.
 
-The beam-wandering integral of B is held in a bounded memo keyed on the
-fading parameters it takes; a sweep fills it for a chunk of points in two batches
-(`prefetch`), B at eta and B at nbar, before it evaluates them.
+The thermal bounds take B at the transmissivity eta and at the thermal
+photon number nbar.  `loss_bounds` gives both for a list of fading models,
+with their beam-wandering integrals in two batches, B at eta and B at
+nbar; a bounds sweep hands those to its points.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._integrate import Memo, tanh_sinh
+from ._integrate import tanh_sinh
 from .beam import LN2
 from .errors import NumericalError
 from .fading import FadingModel
@@ -62,69 +63,89 @@ def _wander(t, s, g, eta):
     return _wander_low(t, s, g, eta) + _wander_high(1.0 - np.log(t) / rate, s, g, eta) / (rate * t)
 
 
-@Memo
 def _wander_integral(eta, sigma2, gamma, r0):
-    """The integral I of wander_delta, for sigma2 > 0."""
-    return tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
-
-
-def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
-    """Beam-wandering correction factor Delta(eta, sigma) in (0, 1].
+    """The integral I of the beam-wandering factor Delta(eta, sigma) in (0, 1].
 
     Delta = 1 + (eta / ln(1-eta)) * I with
-    I = integral_0^inf exp(-(r0^2/2 sigma^2) x^(2/gamma)) / (e^x - eta) dx.
+    I = integral_0^inf exp(-(r0^2/2 sigma^2) x^(2/gamma)) / (e^x - eta) dx,
+    for sigma2 > 0; without wander (sigma2 = 0) Delta is 1.
     The integral is split at x = 1.  The lower piece takes the substitution
     u = x^(2/gamma), which removes the infinite-derivative endpoint when
     gamma > 2 and leaves an integrable u^(gamma/2 - 1) one.  The upper piece
     decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1; the substitution
     t = exp(-(1 + 2 s / gamma)(x - 1)) maps it onto (0, 1] as well.  One
-    tanh-sinh call integrates the sum of the two pieces.  Without wander
-    (sigma2 = 0) Delta is 1.
+    tanh-sinh call integrates the sum of the two pieces.  The arguments are
+    floats, or 1-D arrays over the rows of a batch.
     """
-    if sigma2 == 0.0:
-        return 1.0
-    return 1.0 + eta / math.log1p(-eta) * _wander_integral(eta, sigma2, gamma, r0)
+    return tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
 
 
-def bound_b(eta: float, sigma2: float, gamma: float, r0: float) -> float:
-    """Loss-limited bound -Delta(eta, sigma) * log2(1 - eta), bits per use."""
-    if not 0.0 < eta < 1.0:
-        raise NumericalError("eta must lie in (0, 1)")
-    return -wander_delta(eta, sigma2, gamma, r0) * math.log1p(-eta) / LN2
+def _bound(eta: float, integral: float) -> float:
+    """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander)."""
+    return -(1.0 + eta / math.log1p(-eta) * integral) * math.log1p(-eta) / LN2
+
+
+def _integrals(rows: list[tuple[float, FadingModel]]) -> list[float]:
+    """The wander integral I at each (eta, model) row: 0.0 without wander,
+    the others as the rows of one batch.  A lone row is integrated as
+    floats, in half the time of a batch of one."""
+    wander = [(eta, m.sigma2, m.gamma, m.r0) for eta, m in rows if m.sigma2 != 0.0]
+    if len(wander) > 1:
+        values = iter(_wander_integral(*map(np.array, zip(*wander))).tolist())
+    else:
+        values = iter([float(_wander_integral(*row)) for row in wander])
+    return [next(values) if m.sigma2 != 0.0 else 0.0 for _, m in rows]
+
+
+def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, float]]:
+    """B at eta and B at nbar, (b, b_nbar), of each model, in bits per use.
+
+    The wander integrals are taken in two batches: B at eta of every model,
+    then B at nbar of the models where 0 < nbar < eta (b_nbar is 0.0 for
+    the others, whose bounds do not read it).  A batch row is the double
+    its own call returns, so a model's pair does not depend on the others.
+    If a batch fails, the models are taken one at a time, so that the
+    first to fail raises its own error.
+    """
+    live = [0.0 < nbar < m.eta for m in models]
+    try:
+        at_eta = _integrals([(m.eta, m) for m in models])
+        at_nbar = iter(_integrals([(nbar, m) for m, ok in zip(models, live) if ok]))
+    except NumericalError:
+        if len(models) == 1:
+            raise
+        return [pair for m in models for pair in loss_bounds([m], nbar)]
+    return [(_bound(m.eta, i), _bound(nbar, next(at_nbar)) if ok else 0.0) for m, i, ok in zip(models, at_eta, live)]
 
 
 def bound_b_model(model: FadingModel) -> float:
-    return bound_b(model.eta, model.sigma2, model.gamma, model.r0)
+    """The loss-limited bound B of one model."""
+    return loss_bounds([model], 0.0)[0][0]
 
 
-def prefetch(models: list[FadingModel], nbar: float) -> None:
-    """Integrate the wander integrals of the models' bounds that are not held:
-    B at eta in one batch, then B at nbar, where 0 < nbar < eta, in another."""
-    wander = [m for m in models if m.sigma2 != 0.0]
-    _wander_integral.fill((m.eta, m.sigma2, m.gamma, m.r0) for m in wander)
-    _wander_integral.fill((nbar, m.sigma2, m.gamma, m.r0) for m in wander if 0.0 < nbar < m.eta)
+def thermal_correction(nbar: float, model: FadingModel, b_nbar: float) -> float:
+    """Thermal correction subtracted from the loss-limited bound (nbar <= eta).
 
-
-def thermal_correction(nbar: float, model: FadingModel) -> float:
-    """Thermal correction subtracted from the loss-limited bound (nbar <= eta)."""
+    b_nbar is the model's loss-limited bound B at nbar.
+    """
     if nbar == 0.0:
         return 0.0
     u = math.pow(math.log(model.eta / nbar), 2.0 / model.gamma)
     weight = 1.0 - math.exp(-model.spread * u)
     bracket = nbar * math.log2(nbar) / (1.0 - nbar) + entropy_h(nbar)
-    return weight * bracket + bound_b(nbar, model.sigma2, model.gamma, model.r0)
+    return weight * bracket + b_nbar
 
 
-def thermal_upper(nbar: float, model: FadingModel, b: float | None = None) -> float:
+def thermal_upper(nbar: float, model: FadingModel, b: float, b_nbar: float) -> float:
     """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking.
 
-    b is the model's loss-limited bound B, when the caller has it already.
+    b and b_nbar are the model's loss-limited bound B at eta and at nbar.
     """
     if nbar == 0.0:
-        return bound_b_model(model) if b is None else b
+        return b
     if not nbar < model.eta:
         return 0.0
-    upper = (bound_b_model(model) if b is None else b) - thermal_correction(nbar, model)
+    upper = b - thermal_correction(nbar, model, b_nbar)
     return upper if upper > 0.0 else 0.0
 
 
@@ -170,7 +191,8 @@ def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRa
         return MaxRangeResult(0.0)
 
     def upper_at(z: float) -> float:
-        return thermal_upper(nbar, build_model(z))
+        model = build_model(z)
+        return thermal_upper(nbar, model, *loss_bounds([model], nbar)[0])
 
     if upper_at(Z_LO) <= 0.0:
         return MaxRangeResult(0.0)

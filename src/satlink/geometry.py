@@ -35,8 +35,7 @@ def slant_range(h: float, theta: float) -> float:
 def path_altitude(z, cos_theta):
     """Altitude (m) at slant range z along a line of sight with cos(zenith angle) cos_theta.
 
-    z is a float or an array: the (P, n) quadrature nodes of a batch of
-    paths take a (P, 1) column of cosines.
+    z is a float or an array of quadrature nodes.
     """
     # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
     rise = z * z + 2.0 * z * R_EARTH * cos_theta

@@ -4,9 +4,10 @@ A Scenario fixes the link direction, the time of day / sky condition, the
 hardware setup and the protocol parameters, and exposes the derived
 channel states and key rates that the CLI and the experiment scripts
 consume.  Bounds and rates are evaluated at one geometry (bounds_at,
-rate_at) or at each point of a sweep in turn (bounds_sweep, rate_sweep); a
-sweep builds each point's fading model once and batches only the integrals
-of its points.
+rate_at) or at each point of a sweep in turn (bounds_sweep, rate_sweep).
+A bounds sweep builds each point's fading model once and takes the
+beam-wandering integrals of its points in batches; a point is a sweep of
+one.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
-from . import atmosphere, bounds, cvqkd, fading, noise, orbit
-from ._integrate import MEMO_SIZE
+from . import bounds, cvqkd, fading, noise, orbit
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
@@ -37,8 +36,8 @@ SETUPS: dict[int, tuple[float, float, float]] = {
 }
 
 
-# points per chunk of a sweep: a bounds point holds up to two wander integrals
-CHUNK = MEMO_SIZE // 2
+# points per chunk of a bounds sweep: it bounds the memory of the batches
+CHUNK = 128
 
 
 # the columns of the CLI bounds sweep at a point
@@ -121,35 +120,6 @@ class Scenario(Checked):
             self.pointing_error,
         )
 
-    def _sweep(self, points: list[tuple[float, float]], evaluate: Callable, wander: bool) -> list:
-        """evaluate(h, theta, model) at each point (h, theta) in turn, with its fading model.
-
-        The points run CHUNK at a time.  A chunk's lines of sight, and with
-        `wander` the beam-wandering integrals of its bounds, are integrated
-        in batches that fill the memos its points then read.  Its models are
-        built once, in point order and with their warnings, up to the first
-        that fails; the points before that one are evaluated, and then its
-        error is raised.  So a sweep gives the numbers, warnings and error
-        of its points run alone, up to its first failing point.
-        """
-        results = []
-        for lo in range(0, len(points), CHUNK):
-            chunk = points[lo:lo + CHUNK]
-            atmosphere.prefetch(chunk, self.extinction)
-            built, failure = [], None
-            for h, theta in chunk:
-                try:
-                    built.append((h, theta, self.fading_model(h, theta)))
-                except (ValueError, ArithmeticError, NumericalError) as exc:
-                    failure = exc
-                    break
-            if wander:
-                bounds.prefetch([model for _, _, model in built], self.nbar)
-            results += [evaluate(*point) for point in built]
-            if failure is not None:
-                raise failure
-        return results
-
     # -- bounds ------------------------------------------------------------
 
     def bounds_at(self, h: float, theta: float) -> Bounds:
@@ -157,16 +127,38 @@ class Scenario(Checked):
 
         U, V and B, the thermal-loss upper and lower bounds, eta and nbar.
         """
-        return self._bounds(h, theta, self.fading_model(h, theta))
+        return self.bounds_sweep([(h, theta)])[0]
 
     def bounds_sweep(self, points: list[tuple[float, float]]) -> list[Bounds]:
-        """bounds_at at each point (h, theta) in turn."""
-        return self._sweep(points, self._bounds, wander=True)
+        """bounds_at at each point (h, theta) in turn.
 
-    def _bounds(self, h: float, theta: float, model: FadingModel) -> Bounds:
+        The points run CHUNK at a time.  A chunk's fading models are built
+        once, in point order and with their warnings, up to the first that
+        fails.  The beam-wandering integrals of their bounds are taken in two
+        batches (bounds.loss_bounds) and handed to the points, which are
+        evaluated; then the failing point's error is raised.  So a sweep
+        gives the numbers, warnings and error of its points run alone, up to
+        its first failing point.
+        """
+        results = []
+        for lo in range(0, len(points), CHUNK):
+            built, failure = [], None
+            for h, theta in points[lo:lo + CHUNK]:
+                try:
+                    built.append((h, theta, self.fading_model(h, theta)))
+                except (ValueError, ArithmeticError, NumericalError) as exc:
+                    failure = exc
+                    break
+            pairs = bounds.loss_bounds([model for _, _, model in built], self.nbar)
+            results += [self._bounds(*point, *pair) for point, pair in zip(built, pairs)]
+            if failure is not None:
+                raise failure
+        return results
+
+    def _bounds(self, h: float, theta: float, model: FadingModel, b: float, b_nbar: float) -> Bounds:
+        """The columns at (h, theta), from its model's B at eta and at nbar."""
         z = slant_range(h, theta)
         nbar = self.nbar
-        b = bounds.bound_b_model(model)
         aperture = self.receiver.aperture
         # V's fixed loss reuses the extinction the fading model computed
         eta_fixed = self.receiver.efficiency * model.eta_atm * eta_diffraction(z, self.beam, aperture)
@@ -174,7 +166,7 @@ class Scenario(Checked):
             U=diffraction_bound(z, self.beam, aperture),
             V=plob(eta_fixed),
             B=b,
-            upper=bounds.thermal_upper(nbar, model, b),
+            upper=bounds.thermal_upper(nbar, model, b, b_nbar),
             lower=bounds.thermal_lower(nbar, model, b),
             eta=model.eta,
             nbar=nbar,
@@ -210,8 +202,7 @@ class Scenario(Checked):
     def rate_sweep(self, h: float, thetas: list[float], attacks: str) -> list[KeyRate]:
         """rate_at at altitude h and each angle of thetas in turn."""
         self.protocol.check_attacks(attacks)
-        rate = lambda h, theta, model: cvqkd.postselected_rate(model, self.nbar_prime, self.protocol, attacks)
-        return self._sweep([(h, abs(theta)) for theta in thetas], rate, wander=False)
+        return [self.rate_at(h, theta, attacks) for theta in thetas]
 
     def pass_report(
         self, h: float, n_blocks: int, attacks: str = "collective"

@@ -6,6 +6,8 @@ Two kinds of code live here:
   package computes: the altitude at a slant range (slant_range's
   inverse), fading averages by direct quadrature (the lower bound
   with its entropy penalty averaged over fading among them), the
+  beam-wandering factor Delta and the thermal upper bound of one model,
+  C_n^2 on arrays of altitudes and its integrals by panels below 100 km, the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
   the transmissivity sampler on sample_radius2 (validate-mc draws the
@@ -31,9 +33,9 @@ import numpy as np
 
 from satlink import atmosphere, cli, geometry
 from satlink._integrate import tanh_sinh
-from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _line_of_sight
+from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _extinction
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
-from satlink.bounds import entropy_h
+from satlink.bounds import _wander_integral, entropy_h, loss_bounds, thermal_upper
 from satlink.cvqkd import (
     KeyRate,
     ProtocolParams,
@@ -44,16 +46,7 @@ from satlink.cvqkd import (
 from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_radius2
 from satlink.orbit import golden_section
 from satlink.scenario import Scenario
-from satlink.turbulence import (
-    LAYER_EDGES_M,
-    PROFILE_TOP_M,
-    SpotSizes,
-    TurbulenceProfile,
-    _column,
-    cn2,
-    i_infty,
-    spot_sizes,
-)
+from satlink.turbulence import SpotSizes, TurbulenceProfile, i_infty, spot_sizes
 
 # the scenario defaults of the extinction and the pointing error, which the
 # channel functions take from their caller
@@ -128,7 +121,8 @@ def eta_atm_refracted(
     theta = true_zenith(theta_app)
     # the path stretched by factor: y = factor * y' with y' along the true one
     path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    return math.exp(-model.alpha0 * factor * _line_of_sight(path, math.cos(abs(theta)), model.h_scale))
+    line = tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), model.h_scale).value
+    return math.exp(-model.alpha0 * factor * line)
 
 
 def eta_diffraction_far(z, beam: BeamParams, aperture: float):
@@ -165,6 +159,36 @@ def bound_v(
 
 
 # -- turbulence --------------------------------------------------------------
+
+# the finite-altitude profile integrals stop here, where C_n^2 has fallen
+# exponentially above the tropopause
+PROFILE_TOP_M = 100e3
+# panel edges that resolve the 100 m ground scale and the 10 km bump
+LAYER_EDGES_M = (0.0, 2e3, 3e4, PROFILE_TOP_M)
+
+
+def cn2(h, profile: TurbulenceProfile):
+    """satlink.turbulence.cn2 at an altitude or an array of them (quadrature nodes)."""
+    if profile.kind == "hufnagel-stanley":
+        if np.min(h) <= 0:
+            raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")
+        return profile.hs_c1 * h ** (-1.0 / 3.0) * np.exp(-h / profile.hs_c2)
+    v = profile.windspeed
+    return (
+        5.94e-53 * (v / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
+        + 2.7e-16 * np.exp(-h / 1500.0)
+        + profile.a_ground * np.exp(-h / 100.0)
+    )
+
+
+def _column(f, edges) -> float:
+    """Integral of f over the panels between consecutive edges.
+
+    tanh-sinh on each panel takes the integrable endpoint singularities
+    (the Hufnagel-Stanley h^(-1/3), the power-law path weights) as well as
+    the smooth Hufnagel-Valley profile.
+    """
+    return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
 
 
 def _layer_edges(top: float) -> list[float]:
@@ -350,6 +374,18 @@ def node_entropy(x: np.ndarray) -> np.ndarray:
 def average_plob(model: FadingModel) -> float:
     """Direct fading average of -log2(1 - tau); oracle for bound_b."""
     return fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
+
+
+def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
+    """The beam-wandering factor Delta = 1 + (eta / ln(1-eta)) * I of satlink's B, 1 without wander."""
+    if sigma2 == 0.0:
+        return 1.0
+    return 1.0 + eta / math.log1p(-eta) * _wander_integral(eta, sigma2, gamma, r0)
+
+
+def upper_bound(nbar: float, model: FadingModel) -> float:
+    """thermal_upper of one model, with its B at eta and at nbar from loss_bounds."""
+    return thermal_upper(nbar, model, *loss_bounds([model], nbar)[0])
 
 
 def thermal_lower_middle(nbar: float, model: FadingModel, b: float) -> float:

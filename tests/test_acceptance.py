@@ -14,7 +14,7 @@ import scipy.integrate
 
 from satlink import Scenario, plob
 from satlink.beam import ReceiverParams
-from satlink.bounds import Z_HI, bound_b_model, thermal_lower, thermal_upper
+from satlink.bounds import Z_HI, bound_b_model, thermal_lower
 from satlink.cvqkd import (
     ProtocolParams,
     asymptotic_rate,
@@ -43,6 +43,7 @@ from _reference import (
     phi_thermal,
     sample_fading,
     thermal_lower_middle,
+    upper_bound,
 )
 
 
@@ -213,7 +214,7 @@ def test_acceptance_06_bound_oracles():
             abs(closed - direct) / direct < 1e-6,
             f"B mismatch at h={h:g} theta={theta}: {closed:.6e} vs {direct:.6e}",
         )
-        upper = thermal_upper(nbar, model)
+        upper = upper_bound(nbar, model)
         lower = thermal_lower(nbar, model, closed)
         middle = thermal_lower_middle(nbar, model, closed)
         check(failures, lower <= middle + 1e-12, "lower-form ordering")

@@ -8,17 +8,20 @@ from hypothesis import strategies as st
 from satlink import Scenario, atmosphere
 from satlink._integrate import tanh_sinh
 from satlink.atmosphere import (
+    BRANCH_MIN,
     PATH_TOP_M,
     ExtinctionModel,
     _extinction,
     _line_of_sight,
     eta_atm,
-    prefetch,
 )
-from satlink.geometry import slant_range
+from satlink.cli import main
+from satlink.geometry import R_EARTH, slant_range
 
 from _reference import EXTINCTION, eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
 THETA_APP_MAX = math.asin(1 / 1.00027)
+# the largest angle the Gauss-Laguerre rule takes at the default scale height
+SWITCH_ANGLE = math.asin(1.0 - BRANCH_MIN * EXTINCTION.h_scale / R_EARTH)
 
 
 def to_db(eta: float) -> float:
@@ -118,10 +121,13 @@ def test_custom_model_scaling():
 
 
 class TestLineOfSightCache:
+    """The line of sight eta_atm takes, against the tanh-sinh quadrature of
+    the same integral in the slant range.  The class and test names are
+    older than the Gauss-Laguerre rule: nothing is cached."""
+
     def test_tight_solve_integrates_few_lines_of_sight(self, monkeypatch):
-        # the bisection above PATH_TOP_M revisits one zenith line of sight;
-        # without the cache this solve makes 24 extinction quadratures
-        _line_of_sight.cache_clear()
+        # every probe of the solve lies at zenith, 10 km and up: the
+        # Gauss-Laguerre rule takes all its lines of sight, and no tanh-sinh
         quadratures = []
 
         def counted_tanh_sinh(f, *args, **kwargs):
@@ -132,41 +138,60 @@ class TestLineOfSightCache:
         scn = Scenario.build("down", "day", "clear", setup=1, receiver={"filter_width": 1e-9})
         result = scn.max_range("tight")
         assert result.z_max == pytest.approx(6280e3, rel=1e-3)
-        assert 0 < len(quadratures) <= 6
-        assert set(quadratures) == {"_extinction"}
+        assert quadratures == []
 
     @pytest.mark.parametrize("h", [5e3, 150e3, PATH_TOP_M, 530e3, 36000e3])
     @pytest.mark.parametrize("theta", [0.0, -0.4, 0.4, 1.0, 1.5])
     def test_cached_value_is_the_quadrature(self, h, theta):
-        h_scale = EXTINCTION.h_scale
+        # bit for bit where eta_atm takes the tanh-sinh branch (1.5 rad lies
+        # beyond the switch angle).  Where it takes the Gauss-Laguerre rule,
+        # it agrees within 1e-13: on the 5 km path, tanh-sinh itself is 4e-14
+        # off (test_mpmath_reference holds the rule to 1e-15)
         path = slant_range(min(h, PATH_TOP_M), theta)
-        cos_theta = math.cos(abs(theta))
-        direct = tanh_sinh(_extinction, 0.0, path, cos_theta, h_scale).value
-        _line_of_sight.cache_clear()
-        first = _line_of_sight(path, cos_theta, h_scale)
-        again = _line_of_sight(path, cos_theta, h_scale)
-        assert first == direct and again == direct
-        assert _line_of_sight.hits == 1
-        assert eta_atm(h, theta, EXTINCTION) == math.exp(-EXTINCTION.alpha0 * direct)
+        direct = tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), EXTINCTION.h_scale).value
+        line = _line_of_sight(h, theta, EXTINCTION)
+        if abs(theta) > SWITCH_ANGLE:
+            assert line == direct
+        else:
+            assert line == pytest.approx(direct, rel=1e-13, abs=0.0)
+        assert eta_atm(h, theta, EXTINCTION) == math.exp(-EXTINCTION.alpha0 * line)
 
-    def test_prefetch_fills_the_memo_in_one_batch(self, monkeypatch):
-        # the 16 points have 9 lines of sight: the altitudes above PATH_TOP_M
-        # share one per angle, and so do +-theta; the angle beyond pi/2 is
-        # left for its own eta_atm to reject
-        points = [(h, theta) for h in (5e3, 150e3, 530e3, 36000e3) for theta in (0.0, 0.3, -0.3, 1.0)]
-        _line_of_sight.cache_clear()
-        alone = [eta_atm(h, theta, EXTINCTION) for h, theta in points]
-        _line_of_sight.cache_clear()
-        batches = []
 
-        def counted_tanh_sinh(f, a, b, *args, **kwargs):
-            batches.append(np.broadcast(a, b, *args).size)
-            return tanh_sinh(f, a, b, *args, **kwargs)
+class TestShortPaths:
+    """A path shorter than a tenth of a scale height takes the tanh-sinh
+    branch, where the Gauss-Laguerre difference would cancel."""
 
-        monkeypatch.setattr(atmosphere, "tanh_sinh", counted_tanh_sinh)
-        prefetch(points + [(530e3, 2.0)], EXTINCTION)
-        assert batches == [9]
-        assert [eta_atm(h, theta, EXTINCTION) for h, theta in points] == alone
-        assert batches == [9] and _line_of_sight.hits == len(points)
-        with pytest.raises(ValueError, match="zenith angle"):
-            eta_atm(530e3, 2.0, EXTINCTION)
+    def test_huge_scale_height(self):
+        # s_top = 200 km / 1e300 m: the difference form reads 0 there, and
+        # eta_atm would read 1
+        model = ExtinctionModel(h_scale=1e300)
+        path = slant_range(PATH_TOP_M, 0.0)
+        assert _line_of_sight(530e3, 0.0, model) == tanh_sinh(_extinction, 0.0, path, 1.0, 1e300).value
+        assert eta_atm(530e3, 0.0, model) == pytest.approx(math.exp(-model.alpha0 * path), rel=1e-15)
+
+    @pytest.mark.parametrize("argv,rows", [
+        (
+            ["--h-grid", "530km:530km:1", "--set", "atmosphere.scale_height=1e300"],
+            ["530,0,0.9319398124,0.1047310668,0.03908773924,0.03908532364,0.03906029702,0.07002171602,1.216e-06"],
+        ),
+        (
+            ["--h-grid", "1m:10km:4:log", "--theta", "0", "--theta", "1.5"],
+            [
+                "0.001,0,11.54156033,0.7366381775,0.7366381775,0.7366346689,0.7365969331,0.3998638158,1.216e-06",
+                "0.001,1.5,11.54156023,0.7365750478,0.7365750478,0.7365715392,0.736533805,0.3998375543,1.216e-06",
+                "0.0215443469,0,11.54156011,0.7365396129,0.7365396129,0.7365361043,0.7364983711,0.3998228132,1.216e-06",
+                "0.0215443469,1.5,11.54151697,0.7351838511,0.7351838511,0.7351803425,0.7351426453,0.3992585361,1.216e-06",
+                "0.4641588834,0,11.54145955,0.7344927303,0.7344927303,0.7344892217,0.7344515428,0.3989706829,1.216e-06",
+                "0.4641588834,1.5,11.52174086,0.707173094,0.7071729564,0.7071694478,0.7071324873,0.3874808283,1.216e-06",
+                "10,0,11.49497296,0.7124034003,0.7124024977,0.7123989891,0.7123618921,0.3896974177,1.216e-06",
+                "10,1.5,7.096033002,0.4851185088,0.4470438224,0.4470404345,0.4470087485,0.2855616194,1.216e-06",
+            ],
+        ),
+    ])
+    @pytest.mark.filterwarnings("ignore:Rytov variance")
+    def test_short_path_commands_print_the_tanh_sinh_values(self, argv, rows, capsys):
+        # the rows these commands printed when tanh-sinh took every line of sight
+        assert main(["bounds", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "h_km,theta,U,V,B,thermal_upper,thermal_lower,eta,nbar"
+        assert lines[2:] == rows

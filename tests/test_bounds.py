@@ -10,15 +10,8 @@ from hypothesis import strategies as st
 from satlink import ConfigError, NumericalError, Scenario
 from satlink.beam import plob
 from satlink.cli import main
-from satlink.bounds import (
-    bound_b,
-    bound_b_model,
-    entropy_h,
-    thermal_correction,
-    thermal_lower,
-    thermal_upper,
-    wander_delta,
-)
+from satlink.bounds import bound_b_model, entropy_h, loss_bounds, thermal_correction, thermal_lower
+from satlink.fading import FadingModel
 from _reference import (
     average_phi_thermal,
     average_plob,
@@ -28,6 +21,8 @@ from _reference import (
     model_spot_sizes,
     phi_thermal,
     thermal_lower_middle,
+    upper_bound,
+    wander_delta,
 )
 
 
@@ -116,31 +111,31 @@ class TestLossLimitedBound:
 
     def test_domain(self):
         with pytest.raises(NumericalError):
-            bound_b(1.5, 0.1, 2.0, 1.0)
+            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=0.1, eta_atm=1.0)
 
 
 class TestThermalBounds:
     def test_zero_noise_collapse(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
         b = bound_b_model(m)
-        assert thermal_upper(0.0, m) == b
+        assert upper_bound(0.0, m) == b
         assert thermal_lower(0.0, m, b) == b and thermal_lower_middle(0.0, m, b) == b
 
     def test_correction_vanishes_at_zero(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
-        assert thermal_correction(0.0, m) == 0.0
-        assert thermal_correction(1e-12, m) < 1e-9
+        assert thermal_correction(0.0, m, 0.0) == 0.0
+        assert thermal_correction(1e-12, m, loss_bounds([m], 1e-12)[0][1]) < 1e-9
 
     def test_night_correction_negligible_in_leo(self, night_down):
         nbar = night_down.nbar
         for h in (300e3, 2000e3):
             m = night_down.fading_model(h, 0.0)
-            assert thermal_upper(nbar, m) / bound_b_model(m) > 0.99
+            assert upper_bound(nbar, m) / bound_b_model(m) > 0.99
 
     def test_small_deviation_at_geo(self, night_down):
         nbar = night_down.nbar
         m = night_down.fading_model(35786e3, 0.0)
-        ratio = thermal_upper(nbar, m) / bound_b_model(m)
+        ratio = upper_bound(nbar, m) / bound_b_model(m)
         assert 0.5 < ratio < 0.9999
 
     def test_ordering_grid(self, night_down, night_up):
@@ -150,7 +145,7 @@ class TestThermalBounds:
                 for theta in np.linspace(0.0, 1.0, 5):
                     m = scn.fading_model(h, theta)
                     b = bound_b_model(m)
-                    up = thermal_upper(nbar, m)
+                    up = upper_bound(nbar, m)
                     lo = thermal_lower(nbar, m, b)
                     middle = thermal_lower_middle(nbar, m, b)
                     assert lo <= middle + 1e-12
@@ -162,30 +157,30 @@ class TestThermalBounds:
         nbar = sc_day.nbar
         for h in (200e3, 1000e3):
             m = sc_day.fading_model(h, 0.0)
-            assert average_phi_thermal(nbar, m) <= thermal_upper(nbar, m) + 1e-9
+            assert average_phi_thermal(nbar, m) <= upper_bound(nbar, m) + 1e-9
 
     def test_monotone_in_altitude_and_angle(self, night_down):
         nbar = night_down.nbar
         hs = np.geomspace(150e3, 36000e3, 10)
-        ups = [thermal_upper(nbar, night_down.fading_model(h, 0.0)) for h in hs]
+        ups = [upper_bound(nbar, night_down.fading_model(h, 0.0)) for h in hs]
         assert all(a >= b for a, b in zip(ups, ups[1:]))
         bs = [bound_b_model(night_down.fading_model(h, 0.0)) for h in hs]
         assert all(a >= b for a, b in zip(bs, bs[1:]))
         m0 = night_down.fading_model(530e3, 0.0)
         m1 = night_down.fading_model(530e3, 1.0)
-        assert thermal_upper(nbar, m0) >= thermal_upper(nbar, m1)
+        assert upper_bound(nbar, m0) >= upper_bound(nbar, m1)
         assert bound_b_model(m0) >= bound_b_model(m1)
         assert thermal_lower(nbar, m0, bound_b_model(m0)) >= thermal_lower(nbar, m1, bound_b_model(m1))
 
     def test_zero_rate_regimes(self, night_down):
         m = night_down.fading_model(530e3, 0.0)
-        assert thermal_upper(m.eta * 1.01, m) == 0.0
-        assert thermal_upper(1.0, m) == 0.0
+        assert upper_bound(m.eta * 1.01, m) == 0.0
+        assert upper_bound(1.0, m) == 0.0
 
     def test_leo_collapse_night(self, night_down):
         nbar = night_down.nbar
         m = night_down.fading_model(500e3, 0.0)
-        up = thermal_upper(nbar, m)
+        up = upper_bound(nbar, m)
         lo = thermal_lower(nbar, m, bound_b_model(m))
         assert up / lo < 1.001
 
@@ -194,9 +189,9 @@ class TestThermalBounds:
         nbar = sc.nbar
         m_low = sc.fading_model(160e3, 0.0)
         m_high = sc.fading_model(2500e3, 0.0)
-        low_ratio = thermal_upper(nbar, m_low) / thermal_lower(nbar, m_low, bound_b_model(m_low))
+        low_ratio = upper_bound(nbar, m_low) / thermal_lower(nbar, m_low, bound_b_model(m_low))
         assert low_ratio < 1.1  # near coincidence at the bottom of LEO
-        hi_up = thermal_upper(nbar, m_high)
+        hi_up = upper_bound(nbar, m_high)
         hi_lo = thermal_lower(nbar, m_high, bound_b_model(m_high))
         assert hi_up > 2.0 * hi_lo or hi_lo == 0.0  # gap is open
 

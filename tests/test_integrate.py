@@ -8,14 +8,13 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import Quadrature, tanh_sinh
+from satlink._integrate import LAGUERRE, Quadrature, tanh_sinh
 from satlink._special import erfcinv, i0e, i1e
-from satlink.bounds import wander_delta
 from satlink.errors import NumericalError
 from satlink.geometry import path_altitude, slant_range
-from satlink.turbulence import LAYER_EDGES_M, PROFILES, TurbulenceProfile, cn2
+from satlink.turbulence import PROFILES, TurbulenceProfile
 
-from _reference import fading_average
+from _reference import LAYER_EDGES_M, cn2, fading_average, wander_delta
 
 EPS = np.finfo(float).eps
 
@@ -51,7 +50,12 @@ def mapped_tail(t, s, g, eta):
 
 class TestGaussLaguerre:
     """Exponentially decaying tails, the integrands of Gauss-Laguerre type:
-    tanh-sinh on (0, 1] after t = exp(-rate (x - a))."""
+    tanh-sinh on (0, 1] after t = exp(-rate (x - a)), and the 8-node
+    Gauss-Laguerre rule itself."""
+
+    def test_literals_are_laggauss(self):
+        nodes, weights = np.polynomial.laguerre.laggauss(8)
+        assert LAGUERRE == tuple(zip(nodes.tolist(), weights.tolist()))
 
     @pytest.mark.parametrize("s,gamma,eta", [(0.1, 2.0, 0.4), (3.0, 2.5, 1e-6), (55.0, 9.7, 0.39)])
     def test_wander_tail(self, s, gamma, eta):
@@ -248,12 +252,18 @@ class TestBatches:
             assert batch.value[i] == alone.value and batch.error[i] == alone.error
 
     def test_gauss_legendre_rows_with_their_own_ends(self):
+        # the ends of a batch are shared: each row's path maps onto [0, 1]
         thetas = [0.0, 1.0, 1.5, math.pi / 2]
         path = [slant_range(200e3, theta) for theta in thetas]
         cos_theta = [math.cos(theta) for theta in thetas]
-        batch = tanh_sinh(extinction, 0.0, np.array(path), np.array(cos_theta))
+
+        def along(t, path, cos_theta):
+            return path * extinction(path * t, cos_theta)
+
+        batch = tanh_sinh(along, 0.0, 1.0, np.array(path), np.array(cos_theta))
         for i in range(len(thetas)):
-            assert batch.value[i] == tanh_sinh(extinction, 0.0, path[i], cos_theta[i]).value
+            assert batch.value[i] == tanh_sinh(along, 0.0, 1.0, path[i], cos_theta[i]).value
+            assert batch.value[i] == pytest.approx(tanh_sinh(extinction, 0.0, path[i], cos_theta[i]).value, rel=1e-12)
 
     def test_one_divergent_row_raises(self):
         # x^(-p) is integrable on [0, 1] for p < 1 only
@@ -263,10 +273,9 @@ class TestBatches:
         assert tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p[p < 1]).value == pytest.approx(1 / (1 - p[p < 1]))
 
     def test_divergent_row_named_by_its_ends(self):
-        b = np.array([1.0, 2.0, 3.0])
         scale = np.array([1.0, np.nan, 1.0])
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 2.0\]"):
-            tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, b, scale)
+            tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, 2.0, scale)
 
 
 BESSEL_GRID = [0.0, 2e-8, 1e-6, 4.9e-6, 1e-4, 0.01, 0.38, 1.0, 4.0, 8.0, 8.5, 15.0, 30.0, 60.0]

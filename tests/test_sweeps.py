@@ -6,23 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import atmosphere, bounds, fading, turbulence
-from satlink._integrate import MEMO_SIZE, tanh_sinh
-from satlink.errors import StrongTurbulenceError
+from satlink import atmosphere, bounds, fading
+from satlink._integrate import tanh_sinh
+from satlink.errors import NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
 from satlink.scenario import CHUNK, Scenario
 
 # the documented configurations: 4 presets x up/down x day/night x clear/cloudy
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
-
-
-MEMOS = (atmosphere._line_of_sight, bounds._wander_integral)
-
-
-def clear_memos():
-    """So that the points after a sweep integrate alone, not from its batches."""
-    for memo in MEMOS:
-        memo.cache_clear()
 
 
 def altitudes(n):
@@ -37,7 +28,6 @@ def test_bounds_grid_matches_points(setup, link, period, sky):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = scn.bounds_sweep(points)
-        clear_memos()
         assert len(grid) == len(points)
         for row, point in zip(grid, points):
             assert row == scn.bounds_at(*point)
@@ -51,7 +41,6 @@ def test_rate_grid_matches_points(setup, link, period, sky):
         warnings.simplefilter("ignore")
         for h in altitudes(3).tolist():
             grid = scn.rate_sweep(h, thetas, "collective")
-            clear_memos()
             assert len(grid) == len(thetas)
             for row, theta in zip(grid, thetas):
                 assert row == scn.rate_at(h, theta)
@@ -154,49 +143,56 @@ def counted_batches(monkeypatch) -> list:
         quadratures.append((f.__name__, np.broadcast(a, b, *args).size))
         return tanh_sinh(f, a, b, *args, **kwargs)
 
-    for module in (atmosphere, bounds, turbulence):
+    for module in (atmosphere, bounds):
         monkeypatch.setattr(module, "tanh_sinh", counted_tanh_sinh)
     return quadratures
 
 
 def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
-    """One batch over the lines of sight not yet held, one for B at every
-    point and one for B(nbar) where 0 < nbar < eta; then no quadrature.
+    """One batch for B at every point and one for B(nbar) where
+    0 < nbar < eta; no other quadrature.
 
     Every tanh_sinh call of the sweep is counted, so a point that
-    integrated alone, or a per-sweep fading average, would show up.
+    integrated alone, a line of sight that the Gauss-Laguerre rule should
+    take, or a per-sweep fading average would show up.
     """
     scn = Scenario.build("down", "day", "clear", setup=1)
     points = [(h, theta) for h in np.geomspace(200e3, 36000e3, 6).tolist() for theta in (0.0, 0.8)]
-    clear_memos()
-    # the turbulence columns, cached per process, and the zenith line of
-    # sight, which every altitude above PATH_TOP_M shares
-    scn.bounds_at(*points[0])
-    bounds._wander_integral.cache_clear()
     quadratures = counted_batches(monkeypatch)
     grid = scn.bounds_sweep(points)
     live = sum(row.nbar < row.eta for row in grid)
     assert 0 < live < len(points)  # the grid reaches entanglement breaking
-    assert quadratures == [("_extinction", 1), ("_wander", len(points)), ("_wander", live)]
+    assert quadratures == [("_wander", len(points)), ("_wander", live)]
 
 
 @pytest.mark.filterwarnings("ignore:Rytov variance")
-def test_sweep_beyond_the_memo_bound(monkeypatch):
-    """A sweep larger than the memos runs in chunks that fit: each batch
-    holds at most CHUNK points, the memos stay within MEMO_SIZE, every point
-    reads its integrals from them, and every point is the one evaluated
-    alone."""
+def test_sweep_beyond_one_chunk(monkeypatch):
+    """A sweep larger than CHUNK points runs in chunks: each batch holds at
+    most CHUNK points, and every point is the one evaluated alone."""
     scn = Scenario.build("up", "day", setup=2)
     thetas = np.linspace(-1.2, 1.2, 1001).tolist()
     points = [(h, 0.7) for h in np.geomspace(100e3, 36000e3, 300).tolist()]
-    clear_memos()
     quadratures = counted_batches(monkeypatch)
     rates = scn.rate_sweep(530e3, thetas, "collective")
     grid = scn.bounds_sweep(points)
-    assert len(quadratures) > 1001 // CHUNK and all(rows <= CHUNK for _, rows in quadratures)
-    assert all(len(memo) <= MEMO_SIZE and memo.misses == 0 for memo in MEMOS)
-    clear_memos()
+    assert len(quadratures) > 300 // CHUNK and all(rows <= CHUNK for _, rows in quadratures)
     for rate, theta in zip(rates, thetas):
         assert rate == scn.rate_at(530e3, theta)
     for row, point in zip(grid, points):
         assert row == scn.bounds_at(*point)
+
+
+def test_failing_batch_falls_back_to_its_points(monkeypatch):
+    """A wander batch that fails is taken one point at a time, so that only
+    a point that fails alone raises; the rows are those of the points alone."""
+    scn = Scenario.build("up", "night", setup=1)
+    points = [(h, theta) for h in altitudes(3).tolist() for theta in (0.0, 0.6)]
+    alone = [scn.bounds_at(*point) for point in points]
+
+    def batches_fail(f, a, b, *args, **kwargs):
+        if any(isinstance(arg, np.ndarray) for arg in args):
+            raise NumericalError("batch failed")
+        return tanh_sinh(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "tanh_sinh", batches_fail)
+    assert scn.bounds_sweep(points) == alone
