@@ -1,4 +1,4 @@
-"""The package's two quadrature rules: tanh-sinh, and 8-node Gauss-Laguerre.
+"""The package's tanh-sinh quadrature, on arrays of nodes.
 
 `tanh_sinh` is the double-exponential rule of Takahasi & Mori (1974) on a
 finite [a, b], with a step-halving convergence check.  It integrates the
@@ -25,11 +25,9 @@ last difference as its error estimate; the value returned is the finer of
 the pair, whose own error is far smaller for a rule that converges this
 fast.
 
-`LAGUERRE` is the 8-node Gauss-Laguerre rule, the integral over [0, inf)
-of e^(-x) f(x) as the sum of w f(x) over its (x, w) pairs.  It is exact for
-polynomials f up to degree 15 and converges fast for f analytic near the
-half line.  The 16 literals are numpy.polynomial.laguerre.laggauss(8), as a
-test holds.
+This module imports numpy, as do the integrands it calls; their modules
+import it, and this module, in the functions that reach them.  So a command
+that takes no tanh-sinh quadrature starts without numpy.
 """
 
 from __future__ import annotations
@@ -50,18 +48,6 @@ REL_TOL = 1e-10
 TS_STEP = 0.125  # first estimate: 65 nodes
 TS_LEVELS = 6    # cap: step 1/256
 T_MAX = 4.0
-
-# (node, weight) of the 8-node Gauss-Laguerre rule
-LAGUERRE = (
-    (0.17027963230510093, 0.36918858934163495),
-    (0.90370177679938, 0.4187867808143447),
-    (2.251086629866131, 0.17579498663717255),
-    (4.266700170287659, 0.033343492261215794),
-    (7.0459054023934655, 0.0027945362352256834),
-    (10.758516010180996, 9.076508773358139e-05),
-    (15.740678641278004, 8.48574671627257e-07),
-    (22.863131736889265, 1.0480011748715153e-09),
-)
 
 
 class Quadrature(NamedTuple):

@@ -26,6 +26,12 @@ more (|theta| <= 1.3427 rad at the default scale height), and that rises
 TOP_MIN scale heights or more.  Any other line of sight, up to the
 horizon, is integrated by tanh-sinh in the slant range y, along which the
 altitude h(y) is analytic.
+
+`LAGUERRE` is the 8-node Gauss-Laguerre rule, the integral over [0, inf)
+of e^(-x) f(x) as the sum of w f(x) over its (x, w) pairs.  It is exact for
+polynomials f up to degree 15 and converges fast for f analytic near the
+half line.  The 16 literals are numpy.polynomial.laguerre.laggauss(8), as a
+test holds.
 """
 
 from __future__ import annotations
@@ -33,10 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import geometry
-from ._integrate import LAGUERRE, tanh_sinh
 from .domain import NON_NEGATIVE, POSITIVE, Checked, param
 from .geometry import R_EARTH
 
@@ -50,6 +53,18 @@ PATH_TOP_M = 200e3
 BRANCH_MIN = 25.0  # scale heights
 TOP_MIN = 0.1      # scale heights
 
+# (node, weight) of the 8-node Gauss-Laguerre rule
+LAGUERRE = (
+    (0.17027963230510093, 0.36918858934163495),
+    (0.90370177679938, 0.4187867808143447),
+    (2.251086629866131, 0.17579498663717255),
+    (4.266700170287659, 0.033343492261215794),
+    (7.0459054023934655, 0.0027945362352256834),
+    (10.758516010180996, 9.076508773358139e-05),
+    (15.740678641278004, 8.48574671627257e-07),
+    (22.863131736889265, 1.0480011748715153e-09),
+)
+
 
 @dataclass(frozen=True)
 class ExtinctionModel(Checked):
@@ -58,6 +73,9 @@ class ExtinctionModel(Checked):
 
 
 def _extinction(y, cos_theta, h_scale):
+    """exp(-h / h_scale) at the slant ranges y, an array of quadrature nodes."""
+    import numpy as np
+
     return np.exp(-geometry.path_altitude(y, cos_theta) / h_scale)
 
 
@@ -88,7 +106,9 @@ def _line_of_sight(h: float, theta: float, model: ExtinctionModel) -> float:
             cos2 = cos_theta * cos_theta
             bracket -= tan2 * (_excess(0.0, h_scale, cos2) - math.exp(-s_top) * _excess(s_top, h_scale, cos2))
         return h_scale / cos_theta * bracket
-    return tanh_sinh(_extinction, 0.0, path, cos_theta, h_scale).value
+    from . import _integrate
+
+    return _integrate.tanh_sinh(_extinction, 0.0, path, cos_theta, h_scale).value
 
 
 def eta_atm(h: float, theta: float, model: ExtinctionModel) -> float:

@@ -19,9 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from ._integrate import tanh_sinh
 from .beam import LN2
 from .errors import NumericalError
 from .fading import FadingModel
@@ -44,23 +41,21 @@ def thermal_entropy(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def _wander_low(u, s, g, eta):
-    return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - eta)
-
-
-def _wander_high(x, s, g, eta):
-    # written as exp(-s x^(2/g) - x) / (1 - eta e^-x) to avoid overflow
-    return np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
-
-
 def _wander(t, s, g, eta):
     """Both pieces of the wandering integral at the same nodes t in (0, 1].
 
-    The tail beyond x = 1 maps to t = exp(-rate (x - 1)), rate = 1 + s/g,
-    the rate at which it decays near x = 1.
+    The lower piece is exp(-s u) g u^(g - 1) / (e^(u^g) - eta) at u = t.  The
+    tail beyond x = 1 maps to t = exp(-rate (x - 1)), rate = 1 + s/g, the
+    rate at which it decays near x = 1; it is written as
+    exp(-s x^(1/g) - x) / (1 - eta e^-x) there, to avoid overflow.
     """
+    import numpy as np
+
     rate = 1.0 + s / g
-    return _wander_low(t, s, g, eta) + _wander_high(1.0 - np.log(t) / rate, s, g, eta) / (rate * t)
+    low = np.exp(-s * t) * g * t ** (g - 1.0) / (np.exp(t**g) - eta)
+    x = 1.0 - np.log(t) / rate
+    high = np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
+    return low + high / (rate * t)
 
 
 def _wander_integral(eta, sigma2, gamma, r0):
@@ -77,7 +72,9 @@ def _wander_integral(eta, sigma2, gamma, r0):
     tanh-sinh call integrates the sum of the two pieces.  The arguments are
     floats, or 1-D arrays over the rows of a batch.
     """
-    return tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
+    from . import _integrate
+
+    return _integrate.tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
 
 
 def _bound(eta: float, integral: float) -> float:
@@ -91,6 +88,8 @@ def _integrals(rows: list[tuple[float, FadingModel]]) -> list[float]:
     floats, in half the time of a batch of one."""
     wander = [(eta, m.sigma2, m.gamma, m.r0) for eta, m in rows if m.sigma2 != 0.0]
     if len(wander) > 1:
+        import numpy as np
+
         values = iter(_wander_integral(*map(np.array, zip(*wander))).tolist())
     else:
         values = iter([float(_wander_integral(*row)) for row in wander])

@@ -25,8 +25,6 @@ import re
 import sys
 from typing import Callable
 
-import numpy as np
-
 from . import fading, orbit
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
@@ -98,8 +96,35 @@ def _named(name: str, parse: Callable[[str], object], text: str, domain: Domain 
     return value
 
 
+def _linear_grid(lo: float, hi: float, n: int) -> list[float]:
+    """The n points of np.linspace(lo, hi, n), bit for bit: point i is
+    i * step + lo with step = (hi - lo) / (n - 1), and the last is hi.
+
+    Where the step underflows to 0, point i is i / (n - 1) * (hi - lo) + lo,
+    and a lone point is 0 * (hi - lo) + lo, as numpy takes them.  A grid
+    that does not fit in memory fails before a point is made.
+    """
+    try:
+        grid = [0.0] * n
+    except (MemoryError, OverflowError):  # 8 n bytes, or n beyond an index
+        raise MemoryError(f"Unable to allocate a grid of {n:.3g} points") from None
+    delta, div = hi - lo, n - 1
+    if div == 0:
+        grid[0] = 0.0 * delta + lo
+        return grid
+    step = delta / div
+    for i in range(div):
+        grid[i] = (i * step if step != 0.0 else i / div * delta) + lo
+    grid[div] = hi
+    return grid
+
+
 def parse_grid(spec: str) -> list[float]:
-    """Parse 'start:stop:n[:log]' into a list of SI values."""
+    """Parse 'start:stop:n[:log]' into a list of SI values.
+
+    A log grid is np.geomspace's: numpy's power and log10 can differ from
+    math's in the last bit, and its points are the ones the outputs print.
+    """
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not start:stop:n[:log]")
@@ -111,8 +136,10 @@ def parse_grid(spec: str) -> list[float]:
         for end, text, value in (("start", parts[0], lo), ("stop", parts[1], hi)):
             if value <= 0:
                 raise ConfigError(f"log grid needs a positive {end}, got {text!r}")
+        import numpy as np
+
         return [float(x) for x in np.geomspace(lo, hi, n)]
-    return [float(x) for x in np.linspace(lo, hi, n)]
+    return _linear_grid(lo, hi, n)
 
 
 # -- configuration -----------------------------------------------------------
@@ -289,10 +316,17 @@ def cmd_rate(args, scn: Scenario) -> str:
     )
 
 
+def _all_finite(value) -> bool:
+    """Whether a number, or every number in a list of them at any depth, is finite."""
+    if isinstance(value, list):
+        return all(map(_all_finite, value))
+    return math.isfinite(value)
+
+
 def cmd_pass(args, scn: Scenario) -> str:
     report = scn.pass_report(args.h, args.blocks, args.attacks)
     for key, value in sorted(report.items()):
-        if not isinstance(value, str) and not np.isfinite(value).all():
+        if not isinstance(value, str) and not _all_finite(value):
             raise NumericalError(f"{key} is not finite for the pass at h_km={_fmt(report['h_km'])}")
     # strict JSON: a setting that is not finite (beam.curvature) as show-config prints it
     report["config"] = {
@@ -323,6 +357,8 @@ def cmd_compare_fiber(args, scn: Scenario) -> str:
 
 
 def cmd_validate_mc(args, scn: Scenario) -> str:
+    import numpy as np
+
     model = scn.fading_model(args.h, args.theta)
     r2 = fading.sample_radius2(model, args.samples, args.seed)
     r2.sort()

@@ -13,8 +13,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import atmosphere, geometry, turbulence
 from ._special import i0e, i1e
 from .atmosphere import ExtinctionModel
@@ -162,7 +160,7 @@ def p_threshold(eta_th: float, model: FadingModel) -> float:
     return 1.0 - fading_cdf(eta_th, model)
 
 
-def sample_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
+def sample_radius2(model: FadingModel, n: int, seed: int):
     """Draw n squared centroid deflections r^2; deterministic for a fixed seed.
 
     r^2 = x^2 + y^2 with x, y zero-mean Gaussians of variance sigma^2: the n
@@ -172,6 +170,8 @@ def sample_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
     cache it takes every step in place: * sigma, squared, + (sigma y)^2.  So
     the only n-element array is the result, and it is swept from memory once.
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     sigma = math.sqrt(model.sigma2)
     x = rng.standard_normal(n)
@@ -190,16 +190,20 @@ def sample_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
 def radius2_cdf(v, model: FadingModel):
     """P(r^2 <= v) = 1 - exp(-v / 2 sigma^2), the law of sample_radius2 where
     the model has wander (sigma^2 > 0)."""
+    import numpy as np
+
     return -np.expm1(-v / (2.0 * model.sigma2))
 
 
 def _deviation(cdf, i, n: int):
     """|G - empirical CDF| at sorted sample i, where the empirical CDF steps
     from i / n to (i + 1) / n; cdf is the law G there."""
+    import numpy as np
+
     return np.maximum((i + 1) / n - cdf, cdf - i / n)
 
 
-def sorted_radius2_statistics(r2: np.ndarray, model: FadingModel, edges: np.ndarray):
+def sorted_radius2_statistics(r2, model: FadingModel, edges):
     """(KS distance of sorted squared radii from their law G, radius2_cdf; the
     counts of the transmissivities tau(r) in the bins of tau edges as
     np.histogram counts them: [lo, hi), the last bin [lo, hi]).
@@ -219,6 +223,8 @@ def sorted_radius2_statistics(r2: np.ndarray, model: FadingModel, edges: np.ndar
     ulp-level non-monotonicity of expm1.  Every deviation is the same double
     the all-samples pass computes, so the statistic is too.
     """
+    import numpy as np
+
     inside = edges > 0.0
     log_ratio = np.log(model.eta / np.where(inside, edges, model.eta))
     bounds = np.where(inside, model.r0**2 * log_ratio**(2.0 / model.gamma), math.inf)

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 R_EARTH = 6.371e6  # mean Earth radius, m
 MU_EARTH = 6.674e-11 * 5.972e24  # standard gravitational parameter G*M, m^3/s^2
 
@@ -37,6 +35,8 @@ def path_altitude(z, cos_theta):
 
     z is a float or an array of quadrature nodes.
     """
+    import numpy as np
+
     # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
     rise = z * z + 2.0 * z * R_EARTH * cos_theta
     return rise / (np.sqrt(R_EARTH**2 + rise) + R_EARTH)

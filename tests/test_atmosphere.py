@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import Scenario, atmosphere
+from satlink import Scenario, _integrate
 from satlink._integrate import tanh_sinh
 from satlink.atmosphere import (
     BRANCH_MIN,
@@ -134,11 +134,12 @@ class TestLineOfSightCache:
             quadratures.append(f.__name__)
             return tanh_sinh(f, *args, **kwargs)
 
-        monkeypatch.setattr(atmosphere, "tanh_sinh", counted_tanh_sinh)
+        monkeypatch.setattr(_integrate, "tanh_sinh", counted_tanh_sinh)
         scn = Scenario.build("down", "day", "clear", setup=1, receiver={"filter_width": 1e-9})
         result = scn.max_range("tight")
         assert result.z_max == pytest.approx(6280e3, rel=1e-3)
-        assert quadratures == []
+        # the bounds' beam-wandering integrals are tanh-sinh's too
+        assert "_extinction" not in quadratures
 
     @pytest.mark.parametrize("h", [5e3, 150e3, PATH_TOP_M, 530e3, 36000e3])
     @pytest.mark.parametrize("theta", [0.0, -0.4, 0.4, 1.0, 1.5])

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from satlink import cli, fading, orbit
 from satlink.atmosphere import ExtinctionModel
@@ -67,6 +69,51 @@ class TestQuantityParsing:
             parse_grid("1:2")
         with pytest.raises(ConfigError):
             parse_grid("1:2:0")
+
+
+def linspace_bits(lo: float, hi: float, n: int) -> list[str]:
+    with np.errstate(all="ignore"):  # hi - lo may overflow
+        return [float(x).hex() for x in np.linspace(lo, hi, n)]
+
+
+class TestLinearGrid:
+    """A linear grid is np.linspace's, bit for bit, without numpy."""
+
+    @pytest.mark.parametrize("spec,lo,hi,n", [
+        # the README and CI grids: the five-point one steps across the switch angle
+        ("-1:1:81", -1.0, 1.0, 81),
+        ("0:0.5:3", 0.0, 0.5, 3),
+        ("1.2802122581258115:1.4052122581258115:5", 1.2802122581258115, 1.4052122581258115, 5),
+        ("0km:100km:2", 0.0, 1e5, 2),
+        # one point, and equal ends
+        ("-1:-1:1", -1.0, -1.0, 1),
+        ("0.3:7:1", 0.3, 7.0, 1),
+        ("2.5:2.5:4", 2.5, 2.5, 4),
+        ("-0:-0:3", -0.0, -0.0, 3),
+        # descending and negative ends
+        ("1:-1:7", 1.0, -1.0, 7),
+        ("-0.1:-3.7:11", -0.1, -3.7, 11),
+        # a step that underflows to 0: numpy divides by n - 1, then multiplies
+        ("0:5e-324:3", 0.0, 5e-324, 3),
+        ("1e-320:1.5e-320:40000", 1e-320, 1.5e-320, 40000),
+        # a span that overflows
+        ("-1.7e308:1.7e308:5", -1.7e308, 1.7e308, 5),
+    ])
+    def test_grid_is_linspace(self, spec, lo, hi, n):
+        assert [x.hex() for x in parse_grid(spec)] == linspace_bits(lo, hi, n)
+
+    @given(
+        lo=st.floats(allow_nan=False, allow_infinity=False),
+        hi=st.floats(allow_nan=False, allow_infinity=False),
+        n=st.integers(1, 200),
+    )
+    @example(lo=0.0, hi=5e-324, n=3)
+    @example(lo=-5e-324, hi=5e-324, n=200)
+    @example(lo=1.0, hi=1.0 + 2.0**-52, n=7)
+    def test_any_grid_is_linspace(self, lo, hi, n):
+        grid = parse_grid(f"{lo!r}:{hi!r}:{n}")
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == linspace_bits(lo, hi, n)
 
 
 class TestScenarioAssembly:
@@ -875,6 +922,21 @@ class TestDomains:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "numerical error: R_orb is not finite for the pass at h_km=530\n"
+
+    def test_non_finite_slice_bound_names_the_pass(self, capsys, monkeypatch):
+        # a nan that sits only in the nested list of slice bounds
+        pass_report = Scenario.pass_report
+
+        def with_nan_slice(self, *args):
+            report = pass_report(self, *args)
+            report["slices"][-1][1] = math.nan
+            return report
+
+        monkeypatch.setattr(Scenario, "pass_report", with_nan_slice)
+        assert main(["pass", "--h", "530km"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical error: slices is not finite for the pass at h_km=530\n"
 
     def test_a_stray_value_error_is_a_bug(self, monkeypatch):
         # a ValueError from inside the pipeline is not a user's mistake: it

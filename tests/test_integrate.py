@@ -8,7 +8,8 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import LAGUERRE, Quadrature, tanh_sinh
+from satlink._integrate import Quadrature, tanh_sinh
+from satlink.atmosphere import LAGUERRE
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
 from satlink.geometry import path_altitude, slant_range

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satlink import atmosphere
+from satlink import _integrate
 from satlink._integrate import tanh_sinh
 from satlink.atmosphere import BRANCH_MIN, TOP_MIN, ExtinctionModel, _line_of_sight, eta_atm
 from satlink.geometry import R_EARTH
@@ -50,7 +50,7 @@ def tanh_sinh_calls(monkeypatch) -> list:
         calls.append(args[0].__name__)
         return tanh_sinh(*args, **kwargs)
 
-    monkeypatch.setattr(atmosphere, "tanh_sinh", counted)
+    monkeypatch.setattr(_integrate, "tanh_sinh", counted)
     return calls
 
 

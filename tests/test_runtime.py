@@ -1,4 +1,5 @@
-"""Cold-process checks: the runtime imports no scipy and the scripts run."""
+"""Cold-process checks: the runtime imports no scipy, numpy only where it
+integrates or samples, and the scripts run."""
 
 import importlib.util
 import os
@@ -33,6 +34,14 @@ def test_runtime_does_not_import_scipy():
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_without_arrays_do_not_import_numpy():
+    # show-config, the README rate and pass commands and a configuration
+    # error start without numpy; the README bounds command loads it
+    proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
+    assert proc.returncode == 0, proc.stderr
+    assert str(ROOT / "src") in proc.stdout
 
 
 def test_readme_library_sketch():

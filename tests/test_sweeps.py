@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import atmosphere, bounds, fading
+from satlink import _integrate, fading
 from satlink._integrate import tanh_sinh
 from satlink.errors import NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
@@ -143,8 +143,7 @@ def counted_batches(monkeypatch) -> list:
         quadratures.append((f.__name__, np.broadcast(a, b, *args).size))
         return tanh_sinh(f, a, b, *args, **kwargs)
 
-    for module in (atmosphere, bounds):
-        monkeypatch.setattr(module, "tanh_sinh", counted_tanh_sinh)
+    monkeypatch.setattr(_integrate, "tanh_sinh", counted_tanh_sinh)
     return quadratures
 
 
@@ -194,5 +193,5 @@ def test_failing_batch_falls_back_to_its_points(monkeypatch):
             raise NumericalError("batch failed")
         return tanh_sinh(f, a, b, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "tanh_sinh", batches_fail)
+    monkeypatch.setattr(_integrate, "tanh_sinh", batches_fail)
     assert scn.bounds_sweep(points) == alone
