@@ -8,22 +8,25 @@ singularities (u^(gamma/2 - 1)) and integrands whose scale is not known in
 advance.  An infinite range is mapped onto a finite one by the caller, as
 the wander tail is by t = exp(-rate (x - 1)).
 
-The rule integrates a batch of P integrals in one pass: a bounds sweep
-takes the wander factors of its points that way.  The ends are floats; the
+The rule integrates a batch of P integrals in one pass, by the same code
+as one integral: a bounds sweep takes the wander factors of a chunk of
+points, at eta and at nbar, as one batch.  The ends are floats; the
 extra arguments of the integrand are floats (one integral) or 1-D arrays
 over the P rows.  The integrand f(x, *args) gets the nodes x, of shape (n,)
 or (P, n), and each array argument as a (P, 1) column (floats pass as they
 are), and returns values of the broadcast shape.  Node tables are built
 once per process.
 
-Each row compares the estimates at step h and h/2.  A row whose two
-estimates agree within max(abs_tol, REL_TOL * |I|) keeps the finer one,
-so it gets the value a call for that row alone returns; the rows still
-open halve the step again, alone, up to a fixed cap, and then
-NumericalError is raised for the first of them.  The result carries that
-last difference as its error estimate; the value returned is the finer of
-the pair, whose own error is far smaller for a rule that converges this
-fast.
+Each row compares the estimates at step h and h/2, and is accepted when
+the two agree within max(abs_tol, REL_TOL * |I|).  Every row is evaluated
+at each level, the step halving up to a fixed cap, until all rows are
+accepted; a row keeps the finer estimate of the first level that accepts
+it.  So a row's arithmetic does not depend on the other rows, and it gets
+the value and error that a call for that row alone returns.  A row that
+no level accepts raises NumericalError, the first such row of a batch with
+its own call's message.  The result carries the last difference as its
+error estimate; the value returned is the finer of the pair, whose own
+error is far smaller for a rule that converges this fast.
 
 This module imports numpy, as do the integrands it calls; their modules
 import it, and this module, in the functions that reach them.  So a command
@@ -55,30 +58,6 @@ class Quadrature(NamedTuple):
     error: float  # |I_(h/2) - I_h| at the accepted pair
 
 
-def _at(value, i: int):
-    return value[i] if isinstance(value, np.ndarray) else value
-
-
-def _all(mask) -> bool:
-    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _any(mask) -> bool:
-    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
-
-
-def _columns(values) -> list:
-    """Per-row arrays as (P, 1) columns; floats as they are."""
-    return [v[..., None] if isinstance(v, np.ndarray) else v for v in values]
-
-
-def _open(columns: list, rows) -> list:
-    """The columns at the open rows (all of them for rows None)."""
-    if rows is None:
-        return columns
-    return [c[rows] if isinstance(c, np.ndarray) else c for c in columns]
-
-
 @lru_cache(maxsize=None)
 def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes new at this level, as distances from the ends of [-1, 1].
@@ -107,46 +86,41 @@ def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> 
     """
     if a == b:
         return Quadrature(0.0, 0.0)
-    columns = _columns(args)
+    columns = [v[..., None] if isinstance(v, np.ndarray) else v for v in args]
     half = 0.5 * (b - a)
 
-    def g(delta, rows):
+    def g(delta):
         """f at the nodes -1 + delta and 1 - delta, mapped to [a, b], summed."""
         n = delta.size
-        fx = f(np.concatenate((a + half * delta, b - half * delta)), *_open(columns, rows))
+        fx = f(np.concatenate((a + half * delta, b - half * delta)), *columns)
         return half * (fx[..., :n] + fx[..., n:])
 
-    value = error = rows = None  # rows: indices of the open rows; None while all are
+    value = error = 0.0
+    done = False  # per row: accepted at an earlier level
     # overflow, underflow and 0/0 at far nodes surface as inf or nan, which
     # fail the comparison instead of printing warnings
     with np.errstate(all="ignore"):
         # levels nest: each halving of the step adds the nodes in between;
         # the first two levels share one call of f
         (d0, w0), (d1, w1) = _tanh_sinh(0), _tanh_sinh(1)
-        gx = g(np.concatenate((d0, d1)), None)
-        total = np.vecdot(gx[..., : d0.size], w0)  # over the open rows
+        gx = g(np.concatenate((d0, d1)))
+        total = np.vecdot(gx[..., : d0.size], w0)
         prev = total * TS_STEP
         total = total + np.vecdot(gx[..., d0.size :], w1)
         for level in range(1, TS_LEVELS):
             if level > 1:
                 delta, weight = _tanh_sinh(level)
-                total = total + np.vecdot(g(delta, rows), weight)
+                total = total + np.vecdot(g(delta), weight)
             est = total * TS_STEP / 2**level
             diff = abs(est - prev)
-            ok = (diff <= abs_tol) | (diff <= REL_TOL * abs(est))
-            # a row accepted at this level drops out of the finer ones
-            if _all(ok):
-                if rows is None:
-                    return Quadrature(est, diff)
-                value[rows], error[rows] = est, diff
+            # [()] makes a float call's 0-d results floats again
+            value, error = np.where(done, value, est)[()], np.where(done, error, diff)[()]
+            done = done | (diff <= abs_tol) | (diff <= REL_TOL * abs(est))
+            if done.all():
                 return Quadrature(value, error)
-            if _any(ok):
-                if rows is None:
-                    value, error, rows = np.empty_like(est), np.empty_like(est), np.arange(est.size)
-                value[rows[ok]], error[rows[ok]] = est[ok], diff[ok]
-                rows, est, diff, total = rows[~ok], est[~ok], diff[~ok], total[~ok]
             prev = est
+    first = np.flatnonzero(~done)[0]
     raise NumericalError(
         f"tanh-sinh on [{a}, {b}] did not converge:"
-        f" last estimate {_at(prev, 0):.6g}, difference {_at(diff, 0):.3g}"
+        f" last estimate {np.ravel(prev)[first]:.6g}, difference {np.ravel(diff)[first]:.3g}"
     )

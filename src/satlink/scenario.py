@@ -6,8 +6,8 @@ channel states and key rates that the CLI and the experiment scripts
 consume.  Bounds and rates are evaluated at one geometry (bounds_at,
 rate_at) or at each point of a sweep in turn (bounds_sweep, rate_sweep).
 A bounds sweep builds each point's fading model once and takes the
-beam-wandering integrals of its points in batches; a point is a sweep of
-one.
+beam-wandering integrals of each chunk of its points in one batch; a point
+is a sweep of one.
 """
 
 from __future__ import annotations
@@ -36,8 +36,10 @@ SETUPS: dict[int, tuple[float, float, float]] = {
 }
 
 
-# points per chunk of a bounds sweep: it bounds the memory of the batches
-CHUNK = 128
+# points per chunk of a bounds sweep: it bounds the memory of its batch, of
+# up to 2 * CHUNK rows (B at eta and at nbar), every row evaluated at each
+# level of the quadrature until all are accepted
+CHUNK = 64
 
 
 # the columns of the CLI bounds sweep at a point
@@ -134,8 +136,8 @@ class Scenario(Checked):
 
         The points run CHUNK at a time.  A chunk's fading models are built
         once, in point order and with their warnings, up to the first that
-        fails.  The beam-wandering integrals of their bounds are taken in two
-        batches (bounds.loss_bounds) and handed to the points, which are
+        fails.  The beam-wandering integrals of their bounds are taken in one
+        batch (bounds.loss_bounds) and handed to the points, which are
         evaluated; then the failing point's error is raised.  So a sweep
         gives the numbers, warnings and error of its points run alone, up to
         its first failing point.

@@ -245,14 +245,14 @@ class TestBatches:
             alone = tanh_sinh(wander_low, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
             assert batch.value[i] == alone.value and batch.error[i] == alone.error
 
-    def test_gauss_laguerre_rows(self):
-        # the mapped wander tail, each row at its own decay rate
+    def test_mapped_tail_rows(self):
+        # the wander tail mapped onto (0, 1], each row at its own decay rate
         batch = tanh_sinh(mapped_tail, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
         for i in range(self.S.size):
             alone = tanh_sinh(mapped_tail, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
             assert batch.value[i] == alone.value and batch.error[i] == alone.error
 
-    def test_gauss_legendre_rows_with_their_own_ends(self):
+    def test_rows_with_their_own_paths(self):
         # the ends of a batch are shared: each row's path maps onto [0, 1]
         thetas = [0.0, 1.0, 1.5, math.pi / 2]
         path = [slant_range(200e3, theta) for theta in thetas]
@@ -272,6 +272,18 @@ class TestBatches:
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 1.0\]"):
             tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p)
         assert tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p[p < 1]).value == pytest.approx(1 / (1 - p[p < 1]))
+
+    def test_divergent_row_raises_its_own_error(self):
+        # rows 2 and 3 diverge: the batch raises the first one's lone-call error
+        p = np.array([0.5, 0.3, 1.0, 1.2])
+        with pytest.raises(NumericalError) as batch:
+            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p)
+        messages = []
+        for q in p[2:].tolist():
+            with pytest.raises(NumericalError) as alone:
+                tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, q)
+            messages.append(str(alone.value))
+        assert str(batch.value) == messages[0] != messages[1]
 
     def test_divergent_row_named_by_its_ends(self):
         scale = np.array([1.0, np.nan, 1.0])

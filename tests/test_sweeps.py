@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import _integrate, fading
+from satlink import _integrate, bounds, fading
 from satlink._integrate import tanh_sinh
 from satlink.errors import NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
@@ -148,8 +148,8 @@ def counted_batches(monkeypatch) -> list:
 
 
 def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
-    """One batch for B at every point and one for B(nbar) where
-    0 < nbar < eta; no other quadrature.
+    """One batch: B at every point and B(nbar) where 0 < nbar < eta; no
+    other quadrature.
 
     Every tanh_sinh call of the sweep is counted, so a point that
     integrated alone, a line of sight that the Gauss-Laguerre rule should
@@ -161,37 +161,44 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     grid = scn.bounds_sweep(points)
     live = sum(row.nbar < row.eta for row in grid)
     assert 0 < live < len(points)  # the grid reaches entanglement breaking
-    assert quadratures == [("_wander", len(points)), ("_wander", live)]
+    assert quadratures == [("_wander", len(points) + live)]
 
 
 @pytest.mark.filterwarnings("ignore:Rytov variance")
 def test_sweep_beyond_one_chunk(monkeypatch):
     """A sweep larger than CHUNK points runs in chunks: each batch holds at
-    most CHUNK points, and every point is the one evaluated alone."""
+    most 2 * CHUNK rows, B at eta and at nbar of CHUNK points, and every
+    point is the one evaluated alone."""
     scn = Scenario.build("up", "day", setup=2)
     thetas = np.linspace(-1.2, 1.2, 1001).tolist()
     points = [(h, 0.7) for h in np.geomspace(100e3, 36000e3, 300).tolist()]
     quadratures = counted_batches(monkeypatch)
     rates = scn.rate_sweep(530e3, thetas, "collective")
     grid = scn.bounds_sweep(points)
-    assert len(quadratures) > 300 // CHUNK and all(rows <= CHUNK for _, rows in quadratures)
+    assert len(quadratures) > 300 // CHUNK and all(rows <= 2 * CHUNK for _, rows in quadratures)
     for rate, theta in zip(rates, thetas):
         assert rate == scn.rate_at(530e3, theta)
     for row, point in zip(grid, points):
         assert row == scn.bounds_at(*point)
 
 
-def test_failing_batch_falls_back_to_its_points(monkeypatch):
-    """A wander batch that fails is taken one point at a time, so that only
-    a point that fails alone raises; the rows are those of the points alone."""
+def test_failing_row_raises_its_points_error(monkeypatch):
+    """A point whose wander integral fails makes the sweep raise the error
+    that the point raises alone; the points before it are unaffected."""
     scn = Scenario.build("up", "night", setup=1)
     points = [(h, theta) for h in altitudes(3).tolist() for theta in (0.0, 0.6)]
     alone = [scn.bounds_at(*point) for point in points]
+    bad = scn.fading_model(*points[3])
+    s_bad = bad.r0 * bad.r0 / (2.0 * bad.sigma2)
+    wander = bounds._wander
 
-    def batches_fail(f, a, b, *args, **kwargs):
-        if any(isinstance(arg, np.ndarray) for arg in args):
-            raise NumericalError("batch failed")
-        return tanh_sinh(f, a, b, *args, **kwargs)
+    def wander_fails(t, s, g, eta):
+        return np.where(s == s_bad, np.nan, wander(t, s, g, eta))
 
-    monkeypatch.setattr(_integrate, "tanh_sinh", batches_fail)
-    assert scn.bounds_sweep(points) == alone
+    monkeypatch.setattr(bounds, "_wander", wander_fails)
+    with pytest.raises(NumericalError) as lone:
+        scn.bounds_at(*points[3])
+    with pytest.raises(type(lone.value)) as swept:
+        scn.bounds_sweep(points)
+    assert str(swept.value) == str(lone.value)
+    assert scn.bounds_sweep(points[:3]) == alone[:3]
