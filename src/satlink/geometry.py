@@ -27,9 +27,8 @@ def slant_range(h: float, theta: float) -> float:
     if h < 0:
         raise ValueError("altitude must be non-negative")
     c = R_EARTH * math.cos(_check_angle(theta))
-    # sqrt((R + h)^2 - (R sin theta)^2) - R cos theta, rationalised: no
-    # cancellation when the path is short against R cos theta; hypot sums the
-    # squares without rounding them, which keeps the range within 5e-16 of exact
+    # sqrt((R + h)^2 - (R sin theta)^2) - R cos theta rationalised, so short
+    # paths do not cancel; hypot does not round the squares it sums
     rise = h * (h + 2.0 * R_EARTH)
     return rise / (math.hypot(math.sqrt(rise), c) + c)
 
