@@ -1,4 +1,4 @@
-"""The package's tanh-sinh quadrature, on arrays of nodes.
+"""The package's tanh-sinh quadrature: a batch rule on numpy arrays, and a rule in `math`.
 
 `tanh_sinh` is the double-exponential rule of Takahasi & Mori (1974) on a
 finite [a, b], with a step-halving convergence check.  It integrates the
@@ -28,22 +28,23 @@ its own call's message.  The result carries the last difference as its
 error estimate; the value returned is the finer of the pair, whose own
 error is far smaller for a rule that converges this fast.
 
-This module imports numpy, as do the integrands it calls; their modules
-import it, and this module, in the functions that reach them.  So a command
-that takes no tanh-sinh quadrature starts without numpy.
+`tanh_sinh_rows` is the same rule in `math`, on the same nodes and levels,
+for the few rows of one integrand that share each node's work: the two
+wander integrals of a max-range probe.  Its sums run in another order, so a
+row agrees with `tanh_sinh` to rounding.  The batch rule imports numpy in
+its functions, so a command that takes no batch starts without numpy.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import add, mul
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import NumericalError
 
-Integrand = Callable[..., np.ndarray]
+Integrand = Callable[..., "np.ndarray"]
 
 REL_TOL = 1e-10
 # tanh-sinh: t in [-T_MAX, T_MAX] with step TS_STEP / 2**level; at T_MAX the
@@ -58,24 +59,50 @@ class Quadrature(NamedTuple):
     error: float  # |I_(h/2) - I_h| at the accepted pair
 
 
-@lru_cache(maxsize=None)
-def _tanh_sinh(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes new at this level, as distances from the ends of [-1, 1].
-
-    Returns (delta, weight) for t >= 0; each delta stands for the nodes
-    -1 + delta and 1 - delta.  Level 0 holds t = 0 (delta = 1, the same
-    node twice) with half its weight.  Weights exclude the step.
-    """
+def _level(level: int) -> list[float]:
+    """The t >= 0 new at this level."""
     h = TS_STEP / 2**level
-    t = np.arange(0.0 if level == 0 else h, T_MAX + h / 2, h if level == 0 else 2 * h)
-    u = 0.5 * math.pi * np.sinh(t)
-    delta = 2.0 / (np.exp(2.0 * u) + 1.0)  # 1 - tanh(u) without cancellation
-    weight = 0.5 * math.pi * np.cosh(t) / np.cosh(u) ** 2
-    if level == 0:
-        weight[0] *= 0.5
+    return [k * h for k in range(level > 0, round(T_MAX / h) + 1, 1 + (level > 0))]
+
+
+def _node(t, m):
+    """The nodes at t by the module m (numpy on arrays, or math): (delta, weight).
+
+    Each delta is a distance from the ends of [-1, 1], for the nodes
+    -1 + delta and 1 - delta.  t = 0 (delta = 1, the same node twice) takes
+    half its weight.  Weights exclude the step.
+    """
+    u = 0.5 * math.pi * m.sinh(t)
+    weight = 0.5 * math.pi * m.cosh(t) / m.cosh(u) ** 2 * (1.0 - 0.5 * (t == 0))
+    return 2.0 / (m.exp(2.0 * u) + 1.0), weight  # 1 - tanh(u) without cancellation
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh(level: int) -> tuple:
+    """The nodes of a level as read-only numpy arrays."""
+    import numpy as np
+
+    delta, weight = _node(np.array(_level(level)), np)
     delta.setflags(write=False)
     weight.setflags(write=False)
     return delta, weight
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_floats(level: int, a: float, b: float) -> tuple[list, list]:
+    """The distinct nodes of a level on [a, b], each with its weights summed, times half the length."""
+    half, weights = 0.5 * (b - a), {}
+    for t in _level(level):
+        delta, weight = _node(t, math)
+        for x in (a + half * delta, b - half * delta):
+            weights[x] = weights.get(x, 0.0) + half * weight
+    return list(weights), list(weights.values())
+
+
+def _not_converged(a: float, b: float, estimate: float, difference: float) -> NumericalError:
+    return NumericalError(
+        f"tanh-sinh on [{a}, {b}] did not converge: last estimate {estimate:.6g}, difference {difference:.3g}"
+    )
 
 
 def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> Quadrature:
@@ -84,6 +111,8 @@ def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> 
     Endpoint singularities are integrable as long as f is finite at every
     interior point: no node falls on an end.
     """
+    import numpy as np
+
     if a == b:
         return Quadrature(0.0, 0.0)
     columns = [v[..., None] if isinstance(v, np.ndarray) else v for v in args]
@@ -95,8 +124,7 @@ def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> 
         fx = f(np.concatenate((a + half * delta, b - half * delta)), *columns)
         return half * (fx[..., :n] + fx[..., n:])
 
-    value = error = 0.0
-    done = False  # per row: accepted at an earlier level
+    done = None  # rows of a batch accepted at an earlier level
     # overflow, underflow and 0/0 at far nodes surface as inf or nan, which
     # fail the comparison instead of printing warnings
     with np.errstate(all="ignore"):
@@ -113,14 +141,42 @@ def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> 
                 total = total + np.vecdot(g(delta), weight)
             est = total * TS_STEP / 2**level
             diff = abs(est - prev)
-            # [()] makes a float call's 0-d results floats again
-            value, error = np.where(done, value, est)[()], np.where(done, error, diff)[()]
-            done = done | (diff <= abs_tol) | (diff <= REL_TOL * abs(est))
-            if done.all():
-                return Quadrature(value, error)
-            prev = est
-    first = np.flatnonzero(~done)[0]
-    raise NumericalError(
-        f"tanh-sinh on [{a}, {b}] did not converge:"
-        f" last estimate {np.ravel(prev)[first]:.6g}, difference {np.ravel(diff)[first]:.3g}"
-    )
+            if done is not None:  # they keep the estimate and error of the level that accepted them
+                est[done], diff[done] = prev[done], error[done]
+            ok = (diff <= abs_tol) | (diff <= REL_TOL * abs(est))
+            if ok.all():
+                return Quadrature(est, diff)
+            if ok.any():
+                done = ok
+            prev, error = est, diff
+    first = np.flatnonzero(~ok)[0]
+    raise _not_converged(a, b, np.ravel(prev)[first], np.ravel(diff)[first])
+
+
+def tanh_sinh_rows(f: Callable[..., list], a: float, b: float, *args, abs_tol: float = 0.0) -> list[Quadrature]:
+    """tanh_sinh in `math` for the rows of one integrand: a Quadrature per row.
+
+    f(x, *args) gets the distinct nodes x as a list and returns a list of
+    values per row.  An OverflowError, ZeroDivisionError or ValueError of
+    `math`, where numpy gives inf or nan, raises NumericalError.
+    """
+
+    def level_sums(level):
+        x, weight = _tanh_sinh_floats(level, a, b)
+        return [sum(map(mul, row, weight)) for row in f(x, *args)]
+
+    try:
+        total = level_sums(0)
+        est, accepted = [v * TS_STEP for v in total], [None] * len(total)
+        for level in range(1, TS_LEVELS):
+            total = list(map(add, total, level_sums(level)))
+            prev, est = est, [v * TS_STEP / 2**level for v in total]
+            diff = [abs(e - p) for e, p in zip(est, prev)]
+            accepted = [q or (Quadrature(e, d) if d <= abs_tol or d <= REL_TOL * abs(e) else None)
+                        for q, e, d in zip(accepted, est, diff)]
+            if all(accepted):
+                return accepted
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise NumericalError(f"tanh-sinh on [{a}, {b}] did not converge: {exc}") from exc
+    first = accepted.index(None)
+    raise _not_converged(a, b, est[first], diff[first])

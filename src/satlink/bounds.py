@@ -9,8 +9,8 @@ either from a Fresnel-number argument or from the root of upper-bound = 0.
 
 The thermal bounds take B at the transmissivity eta and at the thermal
 photon number nbar.  `loss_bounds` gives both for a list of fading models,
-with their beam-wandering integrals in one batch; a bounds sweep hands
-those to its points.
+with their beam-wandering integrals in one numpy batch; a bounds sweep hands
+those to its points.  `model_bounds` gives both for one model in `math`.
 """
 
 from __future__ import annotations
@@ -58,6 +58,19 @@ def _wander(t, s, g, eta):
     return low + high / (rate * t)
 
 
+def _wander_rows(t, s, g, etas):
+    """_wander in `math` at the nodes t: a list of values per eta of etas
+    (one or two), which share the transcendentals of each node."""
+    rate, inv_g, g1, exp, log = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp, math.log
+    e1, e2, rows = etas[0], etas[-1], ([], [])
+    for u in t:
+        p, x = u**g1, 1.0 - log(u) / rate
+        low, q, high, e = exp(-s * u) * g * p, exp(p * u), exp(-s * x**inv_g - x) / (rate * u), exp(-x)
+        rows[0].append(low / (q - e1) + high / (1.0 - e1 * e))
+        rows[1].append(low / (q - e2) + high / (1.0 - e2 * e))
+    return rows[: len(etas)]
+
+
 def _wander_integral(eta, sigma2, gamma, r0):
     """The integral I of the beam-wandering factor Delta(eta, sigma) in (0, 1].
 
@@ -84,16 +97,13 @@ def _bound(eta: float, integral: float) -> float:
 
 def _integrals(rows: list[tuple[float, FadingModel]]) -> list[float]:
     """The wander integral I at each (eta, model) row: 0.0 without wander,
-    the others as the rows of one batch.  A lone row is integrated as
-    floats, in three quarters of the time of a batch of one (33 against
-    45 us on a 2-core Xeon, numpy 2.4)."""
+    the others as the rows of one batch."""
     wander = [(eta, m.sigma2, m.gamma, m.r0) for eta, m in rows if m.sigma2 != 0.0]
-    if len(wander) > 1:
+    if wander:
         import numpy as np
 
-        values = iter(_wander_integral(*map(np.array, zip(*wander))).tolist())
-    else:
-        values = iter([float(_wander_integral(*row)) for row in wander])
+        wander = _wander_integral(*map(np.array, zip(*wander))).tolist()
+    values = iter(wander)
     return [next(values) if m.sigma2 != 0.0 else 0.0 for _, m in rows]
 
 
@@ -110,6 +120,18 @@ def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, flo
     rows = [(x, m) for m, ok in zip(models, live) for x in (m.eta, nbar)[: 1 + ok]]
     integrals = iter(_integrals(rows))
     return [(_bound(m.eta, next(integrals)), _bound(nbar, next(integrals)) if ok else 0.0) for m, ok in zip(models, live)]
+
+
+def model_bounds(model: FadingModel, nbar: float) -> tuple[float, float]:
+    """loss_bounds([model], nbar)[0] to rounding, its wander integrals the rows of one tanh_sinh_rows call."""
+    from . import _integrate
+
+    live = 0.0 < nbar < model.eta
+    integrals = [0.0, 0.0]
+    if model.sigma2 != 0.0:
+        args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, (model.eta, nbar)[: 1 + live]
+        integrals = [q.value for q in _integrate.tanh_sinh_rows(_wander_rows, 0.0, 1.0, *args, abs_tol=1e-12)]
+    return _bound(model.eta, integrals[0]), _bound(nbar, integrals[1]) if live else 0.0
 
 
 def bound_b_model(model: FadingModel) -> float:
@@ -177,16 +199,16 @@ def fresnel_range(waist: float, wavelength: float, aperture: float, n_background
 def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRangeResult:
     """Maximum slant range (m) for secure key distribution at zenith.
 
-    Locates the zero of the thermal-loss upper bound B - T by bisection on
-    the geometry supplied by build_model, with the bracket grown
-    geometrically from Z_LO up to the cap Z_HI.
+    Locates the zero of the thermal-loss upper bound B - T (thermal_upper on
+    model_bounds, once per probe) by bisection on the geometry supplied by
+    build_model, with the bracket grown geometrically from Z_LO up to Z_HI.
     """
     if nbar >= 1.0:
         return MaxRangeResult(0.0)
 
     def upper_at(z: float) -> float:
         model = build_model(z)
-        return thermal_upper(nbar, model, *loss_bounds([model], nbar)[0])
+        return thermal_upper(nbar, model, *model_bounds(model, nbar))
 
     if upper_at(Z_LO) <= 0.0:
         return MaxRangeResult(0.0)

@@ -6,11 +6,13 @@ the sign of t, so a pass runs from -t_T/2 (front horizon) to +t_T/2.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, Sequence
 
 from .beam import plob
+from .errors import NumericalError
 from .geometry import MU_EARTH, R_EARTH, slant_orbital, slant_range
 
 SECONDS_PER_DAY = 86400.0
@@ -99,48 +101,24 @@ def slice_orbit(
     return list(zip(angles[:-1], angles[1:]))
 
 
-def golden_section(
-    fn: Callable[[float], float], a: float, b: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section search for a minimum of fn on [a, b].
-
-    Shrinks the bracket until it is no wider than tol; returns its midpoint
-    and the smallest of the last two interior values.  Deterministic.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b), min(fc, fd)
-
-
-def slice_min_rate(rate_fn: Callable[[float], float], lo: float, hi: float) -> float:
-    """Worst-case rate within one slice.
-
-    For a circular orbit the minimum sits at the endpoint of larger |theta|;
-    a golden-section probe of the interior guards against that assumption.
-    """
-    endpoint = min(rate_fn(lo), rate_fn(hi))
-    _, interior = golden_section(rate_fn, lo, hi, 1e-4)
-    return min(endpoint, interior)
-
-
 def orbital_rate(
     rate_fn: Callable[[float], float], slices: Sequence[tuple[float, float]]
 ) -> tuple[float, list[float]]:
-    """Average orbital rate (1/n) sum_i max(0, R_i) and the per-slice minima."""
+    """Average orbital rate (1/n) sum_i max(0, R_i) and the per-slice minima R_i.
+
+    R_i is the smaller edge rate, as the rate does not rise with |theta|: a
+    slice's midpoint rate below it raises NumericalError.  The rate depends on
+    |theta| only, and each distinct |theta| is evaluated once."""
     if not slices:
         raise ValueError("empty slice list")
-    per_slice = [slice_min_rate(rate_fn, lo, hi) for lo, hi in slices]
+    rate = functools.cache(rate_fn)
+    per_slice = []
+    for lo, hi in slices:
+        per_slice.append(min(rate(abs(lo)), rate(abs(hi))))
+        if rate(abs(0.5 * (lo + hi))) < per_slice[-1]:
+            raise NumericalError(
+                f"the rate in the middle of the slice [{lo:.6g}, {hi:.6g}] lies below the rates at its ends"
+            )
     avg = sum(max(0.0, r) for r in per_slice) / len(per_slice)
     return avg, per_slice
 

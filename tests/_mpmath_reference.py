@@ -1,4 +1,4 @@
-"""The slant range, the extinction line of sight and the turbulence columns in mpmath at 40 digits.
+"""The slant range, the extinction line of sight, the turbulence columns and the wander integral in mpmath at 40 digits.
 
 Written from the model's formulas, independently of satlink's code: a
 spherical Earth of radius R, a path cut where it reaches 200 km, and the
@@ -73,3 +73,13 @@ def column(p: str, kind: str, a_ground: float, windspeed: float, hs_c1: float, h
         power = mp.mpf(mp.fraction(*map(int, p.split("/")))) if "/" in p else mp.mpf(p)
         edges = [0, 100, 1000, 3000, 1e4, 3e4, 1e5, mp.inf]
         return mp.quad(lambda h: h**power * cn2(h, kind, a_ground, windspeed, hs_c1, hs_c2), edges)
+
+
+@lru_cache(maxsize=None)
+def wander_integral(eta: float, sigma2: float, gamma: float, r0: float):
+    """The integral I of the beam-wandering factor Delta = 1 + (eta / ln(1 - eta)) I:
+    over x in [0, inf) of exp(-(r0^2 / 2 sigma^2) x^(2 / gamma)) / (e^x - eta)."""
+    with mp.workdps(DIGITS):
+        s = mp.mpf(r0) ** 2 / (2 * mp.mpf(sigma2))
+        power = 2 / mp.mpf(gamma)
+        return mp.quad(lambda x: mp.exp(-s * x**power) / (mp.exp(x) - mp.mpf(eta)), [0, 1, mp.inf])

@@ -20,7 +20,7 @@ Two kinds of code live here:
   (a second spelling of the column Scenario.bounds_at computes), the
   unfaded composable rate, the speckle count, the uplink planar
   coefficients, the general-attack parameter set, the local-oscillator
-  noise and the (mu, phi) protocol optimizer.
+  noise and the (mu, phi) protocol optimizer with its golden-section search.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from satlink.cvqkd import (
     worst_case_nbar,
 )
 from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_radius2
-from satlink.orbit import golden_section
 from satlink.scenario import Scenario
 from satlink.turbulence import SpotSizes, TurbulenceProfile, i_infty, spot_sizes
 
@@ -637,6 +636,30 @@ def llo_noise(sigma_x2: float, clock_hz: float, linewidth_hz: float, tau: float)
         raise ValueError("clock must be positive")
     eps = 2.0 * math.pi * sigma_x2 * linewidth_hz / clock_hz
     return LloNoise(eps, tau * eps / 2.0)
+
+
+def golden_section(
+    fn: Callable[[float], float], a: float, b: float, tol: float
+) -> tuple[float, float]:
+    """Golden-section search for a minimum of fn on [a, b].
+
+    Shrinks the bracket until it is no wider than tol; returns its midpoint
+    and the smallest of the last two interior values.  Deterministic.
+    """
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b), min(fc, fd)
 
 
 class OptimizeResult(NamedTuple):

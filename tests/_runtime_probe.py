@@ -3,11 +3,12 @@
     python tests/_runtime_probe.py
 
 numpy must stay unloaded through `import satlink`, `show-config`, the README
-`rate` and `pass` commands and a configuration error; the README `bounds`
-command, which integrates the beam wander, must load it, which shows that
-the probe sees numpy load.  Exits 0 if so, and names the first command that
-does not.  It runs whichever satlink the interpreter imports: the sources
-under PYTHONPATH, or the installed package.
+`rate`, `pass` and `max-range --mode tight` commands and a configuration
+error; the README `bounds` command, which integrates the beam wander in a
+numpy batch, must load it, which shows that the probe sees numpy load.
+Exits 0 if so, and names the first command that does not.  It runs
+whichever satlink the interpreter imports: the sources under PYTHONPATH, or
+the installed package.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ COMMANDS = (
     (False, 0, ["rate", "--h", "530km", "--theta-grid", "0:0.5:3"]),
     (False, 0, ["pass", "--h", "530km", "--blocks", "10", *README_SET]),
     (False, 2, ["rate", "--h", "530km", "--theta-grid", "0:0.5:3", "--set", "atmosphere.alpha0=-1"]),
+    (False, 0, ["max-range", "--mode", "tight", "--set", "scenario.link=up", "--set", "scenario.period=day"]),
     (True, 0, ["bounds", "--h-grid", "100km:36000km:40:log", "--theta", "0", "--theta", "1",
                "--set", "scenario.link=up", "--set", "scenario.period=day"]),
 )

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +9,10 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import ConfigError, NumericalError, Scenario
+from satlink import ConfigError, NumericalError, Scenario, bounds
 from satlink.beam import plob
 from satlink.cli import main
-from satlink.bounds import bound_b_model, entropy_h, loss_bounds, thermal_correction, thermal_lower
+from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_correction, thermal_lower
 from satlink.fading import FadingModel
 from _reference import (
     average_phi_thermal,
@@ -235,6 +237,47 @@ class TestSlowDetectionBound:
             k_slow = plob(eta_slow(s, night_up.receiver, atm))
             cap = (2.0 / LN2) * night_up.receiver.aperture**2 / (s.w_lt**2 + s.sigma_p2)
             assert k_slow <= cap
+
+
+def zenith_models():
+    """(model, nbar) at zenith of the 32 configurations x {default, 0.1 pm}
+    filters, from 10 km to 1e6 km, wherever fading_model returns."""
+    configs = itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy"))
+    for (setup, *fields), filt in itertools.product(configs, ({}, {"filter_width": 1e-13})):
+        scn = Scenario.build(*fields, setup=setup, receiver=filt)
+        for z in np.geomspace(1e4, 1e9, 11).tolist():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    model = scn.fading_model(z, 0.0)
+            except NumericalError:  # far field at 1e9 m, near field of setups 3 and 4
+                continue
+            yield model, scn.nbar
+
+
+def test_model_bounds_agree_with_the_batch(monkeypatch):
+    # the tight max-range probe's two rows in math: the batch's bounds to
+    # rounding, accepted at the same level
+    calls = {"batch": 0, "math": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(bounds, "_wander", counted("batch", bounds._wander))
+    monkeypatch.setattr(bounds, "_wander_rows", counted("math", bounds._wander_rows))
+    count = 0
+    for model, nbar in zenith_models():
+        batch, rows = calls["batch"], calls["math"]
+        want = loss_bounds([model], nbar)[0]
+        got = model_bounds(model, nbar)
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        # a call per level, where the batch's first call takes two
+        assert calls["math"] - rows == calls["batch"] - batch + 1
+        count += 1
+    assert count > 600
 
 
 class TestMaxRange:

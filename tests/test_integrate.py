@@ -1,5 +1,6 @@
 """The in-repo quadrature rules and special functions against scipy oracles."""
 
+import contextlib
 import math
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import Quadrature, tanh_sinh
+from satlink._integrate import Quadrature, tanh_sinh, tanh_sinh_rows
 from satlink.atmosphere import LAGUERRE
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
@@ -289,6 +290,70 @@ class TestBatches:
         scale = np.array([1.0, np.nan, 1.0])
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 2.0\]"):
             tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, 2.0, scale)
+
+
+def powers(x, p):
+    """x^(-q) at the nodes x, a row for each q of p, in math."""
+    return [[u**-q for u in x] for q in p]
+
+
+def levels_taken(rule, f, *args) -> int:
+    """How many levels a rule evaluates on [0, 1] before it returns or raises."""
+    calls = []
+
+    def counted(x, *rest):
+        calls.append(x)
+        return f(x, *rest)
+
+    with contextlib.suppress(NumericalError):
+        rule(counted, 0.0, 1.0, *args)
+    return len(calls) + (rule is tanh_sinh)  # whose first call takes two levels
+
+
+class TestRowsInMath:
+    """tanh_sinh_rows: tanh_sinh in math, for the rows of one integrand."""
+
+    P = [0.5, 0.3, 0.75, 0.76]  # x^(-p) on [0, 1], accepted at steps 1/16, 1/16, 1/64 and 1/128
+
+    def test_rows_agree_with_the_batch(self):
+        rows = tanh_sinh_rows(powers, 0.0, 1.0, self.P)
+        batch = tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, np.array(self.P))
+        for i, p in enumerate(self.P):
+            assert rows[i].value == pytest.approx(batch.value[i], rel=1e-14, abs=0.0)
+            assert rows[i].value == pytest.approx(1.0 / (1.0 - p), rel=2e-9)
+
+    def test_each_row_is_accepted_at_its_own_level(self):
+        # a row gets what its own call returns, at the level the numpy rule accepts it
+        rows = tanh_sinh_rows(powers, 0.0, 1.0, self.P)
+        levels = []
+        for i, p in enumerate(self.P):
+            assert tanh_sinh_rows(powers, 0.0, 1.0, [p]) == [rows[i]]
+            levels.append(levels_taken(tanh_sinh_rows, powers, [p]))
+            assert levels[-1] == levels_taken(tanh_sinh, lambda x, p: x**-p, p)
+        assert len(set(levels)) > 2
+
+    def test_divergent_row_raises_the_batch_error(self):
+        # rows 2 and 3 diverge: the first one's message, as the numpy rule words it
+        p = [0.5, 0.3, 1.0, 1.2]
+        with pytest.raises(NumericalError) as rows:
+            tanh_sinh_rows(powers, 0.0, 1.0, p)
+        with pytest.raises(NumericalError) as batch:
+            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, np.array(p))
+        assert str(rows.value) == str(batch.value)
+        assert levels_taken(tanh_sinh_rows, powers, p) == levels_taken(tanh_sinh, lambda x, p: x**-p, np.array(p))
+
+    @pytest.mark.parametrize("f", [
+        lambda x: [[math.exp(1e3 * u) for u in x]],  # OverflowError
+        lambda x: [[1.0 / (u - 0.5) for u in x]],     # ZeroDivisionError at the middle node
+        lambda x: [[math.log(u - 0.5) for u in x]],   # ValueError
+    ])
+    def test_math_errors_are_numerical_errors(self, f):
+        # where numpy gives inf or nan, and fails to converge
+        with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 1.0\] did not converge"):
+            tanh_sinh_rows(f, 0.0, 1.0)
+
+    def test_empty_rows(self):
+        assert tanh_sinh_rows(lambda x: [], 0.0, 1.0) == []
 
 
 BESSEL_GRID = [0.0, 2e-8, 1e-6, 4.9e-6, 1e-4, 0.01, 0.38, 1.0, 4.0, 8.0, 8.5, 15.0, 30.0, 60.0]

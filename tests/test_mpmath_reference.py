@@ -1,21 +1,28 @@
-"""The slant range, eta_atm and the turbulence columns against mpmath at 40 digits.
+"""The slant range, eta_atm, the turbulence columns and the wander integral against mpmath at 40 digits.
 
 Budgets: the slant range within 5e-16 relative on h in [1 m, 1e9 m] and
 theta in [0, pi/2]; eta_atm within 1e-14 relative everywhere in [0, pi/2], and the
 Gauss-Laguerre line of sight within 1e-15 relative up to its switches;
-both columns within 1e-14 relative on every profile.
+both columns within 1e-14 relative on every profile; the wander integral
+within REL_TOL, by the numpy rule and by the one in math, on the
+documented domain.
 """
 
+import itertools
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlink import _integrate
-from satlink._integrate import tanh_sinh
+from satlink._integrate import REL_TOL, tanh_sinh, tanh_sinh_rows
 from satlink.atmosphere import BRANCH_MIN, TOP_MIN, ExtinctionModel, _line_of_sight, eta_atm
+from satlink.bounds import _wander_integral, _wander_rows
+from satlink.errors import NumericalError
 from satlink.geometry import R_EARTH, slant_range
+from satlink.scenario import Scenario
 from satlink.turbulence import PROFILES, _rytov_column, i_infty
 
 import _mpmath_reference as mpref
@@ -126,3 +133,26 @@ def test_columns(name):
     args = (profile.kind, profile.a_ground, profile.windspeed, profile.hs_c1, profile.hs_c2)
     assert i_infty(profile) == pytest.approx(float(mpref.column("0", *args)), rel=1e-14, abs=0.0)
     assert _rytov_column(profile) == pytest.approx(float(mpref.column("5/6", *args)), rel=1e-14, abs=0.0)
+
+
+CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(config=st.sampled_from(CONFIGS), log_h=st.floats(5.0, math.log10(36000e3)), theta=st.floats(0.0, 1.0))
+def test_wander_integral(config, log_h, theta):
+    scn = Scenario.build(*config[1:], setup=config[0])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = scn.fading_model(10.0**log_h, theta)
+    except NumericalError:  # the near field of setups 3 and 4
+        return
+    # the model's two rows, B at eta and at nbar, as a tight max-range probe takes them
+    etas = (model.eta, scn.nbar)[: 1 + (0.0 < scn.nbar < model.eta)]
+    args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, etas
+    rows = tanh_sinh_rows(_wander_rows, 0.0, 1.0, *args, abs_tol=1e-12)
+    for eta, row in zip(etas, rows):
+        want = mpref.wander_integral(eta, model.sigma2, model.gamma, model.r0)
+        assert abs(float((_wander_integral(eta, model.sigma2, model.gamma, model.r0) - want) / want)) <= REL_TOL
+        assert abs(float((row.value - want) / want)) <= REL_TOL

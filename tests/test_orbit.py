@@ -1,9 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from satlink import NumericalError, Scenario
 from satlink.beam import plob
+from satlink.cli import main
 from satlink.geometry import R_EARTH
 from satlink.orbit import (
     bits_per_day,
@@ -11,7 +14,6 @@ from satlink.orbit import (
     orbital_period,
     orbital_rate,
     repeater_rate,
-    slice_min_rate,
     slice_orbit,
     sun_sync_inclination,
     time_of_zenith,
@@ -119,15 +121,50 @@ class TestSlicing:
         assert slice_orbit(155e3, 1, 5e6, 1e10) == []
 
 
-class TestOrbitalAverage:
-    def test_worst_case_at_largest_angle(self):
-        rate = lambda th: 1.0 - abs(th)  # monotone decreasing in |theta|
-        assert slice_min_rate(rate, 0.28, 0.53) == pytest.approx(1.0 - 0.53, abs=1e-4)
-        assert slice_min_rate(rate, -0.53, -0.28) == pytest.approx(1.0 - 0.53, abs=1e-4)
+README_PASS = ["pass", "--h", "530km", "--blocks", "10",
+               "--set", "scenario.setup=2", "--set", "protocol.mu=9.28", "--set", "protocol.phi=0.73"]
 
-    def test_interior_minimum_found(self):
-        dip = lambda th: (th - 0.4) ** 2
-        assert slice_min_rate(dip, 0.28, 0.53) == pytest.approx(0.0, abs=1e-6)
+
+def dip(theta: float) -> float:
+    """A rate with its minimum inside the slice [0.28, 0.53] of the 530 km lattice."""
+    return (abs(theta) - 0.4) ** 2
+
+
+class TestOrbitalAverage:
+    def test_interior_dip_is_a_numerical_failure(self, monkeypatch, capsys):
+        with pytest.raises(NumericalError, match=r"the middle of the slice \[0\.28, 0\.53\]"):
+            orbital_rate(dip, [(0.28, 0.53)])
+        monkeypatch.setattr(Scenario, "rate_at", lambda self, h, theta, attacks: SimpleNamespace(rate=dip(theta)))
+        assert main(README_PASS) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "numerical error: the rate in the middle of the slice [-0.527064, -0.280673]"
+            " lies below the rates at its ends\n"
+        )
+
+    def test_each_distinct_angle_is_evaluated_once(self, monkeypatch, capsys):
+        # the README pass: 11 edges and 10 midpoints, of which 6 mirror another exactly
+        rate_at, angles = Scenario.rate_at, []
+
+        def counted(self, h, theta, attacks="collective"):
+            angles.append(theta)
+            return rate_at(self, h, theta, attacks)
+
+        monkeypatch.setattr(Scenario, "rate_at", counted)
+        assert main(README_PASS) == 0
+        assert len(angles) == 15 == len(set(map(abs, angles)))
+
+    @pytest.mark.parametrize("h", [155e3, 530e3, 2000e3])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 7, 10, 12])
+    def test_edges_and_midpoints_only(self, h, blocks):
+        slices = slice_orbit(h, blocks, 5e7, 1e8)
+        angles = []
+        rate = lambda th: angles.append(th) or 1.0 - abs(th)
+        _, per_slice = orbital_rate(rate, slices)
+        assert len(angles) <= 2 * len(slices) + 1 and len(set(map(abs, angles))) == len(angles)
+        # a slice's worst rate is at its edge of larger |theta|
+        assert per_slice == [1.0 - max(abs(lo), abs(hi)) for lo, hi in slices]
 
     def test_average_dominates_one_radiant_rate(self):
         rate = lambda th: max(0.0, 1.0 - abs(th))

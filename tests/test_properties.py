@@ -58,8 +58,8 @@ PASS_PROTOCOLS = [(9.28, 0.73), (9.65, 0.83), (7.0, 0.68)]
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_rate_does_not_rise_away_from_zenith(config):
-    # orbit.slice_min_rate takes a slice's worst rate at its endpoint of
-    # larger |theta|, which holds while the rate does not rise with |theta|
+    # orbit.orbital_rate takes a slice's worst rate at its edge of larger
+    # |theta|, which holds while the rate does not rise with |theta|
     theta = np.linspace(0.0, 1.0, 101).tolist()
     for mu, phi in PASS_PROTOCOLS:
         protocol = ProtocolParams(mu=mu, phi_thr=phi)

@@ -37,8 +37,8 @@ def test_runtime_does_not_import_scipy():
 
 
 def test_commands_without_arrays_do_not_import_numpy():
-    # show-config, the README rate and pass commands and a configuration
-    # error start without numpy; the README bounds command loads it
+    # show-config, the README rate, pass and max-range commands and a
+    # configuration error start without numpy; the README bounds command loads it
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
