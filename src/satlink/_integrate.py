@@ -30,16 +30,17 @@ error is far smaller for a rule that converges this fast.
 
 `tanh_sinh_rows` is the same rule in `math`, on the same nodes and levels,
 for the few rows of one integrand that share each node's work: the two
-wander integrals of a max-range probe.  Its sums run in another order, so a
-row agrees with `tanh_sinh` to rounding.  The batch rule imports numpy in
-its functions, so a command that takes no batch starts without numpy.
+wander integrals of a max-range probe.  Its integrand returns each row's
+weighted sum over a level's nodes, in its own order, so a row agrees with
+`tanh_sinh` to rounding.  The batch rule imports numpy in its functions,
+so a command that takes no batch starts without numpy.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from operator import add, mul
+from functools import cached_property, lru_cache
+from operator import add
 from typing import Callable, NamedTuple
 
 from .errors import NumericalError
@@ -88,15 +89,26 @@ def _tanh_sinh(level: int) -> tuple:
     return delta, weight
 
 
+class Nodes:
+    """A level's distinct nodes x on [a, b], their weights, and ln x (log), taken on first use."""
+
+    def __init__(self, x: list, weight: list):
+        self.x, self.weight = x, weight
+
+    @cached_property
+    def log(self) -> list:
+        return list(map(math.log, self.x))
+
+
 @lru_cache(maxsize=None)
-def _tanh_sinh_floats(level: int, a: float, b: float) -> tuple[list, list]:
-    """The distinct nodes of a level on [a, b], each with its weights summed, times half the length."""
+def _tanh_sinh_floats(level: int, a: float, b: float) -> Nodes:
+    """The nodes of a level on [a, b], each with its weights summed, times half the length."""
     half, weights = 0.5 * (b - a), {}
     for t in _level(level):
         delta, weight = _node(t, math)
         for x in (a + half * delta, b - half * delta):
             weights[x] = weights.get(x, 0.0) + half * weight
-    return list(weights), list(weights.values())
+    return Nodes(list(weights), list(weights.values()))
 
 
 def _not_converged(a: float, b: float, estimate: float, difference: float) -> NumericalError:
@@ -156,20 +168,15 @@ def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> 
 def tanh_sinh_rows(f: Callable[..., list], a: float, b: float, *args, abs_tol: float = 0.0) -> list[Quadrature]:
     """tanh_sinh in `math` for the rows of one integrand: a Quadrature per row.
 
-    f(x, *args) gets the distinct nodes x as a list and returns a list of
-    values per row.  An OverflowError, ZeroDivisionError or ValueError of
-    `math`, where numpy gives inf or nan, raises NumericalError.
+    f(nodes, *args) gets a level's Nodes and returns each row's sum of
+    weight * f(x) over them.  An OverflowError, ZeroDivisionError or
+    ValueError of `math`, where numpy gives inf or nan, raises NumericalError.
     """
-
-    def level_sums(level):
-        x, weight = _tanh_sinh_floats(level, a, b)
-        return [sum(map(mul, row, weight)) for row in f(x, *args)]
-
     try:
-        total = level_sums(0)
+        total = f(_tanh_sinh_floats(0, a, b), *args)
         est, accepted = [v * TS_STEP for v in total], [None] * len(total)
         for level in range(1, TS_LEVELS):
-            total = list(map(add, total, level_sums(level)))
+            total = list(map(add, total, f(_tanh_sinh_floats(level, a, b), *args)))
             prev, est = est, [v * TS_STEP / 2**level for v in total]
             diff = [abs(e - p) for e, p in zip(est, prev)]
             accepted = [q or (Quadrature(e, d) if d <= abs_tol or d <= REL_TOL * abs(e) else None)

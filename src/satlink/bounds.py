@@ -10,7 +10,8 @@ either from a Fresnel-number argument or from the root of upper-bound = 0.
 The thermal bounds take B at the transmissivity eta and at the thermal
 photon number nbar.  `loss_bounds` gives both for a list of fading models,
 with their beam-wandering integrals in one numpy batch; a bounds sweep hands
-those to its points.  `model_bounds` gives both for one model in `math`.
+those to its points.  `model_bounds` gives both for one model in `math`,
+adding up the two integrands in one loop over each level's nodes.
 """
 
 from __future__ import annotations
@@ -58,17 +59,17 @@ def _wander(t, s, g, eta):
     return low + high / (rate * t)
 
 
-def _wander_rows(t, s, g, etas):
-    """_wander in `math` at the nodes t: a list of values per eta of etas
-    (one or two), which share the transcendentals of each node."""
-    rate, inv_g, g1, exp, log = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp, math.log
-    e1, e2, rows = etas[0], etas[-1], ([], [])
-    for u in t:
-        p, x = u**g1, 1.0 - log(u) / rate
+def _wander_rows(nodes, s, g, etas):
+    """_wander in `math` summed over the Nodes of a tanh_sinh_rows level, weighted, in node
+    order: a sum per eta of etas (one or two), which share each node's transcendentals."""
+    rate, inv_g, g1, exp = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp
+    e1, e2, sum1, sum2 = etas[0], etas[-1], 0.0, 0.0
+    for u, w, ln_u in zip(nodes.x, nodes.weight, nodes.log):
+        p, x = u**g1, 1.0 - ln_u / rate
         low, q, high, e = exp(-s * u) * g * p, exp(p * u), exp(-s * x**inv_g - x) / (rate * u), exp(-x)
-        rows[0].append(low / (q - e1) + high / (1.0 - e1 * e))
-        rows[1].append(low / (q - e2) + high / (1.0 - e2 * e))
-    return rows[: len(etas)]
+        sum1 += (low / (q - e1) + high / (1.0 - e1 * e)) * w
+        sum2 += (low / (q - e2) + high / (1.0 - e2 * e)) * w
+    return [sum1, sum2][: len(etas)]
 
 
 def _wander_integral(eta, sigma2, gamma, r0):
@@ -199,16 +200,16 @@ def fresnel_range(waist: float, wavelength: float, aperture: float, n_background
 def max_range(build_model: Callable[[float], FadingModel], nbar: float) -> MaxRangeResult:
     """Maximum slant range (m) for secure key distribution at zenith.
 
-    Locates the zero of the thermal-loss upper bound B - T (thermal_upper on
-    model_bounds, once per probe) by bisection on the geometry supplied by
-    build_model, with the bracket grown geometrically from Z_LO up to Z_HI.
+    Locates the zero of the thermal-loss upper bound B - T (thermal_upper once per
+    probe, on model_bounds where nbar < eta) by bisection on the geometry supplied
+    by build_model, with the bracket grown geometrically from Z_LO up to Z_HI.
     """
     if nbar >= 1.0:
         return MaxRangeResult(0.0)
 
     def upper_at(z: float) -> float:
-        model = build_model(z)
-        return thermal_upper(nbar, model, *model_bounds(model, nbar))
+        model = build_model(z)  # thermal_upper reads no B where nbar >= eta
+        return thermal_upper(nbar, model, *model_bounds(model, nbar) if nbar < model.eta else (0.0, 0.0))
 
     if upper_at(Z_LO) <= 0.0:
         return MaxRangeResult(0.0)

@@ -7,6 +7,7 @@ Two kinds of code live here:
   inverse), fading averages by direct quadrature (the lower bound
   with its entropy penalty averaged over fading among them), the
   beam-wandering factor Delta and the thermal upper bound of one model,
+  the tight max-range kernel with a value list per row and its sums apart,
   C_n^2 on arrays of altitudes and its integrals by panels below 100 km, the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
@@ -380,6 +381,31 @@ def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
     if sigma2 == 0.0:
         return 1.0
     return 1.0 + eta / math.log1p(-eta) * _wander_integral(eta, sigma2, gamma, r0)
+
+
+def wander_rows(t, s, g, etas):
+    """The tight max-range kernel before its sums were fused: bounds._wander in
+    math at the nodes t, a list of values per eta of etas (one or two)."""
+    rate, inv_g, g1, exp, log = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp, math.log
+    e1, e2, rows = etas[0], etas[-1], ([], [])
+    for u in t:
+        p, x = u**g1, 1.0 - log(u) / rate
+        low, q, high, e = exp(-s * u) * g * p, exp(p * u), exp(-s * x**inv_g - x) / (rate * u), exp(-x)
+        rows[0].append(low / (q - e1) + high / (1.0 - e1 * e))
+        rows[1].append(low / (q - e2) + high / (1.0 - e2 * e))
+    return rows[: len(etas)]
+
+
+def wander_sums(nodes, s, g, etas):
+    """wander_rows as a tanh_sinh_rows integrand: each row's weighted sum, added
+    left to right (sum() compensates its additions from Python 3.12 on)."""
+    sums = []
+    for row in wander_rows(nodes.x, s, g, etas):
+        total = 0.0
+        for value, weight in zip(row, nodes.weight):
+            total += value * weight
+        sums.append(total)
+    return sums
 
 
 def upper_bound(nbar: float, model: FadingModel) -> float:

@@ -9,7 +9,7 @@ import scipy.integrate
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink import ConfigError, NumericalError, Scenario, bounds
+from satlink import ConfigError, NumericalError, Scenario, _integrate, bounds
 from satlink.beam import plob
 from satlink.cli import main
 from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_correction, thermal_lower
@@ -25,6 +25,7 @@ from _reference import (
     thermal_lower_middle,
     upper_bound,
     wander_delta,
+    wander_sums,
 )
 
 
@@ -278,6 +279,61 @@ def test_model_bounds_agree_with_the_batch(monkeypatch):
         assert calls["math"] - rows == calls["batch"] - batch + 1
         count += 1
     assert count > 600
+
+
+def test_fused_sums_are_the_reference_kernels():
+    # the one loop over the nodes adds up the old kernel's values in node
+    # order: the same doubles, level by level
+    count = 0
+    for model, nbar in zenith_models():
+        if model.sigma2 == 0.0:
+            continue
+        etas = (model.eta, nbar)[: 1 + (0.0 < nbar < model.eta)]
+        args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, etas
+        for level in (0, 1):
+            nodes = _integrate._tanh_sinh_floats(level, 0.0, 1.0)
+            assert bounds._wander_rows(nodes, *args) == wander_sums(nodes, *args)
+        count += 1
+    assert count > 600
+
+
+TIGHT_CASES = list(itertools.product(
+    (1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy"), ({}, {"filter_width": 1e-13})))
+
+
+def test_max_range_with_the_reference_kernel(monkeypatch):
+    # the 64 tight solves, found, capped or failed, come out the same with the
+    # old kernel; every probe calls thermal_upper once, and model_bounds
+    # only where nbar < eta
+    probes = {"upper": 0, "b": 0, "dead": 0}
+    thermal_upper, model_bounds = bounds.thermal_upper, bounds.model_bounds
+
+    def counted_upper(nbar, model, *b):
+        probes["upper"] += 1
+        probes["dead"] += not nbar < model.eta
+        return thermal_upper(nbar, model, *b)
+
+    def counted_bounds(model, nbar):
+        probes["b"] += 1
+        return model_bounds(model, nbar)
+
+    def solve(setup, link, period, sky, filt):
+        scn = Scenario.build(link, period, sky, setup=setup, receiver=filt)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return scn.max_range("tight")
+        except NumericalError as exc:
+            return str(exc)
+
+    monkeypatch.setattr(bounds, "thermal_upper", counted_upper)
+    monkeypatch.setattr(bounds, "model_bounds", counted_bounds)
+    fused = [solve(*case) for case in TIGHT_CASES]
+    assert probes["b"] == probes["upper"] - probes["dead"] and probes["dead"] > 0
+    monkeypatch.setattr(bounds, "_wander_rows", wander_sums)
+    assert [solve(*case) for case in TIGHT_CASES] == fused
+    assert sum(isinstance(r, str) for r in fused) == 2
+    assert sum(not isinstance(r, str) and r.capped for r in fused) > 0
 
 
 class TestMaxRange:

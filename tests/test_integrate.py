@@ -292,9 +292,9 @@ class TestBatches:
             tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, 2.0, scale)
 
 
-def powers(x, p):
-    """x^(-q) at the nodes x, a row for each q of p, in math."""
-    return [[u**-q for u in x] for q in p]
+def powers(nodes, p):
+    """The weighted sums of x^(-q) over a node table, a sum for each q of p, in math."""
+    return [sum(w * u**-q for u, w in zip(nodes.x, nodes.weight)) for q in p]
 
 
 def levels_taken(rule, f, *args) -> int:
@@ -311,7 +311,8 @@ def levels_taken(rule, f, *args) -> int:
 
 
 class TestRowsInMath:
-    """tanh_sinh_rows: tanh_sinh in math, for the rows of one integrand."""
+    """tanh_sinh_rows: tanh_sinh in math, for the rows of one integrand, which
+    returns each row's weighted sum over a level's node table."""
 
     P = [0.5, 0.3, 0.75, 0.76]  # x^(-p) on [0, 1], accepted at steps 1/16, 1/16, 1/64 and 1/128
 
@@ -343,14 +344,36 @@ class TestRowsInMath:
         assert levels_taken(tanh_sinh_rows, powers, p) == levels_taken(tanh_sinh, lambda x, p: x**-p, np.array(p))
 
     @pytest.mark.parametrize("f", [
-        lambda x: [[math.exp(1e3 * u) for u in x]],  # OverflowError
-        lambda x: [[1.0 / (u - 0.5) for u in x]],     # ZeroDivisionError at the middle node
-        lambda x: [[math.log(u - 0.5) for u in x]],   # ValueError
+        lambda nodes: [sum(math.exp(1e3 * u) for u in nodes.x)],  # OverflowError
+        lambda nodes: [sum(1.0 / (u - 0.5) for u in nodes.x)],     # ZeroDivisionError at the middle node
+        lambda nodes: [sum(math.log(u - 0.5) for u in nodes.x)],   # ValueError
     ])
     def test_math_errors_are_numerical_errors(self, f):
         # where numpy gives inf or nan, and fails to converge
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 1.0\] did not converge"):
             tanh_sinh_rows(f, 0.0, 1.0)
+
+    def test_negative_ends(self):
+        # the table takes no log of its negative nodes unless the integrand asks for it
+        def squares(nodes):
+            return [sum(w * u * u for u, w in zip(nodes.x, nodes.weight))]
+
+        (row,) = tanh_sinh_rows(squares, -2.0, -1.0)
+        assert row.value == pytest.approx(tanh_sinh(lambda x: x * x, -2.0, -1.0).value, rel=1e-14, abs=0.0)
+        assert row.value == pytest.approx(7.0 / 3.0, rel=1e-14)
+
+    def test_log_is_taken_once_per_table(self):
+        tables = []
+
+        def logs(nodes):
+            tables.append((nodes, nodes.log))
+            return powers(nodes, [0.5])
+
+        tanh_sinh_rows(logs, 0.0, 1.0)
+        first = len(tables)
+        tanh_sinh_rows(logs, 0.0, 1.0)
+        for (nodes, log), (_, again) in zip(tables, tables[first:]):
+            assert again is log and log == [math.log(u) for u in nodes.x]
 
     def test_empty_rows(self):
         assert tanh_sinh_rows(lambda x: [], 0.0, 1.0) == []
