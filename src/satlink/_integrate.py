@@ -2,8 +2,7 @@
 
 `tanh_sinh` is the double-exponential rule of Takahasi & Mori (1974) on a
 finite [a, b], with a step-halving convergence check.  It integrates the
-beam-wandering factor of the bounds, and the lines of sight that the
-Gauss-Laguerre rule does not take.  It takes integrable endpoint
+beam-wandering factors of a bounds sweep.  It takes integrable endpoint
 singularities (u^(gamma/2 - 1)) and integrands whose scale is not known in
 advance.  An infinite range is mapped onto a finite one by the caller, as
 the wander tail is by t = exp(-rate (x - 1)).
@@ -29,11 +28,12 @@ error estimate; the value returned is the finer of the pair, whose own
 error is far smaller for a rule that converges this fast.
 
 `tanh_sinh_rows` is the same rule in `math`, on the same nodes and levels,
-for the few rows of one integrand that share each node's work: the two
-wander integrals of a max-range probe.  Its integrand returns each row's
-weighted sum over a level's nodes, in its own order, so a row agrees with
-`tanh_sinh` to rounding.  The batch rule imports numpy in its functions,
-so a command that takes no batch starts without numpy.
+for the few rows of one integrand that share each node's work: a max-range
+probe's two wander integrals, or a line of sight that Gauss-Laguerre does
+not take, both on [0, 1] (one node table per level).  Its integrand returns
+each row's weighted sum over a level's nodes, in order, so a row agrees
+with `tanh_sinh` to rounding.  The batch rule imports numpy in its
+functions, so a command that takes no batch starts without numpy.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from operator import add
 from typing import Callable, NamedTuple
 
 from .errors import NumericalError
-
-Integrand = Callable[..., "np.ndarray"]
 
 REL_TOL = 1e-10
 # tanh-sinh: t in [-T_MAX, T_MAX] with step TS_STEP / 2**level; at T_MAX the
@@ -117,7 +115,7 @@ def _not_converged(a: float, b: float, estimate: float, difference: float) -> Nu
     )
 
 
-def tanh_sinh(f: Integrand, a: float, b: float, *args, abs_tol: float = 0.0) -> Quadrature:
+def tanh_sinh(f: Callable[..., "np.ndarray"], a: float, b: float, *args, abs_tol: float = 0.0) -> Quadrature:
     """Double-exponential rule on the finite interval [a, b].
 
     Endpoint singularities are integrable as long as f is finite at every

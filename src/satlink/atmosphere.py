@@ -24,8 +24,8 @@ short path, G(0) - e^(-s_top) G(s_top) cancels.  So the rule takes a line
 of sight whose branch lies BRANCH_MIN scale heights below the ground or
 more (|theta| <= 1.3427 rad at the default scale height), and that rises
 TOP_MIN scale heights or more.  Any other line of sight, up to the
-horizon, is integrated by tanh-sinh in the slant range y, along which the
-altitude h(y) is analytic.
+horizon, takes tanh-sinh in `math`, in y = path * t for t in [0, 1], along
+which the altitude h(y) is analytic.
 
 `LAGUERRE` is the 8-node Gauss-Laguerre rule, the integral over [0, inf)
 of e^(-x) f(x) as the sum of w f(x) over its (x, w) pairs.  It is exact for
@@ -72,11 +72,15 @@ class ExtinctionModel(Checked):
     h_scale: float = param(6600.0, POSITIVE)     # decay scale height, m
 
 
-def _extinction(y, cos_theta, h_scale):
-    """exp(-h / h_scale) at the slant ranges y, an array of quadrature nodes."""
-    import numpy as np
-
-    return np.exp(-geometry.path_altitude(y, cos_theta) / h_scale)
+def _extinction_rows(nodes, path, cos_theta, h_scale):
+    """A line of sight's one row: exp(-h(y) / h_scale) at y = path * t over the Nodes t of [0, 1], weighted."""
+    total, exp, sqrt, r2 = 0.0, math.exp, math.sqrt, R_EARTH**2
+    for t, w in zip(nodes.x, nodes.weight):
+        y = path * t
+        # h = sqrt(R^2 + rise) - R without cancellation, so h > 0 for any y > 0
+        rise = y * y + 2.0 * y * R_EARTH * cos_theta
+        total += w * exp(-rise / (sqrt(r2 + rise) + R_EARTH) / h_scale)
+    return [total]
 
 
 def _excess(s: float, h_scale: float, cos2: float) -> float:
@@ -108,7 +112,7 @@ def _line_of_sight(h: float, theta: float, model: ExtinctionModel) -> float:
         return h_scale / cos_theta * bracket
     from . import _integrate
 
-    return _integrate.tanh_sinh(_extinction, 0.0, path, cos_theta, h_scale).value
+    return path * _integrate.tanh_sinh_rows(_extinction_rows, 0.0, 1.0, path, cos_theta, h_scale)[0].value
 
 
 def eta_atm(h: float, theta: float, model: ExtinctionModel) -> float:

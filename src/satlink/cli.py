@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import operator
 import re
@@ -79,6 +78,14 @@ def _whole(text: str) -> int:
     return int(value)
 
 
+def _count(items: str, text: str) -> int:
+    """_whole for a count of doubles named by items ('{} bins'): past the address space, a MemoryError."""
+    n = _whole(text)
+    if n > sys.maxsize // 8:  # 8 n bytes beyond an index: numpy raises ValueError, not MemoryError
+        raise MemoryError(f"Unable to allocate {items.format(f'{n:.3g}')}")
+    return n
+
+
 ZENITH_ANGLE = Domain("a zenith angle in [-pi/2, pi/2]", lambda theta: abs(theta) <= math.pi / 2)
 
 
@@ -106,7 +113,7 @@ def _linear_grid(lo: float, hi: float, n: int) -> list[float]:
     """
     try:
         grid = [0.0] * n
-    except (MemoryError, OverflowError):  # 8 n bytes, or n beyond an index
+    except MemoryError:
         raise MemoryError(f"Unable to allocate a grid of {n:.3g} points") from None
     delta, div = hi - lo, n - 1
     if div == 0:
@@ -129,7 +136,7 @@ def parse_grid(spec: str) -> list[float]:
     if len(parts) not in (3, 4):
         raise ConfigError(f"grid spec {spec!r} is not start:stop:n[:log]")
     lo, hi = _finite(parts[0]), _finite(parts[1])
-    n = _named("grid point count", _whole, parts[2], at_least(1))
+    n = _named("grid point count", functools.partial(_count, "a grid of {} points"), parts[2], at_least(1))
     if len(parts) == 4:
         if parts[3] != "log":
             raise ConfigError(f"unknown grid mode {parts[3]!r}")
@@ -324,6 +331,8 @@ def _all_finite(value) -> bool:
 
 
 def cmd_pass(args, scn: Scenario) -> str:
+    import json
+
     report = scn.pass_report(args.h, args.blocks, args.attacks)
     for key, value in sorted(report.items()):
         if not isinstance(value, str) and not _all_finite(value):
@@ -443,9 +452,9 @@ COMMANDS = (
     ("validate-mc", "Monte Carlo check of the fading law", cmd_validate_mc, (
         ("--h", _finite, NON_NEGATIVE, _H),
         ("--theta", _finite, ZENITH_ANGLE, dict(default="0", help="zenith angle (default 0)")),
-        ("--samples", _whole, at_least(1), dict(default="1000000")),
+        ("--samples", functools.partial(_count, "{} samples"), at_least(1), dict(default="1000000")),
         ("--seed", _whole, at_least(0), dict(default="1")),
-        ("--bins", _whole, at_least(1), dict(default="60")),
+        ("--bins", functools.partial(_count, "{} bins"), at_least(1), dict(default="60")),
     )),
     ("max-range", "maximum secure slant range", cmd_max_range, (
         ("--mode", str, None, dict(choices=("simple", "tight"), default="tight")),

@@ -33,18 +33,6 @@ def slant_range(h: float, theta: float) -> float:
     return rise / (math.hypot(math.sqrt(rise), c) + c)
 
 
-def path_altitude(z, cos_theta):
-    """Altitude (m) at slant range z along a line of sight with cos(zenith angle) cos_theta.
-
-    z is a float or an array of quadrature nodes.
-    """
-    import numpy as np
-
-    # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
-    rise = z * z + 2.0 * z * R_EARTH * cos_theta
-    return rise / (np.sqrt(R_EARTH**2 + rise) + R_EARTH)
-
-
 def slant_orbital(r_s: float, alpha: float) -> float:
     """Slant range from orbital radius r_s and orbital angle alpha (law of cosines)."""
     if r_s <= R_EARTH:

@@ -3,8 +3,9 @@
 Two kinds of code live here:
 
 - oracles and cross-checks, independent or slower spellings of what the
-  package computes: the altitude at a slant range (slant_range's
-  inverse), fading averages by direct quadrature (the lower bound
+  package computes: the altitude along a line of sight on numpy arrays
+  (slant_range's inverse) and the line of sight by numpy's tanh-sinh in
+  the slant range, fading averages by direct quadrature (the lower bound
   with its entropy penalty averaged over fading among them), the
   beam-wandering factor Delta and the thermal upper bound of one model,
   the tight max-range kernel with a value list per row and its sums apart,
@@ -34,7 +35,7 @@ import numpy as np
 
 from satlink import atmosphere, cli, geometry
 from satlink._integrate import tanh_sinh
-from satlink.atmosphere import PATH_TOP_M, ExtinctionModel, _extinction
+from satlink.atmosphere import PATH_TOP_M, ExtinctionModel
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
 from satlink.bounds import _wander_integral, entropy_h, loss_bounds, thermal_upper
 from satlink.cvqkd import (
@@ -71,13 +72,34 @@ def unit_elongation(theta_app: float) -> float:
     return 1.0
 
 
+def path_altitude(z, cos_theta):
+    """Altitude (m) at slant range z along a line of sight with cos(zenith angle) cos_theta.
+
+    z is a float or an array of quadrature nodes.
+    """
+    # sqrt(R^2 + rise) - R without cancellation, so h > 0 for any z > 0
+    rise = z * z + 2.0 * z * geometry.R_EARTH * cos_theta
+    return rise / (np.sqrt(geometry.R_EARTH**2 + rise) + geometry.R_EARTH)
+
+
+def _extinction(y, cos_theta, h_scale):
+    """exp(-h / h_scale) at the slant ranges y, an array of quadrature nodes."""
+    return np.exp(-path_altitude(y, cos_theta) / h_scale)
+
+
+def line_of_sight(h: float, theta: float, model: ExtinctionModel = EXTINCTION) -> float:
+    """atmosphere._line_of_sight by numpy's tanh-sinh in the slant range, on every path."""
+    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
+    return tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), model.h_scale).value
+
+
 def altitude_from_slant(z: float, theta: float) -> float:
     """Satellite altitude (m) given slant range z and zenith angle theta."""
     if z < 0:
         raise ValueError("slant range must be non-negative")
     if abs(theta) > math.pi / 2:
         raise ValueError(f"zenith angle {theta} outside [-pi/2, pi/2]")
-    return float(geometry.path_altitude(z, math.cos(abs(theta))))
+    return float(path_altitude(z, math.cos(abs(theta))))
 
 
 def eta_atm_zenith(h: float, model: ExtinctionModel = EXTINCTION) -> float:
@@ -120,9 +142,7 @@ def eta_atm_refracted(
         raise ValueError("elongation factor must be >= 1")
     theta = true_zenith(theta_app)
     # the path stretched by factor: y = factor * y' with y' along the true one
-    path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    line = tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), model.h_scale).value
-    return math.exp(-model.alpha0 * factor * line)
+    return math.exp(-model.alpha0 * factor * line_of_sight(h, theta, model))
 
 
 def eta_diffraction_far(z, beam: BeamParams, aperture: float):
@@ -286,7 +306,7 @@ def coherence_length(
     along_path = (geometry.slant_range(e, theta) for e in LAYER_EDGES_M)
     edges = [y for y in along_path if y < top]
     integral = _column(
-        lambda xi: weight(xi) * cn2(geometry.path_altitude(xi, math.cos(abs(theta))), profile),
+        lambda xi: weight(xi) * cn2(path_altitude(xi, math.cos(abs(theta))), profile),
         edges + [top],
     )
     return (1.46 * k * k * integral) ** (-3.0 / 5.0)

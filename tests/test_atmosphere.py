@@ -6,22 +6,37 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from satlink import Scenario, _integrate
-from satlink._integrate import tanh_sinh
+from satlink._integrate import tanh_sinh_rows
 from satlink.atmosphere import (
     BRANCH_MIN,
     PATH_TOP_M,
     ExtinctionModel,
-    _extinction,
+    _extinction_rows,
     _line_of_sight,
     eta_atm,
 )
 from satlink.cli import main
 from satlink.geometry import R_EARTH, slant_range
 
-from _reference import EXTINCTION, eta_atm_refracted, eta_atm_secant, eta_atm_zenith, eta_atm_zenith_inf
+from _reference import (
+    EXTINCTION,
+    eta_atm_refracted,
+    eta_atm_secant,
+    eta_atm_zenith,
+    eta_atm_zenith_inf,
+    line_of_sight,
+)
 THETA_APP_MAX = math.asin(1 / 1.00027)
 # the largest angle the Gauss-Laguerre rule takes at the default scale height
 SWITCH_ANGLE = math.asin(1.0 - BRANCH_MIN * EXTINCTION.h_scale / R_EARTH)
+
+
+def tanh_sinh_line(h: float, theta: float, model: ExtinctionModel = EXTINCTION) -> float:
+    """The line of sight by the rule _line_of_sight takes beyond the switches:
+    tanh_sinh_rows on [0, 1] in t = y / path, times the path."""
+    path = slant_range(min(h, PATH_TOP_M), theta)
+    (row,) = tanh_sinh_rows(_extinction_rows, 0.0, 1.0, path, math.cos(abs(theta)), model.h_scale)
+    return path * row.value
 
 
 def to_db(eta: float) -> float:
@@ -122,37 +137,38 @@ def test_custom_model_scaling():
 
 class TestLineOfSightCache:
     """The line of sight eta_atm takes, against the tanh-sinh quadrature of
-    the same integral in the slant range.  The class and test names are
-    older than the Gauss-Laguerre rule: nothing is cached."""
+    the same integral.  The class and test names are older than the
+    Gauss-Laguerre rule: nothing is cached."""
 
     def test_tight_solve_integrates_few_lines_of_sight(self, monkeypatch):
         # every probe of the solve lies at zenith, 10 km and up: the
         # Gauss-Laguerre rule takes all its lines of sight, and no tanh-sinh
         quadratures = []
 
-        def counted_tanh_sinh(f, *args, **kwargs):
+        def counted_tanh_sinh_rows(f, *args, **kwargs):
             quadratures.append(f.__name__)
-            return tanh_sinh(f, *args, **kwargs)
+            return tanh_sinh_rows(f, *args, **kwargs)
 
-        monkeypatch.setattr(_integrate, "tanh_sinh", counted_tanh_sinh)
+        monkeypatch.setattr(_integrate, "tanh_sinh_rows", counted_tanh_sinh_rows)
         scn = Scenario.build("down", "day", "clear", setup=1, receiver={"filter_width": 1e-9})
         result = scn.max_range("tight")
         assert result.z_max == pytest.approx(6280e3, rel=1e-3)
-        # the bounds' beam-wandering integrals are tanh-sinh's too
-        assert "_extinction" not in quadratures
+        # the probes' beam-wandering integrals are tanh_sinh_rows' too
+        assert "_wander_rows" in quadratures and "_extinction_rows" not in quadratures
 
     @pytest.mark.parametrize("h", [5e3, 150e3, PATH_TOP_M, 530e3, 36000e3])
     @pytest.mark.parametrize("theta", [0.0, -0.4, 0.4, 1.0, 1.5])
     def test_cached_value_is_the_quadrature(self, h, theta):
         # bit for bit where eta_atm takes the tanh-sinh branch (1.5 rad lies
-        # beyond the switch angle).  Where it takes the Gauss-Laguerre rule,
-        # it agrees within 1e-13: on the 5 km path, tanh-sinh itself is 4e-14
-        # off (test_mpmath_reference holds the rule to 1e-15)
-        path = slant_range(min(h, PATH_TOP_M), theta)
-        direct = tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), EXTINCTION.h_scale).value
+        # beyond the switch angle), and there within 1e-15 of numpy's
+        # tanh-sinh in the slant range.  Where it takes the Gauss-Laguerre
+        # rule, it agrees within 1e-13: on the 5 km path, tanh-sinh itself is
+        # 4e-14 off (test_mpmath_reference holds the rule to 1e-15)
+        direct = tanh_sinh_line(h, theta)
         line = _line_of_sight(h, theta, EXTINCTION)
         if abs(theta) > SWITCH_ANGLE:
             assert line == direct
+            assert line == pytest.approx(line_of_sight(h, theta), rel=1e-15, abs=0.0)
         else:
             assert line == pytest.approx(direct, rel=1e-13, abs=0.0)
         assert eta_atm(h, theta, EXTINCTION) == math.exp(-EXTINCTION.alpha0 * line)
@@ -167,7 +183,8 @@ class TestShortPaths:
         # eta_atm would read 1
         model = ExtinctionModel(h_scale=1e300)
         path = slant_range(PATH_TOP_M, 0.0)
-        assert _line_of_sight(530e3, 0.0, model) == tanh_sinh(_extinction, 0.0, path, 1.0, 1e300).value
+        assert _line_of_sight(530e3, 0.0, model) == tanh_sinh_line(530e3, 0.0, model)
+        assert _line_of_sight(530e3, 0.0, model) == pytest.approx(line_of_sight(530e3, 0.0, model), rel=1e-15)
         assert eta_atm(530e3, 0.0, model) == pytest.approx(math.exp(-model.alpha0 * path), rel=1e-15)
 
     @pytest.mark.parametrize("argv,rows", [

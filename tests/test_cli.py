@@ -525,13 +525,23 @@ class TestExitCodes:
     def test_bad_unit(self, capsys):
         assert run_cli(capsys, "rate", "--h", "530miles", "--theta-grid", "0:1:3")[0] == 2
 
-    # sizes of 1e15 and more fail at allocation (petabytes), so no memory is touched
+    # sizes of 1e15 and more fail at allocation (petabytes), so no memory is
+    # touched; from 2**60 doubles on (8 EiB) they fail before it, where numpy
+    # would raise ValueError
     @pytest.mark.parametrize(
         "argv",
         [
             ("validate-mc", "--h", "530km", "--samples", "1e15"),
             ("validate-mc", "--h", "530km", "--samples", "10", "--bins", "1e15"),
             ("bounds", "--h-grid", "0km:1km:1e15"),
+            ("bounds", "--h-grid", "1km:2km:2e18:log"),
+            ("bounds", "--h-grid", "1km:2km:1e19:log"),
+            ("bounds", "--h-grid", "1km:2km:1e30:log"),
+            ("compare-fiber", "--d-grid", "50km:100km:1e19:log"),
+            ("validate-mc", "--h", "530km", "--samples", "2e18"),
+            ("validate-mc", "--h", "530km", "--samples", "1e19"),
+            ("validate-mc", "--h", "530km", "--samples", "10", "--bins", "2e18"),
+            ("validate-mc", "--h", "530km", "--samples", "10", "--bins", "1e19"),
         ],
     )
     def test_request_beyond_memory(self, argv, capsys):

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satlink.geometry import (
-    R_EARTH,
-    path_altitude,
-    slant_orbital,
-    slant_range,
-)
+from satlink.geometry import R_EARTH, slant_orbital, slant_range
 
-from _reference import SURFACE_REFRACTIVE_INDEX, altitude_from_slant, true_zenith
+from _reference import SURFACE_REFRACTIVE_INDEX, altitude_from_slant, path_altitude, true_zenith
 
 
 def slant_by_triangle(h: float, theta: float) -> float:

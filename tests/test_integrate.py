@@ -13,10 +13,10 @@ from satlink._integrate import Quadrature, tanh_sinh, tanh_sinh_rows
 from satlink.atmosphere import LAGUERRE
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
-from satlink.geometry import path_altitude, slant_range
+from satlink.geometry import slant_range
 from satlink.turbulence import PROFILES, TurbulenceProfile
 
-from _reference import LAYER_EDGES_M, cn2, fading_average, wander_delta
+from _reference import LAYER_EDGES_M, cn2, fading_average, path_altitude, wander_delta
 
 EPS = np.finfo(float).eps
 

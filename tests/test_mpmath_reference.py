@@ -1,8 +1,9 @@
 """The slant range, eta_atm, the turbulence columns and the wander integral against mpmath at 40 digits.
 
 Budgets: the slant range within 5e-16 relative on h in [1 m, 1e9 m] and
-theta in [0, pi/2]; eta_atm within 1e-14 relative everywhere in [0, pi/2], and the
-Gauss-Laguerre line of sight within 1e-15 relative up to its switches;
+theta in [0, pi/2]; eta_atm within 1e-14 relative everywhere in [0, pi/2],
+at scale heights from 100 m to 100 km, and the Gauss-Laguerre line of
+sight within 1e-15 relative up to its switches;
 both columns within 1e-14 relative on every profile; the wander integral
 within REL_TOL, by the numpy rule and by the one in math, on the
 documented domain.
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satlink import _integrate
-from satlink._integrate import REL_TOL, tanh_sinh, tanh_sinh_rows
+from satlink._integrate import REL_TOL, tanh_sinh_rows
 from satlink.atmosphere import BRANCH_MIN, TOP_MIN, ExtinctionModel, _line_of_sight, eta_atm
 from satlink.bounds import _wander_integral, _wander_rows
 from satlink.errors import NumericalError
@@ -57,13 +58,14 @@ def line_error(h: float, theta: float, h_scale: float) -> float:
 
 
 def tanh_sinh_calls(monkeypatch) -> list:
+    """The integrand names of the tanh_sinh_rows calls from here on."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args[0].__name__)
-        return tanh_sinh(*args, **kwargs)
+        return tanh_sinh_rows(*args, **kwargs)
 
-    monkeypatch.setattr(_integrate, "tanh_sinh", counted)
+    monkeypatch.setattr(_integrate, "tanh_sinh_rows", counted)
     return calls
 
 
@@ -87,6 +89,18 @@ def test_eta_atm(h, theta):
     assert eta_error(h, theta) <= 1e-14
 
 
+@pytest.mark.parametrize("h_scale", [100.0, 1e3, 1e5])
+@pytest.mark.parametrize("h", [1.0, 1e3, 1e9])
+@pytest.mark.parametrize("offset", [None, -1e-9, 0.0, 1e-9])
+def test_eta_atm_at_each_scale_height(h_scale, h, offset):
+    # offset from the scale height's own switch angle (0.653 rad at 100 km,
+    # 1.5428 rad at 100 m); None for the zenith, 1.55 rad and the horizon
+    model = ExtinctionModel(h_scale=h_scale)
+    thetas = (0.0, 1.55, math.pi / 2) if offset is None else (switch_angle(h_scale) + offset,)
+    for theta in thetas:
+        assert eta_error(h, theta, model) <= 1e-14
+
+
 @settings(max_examples=25)
 @given(h=st.sampled_from(ALTITUDES), theta=st.floats(0.0, math.pi / 2))
 def test_eta_atm_at_any_angle(h, theta):
@@ -103,7 +117,7 @@ def test_switch_angle_both_sides(h_scale, offset, monkeypatch):
     error = line_error(36000e3, theta, h_scale)
     # at the switch angle itself, rounding in sin decides the branch
     if offset > 0.0:
-        assert calls == ["_extinction"]
+        assert calls == ["_extinction_rows"]
     elif offset < 0.0:
         assert calls == []
     assert error <= (1e-14 if calls else 1e-15)
@@ -117,7 +131,7 @@ def test_switch_height_both_sides(theta, factor, monkeypatch):
     calls = tanh_sinh_calls(monkeypatch)
     assert eta_error(top, theta) <= 1e-14
     if factor < 1.0:
-        assert calls == ["_extinction"]
+        assert calls == ["_extinction_rows"]
     else:
         assert calls == [] and line_error(top, theta, H) <= 1e-15
 

@@ -37,8 +37,9 @@ def test_runtime_does_not_import_scipy():
 
 
 def test_commands_without_arrays_do_not_import_numpy():
-    # show-config, the README rate, pass and max-range commands and a
-    # configuration error start without numpy; the README bounds command loads it
+    # show-config, the README rate, a rate out to the horizon and one below
+    # 660 m, pass and max-range commands and a configuration error start
+    # without numpy; the README bounds command loads it.  json loads with pass
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
