@@ -129,8 +129,10 @@ def _linear_grid(lo: float, hi: float, n: int) -> list[float]:
 def parse_grid(spec: str) -> list[float]:
     """Parse 'start:stop:n[:log]' into a list of SI values.
 
-    A log grid is np.geomspace's: numpy's power and log10 can differ from
-    math's in the last bit, and its points are the ones the outputs print.
+    A log grid is np.geomspace's formula in math: point i is 10 ** e_i over
+    the linear grid e of log10(start) and log10(stop), and the ends are start
+    and stop exactly.  Near an end, log10 and the power can round a point
+    past it, or past the largest double; such a point is that end.
     """
     parts = spec.split(":")
     if len(parts) not in (3, 4):
@@ -143,9 +145,16 @@ def parse_grid(spec: str) -> list[float]:
         for end, text, value in (("start", parts[0], lo), ("stop", parts[1], hi)):
             if value <= 0:
                 raise ConfigError(f"log grid needs a positive {end}, got {text!r}")
-        import numpy as np
-
-        return [float(x) for x in np.geomspace(lo, hi, n)]
+        grid = _linear_grid(math.log10(lo), math.log10(hi), n)
+        grid[-1] = hi
+        grid[0] = lo  # after the stop: a lone point is the start
+        low, high = min(lo, hi), max(lo, hi)
+        for i in range(1, n - 1):
+            try:
+                grid[i] = min(max(10.0 ** grid[i], low), high)
+            except OverflowError:
+                grid[i] = high
+        return grid
     return _linear_grid(lo, hi, n)
 
 

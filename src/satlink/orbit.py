@@ -18,6 +18,7 @@ from .geometry import MU_EARTH, R_EARTH, slant_orbital, slant_range
 SECONDS_PER_DAY = 86400.0
 SUN_SYNC_MAX_ALT_M = 5.98e6
 ALPHA_FIBER_DB_PER_KM = 0.2  # fiber attenuation of the ground comparison
+LN10 = math.log(10.0)
 
 
 def orbital_period(h: float) -> float:
@@ -125,9 +126,17 @@ def orbital_rate(
 
 def repeater_rate(d_station: float, n_repeaters: int = 0) -> float:
     """Key capacity (bits/use) of the fiber between the stations, split into
-    equal hops by n ideal repeaters; n = 0 is the repeaterless fiber."""
-    eta = 10.0 ** (-ALPHA_FIBER_DB_PER_KM * (d_station / 1e3) / 10.0)
-    return plob(eta ** (1.0 / (n_repeaters + 1)))
+    equal hops by n ideal repeaters; n = 0 is the repeaterless fiber.
+
+    A hop that transmits more than half takes its loss 1 - eta as
+    -expm1(ln eta): with many repeaters eta rounds to 1, where plob's
+    1 - eta would be 0 and the capacity infinite.
+    """
+    hop_db = ALPHA_FIBER_DB_PER_KM * (d_station / 1e3) / (n_repeaters + 1)
+    loss = -math.expm1(-hop_db / 10.0 * LN10)
+    if 0.0 < loss < 0.5:  # a lossless hop (d = 0) takes plob's infinity
+        return -math.log2(loss)
+    return plob(10.0 ** (-hop_db / 10.0))
 
 
 def bits_per_day(rate: float, clock_hz: float) -> float:

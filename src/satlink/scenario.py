@@ -142,6 +142,11 @@ class Scenario(Checked):
         gives the numbers, warnings and error of its points run alone, up to
         its first failing point.
         """
+        # the batch needs numpy, whose import resets the registry of warnings
+        # already shown: loaded at the first batch, it would let the first
+        # chunk's warnings print again for the next chunk
+        import numpy  # noqa: F401
+
         results = []
         for lo in range(0, len(points), CHUNK):
             built, failure = [], None

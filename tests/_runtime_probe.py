@@ -4,9 +4,10 @@
 
 numpy must stay unloaded through `import satlink`, `show-config`, the README
 `rate`, a `rate` out to the horizon, a `rate` on a path below 660 m, the
-`pass` and `max-range --mode tight` commands and a configuration error; the
-README `bounds` command, which integrates the beam wander in a numpy batch,
-must load it, which shows that the probe sees numpy load.  json must stay
+`pass` and `max-range --mode tight` commands, a configuration error and the
+README `compare-fiber`, whose log grid is built in math; the README
+`bounds` command, which integrates the beam wander in a numpy batch, must
+load it, which shows that the probe sees numpy load.  json must stay
 unloaded until the `pass` command, its only user, and be loaded after it.
 Exits 0 if so, and names the first command that does not.  It runs
 whichever satlink the interpreter imports: the sources under PYTHONPATH, or
@@ -28,6 +29,8 @@ COMMANDS = (
     (False, 0, ["pass", "--h", "530km", "--blocks", "10", *README_SET]),
     (False, 2, ["rate", "--h", "530km", "--theta-grid", "0:0.5:3", "--set", "atmosphere.alpha0=-1"]),
     (False, 0, ["max-range", "--mode", "tight", "--set", "scenario.link=up", "--set", "scenario.period=day"]),
+    (False, 0, ["compare-fiber", "--d-grid", "50km:10000km:60:log", "--n-rep", "1", "5", "30",
+                "--sat", "h=530km,blocks=10,period=night,setup=2,mu=9.28,phi=0.73,label=nightdown"]),
     (True, 0, ["bounds", "--h-grid", "100km:36000km:40:log", "--theta", "0", "--theta", "1",
                "--set", "scenario.link=up", "--set", "scenario.period=day"]),
 )

@@ -116,6 +116,75 @@ class TestLinearGrid:
         assert [x.hex() for x in grid] == linspace_bits(lo, hi, n)
 
 
+def log_grid_bits(lo: float, hi: float, n: int) -> list[str]:
+    """np.geomspace's formula: 10 ** e over np.linspace of the log10 ends,
+    the ends exact, and a point rounded past an end (or the largest double) that end."""
+    low, high = min(lo, hi), max(lo, hi)
+    points = []
+    for e in np.linspace(math.log10(lo), math.log10(hi), n).tolist():
+        try:
+            points.append(min(max(10.0 ** e, low), high))
+        except OverflowError:
+            points.append(high)
+    points[-1] = hi
+    points[0] = lo
+    return [x.hex() for x in points]
+
+
+class TestLogGrid:
+    """A log grid is np.geomspace's formula in math, without numpy."""
+
+    @pytest.mark.parametrize("spec,lo,hi,n", [
+        # the README and CI grids
+        ("100km:36000km:40:log", 1e5, 3.6e7, 40),
+        ("50km:10000km:60:log", 5e4, 1e7, 60),
+        ("100km:36000km:300:log", 1e5, 3.6e7, 300),
+        ("1m:10km:4:log", 1.0, 1e4, 4),
+        ("100km:1000km:4:log", 1e5, 1e6, 4),
+        # one point, descending, and subnormal ends
+        ("7:3:1:log", 7.0, 3.0, 1),
+        ("10km:1km:5:log", 1e4, 1e3, 5),
+        ("5e-324:1e-300:9:log", 5e-324, 1e-300, 9),
+        # at the top of the double range, where a power overflows
+        ("1e300km:1.7976931348623157e308:5:log", 1e303, 1.7976931348623157e308, 5),
+        ("1.7976931348623157e308:1.7976931348623157e308:3:log", 1.7976931348623157e308,
+         1.7976931348623157e308, 3),
+    ])
+    def test_grid_is_the_geomspace_formula(self, spec, lo, hi, n):
+        assert [x.hex() for x in parse_grid(spec)] == log_grid_bits(lo, hi, n)
+
+    @given(
+        lo=st.floats(min_value=5e-324, allow_infinity=False),
+        hi=st.floats(min_value=5e-324, allow_infinity=False),
+        n=st.integers(1, 200),
+    )
+    @example(lo=648.8039577439586, hi=648.803957743959, n=7)  # interior points round past the ends
+    @example(lo=1.7976931348623157e308, hi=1.7976931348623157e308, n=3)
+    def test_any_grid_is_the_geomspace_formula(self, lo, hi, n):
+        grid = parse_grid(f"{lo!r}:{hi!r}:{n}:log")
+        assert all(type(x) is float for x in grid)
+        assert [x.hex() for x in grid] == log_grid_bits(lo, hi, n)
+        assert all(min(lo, hi) <= x <= max(lo, hi) for x in grid)
+
+    @given(
+        lo=st.floats(min_value=1e-300, max_value=1e300),
+        hi=st.floats(min_value=1e-300, max_value=1e300),
+        n=st.integers(1, 200),
+    )
+    def test_grid_is_geomspace_to_rounding(self, lo, hi, n):
+        assert parse_grid(f"{lo!r}:{hi!r}:{n}:log") == pytest.approx(np.geomspace(lo, hi, n).tolist(), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")  # numpy's power warned of its overflow
+    @pytest.mark.parametrize("grid", ["1e300km:1.7976931348623157e308:5:log",
+                                      "1.7976931348623157e308:1.7976931348623157e308:3:log"])
+    def test_grid_at_the_top_of_the_double_range(self, grid, capsys):
+        code = main(["compare-fiber", "--d-grid", grid])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        d_km = [float(row.split(",")[0]) for row in captured.out.splitlines()[2:]]
+        assert all(1e300 <= d <= 1.797693135e305 for d in d_km)  # printed to 10 digits
+
+
 class TestScenarioAssembly:
     def test_setup_presets(self):
         assert SETUPS[1] == (0.2, 0.4, 1e-9)
@@ -487,6 +556,20 @@ class TestCliCommands:
         assert float(first[1]) > 0
         sat_bits = float(first[4])
         assert sat_bits == pytest.approx(4.1e7, rel=0.2)
+
+    def test_compare_fiber_with_nearly_lossless_hops(self, capsys):
+        # with 1e19 repeaters a hop transmits 1 - 1e-23, which rounds to 1:
+        # its loss comes from expm1, so the rate stays finite
+        code, out = run_cli(
+            capsys, "compare-fiber", "--d-grid", "50km:10000km:5:log", "--n-rep", "0", "1", "30", "1e6", "1e19"
+        )
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1].endswith(",rep1000000_bits_day,rep10000000000000000000_bits_day")
+        for row in lines[2:]:
+            bits = [float(x) for x in row.split(",")[1:]]
+            assert all(map(math.isfinite, bits))
+            assert bits == sorted(bits)  # more repeaters never lower the rate
 
     def test_compare_fiber_without_blocks(self, capsys):
         code, out = run_cli(

@@ -38,11 +38,24 @@ def test_runtime_does_not_import_scipy():
 
 def test_commands_without_arrays_do_not_import_numpy():
     # show-config, the README rate, a rate out to the horizon and one below
-    # 660 m, pass and max-range commands and a configuration error start
-    # without numpy; the README bounds command loads it.  json loads with pass
+    # 660 m, pass and max-range commands, a configuration error and the
+    # README compare-fiber start without numpy; the README bounds command
+    # loads it.  json loads with pass
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
+
+
+@pytest.mark.parametrize("grid", ["100km:500km:130:log", "100km:500km:130"])
+def test_sweep_of_several_chunks_warns_once(grid):
+    # numpy's import resets the registry of warnings already shown; a sweep
+    # that loaded it at its first batch printed the first chunk's Rytov
+    # warning again for the next chunk
+    proc = run_python(
+        "-m", "satlink.cli", "bounds", "--h-grid", grid, "--theta", "1.57", "--set", "scenario.link=down"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("Rytov variance") == 1, proc.stderr
 
 
 def test_readme_library_sketch():
