@@ -8,10 +8,11 @@ B - h(nbar / (1 - eta)), both clamped at zero.  Maximum secure ranges follow
 either from a Fresnel-number argument or from the root of upper-bound = 0.
 
 The thermal bounds take B at the transmissivity eta and at the thermal
-photon number nbar.  `loss_bounds` gives both for a list of fading models,
-with their beam-wandering integrals in one numpy batch; a bounds sweep hands
-those to its points.  `model_bounds` gives both for one model in `math`,
-adding up the two integrands in one loop over each level's nodes.
+photon number nbar, whose beam-wandering integrals are two rows of one
+tanh-sinh call that share each node's work.  `loss_bounds` gives both for a
+list of fading models, as the rows of one numpy batch, and a bounds sweep
+hands them to its points.  `model_bounds` gives both for one model in
+`math`, adding up the two integrands in one loop over each level's nodes.
 """
 
 from __future__ import annotations
@@ -42,26 +43,43 @@ def thermal_entropy(x: float) -> float:
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
 
 
-def _wander(t, s, g, eta):
-    """Both pieces of the wandering integral at the same nodes t in (0, 1].
+def _wander_batch(nodes, s, g, etas):
+    """The wander integrals of a batch of models, summed over the Nodes of a
+    tanh_sinh_rows level on (0, 1]: a row per model and eta, interleaved as
+    [model 1 at etas[0, 0], model 1 at etas[0, 1], model 2 at etas[1, 0], ...].
 
-    The lower piece is exp(-s u) g u^(g - 1) / (e^(u^g) - eta) at u = t.  The
-    tail beyond x = 1 maps to t = exp(-rate (x - 1)), rate = 1 + s/g, the
-    rate at which it decays near x = 1; it is written as
-    exp(-s x^(1/g) - x) / (1 - eta e^-x) there, to avoid overflow.
+    The beam-wandering factor is Delta = 1 + (eta / ln(1-eta)) * I with
+    I = integral_0^inf exp(-s x^(1/g)) / (e^x - eta) dx, s = r0^2 / (2 sigma^2)
+    and g = gamma / 2, for sigma2 > 0; without wander (sigma2 = 0) Delta is 1.
+    The integral is split at x = 1.  The lower piece takes the substitution
+    u = x^(1/g), which removes the infinite-derivative endpoint when
+    gamma > 2 and leaves an integrable u^(g - 1) one:
+    exp(-s u) g u^(g - 1) / (e^(u^g) - eta).  The upper piece decays like
+    exp(-(1 + s/g)(x - 1)) near x = 1; the substitution t = exp(-rate (x - 1)),
+    rate = 1 + s/g, maps it onto (0, 1] as well, where it is written as
+    exp(-s x^(1/g) - x) / (1 - eta e^-x) to avoid overflow.  The rule
+    integrates the sum of the two pieces at the same nodes.
+
+    s and g are (P, 1) columns over the P models and etas their (P, 2, 1)
+    pairs: each model's transcendentals are taken once per node, then summed
+    at its two etas, each row by np.vecdot so that it is the double its own
+    call returns.  Overflow and 0/0 at far nodes give inf or nan, which fail
+    the rule's comparison; the caller silences numpy's warnings for them.
     """
     import numpy as np
 
+    u, w, ln_u = nodes.arrays
     rate = 1.0 + s / g
-    low = np.exp(-s * t) * g * t ** (g - 1.0) / (np.exp(t**g) - eta)
-    x = 1.0 - np.log(t) / rate
-    high = np.exp(-s * x ** (1.0 / g) - x) / (1.0 - eta * np.exp(-x))
-    return low + high / (rate * t)
+    p, x = u ** (g - 1.0), 1.0 - ln_u / rate
+    low, q = np.exp(-s * u) * g * p, np.exp(p * u)
+    high, e = np.exp(-s * x ** (1.0 / g) - x) / (rate * u), np.exp(-x)
+    values = low[:, None] / (q[:, None] - etas) + high[:, None] / (1.0 - etas * e[:, None])
+    return np.vecdot(values, w).ravel().tolist()
 
 
 def _wander_rows(nodes, s, g, etas):
-    """_wander in `math` summed over the Nodes of a tanh_sinh_rows level, weighted, in node
-    order: a sum per eta of etas (one or two), which share each node's transcendentals."""
+    """_wander_batch in `math` for one model, summed in node order: a sum per
+    eta of etas (one or two), which share each node's transcendentals."""
     rate, inv_g, g1, exp = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp
     e1, e2, sum1, sum2 = etas[0], etas[-1], 0.0, 0.0
     for u, w, ln_u in zip(nodes.x, nodes.weight, nodes.log):
@@ -72,55 +90,37 @@ def _wander_rows(nodes, s, g, etas):
     return [sum1, sum2][: len(etas)]
 
 
-def _wander_integral(eta, sigma2, gamma, r0):
-    """The integral I of the beam-wandering factor Delta(eta, sigma) in (0, 1].
-
-    Delta = 1 + (eta / ln(1-eta)) * I with
-    I = integral_0^inf exp(-(r0^2/2 sigma^2) x^(2/gamma)) / (e^x - eta) dx,
-    for sigma2 > 0; without wander (sigma2 = 0) Delta is 1.
-    The integral is split at x = 1.  The lower piece takes the substitution
-    u = x^(2/gamma), which removes the infinite-derivative endpoint when
-    gamma > 2 and leaves an integrable u^(gamma/2 - 1) one.  The upper piece
-    decays like exp(-(1 + 2 s / gamma)(x - 1)) near x = 1; the substitution
-    t = exp(-(1 + 2 s / gamma)(x - 1)) maps it onto (0, 1] as well.  One
-    tanh-sinh call integrates the sum of the two pieces.  The arguments are
-    floats, or 1-D arrays over the rows of a batch.
-    """
-    from . import _integrate
-
-    return _integrate.tanh_sinh(_wander, 0.0, 1.0, r0 * r0 / (2.0 * sigma2), gamma / 2.0, eta, abs_tol=1e-12).value
-
-
 def _bound(eta: float, integral: float) -> float:
     """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander)."""
     return -(1.0 + eta / math.log1p(-eta) * integral) * math.log1p(-eta) / LN2
 
 
-def _integrals(rows: list[tuple[float, FadingModel]]) -> list[float]:
-    """The wander integral I at each (eta, model) row: 0.0 without wander,
-    the others as the rows of one batch."""
-    wander = [(eta, m.sigma2, m.gamma, m.r0) for eta, m in rows if m.sigma2 != 0.0]
-    if wander:
-        import numpy as np
-
-        wander = _wander_integral(*map(np.array, zip(*wander))).tolist()
-    values = iter(wander)
-    return [next(values) if m.sigma2 != 0.0 else 0.0 for _, m in rows]
-
-
 def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, float]]:
     """B at eta and B at nbar, (b, b_nbar), of each model, in bits per use.
 
-    The wander integrals are taken in one batch, in model order: B at eta,
-    then B at nbar where 0 < nbar < eta (b_nbar is 0.0 for the others,
-    whose bounds do not read it).  A batch row is the double its own call
-    returns, and a failing batch raises its first failing row's error: the
-    first that the models taken one at a time would raise.
+    The models with wander are the rows of one _wander_batch, in model
+    order, at eta and then at nbar where 0 < nbar < eta.  The others take
+    eta twice and drop the second row (b_nbar is 0.0 there, and their bounds
+    do not read it).  A batch row is the double its own call returns, and a
+    failing batch raises its first failing row's error: the first that the
+    models taken one at a time would raise.
     """
+    from . import _integrate
+
     live = [0.0 < nbar < m.eta for m in models]
-    rows = [(x, m) for m, ok in zip(models, live) for x in (m.eta, nbar)[: 1 + ok]]
-    integrals = iter(_integrals(rows))
-    return [(_bound(m.eta, next(integrals)), _bound(nbar, next(integrals)) if ok else 0.0) for m, ok in zip(models, live)]
+    wander = [(m.r0 * m.r0 / (2.0 * m.sigma2), m.gamma / 2.0, (m.eta, nbar if ok else m.eta))
+              for m, ok in zip(models, live) if m.sigma2 != 0.0]
+    values = iter(())
+    if wander:
+        import numpy as np
+
+        s, g, etas = (np.array(v)[..., None] for v in zip(*wander))
+        with np.errstate(all="ignore"):
+            rows = _integrate.tanh_sinh_rows(_wander_batch, 0.0, 1.0, s, g, etas, abs_tol=1e-12)
+        values = iter([q.value for q in rows])
+    pairs = zip(values, values)  # a model's rows at its two etas
+    integrals = [next(pairs) if m.sigma2 != 0.0 else (0.0, 0.0) for m in models]
+    return [(_bound(m.eta, i), _bound(nbar, j) if ok else 0.0) for m, ok, (i, j) in zip(models, live, integrals)]
 
 
 def model_bounds(model: FadingModel, nbar: float) -> tuple[float, float]:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from typing import Callable, Sequence
 
-from .beam import plob
+from .beam import LN2, plob
 from .errors import NumericalError
 from .geometry import MU_EARTH, R_EARTH, slant_orbital, slant_range
 
@@ -130,10 +131,15 @@ def repeater_rate(d_station: float, n_repeaters: int = 0) -> float:
 
     A hop that transmits more than half takes its loss 1 - eta as
     -expm1(ln eta): with many repeaters eta rounds to 1, where plob's
-    1 - eta would be 0 and the capacity infinite.
+    1 - eta would be 0 and the capacity infinite.  Where that loss falls
+    below the smallest normal double (and hop_db with it), -log2 takes its
+    logarithm, ln(hop_db ln 10 / 10), a sum of logs that does not underflow.
     """
     hop_db = ALPHA_FIBER_DB_PER_KM * (d_station / 1e3) / (n_repeaters + 1)
     loss = -math.expm1(-hop_db / 10.0 * LN10)
+    if d_station > 0.0 and loss < sys.float_info.min:
+        log_db = math.log(ALPHA_FIBER_DB_PER_KM) + math.log(d_station) - math.log(1e3) - math.log(n_repeaters + 1)
+        return -(log_db + math.log(LN10 / 10.0)) / LN2
     if 0.0 < loss < 0.5:  # a lossless hop (d = 0) takes plob's infinity
         return -math.log2(loss)
     return plob(10.0 ** (-hop_db / 10.0))

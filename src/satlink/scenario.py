@@ -37,8 +37,8 @@ SETUPS: dict[int, tuple[float, float, float]] = {
 
 
 # points per chunk of a bounds sweep: it bounds the memory of its batch, of
-# up to 2 * CHUNK rows (B at eta and at nbar), every row evaluated at each
-# level of the quadrature until all are accepted
+# up to CHUNK models of two rows each (B at eta and at nbar), every row
+# evaluated at each level of the quadrature until all are accepted
 CHUNK = 64
 
 

@@ -4,7 +4,7 @@ Two kinds of code live here:
 
 - oracles and cross-checks, independent or slower spellings of what the
   package computes: the altitude along a line of sight on numpy arrays
-  (slant_range's inverse) and the line of sight by numpy's tanh-sinh in
+  (slant_range's inverse) and the line of sight by tanh-sinh on numpy in
   the slant range, fading averages by direct quadrature (the lower bound
   with its entropy penalty averaged over fading among them), the
   beam-wandering factor Delta and the thermal upper bound of one model,
@@ -34,10 +34,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from satlink import atmosphere, cli, geometry
-from satlink._integrate import tanh_sinh
+from satlink._integrate import Quadrature, tanh_sinh_rows
 from satlink.atmosphere import PATH_TOP_M, ExtinctionModel
 from satlink.beam import LN2, BeamParams, ReceiverParams, diffraction_waist, eta_diffraction, plob
-from satlink.bounds import _wander_integral, entropy_h, loss_bounds, thermal_upper
+from satlink.bounds import _wander_batch, entropy_h, loss_bounds, thermal_upper
 from satlink.cvqkd import (
     KeyRate,
     ProtocolParams,
@@ -82,15 +82,27 @@ def path_altitude(z, cos_theta):
     return rise / (np.sqrt(geometry.R_EARTH**2 + rise) + geometry.R_EARTH)
 
 
+def tanh_sinh_numpy(f, a: float, b: float, *args, abs_tol: float = 0.0) -> list[Quadrature]:
+    """tanh_sinh_rows on an elementwise numpy integrand f(x, *args) of the nodes x, a row
+    per element of the args (floats or 1-D arrays), each as a (P, 1) column."""
+    columns = [np.reshape(v, (-1, 1)) for v in args]
+
+    def sums(nodes):
+        with np.errstate(all="ignore"):  # inf and nan fail the comparison
+            return np.atleast_1d(np.vecdot(f(nodes.arrays[0], *columns), nodes.arrays[1])).tolist()
+
+    return tanh_sinh_rows(sums, a, b, abs_tol=abs_tol)
+
+
 def _extinction(y, cos_theta, h_scale):
     """exp(-h / h_scale) at the slant ranges y, an array of quadrature nodes."""
     return np.exp(-path_altitude(y, cos_theta) / h_scale)
 
 
 def line_of_sight(h: float, theta: float, model: ExtinctionModel = EXTINCTION) -> float:
-    """atmosphere._line_of_sight by numpy's tanh-sinh in the slant range, on every path."""
+    """atmosphere._line_of_sight by tanh-sinh on numpy in the slant range, on every path."""
     path = geometry.slant_range(min(h, PATH_TOP_M), theta)
-    return tanh_sinh(_extinction, 0.0, path, math.cos(abs(theta)), model.h_scale).value
+    return tanh_sinh_numpy(_extinction, 0.0, path, math.cos(abs(theta)), model.h_scale)[0].value
 
 
 def altitude_from_slant(z: float, theta: float) -> float:
@@ -208,7 +220,7 @@ def _column(f, edges) -> float:
     (the Hufnagel-Stanley h^(-1/3), the power-law path weights) as well as
     the smooth Hufnagel-Valley profile.
     """
-    return sum(tanh_sinh(f, a, b).value for a, b in zip(edges, edges[1:]))
+    return sum(tanh_sinh_numpy(f, a, b)[0].value for a, b in zip(edges, edges[1:]))
 
 
 def _layer_edges(top: float) -> list[float]:
@@ -383,7 +395,7 @@ def fading_average(
     g = model.gamma / 2.0
     eta = model.eta
     t_min = math.exp(-s * math.log(eta / tau_min) ** (1.0 / g)) if tau_min > 0.0 else 0.0
-    return tanh_sinh(lambda t: f(eta * np.exp(-((-np.log(t) / s) ** g))), t_min, 1.0, abs_tol=abs_tol).value
+    return tanh_sinh_numpy(lambda t: f(eta * np.exp(-((-np.log(t) / s) ** g))), t_min, 1.0, abs_tol=abs_tol)[0].value
 
 
 def node_entropy(x: np.ndarray) -> np.ndarray:
@@ -400,11 +412,14 @@ def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
     """The beam-wandering factor Delta = 1 + (eta / ln(1-eta)) * I of satlink's B, 1 without wander."""
     if sigma2 == 0.0:
         return 1.0
-    return 1.0 + eta / math.log1p(-eta) * _wander_integral(eta, sigma2, gamma, r0)
+    args = np.array([[r0 * r0 / (2.0 * sigma2)]]), np.array([[gamma / 2.0]]), np.array([[[eta], [eta]]])
+    with np.errstate(all="ignore"):
+        integral = tanh_sinh_rows(_wander_batch, 0.0, 1.0, *args, abs_tol=1e-12)[0].value
+    return 1.0 + eta / math.log1p(-eta) * integral
 
 
 def wander_rows(t, s, g, etas):
-    """The tight max-range kernel before its sums were fused: bounds._wander in
+    """The tight max-range kernel before its sums were fused: bounds._wander_batch in
     math at the nodes t, a list of values per eta of etas (one or two)."""
     rate, inv_g, g1, exp, log = 1.0 + s / g, 1.0 / g, g - 1.0, math.exp, math.log
     e1, e2, rows = etas[0], etas[-1], ([], [])

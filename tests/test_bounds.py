@@ -267,7 +267,7 @@ def test_model_bounds_agree_with_the_batch(monkeypatch):
             return f(*args)
         return wrapper
 
-    monkeypatch.setattr(bounds, "_wander", counted("batch", bounds._wander))
+    monkeypatch.setattr(bounds, "_wander_batch", counted("batch", bounds._wander_batch))
     monkeypatch.setattr(bounds, "_wander_rows", counted("math", bounds._wander_rows))
     count = 0
     for model, nbar in zenith_models():
@@ -275,8 +275,8 @@ def test_model_bounds_agree_with_the_batch(monkeypatch):
         want = loss_bounds([model], nbar)[0]
         got = model_bounds(model, nbar)
         assert got == pytest.approx(want, rel=1e-14, abs=0.0)
-        # a call per level, where the batch's first call takes two
-        assert calls["math"] - rows == calls["batch"] - batch + 1
+        # a call per level on both
+        assert calls["math"] - rows == calls["batch"] - batch
         count += 1
     assert count > 600
 

@@ -571,6 +571,12 @@ class TestCliCommands:
             assert all(map(math.isfinite, bits))
             assert bits == sorted(bits)  # more repeaters never lower the rate
 
+    def test_compare_fiber_with_underflowing_hop_loss(self, capsys):
+        # 1e-300 m behind 1e19 repeaters: a hop's loss underflows, its rate does not
+        code, out = run_cli(capsys, "compare-fiber", "--d-grid", "1e-300:1e-300:1", "--n-rep", "1e19")
+        assert code == 0
+        assert out.strip().splitlines()[2] == "1e-303,4.367454399e+14,4.640118257e+14"
+
     def test_compare_fiber_without_blocks(self, capsys):
         code, out = run_cli(
             capsys, "compare-fiber", "--d-grid", "50km:1000km:3", "--sat", "h=530km,N=1e10,m=1e8"

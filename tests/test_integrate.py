@@ -9,14 +9,14 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from satlink._integrate import Quadrature, tanh_sinh, tanh_sinh_rows
+from satlink._integrate import Quadrature, tanh_sinh_rows
 from satlink.atmosphere import LAGUERRE
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
 from satlink.geometry import slant_range
 from satlink.turbulence import PROFILES, TurbulenceProfile
 
-from _reference import LAYER_EDGES_M, cn2, fading_average, path_altitude, wander_delta
+from _reference import LAYER_EDGES_M, cn2, fading_average, path_altitude, tanh_sinh_numpy, wander_delta
 
 EPS = np.finfo(float).eps
 
@@ -25,6 +25,12 @@ def quad(f, a, b, **kw):
     """scipy's adaptive quadrature on a scalar version of a vectorised integrand."""
     value, _ = scipy.integrate.quad(lambda x: float(f(np.float64(x))), a, b, **kw)
     return value
+
+
+def one_row(f, a, b, *args, **kwargs) -> Quadrature:
+    """The one row of tanh_sinh_rows on a numpy integrand f with float args."""
+    (q,) = tanh_sinh_numpy(f, a, b, *args, **kwargs)
+    return q
 
 
 def assert_error_bounds(q, exact):
@@ -64,14 +70,14 @@ class TestGaussLaguerre:
         def tail(x):
             return wander_tail(x, s, gamma / 2.0, eta)
 
-        q = tanh_sinh(mapped_tail, 0.0, 1.0, s, gamma / 2.0, eta)
+        q = one_row(mapped_tail, 0.0, 1.0, s, gamma / 2.0, eta)
         ref = quad(tail, 1.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
         # integral_1^inf x^2 e^(-3x) dx in closed form; after t = e^(-3 (x - 1))
         # the integrand is e^-3 x^2 / 3 with x = 1 - ln(t) / 3
-        q = tanh_sinh(lambda t: math.exp(-3.0) * (1.0 - np.log(t) / 3.0) ** 2 / 3.0, 0.0, 1.0)
+        q = one_row(lambda t: math.exp(-3.0) * (1.0 - np.log(t) / 3.0) ** 2 / 3.0, 0.0, 1.0)
         assert_error_bounds(q, math.exp(-3.0) * (1 / 3 + 2 / 9 + 2 / 27))
 
 
@@ -86,17 +92,17 @@ class TestGaussLegendre:
         def integrand(y):
             return extinction(y, math.cos(theta))
 
-        q = tanh_sinh(integrand, 0.0, path)
+        q = one_row(integrand, 0.0, path)
         ref = quad(integrand, 0.0, path, epsabs=0.0, epsrel=1e-13, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
-        q = tanh_sinh(lambda x: np.exp(-x), 0.0, 3.0)
+        q = one_row(lambda x: np.exp(-x), 0.0, 3.0)
         assert_error_bounds(q, -math.expm1(-3.0))
 
     def test_discontinuity_raises(self):
         with pytest.raises(NumericalError):
-            tanh_sinh(lambda x: np.where(x < 0.3, 1.0, 0.0), 0.0, 1.0)
+            one_row(lambda x: np.where(x < 0.3, 1.0, 0.0), 0.0, 1.0)
 
 
 def wander_delta_oracle(eta, s, gamma):
@@ -145,7 +151,7 @@ class TestTanhSinh:
         # the 10 km bump
         profile = TurbulenceProfile(windspeed=windspeed)
         panels = list(zip(LAYER_EDGES_M, LAYER_EDGES_M[1:]))
-        q = [tanh_sinh(lambda x: cn2(x, profile), a, b) for a, b in panels]
+        q = [one_row(lambda x: cn2(x, profile), a, b) for a, b in panels]
         value = sum(p.value for p in q)
         # the three terms integrate in closed form; their tails beyond
         # 100 km are below 1e-30 of the total
@@ -163,13 +169,13 @@ class TestTanhSinh:
 
     def test_hufnagel_stanley_singularity(self):
         hs = PROFILES["hufnagel-stanley"]
-        q = tanh_sinh(lambda x: cn2(x, hs), 0.0, 2e3)
+        q = one_row(lambda x: cn2(x, hs), 0.0, 2e3)
         ref = quad(lambda x: cn2(x, hs), 0.0, 2e3, epsabs=0.0, epsrel=1e-12, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):
         # integral_0^b x^(-1/3) dx = 1.5 b^(2/3)
-        q = tanh_sinh(lambda x: x ** (-1.0 / 3.0), 0.0, 2e3)
+        q = one_row(lambda x: x ** (-1.0 / 3.0), 0.0, 2e3)
         assert_error_bounds(q, 1.5 * 2e3 ** (2.0 / 3.0))
 
     @pytest.mark.parametrize("gamma", [1.6, 1.9999, 2.0, 2.0001, 2.5, 6.0])
@@ -181,7 +187,7 @@ class TestTanhSinh:
         def low(u):
             return np.exp(-s * u) * g * u ** (g - 1.0) / (np.exp(u**g) - 0.3)
 
-        q = tanh_sinh(low, 0.0, 1.0)
+        q = one_row(low, 0.0, 1.0)
         ref = quad(low, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-10)
 
@@ -192,8 +198,8 @@ class TestTanhSinh:
         # split at u = 1 as the wander integral is: u^(p-1) at u = 0, and the
         # tail on (0, 1] after t = e^(-s (u - 1)), a logarithm at t = 0
         p = gamma / 2.0
-        low = tanh_sinh(lambda u: u ** (p - 1.0) * np.exp(-s * u), 0.0, 1.0)
-        tail = tanh_sinh(lambda t: (1.0 - np.log(t) / s) ** (p - 1.0) * math.exp(-s) / s, 0.0, 1.0)
+        low = one_row(lambda u: u ** (p - 1.0) * np.exp(-s * u), 0.0, 1.0)
+        tail = one_row(lambda t: (1.0 - np.log(t) / s) ** (p - 1.0) * math.exp(-s) / s, 0.0, 1.0)
         q = Quadrature(low.value + tail.value, low.error + tail.error)
         assert_error_bounds(q, math.gamma(p) / s**p)
 
@@ -221,19 +227,20 @@ class TestTanhSinh:
         self.fading_average_against_quad(0.005)
 
     def test_empty_interval(self):
-        assert tanh_sinh(lambda x: 1.0 / x, 2.0, 2.0).value == 0.0
+        assert one_row(lambda x: 1.0 / x, 2.0, 2.0).value == 0.0
 
     def test_divergent_raises(self):
         with pytest.raises(NumericalError):
-            tanh_sinh(lambda x: 1.0 / x, 0.0, 1.0)
+            one_row(lambda x: 1.0 / x, 0.0, 1.0)
 
     def test_nan_raises(self):
         with pytest.raises(NumericalError):
-            tanh_sinh(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+            one_row(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
 class TestBatches:
-    """A batch of P integrals: each row gets the value its own call returns."""
+    """A batch of P integrals, rows of one numpy integrand: each row gets the
+    value its own call returns."""
 
     # rows that converge at different levels (gamma 1.6 needs the finest steps)
     S = np.array([0.1, 55.0, 3.0, 0.46])
@@ -241,17 +248,15 @@ class TestBatches:
     ETA = np.array([0.4, 0.39, 1e-6, 0.02])
 
     def test_tanh_sinh_rows(self):
-        batch = tanh_sinh(wander_low, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
+        batch = tanh_sinh_numpy(wander_low, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
         for i in range(self.S.size):
-            alone = tanh_sinh(wander_low, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
-            assert batch.value[i] == alone.value and batch.error[i] == alone.error
+            assert batch[i] == one_row(wander_low, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
 
     def test_mapped_tail_rows(self):
         # the wander tail mapped onto (0, 1], each row at its own decay rate
-        batch = tanh_sinh(mapped_tail, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
+        batch = tanh_sinh_numpy(mapped_tail, 0.0, 1.0, self.S, self.G, self.ETA, abs_tol=1e-12)
         for i in range(self.S.size):
-            alone = tanh_sinh(mapped_tail, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
-            assert batch.value[i] == alone.value and batch.error[i] == alone.error
+            assert batch[i] == one_row(mapped_tail, 0.0, 1.0, self.S[i], self.G[i], self.ETA[i], abs_tol=1e-12)
 
     def test_rows_with_their_own_paths(self):
         # the ends of a batch are shared: each row's path maps onto [0, 1]
@@ -262,34 +267,36 @@ class TestBatches:
         def along(t, path, cos_theta):
             return path * extinction(path * t, cos_theta)
 
-        batch = tanh_sinh(along, 0.0, 1.0, np.array(path), np.array(cos_theta))
+        batch = tanh_sinh_numpy(along, 0.0, 1.0, np.array(path), np.array(cos_theta))
         for i in range(len(thetas)):
-            assert batch.value[i] == tanh_sinh(along, 0.0, 1.0, path[i], cos_theta[i]).value
-            assert batch.value[i] == pytest.approx(tanh_sinh(extinction, 0.0, path[i], cos_theta[i]).value, rel=1e-12)
+            assert batch[i] == one_row(along, 0.0, 1.0, path[i], cos_theta[i])
+            assert batch[i].value == pytest.approx(one_row(extinction, 0.0, path[i], cos_theta[i]).value, rel=1e-12)
 
     def test_one_divergent_row_raises(self):
         # x^(-p) is integrable on [0, 1] for p < 1 only
         p = np.array([0.5, 0.3, 1.0, 0.2])
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 1.0\]"):
-            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p)
-        assert tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p[p < 1]).value == pytest.approx(1 / (1 - p[p < 1]))
+            tanh_sinh_numpy(lambda x, p: x**-p, 0.0, 1.0, p)
+        rows = tanh_sinh_numpy(lambda x, p: x**-p, 0.0, 1.0, p[p < 1])
+        assert [q.value for q in rows] == pytest.approx(1 / (1 - p[p < 1]))
 
     def test_divergent_row_raises_its_own_error(self):
         # rows 2 and 3 diverge: the batch raises the first one's lone-call error
         p = np.array([0.5, 0.3, 1.0, 1.2])
         with pytest.raises(NumericalError) as batch:
-            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, p)
+            tanh_sinh_numpy(lambda x, p: x**-p, 0.0, 1.0, p)
         messages = []
         for q in p[2:].tolist():
             with pytest.raises(NumericalError) as alone:
-                tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, q)
+                one_row(lambda x, p: x**-p, 0.0, 1.0, q)
             messages.append(str(alone.value))
         assert str(batch.value) == messages[0] != messages[1]
 
     def test_divergent_row_named_by_its_ends(self):
+        # a nan row fails the comparison at every level
         scale = np.array([1.0, np.nan, 1.0])
         with pytest.raises(NumericalError, match=r"tanh-sinh on \[0.0, 2.0\]"):
-            tanh_sinh(lambda x, c: c * np.exp(-x), 0.0, 2.0, scale)
+            tanh_sinh_numpy(lambda x, c: c * np.exp(-x), 0.0, 2.0, scale)
 
 
 def powers(nodes, p):
@@ -307,41 +314,42 @@ def levels_taken(rule, f, *args) -> int:
 
     with contextlib.suppress(NumericalError):
         rule(counted, 0.0, 1.0, *args)
-    return len(calls) + (rule is tanh_sinh)  # whose first call takes two levels
+    return len(calls)
 
 
 class TestRowsInMath:
-    """tanh_sinh_rows: tanh_sinh in math, for the rows of one integrand, which
-    returns each row's weighted sum over a level's node table."""
+    """tanh_sinh_rows on an integrand in math, which returns each row's
+    weighted sum over a level's node table: the rows of the same integrand
+    on numpy, to rounding."""
 
     P = [0.5, 0.3, 0.75, 0.76]  # x^(-p) on [0, 1], accepted at steps 1/16, 1/16, 1/64 and 1/128
 
     def test_rows_agree_with_the_batch(self):
         rows = tanh_sinh_rows(powers, 0.0, 1.0, self.P)
-        batch = tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, np.array(self.P))
+        batch = tanh_sinh_numpy(lambda x, p: x**-p, 0.0, 1.0, np.array(self.P))
         for i, p in enumerate(self.P):
-            assert rows[i].value == pytest.approx(batch.value[i], rel=1e-14, abs=0.0)
+            assert rows[i].value == pytest.approx(batch[i].value, rel=1e-14, abs=0.0)
             assert rows[i].value == pytest.approx(1.0 / (1.0 - p), rel=2e-9)
 
     def test_each_row_is_accepted_at_its_own_level(self):
-        # a row gets what its own call returns, at the level the numpy rule accepts it
+        # a row gets what its own call returns, at the level the numpy integrand's row is accepted
         rows = tanh_sinh_rows(powers, 0.0, 1.0, self.P)
         levels = []
         for i, p in enumerate(self.P):
             assert tanh_sinh_rows(powers, 0.0, 1.0, [p]) == [rows[i]]
             levels.append(levels_taken(tanh_sinh_rows, powers, [p]))
-            assert levels[-1] == levels_taken(tanh_sinh, lambda x, p: x**-p, p)
+            assert levels[-1] == levels_taken(tanh_sinh_numpy, lambda x, p: x**-p, p)
         assert len(set(levels)) > 2
 
     def test_divergent_row_raises_the_batch_error(self):
-        # rows 2 and 3 diverge: the first one's message, as the numpy rule words it
+        # rows 2 and 3 diverge: the first one's message, as the numpy integrand's batch words it
         p = [0.5, 0.3, 1.0, 1.2]
         with pytest.raises(NumericalError) as rows:
             tanh_sinh_rows(powers, 0.0, 1.0, p)
         with pytest.raises(NumericalError) as batch:
-            tanh_sinh(lambda x, p: x**-p, 0.0, 1.0, np.array(p))
+            tanh_sinh_numpy(lambda x, p: x**-p, 0.0, 1.0, np.array(p))
         assert str(rows.value) == str(batch.value)
-        assert levels_taken(tanh_sinh_rows, powers, p) == levels_taken(tanh_sinh, lambda x, p: x**-p, np.array(p))
+        assert levels_taken(tanh_sinh_rows, powers, p) == levels_taken(tanh_sinh_numpy, lambda x, p: x**-p, np.array(p))
 
     @pytest.mark.parametrize("f", [
         lambda nodes: [sum(math.exp(1e3 * u) for u in nodes.x)],  # OverflowError
@@ -359,7 +367,6 @@ class TestRowsInMath:
             return [sum(w * u * u for u, w in zip(nodes.x, nodes.weight))]
 
         (row,) = tanh_sinh_rows(squares, -2.0, -1.0)
-        assert row.value == pytest.approx(tanh_sinh(lambda x: x * x, -2.0, -1.0).value, rel=1e-14, abs=0.0)
         assert row.value == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_log_is_taken_once_per_table(self):

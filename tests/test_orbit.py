@@ -1,4 +1,5 @@
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,6 +191,21 @@ class TestGroundComparison:
     def test_fiber_transmissivity(self):
         # 0.2 dB/km over 100 km is 20 dB: eta = 1e-2, and the capacity -log2(1 - eta)
         assert repeater_rate(100e3) == pytest.approx(-math.log2(1.0 - 10 ** (-2.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(1e-300, 10**19), (1e-320, 0), (5e-324, 0)])
+    def test_underflowing_hop_loss_is_finite(self, d, n):
+        # the hop's loss x ln 10 / 10, x = 0.2 d / 1e3 / (n + 1) dB, underflows
+        # (d and x subnormal, or x below the smallest double): -log2 of it stays finite
+        ln_loss = math.log(0.2) + math.log(d) - math.log(1e3) - math.log(n + 1) + math.log(math.log(10.0) / 10.0)
+        assert repeater_rate(d, n) == pytest.approx(-ln_loss / math.log(2.0), rel=1e-15)
+
+    def test_rate_is_continuous_where_the_loss_underflows(self):
+        # either side of the smallest normal loss: -log2(loss) by both spellings
+        d = 1e3 * sys.float_info.min / (0.2 * math.log(10.0) / 10.0)
+        below, above = repeater_rate(d * (1.0 - 1e-9)), repeater_rate(d * (1.0 + 1e-9))
+        assert below == pytest.approx(1022.0, rel=1e-11)
+        # no step between them: -log2 falls by 2e-9 / ln 2 across the switch
+        assert below - above == pytest.approx(2e-9 / math.log(2.0), rel=1e-4)
 
     def test_repeaters_help_and_degenerate_case(self):
         d = 500e3

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from satlink import _integrate, bounds, fading
-from satlink._integrate import tanh_sinh
+from satlink._integrate import tanh_sinh_rows
 from satlink.errors import NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
 from satlink.scenario import CHUNK, Scenario
@@ -136,22 +136,24 @@ def test_bounds_sweep_builds_each_model_once(monkeypatch):
 
 
 def counted_batches(monkeypatch) -> list:
-    """(integrand, rows) of every tanh_sinh call of the pipeline, from here on."""
+    """(integrand, rows) of every tanh_sinh_rows call of the pipeline, from here on."""
     quadratures = []
 
-    def counted_tanh_sinh(f, a, b, *args, **kwargs):
-        quadratures.append((f.__name__, np.broadcast(a, b, *args).size))
-        return tanh_sinh(f, a, b, *args, **kwargs)
+    def counted_tanh_sinh_rows(f, a, b, *args, **kwargs):
+        rows = tanh_sinh_rows(f, a, b, *args, **kwargs)
+        quadratures.append((f.__name__, len(rows)))
+        return rows
 
-    monkeypatch.setattr(_integrate, "tanh_sinh", counted_tanh_sinh)
+    monkeypatch.setattr(_integrate, "tanh_sinh_rows", counted_tanh_sinh_rows)
     return quadratures
 
 
 def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
-    """One batch: B at every point and B(nbar) where 0 < nbar < eta; no
-    other quadrature.
+    """One batch: two rows per point, which share each node's work, B at
+    eta and B at nbar where 0 < nbar < eta (eta again elsewhere); no other
+    quadrature.
 
-    Every tanh_sinh call of the sweep is counted, so a point that
+    Every tanh_sinh_rows call of the sweep is counted, so a point that
     integrated alone, a line of sight that the Gauss-Laguerre rule should
     take, or a per-sweep fading average would show up.
     """
@@ -161,7 +163,7 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     grid = scn.bounds_sweep(points)
     live = sum(row.nbar < row.eta for row in grid)
     assert 0 < live < len(points)  # the grid reaches entanglement breaking
-    assert quadratures == [("_wander", len(points) + live)]
+    assert quadratures == [("_wander_batch", 2 * len(points))]
 
 
 @pytest.mark.filterwarnings("ignore:Rytov variance")
@@ -190,12 +192,14 @@ def test_failing_row_raises_its_points_error(monkeypatch):
     alone = [scn.bounds_at(*point) for point in points]
     bad = scn.fading_model(*points[3])
     s_bad = bad.r0 * bad.r0 / (2.0 * bad.sigma2)
-    wander = bounds._wander
+    wander = bounds._wander_batch
 
-    def wander_fails(t, s, g, eta):
-        return np.where(s == s_bad, np.nan, wander(t, s, g, eta))
+    def wander_fails(nodes, s, g, etas):
+        sums = np.reshape(wander(nodes, s, g, etas), (-1, 2))  # a model's two rows
+        sums[s[:, 0] == s_bad] = np.nan
+        return sums.ravel().tolist()
 
-    monkeypatch.setattr(bounds, "_wander", wander_fails)
+    monkeypatch.setattr(bounds, "_wander_batch", wander_fails)
     with pytest.raises(NumericalError) as lone:
         scn.bounds_at(*points[3])
     with pytest.raises(type(lone.value)) as swept:
