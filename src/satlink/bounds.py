@@ -25,19 +25,12 @@ from .beam import LN2
 from .errors import NumericalError
 from .fading import FadingModel
 
-_H_TINY = -1e-12
-
 
 def entropy_h(x: float) -> float:
-    """Thermal-state entropy (x+1)log2(x+1) - x log2(x), with h(0) = 0."""
-    # numerical dust from symplectic eigenvalues counts as zero
-    if x <= _H_TINY:
-        raise ValueError("mean photon number must be non-negative")
-    return thermal_entropy(x)
+    """Thermal-state entropy (x+1)log2(x+1) - x log2(x), with h(0) = 0.
 
-
-def thermal_entropy(x: float) -> float:
-    """entropy_h without the domain check, x <= 0 counting as 0."""
+    x <= 0 counts as 0: the numerical dust of symplectic eigenvalues near 1.
+    """
     if x <= 0.0:
         return 0.0
     return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from ._special import erfcinv
-from .bounds import thermal_entropy
+from .bounds import entropy_h
 from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Checked, Domain, at_least, one_of, param
 from .errors import ConfigError, NumericalError
 from .fading import FadingModel, p_threshold
@@ -116,7 +116,7 @@ def mutual_information(tau: float, nbar: float, sigma_x2: float, nu_add: float) 
 def _entropy_from_nu(nu: float) -> float:
     if nu < 1.0 - 1e-9:
         raise NumericalError(f"non-physical symplectic eigenvalue {nu}")
-    return thermal_entropy((nu - 1.0) / 2.0)
+    return entropy_h((nu - 1.0) / 2.0)
 
 
 def holevo_bound(tau: float, nbar: float, mu: float, detection: str) -> float:
