@@ -124,7 +124,7 @@ def fading_model(
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
     if rytov >= 1.0:
         warnings.warn(
-            f"Rytov variance {rytov:.2f} >= 1 at theta={theta:.2f}:"
+            f"Rytov variance {rytov:.3g} >= 1 at theta={theta:.2f}:"
             " outside the weak-turbulence window, treat results as indicative",
             stacklevel=2,
         )

@@ -1,12 +1,15 @@
-"""The golden corpus: CLI runs whose outputs are held in tests/golden.json.
+"""The golden corpus: CLI and script runs whose outputs are held in tests/golden.json.
 
     python tests/golden.py            # run every case and compare it with the corpus
     python tests/golden.py --record   # run every case and rewrite the corpus
 
-A case is an argv of `satlink`; the corpus holds each case's exit code,
-stdout and stderr.  Each case runs in this process through `cli.main`, with
-fresh warning state; a warning is kept as `Category: message`, without its
-file and source line.  It runs whichever satlink the interpreter imports:
+A case is an argv of `satlink`, or of a script when its argv[0] is
+`scripts/<name>.py`; the corpus holds each case's exit code, stdout and
+stderr.  Each case runs in this process, with fresh warning state: a
+`satlink` case through `cli.main`, a script through `runpy` as `__main__`
+with `sys.argv` set to the case's argv, its exit code that of its
+`SystemExit`.  A warning is kept as `Category: message`, without its file
+and source line.  A case runs whichever satlink the interpreter imports:
 the sources under PYTHONPATH, or the installed package.
 
 A run matches the corpus when each case's exit code is the same, its text is
@@ -33,6 +36,7 @@ import json
 import math
 import pathlib
 import re
+import runpy
 import shlex
 import sys
 import warnings
@@ -43,6 +47,7 @@ import numpy  # noqa: F401
 from satlink import cli
 
 CORPUS = pathlib.Path(__file__).with_name("golden.json")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 REL_TOL = 1e-6  # the tolerance of perfbench/reference.json
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -124,12 +129,44 @@ HORIZON = [
         (1, 2, 3, 4), ("up", "down"), ("100km", "530km", "36000km"), (-math.pi / 2, math.pi / 2))
 ]
 
+# the tables of the scripts that print them, in both modes of each
+SCRIPTS = [
+    ["scripts/noise_and_ranges.py"],
+    ["scripts/noise_and_ranges.py", "--skip-tight"],
+    ["scripts/orbital_yield.py"],
+    ["scripts/orbital_yield.py", "--json"],
+]
+
 # each argv once, in the order above
-CASES = [list(argv) for argv in dict.fromkeys(map(tuple, README + EDGES + TIGHT + SCRIPT_SWEEPS + HORIZON))]
+CASES = [
+    list(argv) for argv in dict.fromkeys(map(tuple, README + EDGES + TIGHT + SCRIPT_SWEEPS + HORIZON + SCRIPTS))
+]
+
+
+def is_script(argv: list[str]) -> bool:
+    return argv[0].startswith("scripts/")
+
+
+def command(argv: list[str]) -> str:
+    """The shell command of a case."""
+    return ("python " if is_script(argv) else "satlink ") + shlex.join(argv)
+
+
+def run_script(argv: list[str]) -> int:
+    """The exit code of `python argv`, run in this process; sys.argv is restored."""
+    saved = sys.argv
+    sys.argv = list(argv)
+    try:
+        runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+    except SystemExit as stop:
+        return stop.code
+    finally:
+        sys.argv = saved
+    return 0
 
 
 def run(argv: list[str]) -> dict:
-    """The exit code, stdout and stderr of `satlink argv`, run in this process."""
+    """The exit code, stdout and stderr of the case argv, run in this process."""
     stdout, stderr = io.StringIO(), io.StringIO()
 
     def show(message, category, *_):
@@ -138,7 +175,7 @@ def run(argv: list[str]) -> dict:
     with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("default")  # each warning once per place, as in a fresh process
         warnings.showwarning = show
-        code = cli.main(argv)
+        code = run_script(argv) if is_script(argv) else cli.main(argv)
     return {
         "argv": argv,
         "exit": code,
@@ -177,7 +214,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
     lines, failed = [], False
     numbers = moved = beyond = 0
     for argv, case in running.items():
-        head = "satlink " + shlex.join(argv)
+        head = command(argv)
         numbers += sum(len(NUMBER.findall(line)) for line in case["stdout"] + case["stderr"])
         if argv not in recorded:
             lines.append(f"{head}\n  added")
@@ -203,7 +240,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
             lines += [head, *notes]
     for argv in recorded:
         if argv not in running:
-            lines.append("satlink " + shlex.join(argv) + "\n  removed")
+            lines.append(command(argv) + "\n  removed")
             failed = True
     lines.append(
         f"{len(new)} cases, {numbers} numbers: {moved} moved, {beyond} beyond {REL_TOL:g}"
@@ -213,7 +250,7 @@ def compare(old: list[dict], new: list[dict]) -> tuple[list[str], bool]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="Run the golden corpus of CLI runs and compare it.")
+    parser = argparse.ArgumentParser(description="Run the golden corpus of CLI and script runs and compare it.")
     parser.add_argument("--record", action="store_true", help="rewrite the corpus with this run's outputs")
     args = parser.parse_args(argv)
     old = json.loads(CORPUS.read_text(encoding="utf-8")) if CORPUS.exists() else []

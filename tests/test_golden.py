@@ -1,5 +1,9 @@
-"""The golden corpus of CLI runs (tests/golden.py): every case matches
-tests/golden.json, and the comparison fails on each kind of change."""
+"""The golden corpus of CLI and script runs (tests/golden.py): every case
+matches tests/golden.json, the README commands are cases, and the comparison
+fails on each kind of change."""
+
+import shlex
+import sys
 
 import golden
 import pytest
@@ -18,6 +22,30 @@ def test_corpus(capsys):
     code = golden.main([])
     report = capsys.readouterr().out
     assert code == 0, report
+
+
+def test_readme_commands_are_cases():
+    # every satlink command of the README's CLI block, its continuation lines
+    # joined, without -o FILE
+    readme = (golden.ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("satlink "):
+            argv = shlex.split(line)[1:]
+            if "-o" in argv:
+                at = argv.index("-o")
+                del argv[at:at + 2]
+            commands.append(argv)
+    missing = [argv for argv in commands if argv not in golden.CASES]
+    assert commands and not missing, missing
+
+
+def test_script_case_leaves_sys_argv():
+    argv = list(sys.argv)
+    case = golden.run(["scripts/orbital_yield.py"])
+    assert sys.argv == argv
+    assert case["exit"] == 0, case["stderr"]
 
 
 def test_same_record_passes():

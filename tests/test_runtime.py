@@ -1,5 +1,6 @@
 """Cold-process checks: the runtime imports no scipy, numpy only where it
-integrates or samples, and the scripts run."""
+integrates or samples, bounds_sweep.py writes its files, and the functions of
+the other two scripts hold; tests/golden.json holds the tables they print."""
 
 import importlib.util
 import os
@@ -80,12 +81,6 @@ def test_bounds_sweep_script(tmp_path):
     assert len(list(tmp_path.glob("bounds_*.csv"))) == 4
 
 
-def test_orbital_yield_script():
-    proc = run_python(str(ROOT / "scripts" / "orbital_yield.py"))
-    assert proc.returncode == 0, proc.stderr
-    assert "night-down-530" in proc.stdout
-
-
 def test_orbital_yield_crossover_inverts_the_fiber_rate():
     # the closed-form break-even is where the fiber's bits per day equal the pass's
     path = ROOT / "scripts" / "orbital_yield.py"
@@ -96,30 +91,6 @@ def test_orbital_yield_crossover_inverts_the_fiber_rate():
         for n_rep in (0, 1, 30):
             d = script.crossover(sat_bits, 5e6, n_rep)
             assert bits_per_day(repeater_rate(d, n_rep), 5e6) == pytest.approx(sat_bits, rel=1e-9)
-
-
-def test_noise_and_ranges_script_tables():
-    # --skip-tight: the tight ranges still fail on the night-uplink 0.1 pm
-    # far field, where the bracket reaches 1e9 m and 2 eta_st f0 rounds to 1
-    proc = run_python(str(ROOT / "scripts" / "noise_and_ranges.py"), "--skip-tight")
-    assert proc.returncode == 0, proc.stderr
-    assert "day-down-cloudy" in proc.stdout
-
-
-def test_noise_and_ranges_script_finishes_the_tight_table():
-    # the night-uplink 0.1 pm cell fails numerically; the other nine print,
-    # the failure is named on stderr and the script exits 3 like the CLI
-    proc = run_python(str(ROOT / "scripts" / "noise_and_ranges.py"))
-    assert proc.returncode == 3, proc.stderr
-    tight = proc.stdout.split("maximum secure slant range", 1)[1].splitlines()[2:]
-    assert [line.split()[0] for line in tight] == [
-        "night-up", "night-down", "day-up", "day-down-clear", "day-down-cloudy"
-    ]
-    assert sum(line.split().count("failed") for line in tight) == 1
-    assert tight[0].split()[-1] == "failed"
-    assert "night-up, 0.1 pm filter" in proc.stderr
-    assert "degenerate fading geometry" in proc.stderr
-    assert "Traceback" not in proc.stderr
 
 
 def test_noise_and_ranges_marks_a_capped_range():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from satlink import _integrate, bounds, fading
+from satlink import ProtocolParams, _integrate, bounds, fading
 from satlink._integrate import tanh_sinh_rows
 from satlink.errors import NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
@@ -33,13 +33,22 @@ def test_bounds_grid_matches_points(setup, link, period, sky):
             assert row == scn.bounds_at(*point)
 
 
-@pytest.mark.parametrize("setup,link,period,sky", CONFIGS)
-def test_rate_grid_matches_points(setup, link, period, sky):
-    scn = Scenario.build(link, period, sky, setup=setup)
-    thetas = np.linspace(-1.0, 1.0, 9).tolist()
+# the documented configurations, and the README rate sweep's: setup 2 with its protocol
+RATE_CONFIGS = [
+    *(pytest.param(*config, ProtocolParams(), id="-".join(map(str, config))) for config in CONFIGS),
+    pytest.param(2, "down", "night", "clear", ProtocolParams(mu=9.28, phi_thr=0.73), id="readme"),
+]
+
+
+@pytest.mark.parametrize("setup,link,period,sky,protocol", RATE_CONFIGS)
+def test_rate_grid_matches_points(setup, link, period, sky, protocol):
+    scn = Scenario.build(link, period, sky, setup=setup, protocol=protocol)
+    # from -1, the README sweep's first angle, and five points across the switch
+    # angle of the Gauss-Laguerre line of sight (1.3427122581258115 rad, the third)
+    thetas = np.linspace(-1.0, 1.0, 9).tolist() + np.linspace(1.2802122581258115, 1.4052122581258115, 5).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for h in altitudes(3).tolist():
+        for h in [*altitudes(3).tolist(), 530e3]:
             grid = scn.rate_sweep(h, thetas, "collective")
             assert len(grid) == len(thetas)
             for row, theta in zip(grid, thetas):
