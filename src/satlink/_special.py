@@ -12,7 +12,6 @@ relative change of order 1e-16 / x^2.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 
 # Chebyshev coefficients, highest order first: exp(-y) I0(y) and
@@ -96,11 +95,44 @@ def i1e(y: float) -> float:
     return _scaled_bessel(y, _I1_SMALL, _I1_LARGE, True)
 
 
-def erfcinv(x: float) -> float:
-    """Inverse complementary error function for x in (0, 2).
+# Wichura's AS241 (Applied Statistics 37, 477, 1988) as the standard library
+# spells it for NormalDist.inv_cdf, whose doubles erfcinv returns: numerator and
+# denominator, highest order first, in q = p - 1/2 for |q| <= 0.425 (the
+# numerator times q), beyond in r = sqrt(-ln(min(p, 1 - p))) - 1.6 for r <= 5, r - 5 above
+_AS241 = (
+    ((2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987, 13731.69376550946,
+      1971.5909503065513, 133.14166789178438, 3.3871328727963665),
+     (5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597, 5394.196021424751,
+      687.1870074920579, 42.31333070160091, 1.0)),
+    ((0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684, 3.6478483247632045,
+      5.769497221460691, 4.630337846156546, 1.4234371107496835),
+     (1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457, 0.14810397642748008,
+      0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0)),
+    ((2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784, 0.026532189526576124,
+      0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103),
+     (2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133,
+      0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0)),
+)
 
-    erfc(y) = 2 Phi(-sqrt(2) y), so the standard normal quantile (Wichura's
-    AS241 in the standard library) inverts it.
-    """
+
+def _ratio(r: float, rational, times: float = 1.0) -> float:
+    """A rational approximation at r, each polynomial by Horner's rule, its numerator times `times`."""
+    (num, *num_rest), (den, *den_rest) = rational
+    for a, b in zip(num_rest, den_rest):
+        num, den = num * r + a, den * r + b
+    return num * times / den
+
+
+def erfcinv(x: float) -> float:
+    """Inverse complementary error function for x in (0, 2): erfc(y) = 2 Phi(-sqrt(2) y),
+    so the standard normal quantile z of p = x / 2 inverts it."""
     # x / 2 rounds to 0 for the smallest subnormal x: take the nearest positive p
-    return -NormalDist().inv_cdf(max(x / 2.0, 5e-324)) / math.sqrt(2.0)
+    p = max(x / 2.0, 5e-324)
+    q = p - 0.5
+    if abs(q) <= 0.425:
+        z = _ratio(0.180625 - q * q, _AS241[0], q)
+    else:
+        r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+        z = _ratio(r - 1.6, _AS241[1]) if r <= 5.0 else _ratio(r - 5.0, _AS241[2])
+        z = -z if q < 0.0 else z
+    return -z / math.sqrt(2.0)

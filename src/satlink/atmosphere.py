@@ -37,10 +37,9 @@ test holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import geometry
-from .domain import NON_NEGATIVE, POSITIVE, Checked, param
+from .domain import NON_NEGATIVE, POSITIVE, Record, param
 from .geometry import R_EARTH
 
 # the extinction tail above this altitude shifts the loss exponent by < 1e-13
@@ -66,8 +65,7 @@ LAGUERRE = (
 )
 
 
-@dataclass(frozen=True)
-class ExtinctionModel(Checked):
+class ExtinctionModel(Record):
     alpha0: float = param(5e-6, NON_NEGATIVE)    # sea-level extinction, 1/m (800 nm)
     h_scale: float = param(6600.0, POSITIVE)     # decay scale height, m
 

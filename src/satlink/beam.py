@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .domain import NON_NEGATIVE, POSITIVE, UNIT, Checked, Domain, param
+from .domain import NON_NEGATIVE, POSITIVE, UNIT, Domain, Record, param
 from .errors import NumericalError
 
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class BeamParams(Checked):
+class BeamParams(Record):
     """Transmitted Gaussian beam: wavelength, field spot size, curvature radius.
 
     curvature = inf means a collimated beam (the default operating mode); a radius
@@ -33,8 +31,7 @@ class BeamParams(Checked):
         return math.pi * self.waist**2 / self.wavelength
 
 
-@dataclass(frozen=True)
-class ReceiverParams(Checked):
+class ReceiverParams(Record):
     """Receiving telescope and detector parameters (SI units)."""
 
     aperture: float = param(0.4, POSITIVE)          # radius a_R, m

@@ -18,10 +18,10 @@ hands them to its points.  `model_bounds` gives both for one model in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .beam import LN2
+from .domain import Record
 from .errors import NumericalError
 from .fading import FadingModel
 
@@ -177,8 +177,7 @@ Z_HI = 1e9
 Z_TOL = 1e3
 
 
-@dataclass(frozen=True)
-class MaxRangeResult:
+class MaxRangeResult(Record):
     z_max: float          # meters; 0.0 when no secure range exists
     capped: bool = False  # z_max is the bracket cap Z_HI, not a root
 

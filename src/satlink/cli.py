@@ -161,7 +161,7 @@ def parse_grid(spec: str) -> list[float]:
 # -- configuration -----------------------------------------------------------
 
 # Every configuration key: (key, Scenario attribute path, parser).  Defaults
-# and domains are the dataclasses' own, apart from the setup presets
+# and domains are the records' own, apart from the setup presets
 # (scenario.SETUPS).  Keys are parsed in table order, so of several that do
 # not parse the first here is reported.  Only beam.curvature takes inf.
 CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
@@ -201,7 +201,7 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("noise.kappa", "kappa_override", _finite),
 )
 _KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
-# the dataclass owning each key path; each key by its field's name in a ConfigError
+# the record owning each key path; each key by its field's name in a ConfigError
 _OWNERS = {"": Scenario, "beam": BeamParams, "receiver": ReceiverParams,
            "extinction": ExtinctionModel, "protocol": ProtocolParams}
 _KEY_OF_FIELD = {f"{_OWNERS[path.rpartition('.')[0]].__name__}.{path.rpartition('.')[2]}": key
@@ -236,7 +236,7 @@ def scenario_from_config(raw: dict[str, str]) -> Scenario:
     for key in raw:
         if key not in _KNOWN_KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
-    # constructor arguments of Scenario ("") and of its parameter dataclasses
+    # constructor arguments of Scenario ("") and of its parameter records
     kwargs: dict[str, dict] = {owner: {} for owner in _OWNERS}
     for key, path, parse in CONFIG_KEYS:
         if key in raw:

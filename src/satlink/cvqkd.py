@@ -14,21 +14,19 @@ estimate enters the rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 from ._special import erfcinv
 from .bounds import entropy_h
-from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Checked, Domain, at_least, one_of, param
+from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Domain, Record, at_least, one_of, param
 from .errors import ConfigError, NumericalError
 from .fading import FadingModel, p_threshold
 
 EPS_DEFAULT = 2.0**-33  # shared default for the smoothing/hash/PE/correctness epsilons
 
 
-@dataclass(frozen=True)
-class ProtocolParams(Checked):
+class ProtocolParams(Record):
     """Block structure, epsilon budget and modulation of the key protocol."""
 
     block_size: int = param(100_000_000, at_least(2))  # N, pulses per block

@@ -1,13 +1,15 @@
-"""The values a parameter may take, declared once, next to its default.
+"""Parameter records, and the values a parameter may take, declared once next to its default.
 
-A parameter dataclass declares a field as `param(default, domain)` and derives
-from Checked: every caller meets one check, a ConfigError naming the field.
+A record derives from Record: its fields are the names its class body
+annotates, its defaults the values assigned there.  A field declared as
+`param(default, domain)` is checked at construction: every caller meets one
+check, a ConfigError naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import field, fields
-from functools import cache
+from collections import namedtuple
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from .errors import ConfigError
@@ -33,9 +35,8 @@ def one_of(*values) -> Domain:
     return Domain(f"one of {', '.join(map(repr, values))}", lambda x: x in values)
 
 
-def param(default, domain: Domain):
-    """A dataclass field with its default and its domain."""
-    return field(default=default, metadata={"domain": domain})
+# a record field's default and its domain: `name: type = param(default, domain)`
+param = namedtuple("param", "default domain")
 
 
 def check(name: str, domain: Domain, value) -> None:
@@ -43,16 +44,66 @@ def check(name: str, domain: Domain, value) -> None:
         raise ConfigError(f"{name}: expected {domain.text}, got {value!r}")
 
 
-@cache
-def _declared(cls) -> tuple[tuple[str, Domain], ...]:
-    return tuple((f.name, f.metadata["domain"]) for f in fields(cls) if "domain" in f.metadata)
+class Record:
+    """A frozen record, built by position or keyword, equal and hashed by type and field values;
+    its class holds its _fields, their _defaults and the _domains declared with param."""
 
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._field_set, cls._defaults, cls._domains = frozenset(cls._fields), {}, {}
+        for name in cls._fields:
+            value = cls.__dict__.get(name, cls)  # the class itself: no default
+            if isinstance(value, param):
+                value, cls._domains[name] = value.default, value.domain
+                setattr(cls, name, value)
+            if value is not cls:
+                cls._defaults[name] = value
 
-class Checked:
-    """Base of a dataclass whose fields with a domain must lie in it (None: unset)."""
+    def __init__(self, *args, **kwargs):
+        cls, values = type(self), self.__dict__
+        if cls._defaults:
+            values.update(cls._defaults)
+        if args:
+            values.update(zip(cls._fields, args))
+        values.update(kwargs)
+        if values.keys() != cls._field_set or args and (
+                len(args) > len(cls._fields) or not kwargs.keys().isdisjoint(cls._fields[:len(args)])):
+            raise TypeError(f"{cls.__name__} takes each of {', '.join(cls._fields)} once, got {args}, {kwargs}")
+        self.__post_init__()
 
-    def __post_init__(self):
-        for name, domain in _declared(type(self)):
-            value = getattr(self, name)
+    def __post_init__(self):  # each field with a domain must lie in it (None: unset)
+        for name, domain in self._domains.items():
+            value = self.__dict__[name]
             if value is not None and not domain.holds(value):
                 check(f"{type(self).__name__}.{name}", domain, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    # the field values, and their hash, taken once: a record is frozen
+    @cached_property
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self._key == other._key if other.__class__ is self.__class__ else NotImplemented
+
+    def __reduce__(self):  # the field values alone: a str hashes apart in each process
+        return type(self), self._key
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._key))})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with the fields in `changes` set, checked as a new record."""
+    return type(record)(**dict(zip(record._fields, record._key), **changes))

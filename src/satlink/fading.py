@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from . import atmosphere, geometry, turbulence
 from ._special import i0e, i1e
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
+from .domain import Record
 from .errors import NumericalError
 from .turbulence import TurbulenceProfile
 
@@ -77,8 +77,7 @@ def fading_params(eta_st: float, eta_st_far: float, aperture: float) -> tuple[fl
     return gamma, r0
 
 
-@dataclass(frozen=True)
-class FadingModel:
+class FadingModel(Record):
     """Fading-channel state at one link geometry."""
 
     eta: float          # maximum transmissivity eta_eff * eta_atm * eta_st

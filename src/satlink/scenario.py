@@ -13,21 +13,20 @@ is a sweep of one.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import bounds, cvqkd, fading, noise, orbit
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
-from .domain import NON_NEGATIVE, Checked, one_of, param
+from .domain import NON_NEGATIVE, Record, one_of, param
 from .errors import ConfigError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
 from .turbulence import PROFILES, TurbulenceProfile
 
 # hardware presets: (beam waist w0, receiver aperture a_R, spectral filter);
-# preset 1 is the parameter dataclasses' defaults
+# preset 1 is the parameter records' defaults
 SETUPS: dict[int, tuple[float, float, float]] = {
     1: (BeamParams.waist, ReceiverParams.aperture, ReceiverParams.filter_width),
     2: (0.4, 1.0, 1e-9),
@@ -46,18 +45,17 @@ CHUNK = 64
 Bounds = namedtuple("Bounds", "U V B upper lower eta nbar")
 
 
-@dataclass(frozen=True)
-class Scenario(Checked):
+class Scenario(Record):
     link: str = param("down", one_of("up", "down"))
     period: str = param("night", one_of("day", "night"))
     sky: str = param("clear", one_of("clear", "cloudy"))
     setup: int = param(1, one_of(*SETUPS))
-    beam: BeamParams = field(default_factory=BeamParams)
-    receiver: ReceiverParams = field(default_factory=ReceiverParams)
+    beam: BeamParams = BeamParams()  # a record is frozen: one default serves all
+    receiver: ReceiverParams = ReceiverParams()
     profile: str | None = param(None, one_of(*PROFILES))  # unset: hv-<period>
-    extinction: ExtinctionModel = field(default_factory=ExtinctionModel)
+    extinction: ExtinctionModel = ExtinctionModel()
     pointing_error: float = param(1e-6, NON_NEGATIVE)
-    protocol: ProtocolParams = field(default_factory=ProtocolParams)
+    protocol: ProtocolParams = ProtocolParams()
     h_sky_override: float | None = param(None, NON_NEGATIVE)
     kappa_override: float | None = param(None, NON_NEGATIVE)
 

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .beam import BeamParams, diffraction_waist
+from .domain import Record
 from .errors import NumericalError, StrongTurbulenceError
 
 
-@dataclass(frozen=True)
-class TurbulenceProfile:
+class TurbulenceProfile(Record):
     """Atmospheric turbulence-strength profile.
 
     kind "hufnagel-valley" uses the ground value a_ground and windspeed;

@@ -9,7 +9,10 @@ README `compare-fiber`, whose log grid is built in math; the README
 `bounds` command, which integrates the beam wander in a numpy batch, must
 load it, which shows that the probe sees numpy load.  json must stay
 unloaded until the `pass` command, its only user, and be loaded after it.
-Exits 0 if so, and names the first command that does not.  It runs
+dataclasses, inspect and statistics, each a cost at start-up, must stay
+unloaded through `import satlink.cli` and every command that runs without
+numpy (numpy itself loads inspect).  Exits 0 if so, and names the first
+command that does not.  It runs
 whichever satlink the interpreter imports: the sources under PYTHONPATH, or
 the installed package.
 """
@@ -18,6 +21,8 @@ import contextlib
 import io
 import sys
 
+# modules that no command without numpy loads
+UNLOADED = ("dataclasses", "inspect", "statistics")
 README_SET = ["--set", "scenario.setup=2", "--set", "protocol.mu=9.28", "--set", "protocol.phi=0.73"]
 # (loads numpy, exit code, argv) in the order they run: once loaded, numpy stays
 COMMANDS = (
@@ -47,8 +52,8 @@ def main() -> None:
     check(False, "import satlink")
     import satlink.cli
 
-    check(False, "import satlink.cli")
-    check(False, "import satlink.cli", "json")
+    for module in ("numpy", "json", *UNLOADED):
+        check(False, "import satlink.cli", module)
     passed = False  # whether a pass command has run
     for loaded, code, argv in COMMANDS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -56,9 +61,13 @@ def main() -> None:
         if got != code:
             sys.exit(f"satlink {' '.join(argv)}: exit {got}, not {code}")
         check(loaded, f"satlink {' '.join(argv)}")
+        if not loaded:  # numpy itself loads inspect
+            for module in UNLOADED:
+                check(False, f"satlink {' '.join(argv)}", module)
         passed = passed or argv[0] == "pass"
         check(passed, f"satlink {' '.join(argv)}", "json")
-    print(f"{satlink.__file__}: numpy and json loaded only where expected, over {len(COMMANDS)} commands")
+    print(f"{satlink.__file__}: numpy, json and {', '.join(UNLOADED)} loaded only where expected,"
+          f" over {len(COMMANDS)} commands")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,9 @@ the sources under PYTHONPATH, or the installed package.
 
 A run matches the corpus when each case's exit code is the same, its text is
 the same once its numbers are masked, and each of its numbers lies within
-REL_TOL relative of the recorded one (a zero matches only a zero).  Every
+REL_TOL relative of the recorded one (a zero matches only a zero).  The
+spaces next to a number are its cell's padding: a number that moved may
+change them, as in a right-aligned table when its width changes.  Every
 number that moved is printed as old -> new with its relative change, within
 the tolerance or not.  The check exits 1 on any change beyond the tolerance,
 any text change, any exit-code change and any case added or removed;
@@ -50,6 +52,8 @@ CORPUS = pathlib.Path(__file__).with_name("golden.json")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 REL_TOL = 1e-6  # the tolerance of perfbench/reference.json
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+# a number's cell: the number with the spaces next to it, its padding in a table
+CELL = re.compile(rf"( *{NUMBER.pattern[1:-1]} *)")
 
 UP_DAY = ["--set", "scenario.link=up", "--set", "scenario.period=day"]
 README_SET = ["--set", "scenario.setup=2", "--set", "protocol.mu=9.28", "--set", "protocol.phi=0.73"]
@@ -186,15 +190,22 @@ def run(argv: list[str]) -> dict:
 
 def moved_numbers(old: list[str], new: list[str]) -> list[tuple[int, str, str]] | None:
     """(line, old, new) for each number of new that differs from old, or
-    None if the two differ in their text once their numbers are masked."""
+    None if the two differ in their text once their cells are masked.  A
+    number that moved may change its cell's padding, as a number of a
+    padded table does when its width changes; the padding of a number that
+    did not move is text."""
     if len(old) != len(new):
         return None
     moves = []
     for line, (a, b) in enumerate(zip(old, new), 1):
-        old_parts, new_parts = NUMBER.split(a), NUMBER.split(b)
+        old_parts, new_parts = CELL.split(a), CELL.split(b)
         if old_parts[::2] != new_parts[::2]:
             return None
-        moves += [(line, x, y) for x, y in zip(old_parts[1::2], new_parts[1::2]) if x != y]
+        for x, y in zip(old_parts[1::2], new_parts[1::2]):
+            if x.strip() != y.strip():
+                moves.append((line, x.strip(), y.strip()))
+            elif x != y:
+                return None
     return moves
 
 

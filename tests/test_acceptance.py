@@ -6,7 +6,6 @@ PASS/FAIL lines and the measured values.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from satlink.cvqkd import (
     holevo_bound,
     mutual_information,
 )
+from satlink.domain import replace
 from satlink.fading import fading_cdf, p_threshold
 from satlink.noise import nbar_background
 from satlink.orbit import (

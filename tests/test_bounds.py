@@ -1,7 +1,6 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from satlink import ConfigError, NumericalError, Scenario, _integrate, bounds
 from satlink.beam import plob
 from satlink.cli import main
+from satlink.domain import replace
 from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_correction, thermal_lower
 from satlink.fading import FadingModel
 from _reference import (

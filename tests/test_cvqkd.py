@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from satlink.cvqkd import (
     postselected_rate,
     worst_case_nbar,
 )
+from satlink.domain import replace
 
 from _reference import (
     EstimationResult,

@@ -1,7 +1,6 @@
 import itertools
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ import scipy.integrate
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from satlink.beam import BeamParams, ReceiverParams
+from satlink.domain import replace
 from satlink.errors import NumericalError
 from satlink.fading import (
     BLOCK,
@@ -203,8 +203,6 @@ class TestDensity:
         assert [fading_cdf(t, model_up) for t in (-0.1, 0.0, eta, 2 * eta)] == [0.0, 0.0, 1.0, 1.0]
 
     def test_no_wandering_concentrates_at_eta(self, model_down):
-        from dataclasses import replace
-
         frozen = replace(model_down, sigma2=1e-12)
         assert p_threshold(0.99 * frozen.eta, frozen) == pytest.approx(1.0, abs=1e-12)
 
@@ -256,8 +254,6 @@ class TestSampler:
         assert np.all(taus > 0) and np.all(taus <= model_down.eta)
 
     def test_zero_deflection_gives_eta(self, model_down):
-        from dataclasses import replace
-
         still = replace(model_down, sigma2=0.0)
         taus = sample_fading(still, 10, seed=0)
         assert np.allclose(taus, still.eta)

@@ -78,3 +78,34 @@ def test_move_within_tolerance_is_listed_and_passes():
     assert lines[0] == "satlink show-config"
     assert lines[1] == "  stdout:2  1.5e-3 -> 1.5000000015e-3  rel +1e-09"
     assert lines[-1].endswith(" 1 moved, 0 beyond 1e-06")
+
+
+# a right-aligned table cell of width 11, as scripts/noise_and_ranges.py prints its ranges
+def table(value: str) -> dict:
+    return record(stdout=f"range {value:>11s} km\n")
+
+
+def test_move_that_changes_a_width_is_listed_and_passes():
+    lines, failed = golden.compare([table("999999.9")], [table("1000000.3")])
+    assert not failed, lines
+    assert lines[1] == "  stdout:1  999999.9 -> 1000000.3  rel +4e-07"
+
+
+def test_move_beyond_tolerance_that_changes_a_width_fails_as_a_move():
+    lines, failed = golden.compare([table("10010")], [table("7078")])
+    assert failed
+    assert lines[1] == "  stdout:1  10010 -> 7078  rel -0.29  beyond 1e-06"
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [
+        record(stdout="eta,B\n0.25, 1.5e-3\n0\n"),  # padding beside a number that did not move
+        record(stdout="eta,B\n0.25 ,1.5000000015e-3\n0\n"),  # a move, and padding beside a number that did not
+        record(stdout="eta, B\n0.25,1.5000000015e-3\n0\n"),  # a move, and a space in the text
+    ],
+    ids=["padding", "padding beside a move", "text beside a move"],
+)
+def test_padding_of_a_number_that_did_not_move_is_text(changed):
+    lines, failed = golden.compare([record()], [changed])
+    assert failed and any(line.endswith("text changed") for line in lines), lines

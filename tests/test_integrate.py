@@ -2,6 +2,8 @@
 
 import contextlib
 import math
+import random
+from statistics import NormalDist
 from types import SimpleNamespace
 
 import numpy as np
@@ -396,6 +398,19 @@ class TestSpecialFunctions:
             want = float(ref(y))
             assert abs(mine(float(y)) - want) <= 2 * math.ulp(want)
 
-    @pytest.mark.parametrize("eps", [1e-40, 1e-20, 2.0**-33, 4.3e-11, 1e-5, 0.01, 0.3, 0.5])
+    EPS_PE = [1e-40, 1e-20, 2.0**-33, 4.3e-11, 1e-5, 0.01, 0.3, 0.5]
+
+    @pytest.mark.parametrize("eps", EPS_PE)
     def test_erfcinv_against_scipy(self, eps):
         assert erfcinv(eps) == pytest.approx(float(scipy.special.erfcinv(eps)), rel=1e-15)
+
+    def test_erfcinv_is_the_standard_library_quantile(self):
+        # the AS241 port returns the very doubles of the NormalDist quantile it replaces
+        rng = random.Random(1)
+        xs = [10.0 ** rng.uniform(-320.0, math.log10(0.98)) for _ in range(200_000)]
+        xs += [0.98 + 1.02 * i / 10_000 for i in range(1, 10_000)]  # (0.98, 2)
+        # the smallest subnormal, the centre and every eps_pe of the README and the tests
+        xs += [5e-324, 1.0, 2.0**-33, 1e-12, 1e-43, *self.EPS_PE]
+        quantile = NormalDist().inv_cdf
+        moved = [x for x in xs if erfcinv(x).hex() != (-quantile(max(x / 2, 5e-324)) / math.sqrt(2)).hex()]
+        assert not moved

@@ -41,7 +41,8 @@ def test_commands_without_arrays_do_not_import_numpy():
     # show-config, the README rate, a rate out to the horizon and one below
     # 660 m, pass and max-range commands, a configuration error and the
     # README compare-fiber start without numpy; the README bounds command
-    # loads it.  json loads with pass
+    # loads it.  json loads with pass; dataclasses, inspect and statistics
+    # load with none of them
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
