@@ -8,7 +8,8 @@ A case is an argv of `satlink`, or of a script when its argv[0] is
 stderr.  Each case runs in this process, with fresh warning state: a
 `satlink` case through `cli.main`, a script through `runpy` as `__main__`
 with `sys.argv` set to the case's argv, its exit code that of its
-`SystemExit`.  A warning is kept as `Category: message`, without its file
+`SystemExit`.  A case runs in the repository's root, so that its paths
+are relative to it.  A warning is kept as `Category: message`, without its file
 and source line.  A case runs whichever satlink the interpreter imports:
 the sources under PYTHONPATH, or the installed package.
 
@@ -36,6 +37,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import re
 import runpy
@@ -108,6 +110,14 @@ EDGES = [
     ["max-range", "--mode", "simple", *UP_DAY],
     # the near field of the 2 m downlink apertures
     ["bounds", "--h-grid", "100km:500km:5", "--set", "scenario.setup=3"],
+    # the Yura and blocks validity guards (the Rytov guard fires at the horizon)
+    ["bounds", "--h-grid", "530km:530km:1", "--set", "scenario.link=up", "--set", "beam.waist=0.01"],
+    ["pass", "--h", "530km", "--blocks", "100"],
+    # general attacks, which need an energy test
+    [*RATE_3, "--attacks", "general", "--set", "protocol.f_et=0.1"],
+    ["pass", "--h", "530km", "--attacks", "general", "--set", "protocol.f_et=0.1"],
+    # a configuration file, one of its keys overridden by --set
+    [*RATE_3, "--config", "tests/downlink_night.cfg", "--set", "protocol.mu=5"],
 ]
 
 # the tight max range on every documented configuration, with both filters
@@ -161,7 +171,7 @@ def run_script(argv: list[str]) -> int:
     saved = sys.argv
     sys.argv = list(argv)
     try:
-        runpy.run_path(str(ROOT / argv[0]), run_name="__main__")
+        runpy.run_path(argv[0], run_name="__main__")
     except SystemExit as stop:
         return stop.code
     finally:
@@ -176,10 +186,15 @@ def run(argv: list[str]) -> dict:
     def show(message, category, *_):
         print(f"{category.__name__}: {message}", file=stderr)
 
-    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("default")  # each warning once per place, as in a fresh process
-        warnings.showwarning = show
-        code = run_script(argv) if is_script(argv) else cli.main(argv)
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("default")  # each warning once per place, as in a fresh process
+            warnings.showwarning = show
+            code = run_script(argv) if is_script(argv) else cli.main(argv)
+    finally:
+        os.chdir(cwd)
     return {
         "argv": argv,
         "exit": code,
