@@ -8,6 +8,10 @@ CONFIG_KEYS and of each option in COMMANDS.  Every CSV starts with a comment
 line that records the fully resolved configuration; identical invocations
 produce byte-identical output.
 
+Each validity guard that fired (errors.GUARDS) prints as `warning: <text>` on
+stderr, each distinct text once, in firing order and before any error line;
+main clears the guards as it starts, so every run reports what a fresh one does.
+
 Exit codes: 0 ok, 2 configuration error (a request that does not fit in
 memory included), 3 numerical failure (a floating-point overflow or division
 by zero included); any other exception is a bug.
@@ -29,7 +33,7 @@ from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
 from .domain import NON_NEGATIVE, POSITIVE, Domain, at_least, check
-from .errors import ConfigError, NumericalError
+from .errors import GUARDS, ConfigError, NumericalError
 from .scenario import Scenario
 
 _UNITS = {
@@ -507,24 +511,27 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    GUARDS.clear()
+    code, error = 0, None
     try:
         args = parse_args(argv)
         text = args.fn(args, resolve_scenario(args))
         with _open_out(args) as out:
             out.write(text)
-        return 0
     except (NumericalError, ArithmeticError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, f"numerical error: {exc}"
     except ConfigError as exc:
         message = str(exc)
         for name, key in _KEY_OF_FIELD.items():  # a parameter field at fault by its key
             message = message.replace(name, key)
-        print(f"configuration error: {message}", file=sys.stderr)
-        return 2
+        code, error = 2, f"configuration error: {message}"
     except MemoryError as exc:
-        print(f"configuration error: the request does not fit in memory: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"configuration error: the request does not fit in memory: {exc}"
+    for text in GUARDS:  # the guards in the order they fired, then the error
+        print(f"warning: {text}", file=sys.stderr)
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

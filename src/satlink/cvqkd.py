@@ -85,9 +85,10 @@ class ProtocolParams(Record):
 
     @cached_property
     def delta_aep(self) -> float:
-        """AEP penalty Delta_AEP, to be divided by sqrt(n)."""
+        """AEP penalty Delta_AEP, to be divided by sqrt(n); its log2(18 / (p_ec^2 eps_s^4))
+        taken as a sum of logs, whose terms do not underflow."""
         return 4.0 * math.log2(2.0 * math.sqrt(self.alphabet) + 1.0) * math.sqrt(
-            math.log2(18.0 / (self.p_ec**2 * self.eps_s**4))
+            math.log2(18.0) - 2.0 * math.log2(self.p_ec) - 4.0 * math.log2(self.eps_s)
         )
 
     @cached_property

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types and validity guards shared across the package."""
+
+# The validity guards fired since the last clear: each distinct text, in the
+# order it first fired, to its guard's name.  cli.main clears and reports it.
+GUARDS: dict[str, str] = {}
+
+
+def guard(name: str, text: str) -> None:
+    """Record that the validity guard `name` fired, with the message `text`."""
+    GUARDS.setdefault(text, name)
 
 
 class ConfigError(Exception):

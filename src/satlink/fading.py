@@ -10,14 +10,13 @@ through modified-Bessel geometry factors.
 from __future__ import annotations
 
 import math
-import warnings
 
 from . import atmosphere, geometry, turbulence
 from ._special import i0e, i1e
 from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .domain import Record
-from .errors import NumericalError
+from .errors import NumericalError, guard
 from .turbulence import TurbulenceProfile
 
 # Elements per block where a pass over many samples runs in pieces: 64 Ki
@@ -114,19 +113,16 @@ def fading_model(
 
     Strong scintillation (saturated Rytov variance >= 1, e.g. worst-case
     day conditions at large zenith angles) does not abort the computation
-    but raises a validity warning, as does a marginal Yura condition in
-    spot_sizes.
+    but fires the validity guard fading.rytov (errors.GUARDS), as a marginal
+    Yura condition in spot_sizes fires turbulence.yura.
     """
     # the slant range first: it rejects zenith angles beyond pi/2, where
     # sec(theta) < 0 has no Rytov variance
     z = geometry.slant_range(h, theta)
     rytov = turbulence.rytov_saturated(theta, beam.wavenumber, profile)
     if rytov >= 1.0:
-        warnings.warn(
-            f"Rytov variance {rytov:.3g} >= 1 at theta={theta:.2f}:"
-            " outside the weak-turbulence window, treat results as indicative",
-            stacklevel=2,
-        )
+        guard("fading.rytov", f"Rytov variance {rytov:.3g} >= 1 at theta={theta:.2f}:"
+              " outside the weak-turbulence window, treat results as indicative")
     spots = turbulence.spot_sizes(z, theta, beam, profile, direction, pointing_variance(z, pointing_error))
     eta_st_far = 2.0 * receiver.aperture**2 / math.pow(spots.w_st, 2)
     eta_st = -math.expm1(-eta_st_far)

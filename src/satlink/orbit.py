@@ -9,11 +9,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 from typing import Callable, Sequence
 
 from .beam import LN2, plob
-from .errors import NumericalError
+from .errors import NumericalError, guard
 from .geometry import MU_EARTH, R_EARTH, slant_orbital, slant_range
 
 SECONDS_PER_DAY = 86400.0
@@ -80,20 +79,17 @@ def slice_orbit(
 ) -> list[tuple[float, float]]:
     """Partition the 1-radiant window into equal-duration angular slices.
 
-    Each slice carries one data block; if the requested blocks do not fit in
-    the quantum transit time the count is reduced with a warning.  Returns
-    signed (theta_i, theta_i+1) pairs running from -1 to +1.
+    Each slice carries one data block; blocks that do not fit in the quantum
+    transit time are dropped, and the guard orbit.blocks_reduced fires.
+    Returns signed (theta_i, theta_i+1) pairs running from -1 to +1.
     """
     t_q, _ = transit_times(h)
     fit = int(min(n_blocks, t_q * clock_hz // block_size))  # min skips the nan of an infinite clock
     if fit < 1:
         return []
     if n_blocks > fit:
-        warnings.warn(
-            f"only {fit} blocks of {block_size:g} pulses fit in t_Q={t_q:.1f} s;"
-            f" reducing from {n_blocks}",
-            stacklevel=2,
-        )
+        guard("orbit.blocks_reduced", f"only {fit} blocks of {block_size:g} pulses fit in t_Q={t_q:.1f} s;"
+              f" reducing from {n_blocks}")
         n_blocks = fit
     dt = t_q / n_blocks
     times = [-t_q / 2.0 + i * dt for i in range(n_blocks + 1)]

@@ -133,18 +133,13 @@ class Scenario(Record):
         """bounds_at at each point (h, theta) in turn.
 
         The points run CHUNK at a time.  A chunk's fading models are built
-        once, in point order and with their warnings, up to the first that
+        once, in point order and with their guards, up to the first that
         fails.  The beam-wandering integrals of their bounds are taken in one
         batch (bounds.loss_bounds) and handed to the points, which are
         evaluated; then the failing point's error is raised.  So a sweep
-        gives the numbers, warnings and error of its points run alone, up to
+        gives the numbers, guards and error of its points run alone, up to
         its first failing point.
         """
-        # the batch needs numpy, whose import resets the registry of warnings
-        # already shown: loaded at the first batch, it would let the first
-        # chunk's warnings print again for the next chunk
-        import numpy  # noqa: F401
-
         results = []
         for lo in range(0, len(points), CHUNK):
             built, failure = [], None

@@ -14,13 +14,12 @@ c * Gamma(p + q + 1) * a^(p + q + 1) in closed form.
 from __future__ import annotations
 
 import math
-import warnings
 from functools import lru_cache
 from typing import NamedTuple
 
 from .beam import BeamParams, diffraction_waist
 from .domain import Record
-from .errors import NumericalError, StrongTurbulenceError
+from .errors import NumericalError, StrongTurbulenceError, guard
 
 
 class TurbulenceProfile(Record):
@@ -128,7 +127,7 @@ def spot_sizes(
     Downlink beams are treated as diffraction-limited (w_st = w_lt = w_d, sigma_TB = 0).
     Uplink beams use the planar coherence length, and the wander fraction
     the exact (1 - phi)^2 form.  The identity w_lt^2 = w_st^2 + sigma_TB^2
-    holds exactly.  A Yura parameter phi above 0.5 raises a validity warning.
+    holds exactly.  A Yura parameter phi above 0.5 fires guard turbulence.yura.
     """
     w_d = diffraction_waist(z, beam)
     if direction == "down":
@@ -140,10 +139,7 @@ def spot_sizes(
     if phi >= 1.0:
         raise StrongTurbulenceError(f"Yura condition violated: phi={phi:.3f} >= 1 for w0={beam.waist}")
     if phi > 0.5:
-        warnings.warn(
-            f"Yura parameter phi={phi:.2f} is not small; spot-size model is marginal",
-            stacklevel=2,
-        )
+        guard("turbulence.yura", f"Yura parameter phi={phi:.2f} is not small; spot-size model is marginal")
     psi = math.pow(1.0 - phi, 2)
 
     broadening = 2.0 * math.pow(beam.wavelength * z / (math.pi * rho0), 2)

@@ -5,7 +5,9 @@
 numpy must stay unloaded through `import satlink`, `show-config`, the README
 `rate`, a `rate` out to the horizon, a `rate` on a path below 660 m, the
 `pass` and `max-range --mode tight` commands, a configuration error and the
-README `compare-fiber`, whose log grid is built in math; the README
+README `compare-fiber`, whose log grid is built in math.  A `pass` of 100
+blocks, of which 10 fit, runs twice among them, and each run's stderr must
+hold its `warning: only 10 blocks ...` line once.  The README
 `bounds` command, which integrates the beam wander in a numpy batch, must
 load it, which shows that the probe sees numpy load.  json must stay
 unloaded until the `pass` command, its only user, and be loaded after it.
@@ -23,6 +25,8 @@ import sys
 
 # modules that no command without numpy loads
 UNLOADED = ("dataclasses", "inspect", "statistics")
+# a pass that fires the blocks guard: each run prints it once
+BLOCKS = ["pass", "--h", "530km", "--blocks", "100"]
 README_SET = ["--set", "scenario.setup=2", "--set", "protocol.mu=9.28", "--set", "protocol.phi=0.73"]
 # (loads numpy, exit code, argv) in the order they run: once loaded, numpy stays
 COMMANDS = (
@@ -32,6 +36,8 @@ COMMANDS = (
     (False, 0, ["rate", "--h", "530km", "--theta-grid=-1.5707963267948966:1.5707963267948966:81"]),
     (False, 0, ["rate", "--h", "500m", "--theta-grid=0:1:11"]),
     (False, 0, ["pass", "--h", "530km", "--blocks", "10", *README_SET]),
+    (False, 0, BLOCKS),
+    (False, 0, BLOCKS),
     (False, 2, ["rate", "--h", "530km", "--theta-grid", "0:0.5:3", "--set", "atmosphere.alpha0=-1"]),
     (False, 0, ["max-range", "--mode", "tight", "--set", "scenario.link=up", "--set", "scenario.period=day"]),
     (False, 0, ["compare-fiber", "--d-grid", "50km:10000km:60:log", "--n-rep", "1", "5", "30",
@@ -56,10 +62,13 @@ def main() -> None:
         check(False, "import satlink.cli", module)
     passed = False  # whether a pass command has run
     for loaded, code, argv in COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             got = satlink.cli.main(argv)
         if got != code:
             sys.exit(f"satlink {' '.join(argv)}: exit {got}, not {code}")
+        if argv == BLOCKS and err.getvalue().count("warning: only 10 blocks of ") != 1:
+            sys.exit(f"satlink {' '.join(argv)}: stderr {err.getvalue()!r} does not report its guard once")
         check(loaded, f"satlink {' '.join(argv)}")
         if not loaded:  # numpy itself loads inspect
             for module in UNLOADED:

@@ -206,7 +206,6 @@ class TestShortPaths:
             ],
         ),
     ])
-    @pytest.mark.filterwarnings("ignore:Rytov variance")
     def test_short_path_commands_print_the_tanh_sinh_values(self, argv, rows, capsys):
         # the rows these commands printed when tanh-sinh took every line of sight
         assert main(["bounds", *argv]) == 0

@@ -1054,3 +1054,25 @@ class TestDomains:
             Scenario.build(pointing_error=-1.0)
         with pytest.raises(ConfigError, match="ProtocolParams.pilots must be below ProtocolParams.block_size"):
             ProtocolParams(pilots=10, block_size=10)
+
+
+# a command that fires each validity guard, and the start of the guard's text
+GUARD_COMMANDS = [
+    (["bounds", "--h-grid", "530km:530km:1", "--theta", "1.5", "--set", "scenario.link=up",
+      "--set", "scenario.period=day"], "Rytov variance "),
+    (["bounds", "--h-grid", "530km:530km:1", "--set", "scenario.link=up", "--set", "beam.waist=0.01"],
+     "Yura parameter "),
+    (["pass", "--h", "530km", "--blocks", "100"], "only 10 blocks of "),
+]
+
+
+@pytest.mark.parametrize("argv,text", GUARD_COMMANDS, ids=["rytov", "yura", "blocks"])
+def test_same_guards_on_every_run(argv, text, capsys):
+    # two identical runs in one process report the same guard, once each, as
+    # two fresh processes do
+    errs = []
+    for _ in range(2):
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"warning: {text}") and errs[0].count("\n") == 1

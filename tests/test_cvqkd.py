@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from satlink import ConfigError, NumericalError, Scenario
@@ -9,6 +10,7 @@ from satlink.cvqkd import (
     asymptotic_rate,
     holevo_bound,
     mutual_information,
+    p_threshold,
     pe_confidence_factor,
     postselected_rate,
     worst_case_nbar,
@@ -365,3 +367,22 @@ class TestProtocolParams:
         assert p.nbar_t == pytest.approx(4.14)
         assert p.nu_add == 2.0
         assert p.key_pulses == 85_000_000
+
+    # 18 / (p_ec^2 eps_s^4) underflows to 0 for these in-domain values
+    @pytest.mark.parametrize("protocol", [ProtocolParams(eps_s=1e-100), ProtocolParams(p_ec=1e-200)],
+                             ids=["eps_s=1e-100", "p_ec=1e-200"])
+    def test_rate_where_the_aep_argument_underflows(self, protocol):
+        # the README rate's scenario at the zenith, against the same formula at 40 digits
+        scn = Scenario.build("down", "night", protocol=protocol)
+        model = scn.fading_model(530e3, 0.0)
+        eta_th = protocol.phi_thr * model.eta
+        n_eff = protocol.key_pulses * p_threshold(eta_th, model)
+        r_m = asymptotic_rate(eta_th, scn.nbar_prime, protocol)
+        with mp.workdps(40):
+            p_ec, eps_s = mp.mpf(protocol.p_ec), mp.mpf(protocol.eps_s)
+            aep = 4 * mp.log(2 * mp.sqrt(protocol.alphabet) + 1, 2) * mp.sqrt(mp.log(18 / (p_ec**2 * eps_s**4), 2))
+            theta = mp.log(p_ec * (1 - eps_s**2 / 3), 2) + 2 * mp.log(mp.sqrt(2) * protocol.eps_h, 2)
+            want = n_eff * p_ec / protocol.block_size * (r_m - aep / mp.sqrt(n_eff) + theta / n_eff)
+        got = scn.rate_at(530e3, 0.0)
+        assert got.unclamped == pytest.approx(float(want), rel=1e-12)
+        assert got.rate == max(float(want), 0.0)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from satlink.beam import BeamParams, ReceiverParams
 from satlink.domain import replace
-from satlink.errors import NumericalError
+from satlink.errors import GUARDS, NumericalError
 from satlink.fading import (
     BLOCK,
     FadingModel,
@@ -328,9 +327,7 @@ class TestKsStatistic:
     @example(log_h=7.0, theta=0.0, n=BLOCK + 1, sample_seed=6)
     def test_bounded_pass_equals_the_all_samples_pass(self, config, log_h, theta, n, sample_seed):
         h = min(max(10.0**log_h, 100e3), 36000e3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # Rytov >= 1 at large angles by day
-            model = Scenario.build(*config[1:], setup=config[0]).fading_model(h, theta)
+        model = Scenario.build(*config[1:], setup=config[0]).fading_model(h, theta)
         ks, want = self.ks_pair(model, n, sample_seed)
         assert ks == want
 
@@ -409,15 +406,15 @@ class TestSlowDetection:
 
 class TestModelAssembly:
     def test_strong_scintillation_warns_but_computes(self):
-        import warnings
-
         worst = PROFILES["hv-worst-day"]
-        with pytest.warns(UserWarning, match="Rytov"):
-            model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up", EXTINCTION, POINTING_ERROR)
+        GUARDS.clear()
+        model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up", EXTINCTION, POINTING_ERROR)
         assert 0.0 < model.eta < 1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the good window must stay silent
-            fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up", EXTINCTION, POINTING_ERROR)
+        [(text, name)] = GUARDS.items()
+        assert name == "fading.rytov" and text.startswith("Rytov variance ")
+        GUARDS.clear()
+        fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up", EXTINCTION, POINTING_ERROR)
+        assert GUARDS == {}  # the good window must stay silent
 
     def test_downlink_variance_is_pointing_only(self, model_down, spots_down):
         assert model_down.sigma2 == spots_down.sigma_p2

@@ -59,7 +59,7 @@ def test_same_record_passes():
     [
         record(exit=3),
         record(stdout="eta,B_nbar\n0.25,1.5e-3\n0\n"),
-        record(stderr="UserWarning: Rytov variance 1.2 >= 1\n"),
+        record(stderr="warning: Rytov variance 1.2 >= 1\n"),
         record(stdout="eta,B\n0.2500005,1.5e-3\n0\n"),  # 2e-6 relative
         record(stdout="eta,B\n0.25,1.5e-3\n1e-300\n"),  # a zero matches only a zero
         record(stdout="eta,B\n0.25,1.5e-3\n"),

@@ -11,7 +11,6 @@ on the documented domain.
 
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -158,9 +157,7 @@ CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"),
 def test_wander_integral(config, log_h, theta):
     scn = Scenario.build(*config[1:], setup=config[0])
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            model = scn.fading_model(10.0**log_h, theta)
+        model = scn.fading_model(10.0**log_h, theta)
     except NumericalError:  # the near field of setups 3 and 4
         return
     # the model's two rows, B at eta and at nbar, as a tight max-range probe takes them

@@ -8,6 +8,7 @@ import pytest
 from satlink import NumericalError, Scenario
 from satlink.beam import plob
 from satlink.cli import main
+from satlink.errors import GUARDS
 from satlink.geometry import R_EARTH
 from satlink.orbit import (
     bits_per_day,
@@ -113,8 +114,9 @@ class TestSlicing:
             assert hi == pytest.approx(-mlo, abs=1e-9)
 
     def test_block_count_reduced_with_warning(self):
-        with pytest.warns(UserWarning):
-            slices = slice_orbit(530e3, 20, 5e6, 1e8)
+        GUARDS.clear()
+        slices = slice_orbit(530e3, 20, 5e6, 1e8)
+        assert list(GUARDS.values()) == ["orbit.blocks_reduced"]
         assert len(slices) == 10
 
     def test_zero_capacity_pass(self):

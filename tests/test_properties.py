@@ -1,11 +1,12 @@
 """Properties over the documented configuration space.
 
 4 presets x up/down x day/night x clear/cloudy, altitudes 100-36,000 km and
-|theta| <= 1 rad: every point returns bounds and a rate (validity warnings
+|theta| <= 1 rad: every point returns bounds and a rate (validity guards
 allowed), and they are ordered exactly as the theory orders them.  Along a
 pass, the rate falls as the satellite leaves the zenith.  Every command run
-on that space, with a 1 nm or a 0.1 pm filter, exits 0 or 3 (numerical
-failure); a malformed scenario or protocol string exits 2 and names its key.
+on that space, with a 1 nm or a 0.1 pm filter and rate and pass under
+collective or general attacks, exits 0 or 3 (numerical failure); a
+malformed scenario or protocol string exits 2 and names its key.
 So does a numeric key outside its domain, while one inside it, however
 extreme, exits 0 with finite numbers or 3.
 """
@@ -17,7 +18,6 @@ import json
 import math
 import re
 import string
-import warnings
 
 import numpy as np
 import pytest
@@ -43,11 +43,9 @@ CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"),
 def test_bounds_and_rate_are_ordered(config, log_h, theta):
     h = min(max(10.0**log_h, 100e3), 36000e3)
     scn = Scenario.build(*config[1:], setup=config[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        b = scn.bounds_at(h, theta)
-        middle = thermal_lower_middle(scn.nbar, scn.fading_model(h, theta), b.B)
-        rate = scn.rate_at(h, theta).rate
+    b = scn.bounds_at(h, theta)
+    middle = thermal_lower_middle(scn.nbar, scn.fading_model(h, theta), b.B)
+    rate = scn.rate_at(h, theta).rate
     assert 0.0 <= b.lower <= middle <= b.upper <= b.B <= b.V <= b.U
     assert 0.0 <= rate <= b.B
 
@@ -65,9 +63,7 @@ def test_rate_does_not_rise_away_from_zenith(config):
         protocol = ProtocolParams(mu=mu, phi_thr=phi)
         scn = Scenario.build(*config[1:], setup=config[0], protocol=protocol)
         for h in (150e3, 300e3, 530e3, 1000e3, 2000e3):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rate = [res.rate for res in scn.rate_sweep(h, theta, "collective")]
+            rate = [res.rate for res in scn.rate_sweep(h, theta, "collective")]
             assert np.all(np.diff(rate) <= 0.0), (mu, phi, h, rate)
 
 
@@ -82,6 +78,8 @@ STRING_KEYS = {
 
 altitudes_km = st.floats(100.0, 36000.0)
 angles = st.floats(-1.0, 1.0)
+# general attacks, which need an energy test
+GENERAL = ["--attacks", "general", "--set", "protocol.f_et=0.1"]
 
 
 @st.composite
@@ -89,11 +87,12 @@ def command_argv(draw) -> list[str]:
     """One command on the documented space, with small grids and sample counts."""
     h = f"{draw(altitudes_km)!r}km"
     theta = repr(draw(angles))
+    attacks = draw(st.sampled_from([[], GENERAL]))
     return draw(st.sampled_from([
         ["show-config"],
         ["bounds", f"--h-grid={h}:{draw(altitudes_km)!r}km:2", f"--theta={theta}"],
-        ["rate", "--h", h, f"--theta-grid={theta}:{draw(angles)!r}:2"],
-        ["pass", "--h", h, "--blocks", str(draw(st.integers(1, 3)))],
+        ["rate", "--h", h, f"--theta-grid={theta}:{draw(angles)!r}:2", *attacks],
+        ["pass", "--h", h, "--blocks", str(draw(st.integers(1, 3))), *attacks],
         ["validate-mc", "--h", h, f"--theta={theta}", "--samples", "200", "--bins", "5"],
         ["max-range", "--mode", draw(st.sampled_from(["simple", "tight"]))],
         ["compare-fiber", "--d-grid", "50km:5000km:3", "--n-rep", "0", "5",
@@ -114,11 +113,12 @@ def documented_sets(draw) -> list[str]:
 
 
 def run_main(argv: list[str]) -> tuple[int, str, str]:
+    """The exit code, stdout and stderr of a command, without its validity guards' lines."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue(), err.getvalue()
+    lines = err.getvalue().splitlines(keepends=True)
+    return code, out.getvalue(), "".join(line for line in lines if not line.startswith("warning: "))
 
 
 @seed(20261018)
@@ -241,6 +241,8 @@ def test_numeric_keys_exit_by_their_domain(argv, sets, key_value):
         if (value >= default) if key == "protocol.m" else (value <= default):
             inside = False
             key = f"{key} must be below {other}" if key == "protocol.m" else f"{other} must be below {key}"
+    if key == "protocol.f_et" and value == 0 and "general" in argv:
+        inside = False  # a cross-key rule too: general attacks need an energy test
     if not inside:
         assert code == 2 and out == "", err
         assert err.startswith("configuration error: ") and key in err, err

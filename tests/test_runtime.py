@@ -42,7 +42,8 @@ def test_commands_without_arrays_do_not_import_numpy():
     # 660 m, pass and max-range commands, a configuration error and the
     # README compare-fiber start without numpy; the README bounds command
     # loads it.  json loads with pass; dataclasses, inspect and statistics
-    # load with none of them
+    # load with none of them.  A pass that fires the blocks guard reports it
+    # on each of two runs
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
@@ -50,9 +51,8 @@ def test_commands_without_arrays_do_not_import_numpy():
 
 @pytest.mark.parametrize("grid", ["100km:500km:130:log", "100km:500km:130"])
 def test_sweep_of_several_chunks_warns_once(grid):
-    # numpy's import resets the registry of warnings already shown; a sweep
-    # that loaded it at its first batch printed the first chunk's Rytov
-    # warning again for the next chunk
+    # every point of the sweep fires the same Rytov guard text, which names
+    # only the angle; the run prints it once, in whichever chunk it fired
     proc = run_python(
         "-m", "satlink.cli", "bounds", "--h-grid", grid, "--theta", "1.57", "--set", "scenario.link=down"
     )

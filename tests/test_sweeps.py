@@ -1,14 +1,13 @@
-"""A sweep is its points: the same numbers, errors and warnings as one point at a time."""
+"""A sweep is its points: the same numbers, errors and validity guards as one point at a time."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
 
 from satlink import ProtocolParams, _integrate, bounds, fading
 from satlink._integrate import tanh_sinh_rows
-from satlink.errors import NumericalError, StrongTurbulenceError
+from satlink.errors import GUARDS, NumericalError, StrongTurbulenceError
 from satlink.fading import fading_model
 from satlink.scenario import CHUNK, Scenario
 
@@ -25,12 +24,10 @@ def altitudes(n):
 def test_bounds_grid_matches_points(setup, link, period, sky):
     scn = Scenario.build(link, period, sky, setup=setup)
     points = [(h, theta) for h in altitudes(5).tolist() for theta in (-1.0, 0.0, 0.5)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        grid = scn.bounds_sweep(points)
-        assert len(grid) == len(points)
-        for row, point in zip(grid, points):
-            assert row == scn.bounds_at(*point)
+    grid = scn.bounds_sweep(points)
+    assert len(grid) == len(points)
+    for row, point in zip(grid, points):
+        assert row == scn.bounds_at(*point)
 
 
 # the documented configurations, and the README rate sweep's: setup 2 with its protocol
@@ -46,13 +43,11 @@ def test_rate_grid_matches_points(setup, link, period, sky, protocol):
     # from -1, the README sweep's first angle, and five points across the switch
     # angle of the Gauss-Laguerre line of sight (1.3427122581258115 rad, the third)
     thetas = np.linspace(-1.0, 1.0, 9).tolist() + np.linspace(1.2802122581258115, 1.4052122581258115, 5).tolist()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for h in [*altitudes(3).tolist(), 530e3]:
-            grid = scn.rate_sweep(h, thetas, "collective")
-            assert len(grid) == len(thetas)
-            for row, theta in zip(grid, thetas):
-                assert row == scn.rate_at(h, theta)
+    for h in [*altitudes(3).tolist(), 530e3]:
+        grid = scn.rate_sweep(h, thetas, "collective")
+        assert len(grid) == len(thetas)
+        for row, theta in zip(grid, thetas):
+            assert row == scn.rate_at(h, theta)
 
 
 def test_sweep_of_no_points():
@@ -66,7 +61,6 @@ def test_sweep_of_no_points():
 YURA_FAILS = {"beam": {"waist": 1.2e-3}}
 
 
-@pytest.mark.filterwarnings("ignore:Yura parameter")
 def test_strong_turbulence_point_fails_as_alone():
     scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
     with pytest.raises(StrongTurbulenceError) as alone:
@@ -87,30 +81,35 @@ def test_strong_turbulence_point_fails_as_alone():
     assert errors and str(swept.value) == errors[0]
 
 
-def messages(caught) -> list[str]:
-    return [str(w.message) for w in caught]
+def fired(run) -> list[tuple[str, str]]:
+    """(text, name) of each validity guard that run() fires, in order."""
+    GUARDS.clear()
+    run()
+    return list(GUARDS.items())
 
 
 def test_first_failing_point_sets_the_error():
     # point 1 fails on strong turbulence, point 3 on its angle; a loop over
-    # the points reports point 1, and so does the sweep, with the warnings
-    # of the points up to and including point 1
+    # the points reports point 1, and so does the sweep, with the guards of
+    # the points up to and including point 1.  Points 0 and 2 fire the Yura
+    # guard with different texts, so a sweep that built point 2 would show it
     scn = Scenario.build("up", "night", "clear", setup=1, **YURA_FAILS)
-    points = [(1000e3, 1.0), (150e3, 0.0), (1000e3, 1.0), (1000e3, 2.0)]
-    with warnings.catch_warnings(record=True) as one_by_one:
-        warnings.simplefilter("always")
-        scn.bounds_at(*points[0])
-        with pytest.raises(StrongTurbulenceError) as alone:
-            scn.bounds_at(*points[1])
-    with warnings.catch_warnings(record=True) as swept_warnings:
-        warnings.simplefilter("always")
-        with pytest.raises(StrongTurbulenceError) as swept:
-            scn.bounds_sweep(points)
+    points = [(1000e3, 1.0), (150e3, 0.0), (1000e3, 1.2), (1000e3, 2.0)]
+    GUARDS.clear()
+    scn.bounds_at(*points[0])
+    with pytest.raises(StrongTurbulenceError) as alone:
+        scn.bounds_at(*points[1])
+    one_by_one = list(GUARDS.items())
+    GUARDS.clear()
+    with pytest.raises(StrongTurbulenceError) as swept:
+        scn.bounds_sweep(points)
     assert str(swept.value) == str(alone.value)
-    assert messages(one_by_one) and messages(swept_warnings) == messages(one_by_one)
+    assert [name for _, name in one_by_one] == ["turbulence.yura"]
+    assert list(GUARDS.items()) == one_by_one
 
 
 def test_warnings_once_per_offending_point():
+    # the Rytov guard fires at 1 and 1.1 rad, with the angle in its text
     worst = Scenario.build("up", "day", setup=1, profile="hv-worst-day")
     thetas = [0.0, 1.0, 0.2, 1.1]
     sweeps = (
@@ -118,14 +117,9 @@ def test_warnings_once_per_offending_point():
         (lambda theta: worst.bounds_at(500e3, theta), lambda: worst.bounds_sweep([(500e3, t) for t in thetas])),
     )
     for point, sweep in sweeps:
-        with warnings.catch_warnings(record=True) as one_by_one:
-            warnings.simplefilter("always")
-            for theta in thetas:
-                point(theta)
-        with warnings.catch_warnings(record=True) as swept:
-            warnings.simplefilter("always")
-            sweep()
-        assert messages(one_by_one) and messages(swept) == messages(one_by_one)
+        one_by_one = [guard for theta in thetas for guard in fired(lambda: point(theta))]
+        assert [name for _, name in one_by_one] == ["fading.rytov"] * 2
+        assert fired(sweep) == one_by_one
 
 
 def test_bounds_sweep_builds_each_model_once(monkeypatch):
@@ -138,9 +132,7 @@ def test_bounds_sweep_builds_each_model_once(monkeypatch):
         return fading_model(h, theta, *args)
 
     monkeypatch.setattr(fading, "fading_model", counted_fading_model)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        scn.bounds_sweep(points)
+    scn.bounds_sweep(points)
     assert built == points
 
 
@@ -175,7 +167,6 @@ def test_bounds_sweep_integrates_b_once_per_point(monkeypatch):
     assert quadratures == [("_wander_batch", 2 * len(points))]
 
 
-@pytest.mark.filterwarnings("ignore:Rytov variance")
 def test_sweep_beyond_one_chunk(monkeypatch):
     """A sweep larger than CHUNK points runs in chunks: each batch holds at
     most 2 * CHUNK rows, B at eta and at nbar of CHUNK points, and every
