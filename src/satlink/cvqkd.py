@@ -85,8 +85,8 @@ class ProtocolParams(Record):
 
     @cached_property
     def delta_aep(self) -> float:
-        """AEP penalty Delta_AEP, to be divided by sqrt(n); its log2(18 / (p_ec^2 eps_s^4))
-        taken as a sum of logs, whose terms do not underflow."""
+        """AEP penalty Delta_AEP, to be divided by sqrt(n); log2(18 / (p_ec^2 eps_s^4))
+        is a sum of logs, finite where the product p_ec^2 eps_s^4 underflows."""
         return 4.0 * math.log2(2.0 * math.sqrt(self.alphabet) + 1.0) * math.sqrt(
             math.log2(18.0) - 2.0 * math.log2(self.p_ec) - 4.0 * math.log2(self.eps_s)
         )
