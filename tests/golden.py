@@ -117,6 +117,12 @@ EDGES = [
     # in-domain protocols whose AEP argument 18 / (p_ec^2 eps_s^4) underflows: a rate, taken in logs
     ["rate", "--h", "530km", "--theta-grid", "0:0:1", "--set", "protocol.eps_s=1e-100"],
     ["rate", "--h", "530km", "--theta-grid", "0:0:1", "--set", "protocol.p_ec=1e-200"],
+    # the README protocol with homodyne detection, the Hoeffding tail or the Hufnagel-Stanley profile
+    *([*command, *README_SET, "--set", change]
+      for change in ("protocol.detection=hom", "protocol.tail=hoeffding", "scenario.profile=hufnagel-stanley")
+      for command in (RATE_3, ["pass", "--h", "530km"])),
+    # n-bar >= 1: no secure range in either mode
+    *(["max-range", "--mode", mode, "--set", "receiver.excess_photons=2"] for mode in ("simple", "tight")),
 ]
 
 # the tight max range on every documented configuration, with both filters
