@@ -23,7 +23,7 @@ from typing import Callable
 from .beam import LN2
 from .domain import Record
 from .errors import NumericalError
-from .fading import FadingModel
+from .fading import FadingModel, p_threshold
 
 
 def entropy_h(x: float) -> float:
@@ -42,8 +42,8 @@ def _wander_batch(nodes, s, g, etas):
     [model 1 at etas[0, 0], model 1 at etas[0, 1], model 2 at etas[1, 0], ...].
 
     The beam-wandering factor is Delta = 1 + (eta / ln(1-eta)) * I with
-    I = integral_0^inf exp(-s x^(1/g)) / (e^x - eta) dx, s = r0^2 / (2 sigma^2)
-    and g = gamma / 2, for sigma2 > 0; without wander (sigma2 = 0) Delta is 1.
+    I = integral_0^inf exp(-s x^(1/g)) / (e^x - eta) dx, s the model's spread
+    and g = gamma / 2, for s < inf; without wander (s = inf) Delta is 1.
     The integral is split at x = 1.  The lower piece takes the substitution
     u = x^(1/g), which removes the infinite-derivative endpoint when
     gamma > 2 and leaves an integrable u^(g - 1) one:
@@ -83,15 +83,20 @@ def _wander_rows(nodes, s, g, etas):
     return [sum1, sum2][: len(etas)]
 
 
-def _bound(eta: float, integral: float) -> float:
-    """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander)."""
-    return -(1.0 + eta / math.log1p(-eta) * integral) * math.log1p(-eta) / LN2
+def _bound(eta: float, s: float, integral: float) -> float:
+    """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander).
+
+    At s = 0, an infinite wander variance, the beam always misses: Delta is 0
+    exactly, which I = -ln(1 - eta) / eta gives only to rounding.
+    """
+    delta = 1.0 + eta / math.log1p(-eta) * integral if s else 0.0
+    return -delta * math.log1p(-eta) / LN2
 
 
 def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, float]]:
     """B at eta and B at nbar, (b, b_nbar), of each model, in bits per use.
 
-    The models with wander are the rows of one _wander_batch, in model
+    The models with wander (spread < inf) are the rows of one _wander_batch, in model
     order, at eta and then at nbar where 0 < nbar < eta.  The others take
     eta twice and drop the second row (b_nbar is 0.0 there, and their bounds
     do not read it).  A batch row is the double its own call returns, and a
@@ -101,8 +106,8 @@ def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, flo
     from . import _integrate
 
     live = [0.0 < nbar < m.eta for m in models]
-    wander = [(m.r0 * m.r0 / (2.0 * m.sigma2), m.gamma / 2.0, (m.eta, nbar if ok else m.eta))
-              for m, ok in zip(models, live) if m.sigma2 != 0.0]
+    wander = [(m.spread, m.gamma / 2.0, (m.eta, nbar if ok else m.eta))
+              for m, ok in zip(models, live) if m.spread < math.inf]
     values = iter(())
     if wander:
         import numpy as np
@@ -112,8 +117,9 @@ def loss_bounds(models: list[FadingModel], nbar: float) -> list[tuple[float, flo
             rows = _integrate.tanh_sinh_rows(_wander_batch, 0.0, 1.0, s, g, etas, abs_tol=1e-12)
         values = iter([q.value for q in rows])
     pairs = zip(values, values)  # a model's rows at its two etas
-    integrals = [next(pairs) if m.sigma2 != 0.0 else (0.0, 0.0) for m in models]
-    return [(_bound(m.eta, i), _bound(nbar, j) if ok else 0.0) for m, ok, (i, j) in zip(models, live, integrals)]
+    integrals = [next(pairs) if m.spread < math.inf else (0.0, 0.0) for m in models]
+    return [(_bound(m.eta, m.spread, i), _bound(nbar, m.spread, j) if ok else 0.0)
+            for m, ok, (i, j) in zip(models, live, integrals)]
 
 
 def model_bounds(model: FadingModel, nbar: float) -> tuple[float, float]:
@@ -122,10 +128,11 @@ def model_bounds(model: FadingModel, nbar: float) -> tuple[float, float]:
 
     live = 0.0 < nbar < model.eta
     integrals = [0.0, 0.0]
-    if model.sigma2 != 0.0:
-        args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, (model.eta, nbar)[: 1 + live]
+    s = model.spread
+    if s < math.inf:
+        args = s, model.gamma / 2.0, (model.eta, nbar)[: 1 + live]
         integrals = [q.value for q in _integrate.tanh_sinh_rows(_wander_rows, 0.0, 1.0, *args, abs_tol=1e-12)]
-    return _bound(model.eta, integrals[0]), _bound(nbar, integrals[1]) if live else 0.0
+    return _bound(model.eta, s, integrals[0]), _bound(nbar, s, integrals[1]) if live else 0.0
 
 
 def bound_b_model(model: FadingModel) -> float:
@@ -133,29 +140,19 @@ def bound_b_model(model: FadingModel) -> float:
     return loss_bounds([model], 0.0)[0][0]
 
 
-def thermal_correction(nbar: float, model: FadingModel, b_nbar: float) -> float:
-    """Thermal correction subtracted from the loss-limited bound (nbar <= eta).
-
-    b_nbar is the model's loss-limited bound B at nbar.
-    """
-    if nbar == 0.0:
-        return 0.0
-    u = math.pow(math.log(model.eta / nbar), 2.0 / model.gamma)
-    weight = 1.0 - math.exp(-model.spread * u)
-    bracket = nbar * math.log2(nbar) / (1.0 - nbar) + entropy_h(nbar)
-    return weight * bracket + b_nbar
-
-
 def thermal_upper(nbar: float, model: FadingModel, b: float, b_nbar: float) -> float:
     """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking.
 
-    b and b_nbar are the model's loss-limited bound B at eta and at nbar.
+    b and b_nbar are the model's loss-limited bound B at eta and at nbar.  The
+    thermal correction T = P(tau > nbar) * (nbar log2(nbar) / (1 - nbar) + h(nbar))
+    + B(nbar) weighs its bracket by the fading law above nbar.
     """
     if nbar == 0.0:
         return b
     if not nbar < model.eta:
         return 0.0
-    upper = b - thermal_correction(nbar, model, b_nbar)
+    bracket = nbar * math.log2(nbar) / (1.0 - nbar) + entropy_h(nbar)
+    upper = b - (p_threshold(nbar, model) * bracket + b_nbar)
     return upper if upper > 0.0 else 0.0
 
 

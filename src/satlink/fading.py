@@ -2,9 +2,16 @@
 
 A Gaussian random walk of the beam centroid (turbulence wander plus pointing
 error) maps to a Weibull-type law for the instantaneous transmissivity tau,
-supported on (0, eta) where eta is the perfectly-aligned transmissivity.
-The shape/scale parameters (gamma, r0) follow from the short-term spot size
-through modified-Bessel geometry factors.
+supported on (0, eta) where eta is the perfectly-aligned transmissivity:
+P(tau <= t) = exp(-s ln(eta / t)^(2 / gamma)) (Vasylyev, Semenov & Vogel,
+PRL 108, 220501, 2012).  The shape gamma and the Weibull scale r0 follow from
+the short-term spot size through modified-Bessel geometry factors; the
+spread s = r0^2 / (2 sigma^2) sets the law against the wander variance
+sigma^2.  A model holds eta, gamma and s, all that the law needs.
+
+In the law's variable v = r^2 / sigma^2 of a centroid deflection r, the
+transmissivity is tau = eta exp(-(v / 2s)^(gamma / 2)), and v = x^2 + y^2 of
+two standard normals x, y, whatever the model: validate-mc draws v.
 """
 
 from __future__ import annotations
@@ -81,22 +88,14 @@ class FadingModel(Record):
 
     eta: float          # maximum transmissivity eta_eff * eta_atm * eta_st
     gamma: float        # Weibull shape
-    r0: float           # Weibull scale, m
-    sigma2: float       # total wander variance sigma_P^2 + sigma_TB^2, m^2
+    spread: float       # s = r0^2 / (2 sigma^2): inf without wander, 0 for an infinite variance
     eta_atm: float      # the extinction factor of eta
 
     def __post_init__(self):
         if not 0.0 < self.eta < 1.0:
             raise NumericalError("eta must lie in (0, 1)")
-        if self.gamma <= 0 or self.r0 <= 0 or self.sigma2 < 0:
+        if self.gamma <= 0 or self.spread < 0:
             raise NumericalError("invalid fading parameters")
-
-    @property
-    def spread(self) -> float:
-        """The exponent prefactor r0^2 / (2 sigma^2); inf without wander (sigma^2 = 0)."""
-        if self.sigma2 > 0.0:
-            return math.pow(self.r0, 2) / (2.0 * self.sigma2)
-        return math.inf
 
 
 def fading_model(
@@ -131,8 +130,7 @@ def fading_model(
     return FadingModel(
         eta=receiver.efficiency * eta_atm * eta_st,
         gamma=gamma,
-        r0=r0,
-        sigma2=spots.sigma2,
+        spread=math.pow(r0, 2) / (2.0 * spots.sigma2) if spots.sigma2 > 0.0 else math.inf,
         eta_atm=eta_atm,
     )
 
@@ -155,39 +153,35 @@ def p_threshold(eta_th: float, model: FadingModel) -> float:
     return 1.0 - fading_cdf(eta_th, model)
 
 
-def sample_radius2(model: FadingModel, n: int, seed: int):
-    """Draw n squared centroid deflections r^2; deterministic for a fixed seed.
+def sample_v(n: int, seed: int):
+    """Draw n values of the law's variable v = x^2 + y^2, x and y standard
+    normals; deterministic for a fixed seed.
 
-    r^2 = x^2 + y^2 with x, y zero-mean Gaussians of variance sigma^2: the n
-    values of x, then the n of y, are the stream of rng.normal(0, sigma,
-    (2, n)) on default_rng(seed).  x is drawn whole, and is the array
-    returned.  y is drawn BLOCK values at a time; while a block of x is in
-    cache it takes every step in place: * sigma, squared, + (sigma y)^2.  So
-    the only n-element array is the result, and it is swept from memory once.
+    The n values of x, then the n of y, are the stream of
+    rng.standard_normal((2, n)) on default_rng(seed).  x is drawn whole, and
+    is the array returned.  y is drawn BLOCK values at a time; while a block
+    of x is in cache it takes every step in place: squared, + y^2.  So the
+    only n-element array is the result, and it is swept from memory once.
     """
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(model.sigma2)
     x = rng.standard_normal(n)
     y = np.empty(min(n, BLOCK))
     for lo in range(0, n, BLOCK):
         xb = x[lo:lo + BLOCK]
-        xb *= sigma
         xb *= xb
         yb = rng.standard_normal(out=y[:len(xb)])
-        yb *= sigma
         yb *= yb
         xb += yb
     return x
 
 
-def radius2_cdf(v, model: FadingModel):
-    """P(r^2 <= v) = 1 - exp(-v / 2 sigma^2), the law of sample_radius2 where
-    the model has wander (sigma^2 > 0)."""
+def v_cdf(v):
+    """P(v' <= v) = 1 - exp(-v / 2), the law of sample_v: chi-squared with two degrees of freedom."""
     import numpy as np
 
-    return -np.expm1(-v / (2.0 * model.sigma2))
+    return -np.expm1(-v / 2.0)
 
 
 def _deviation(cdf, i, n: int):
@@ -198,16 +192,19 @@ def _deviation(cdf, i, n: int):
     return np.maximum((i + 1) / n - cdf, cdf - i / n)
 
 
-def sorted_radius2_statistics(r2, model: FadingModel, edges):
-    """(KS distance of sorted squared radii from their law G, radius2_cdf; the
-    counts of the transmissivities tau(r) in the bins of tau edges as
-    np.histogram counts them: [lo, hi), the last bin [lo, hi]).
+def sorted_v_statistics(v, model: FadingModel, edges):
+    """(KS distance of sorted v from their law G, v_cdf; the counts of the
+    transmissivities tau(v) in the bins of tau edges as np.histogram counts
+    them: [lo, hi), the last bin [lo, hi]).
 
-    tau falls as r grows, so the sorted r^2 fix both.  In exact arithmetic
-    the KS distance of r^2 from G is that of tau from fading_cdf, and it is
-    free of tau's rounding near eta.  A tau edge e maps to
-    r^2(e) = r0^2 ln(eta / e)^(2 / gamma), and tau in [lo, hi) is r^2 in
-    (r^2(hi), r^2(lo)]; the closed last bin also holds r^2 = 0, where tau = eta.
+    tau falls as v grows, so the sorted v fix both.  In exact arithmetic the
+    KS distance of v from G is that of tau from fading_cdf, and it is free of
+    tau's rounding near eta.  A tau edge e maps to
+    v(e) = 2 s ln(eta / e)^(2 / gamma), and tau in [lo, hi) is v in
+    (v(hi), v(lo)]; the closed last bin also holds v = 0, where tau = eta.
+    An infinite variance (s = 0) maps every edge above 0 to v = 0, so every
+    tau is 0, in the first bin.  Without wander (s = inf) every tau is eta,
+    the law's point mass, in the last bin, and the empirical law is the law.
 
     G is non-decreasing on sorted samples, so it is taken at every STRIDE-th
     sample and the last, the knots, and then only inside the segments between
@@ -220,22 +217,24 @@ def sorted_radius2_statistics(r2, model: FadingModel, edges):
     """
     import numpy as np
 
+    n = len(v)
+    if model.spread == math.inf:
+        counts = np.zeros(len(edges) - 1, dtype=np.intp)
+        counts[-1] = n
+        return 0.0, counts
     inside = edges > 0.0
     log_ratio = np.log(model.eta / np.where(inside, edges, model.eta))
-    bounds = np.where(inside, model.r0**2 * log_ratio**(2.0 / model.gamma), math.inf)
+    bounds = np.where(inside, 2.0 * model.spread * log_ratio**(2.0 / model.gamma), math.inf)
     counts = -np.diff(np.concatenate((
-        r2.searchsorted(bounds[:-1], "right"),
-        r2.searchsorted(bounds[-1:], "left"),
+        v.searchsorted(bounds[:-1], "right"),
+        v.searchsorted(bounds[-1:], "left"),
     )))
-    if model.sigma2 == 0.0:
-        return 0.0, counts  # every r^2 is 0, the law's point mass: the empirical law is the law
-    n = len(r2)
     knots = np.append(np.arange(0, n - 1, STRIDE), n - 1)
-    cdf = radius2_cdf(r2[knots], model)
+    cdf = v_cdf(v[knots])
     ks = np.max(_deviation(cdf, knots, n))
     a, b = knots[:-1], knots[1:]
     bound = np.maximum(b / n - cdf[:-1], cdf[1:] - a / n)
     inner = (a[bound + KS_MARGIN > ks, None] + np.arange(STRIDE)).ravel()
     inner = inner[inner < n]  # the last segment may be shorter
-    ks = np.max(_deviation(radius2_cdf(r2[inner], model), inner, n), initial=ks)
+    ks = np.max(_deviation(v_cdf(v[inner]), inner, n), initial=ks)
     return float(ks), counts

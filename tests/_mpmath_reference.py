@@ -76,10 +76,10 @@ def column(p: str, kind: str, a_ground: float, windspeed: float, hs_c1: float, h
 
 
 @lru_cache(maxsize=None)
-def wander_integral(eta: float, sigma2: float, gamma: float, r0: float):
+def wander_integral(eta: float, s: float, gamma: float):
     """The integral I of the beam-wandering factor Delta = 1 + (eta / ln(1 - eta)) I:
-    over x in [0, inf) of exp(-(r0^2 / 2 sigma^2) x^(2 / gamma)) / (e^x - eta)."""
+    over x in [0, inf) of exp(-s x^(2 / gamma)) / (e^x - eta), s the spread r0^2 / 2 sigma^2."""
     with mp.workdps(DIGITS):
-        s = mp.mpf(r0) ** 2 / (2 * mp.mpf(sigma2))
+        s = mp.mpf(s)
         power = 2 / mp.mpf(gamma)
         return mp.quad(lambda x: mp.exp(-s * x**power) / (mp.exp(x) - mp.mpf(eta)), [0, 1, mp.inf])

@@ -12,9 +12,9 @@ Two kinds of code live here:
   C_n^2 on arrays of altitudes and its integrals by panels below 100 km, the
   finite-altitude Rytov variance, the spherical-wave coherence length,
   far-field forms, slow-detection bounds, a simulated pilot estimation,
-  the transmissivity sampler on sample_radius2 (validate-mc draws the
-  radii alone) with its hypot and whole-array spellings, the squared
-  radii of rng.normal and their law, the all-samples KS statistic and
+  the transmissivity sampler on sample_v (validate-mc draws the law's
+  variable v alone) with its hypot and whole-array spellings, the v of
+  rng.standard_normal and their law, the all-samples KS statistic and
   the twice-sorting validate-mc body that the package's in-place, blocked
   and bounded ones replaced;
 - paper side paths whose tests pin a published value: the zenith, secant
@@ -45,7 +45,7 @@ from satlink.cvqkd import (
     asymptotic_rate,
     worst_case_nbar,
 )
-from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_radius2
+from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_v
 from satlink.scenario import Scenario
 from satlink.turbulence import SpotSizes, TurbulenceProfile, i_infty, spot_sizes
 
@@ -351,8 +351,8 @@ def fading_pdf(tau: float, model: FadingModel) -> float:
     log_ratio = math.log(model.eta / tau)
     u = log_ratio ** (2.0 / model.gamma)
     return (
-        model.r0**2
-        / (model.gamma * model.sigma2 * tau)
+        2.0 * model.spread
+        / (model.gamma * tau)
         * log_ratio ** (2.0 / model.gamma - 1.0)
         * math.exp(-model.spread * u)
     )
@@ -408,11 +408,11 @@ def average_plob(model: FadingModel) -> float:
     return fading_average(lambda tau: -np.log1p(-tau) / LN2, model, 1e-13)
 
 
-def wander_delta(eta: float, sigma2: float, gamma: float, r0: float) -> float:
-    """The beam-wandering factor Delta = 1 + (eta / ln(1-eta)) * I of satlink's B, 1 without wander."""
-    if sigma2 == 0.0:
+def wander_delta(eta: float, s: float, gamma: float) -> float:
+    """The beam-wandering factor Delta = 1 + (eta / ln(1-eta)) * I of satlink's B at spread s, 1 without wander."""
+    if s == math.inf:
         return 1.0
-    args = np.array([[r0 * r0 / (2.0 * sigma2)]]), np.array([[gamma / 2.0]]), np.array([[[eta], [eta]]])
+    args = np.array([[s]]), np.array([[gamma / 2.0]]), np.array([[[eta], [eta]]])
     with np.errstate(all="ignore"):
         integral = tanh_sinh_rows(_wander_batch, 0.0, 1.0, *args, abs_tol=1e-12)[0].value
     return 1.0 + eta / math.log1p(-eta) * integral
@@ -489,30 +489,30 @@ def bound_slow(spots: SpotSizes, receiver: ReceiverParams, eta_atm: float) -> fl
 # -- Monte Carlo validation --------------------------------------------------
 
 
-def wander_radii(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """The centroid deflections r = hypot(x, y) of rng.normal(0, sigma, (2, n))."""
-    rng = np.random.default_rng(seed)
-    xy = rng.normal(0.0, math.sqrt(model.sigma2), size=(2, n))
+def wander_radii(n: int, seed: int) -> np.ndarray:
+    """The deflections r = hypot(x, y) in units of sigma, x and y of rng.standard_normal((2, n))."""
+    xy = np.random.default_rng(seed).standard_normal((2, n))
     return np.hypot(xy[0], xy[1])
 
 
 def tau_of_radius(r: np.ndarray, model: FadingModel) -> np.ndarray:
-    """The transmissivity eta * exp(-(r/r0)^gamma) at deflection r."""
-    return model.eta * np.exp(-((r / model.r0) ** model.gamma))
+    """The transmissivity eta * exp(-(r / sqrt(2 s))^gamma) at deflection r in units of sigma (r^2 = v)."""
+    return model.eta * np.exp(-((r / math.sqrt(2.0 * model.spread)) ** model.gamma))
 
 
 def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """Draw n instantaneous transmissivities; deterministic for a fixed seed.
 
-    Each sample maps the squared deflection r^2 of sample_radius2 to
-    tau = eta * exp(-(r/r0)^gamma), in place and BLOCK samples at a time:
-    sqrt, / r0, ** gamma, negate, exp, * eta.
+    Each sample maps the v of sample_v to tau = eta * exp(-(v / 2s)^(gamma / 2)),
+    in place and BLOCK samples at a time: sqrt, / sqrt(2 s), ** gamma,
+    negate, exp, * eta.
     """
-    tau = sample_radius2(model, n, seed)
+    tau = sample_v(n, seed)
+    scale = math.sqrt(2.0 * model.spread)
     for lo in range(0, n, BLOCK):
         b = tau[lo:lo + BLOCK]
         np.sqrt(b, out=b)
-        b /= model.r0
+        b /= scale
         b **= model.gamma
         np.negative(b, out=b)
         np.exp(b, out=b)
@@ -522,22 +522,19 @@ def sample_fading(model: FadingModel, n: int, seed: int) -> np.ndarray:
 
 def sample_fading_hypot(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """sample_fading spelled with np.hypot and new arrays at every step."""
-    return tau_of_radius(wander_radii(model, n, seed), model)
+    return tau_of_radius(wander_radii(n, seed), model)
 
 
 def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
     """sample_fading with y drawn whole: each step in place on all n samples."""
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(model.sigma2)
     x = rng.standard_normal(n)
     y = rng.standard_normal(n)
-    x *= sigma
-    y *= sigma
     x *= x
     y *= y
     x += y
     np.sqrt(x, out=x)
-    x /= model.r0
+    x /= math.sqrt(2.0 * model.spread)
     x **= model.gamma
     np.negative(x, out=x)
     np.exp(x, out=x)
@@ -545,26 +542,25 @@ def sample_fading_whole(model: FadingModel, n: int, seed: int) -> np.ndarray:
     return x
 
 
-def wander_radius2(model: FadingModel, n: int, seed: int) -> np.ndarray:
-    """The squared deflections x^2 + y^2 of rng.normal(0, sigma, (2, n))."""
-    rng = np.random.default_rng(seed)
-    xy = rng.normal(0.0, math.sqrt(model.sigma2), size=(2, n))
+def wander_v(n: int, seed: int) -> np.ndarray:
+    """The law's variable v = x^2 + y^2 of rng.standard_normal((2, n))."""
+    xy = np.random.default_rng(seed).standard_normal((2, n))
     return xy[0] ** 2 + xy[1] ** 2
 
 
-def radius2_law(r2: np.ndarray, model: FadingModel) -> np.ndarray:
-    """P(r^2 <= v) at each v of r2: exponential with mean 2 sigma^2."""
-    return -np.expm1(-(r2 / (2.0 * model.sigma2)))
+def v_law(v: np.ndarray) -> np.ndarray:
+    """P(v' <= v) at each v: exponential with mean 2."""
+    return -np.expm1(-(v / 2.0))
 
 
-def ks_statistic_blocks(r2: np.ndarray, model: FadingModel) -> float:
-    """The KS distance of sorted squared radii from their law, with the law
-    taken at every sample, BLOCK samples per call: the all-samples pass that
-    sorted_radius2_statistics' bounded one replaced."""
-    n = len(r2)
+def ks_statistic_blocks(v: np.ndarray) -> float:
+    """The KS distance of sorted v from their law, with the law taken at
+    every sample, BLOCK samples per call: the all-samples pass that
+    sorted_v_statistics' bounded one replaced."""
+    n = len(v)
 
     def block_max(lo):
-        analytic = radius2_law(r2[lo:lo + BLOCK], model)
+        analytic = v_law(v[lo:lo + BLOCK])
         steps = np.arange(lo, lo + len(analytic) + 1) / n
         above = np.max(steps[1:] - analytic)
         analytic -= steps[:-1]  # now G - i / n
@@ -574,14 +570,14 @@ def ks_statistic_blocks(r2: np.ndarray, model: FadingModel) -> float:
 
 
 def cmd_validate_mc_sorted_twice(args, scn) -> str:
-    """validate-mc's output from a sorted copy of wander_radius2 for the KS
+    """validate-mc's output from a sorted copy of wander_v for the KS
     statistic, and np.histogram of sample_fading_hypot, which sorts the
     transmissivities.  args are those of cli.parse_args, with every option
     converted."""
     h, theta, n, bins, seed = args.h, args.theta, args.samples, args.bins, args.seed
     model = scn.fading_model(h, theta)
 
-    analytic = radius2_law(np.sort(wander_radius2(model, n, seed)), model)
+    analytic = v_law(np.sort(wander_v(n, seed)))
     steps_hi = np.arange(1, n + 1) / n
     steps_lo = np.arange(0, n) / n
     ks = float(np.max(np.maximum(np.abs(steps_hi - analytic), np.abs(analytic - steps_lo))))

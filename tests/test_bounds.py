@@ -11,7 +11,7 @@ from satlink import ConfigError, NumericalError, Scenario, _integrate, bounds
 from satlink.beam import plob
 from satlink.cli import main
 from satlink.domain import replace
-from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_correction, thermal_lower
+from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_lower, thermal_upper
 from satlink.fading import FadingModel
 from _reference import (
     average_phi_thermal,
@@ -81,16 +81,18 @@ class TestPhiThermal:
 class TestLossLimitedBound:
     def test_aligned_limit(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
-        frozen = replace(m, sigma2=1e-15)
+        # the spread s = r0^2 / (2 sigma^2) of a wander variance of 1e-15 m^2
+        sigma2 = model_spot_sizes(500e3, 0.0, night_down.beam, night_down.resolved_profile, "down").sigma2
+        frozen = replace(m, spread=m.spread * sigma2 / 1e-15)
         assert bound_b_model(frozen) == pytest.approx(plob(m.eta), rel=1e-6)
-        assert wander_delta(m.eta, 0.0, m.gamma, m.r0) == 1.0
+        assert wander_delta(m.eta, math.inf, m.gamma) == 1.0
 
     def test_delta_in_unit_interval(self, night_down, night_up):
         for scn in (night_down, night_up):
             for h in np.geomspace(100e3, 36000e3, 6):
                 for theta in (0.0, 1.0):
                     m = scn.fading_model(h, theta)
-                    delta = wander_delta(m.eta, m.sigma2, m.gamma, m.r0)
+                    delta = wander_delta(m.eta, m.spread, m.gamma)
                     assert 0.0 < delta <= 1.0
 
     def test_average_oracle(self, night_down, night_up):
@@ -111,7 +113,7 @@ class TestLossLimitedBound:
 
     def test_domain(self):
         with pytest.raises(NumericalError):
-            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=0.1, eta_atm=1.0)
+            FadingModel(eta=1.5, gamma=2.0, spread=5.0, eta_atm=1.0)
 
 
 class TestThermalBounds:
@@ -122,9 +124,11 @@ class TestThermalBounds:
         assert thermal_lower(0.0, m, b) == b and thermal_lower_middle(0.0, m, b) == b
 
     def test_correction_vanishes_at_zero(self, night_down):
+        # the correction T is B less the upper bound: 0 at nbar = 0, and below 1e-9 at nbar = 1e-12
         m = night_down.fading_model(500e3, 0.0)
-        assert thermal_correction(0.0, m, 0.0) == 0.0
-        assert thermal_correction(1e-12, m, loss_bounds([m], 1e-12)[0][1]) < 1e-9
+        b, b_nbar = loss_bounds([m], 1e-12)[0]
+        assert thermal_upper(0.0, m, b, 0.0) == b
+        assert b - thermal_upper(1e-12, m, b, b_nbar) < 1e-9
 
     def test_night_correction_negligible_in_leo(self, night_down):
         nbar = night_down.nbar
@@ -281,10 +285,10 @@ def test_fused_sums_are_the_reference_kernels():
     # order: the same doubles, level by level
     count = 0
     for model, nbar in zenith_models():
-        if model.sigma2 == 0.0:
+        if model.spread == math.inf:
             continue
         etas = (model.eta, nbar)[: 1 + (0.0 < nbar < model.eta)]
-        args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, etas
+        args = model.spread, model.gamma / 2.0, etas
         for level in (0, 1):
             nodes = _integrate._tanh_sinh_floats(level, 0.0, 1.0)
             assert bounds._wander_rows(nodes, *args) == wander_sums(nodes, *args)

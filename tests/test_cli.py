@@ -25,7 +25,7 @@ from satlink.cli import (
     scenario_from_config,
 )
 from satlink.errors import ConfigError
-from satlink.fading import BLOCK, fading_cdf, radius2_cdf, sample_radius2
+from satlink.fading import BLOCK, fading_cdf, sample_v, v_cdf
 from satlink.scenario import SETUPS, Scenario
 
 from _reference import cmd_validate_mc_sorted_twice, sample_fading
@@ -407,7 +407,7 @@ class TestCliCommands:
         assert out == cmd_validate_mc_sorted_twice(args, resolve_scenario(args))
 
     def test_validate_mc_holds_one_float_per_sample(self, capsys):
-        # the squared radii are the only n-element array: the sampler draws y
+        # v is the only n-element array: the sampler draws y
         # a block at a time and the KS statistic takes the law at few of them
         n = 1_000_000
         tracemalloc.start()
@@ -421,26 +421,26 @@ class TestCliCommands:
         assert peak < 1.5 * 8 * n
 
     def test_validate_mc_takes_the_law_at_few_samples(self, capsys, monkeypatch):
-        # the radius law is non-decreasing on the sorted r^2, so the KS
+        # the law of v is non-decreasing on the sorted v, so the KS
         # statistic needs it at one sample in fading.STRIDE and in the few
         # segments that can hold the largest deviation, not at every sample;
         # the fading law is taken at the bin edges only
         n, bins = 1_000_000, 60
-        points = {"radius2_cdf": [], "fading_cdf": []}
+        points = {"v_cdf": [], "fading_cdf": []}
 
         def counted(name, law):
-            def call(x, model):
+            def call(x, *model):
                 points[name].append(np.size(x))
-                return law(x, model)
+                return law(x, *model)
             return call
 
-        monkeypatch.setattr(fading, "radius2_cdf", counted("radius2_cdf", radius2_cdf))
+        monkeypatch.setattr(fading, "v_cdf", counted("v_cdf", v_cdf))
         monkeypatch.setattr(fading, "fading_cdf", counted("fading_cdf", fading_cdf))
         code, out = run_cli(capsys, "validate-mc", "--h", "530km", "--theta", "1",
                             "--samples", str(n), "--seed", "1", "--bins", str(bins))
         assert code == 0
         assert "ks_statistic=" in out
-        assert 0 < sum(points["radius2_cdf"]) < n / 8
+        assert 0 < sum(points["v_cdf"]) < n / 8
         assert points["fading_cdf"] == [1] * (bins + 1)
 
     @pytest.mark.parametrize(
@@ -460,14 +460,14 @@ class TestCliCommands:
         model = resolve_scenario(args).fading_model(args.h, args.theta)
         lines = out.splitlines()
 
-        # r^2 / (2 sigma^2) is a standard exponential
+        # v / 2 is a standard exponential
         ks = float(next(line for line in lines if line.startswith("# ks_statistic=")).split("=")[1])
-        r2 = sample_radius2(model, args.samples, args.seed)
-        want = scipy.stats.kstest(r2 / (2.0 * model.sigma2), "expon").statistic
+        v = sample_v(args.samples, args.seed)
+        want = scipy.stats.kstest(v / 2.0, "expon").statistic
         assert abs(ks - want) <= 1e-15
 
-        # the counts come from the radii, so they hold the forward map tau(r)
-        # to the tau bins
+        # the counts come from v, so they hold the forward map tau(v) to the
+        # tau bins
         rows = np.array([[float(c) for c in line.split(",")] for line in lines[4:]])
         edges = np.linspace(0.0, model.eta, args.bins + 1)
         counts, _ = np.histogram(sample_fading(model, args.samples, args.seed), bins=edges)

@@ -16,6 +16,8 @@ from satlink.cvqkd import (
     worst_case_nbar,
 )
 from satlink.domain import replace
+from satlink.fading import pointing_variance
+from satlink.geometry import slant_range
 
 from _reference import (
     EstimationResult,
@@ -267,7 +269,9 @@ class TestPostSelectedRate:
     def test_no_fading_limit(self, scn):
         # with vanishing wander and threshold close to eta the post-selected
         # rate reduces to the fixed-channel composable rate at tau = eta
-        model = replace(scn.fading_model(530e3, 0.5), sigma2=1e-14)
+        model = scn.fading_model(530e3, 0.5)
+        # the spread s = r0^2 / (2 sigma^2) of a wander variance of 1e-14 m^2; a downlink wanders by pointing alone
+        model = replace(model, spread=model.spread * pointing_variance(slant_range(530e3, 0.5), scn.pointing_error) / 1e-14)
         params = replace(scn.protocol, phi_thr=0.999999)
         nbp = scn.nbar_prime
         frozen = postselected_rate(model, nbp, params, "collective")
@@ -292,7 +296,7 @@ class TestPostSelectedRate:
         model = scn.fading_model(530e3, 1.0)
         nbp = scn.nbar_prime
         base = postselected_rate(model, nbp, scn.protocol, "collective").rate
-        wider = replace(model, sigma2=2 * model.sigma2)
+        wider = replace(model, spread=model.spread / 2)  # twice the wander variance
         doubled = postselected_rate(wider, nbp, scn.protocol, "collective").rate
         assert doubled < base
 

@@ -29,7 +29,7 @@ SAMPLES = {
     ProtocolParams: dict(block_size=200_000_000, pilots=10_000_000, detection="hom", tail="hoeffding"),
     Scenario: dict(link="up", period="day", setup=2, beam=BeamParams(waist=0.4), profile="hv-worst-day"),
     TurbulenceProfile: dict(a_ground=2.75e-14, windspeed=57.0),
-    FadingModel: dict(eta=0.1, gamma=2.0, r0=0.3, sigma2=1e-3, eta_atm=0.8),
+    FadingModel: dict(eta=0.1, gamma=2.0, spread=45.0, eta_atm=0.8),
     MaxRangeResult: dict(z_max=1e9, capped=True),
 }
 # a valid new value for the first field of each sample
@@ -177,9 +177,9 @@ def test_pickle_holds_the_fields_alone(cls):
         (lambda: Scenario(setup=9), ConfigError, "Scenario.setup: expected one of 1, 2, 3, 4, got 9"),
         (lambda: Scenario(kappa_override=-1.0), ConfigError,
          "Scenario.kappa_override: expected a non-negative quantity, got -1.0"),
-        (lambda: FadingModel(eta=1.0, gamma=2.0, r0=0.3, sigma2=0.0, eta_atm=0.8), NumericalError,
+        (lambda: FadingModel(eta=1.0, gamma=2.0, spread=math.inf, eta_atm=0.8), NumericalError,
          "eta must lie in (0, 1)"),
-        (lambda: FadingModel(eta=0.5, gamma=2.0, r0=0.3, sigma2=-1e-3, eta_atm=0.8), NumericalError,
+        (lambda: FadingModel(eta=0.5, gamma=2.0, spread=-45.0, eta_atm=0.8), NumericalError,
          "invalid fading parameters"),
     ],
 )

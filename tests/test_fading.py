@@ -19,8 +19,8 @@ from satlink.fading import (
     fading_params,
     p_threshold,
     pointing_variance,
-    sample_radius2,
-    sorted_radius2_statistics,
+    sample_v,
+    sorted_v_statistics,
 )
 from satlink.scenario import Scenario
 from satlink.turbulence import PROFILES
@@ -37,7 +37,7 @@ from _reference import (
     sample_fading_whole,
     tau_of_radius,
     wander_radii,
-    wander_radius2,
+    wander_v,
 )
 
 NIGHT = PROFILES["hv-night"]
@@ -135,7 +135,7 @@ class TestFadingParams:
         gamma = 4.0 * x * f0 * f1 / log_term
         r0 = 0.4 / log_term ** (1.0 / gamma)
         assert model_down.gamma == pytest.approx(gamma, rel=1e-12)
-        assert model_down.r0 == pytest.approx(r0, rel=1e-12)
+        assert model_down.spread == pytest.approx(r0**2 / (2.0 * spots_down.sigma2), rel=1e-12)
 
     def test_degenerate_geometry_rejected(self):
         # ln(2 eta_st f0) <= 1 cannot happen for physical inputs, but the
@@ -201,8 +201,9 @@ class TestDensity:
         assert cdf == sorted(cdf)
         assert [fading_cdf(t, model_up) for t in (-0.1, 0.0, eta, 2 * eta)] == [0.0, 0.0, 1.0, 1.0]
 
-    def test_no_wandering_concentrates_at_eta(self, model_down):
-        frozen = replace(model_down, sigma2=1e-12)
+    def test_no_wandering_concentrates_at_eta(self, model_down, spots_down):
+        # the spread s = r0^2 / (2 sigma^2) of a wander variance of 1e-12 m^2
+        frozen = replace(model_down, spread=model_down.spread * spots_down.sigma2 / 1e-12)
         assert p_threshold(0.99 * frozen.eta, frozen) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -253,7 +254,7 @@ class TestSampler:
         assert np.all(taus > 0) and np.all(taus <= model_down.eta)
 
     def test_zero_deflection_gives_eta(self, model_down):
-        still = replace(model_down, sigma2=0.0)
+        still = replace(model_down, spread=math.inf)
         taus = sample_fading(still, 10, seed=0)
         assert np.allclose(taus, still.eta)
 
@@ -261,8 +262,8 @@ class TestSampler:
     @pytest.mark.parametrize("which", ["down", "up", "near_field"])
     def test_radii_within_one_ulp_of_hypot(self, which, seed, model_down, model_up):
         # sqrt(x^2 + y^2) moves a sixth of the radii of np.hypot(x, y) by
-        # one ulp and none by more; tau = eta exp(-(r/r0)^gamma) turns that
-        # ulp into more of tau's where (r/r0)^gamma is large, so each sample
+        # one ulp and none by more; tau = eta exp(-(r / sqrt(2s))^gamma) turns
+        # that ulp into more of tau's where the power is large, so each sample
         # must lie between the hypot body's taus at the neighbours of r
         model = {
             "down": model_down,
@@ -273,7 +274,7 @@ class TestSampler:
                 EXTINCTION, POINTING_ERROR,
             ),
         }[which]
-        r = wander_radii(model, 100_000, seed)
+        r = wander_radii(100_000, seed)
         got = sample_fading(model, 100_000, seed)
         assert np.all(tau_of_radius(np.nextafter(r, np.inf), model) <= got)
         assert np.all(got <= tau_of_radius(np.nextafter(r, 0.0), model))
@@ -281,11 +282,11 @@ class TestSampler:
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("seed", [0, 5, 123456])
-    def test_radius2_is_the_square_sum_of_rng_normal(self, n, seed, model_up):
-        # (sigma x)^2 + (sigma y)^2 with y drawn a block at a time: the
-        # doubles of rng.normal(0, sigma, (2, n)) squared and summed
-        got = sample_radius2(model_up, n, seed)
-        assert got.tobytes() == wander_radius2(model_up, n, seed).tobytes()
+    def test_radius2_is_the_square_sum_of_rng_normal(self, n, seed):
+        # v = x^2 + y^2, the squared radius in units of sigma, with y drawn a
+        # block at a time: the doubles of rng.standard_normal((2, n)) squared and summed
+        got = sample_v(n, seed)
+        assert got.tobytes() == wander_v(n, seed).tobytes()
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     @pytest.mark.parametrize("seed", [0, 5, 123456])
@@ -299,13 +300,13 @@ class TestSampler:
 class TestKsStatistic:
     @staticmethod
     def ks_pair(model, n, sample_seed, bins=7):
-        """(bounded KS, all-samples KS) of the sorted radii, after checking
+        """(bounded KS, all-samples KS) of the sorted v, after checking
         that their counts are np.histogram's of the transmissivities."""
-        r2 = np.sort(sample_radius2(model, n, sample_seed))
+        v = np.sort(sample_v(n, sample_seed))
         edges = np.linspace(0.0, model.eta, bins + 1)
-        ks, counts = sorted_radius2_statistics(r2, model, edges)
+        ks, counts = sorted_v_statistics(v, model, edges)
         assert np.array_equal(counts, np.histogram(sample_fading(model, n, sample_seed), edges)[0])
-        return ks, ks_statistic_blocks(r2, model)
+        return ks, ks_statistic_blocks(v)
 
     @pytest.mark.parametrize("config", CONFIGS)
     @seed(20120601)
@@ -344,14 +345,14 @@ class TestKsStatistic:
         model, n = model_down, 33
 
         def quantile(p):
-            return -2.0 * model.sigma2 * math.log1p(-p)
+            return -2.0 * math.log1p(-p)
 
         if above:
-            r2 = np.array([0.0] * 32 + [quantile(1.5 / n)])
+            v = np.array([0.0] * 32 + [quantile(1.5 / n)])
         else:
-            r2 = np.array([quantile(31.5 / n)] + [100.0 * model.sigma2] * 32)
-        ks, _ = sorted_radius2_statistics(r2, model, np.linspace(0.0, model.eta, 3))
-        assert ks == ks_statistic_blocks(r2, model) == pytest.approx(32 / n, rel=1e-12)
+            v = np.array([quantile(31.5 / n)] + [100.0] * 32)
+        ks, _ = sorted_v_statistics(v, model, np.linspace(0.0, model.eta, 3))
+        assert ks == ks_statistic_blocks(v) == pytest.approx(32 / n, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1000, 100_000])
     def test_near_field_ties_at_eta(self, n):
@@ -363,12 +364,12 @@ class TestKsStatistic:
         assert ks == want
 
     def test_a_radius_on_an_edge_is_in_the_bin_above(self, model_down):
-        # r^2(e) = r0^2 ln(eta / e)^(2 / gamma) is the radius of tau = e, and
-        # a tau on an edge counts in the bin [e, hi), as np.histogram has it
+        # v(e) = 2 s ln(eta / e)^(2 / gamma) is the v of tau = e, and a tau
+        # on an edge counts in the bin [e, hi), as np.histogram has it
         model = model_down
         edges = np.linspace(0.0, model.eta, 4)
-        on_edges = model.r0**2 * np.log(model.eta / edges[1:]) ** (2.0 / model.gamma)
-        _, counts = sorted_radius2_statistics(np.sort(on_edges), model, edges)
+        on_edges = 2.0 * model.spread * np.log(model.eta / edges[1:]) ** (2.0 / model.gamma)
+        _, counts = sorted_v_statistics(np.sort(on_edges), model, edges)
         assert counts.tolist() == [0, 1, 2]
 
 
@@ -416,12 +417,19 @@ class TestModelAssembly:
         fading_model(500e3, 1.0, BEAM, RECEIVER, NIGHT, "up", EXTINCTION, POINTING_ERROR)
         assert GUARDS == {}  # the good window must stay silent
 
+    @staticmethod
+    def spread(spots, sigma2):
+        """r0^2 / (2 sigma2), with r0 the Weibull scale of the spot sizes."""
+        x = 2.0 * RECEIVER.aperture**2 / math.pow(spots.w_st, 2)
+        _, r0 = fading_params(-math.expm1(-x), x, RECEIVER.aperture)
+        return math.pow(r0, 2) / (2.0 * sigma2)
+
     def test_downlink_variance_is_pointing_only(self, model_down, spots_down):
-        assert model_down.sigma2 == spots_down.sigma_p2
+        assert model_down.spread == self.spread(spots_down, spots_down.sigma_p2)
         assert spots_down.sigma_tb2 == 0.0
 
     def test_uplink_variance_sums(self, model_up, spots_up):
-        assert model_up.sigma2 == pytest.approx(spots_up.sigma_p2 + spots_up.sigma_tb2)
+        assert model_up.spread == pytest.approx(self.spread(spots_up, spots_up.sigma_p2 + spots_up.sigma_tb2))
 
     def test_eta_composition(self, model_down, spots_down):
         from satlink.atmosphere import eta_atm
@@ -433,4 +441,4 @@ class TestModelAssembly:
 
     def test_validation(self):
         with pytest.raises(NumericalError):
-            FadingModel(eta=1.5, gamma=2.0, r0=1.0, sigma2=1.0, eta_atm=1.0)
+            FadingModel(eta=1.5, gamma=2.0, spread=0.5, eta_atm=1.0)

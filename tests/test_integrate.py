@@ -139,7 +139,7 @@ def test_wander_delta_against_quad(gamma):
     # in (-1, 0) carries that into the bound below
     for s in np.geomspace(1e-3, 1e6, 10):
         for eta in (1e-12, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999, 1.0 - 1e-6):
-            got = wander_delta(eta, 1.0 / (2.0 * s), gamma, 1.0)
+            got = wander_delta(eta, s, gamma)
             ref = wander_delta_oracle(eta, s, gamma)
             assert abs(got - ref) <= 1e-12 + 1e-10 * abs(1.0 - ref), (gamma, s, eta)
 

@@ -162,12 +162,12 @@ def test_wander_integral(config, log_h, theta):
         return
     # the model's two rows, B at eta and at nbar, as a tight max-range probe takes them
     etas = (model.eta, scn.nbar)[: 1 + (0.0 < scn.nbar < model.eta)]
-    args = model.r0 * model.r0 / (2.0 * model.sigma2), model.gamma / 2.0, etas
+    args = model.spread, model.gamma / 2.0, etas
     rows = tanh_sinh_rows(_wander_rows, 0.0, 1.0, *args, abs_tol=1e-12)
     # and as a sweep takes them, one model of a batch (eta twice where nbar >= eta)
     batch_args = np.array([args[:1]]), np.array([args[1:2]]), np.array([[[etas[0]], [etas[-1]]]])
     batch = tanh_sinh_rows(_wander_batch, 0.0, 1.0, *batch_args, abs_tol=1e-12)
     for eta, row, in_batch in zip(etas, rows, batch):
-        want = mpref.wander_integral(eta, model.sigma2, model.gamma, model.r0)
+        want = mpref.wander_integral(eta, model.spread, model.gamma)
         assert abs(float((in_batch.value - want) / want)) <= REL_TOL
         assert abs(float((row.value - want) / want)) <= REL_TOL

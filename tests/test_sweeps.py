@@ -191,7 +191,7 @@ def test_failing_row_raises_its_points_error(monkeypatch):
     points = [(h, theta) for h in altitudes(3).tolist() for theta in (0.0, 0.6)]
     alone = [scn.bounds_at(*point) for point in points]
     bad = scn.fading_model(*points[3])
-    s_bad = bad.r0 * bad.r0 / (2.0 * bad.sigma2)
+    s_bad = bad.spread
     wander = bounds._wander_batch
 
     def wander_fails(nodes, s, g, etas):
