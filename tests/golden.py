@@ -123,6 +123,10 @@ EDGES = [
       for command in (RATE_3, ["pass", "--h", "530km"])),
     # n-bar >= 1: no secure range in either mode
     *(["max-range", "--mode", mode, "--set", "receiver.excess_photons=2"] for mode in ("simple", "tight")),
+    # an infinite wander variance: the beam always misses, B is 0 and every tau is 0
+    ["bounds", "--h-grid", "100km:100km:1", *UP_DAY, "--set", "pointing.error_rad=1.797693134862316e+303"],
+    ["validate-mc", "--h", "100km", "--theta", "0", "--samples", "200", "--bins", "5", *UP_DAY,
+     "--set", "pointing.error_rad=1.797693134862316e+303"],
 ]
 
 # the tight max range on every documented configuration, with both filters

@@ -87,6 +87,11 @@ class TestLossLimitedBound:
         assert bound_b_model(frozen) == pytest.approx(plob(m.eta), rel=1e-6)
         assert wander_delta(m.eta, math.inf, m.gamma) == 1.0
 
+    def test_infinite_variance_has_no_capacity(self, night_up):
+        # s = 0: the beam always misses, and Delta is exactly 0 on both wander entry points
+        m = replace(night_up.fading_model(100e3, 0.0), spread=0.0)
+        assert loss_bounds([m], m.eta / 2.0)[0] == (0.0, 0.0) == model_bounds(m, m.eta / 2.0)
+
     def test_delta_in_unit_interval(self, night_down, night_up):
         for scn in (night_down, night_up):
             for h in np.geomspace(100e3, 36000e3, 6):
