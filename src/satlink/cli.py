@@ -33,7 +33,7 @@ from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .cvqkd import ProtocolParams
 from .domain import NON_NEGATIVE, POSITIVE, Domain, at_least, check
-from .errors import GUARDS, ConfigError, NumericalError
+from .errors import GUARDS, ConfigError, FieldError, NumericalError
 from .scenario import Scenario
 
 _UNITS = {
@@ -205,7 +205,7 @@ CONFIG_KEYS: tuple[tuple[str, str, Callable[[str], object]], ...] = (
     ("noise.kappa", "kappa_override", _finite),
 )
 _KNOWN_KEYS = frozenset(key for key, _, _ in CONFIG_KEYS)
-# the record owning each key path; each key by its field's name in a ConfigError
+# the record owning each key path; each key by its field's name in a FieldError
 _OWNERS = {"": Scenario, "beam": BeamParams, "receiver": ReceiverParams,
            "extinction": ExtinctionModel, "protocol": ProtocolParams}
 _KEY_OF_FIELD = {f"{_OWNERS[path.rpartition('.')[0]].__name__}.{path.rpartition('.')[2]}": key
@@ -520,8 +520,11 @@ def main(argv: list[str] | None = None) -> int:
         code, error = 3, f"numerical error: {exc}"
     except ConfigError as exc:
         message = str(exc)
-        for name, key in _KEY_OF_FIELD.items():  # a parameter field at fault by its key
-            message = message.replace(name, key)
+        if isinstance(exc, FieldError):  # each field at fault by its key; the values as given
+            fields, got, values = message.partition(", got ")
+            for name, key in _KEY_OF_FIELD.items():
+                fields = fields.replace(name, key)
+            message = fields + got + values
         code, error = 2, f"configuration error: {message}"
     except MemoryError as exc:
         code, error = 2, f"configuration error: the request does not fit in memory: {exc}"

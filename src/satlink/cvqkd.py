@@ -20,7 +20,7 @@ from typing import NamedTuple
 from ._special import erfcinv
 from .bounds import entropy_h
 from .domain import CLOSED_UNIT, OPEN_UNIT, POSITIVE, UNIT, Domain, Record, at_least, one_of, param
-from .errors import ConfigError, NumericalError
+from .errors import FieldError, NumericalError
 from .fading import FadingModel, p_threshold
 
 EPS_DEFAULT = 2.0**-33  # shared default for the smoothing/hash/PE/correctness epsilons
@@ -48,13 +48,13 @@ class ProtocolParams(Record):
     def __post_init__(self):
         super().__post_init__()
         if self.pilots >= self.block_size:
-            raise ConfigError("ProtocolParams.pilots must be below ProtocolParams.block_size,"
+            raise FieldError("ProtocolParams.pilots must be below ProtocolParams.block_size,"
                               f" got {self.pilots} and {self.block_size}")
 
     def check_attacks(self, attacks: str) -> None:
-        """ConfigError unless energy tests can reduce `attacks` to collective ones."""
+        """FieldError unless energy tests can reduce `attacks` to collective ones."""
         if attacks == "general" and (self.detection != "het" or self.energy_test_fraction <= 0.0):
-            raise ConfigError(
+            raise FieldError(
                 "attacks 'general' need ProtocolParams.detection 'het' and ProtocolParams.energy_test_fraction"
                 f" > 0, got {self.detection!r} and {self.energy_test_fraction!r}")
 

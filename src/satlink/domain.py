@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import cached_property
 from typing import Callable, NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldError
 
 
 class Domain(NamedTuple):
@@ -39,9 +39,9 @@ def one_of(*values) -> Domain:
 param = namedtuple("param", "default domain")
 
 
-def check(name: str, domain: Domain, value) -> None:
+def check(name: str, domain: Domain, value, error: type[ConfigError] = ConfigError) -> None:
     if not domain.holds(value):
-        raise ConfigError(f"{name}: expected {domain.text}, got {value!r}")
+        raise error(f"{name}: expected {domain.text}, got {value!r}")
 
 
 class Record:
@@ -75,7 +75,7 @@ class Record:
         for name, domain in self._domains.items():
             value = self.__dict__[name]
             if value is not None and not domain.holds(value):
-                check(f"{type(self).__name__}.{name}", domain, value)
+                check(f"{type(self).__name__}.{name}", domain, value, FieldError)
 
     def __setattr__(self, name, *_):
         raise AttributeError(f"cannot assign to {name!r} of a frozen {type(self).__name__}")

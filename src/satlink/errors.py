@@ -14,6 +14,11 @@ class ConfigError(Exception):
     """Invalid or inconsistent user-supplied configuration."""
 
 
+class FieldError(ConfigError):
+    """A ConfigError of a parameter record's fields: its message names each
+    field at fault as Record.field ahead of ', got ', and the values after it."""
+
+
 class NumericalError(Exception):
     """A numerical routine failed to converge or produced a non-physical state."""
 

@@ -88,6 +88,8 @@ EDGES = [
     ["show-config", "--set", "scenario.setup=2.7"],
     ["validate-mc", "--h", "530km", "--samples", "1km"],
     ["show-config", "--set", "protocol.tail=bogus"],
+    # a value that spells a record's field is quoted as given
+    ["show-config", "--set", "scenario.link=BeamParams.waist"],
     [*RATE_3, "--set", "atmosphere.alpha0=-1"],
     [*RATE_3, "--set", "beam.curvature=0"],
     # numerical failures: a degenerate fading law exits 3, not nan

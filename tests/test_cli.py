@@ -1011,6 +1011,19 @@ class TestDomains:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"configuration error: {message}\n"
 
+    def test_a_value_that_spells_a_field_is_quoted_verbatim(self, capsys):
+        # only the fields that a record's own message names are mapped to their keys
+        assert main(["show-config", "--set", "scenario.link=BeamParams.waist"]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: scenario.link: expected one of 'up', 'down', got 'BeamParams.waist'\n")
+
+    def test_a_config_file_path_is_quoted_verbatim(self, tmp_path, capsys):
+        path = tmp_path / "Scenario.setup.cfg"  # no such file
+        assert main(["show-config", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {path}: ")
+        assert "scenario.setup" not in err
+
     def test_general_attacks_with_energy_tests_run(self, capsys):
         code, out = run_cli(capsys, *RATE, "--attacks", "general", "--set", "protocol.f_et=0.5")
         assert code == 0 and len(out.splitlines()) == 5
