@@ -20,7 +20,7 @@ from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams, diffraction_bound, eta_diffraction, plob
 from .cvqkd import KeyRate, ProtocolParams
 from .domain import NON_NEGATIVE, Record, one_of, param
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, FieldError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
 from .turbulence import PROFILES, TurbulenceProfile
@@ -58,6 +58,13 @@ class Scenario(Record):
     protocol: ProtocolParams = ProtocolParams()
     h_sky_override: float | None = param(None, NON_NEGATIVE)
     kappa_override: float | None = param(None, NON_NEGATIVE)
+
+    def __post_init__(self):
+        super().__post_init__()
+        # the default beam and receiver are preset 1's; build applies the others
+        if self.setup != 1 and (self.beam is Scenario.beam or self.receiver is Scenario.receiver):
+            raise FieldError(f"Scenario.setup: preset {self.setup} takes its beam and receiver from Scenario.build,"
+                             f" got {self.setup} with the default beam or receiver")
 
     @classmethod
     def build(cls, *fields, setup: int = 1, beam: dict | None = None, receiver: dict | None = None,

@@ -27,7 +27,8 @@ SAMPLES = {
     ReceiverParams: dict(aperture=0.75, efficiency=0.5, excess_photons=0.01),
     ExtinctionModel: dict(alpha0=4e-6, h_scale=7e3),
     ProtocolParams: dict(block_size=200_000_000, pilots=10_000_000, detection="hom", tail="hoeffding"),
-    Scenario: dict(link="up", period="day", setup=2, beam=BeamParams(waist=0.4), profile="hv-worst-day"),
+    Scenario: dict(link="up", period="day", setup=2, beam=BeamParams(waist=0.4),
+                   receiver=ReceiverParams(aperture=1.0), profile="hv-worst-day"),
     TurbulenceProfile: dict(a_ground=2.75e-14, windspeed=57.0),
     FadingModel: dict(eta=0.1, gamma=2.0, spread=45.0, eta_atm=0.8),
     MaxRangeResult: dict(z_max=1e9, capped=True),
@@ -86,6 +87,18 @@ def test_defaults():
     # a nested default is one frozen instance, shared
     assert scn.beam == BeamParams() and scn.protocol == ProtocolParams()
     assert scn.beam is Scenario().beam and scn.protocol is Scenario(link="up").protocol
+
+
+@pytest.mark.parametrize("setup", [1, 2, 3, 4])
+def test_plain_constructor_takes_no_preset_without_its_hardware(setup):
+    # the default beam and receiver are preset 1's; the others come with their own
+    built = Scenario.build("down", "night", setup=setup)
+    if setup == 1:
+        assert Scenario(link="down", period="night", setup=1) == built
+    else:
+        with pytest.raises(ConfigError, match=f"Scenario.setup: preset {setup} takes its beam and receiver"):
+            Scenario(link="down", period="night", setup=setup)
+    assert Scenario(link="down", period="night", setup=setup, beam=built.beam, receiver=built.receiver) == built
 
 
 @records
