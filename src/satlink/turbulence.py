@@ -58,15 +58,8 @@ def _terms(profile: TurbulenceProfile) -> tuple[tuple[float, float, float], ...]
     )
 
 
-def cn2(h: float, profile: TurbulenceProfile) -> float:
-    """Structure constant C_n^2 (m^(-2/3)) at altitude h."""
-    if profile.kind == "hufnagel-stanley" and h <= 0:
-        raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")
-    return sum(c * h**q * math.exp(-h / a) for c, q, a in _terms(profile))
-
-
 def _moment(p: float, profile: TurbulenceProfile) -> float:
-    """Integral over h in [0, inf) of h^p cn2(h): the sum of c Gamma(p + q + 1) a^(p + q + 1)."""
+    """Integral over h in [0, inf) of h^p C_n^2(h): the sum of c Gamma(p + q + 1) a^(p + q + 1)."""
     # a^(q + 1) a^p: a^(p + q + 1) would lose ln(a) ulps of p + q + 1, 7e-15 for the h^10 term
     return sum(c * math.gamma(p + q + 1.0) * a ** (q + 1.0) * a**p for c, q, a in _terms(profile))
 

@@ -200,7 +200,8 @@ LAYER_EDGES_M = (0.0, 2e3, 3e4, PROFILE_TOP_M)
 
 
 def cn2(h, profile: TurbulenceProfile):
-    """satlink.turbulence.cn2 at an altitude or an array of them (quadrature nodes)."""
+    """The profile's structure constant C_n^2 (m^(-2/3)) at an altitude or an array of them
+    (quadrature nodes), spelled from its parameters."""
     if profile.kind == "hufnagel-stanley":
         if np.min(h) <= 0:
             raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")

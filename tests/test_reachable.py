@@ -1,7 +1,10 @@
 """Every top-level definition of the package is reached by the program.
 
 The program is src/satlink without its re-exporting __init__, plus scripts/
-and perfbench/.  Code that only tests reach belongs in tests/_reference.py.
+and perfbench/.  A definition is reached where code names it: as a name, an
+attribute, an import, or a string that spells a dotted name (the spans of
+perfbench's tracer), but not in a docstring or a comment.  Code that only
+tests reach belongs in tests/_reference.py.
 """
 
 import ast
@@ -9,19 +12,40 @@ import pathlib
 import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def named(tree: ast.AST) -> list[tuple[str, int]]:
+    """(identifier, 0-based line) of each name that the code of tree uses."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            words = [node.id]
+        elif isinstance(node, ast.Attribute):
+            words = [node.attr]
+        elif isinstance(node, ast.alias):
+            words = node.name.split(".")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            words = node.value.split(".") if DOTTED.fullmatch(node.value) else []
+        else:
+            continue
+        found += [(word, node.lineno - 1) for word in words]
+    return found
 
 
 def unreached(package: list[pathlib.Path], others: list[pathlib.Path]) -> list[str]:
-    """The top-level defs and classes of the package files that no other line names.
+    """The top-level defs and classes of the package files that no other code names.
 
-    A line inside an unreached definition names nothing, so a definition
+    A name inside an unreached definition reaches nothing, so a definition
     that only unreached ones use is unreached too.
     """
-    lines = {path: path.read_text(encoding="utf-8").splitlines() for path in package + others}
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + others}
+    uses = {path: named(tree) for path, tree in trees.items()}
     spans = {
         (path, node.name): range(node.lineno - 1, node.end_lineno)
         for path in package
-        for node in ast.parse("\n".join(lines[path])).body
+        for node in trees[path].body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     }
     dead: set = set()
@@ -32,10 +56,9 @@ def unreached(package: list[pathlib.Path], others: list[pathlib.Path]) -> list[s
             for (path, name), span in spans.items()
             if (path, name) not in dead
             and not any(
-                re.search(rf"\b{name}\b", text) and (other, i) not in skip
-                and not (other == path and i in span)
-                for other, text_lines in lines.items()
-                for i, text in enumerate(text_lines)
+                word == name and (other, i) not in skip and not (other == path and i in span)
+                for other, words in uses.items()
+                for word, i in words
             )
         }
         if not found:
@@ -61,3 +84,22 @@ def test_a_definition_only_an_unreached_one_uses_is_unreached(tmp_path):
     script = tmp_path / "run.py"
     script.write_text("from mod import used\n", encoding="utf-8")
     assert unreached([module], [script]) == ["mod.inner", "mod.orphan"]
+
+
+def test_only_code_reaches_a_definition(tmp_path):
+    # a docstring or a comment does not reach a definition; an attribute, an
+    # import, and a string that spells a dotted name do
+    module = tmp_path / "mod.py"
+    module.write_text("".join(f"def {name}():\n    return 1\n\n\n" for name in (
+        "documented", "commented", "attribute", "imported", "traced", "quoted")), encoding="utf-8")
+    script = tmp_path / "run.py"
+    script.write_text(
+        '"""Calls documented(h)."""\n'
+        "import mod  # and commented()\n"
+        "from mod import imported\n"
+        "mod.attribute()\n"
+        'SPANS = (("span", "mod", "traced"), ("other", "mod.quoted"))\n'
+        'TEXT = "not documented() either"\n',
+        encoding="utf-8",
+    )
+    assert unreached([module], [script]) == ["mod.commented", "mod.documented"]

@@ -11,14 +11,13 @@ from satlink.scenario import Scenario
 from satlink.turbulence import (
     PROFILES,
     TurbulenceProfile,
-    cn2,
     coherence_length_planar,
     i_infty,
     spot_sizes,
 )
 
 import _reference
-from _reference import coherence_length, cn2_avg, rytov_variance, speckle_count, uplink_coefficients
+from _reference import cn2, coherence_length, cn2_avg, rytov_variance, speckle_count, uplink_coefficients
 
 NIGHT = PROFILES["hv-night"]
 DAY = PROFILES["hv-day"]
