@@ -38,12 +38,8 @@ def test_runtime_does_not_import_scipy():
 
 
 def test_commands_without_arrays_do_not_import_numpy():
-    # show-config, the README rate, a rate out to the horizon and one below
-    # 660 m, pass and max-range commands, a configuration error and the
-    # README compare-fiber start without numpy; the README bounds command
-    # loads it.  json loads with pass; dataclasses, inspect and statistics
-    # load with none of them.  A pass that fires the blocks guard reports it
-    # on each of two runs
+    # the commands of the probe's COMMANDS load numpy and json where its
+    # docstring says, and each of its other checks holds
     proc = run_python(str(ROOT / "tests" / "_runtime_probe.py"))
     assert proc.returncode == 0, proc.stderr
     assert str(ROOT / "src") in proc.stdout
