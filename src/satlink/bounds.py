@@ -84,11 +84,8 @@ def _wander_rows(nodes, s, g, etas):
 
 
 def _bound(eta: float, s: float, integral: float) -> float:
-    """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander).
-
-    At s = 0, an infinite wander variance, the beam always misses: Delta is 0
-    exactly, which I = -ln(1 - eta) / eta gives only to rounding.
-    """
+    """Loss-limited bound -Delta * log2(1 - eta) from the wander integral I (0 without wander);
+    at s = 0 the beam always misses, and Delta is 0 exactly, not to rounding."""
     delta = 1.0 + eta / math.log1p(-eta) * integral if s else 0.0
     return -delta * math.log1p(-eta) / LN2
 
@@ -143,9 +140,8 @@ def bound_b_model(model: FadingModel) -> float:
 def thermal_upper(nbar: float, model: FadingModel, b: float, b_nbar: float) -> float:
     """Thermal-loss upper bound max(0, B - T); zero beyond entanglement breaking.
 
-    b and b_nbar are the model's loss-limited bound B at eta and at nbar.  The
-    thermal correction T = P(tau > nbar) * (nbar log2(nbar) / (1 - nbar) + h(nbar))
-    + B(nbar) weighs its bracket by the fading law above nbar.
+    b and b_nbar are the model's loss-limited bound B at eta and at nbar, and
+    T = P(tau > nbar) (nbar log2(nbar) / (1 - nbar) + h(nbar)) + B(nbar).
     """
     if nbar == 0.0:
         return b

@@ -219,9 +219,7 @@ def sorted_v_statistics(v, model: FadingModel, edges):
 
     n = len(v)
     if model.spread == math.inf:
-        counts = np.zeros(len(edges) - 1, dtype=np.intp)
-        counts[-1] = n
-        return 0.0, counts
+        return 0.0, np.append(np.zeros(len(edges) - 2, np.intp), n)
     inside = edges > 0.0
     log_ratio = np.log(model.eta / np.where(inside, edges, model.eta))
     bounds = np.where(inside, 2.0 * model.spread * log_ratio**(2.0 / model.gamma), math.inf)

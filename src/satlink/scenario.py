@@ -59,12 +59,10 @@ class Scenario(Record):
     h_sky_override: float | None = param(None, NON_NEGATIVE)
     kappa_override: float | None = param(None, NON_NEGATIVE)
 
-    def __post_init__(self):
+    def __post_init__(self):  # the default beam and receiver are preset 1's; build applies the others
         super().__post_init__()
-        # the default beam and receiver are preset 1's; build applies the others
         if self.setup != 1 and (self.beam is Scenario.beam or self.receiver is Scenario.receiver):
-            raise FieldError(f"Scenario.setup: preset {self.setup} takes its beam and receiver from Scenario.build,"
-                             f" got {self.setup} with the default beam or receiver")
+            raise FieldError(f"Scenario.setup: preset {self.setup} takes its beam and receiver from Scenario.build")
 
     @classmethod
     def build(cls, *fields, setup: int = 1, beam: dict | None = None, receiver: dict | None = None,
