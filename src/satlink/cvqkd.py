@@ -49,7 +49,7 @@ class ProtocolParams(Record):
         super().__post_init__()
         if self.pilots >= self.block_size:
             raise FieldError("ProtocolParams.pilots must be below ProtocolParams.block_size,"
-                              f" got {self.pilots} and {self.block_size}")
+                             f" got {self.pilots} and {self.block_size}")
 
     def check_attacks(self, attacks: str) -> None:
         """FieldError unless energy tests can reduce `attacks` to collective ones."""

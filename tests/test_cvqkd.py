@@ -271,7 +271,8 @@ class TestPostSelectedRate:
         # rate reduces to the fixed-channel composable rate at tau = eta
         model = scn.fading_model(530e3, 0.5)
         # the spread s = r0^2 / (2 sigma^2) of a wander variance of 1e-14 m^2; a downlink wanders by pointing alone
-        model = replace(model, spread=model.spread * pointing_variance(slant_range(530e3, 0.5), scn.pointing_error) / 1e-14)
+        sigma2 = pointing_variance(slant_range(530e3, 0.5), scn.pointing_error)
+        model = replace(model, spread=model.spread * sigma2 / 1e-14)
         params = replace(scn.protocol, phi_thr=0.999999)
         nbp = scn.nbar_prime
         frozen = postselected_rate(model, nbp, params, "collective")
