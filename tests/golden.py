@@ -123,6 +123,11 @@ EDGES = [
     *([*command, *README_SET, "--set", change]
       for change in ("protocol.detection=hom", "protocol.tail=hoeffding", "scenario.profile=hufnagel-stanley")
       for command in (RATE_3, ["pass", "--h", "530km"])),
+    # the high-wind day profile on an uplink, whose spot sizes read it (the
+    # Rytov guard fires at 1 rad), and a profile that overrides the period's
+    *([*command, "--set", "scenario.link=up", "--set", "scenario.profile=hv-worst-day"]
+      for command in (RATE_3, ["bounds", "--h-grid", "100km:36000km:4:log", "--theta", "0", "--theta", "1"])),
+    [*RATE_3, "--set", "scenario.link=up", "--set", "scenario.period=night", "--set", "scenario.profile=hv-day"],
     # n-bar >= 1: no secure range in either mode
     *(["max-range", "--mode", mode, "--set", "receiver.excess_photons=2"] for mode in ("simple", "tight")),
     # an infinite wander variance: the beam always misses, B is 0 and every tau is 0
