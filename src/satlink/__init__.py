@@ -9,7 +9,7 @@ from .geometry import slant_range
 from .noise import nbar_background, nbar_total
 from .orbit import orbital_period, slice_orbit, sun_sync_inclination, transit_times
 from .scenario import SETUPS, Scenario
-from .turbulence import TurbulenceProfile, i_infty, spot_sizes
+from .turbulence import i_infty, spot_sizes
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "SETUPS",
     "Scenario",
     "StrongTurbulenceError",
-    "TurbulenceProfile",
     "diffraction_waist",
     "eta_atm",
     "eta_diffraction",

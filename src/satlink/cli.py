@@ -91,6 +91,10 @@ def _count(items: str, text: str) -> int:
 
 
 ZENITH_ANGLE = Domain("a zenith angle in [-pi/2, pi/2]", lambda theta: abs(theta) <= math.pi / 2)
+# validate-mc holds about 0.5 KB per bin at its peak (its edge, its mapped
+# bound, its count, its analytic value and its CSV row), so its bins stay
+# below about 50 MB
+MAX_BINS = 100_000
 
 
 def _named(name: str, parse: Callable[[str], object], text: str, domain: Domain | None = None):
@@ -465,7 +469,8 @@ COMMANDS = (
         ("--theta", _finite, ZENITH_ANGLE, dict(default="0", help="zenith angle (default 0)")),
         ("--samples", functools.partial(_count, "{} samples"), at_least(1), dict(default="1000000")),
         ("--seed", _whole, at_least(0), dict(default="1")),
-        ("--bins", functools.partial(_count, "{} bins"), at_least(1), dict(default="60")),
+        ("--bins", _whole, Domain(f"at least 1 and at most {MAX_BINS}", lambda n: 1 <= n <= MAX_BINS),
+         dict(default="60")),
     )),
     ("max-range", "maximum secure slant range", cmd_max_range, (
         ("--mode", str, None, dict(choices=("simple", "tight"), default="tight")),

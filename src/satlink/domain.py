@@ -102,8 +102,3 @@ class Record:
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._fields, self._key))})"
-
-
-def replace(record: Record, **changes) -> Record:
-    """A copy of `record` with the fields in `changes` set, checked as a new record."""
-    return type(record)(**dict(zip(record._fields, record._key), **changes))

@@ -24,7 +24,6 @@ from .atmosphere import ExtinctionModel
 from .beam import BeamParams, ReceiverParams
 from .domain import Record
 from .errors import NumericalError, guard
-from .turbulence import TurbulenceProfile
 
 # Elements per block where a pass over many samples runs in pieces: 64 Ki
 # doubles (512 KiB), so that a block and its temporaries stay in cache
@@ -103,13 +102,14 @@ def fading_model(
     theta: float,
     beam: BeamParams,
     receiver: ReceiverParams,
-    profile: TurbulenceProfile,
+    profile: str,
     direction: str,
     extinction: ExtinctionModel,
     pointing_error: float,
 ) -> FadingModel:
     """Assemble the fading-channel state for a satellite at (h, theta).
 
+    profile names the turbulence profile, a key of turbulence.PROFILES.
     Strong scintillation (saturated Rytov variance >= 1, e.g. worst-case
     day conditions at large zenith angles) does not abort the computation
     but fires the validity guard fading.rytov (errors.GUARDS), as a marginal

@@ -23,7 +23,7 @@ from .domain import NON_NEGATIVE, Record, one_of, param
 from .errors import ConfigError, FieldError, NumericalError
 from .fading import FadingModel
 from .geometry import slant_range
-from .turbulence import PROFILES, TurbulenceProfile
+from .turbulence import PROFILES
 
 # hardware presets: (beam waist w0, receiver aperture a_R, spectral filter);
 # preset 1 is the parameter records' defaults
@@ -81,14 +81,11 @@ class Scenario(Record):
 
     # the scenario is frozen, so its derived state is computed once
 
-    @property
-    def profile_name(self) -> str:
-        """scenario.profile, or unset the Hufnagel-Valley profile of the period."""
-        return self.profile or f"hv-{self.period}"
-
     @cached_property
-    def resolved_profile(self) -> TurbulenceProfile:
-        return PROFILES[self.profile_name]
+    def profile_name(self) -> str:
+        """The turbulence profile, a key of turbulence.PROFILES: scenario.profile,
+        or unset the Hufnagel-Valley profile of the period."""
+        return self.profile or f"hv-{self.period}"
 
     @cached_property
     def nbar_background(self) -> float:
@@ -119,7 +116,7 @@ class Scenario(Record):
             theta,
             self.beam,
             self.receiver,
-            self.resolved_profile,
+            self.profile_name,
             self.link,
             self.extinction,
             self.pointing_error,

@@ -6,9 +6,10 @@ coherence length, and the short-/long-term spot sizes plus centroid-wander
 variance for uplink beams.  Downlink beams are diffraction-limited within the
 working angular window.
 
-Each profile is a sum of terms c * h^q * exp(-h / a), so the moments of
-C_n^2 that the Rytov variance and the coherence length take are sums of
-c * Gamma(p + q + 1) * a^(p + q + 1) in closed form.
+A profile is one of the names of PROFILES, which holds its terms: C_n^2 is
+the sum of c * h^q * exp(-h / a) over them, so the moments of C_n^2 that the
+Rytov variance and the coherence length take are sums of
+c * Gamma(p + q + 1) * a^(p + q + 1) in closed form, cached by name.
 """
 
 from __future__ import annotations
@@ -18,67 +19,51 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .beam import BeamParams, diffraction_waist
-from .domain import Record
 from .errors import NumericalError, StrongTurbulenceError, guard
 
 
-class TurbulenceProfile(Record):
-    """Atmospheric turbulence-strength profile.
-
-    kind "hufnagel-valley" uses the ground value a_ground and windspeed;
-    kind "hufnagel-stanley" uses the c1 * h^(-1/3) * exp(-h/c2) form and is
-    singular at h = 0.
-    """
-
-    kind: str = "hufnagel-valley"
-    a_ground: float = 1.7e-14   # C_n^2(0), m^(-2/3)
-    windspeed: float = 21.0     # m/s
-    hs_c1: float = 4.2e-14
-    hs_c2: float = 3200.0
-
-
-# the named profiles: Hufnagel-Valley at night, by day and on a worst-case
-# (high-wind) day, and the Hufnagel-Stanley form
-PROFILES: dict[str, TurbulenceProfile] = {
-    "hv-night": TurbulenceProfile(a_ground=1.7e-14, windspeed=21.0),
-    "hv-day": TurbulenceProfile(a_ground=2.75e-14, windspeed=21.0),
-    "hv-worst-day": TurbulenceProfile(a_ground=2.75e-14, windspeed=57.0),
-    "hufnagel-stanley": TurbulenceProfile(kind="hufnagel-stanley"),
-}
-
-
-def _terms(profile: TurbulenceProfile) -> tuple[tuple[float, float, float], ...]:
-    """The profile's C_n^2(h) as the sum of c * h^q * exp(-h / a) over its terms (c, q, a)."""
-    if profile.kind == "hufnagel-stanley":
-        return ((profile.hs_c1, -1.0 / 3.0, profile.hs_c2),)
+def _hufnagel_valley(a_ground: float, windspeed: float) -> tuple[tuple[float, float, float], ...]:
+    """The Hufnagel-Valley terms of ground value a_ground = C_n^2(0) (m^(-2/3)) and windspeed (m/s)."""
     return (
-        (5.94e-53 * (profile.windspeed / 27.0) ** 2, 10.0, 1000.0),
+        (5.94e-53 * (windspeed / 27.0) ** 2, 10.0, 1000.0),
         (2.7e-16, 0.0, 1500.0),
-        (profile.a_ground, 0.0, 100.0),
+        (a_ground, 0.0, 100.0),
     )
 
 
-def _moment(p: float, profile: TurbulenceProfile) -> float:
+# the named profiles, each C_n^2(h) as the sum of c * h^q * exp(-h / a) over
+# its terms (c, q, a): Hufnagel-Valley at night, by day and on a worst-case
+# (high-wind) day, and the Hufnagel-Stanley form c1 * h^(-1/3) * exp(-h/c2),
+# singular at h = 0
+PROFILES: dict[str, tuple[tuple[float, float, float], ...]] = {
+    "hv-night": _hufnagel_valley(1.7e-14, 21.0),
+    "hv-day": _hufnagel_valley(2.75e-14, 21.0),
+    "hv-worst-day": _hufnagel_valley(2.75e-14, 57.0),
+    "hufnagel-stanley": ((4.2e-14, -1.0 / 3.0, 3200.0),),
+}
+
+
+def _moment(p: float, profile: str) -> float:
     """Integral over h in [0, inf) of h^p C_n^2(h): the sum of c Gamma(p + q + 1) a^(p + q + 1)."""
     # a^(q + 1) a^p: a^(p + q + 1) would lose ln(a) ulps of p + q + 1, 7e-15 for the h^10 term
-    return sum(c * math.gamma(p + q + 1.0) * a ** (q + 1.0) * a**p for c, q, a in _terms(profile))
+    return sum(c * math.gamma(p + q + 1.0) * a ** (q + 1.0) * a**p for c, q, a in PROFILES[profile])
 
 
 # the columns integrate C_n^2 over [0, inf); above 100 km lies below 1e-28
 # of the Hufnagel-Valley ones, and 1.7e-13 of the Hufnagel-Stanley h^(5/6) one
 @lru_cache(maxsize=32)
-def i_infty(profile: TurbulenceProfile) -> float:
+def i_infty(profile: str) -> float:
     """Column-integrated C_n^2 (m^(1/3)); the planar-approximation constant."""
     return _moment(0.0, profile)
 
 
 @lru_cache(maxsize=32)
-def _rytov_column(profile: TurbulenceProfile) -> float:
+def _rytov_column(profile: str) -> float:
     """Cached integral of C_n^2(xi) xi^(5/6); the saturated Rytov weight."""
     return _moment(5.0 / 6.0, profile)
 
 
-def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float:
+def rytov_saturated(theta: float, k: float, profile: str) -> float:
     """Rytov variance in the saturated (above-atmosphere) limit.
 
     Equals the full slant expression for any altitude beyond the
@@ -88,7 +73,7 @@ def rytov_saturated(theta: float, k: float, profile: TurbulenceProfile) -> float
     return 2.25 * k ** (7.0 / 6.0) * math.pow(sec, 11.0 / 6.0) * _rytov_column(profile)
 
 
-def coherence_length_planar(theta: float, k: float, profile: TurbulenceProfile) -> float:
+def coherence_length_planar(theta: float, k: float, profile: str) -> float:
     """Asymptotic plane-wave coherence length [1.46 k^2 sec(theta) I_inf]^(-3/5)."""
     sec = 1.0 / math.cos(abs(theta))
     strength = 1.46 * k * k * sec * i_infty(profile)
@@ -111,7 +96,7 @@ def spot_sizes(
     z: float,
     theta: float,
     beam: BeamParams,
-    profile: TurbulenceProfile,
+    profile: str,
     direction: str,
     pointing_sigma2: float,
 ) -> SpotSizes:

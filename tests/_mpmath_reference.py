@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from _reference import HUFNAGEL_STANLEY, HUFNAGEL_VALLEY
+
 DIGITS = 40
 R = mp.mpf(6.371e6)
 PATH_TOP = mp.mpf(200e3)
@@ -54,10 +56,13 @@ def eta_atm(h: float, theta: float, alpha0: float, h_scale: float):
         return mp.exp(-mp.mpf(alpha0) * line_of_sight(h, theta, h_scale))
 
 
-def cn2(h, kind: str, a_ground: float, windspeed: float, hs_c1: float, hs_c2: float):
-    """The Hufnagel-Valley or Hufnagel-Stanley C_n^2 at altitude h > 0."""
-    if kind == "hufnagel-stanley":
+def cn2(h, profile: str):
+    """The named Hufnagel-Valley or Hufnagel-Stanley C_n^2 at altitude h > 0, from the
+    parameters of the oracles' table."""
+    if profile in HUFNAGEL_STANLEY:
+        hs_c1, hs_c2 = HUFNAGEL_STANLEY[profile]
         return mp.mpf(hs_c1) * h ** (-mp.mpf(1) / 3) * mp.exp(-h / mp.mpf(hs_c2))
+    a_ground, windspeed = HUFNAGEL_VALLEY[profile]
     v = mp.mpf(windspeed)
     return (
         mp.mpf("5.94e-53") * (v / 27) ** 2 * h**10 * mp.exp(-h / 1000)
@@ -67,12 +72,12 @@ def cn2(h, kind: str, a_ground: float, windspeed: float, hs_c1: float, hs_c2: fl
 
 
 @lru_cache(maxsize=None)
-def column(p: str, kind: str, a_ground: float, windspeed: float, hs_c1: float, hs_c2: float):
-    """Integral over h in [0, inf) of h^p C_n^2(h), for p given as a fraction such as "5/6"."""
+def column(p: str, profile: str):
+    """Integral over h in [0, inf) of h^p C_n^2(h) of the named profile, for p given as a fraction such as "5/6"."""
     with mp.workdps(DIGITS):
         power = mp.mpf(mp.fraction(*map(int, p.split("/")))) if "/" in p else mp.mpf(p)
         edges = [0, 100, 1000, 3000, 1e4, 3e4, 1e5, mp.inf]
-        return mp.quad(lambda h: h**power * cn2(h, kind, a_ground, windspeed, hs_c1, hs_c2), edges)
+        return mp.quad(lambda h: h**power * cn2(h, profile), edges)
 
 
 @lru_cache(maxsize=None)

@@ -1,7 +1,9 @@
 """Reference code the tests hold satlink to; no satlink command reaches it.
 
-Two kinds of code live here:
+Three kinds of code live here:
 
+- a copy of a record with some fields changed (replace), which only tests
+  make;
 - oracles and cross-checks, independent or slower spellings of what the
   package computes: the altitude along a line of sight on numpy arrays
   (slant_range's inverse) and the line of sight by tanh-sinh on numpy in
@@ -45,14 +47,23 @@ from satlink.cvqkd import (
     asymptotic_rate,
     worst_case_nbar,
 )
+from satlink.domain import Record
 from satlink.fading import BLOCK, FadingModel, fading_cdf, pointing_variance, sample_v
 from satlink.scenario import Scenario
-from satlink.turbulence import SpotSizes, TurbulenceProfile, i_infty, spot_sizes
+from satlink.turbulence import SpotSizes, i_infty, spot_sizes
 
 # the scenario defaults of the extinction and the pointing error, which the
 # channel functions take from their caller
 EXTINCTION = ExtinctionModel()
 POINTING_ERROR = Scenario.pointing_error
+
+# -- records -----------------------------------------------------------------
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with the fields in `changes` set, checked as a new record."""
+    return type(record)(**dict(zip(record._fields, record._key), **changes))
+
 
 # -- geometry and extinction -------------------------------------------------
 
@@ -199,19 +210,31 @@ PROFILE_TOP_M = 100e3
 LAYER_EDGES_M = (0.0, 2e3, 3e4, PROFILE_TOP_M)
 
 
-def cn2(h, profile: TurbulenceProfile):
-    """The profile's structure constant C_n^2 (m^(-2/3)) at an altitude or an array of them
+# the parameters of each named profile, apart from satlink.turbulence's terms:
+# Hufnagel-Valley's ground value C_n^2(0) (m^(-2/3)) and windspeed (m/s), and
+# Hufnagel-Stanley's c1 and c2 in c1 h^(-1/3) exp(-h / c2)
+HUFNAGEL_VALLEY = {"hv-night": (1.7e-14, 21.0), "hv-day": (2.75e-14, 21.0), "hv-worst-day": (2.75e-14, 57.0)}
+HUFNAGEL_STANLEY = {"hufnagel-stanley": (4.2e-14, 3200.0)}
+
+
+def hufnagel_valley(h, a_ground: float, windspeed: float):
+    """The Hufnagel-Valley C_n^2 (m^(-2/3)) of ground value a_ground and windspeed at altitude h."""
+    return (
+        5.94e-53 * (windspeed / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
+        + 2.7e-16 * np.exp(-h / 1500.0)
+        + a_ground * np.exp(-h / 100.0)
+    )
+
+
+def cn2(h, profile: str):
+    """The named profile's structure constant C_n^2 (m^(-2/3)) at an altitude or an array of them
     (quadrature nodes), spelled from its parameters."""
-    if profile.kind == "hufnagel-stanley":
+    if profile in HUFNAGEL_STANLEY:
         if np.min(h) <= 0:
             raise ValueError("Hufnagel-Stanley profile is singular at h <= 0")
-        return profile.hs_c1 * h ** (-1.0 / 3.0) * np.exp(-h / profile.hs_c2)
-    v = profile.windspeed
-    return (
-        5.94e-53 * (v / 27.0) ** 2 * h**10 * np.exp(-h / 1000.0)
-        + 2.7e-16 * np.exp(-h / 1500.0)
-        + profile.a_ground * np.exp(-h / 100.0)
-    )
+        c1, c2 = HUFNAGEL_STANLEY[profile]
+        return c1 * h ** (-1.0 / 3.0) * np.exp(-h / c2)
+    return hufnagel_valley(h, *HUFNAGEL_VALLEY[profile])
 
 
 def _column(f, edges) -> float:
@@ -229,7 +252,7 @@ def _layer_edges(top: float) -> list[float]:
     return [e for e in LAYER_EDGES_M if e < top] + [top]
 
 
-def cn2_avg(h: float, profile: TurbulenceProfile) -> float:
+def cn2_avg(h: float, profile: str) -> float:
     """Single-layer average (1/h) * integral of C_n^2 from 0 to h."""
     if h <= 0:
         raise ValueError("layer thickness must be positive")
@@ -246,7 +269,7 @@ def rytov_variance(
     h: float,
     theta: float,
     k: float,
-    profile: TurbulenceProfile,
+    profile: str,
     direction: str = "down",
 ) -> RytovResult:
     """Plane-wave Rytov variance for a slant path to altitude h.
@@ -278,7 +301,7 @@ def speckle_count(aperture: float, rho0: float) -> float:
     return 1.0 + (aperture / rho0) ** 2
 
 
-def uplink_coefficients(profile: TurbulenceProfile) -> tuple[float, float, float]:
+def uplink_coefficients(profile: str) -> tuple[float, float, float]:
     """Planar-approximation spot-size coefficients (a, b, c) for an uplink beam.
 
     a scales the total turbulent broadening, b the Yura wander fraction and
@@ -294,7 +317,7 @@ def coherence_length(
     z: float,
     theta: float,
     k: float,
-    profile: TurbulenceProfile,
+    profile: str,
     direction: str,
 ) -> float:
     """Spherical-wave coherence length rho_0 over a slant path of length z.
@@ -332,7 +355,7 @@ def model_spot_sizes(
     h: float,
     theta: float,
     beam: BeamParams,
-    profile: TurbulenceProfile,
+    profile: str,
     direction: str,
     pointing_error: float = POINTING_ERROR,
 ) -> SpotSizes:

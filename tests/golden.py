@@ -87,6 +87,8 @@ EDGES = [
     ["bounds", "--h-grid", "10km:0km:3:log"],
     ["show-config", "--set", "scenario.setup=2.7"],
     ["validate-mc", "--h", "530km", "--samples", "1km"],
+    # a bin count past its bound, refused before any array is made
+    ["validate-mc", "--h", "530km", "--bins", "1e9"],
     ["show-config", "--set", "protocol.tail=bogus"],
     # a value that spells a record's field is quoted as given
     ["show-config", "--set", "scenario.link=BeamParams.waist"],

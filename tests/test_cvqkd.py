@@ -15,7 +15,6 @@ from satlink.cvqkd import (
     postselected_rate,
     worst_case_nbar,
 )
-from satlink.domain import replace
 from satlink.fading import pointing_variance
 from satlink.geometry import slant_range
 
@@ -27,6 +26,7 @@ from _reference import (
     general_protocol,
     llo_noise,
     optimize_protocol,
+    replace,
     simulate_pilots,
 )
 

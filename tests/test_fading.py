@@ -7,7 +7,6 @@ import scipy.integrate
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from satlink.beam import BeamParams, ReceiverParams
-from satlink.domain import replace
 from satlink.errors import GUARDS, NumericalError
 from satlink.fading import (
     BLOCK,
@@ -23,7 +22,6 @@ from satlink.fading import (
     sorted_v_statistics,
 )
 from satlink.scenario import Scenario
-from satlink.turbulence import PROFILES
 
 from _reference import (
     EXTINCTION,
@@ -33,6 +31,7 @@ from _reference import (
     fading_pdf,
     ks_statistic_blocks,
     model_spot_sizes,
+    replace,
     sample_fading,
     sample_fading_whole,
     tau_of_radius,
@@ -40,7 +39,7 @@ from _reference import (
     wander_v,
 )
 
-NIGHT = PROFILES["hv-night"]
+NIGHT = "hv-night"
 BEAM = BeamParams(wavelength=800e-9, waist=0.2)
 RECEIVER = ReceiverParams(aperture=0.4, efficiency=0.4)
 CONFIGS = list(itertools.product((1, 2, 3, 4), ("up", "down"), ("day", "night"), ("clear", "cloudy")))
@@ -407,7 +406,7 @@ class TestSlowDetection:
 
 class TestModelAssembly:
     def test_strong_scintillation_warns_but_computes(self):
-        worst = PROFILES["hv-worst-day"]
+        worst = "hv-worst-day"
         GUARDS.clear()
         model = fading_model(500e3, 1.0, BEAM, RECEIVER, worst, "up", EXTINCTION, POINTING_ERROR)
         assert 0.0 < model.eta < 1.0

@@ -16,9 +16,16 @@ from satlink.atmosphere import LAGUERRE
 from satlink._special import erfcinv, i0e, i1e
 from satlink.errors import NumericalError
 from satlink.geometry import slant_range
-from satlink.turbulence import PROFILES, TurbulenceProfile
 
-from _reference import LAYER_EDGES_M, cn2, fading_average, path_altitude, tanh_sinh_numpy, wander_delta
+from _reference import (
+    LAYER_EDGES_M,
+    cn2,
+    fading_average,
+    hufnagel_valley,
+    path_altitude,
+    tanh_sinh_numpy,
+    wander_delta,
+)
 
 EPS = np.finfo(float).eps
 
@@ -149,30 +156,29 @@ class TestTanhSinh:
 
     @pytest.mark.parametrize("windspeed", [21.0, 57.0])
     def test_cn2_bump(self, windspeed):
-        # the Hufnagel-Valley column on its panel edges: ground layer and
-        # the 10 km bump
-        profile = TurbulenceProfile(windspeed=windspeed)
+        # the Hufnagel-Valley column of the night ground value on its panel
+        # edges: ground layer and the 10 km bump
+        profile = lambda x: hufnagel_valley(x, 1.7e-14, windspeed)
         panels = list(zip(LAYER_EDGES_M, LAYER_EDGES_M[1:]))
-        q = [one_row(lambda x: cn2(x, profile), a, b) for a, b in panels]
+        q = [one_row(profile, a, b) for a, b in panels]
         value = sum(p.value for p in q)
         # the three terms integrate in closed form; their tails beyond
         # 100 km are below 1e-30 of the total
         exact = (
             5.94e-53 * (windspeed / 27.0) ** 2 * math.factorial(10) * 1000.0**11
             + 2.7e-16 * 1500.0
-            + profile.a_ground * 100.0
+            + 1.7e-14 * 100.0
         )
         assert abs(value - exact) <= sum(p.error for p in q) + 8 * EPS * exact
         ref = sum(
-            quad(lambda x: cn2(x, profile), a, b, epsabs=0.0, epsrel=1e-12, limit=300)
+            quad(profile, a, b, epsabs=0.0, epsrel=1e-12, limit=300)
             for a, b in panels
         )
         assert value == pytest.approx(ref, rel=1e-11)
 
     def test_hufnagel_stanley_singularity(self):
-        hs = PROFILES["hufnagel-stanley"]
-        q = one_row(lambda x: cn2(x, hs), 0.0, 2e3)
-        ref = quad(lambda x: cn2(x, hs), 0.0, 2e3, epsabs=0.0, epsrel=1e-12, limit=300)
+        q = one_row(lambda x: cn2(x, "hufnagel-stanley"), 0.0, 2e3)
+        ref = quad(lambda x: cn2(x, "hufnagel-stanley"), 0.0, 2e3, epsabs=0.0, epsrel=1e-12, limit=300)
         assert q.value == pytest.approx(ref, rel=1e-11)
 
     def test_error_estimate_bounds_error(self):

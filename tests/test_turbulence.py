@@ -8,28 +8,31 @@ from hypothesis import strategies as st
 from satlink.beam import BeamParams
 from satlink.errors import ConfigError, StrongTurbulenceError
 from satlink.scenario import Scenario
-from satlink.turbulence import (
-    PROFILES,
-    TurbulenceProfile,
-    coherence_length_planar,
-    i_infty,
-    spot_sizes,
-)
+from satlink.turbulence import PROFILES, coherence_length_planar, i_infty, spot_sizes
 
 import _reference
-from _reference import cn2, coherence_length, cn2_avg, rytov_variance, speckle_count, uplink_coefficients
+from _reference import (
+    HUFNAGEL_VALLEY,
+    cn2,
+    cn2_avg,
+    coherence_length,
+    rytov_variance,
+    speckle_count,
+    uplink_coefficients,
+)
 
-NIGHT = PROFILES["hv-night"]
-DAY = PROFILES["hv-day"]
+NIGHT = "hv-night"
+DAY = "hv-day"
 K_800 = 2.0 * math.pi / 800e-9
 BEAM20 = BeamParams(wavelength=800e-9, waist=0.2)
 BEAM40 = BeamParams(wavelength=800e-9, waist=0.4)
 
 
-def i_infty_closed_form(profile: TurbulenceProfile) -> float:
+def i_infty_closed_form(profile: str) -> float:
     """Analytic column integral of the three H-V terms (oracle)."""
-    wind_term = 5.94e-53 * (profile.windspeed / 27.0) ** 2 * math.factorial(10) * 1000.0**11
-    return wind_term + 2.7e-16 * 1500.0 + profile.a_ground * 100.0
+    a_ground, windspeed = HUFNAGEL_VALLEY[profile]
+    wind_term = 5.94e-53 * (windspeed / 27.0) ** 2 * math.factorial(10) * 1000.0**11
+    return wind_term + 2.7e-16 * 1500.0 + a_ground * 100.0
 
 
 class TestProfiles:
@@ -37,25 +40,29 @@ class TestProfiles:
         assert cn2(0.0, NIGHT) == pytest.approx(1.7e-14, rel=0.02)
 
     def test_stanley_near_ground(self):
-        hs = PROFILES["hufnagel-stanley"]
-        assert 3e-15 < cn2(30.0, hs) < 3e-14
+        assert 3e-15 < cn2(30.0, "hufnagel-stanley") < 3e-14
 
     def test_negligible_at_50km(self):
         assert cn2(50e3, NIGHT) < 1e-19
 
     def test_stanley_singularity(self):
         with pytest.raises(ValueError):
-            cn2(0.0, PROFILES["hufnagel-stanley"])
+            cn2(0.0, "hufnagel-stanley")
 
     def test_profiles_by_name(self):
-        assert (NIGHT.a_ground, NIGHT.windspeed) == (1.7e-14, 21.0)
-        assert (DAY.a_ground, DAY.windspeed) == (2.75e-14, 21.0)
-        assert PROFILES["hv-worst-day"].windspeed == 57.0
-        assert PROFILES["hufnagel-stanley"].kind == "hufnagel-stanley"
-        assert Scenario(profile="hv-worst-day").resolved_profile is PROFILES["hv-worst-day"]
-        assert Scenario(period="day").resolved_profile is DAY
+        assert list(PROFILES) == ["hv-night", "hv-day", "hv-worst-day", "hufnagel-stanley"]
+        assert Scenario(profile="hv-worst-day").profile_name == "hv-worst-day"
+        assert Scenario(period="day").profile_name == DAY
+        assert Scenario(period="day", profile="hv-night").profile_name == NIGHT
         with pytest.raises(ConfigError, match="Scenario.profile: expected one of 'hv-night'"):
             Scenario(profile="kolmogorov")
+
+    @pytest.mark.parametrize("name", list(PROFILES))
+    def test_terms_spell_the_parameters(self, name):
+        # each preset's terms sum to the C_n^2 of its parameters in the oracle's table
+        for h in (30.0, 1e3, 1e4, 2e4):
+            terms = sum(c * h**q * math.exp(-h / a) for c, q, a in PROFILES[name])
+            assert terms == pytest.approx(cn2(h, name), rel=1e-14)
 
     def test_day_exceeds_night(self):
         for h in (0.0, 100.0, 5e3, 15e3):
@@ -81,7 +88,7 @@ class TestColumnIntegral:
         assert i_infty(DAY) == pytest.approx(3.2854e-12, rel=5e-3)
 
     def test_against_closed_form(self):
-        for profile in (NIGHT, DAY, PROFILES["hv-worst-day"]):
+        for profile in HUFNAGEL_VALLEY:
             assert i_infty(profile) == pytest.approx(i_infty_closed_form(profile), rel=1e-8)
 
     def test_truncation_insensitive(self):
@@ -137,7 +144,7 @@ class TestRytov:
     def test_worst_day_crosses_unity_within_the_window(self):
         from satlink.turbulence import rytov_saturated
 
-        worst = PROFILES["hv-worst-day"]
+        worst = "hv-worst-day"
         assert rytov_saturated(0.0, K_800, worst) == pytest.approx(0.6, abs=0.1)
         assert rytov_saturated(1.0, K_800, worst) == pytest.approx(2.0, abs=0.3)
 
