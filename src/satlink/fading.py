@@ -28,6 +28,11 @@ from .errors import NumericalError, guard
 # Elements per block where a pass over many samples runs in pieces: 64 Ki
 # doubles (512 KiB), so that a block and its temporaries stay in cache
 BLOCK = 1 << 16
+# Normals per segment of sample_v's stream, and the helper's extra normals at
+# a segment's start, where the stream lies about 2.2 % of a segment past the
+# advance
+SEGMENT = 2 * BLOCK
+SLACK = SEGMENT // 32 + 256
 
 # Sorted samples per segment of the KS statistic: the law is taken at one
 # sample in STRIDE, then inside the few segments that can hold the largest
@@ -153,28 +158,105 @@ def p_threshold(eta_th: float, model: FadingModel) -> float:
     return 1.0 - fading_cdf(eta_th, model)
 
 
+def _draw_ahead(state, out, found) -> None:
+    """Fill out with normals from a PCG64 at state advanced by len(out) - SLACK
+    words; append to found its state after SLACK normals, then the generator.
+
+    A normal takes at least one word, so the advance is a lower bound on
+    where the stream's next segment starts, and the stream lies a little way
+    into out (about 2.2 % of the advance).
+    """
+    import numpy as np
+
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    bitgen.advance(len(out) - SLACK)
+    rng = np.random.Generator(bitgen)
+    rng.standard_normal(out=out[:SLACK])
+    found.append(bitgen.state)
+    rng.standard_normal(out=out[SLACK:])
+    found.append(rng)
+
+
+def _fold(v, p: int, values) -> None:
+    """Square values, the normals at stream positions p, p + 1, ..., into v:
+    position i < len(v) sets v[i], position i >= len(v) adds to v[i - len(v)].
+    The squares overwrite the values of positions past len(v)."""
+    import numpy as np
+
+    n = len(v)
+    k = min(max(n - p, 0), len(values))
+    np.square(values[:k], out=v[p:p + k])
+    if k < len(values):
+        y = np.square(values[k:], out=values[k:])
+        v[p + k - n:p + len(values) - n] += y
+
+
 def sample_v(n: int, seed: int):
     """Draw n values of the law's variable v = x^2 + y^2, x and y standard
     normals; deterministic for a fixed seed.
 
     The n values of x, then the n of y, are the stream of
-    rng.standard_normal((2, n)) on default_rng(seed).  x is drawn whole, and
-    is the array returned.  y is drawn BLOCK values at a time; while a block
-    of x is in cache it takes every step in place: squared, + y^2.  So the
-    only n-element array is the result, and it is swept from memory once.
+    rng.standard_normal((2, n)) on default_rng(seed), and v holds the doubles
+    of that array squared and summed, however the rounds below fall.
+
+    The stream is drawn in rounds on two threads.  The calling thread holds
+    the exact generator and draws q <= SEGMENT normals, while a helper draws
+    q + SLACK from the same state advanced by q words (_draw_ahead).  The
+    calling thread finds its next normal among the helper's first SLACK, at
+    j, and draws SLACK - j itself.  If its state then equals the helper's
+    after SLACK normals, both stand at the same word: the helper's last q
+    normals are the stream's next, and its generator carries on.  Otherwise
+    the round ends at the calling thread's own draws: a miss costs time,
+    never a value.
+
+    The rounds hold two buffers of SEGMENT + SLACK doubles (2.2 MB) beside v.
+    The calling thread draws alone where the process may run on one CPU (a
+    helper there only slows the draw), and for the last normals of the
+    stream, fewer than 2 BLOCK + SLACK.
     """
+    import os
+    import threading
+
     import numpy as np
 
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity set on this OS
+        cpus = os.cpu_count() or 1
+    v = np.empty(n)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    y = np.empty(min(n, BLOCK))
-    for lo in range(0, n, BLOCK):
-        xb = x[lo:lo + BLOCK]
-        xb *= xb
-        yb = rng.standard_normal(out=y[:len(xb)])
-        yb *= yb
-        xb += yb
-    return x
+    own = np.empty(min(2 * n, SEGMENT + SLACK))
+    ahead = np.empty(SEGMENT + SLACK) if cpus > 1 and 2 * n >= 2 * BLOCK + SLACK else None
+    p = 0
+    while p < 2 * n:
+        q = min(SEGMENT, (2 * n - p - SLACK) // 2)
+        if ahead is None or q < BLOCK:
+            q = min(SEGMENT, 2 * n - p)
+            _fold(v, p, rng.standard_normal(out=own[:q]))
+            p += q
+            continue
+        found = []
+        state = rng.bit_generator.state
+        helper = threading.Thread(target=_draw_ahead, args=(state, ahead[:q + SLACK], found))
+        helper.start()
+        try:
+            _fold(v, p, rng.standard_normal(out=own[:q]))
+            p += q
+            helper.join()
+            rng.standard_normal(out=own[:1])
+            j = np.flatnonzero(ahead[:SLACK] == own[0])
+            m = SLACK - int(j[0]) if len(j) else 1
+            rng.standard_normal(out=own[1:m])
+            _fold(v, p, own[:m])
+            p += m
+            if len(j) and len(found) == 2 and rng.bit_generator.state == found[0]:
+                _fold(v, p, ahead[SLACK:q + SLACK])
+                p += q
+                rng = found[1]
+        finally:
+            helper.join()
+    return v
 
 
 def v_cdf(v):

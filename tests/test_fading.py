@@ -1,15 +1,21 @@
 import itertools
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
+from satlink import fading
 from satlink.beam import BeamParams, ReceiverParams
 from satlink.errors import GUARDS, NumericalError
 from satlink.fading import (
     BLOCK,
+    SEGMENT,
+    SLACK,
     FadingModel,
     bessel_f0,
     bessel_f1,
@@ -240,6 +246,26 @@ class TestThresholdProbability:
             p_threshold(model_down.eta, model_down)
 
 
+def set_cpus(monkeypatch, count: int) -> None:
+    """Let sample_v see count CPUs, on any machine (macOS has no affinity set)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def wrap_draw_ahead(monkeypatch, after):
+    """Run after(out, found) once each helper has drawn; return the list
+    that gets one entry per helper."""
+    calls = []
+    draw_ahead = fading._draw_ahead
+
+    def wrapped(state, out, found):
+        draw_ahead(state, out, found)
+        calls.append(len(out))
+        after(out, found)
+
+    monkeypatch.setattr(fading, "_draw_ahead", wrapped)
+    return calls
+
+
 class TestSampler:
     def test_seed_reproducibility(self, model_down):
         a = sample_fading(model_down, 1000, seed=3)
@@ -279,11 +305,18 @@ class TestSampler:
         assert np.all(got <= tau_of_radius(np.nextafter(r, 0.0), model))
 
 
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    @pytest.mark.parametrize("seed", [0, 5, 123456])
-    def test_radius2_is_the_square_sum_of_rng_normal(self, n, seed):
-        # v = x^2 + y^2, the squared radius in units of sigma, with y drawn a
-        # block at a time: the doubles of rng.standard_normal((2, n)) squared and summed
+    # 2 SEGMENT normals make a round; the x/y boundary n = 200,000 lies inside
+    # the first round's helper segment, which starts by SEGMENT + SLACK
+    @pytest.mark.parametrize("n", [
+        1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1,
+        2 * SEGMENT - 1, 2 * SEGMENT, 2 * SEGMENT + 1, 4 * SEGMENT + 3, 200_000, 1_000_000,
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 8, 13, 21, 123456, 2**31 - 1])
+    def test_radius2_is_the_square_sum_of_rng_normal(self, n, seed, monkeypatch):
+        # v = x^2 + y^2, the squared radius in units of sigma, drawn in spliced
+        # rounds on two threads: the doubles of rng.standard_normal((2, n))
+        # squared and summed
+        set_cpus(monkeypatch, 2)
         got = sample_v(n, seed)
         assert got.tobytes() == wander_v(n, seed).tobytes()
 
@@ -294,6 +327,48 @@ class TestSampler:
         # sees the same operations in the same order: the same doubles
         got = sample_fading(model_up, n, seed)
         assert got.tobytes() == sample_fading_whole(model_up, n, seed).tobytes()
+
+    def test_a_spliced_round_places_the_helpers_normals(self, monkeypatch):
+        # poisoned helper normals past the splice reach v on both sides of the boundary
+        set_cpus(monkeypatch, 2)
+        calls = wrap_draw_ahead(monkeypatch, lambda out, found: out[SLACK:].fill(np.nan))
+        got = sample_v(200_000, 3)
+        assert calls and np.isnan(got[0]) and np.isnan(got[-1])
+
+    @pytest.mark.parametrize("n", [2 * SEGMENT + 1, 200_000, 1_000_000])
+    def test_a_failed_splice_draws_the_segment_itself(self, n, monkeypatch):
+        # the splice finds its normal, but the recorded state never matches,
+        # and helper normals past the splice would show if used
+        def spoil(out, found):
+            out[SLACK:].fill(np.nan)
+            found[0] = None
+
+        set_cpus(monkeypatch, 2)
+        calls = wrap_draw_ahead(monkeypatch, spoil)
+        assert sample_v(n, 7).tobytes() == wander_v(n, 7).tobytes()
+        assert calls
+
+    def test_one_cpu_draws_alone(self, monkeypatch):
+        set_cpus(monkeypatch, 1)
+        calls = wrap_draw_ahead(monkeypatch, lambda out, found: None)
+        assert sample_v(1_000_000, 2).tobytes() == wander_v(1_000_000, 2).tobytes()
+        assert calls == []
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        before = threading.active_count()
+        sample_v(1_000_000, 4)
+        assert threading.active_count() == before
+
+        def fail(v, p, values):
+            raise RuntimeError("inside a round")
+
+        # a helper still drawing when the round fails
+        wrap_draw_ahead(monkeypatch, lambda out, found: time.sleep(0.2))
+        monkeypatch.setattr(fading, "_fold", fail)
+        with pytest.raises(RuntimeError, match="inside a round"):
+            sample_v(1_000_000, 4)
+        assert threading.active_count() == before
 
 
 class TestKsStatistic:
